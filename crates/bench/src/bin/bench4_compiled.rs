@@ -12,7 +12,8 @@
 //! runtime bound validator, and two throughput gates hold: the
 //! compiled backend must not be slower than the closure it replaces,
 //! and (on DENOISE, the CI geometry) the unrolled sweep at
-//! `DEFAULT_UNROLL` must clear 1.15x the U=1 compiled in-core rate.
+//! `DEFAULT_UNROLL` must clear 1.15x the U=1 compiled in-core rate
+//! (the single-output register program).
 //! Correctness failures exit nonzero immediately; a missed throughput
 //! gate earns fresh measurements (keeping the per-configuration
 //! maximum) before it fails the pipeline, because a descheduled
@@ -40,7 +41,8 @@ const RUNS: usize = 3;
 const UNROLL_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Required in-core speedup of the `DEFAULT_UNROLL` f64 sweep over the
-/// U=1 compiled run on DENOISE, the CI gate geometry.
+/// U=1 compiled run (the single-output register program) on DENOISE,
+/// the CI gate geometry.
 const UNROLL_GATE: f64 = 1.15;
 
 /// The measured throughputs (elements per second).
@@ -71,7 +73,8 @@ fn default_unroll_slot() -> usize {
 }
 
 impl Measurements {
-    /// Compiled U=1 in-core rate — the baseline both speedup gates divide by.
+    /// Compiled U=1 in-core rate (the single-output register program) —
+    /// the baseline both speedup gates divide by.
     fn incore_compiled(&self) -> f64 {
         self.sweep_f64[0]
     }

@@ -141,8 +141,9 @@ fn append_bound_checks(out: &mut String, report: &MetricsReport) -> usize {
 /// spec file carries window geometry but no arithmetic. With
 /// `backend == Compiled` (the default) the sum is authored as a
 /// [`KernelExpr`], compiled to stack bytecode validated against the
-/// closure, and executed through the vectorized row sweep; `Closure`
-/// keeps the original per-window call. `unroll` sets the compiled
+/// closure, and executed through the register-program row sweep (the
+/// one compiled sweep, at every unroll factor); `Closure` keeps the
+/// original per-window call. `unroll` sets the compiled
 /// sweep's outputs-per-dispatch; `datapath` its arithmetic width — f32
 /// runs always route through the compiled expression (the raw closure
 /// cannot narrow), and the direct-loop verification switches from

@@ -62,7 +62,7 @@ pub(crate) struct StreamStage<'k> {
     in_idx: DomainIndex,
     dims: usize,
     offsets: Vec<Point>,
-    kernel: Box<dyn RowKernel + 'k>,
+    kernel: RowKernel<'k>,
     backend: KernelBackend,
     chunk_rows: u64,
     worker_count: usize,
@@ -103,7 +103,7 @@ impl<'k> StreamStage<'k> {
     pub(crate) fn new(
         plan: &MemorySystemPlan,
         tile_plan: TilePlan,
-        kernel: Box<dyn RowKernel + 'k>,
+        kernel: RowKernel<'k>,
         backend: KernelBackend,
         chunk_rows: Option<u64>,
         threads: usize,
@@ -371,7 +371,7 @@ impl<'k> StreamStage<'k> {
         };
         let band_rows = band_idx.rows();
         let workers = threads_for(self.worker_count, band_rows.len());
-        let kernel: &dyn RowKernel = &*self.kernel;
+        let kernel = &self.kernel;
         let band_stats = if workers <= 1 {
             catch_unwind(AssertUnwindSafe(|| {
                 execute_rows(band_rows, 0, &self.offsets, &win, kernel, &mut out_buf)
@@ -425,10 +425,7 @@ impl<'k> StreamStage<'k> {
             bands: self.tile_plan.tile_count(),
             threads: self.worker_count,
             backend: self.backend,
-            unroll: self
-                .kernel
-                .unrolled()
-                .map_or(1, crate::unroll::UnrolledProgram::unroll),
+            unroll: self.kernel.unroll(),
             datapath: self.kernel.datapath(),
             chunk_rows: self.chunk_rows,
             rows_in: self.rows_in,

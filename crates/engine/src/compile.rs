@@ -1,5 +1,6 @@
 //! Plan-time kernel compilation: [`stencil_kernels::KernelExpr`] →
-//! flat stack bytecode → vectorized row sweeps.
+//! flat stack bytecode, the scalar form every compiled sweep is checked
+//! against.
 //!
 //! The closure datapath costs one indirect `Fn(&[f64]) -> f64` call and
 //! one window gather *per output element*. This module removes both:
@@ -15,11 +16,12 @@
 //!   bytecode against the reference closure on a battery of windows at
 //!   construction, so a mis-transcribed expression fails loudly before
 //!   any output is produced;
-//! * **sweep** — [`CompiledKernel::sweep`] evaluates the bytecode over
-//!   [`LANES`]-wide chunks of a whole output row, each tap bound to a
-//!   column-shifted contiguous slice of the resident input rows. One
-//!   opcode dispatch covers [`LANES`] elements and the per-lane loops
-//!   run over fixed-width arrays the autovectorizer turns into SIMD.
+//! * **evaluate** — [`CompiledKernel::eval`] (and [`CompiledKernel::eval32`]
+//!   for the f32 datapath) runs the bytecode on one window. This scalar
+//!   form serves the per-element `Closure` backend, gather rows, and the
+//!   replay that validates every register program. Row sweeps run the
+//!   register program [`crate::unroll`] lowers from the same folded
+//!   expression.
 //!
 //! Evaluation order is exactly the expression's association order, which
 //! the suite expressions in turn copy from their closures — the chain
@@ -32,12 +34,16 @@ use std::str::FromStr;
 use stencil_kernels::{Benchmark, KernelExpr};
 
 use crate::error::EngineError;
+use crate::unroll::Lane;
 
 /// Selects how the engine evaluates the kernel datapath.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KernelBackend {
-    /// Evaluate compiled bytecode with vectorized row sweeps on interior
-    /// rows (the default when a [`CompiledKernel`] is supplied).
+    /// Row-sweep interior rows through the vectorized register program
+    /// lowered from the [`CompiledKernel`] — `U` adjacent rows per
+    /// dispatch with `Session::unroll`, one row per dispatch at the
+    /// default `U = 1` (the default when a [`CompiledKernel`] is
+    /// supplied). Gather rows evaluate the scalar bytecode.
     #[default]
     Compiled,
     /// Evaluate one element at a time through the per-window call — the
@@ -79,10 +85,10 @@ impl FromStr for KernelBackend {
 /// Arithmetic precision of the compiled sweep datapath.
 ///
 /// `F64` is the bit-exact reference: every backend (closure, scalar
-/// bytecode, vectorized sweep, unrolled sweep) produces identical bits.
-/// `F32` narrows constants and taps to single precision at the kernel
-/// boundary — grids stay `f64` in memory, values narrow on load and
-/// widen on store — trading bit-exactness for double the arithmetic
+/// bytecode, register-program sweep at any unroll) produces identical
+/// bits. `F32` narrows constants and taps to single precision at the
+/// kernel boundary — grids stay `f64` in memory, values narrow on load
+/// and widen on store — trading bit-exactness for double the arithmetic
 /// lanes per vector op. `F32` runs verify against `F64` goldens with a
 /// per-kernel relative tolerance instead of bit equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,18 +131,10 @@ impl FromStr for Datapath {
     }
 }
 
-/// Lanes per bytecode dispatch in [`CompiledKernel::sweep`]: the
-/// dispatch overhead of one op amortizes over 32 elements (four
-/// AVX2 / two AVX-512 vectors per inner loop) while a full-depth lane
-/// stack still fits L1. Measured on DENOISE 768×1024, 32 beats 8 by
-/// ~40% and 64/128 regress as the lane stack outgrows the cache-hot
-/// working set.
-pub(crate) const LANES: usize = 32;
-
 /// Maximum operand-stack depth a compiled kernel may need. Postorder
 /// evaluation of left-leaning reduction chains needs depth ~2, fully
 /// balanced trees depth `log2(taps)`; 32 leaves enormous headroom while
-/// keeping the sweep's lane stack a fixed 8 KiB.
+/// keeping the scalar stack a fixed array.
 const MAX_STACK: usize = 32;
 
 /// Maximum CSE slots (distinct shared subexpressions).
@@ -173,8 +171,8 @@ enum Op {
 }
 
 /// A kernel datapath lowered to stack bytecode, ready for per-window
-/// evaluation ([`CompiledKernel::eval`]) or vectorized row sweeps (the
-/// engine's `Compiled` backend).
+/// evaluation ([`CompiledKernel::eval`]) and for lowering to the
+/// register program the engine's `Compiled` backend row-sweeps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
     ops: Vec<Op>,
@@ -583,55 +581,7 @@ impl CompiledKernel {
     /// Panics if `window` is shorter than [`CompiledKernel::taps`].
     #[must_use]
     pub fn eval(&self, window: &[f64]) -> f64 {
-        self.eval_with(|k| window[k])
-    }
-
-    /// Scalar evaluation with an arbitrary tap binding — shared by the
-    /// per-window path and the sweep's row remainder.
-    fn eval_with(&self, tap: impl Fn(usize) -> f64) -> f64 {
-        let mut stack = [0.0f64; MAX_STACK];
-        let mut slots = [0.0f64; MAX_SLOTS];
-        let mut sp = 0usize;
-        for op in &self.ops {
-            match *op {
-                Op::Tap(k) => {
-                    stack[sp] = tap(usize::from(k));
-                    sp += 1;
-                }
-                Op::Const(c) => {
-                    stack[sp] = c;
-                    sp += 1;
-                }
-                Op::Load(s) => {
-                    stack[sp] = slots[usize::from(s)];
-                    sp += 1;
-                }
-                Op::Store(s) => slots[usize::from(s)] = stack[sp - 1],
-                Op::Add => {
-                    sp -= 1;
-                    stack[sp - 1] += stack[sp];
-                }
-                Op::Sub => {
-                    sp -= 1;
-                    stack[sp - 1] -= stack[sp];
-                }
-                Op::Mul => {
-                    sp -= 1;
-                    stack[sp - 1] *= stack[sp];
-                }
-                Op::Div => {
-                    sp -= 1;
-                    stack[sp - 1] /= stack[sp];
-                }
-                Op::Sqrt => stack[sp - 1] = stack[sp - 1].sqrt(),
-                Op::Abs => stack[sp - 1] = stack[sp - 1].abs(),
-                Op::MulAdd => {
-                    sp -= 2;
-                    stack[sp - 1] += stack[sp] * stack[sp + 1];
-                }
-            }
-        }
-        stack[0]
+        self.eval_as::<f64>(window)
     }
 
     /// Evaluates the bytecode on one window in single precision: taps
@@ -642,25 +592,33 @@ impl CompiledKernel {
     /// computes identical bits.
     #[must_use]
     pub fn eval32(&self, window: &[f64]) -> f64 {
-        self.eval32_with(|k| window[k])
+        self.eval_as::<f32>(window)
     }
 
-    /// Single-precision evaluation with an arbitrary tap binding (see
-    /// [`CompiledKernel::eval32`]).
-    // The narrowing casts are the entire point of this datapath.
-    #[allow(clippy::cast_possible_truncation)]
-    pub(crate) fn eval32_with(&self, tap: impl Fn(usize) -> f64) -> f64 {
-        let mut stack = [0.0f32; MAX_STACK];
-        let mut slots = [0.0f32; MAX_SLOTS];
+    /// Scalar evaluation in `datapath`'s precision ([`Self::eval`] or
+    /// [`Self::eval32`]).
+    pub(crate) fn eval_in(&self, datapath: Datapath, window: &[f64]) -> f64 {
+        match datapath {
+            Datapath::F64 => self.eval(window),
+            Datapath::F32 => self.eval32(window),
+        }
+    }
+
+    /// The one scalar stack loop, monomorphized per lane type: values
+    /// narrow on load, every operation rounds in `T`, and the result
+    /// widens back to `f64`.
+    fn eval_as<T: Lane>(&self, window: &[f64]) -> f64 {
+        let mut stack = [T::ZERO; MAX_STACK];
+        let mut slots = [T::ZERO; MAX_SLOTS];
         let mut sp = 0usize;
         for op in &self.ops {
             match *op {
                 Op::Tap(k) => {
-                    stack[sp] = tap(usize::from(k)) as f32;
+                    stack[sp] = T::from_f64(window[usize::from(k)]);
                     sp += 1;
                 }
                 Op::Const(c) => {
-                    stack[sp] = c as f32;
+                    stack[sp] = T::from_f64(c);
                     sp += 1;
                 }
                 Op::Load(s) => {
@@ -670,130 +628,29 @@ impl CompiledKernel {
                 Op::Store(s) => slots[usize::from(s)] = stack[sp - 1],
                 Op::Add => {
                     sp -= 1;
-                    stack[sp - 1] += stack[sp];
+                    stack[sp - 1] = stack[sp - 1] + stack[sp];
                 }
                 Op::Sub => {
                     sp -= 1;
-                    stack[sp - 1] -= stack[sp];
+                    stack[sp - 1] = stack[sp - 1] - stack[sp];
                 }
                 Op::Mul => {
                     sp -= 1;
-                    stack[sp - 1] *= stack[sp];
+                    stack[sp - 1] = stack[sp - 1] * stack[sp];
                 }
                 Op::Div => {
                     sp -= 1;
-                    stack[sp - 1] /= stack[sp];
+                    stack[sp - 1] = stack[sp - 1] / stack[sp];
                 }
-                Op::Sqrt => stack[sp - 1] = stack[sp - 1].sqrt(),
-                Op::Abs => stack[sp - 1] = stack[sp - 1].abs(),
+                Op::Sqrt => stack[sp - 1] = stack[sp - 1].lane_sqrt(),
+                Op::Abs => stack[sp - 1] = stack[sp - 1].lane_abs(),
                 Op::MulAdd => {
                     sp -= 2;
-                    stack[sp - 1] += stack[sp] * stack[sp + 1];
+                    stack[sp - 1] = stack[sp - 1] + stack[sp] * stack[sp + 1];
                 }
             }
         }
-        f64::from(stack[0])
-    }
-
-    /// The scalar row remainder: evaluates columns `from..out.len()`
-    /// one window at a time. [`CompiledKernel::sweep`] delegates its
-    /// tail here, keeping the remainder semantics in one place for the
-    /// sweep and its callers.
-    pub(crate) fn sweep_tail(&self, bases: &[usize], vals: &[f64], out: &mut [f64], from: usize) {
-        for tt in from..out.len() {
-            out[tt] = self.eval_with(|k| vals[bases[k] + tt]);
-        }
-    }
-
-    /// The vectorized row sweep: writes `out[t] = kernel(window at t)`
-    /// for a whole output row, with tap `k` reading the contiguous input
-    /// run starting at `vals[bases[k]]`. The bytecode runs over
-    /// [`LANES`]-wide chunks (fixed-size lane arrays, one dispatch per
-    /// op per chunk); the row remainder evaluates scalar.
-    ///
-    /// Callers guarantee `vals[bases[k] .. bases[k] + out.len()]` is in
-    /// range for every tap — the fast-row predicate of the row executor.
-    pub(crate) fn sweep(&self, bases: &[usize], vals: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(bases.len(), self.taps);
-        let len = out.len();
-        let mut stack = [[0.0f64; LANES]; MAX_STACK];
-        let mut slots = [[0.0f64; LANES]; MAX_SLOTS];
-        let mut t = 0usize;
-        while t + LANES <= len {
-            let mut sp = 0usize;
-            for op in &self.ops {
-                match *op {
-                    Op::Tap(k) => {
-                        let b = bases[usize::from(k)] + t;
-                        stack[sp].copy_from_slice(&vals[b..b + LANES]);
-                        sp += 1;
-                    }
-                    Op::Const(c) => {
-                        stack[sp] = [c; LANES];
-                        sp += 1;
-                    }
-                    Op::Load(s) => {
-                        stack[sp] = slots[usize::from(s)];
-                        sp += 1;
-                    }
-                    Op::Store(s) => slots[usize::from(s)] = stack[sp - 1],
-                    Op::Add => {
-                        sp -= 1;
-                        let (lo, hi) = stack.split_at_mut(sp);
-                        let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                        for i in 0..LANES {
-                            a[i] += b[i];
-                        }
-                    }
-                    Op::Sub => {
-                        sp -= 1;
-                        let (lo, hi) = stack.split_at_mut(sp);
-                        let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                        for i in 0..LANES {
-                            a[i] -= b[i];
-                        }
-                    }
-                    Op::Mul => {
-                        sp -= 1;
-                        let (lo, hi) = stack.split_at_mut(sp);
-                        let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                        for i in 0..LANES {
-                            a[i] *= b[i];
-                        }
-                    }
-                    Op::Div => {
-                        sp -= 1;
-                        let (lo, hi) = stack.split_at_mut(sp);
-                        let (a, b) = (&mut lo[sp - 1], &hi[0]);
-                        for i in 0..LANES {
-                            a[i] /= b[i];
-                        }
-                    }
-                    Op::Sqrt => {
-                        for v in &mut stack[sp - 1] {
-                            *v = v.sqrt();
-                        }
-                    }
-                    Op::Abs => {
-                        for v in &mut stack[sp - 1] {
-                            *v = v.abs();
-                        }
-                    }
-                    Op::MulAdd => {
-                        sp -= 2;
-                        let (lo, hi) = stack.split_at_mut(sp);
-                        let acc = &mut lo[sp - 1];
-                        let (a, b) = (&hi[0], &hi[1]);
-                        for i in 0..LANES {
-                            acc[i] += a[i] * b[i];
-                        }
-                    }
-                }
-            }
-            out[t..t + LANES].copy_from_slice(&stack[0]);
-            t += LANES;
-        }
-        self.sweep_tail(bases, vals, out, t);
+        stack[0].to_f64()
     }
 }
 
@@ -840,20 +697,6 @@ mod tests {
         assert_eq!(got, f64::from(1.0f32 + 0.1f32));
         assert_ne!(got, 1.0f64 + 0.1f64);
         assert_eq!(ck.eval(&[1.0]), 1.0f64 + 0.1f64);
-    }
-
-    #[test]
-    fn sweep_tail_matches_eval() {
-        let e = tap(0) * tap(1) + 3.0;
-        let ck = CompiledKernel::compile(&e, 2).unwrap();
-        let vals: Vec<f64> = (0..12).map(f64::from).collect();
-        let bases = [0usize, 1];
-        let mut out = vec![0.0f64; 8];
-        ck.sweep_tail(&bases, &vals, &mut out, 3);
-        assert_eq!(out[..3], [0.0; 3]); // untouched below `from`
-        for t in 3..8 {
-            assert_eq!(out[t], ck.eval(&[vals[t], vals[t + 1]]));
-        }
     }
 
     #[test]
@@ -963,23 +806,5 @@ mod tests {
         let ck = CompiledKernel::for_benchmark(&b).unwrap().unwrap();
         // avg is used three times; exactly one slot expected.
         assert_eq!(ck.slot_count(), 1);
-    }
-
-    #[test]
-    fn sweep_matches_per_window_eval() {
-        // A synthetic 3-tap row: taps read at column shifts 0, 1, 2 of a
-        // flat buffer; row lengths exercise chunks plus remainders.
-        let e = tap(0) + 2.0 * tap(1) - tap(2).abs().sqrt();
-        let ck = CompiledKernel::compile(&e, 3).unwrap();
-        let vals: Vec<f64> = (0..64).map(|i| f64::from(i) * 0.75 - 11.0).collect();
-        for len in [1usize, 7, 8, 9, 16, 30] {
-            let bases = [0usize, 1, 2];
-            let mut out = vec![0.0f64; len];
-            ck.sweep(&bases, &vals, &mut out);
-            for (t, &got) in out.iter().enumerate() {
-                let window = [vals[t], vals[1 + t], vals[2 + t]];
-                assert_eq!(got, ck.eval(&window), "len={len} t={t}");
-            }
-        }
     }
 }

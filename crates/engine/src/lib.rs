@@ -17,12 +17,14 @@
 //! * bands execute in parallel on scoped worker threads pulling from a
 //!   shared work queue, writing disjoint slices of one output buffer;
 //! * kernels authored as [`stencil_kernels::KernelExpr`] trees compile
-//!   at plan time to flat stack bytecode ([`CompiledKernel`]) and run
-//!   through a vectorized *row sweep*: each window tap binds to a
-//!   column-shifted contiguous slice of the resident rows and the
-//!   bytecode evaluates over fixed-width lane chunks the compiler can
-//!   autovectorize — bit-identical to the closure datapath by
-//!   construction ([`CompiledKernel::compile_checked`]).
+//!   at plan time to flat stack bytecode ([`CompiledKernel`], checked
+//!   against the closure by [`CompiledKernel::compile_checked`]) and
+//!   lower to a register program ([`UnrolledProgram`]) that runs as a
+//!   vectorized *row sweep*: each window tap binds to a column-shifted
+//!   contiguous slice of the resident rows and every op evaluates over
+//!   fixed-width lane chunks the compiler can autovectorize — `U`
+//!   adjacent rows per dispatch with `Session::unroll`, bit-identical
+//!   to the closure datapath at every `U`.
 //!
 //! Every mode × backend combination executes through one composable
 //! [`Session`] pipeline layer: `Session::new(&plan).kernel(..)

@@ -9,11 +9,14 @@
 //! its three row classes:
 //!
 //! * **sweep rows** — every tap is one contiguous resident run *and*
-//!   the kernel is compiled: the row evaluates through the vectorized
-//!   [`CompiledKernel::sweep`] bytecode sweep;
+//!   the kernel runs the compiled backend: the row evaluates through
+//!   the vectorized [`UnrolledProgram`] register sweep — `U` adjacent
+//!   rows per dispatch when they line up, the single-output program
+//!   otherwise (every row at the default `U = 1`);
 //! * **fast rows** — taps are contiguous and resident but the kernel is
-//!   a closure (or the `Closure` backend is forced): a batched
-//!   per-element loop gathers each window from tap bases;
+//!   a closure (or the `Closure` backend is forced onto the scalar
+//!   bytecode): a batched per-element loop gathers each window from tap
+//!   bases;
 //! * **gather rows** — some tap is non-contiguous or non-resident: the
 //!   defensive per-point fallback with exact error reporting.
 
@@ -44,109 +47,53 @@ fn into_inner_recover<T>(m: Mutex<T>) -> T {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// How the row executor evaluates the kernel datapath — implemented by
-/// closure adapters and by compiled bytecode, so one generic executor
-/// serves both backends.
-pub(crate) trait RowKernel: Sync {
-    /// Evaluates one window in declared offset order.
-    fn eval_window(&self, window: &[f64]) -> f64;
+/// How the row executor evaluates the kernel datapath. One enum serves
+/// every backend: only `Program` row-sweeps; the other two evaluate
+/// per element.
+// One value per stage, built once per run: the inline program's size
+// costs nothing, and boxing it would only add an indirection per row.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum RowKernel<'a> {
+    /// A window closure (the `Closure` backend, or an expression-less
+    /// stage): always per element, always f64.
+    Closure(&'a (dyn Fn(&[f64]) -> f64 + Sync)),
+    /// Compiled bytecode forced onto the per-element path (the
+    /// `Closure` backend selected with a compiled kernel) — used by
+    /// cross-checks to isolate the sweep from the bytecode semantics.
+    Bytecode(&'a CompiledKernel, Datapath),
+    /// The compiled sweep: grouped runs of adjacent aligned rows
+    /// evaluate the multi-output `group` program (one dispatch per U
+    /// rows), every other contiguous row the single-output program,
+    /// and gather rows the scalar bytecode in the program's datapath.
+    Program(&'a CompiledKernel, UnrolledProgram),
+}
 
-    /// The compiled form to row-sweep with, when this kernel has one
-    /// and the backend allows it. `None` keeps the per-element path.
-    fn sweeper(&self) -> Option<&CompiledKernel> {
-        None
+impl RowKernel<'_> {
+    /// Evaluates one window in declared offset order.
+    fn eval_window(&self, window: &[f64]) -> f64 {
+        match self {
+            RowKernel::Closure(c) => c(window),
+            RowKernel::Bytecode(ck, dp) => ck.eval_in(*dp, window),
+            RowKernel::Program(ck, up) => ck.eval_in(up.datapath(), window),
+        }
     }
 
-    /// The unrolled multi-output register program, when this kernel
-    /// executes through the unrolled sweep (`Session::unroll` above 1
-    /// or a non-default datapath). `None` keeps the stack-bytecode
-    /// sweep.
-    fn unrolled(&self) -> Option<&UnrolledProgram> {
-        None
+    /// Output rows per grouped dispatch — `1` off the compiled sweep.
+    pub(crate) fn unroll(&self) -> usize {
+        match self {
+            RowKernel::Program(_, up) => up.unroll(),
+            _ => 1,
+        }
     }
 
     /// The arithmetic precision this kernel evaluates in — reports
     /// derive their `datapath` field from here.
-    fn datapath(&self) -> Datapath {
-        Datapath::F64
-    }
-}
-
-/// A closure datapath: always per-element. `C` may be unsized (a
-/// `dyn Fn` behind the reference), so heterogeneous session stages can
-/// hold their kernels as trait objects.
-pub(crate) struct ClosureKernel<'a, C: ?Sized>(pub &'a C);
-
-impl<C: Fn(&[f64]) -> f64 + Sync + ?Sized> RowKernel for ClosureKernel<'_, C> {
-    fn eval_window(&self, window: &[f64]) -> f64 {
-        (self.0)(window)
-    }
-}
-
-/// Compiled bytecode with row sweeps enabled (the `Compiled` backend).
-pub(crate) struct SweepKernel<'a>(pub &'a CompiledKernel);
-
-impl RowKernel for SweepKernel<'_> {
-    fn eval_window(&self, window: &[f64]) -> f64 {
-        self.0.eval(window)
-    }
-
-    fn sweeper(&self) -> Option<&CompiledKernel> {
-        Some(self.0)
-    }
-}
-
-/// Compiled bytecode forced onto the per-element path (the `Closure`
-/// backend selected with a compiled kernel) — used by cross-checks to
-/// isolate the sweep from the bytecode semantics.
-pub(crate) struct ScalarKernel<'a>(pub &'a CompiledKernel);
-
-impl RowKernel for ScalarKernel<'_> {
-    fn eval_window(&self, window: &[f64]) -> f64 {
-        self.0.eval(window)
-    }
-}
-
-/// Compiled bytecode executing through the unrolled register sweep:
-/// grouped runs of adjacent aligned rows evaluate the multi-output
-/// `group` program (one dispatch per U rows), leftover sweep rows run
-/// the single-output sibling, and gather rows evaluate the scalar
-/// bytecode in the program's datapath.
-pub(crate) struct UnrolledKernel<'a> {
-    pub ck: &'a CompiledKernel,
-    pub prog: UnrolledProgram,
-}
-
-impl RowKernel for UnrolledKernel<'_> {
-    fn eval_window(&self, window: &[f64]) -> f64 {
-        match self.prog.datapath() {
-            Datapath::F64 => self.ck.eval(window),
-            Datapath::F32 => self.ck.eval32(window),
+    pub(crate) fn datapath(&self) -> Datapath {
+        match self {
+            RowKernel::Closure(_) => Datapath::F64,
+            RowKernel::Bytecode(_, dp) => *dp,
+            RowKernel::Program(_, up) => up.datapath(),
         }
-    }
-
-    fn unrolled(&self) -> Option<&UnrolledProgram> {
-        Some(&self.prog)
-    }
-
-    fn datapath(&self) -> Datapath {
-        self.prog.datapath()
-    }
-}
-
-/// Compiled bytecode forced onto the per-element path in single
-/// precision — the `Closure` backend under [`Datapath::F32`], used by
-/// cross-checks to isolate the unrolled f32 sweep from the scalar f32
-/// bytecode semantics.
-pub(crate) struct Scalar32Kernel<'a>(pub &'a CompiledKernel);
-
-impl RowKernel for Scalar32Kernel<'_> {
-    fn eval_window(&self, window: &[f64]) -> f64 {
-        self.0.eval32(window)
-    }
-
-    fn datapath(&self) -> Datapath {
-        Datapath::F32
     }
 }
 
@@ -187,7 +134,7 @@ impl RankWindow<'_> {
 /// Row tallies of [`execute_rows`], by row class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RowStats {
-    /// Rows evaluated by the vectorized bytecode sweep.
+    /// Rows evaluated by the compiled register-program sweep.
     pub sweep: u64,
     /// Rows on the batched per-element fast path.
     pub fast: u64,
@@ -209,16 +156,16 @@ impl RowStats {
 /// input window, writing `out` (one slot per iteration).
 ///
 /// Per output row, every window tap becomes a base rank into the flat
-/// input stream; resident contiguous rows then either sweep compiled
-/// bytecode over the whole row or run the batched per-element loop,
-/// while rows whose taps are not contiguous (or not fully resident)
-/// fall back to per-point gathers.
-pub(crate) fn execute_rows<K: RowKernel + ?Sized>(
+/// input stream; resident contiguous rows then either sweep the
+/// compiled register program over the whole row or run the batched
+/// per-element loop, while rows whose taps are not contiguous (or not
+/// fully resident) fall back to per-point gathers.
+pub(crate) fn execute_rows(
     rows: &[Row],
     out_base: u64,
     offsets: &[Point],
     win: &RankWindow<'_>,
-    kernel: &K,
+    kernel: &RowKernel<'_>,
     out: &mut [f64],
 ) -> Result<RowStats, EngineError> {
     let n = offsets.len();
@@ -226,14 +173,17 @@ pub(crate) fn execute_rows<K: RowKernel + ?Sized>(
     let mut bases = vec![0usize; n];
     let mut ubases: Vec<usize> = Vec::new();
     let mut stats = RowStats::default();
-    let unrolled = kernel.unrolled();
+    let program = match kernel {
+        RowKernel::Program(_, up) => Some(up),
+        _ => None,
+    };
 
     let mut i = 0usize;
     while i < rows.len() {
         // Grouped unrolled dispatch: U adjacent rows with identical
         // extent, stepping +1 in the unroll axis, writing contiguous
         // output — one multi-output register sweep covers them all.
-        if let Some(up) = unrolled.filter(|up| up.unroll() > 1) {
+        if let Some(up) = program.filter(|up| up.unroll() > 1) {
             if let Some(len) = unroll_group_bases(rows, i, up, offsets, win, &mut ubases) {
                 let start = rows[i]
                     .base
@@ -279,17 +229,14 @@ pub(crate) fn execute_rows<K: RowKernel + ?Sized>(
         }
 
         if all_fast {
-            if let Some(up) = unrolled {
-                // Leftover row of an unrolled kernel (group remainder
-                // or alignment miss): the single-output register
-                // program keeps the datapath identical to the group.
+            if let Some(up) = program {
+                // Single-row sweep (every row at U=1; a group remainder
+                // or alignment miss above it): each tap is a
+                // column-shifted contiguous slice, and the single-output
+                // register program keeps the datapath identical to the
+                // group.
                 stats.sweep += 1;
                 up.sweep_single(&bases, win.vals, out_row, &mut ubases);
-            } else if let Some(ck) = kernel.sweeper() {
-                // Vectorized row sweep: each tap is a column-shifted
-                // contiguous slice; the bytecode runs over lane chunks.
-                stats.sweep += 1;
-                ck.sweep(&bases, win.vals, out_row);
             } else {
                 stats.fast += 1;
                 for (t, slot) in out_row.iter_mut().enumerate() {
@@ -431,11 +378,11 @@ pub(crate) fn threads_for(requested: usize, tiles: usize) -> usize {
 /// buffer into disjoint per-band slices, and runs the bands on a scoped
 /// worker pool pulling from a shared queue. This is the single real
 /// implementation behind the session's `InCore`/`Tiled` modes.
-pub(crate) fn execute_tiled<K: RowKernel + ?Sized>(
+pub(crate) fn execute_tiled(
     plan: &MemorySystemPlan,
     tile_plan: &TilePlan,
     input: &InputGrid<'_>,
-    kernel: &K,
+    kernel: &RowKernel<'_>,
     threads: usize,
     backend: crate::compile::KernelBackend,
 ) -> Result<(Vec<f64>, RunReport), EngineError> {
@@ -513,7 +460,7 @@ pub(crate) fn execute_tiled<K: RowKernel + ?Sized>(
         tiles: tile_plan.tile_count(),
         threads: worker_count,
         backend,
-        unroll: kernel.unrolled().map_or(1, UnrolledProgram::unroll),
+        unroll: kernel.unroll(),
         datapath: kernel.datapath(),
         halo_elements: per_tile.iter().map(|t| t.halo_elements).sum(),
         elapsed: started.elapsed(),
@@ -523,11 +470,11 @@ pub(crate) fn execute_tiled<K: RowKernel + ?Sized>(
 }
 
 /// Runs one band against the full in-core input.
-fn execute_tile<K: RowKernel + ?Sized>(
+fn execute_tile(
     tile: &Tile,
     offsets: &[Point],
     input: &InputGrid<'_>,
-    kernel: &K,
+    kernel: &RowKernel<'_>,
     out: &mut [f64],
 ) -> Result<TileReport, EngineError> {
     let tile_started = Instant::now();
@@ -558,11 +505,11 @@ fn execute_tile<K: RowKernel + ?Sized>(
 
 /// Splits a band's iteration rows into contiguous per-worker chunks
 /// writing disjoint slices of the band buffer.
-pub(crate) fn execute_band_parallel<K: RowKernel + ?Sized>(
+pub(crate) fn execute_band_parallel(
     band_rows: &[Row],
     offsets: &[Point],
     win: &RankWindow<'_>,
-    kernel: &K,
+    kernel: &RowKernel<'_>,
     out: &mut [f64],
     workers: usize,
 ) -> Result<RowStats, EngineError> {

@@ -64,6 +64,7 @@
 //! step. The report's `tile_plans_built` counter pins this — a
 //! well-prepared run reports 0.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::fmt;
@@ -78,10 +79,7 @@ use crate::compile::{CompiledKernel, Datapath, KernelBackend};
 use crate::error::EngineError;
 use crate::input::InputGrid;
 use crate::report::{GridIoReport, RunReport, StreamReport};
-use crate::rowexec::{
-    check_kernel_window, execute_tiled, plan_offsets, ClosureKernel, RowKernel, Scalar32Kernel,
-    ScalarKernel, SweepKernel, UnrolledKernel,
-};
+use crate::rowexec::{check_kernel_window, execute_tiled, plan_offsets, RowKernel};
 use crate::stream::{RowSink, RowSource, SliceSource, VecSink};
 use crate::unroll::UnrolledProgram;
 
@@ -124,7 +122,7 @@ impl ExecMode {
 pub enum SessionKernel<'a> {
     /// An arbitrary window closure; always evaluates per element.
     Closure(&'a (dyn Fn(&[f64]) -> f64 + Sync)),
-    /// Pre-compiled bytecode; row-sweeps under
+    /// Pre-compiled bytecode; row-sweeps its register program under
     /// [`KernelBackend::Compiled`].
     Compiled(&'a CompiledKernel),
 }
@@ -141,37 +139,16 @@ impl fmt::Debug for SessionKernel<'_> {
     }
 }
 
-/// A plain-`fn` datapath, used by chained stages built from
-/// [`KernelStage`] metadata.
-struct FnKernel(ComputeFn);
-
-impl RowKernel for FnKernel {
-    fn eval_window(&self, window: &[f64]) -> f64 {
-        (self.0)(window)
-    }
-}
-
 /// A stage's datapath, covering both borrowed builder inputs and
-/// kernels the chain owns (compiled on the fly from stage metadata).
+/// kernels the chain owns (compiled on the fly from stage metadata, or
+/// a plain-`fn` closure from [`KernelStage`] metadata). Cloning hands
+/// the self-chained ring [`Session::iterate`] builds a second handle:
+/// borrowed kernels are re-borrowed, owned bytecode is cloned.
+#[derive(Clone)]
 enum StageKernel<'a> {
     Closure(&'a (dyn Fn(&[f64]) -> f64 + Sync)),
     ClosureFn(ComputeFn),
-    Compiled(&'a CompiledKernel),
-    CompiledOwned(Box<CompiledKernel>),
-}
-
-impl<'a> StageKernel<'a> {
-    /// A second stage handle over the same datapath, for the
-    /// self-chained ring [`Session::iterate`] builds: borrowed kernels
-    /// are re-borrowed, owned bytecode is cloned.
-    fn duplicate(&self) -> StageKernel<'a> {
-        match self {
-            StageKernel::Closure(c) => StageKernel::Closure(*c),
-            StageKernel::ClosureFn(f) => StageKernel::ClosureFn(*f),
-            StageKernel::Compiled(k) => StageKernel::Compiled(k),
-            StageKernel::CompiledOwned(k) => StageKernel::CompiledOwned(k.clone()),
-        }
-    }
+    Compiled(Cow<'a, CompiledKernel>),
 }
 
 /// Which band schedule a stage's cached [`TilePlan`] was built for.
@@ -256,7 +233,6 @@ impl<'a> Stage<'a> {
     fn compiled(&self) -> Option<&CompiledKernel> {
         match &self.kernel {
             Some(StageKernel::Compiled(k)) => Some(k),
-            Some(StageKernel::CompiledOwned(k)) => Some(k),
             _ => None,
         }
     }
@@ -265,22 +241,23 @@ impl<'a> Stage<'a> {
     /// run per element; compiled kernels follow the session backend.
     fn effective_backend(&self, session_backend: KernelBackend) -> KernelBackend {
         match &self.kernel {
-            Some(StageKernel::Compiled(_) | StageKernel::CompiledOwned(_)) => session_backend,
+            Some(StageKernel::Compiled(_)) => session_backend,
             _ => KernelBackend::Closure,
         }
     }
 
     /// The stage's row executor, or a config error if no kernel was
-    /// supplied. `unroll`/`datapath` shape the compiled sweep: above-1
-    /// unroll or the f32 datapath build a validated
-    /// [`UnrolledProgram`] over the stage plan's window; closure
-    /// datapaths reject f32 (no bytecode to narrow).
+    /// supplied. Under the `Compiled` backend a compiled stage builds
+    /// a validated [`UnrolledProgram`] over the stage plan's window,
+    /// shaped by `unroll`/`datapath`; under `Closure` it evaluates the
+    /// scalar bytecode per element. Closure datapaths reject f32 (no
+    /// bytecode to narrow).
     fn row_kernel(
         &self,
         session_backend: KernelBackend,
         unroll: usize,
         datapath: Datapath,
-    ) -> Result<Box<dyn RowKernel + '_>, EngineError> {
+    ) -> Result<RowKernel<'_>, EngineError> {
         crate::unroll::check_unroll(unroll)?;
         match &self.kernel {
             None => Err(EngineError::Config {
@@ -288,18 +265,20 @@ impl<'a> Stage<'a> {
             }),
             Some(StageKernel::Closure(c)) => {
                 self.require_f64(datapath)?;
-                Ok(Box::new(ClosureKernel(*c)))
+                Ok(RowKernel::Closure(*c))
             }
             Some(StageKernel::ClosureFn(f)) => {
                 self.require_f64(datapath)?;
-                Ok(Box::new(FnKernel(*f)))
+                Ok(RowKernel::Closure(f))
             }
-            Some(StageKernel::Compiled(k)) => {
-                self.compiled_row_kernel(k, session_backend, unroll, datapath)
-            }
-            Some(StageKernel::CompiledOwned(k)) => {
-                self.compiled_row_kernel(k, session_backend, unroll, datapath)
-            }
+            Some(StageKernel::Compiled(k)) => match session_backend {
+                KernelBackend::Closure => Ok(RowKernel::Bytecode(k, datapath)),
+                KernelBackend::Compiled => {
+                    let offsets = plan_offsets(self.plan.get());
+                    let prog = UnrolledProgram::build(k, &offsets, unroll, datapath)?;
+                    Ok(RowKernel::Program(k, prog))
+                }
+            },
         }
     }
 
@@ -316,35 +295,6 @@ impl<'a> Stage<'a> {
             });
         }
         Ok(())
-    }
-
-    /// The row executor of a compiled stage under the session's sweep
-    /// shape. The default shape keeps the classic stack-bytecode sweep
-    /// (or scalar bytecode under the `Closure` backend); any other
-    /// shape builds the unrolled register program, validated against
-    /// the bytecode at construction.
-    fn compiled_row_kernel<'s>(
-        &'s self,
-        k: &'s CompiledKernel,
-        session_backend: KernelBackend,
-        unroll: usize,
-        datapath: Datapath,
-    ) -> Result<Box<dyn RowKernel + 's>, EngineError> {
-        match session_backend {
-            KernelBackend::Closure => Ok(match datapath {
-                Datapath::F64 => Box::new(ScalarKernel(k)),
-                Datapath::F32 => Box::new(Scalar32Kernel(k)),
-            }),
-            KernelBackend::Compiled => {
-                if unroll > 1 || datapath == Datapath::F32 {
-                    let offsets = plan_offsets(self.plan.get());
-                    let prog = UnrolledProgram::build(k, &offsets, unroll, datapath)?;
-                    Ok(Box::new(UnrolledKernel { ck: k, prog }))
-                } else {
-                    Ok(Box::new(SweepKernel(k)))
-                }
-            }
-        }
     }
 }
 
@@ -377,7 +327,7 @@ pub struct StagePlan<'s> {
     /// Arithmetic width of this stage's compiled sweeps.
     pub datapath: Datapath,
     /// The resolved row executor.
-    kernel: Box<dyn RowKernel + 's>,
+    kernel: RowKernel<'s>,
 }
 
 impl StagePlan<'_> {
@@ -423,8 +373,8 @@ pub struct Session<'a> {
     mode: ExecMode,
     threads: usize,
     backend: KernelBackend,
-    /// Outputs produced per compiled-sweep dispatch (`1` = classic
-    /// single-row sweep).
+    /// Outputs produced per compiled-sweep dispatch (`1` = the
+    /// single-output program on every row).
     unroll: usize,
     /// Arithmetic width of compiled sweeps.
     datapath: Datapath,
@@ -492,7 +442,7 @@ impl<'a> Session<'a> {
     ///   diverges from the stage closure on the validation sweep.
     pub fn build(plan: &'a MemorySystemPlan, stage: &KernelStage) -> Result<Self, EngineError> {
         let kernel = match stage.expr() {
-            Some(expr) => StageKernel::CompiledOwned(Box::new(CompiledKernel::compile_checked(
+            Some(expr) => StageKernel::Compiled(Cow::Owned(CompiledKernel::compile_checked(
                 expr,
                 stage.window().len(),
                 &stage.compute_fn(),
@@ -509,7 +459,7 @@ impl<'a> Session<'a> {
     pub fn kernel(mut self, kernel: SessionKernel<'a>) -> Self {
         self.stages[0].kernel = Some(match kernel {
             SessionKernel::Closure(c) => StageKernel::Closure(c),
-            SessionKernel::Compiled(k) => StageKernel::Compiled(k),
+            SessionKernel::Compiled(k) => StageKernel::Compiled(Cow::Borrowed(k)),
         });
         self
     }
@@ -538,10 +488,10 @@ impl<'a> Session<'a> {
     /// Sets the compiled-sweep unroll factor: each dispatch produces
     /// `unroll` adjacent output rows, loading taps whose stencil
     /// offsets coincide across the rows once and sharing common
-    /// subexpressions across the row bodies. `1` (the default) keeps
-    /// the classic single-row sweep. Values above `1` require the
-    /// [`KernelBackend::Compiled`] backend; the factor is validated
-    /// when the session runs. See [`crate::DEFAULT_UNROLL`] for the
+    /// subexpressions across the row bodies. `1` (the default) sweeps
+    /// every row with the single-output program. Values above `1`
+    /// require the [`KernelBackend::Compiled`] backend; the factor is
+    /// validated when the session runs. See [`crate::DEFAULT_UNROLL`] for the
     /// empirically chosen sweet spot.
     #[must_use]
     pub fn unroll(mut self, unroll: usize) -> Self {
@@ -665,7 +615,7 @@ impl<'a> Session<'a> {
             });
         }
         let kernel = match stage.expr() {
-            Some(expr) => StageKernel::CompiledOwned(Box::new(CompiledKernel::compile_checked(
+            Some(expr) => StageKernel::Compiled(Cow::Owned(CompiledKernel::compile_checked(
                 expr,
                 stage.window().len(),
                 &stage.compute_fn(),
@@ -739,7 +689,7 @@ impl<'a> Session<'a> {
                 .kernel
                 .as_ref()
                 .expect("checked above")
-                .duplicate();
+                .clone();
             self.stages.push(Stage::new(
                 PlanRef::Owned(Box::new(next)),
                 Some(kernel),
@@ -1045,28 +995,14 @@ impl<'a> Session<'a> {
             peak += stage_peak;
             stage_peaks.push(stage_peak);
             let (outputs, report) = if i == 0 {
-                execute_tiled(
-                    plan,
-                    tile_plan,
-                    input,
-                    &*sp.kernel,
-                    self.threads,
-                    sp.backend,
-                )?
+                execute_tiled(plan, tile_plan, input, &sp.kernel, self.threads, sp.backend)?
             } else {
                 let idx = plan
                     .input_domain()
                     .index()
                     .map_err(|e| EngineError::Plan(e.into()))?;
                 let grid = InputGrid::new(&idx, &cur)?;
-                execute_tiled(
-                    plan,
-                    tile_plan,
-                    &grid,
-                    &*sp.kernel,
-                    self.threads,
-                    sp.backend,
-                )?
+                execute_tiled(plan, tile_plan, &grid, &sp.kernel, self.threads, sp.backend)?
             };
             threads_used = threads_used.max(report.threads);
             stage_reports.push(StageReport {
@@ -1304,10 +1240,10 @@ impl<'a> Session<'a> {
                 .index()
                 .map_err(|e| EngineError::Plan(e.into()))?;
             let (outputs, report) = if k == 1 {
-                execute_tiled(plan, tile_plan, input, &*kernel, self.threads, backend)?
+                execute_tiled(plan, tile_plan, input, &kernel, self.threads, backend)?
             } else {
                 let grid = InputGrid::new(&in_idx, &cur_vals)?;
-                execute_tiled(plan, tile_plan, &grid, &*kernel, self.threads, backend)?
+                execute_tiled(plan, tile_plan, &grid, &kernel, self.threads, backend)?
             };
             let out_idx = plan
                 .iteration_domain()

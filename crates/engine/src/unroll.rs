@@ -1,12 +1,20 @@
-//! Unrolled multi-output compilation: one program body produces `U`
-//! adjacent output rows per dispatch.
+//! The compiled row sweep: one register program body produces `U`
+//! adjacent output rows per dispatch, and every compiled row of the
+//! engine runs through it — at the default `U = 1` the single-output
+//! program alone.
 //!
-//! The single-output sweep ([`CompiledKernel::sweep`]) reloads every
-//! tap for every output row even though vertically adjacent rows share
-//! most of their stencil windows — DENOISE's north tap of row `r+1` is
-//! the center tap of row `r`. This module removes that redundancy the
-//! way the paper's non-uniform reuse buffers do in hardware, by
-//! *binding* coinciding taps once per group:
+//! Each register operation runs over [`LANES`]-wide chunks of a whole
+//! output row, each tap bound to a column-shifted contiguous slice of
+//! the resident input rows: one dispatch covers [`LANES`] elements, and
+//! the per-lane loops run over fixed-width arrays the autovectorizer
+//! turns into SIMD.
+//!
+//! A single-output sweep reloads every tap for every output row even
+//! though vertically adjacent rows share most of their stencil windows
+//! — DENOISE's north tap of row `r+1` is the center tap of row `r`.
+//! Above `U = 1` this module removes that redundancy the way the
+//! paper's non-uniform reuse buffers do in hardware, by *binding*
+//! coinciding taps once per group:
 //!
 //! * **shared-tap slots** — for output positions `u in 0..U` (adjacent
 //!   in the next-to-innermost dimension, the one iteration rows step
@@ -40,8 +48,16 @@ use std::collections::HashMap;
 use stencil_kernels::KernelExpr;
 use stencil_polyhedral::Point;
 
-use crate::compile::{Arena, CompiledKernel, Datapath, Node, LANES};
+use crate::compile::{Arena, CompiledKernel, Datapath, Node};
 use crate::error::EngineError;
+
+/// Lanes per register-op dispatch: the dispatch overhead of one op
+/// amortizes over 32 elements (four AVX2 / two AVX-512 vectors per
+/// inner loop) while the lane registers stay cache-hot. Picked on
+/// DENOISE 768×1024 with the stack-bytecode sweep this interpreter
+/// replaced: 32 beat 8 by ~40%, and 64/128 regressed as the lane
+/// working set outgrew L1.
+const LANES: usize = 32;
 
 /// The default unroll factor of the compiled sweep, picked empirically
 /// from {2, 4, 8} the way [`LANES`] was: on DENOISE 768×1024 in-core,
@@ -67,9 +83,10 @@ pub(crate) fn check_unroll(unroll: usize) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Arithmetic lane abstraction: the register interpreter is written
-/// once and monomorphized per [`Datapath`]. Grids stay `f64`, so lanes
-/// narrow on load and widen on store.
+/// Arithmetic lane abstraction: the register interpreter and the scalar
+/// bytecode loop are each written once and monomorphized per
+/// [`Datapath`]. Grids stay `f64`, so lanes narrow on load and widen on
+/// store.
 pub(crate) trait Lane:
     Copy
     + PartialEq
@@ -617,15 +634,15 @@ impl RegProgram {
 
 /// A validated unroll-by-U program pair: the `group` program produces
 /// `U` adjacent output rows per dispatch, the `single` program is its
-/// one-output sibling for leftover rows (row count not divisible by
-/// `U`, or rows whose group alignment check fails) — both proven
-/// equivalent to the scalar bytecode at construction, so any mix of
-/// grouped and single execution produces identical bits.
+/// one-output sibling for every other sweep row (all of them at
+/// `U = 1`, where the two are one program; above it the row count not
+/// divisible by `U`, or rows whose group alignment check fails) — both
+/// proven equivalent to the scalar bytecode at construction, so any mix
+/// of grouped and single execution produces identical bits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnrolledProgram {
     unroll: usize,
     datapath: Datapath,
-    taps: usize,
     group: RegProgram,
     single: RegProgram,
 }
@@ -675,7 +692,6 @@ impl UnrolledProgram {
         Ok(Self {
             unroll: eff,
             datapath,
-            taps: offsets.len(),
             group,
             single,
         })
@@ -716,7 +732,8 @@ impl UnrolledProgram {
         }
     }
 
-    /// The single-row sweep for leftover rows. `tap_bases` are per
+    /// The single-row sweep: every sweep row at `U = 1`, leftover rows
+    /// above it. `tap_bases` are per
     /// *tap* (the row executor's existing layout); the program maps
     /// them onto its deduplicated utap slots via `scratch`.
     pub(crate) fn sweep_single(
@@ -763,10 +780,7 @@ fn validate_against_bytecode(
             for (k, &id) in row.iter().enumerate() {
                 window[k] = utap_vals[id];
             }
-            let want = match datapath {
-                Datapath::F64 => ck.eval(window),
-                Datapath::F32 => ck.eval32(window),
-            };
+            let want = ck.eval_in(datapath, window);
             let g = got[u];
             if !(g == want || (g.is_nan() && want.is_nan())) {
                 return Err(EngineError::KernelMismatch {
@@ -885,24 +899,27 @@ mod tests {
     fn group_sweep_matches_bytecode_per_output() {
         // Synthetic flat buffer with hand-picked utap bases: output u
         // column t must equal evaluating the bytecode on the window
-        // reconstructed through the utap table.
+        // reconstructed through the utap table. U=1 is the
+        // single-output program every default compiled row runs.
         let b = denoise();
         let ck = compiled(&b);
-        let (prog, table) = RegProgram::build(&ck, b.window(), 4).unwrap();
         let vals: Vec<f64> = (0..512).map(|i| f64::from(i) * 0.375 - 17.0).collect();
-        // utap j reads vals starting at 3*j: arbitrary distinct runs.
-        let bases: Vec<usize> = (0..prog.utaps().len()).map(|j| 3 * j).collect();
-        for stride in [1usize, 31, 32, 33, 70] {
-            let mut out = vec![0.0f64; 4 * stride];
-            prog.sweep::<f64>(&bases, &vals, &mut out, stride);
-            for (u, row) in table.iter().enumerate() {
-                for t in 0..stride {
-                    let window: Vec<f64> = row.iter().map(|&id| vals[bases[id] + t]).collect();
-                    assert_eq!(
-                        out[u * stride + t],
-                        ck.eval(&window),
-                        "stride={stride} u={u} t={t}"
-                    );
+        for unroll in [1usize, 4] {
+            let (prog, table) = RegProgram::build(&ck, b.window(), unroll).unwrap();
+            // utap j reads vals starting at 3*j: arbitrary distinct runs.
+            let bases: Vec<usize> = (0..prog.utaps().len()).map(|j| 3 * j).collect();
+            for stride in [1usize, 31, 32, 33, 70] {
+                let mut out = vec![0.0f64; unroll * stride];
+                prog.sweep::<f64>(&bases, &vals, &mut out, stride);
+                for (u, row) in table.iter().enumerate() {
+                    for t in 0..stride {
+                        let window: Vec<f64> = row.iter().map(|&id| vals[bases[id] + t]).collect();
+                        assert_eq!(
+                            out[u * stride + t],
+                            ck.eval(&window),
+                            "unroll={unroll} stride={stride} u={u} t={t}"
+                        );
+                    }
                 }
             }
         }
@@ -912,16 +929,22 @@ mod tests {
     fn f32_sweep_matches_eval32() {
         let b = sobel();
         let ck = compiled(&b);
-        let (prog, table) = RegProgram::build(&ck, b.window(), 2).unwrap();
         let vals: Vec<f64> = (0..256).map(|i| f64::from(i) * 0.7 - 40.0).collect();
-        let bases: Vec<usize> = (0..prog.utaps().len()).map(|j| 2 * j).collect();
-        let stride = 45; // one chunk plus a remainder
-        let mut out = vec![0.0f64; 2 * stride];
-        prog.sweep::<f32>(&bases, &vals, &mut out, stride);
-        for (u, row) in table.iter().enumerate() {
-            for t in 0..stride {
-                let window: Vec<f64> = row.iter().map(|&id| vals[bases[id] + t]).collect();
-                assert_eq!(out[u * stride + t], ck.eval32(&window), "u={u} t={t}");
+        for unroll in [1usize, 2] {
+            let (prog, table) = RegProgram::build(&ck, b.window(), unroll).unwrap();
+            let bases: Vec<usize> = (0..prog.utaps().len()).map(|j| 2 * j).collect();
+            let stride = 45; // one chunk plus a remainder
+            let mut out = vec![0.0f64; unroll * stride];
+            prog.sweep::<f32>(&bases, &vals, &mut out, stride);
+            for (u, row) in table.iter().enumerate() {
+                for t in 0..stride {
+                    let window: Vec<f64> = row.iter().map(|&id| vals[bases[id] + t]).collect();
+                    assert_eq!(
+                        out[u * stride + t],
+                        ck.eval32(&window),
+                        "unroll={unroll} u={u} t={t}"
+                    );
+                }
             }
         }
     }

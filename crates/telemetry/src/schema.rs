@@ -238,7 +238,7 @@ pub struct TileMetrics {
     pub outputs: u64,
     /// Input elements in the band's halo.
     pub halo_elements: u64,
-    /// Rows evaluated by the vectorized bytecode row sweep.
+    /// Rows evaluated by the compiled register-program row sweep.
     pub sweep_rows: u64,
     /// Rows executed on the batched fast path.
     pub fast_rows: u64,
@@ -291,7 +291,7 @@ pub struct EngineMetrics {
     /// Worker threads used.
     pub threads: usize,
     /// Kernel backend that executed the datapath (`"compiled"` for the
-    /// bytecode row sweep, `"closure"` otherwise).
+    /// register-program row sweep, `"closure"` otherwise).
     pub backend: String,
     /// Output rows per grouped sweep dispatch (1 = the classic
     /// single-output sweep; above 1 only for the compiled backend).
@@ -375,7 +375,7 @@ pub struct StreamMetrics {
     /// Worker threads used per band.
     pub threads: usize,
     /// Kernel backend that executed the datapath (`"compiled"` for the
-    /// bytecode row sweep, `"closure"` otherwise).
+    /// register-program row sweep, `"closure"` otherwise).
     pub backend: String,
     /// Output rows per grouped sweep dispatch (1 = the classic
     /// single-output sweep; above 1 only for the compiled backend).
@@ -397,7 +397,7 @@ pub struct StreamMetrics {
     /// Planned residency bound: max over bands of halo rows x widest
     /// resident row length.
     pub resident_bound: u64,
-    /// Output rows evaluated by the vectorized bytecode row sweep.
+    /// Output rows evaluated by the compiled register-program row sweep.
     pub sweep_rows: u64,
     /// Output rows executed on the batched fast path.
     pub fast_rows: u64,
