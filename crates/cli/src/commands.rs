@@ -1001,11 +1001,12 @@ fn parse_manifest_line(line: &str, lineno: usize) -> Result<Option<ManifestJob>,
 }
 
 /// `stencil serve`: drive a batch of grid jobs from a manifest file
-/// through the sharded serving front-end ([`ServiceFront`]) — a worker
-/// pool of sessions behind a bounded queue with residency-budget
-/// admission control. Rejected submissions are retried after the
-/// front-end's `retry_after` hint (so backpressure shows up in the
-/// telemetry as rejections, not as dropped jobs). The second result
+/// through the sharded serving front-end
+/// ([`stencil_engine::ServiceFront`]) — a worker pool of sessions
+/// behind a bounded queue with residency-budget admission control.
+/// Rejected submissions are retried after the front-end's
+/// `retry_after` hint (so backpressure shows up in the telemetry as
+/// rejections, not as dropped jobs). The second result
 /// element is the aggregated telemetry report as JSON (for
 /// `--metrics-out`); the third is the validator's violation count,
 /// which drives the exit code.

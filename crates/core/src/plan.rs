@@ -290,7 +290,7 @@ impl MemorySystemPlan {
     ///
     /// # Errors
     ///
-    /// Propagates [`PlanError`] when the eroded domain is empty (the
+    /// Propagates [`PlanError`](crate::PlanError) when the eroded domain is empty (the
     /// window consumes the whole upstream output) or analysis fails.
     pub fn chain_next(
         &self,
@@ -316,7 +316,7 @@ impl MemorySystemPlan {
     ///
     /// # Errors
     ///
-    /// Propagates indexing failures as [`PlanError`].
+    /// Propagates indexing failures as [`PlanError`](crate::PlanError).
     pub fn chains_from(&self, upstream: &Self) -> Result<bool, crate::PlanError> {
         let need = self
             .input_domain()

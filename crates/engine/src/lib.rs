@@ -38,11 +38,11 @@
 //! output) and [`Session::iterate_until`] adds epsilon-based
 //! convergence early exit; both report an [`IterateReport`].
 //!
-//! The engine consumes the same [`MemorySystemPlan`] interface as the
-//! simulator and returns the output grid plus a [`RunReport`] with
-//! throughput figures, so results are directly comparable — the
-//! differential test harness checks engine output bit-for-bit against
-//! both the golden executor and the machine.
+//! The engine consumes the same [`stencil_core::MemorySystemPlan`]
+//! interface as the simulator and returns the output grid plus a
+//! [`RunReport`] with throughput figures, so results are directly
+//! comparable — the differential test harness checks engine output
+//! bit-for-bit against both the golden executor and the machine.
 //!
 //! # Example
 //!

@@ -366,7 +366,7 @@ impl fmt::Debug for StagePlan<'_> {
 
 /// A composable execution pipeline over one or more kernel stages.
 ///
-/// See the [module docs](self) for the builder shape. A session borrows
+/// See the [crate docs](crate) for the builder shape. A session borrows
 /// its stage-0 plan and kernel; chained stages own their derived plans.
 pub struct Session<'a> {
     stages: Vec<Stage<'a>>,

@@ -60,8 +60,8 @@ use crate::error::EngineError;
 const LANES: usize = 32;
 
 /// The default unroll factor of the compiled sweep, picked empirically
-/// from {2, 4, 8} the way [`LANES`] was: on DENOISE 768×1024 in-core,
-/// U=4 cuts tap loads from 5 to 3.5 per output and op dispatches by
+/// from {2, 4, 8} the way the lane width `LANES` was: on DENOISE
+/// 768×1024 in-core, U=4 cuts tap loads from 5 to 3.5 per output and op dispatches by
 /// ~25%, beating U=2 (less sharing) and U=8 (marginal extra sharing,
 /// larger register file working set) — see EXPERIMENTS.md.
 pub const DEFAULT_UNROLL: usize = 4;

@@ -18,7 +18,11 @@
 //!   bound.
 //!
 //! Serialization goes through the vendored `serde` JSON data model
-//! ([`serde::json::Value`]); every schema type round-trips
+//! ([`serde::json::Value`]); each schema record is declared once and
+//! its codec is generated from that declaration. Schema v2
+//! ([`SCHEMA_VERSION`]) requires every key: an absent section is
+//! written as `null`, and [`MetricsReport::parse`] rejects a report
+//! that omits any key, naming it. Every schema type round-trips
 //! value → text → value losslessly, and [`validate::validate_report`]
 //! rejects reports containing non-finite numbers (which JSON cannot
 //! represent).
