@@ -40,8 +40,10 @@ pub(crate) enum StagePump {
     /// The stage needs the next input row (of this many values) fed via
     /// [`StreamStage::feed`] before it can make progress.
     Need(usize),
-    /// One finished output row, in lexicographic rank order.
-    Row(Vec<f64>),
+    /// One finished output row, in lexicographic rank order: a range of
+    /// the stage's band buffer ([`StreamStage::band_out`]), valid until
+    /// the stage is pumped again.
+    Row(Range<usize>),
     /// Every band has executed and every output row has been emitted.
     Done,
 }
@@ -76,7 +78,10 @@ pub(crate) struct StreamStage<'k> {
     cursor: usize,
     evicted: bool,
     pending: Option<PendingPull>,
-    out_rows: VecDeque<Vec<f64>>,
+    // The current band's outputs, reused across bands; `out_rows` are
+    // the not-yet-emitted rows as ranges of it.
+    out_buf: Vec<f64>,
+    out_rows: VecDeque<Range<usize>>,
     // Telemetry.
     gauge: HighWater,
     resident_bound: u64,
@@ -143,6 +148,7 @@ impl<'k> StreamStage<'k> {
             cursor: 0,
             evicted: false,
             pending: None,
+            out_buf: Vec::new(),
             out_rows: VecDeque::new(),
             gauge: HighWater::new(),
             resident_bound: 0,
@@ -186,9 +192,17 @@ impl<'k> StreamStage<'k> {
         self.values_in
     }
 
+    /// The current band's output buffer, which [`StagePump::Row`]
+    /// ranges index.
+    pub(crate) fn band_out(&self) -> &[f64] {
+        &self.out_buf
+    }
+
     /// Advances the stage until it emits a row, needs input, or
     /// finishes. Emitted rows drain before the next band pulls, so a
-    /// downstream consumer is never more than one band behind.
+    /// downstream consumer is never more than one band behind — and the
+    /// band buffer an emitted range points into is only overwritten once
+    /// every row of it has been handed off.
     pub(crate) fn pump(&mut self) -> Result<StagePump, EngineError> {
         loop {
             if let Some(row) = self.out_rows.pop_front() {
@@ -282,22 +296,23 @@ impl<'k> StreamStage<'k> {
     }
 
     /// Evicts rows entirely below the current band's halo. Evicting
-    /// before pulling keeps the peak at one band's halo window.
+    /// before pulling keeps the peak at one band's halo window. The
+    /// owned window is compacted once per band: the evicted rows are
+    /// summed first and drained in one move.
     fn evict_below_halo(&mut self) -> Result<(), EngineError> {
         let tile = &self.tile_plan.tiles()[self.cursor];
         let rows = self.in_idx.rows();
+        let mut evicted = 0u64;
         while self.resident.start < self.resident.end
             && tile.row_below_halo(row_outer_span(&rows[self.resident.start], self.dims))
         {
-            if self.mapped.is_none() {
-                let n = usize::try_from(rows[self.resident.start].len()).map_err(|_| {
-                    EngineError::DomainTooLarge {
-                        points: rows[self.resident.start].len(),
-                    }
-                })?;
-                self.window.drain(0..n);
-            }
+            evicted += rows[self.resident.start].len();
             self.resident.start += 1;
+        }
+        if self.mapped.is_none() && evicted > 0 {
+            let n = usize::try_from(evicted)
+                .map_err(|_| EngineError::DomainTooLarge { points: evicted })?;
+            self.window.drain(0..n);
         }
         Ok(())
     }
@@ -323,7 +338,8 @@ impl<'k> StreamStage<'k> {
     }
 
     /// Runs the current band through the shared sweep/fast/gather
-    /// executor and queues its output rows.
+    /// executor into the reused band buffer and queues its output rows
+    /// as ranges of it.
     fn execute_band(&mut self) -> Result<(), EngineError> {
         let tile = &self.tile_plan.tiles()[self.cursor];
         let rows = self.in_idx.rows();
@@ -343,7 +359,9 @@ impl<'k> StreamStage<'k> {
             .map_err(|e| EngineError::Plan(e.into()))?;
         let band_len = usize::try_from(tile.len)
             .map_err(|_| EngineError::DomainTooLarge { points: tile.len })?;
-        let mut out_buf = vec![0.0f64; band_len];
+        // Every band row is written by the executor (or it errors), so
+        // the previous band's values never need clearing.
+        self.out_buf.resize(band_len, 0.0);
         let base = rows.get(self.resident.start).map_or(0, |r| r.base);
         // Mapped path: the "window" is a borrowed slice of the mapped
         // payload (rank == offset by the contiguity invariant); nothing
@@ -374,7 +392,7 @@ impl<'k> StreamStage<'k> {
         let kernel = &self.kernel;
         let band_stats = if workers <= 1 {
             catch_unwind(AssertUnwindSafe(|| {
-                execute_rows(band_rows, 0, &self.offsets, &win, kernel, &mut out_buf)
+                execute_rows(band_rows, 0, &self.offsets, &win, kernel, &mut self.out_buf)
             }))
             .map_err(|_| EngineError::WorkerPanic)??
         } else {
@@ -383,7 +401,7 @@ impl<'k> StreamStage<'k> {
                 &self.offsets,
                 &win,
                 kernel,
-                &mut out_buf,
+                &mut self.out_buf,
                 workers,
             )?
         };
@@ -394,16 +412,17 @@ impl<'k> StreamStage<'k> {
                 .map_err(|_| EngineError::DomainTooLarge { points: row.base })?;
             let len = usize::try_from(row.len())
                 .map_err(|_| EngineError::DomainTooLarge { points: row.len() })?;
-            let slice = out_buf
-                .get(start..)
-                .and_then(|s| s.get(..len))
+            let range = start
+                .checked_add(len)
+                .filter(|&end| end <= self.out_buf.len())
+                .map(|end| start..end)
                 .ok_or_else(|| EngineError::InconsistentIndex {
                     detail: format!(
                         "band {} output row at {} exceeds the band buffer",
                         tile.id, row.prefix
                     ),
                 })?;
-            self.out_rows.push_back(slice.to_vec());
+            self.out_rows.push_back(range);
         }
         Ok(())
     }
@@ -443,47 +462,163 @@ impl<'k> StreamStage<'k> {
 
 /// Pumps the last stage of `stages` for one output row, recursively
 /// satisfying upstream demand; the first stage pulls from `source`.
-/// Returns `None` when the pipeline is exhausted.
-pub(crate) fn pump_chain(
-    stages: &mut [StreamStage<'_>],
+/// The row is borrowed from the last stage's band buffer. Returns
+/// `None` when the pipeline is exhausted.
+pub(crate) fn pump_chain<'s>(
+    stages: &'s mut [StreamStage<'_>],
     source: &mut dyn RowSource,
     buf: &mut Vec<f64>,
-) -> Result<Option<Vec<f64>>, EngineError> {
+) -> Result<Option<&'s [f64]>, EngineError> {
     let (upstream, last) = stages.split_at_mut(stages.len() - 1);
     let last = &mut last[0];
     loop {
         match last.pump()? {
-            StagePump::Row(row) => return Ok(Some(row)),
+            StagePump::Row(range) => return Ok(Some(&last.band_out()[range])),
             StagePump::Done => return Ok(None),
+            StagePump::Need(len) if upstream.is_empty() => {
+                buf.clear();
+                source.fill_row(len, buf)?;
+                last.feed(buf)?;
+            }
             StagePump::Need(len) => {
-                if upstream.is_empty() {
-                    buf.clear();
-                    source.fill_row(len, buf)?;
-                    last.feed(buf)?;
-                } else {
-                    // An upstream stage emits one row per *band* row. In
-                    // 1-D domains bands subdivide the single index row,
-                    // so accumulate emissions (they arrive in rank
-                    // order) until the downstream request is whole.
-                    let mut row: Vec<f64> = Vec::new();
-                    while row.len() < len {
-                        match pump_chain(upstream, source, buf)? {
-                            Some(part) if row.is_empty() => row = part,
-                            Some(part) => row.extend_from_slice(&part),
-                            None => {
-                                return Err(EngineError::Source {
-                                    detail: format!(
-                                        "upstream stage exhausted while {} more input values \
-                                         were required",
-                                        len - row.len()
-                                    ),
-                                })
-                            }
-                        }
-                    }
-                    last.feed(&row)?;
+                // A whole upstream row feeds straight from the upstream
+                // band buffer. An upstream stage emits one row per
+                // *band* row, so in 1-D domains, where bands subdivide
+                // the single index row, accumulate the shorter parts
+                // (they arrive in rank order) until the request is whole.
+                let first = next_part(upstream, source, buf, len, 0)?;
+                if first.len() >= len {
+                    last.feed(first)?;
+                    continue;
                 }
+                let mut row = first.to_vec();
+                while row.len() < len {
+                    row.extend_from_slice(next_part(upstream, source, buf, len, row.len())?);
+                }
+                last.feed(&row)?;
             }
         }
+    }
+}
+
+/// The next upstream output row towards a downstream request of `len`
+/// values of which `have` are already collected.
+fn next_part<'s>(
+    upstream: &'s mut [StreamStage<'_>],
+    source: &mut dyn RowSource,
+    buf: &mut Vec<f64>,
+    len: usize,
+    have: usize,
+) -> Result<&'s [f64], EngineError> {
+    pump_chain(upstream, source, buf)?.ok_or_else(|| EngineError::Source {
+        detail: format!(
+            "upstream stage exhausted while {} more input values were required",
+            len - have
+        ),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::format::pack_grid;
+    use stencil_core::StencilSpec;
+    use stencil_polyhedral::Polyhedron;
+
+    fn compute(w: &[f64]) -> f64 {
+        w[2] + 0.25 * (w[0] + w[1] + w[3] + w[4] - 4.0 * w[2])
+    }
+
+    fn denoise_plan(rows: i64, cols: i64) -> MemorySystemPlan {
+        let window = [[-1, 0], [0, -1], [0, 0], [0, 1], [1, 0]]
+            .iter()
+            .map(|o| Point::new(o))
+            .collect();
+        let iter = Polyhedron::rect(&[(1, rows - 2), (1, cols - 2)]);
+        MemorySystemPlan::generate(&StencilSpec::new("denoise", iter, window).unwrap()).unwrap()
+    }
+
+    fn stage(plan: &MemorySystemPlan, chunk_rows: u64) -> StreamStage<'static> {
+        let tiles = plan.tile_plan_chunked(chunk_rows).unwrap();
+        let kernel = RowKernel::Closure(&compute);
+        StreamStage::new(
+            plan,
+            tiles,
+            kernel,
+            KernelBackend::Closure,
+            Some(chunk_rows),
+            1,
+        )
+        .unwrap()
+    }
+
+    /// Pumps `stage` through its next band, feeding any pull from
+    /// `vals` at rank `*fed`, and returns the band's outputs — or `None`
+    /// once every band has run.
+    fn next_band(stage: &mut StreamStage<'_>, vals: &[f64], fed: &mut usize) -> Option<Vec<f64>> {
+        let mut out = Vec::new();
+        loop {
+            match stage.pump().unwrap() {
+                StagePump::Need(len) => {
+                    stage.feed(&vals[*fed..*fed + len]).unwrap();
+                    *fed += len;
+                }
+                StagePump::Row(range) => {
+                    out.extend_from_slice(&stage.band_out()[range]);
+                    if stage.out_rows.is_empty() {
+                        return Some(out);
+                    }
+                }
+                StagePump::Done => return None,
+            }
+        }
+    }
+
+    #[test]
+    fn batched_eviction_keeps_the_owned_window_identical_to_the_mapped_one() {
+        // 38 iteration rows in bands of 7: the last band is short.
+        let plan = denoise_plan(40, 24);
+        let vals: Vec<f64> = (0..plan.input_domain().index().unwrap().len())
+            .map(|r| (r % 97) as f64 * 0.5 - 11.0)
+            .collect();
+        let path = std::env::temp_dir().join(format!("chain_window_{}.sgrid", std::process::id()));
+        pack_grid(&path, &[vals.len() as u64], &vals).unwrap();
+
+        let mut owned = stage(&plan, 7);
+        let mut mapped = stage(&plan, 7);
+        mapped
+            .attach_mapped(MappedGrid::open(&path).unwrap())
+            .unwrap();
+        let (mut fed, mut never_fed) = (0usize, 0usize);
+        let mut bands = 0usize;
+        while let Some(out) = next_band(&mut owned, &vals, &mut fed) {
+            let mapped_out = next_band(&mut mapped, &[], &mut never_fed).unwrap();
+            bands += 1;
+            assert_eq!(owned.resident, mapped.resident, "band {bands}");
+            let len = mapped.window_len().unwrap();
+            let base = usize::try_from(mapped.in_idx.rows()[mapped.resident.start].base).unwrap();
+            let window = &mapped.mapped.as_ref().unwrap().values()[base..base + len];
+            assert_eq!(owned.window.len(), len, "band {bands}");
+            assert!(
+                owned
+                    .window
+                    .iter()
+                    .zip(window)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "band {bands}: owned window diverges from the mapped slice"
+            );
+            assert!(out
+                .iter()
+                .zip(&mapped_out)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(out.len(), mapped_out.len());
+            for s in [&owned, &mapped] {
+                assert_eq!(s.peak_resident(), s.runtime_bound(), "band {bands}");
+            }
+        }
+        assert!(next_band(&mut mapped, &[], &mut never_fed).is_none());
+        assert_eq!(bands, 6);
+        assert_eq!((fed, never_fed), (vals.len(), 0));
+        std::fs::remove_file(&path).ok();
     }
 }

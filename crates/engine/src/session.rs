@@ -1095,7 +1095,7 @@ impl<'a> Session<'a> {
         let mut output_values = 0u64;
         while let Some(row) = pump_chain(&mut machines, source, &mut buf)? {
             output_values += row.len() as u64;
-            sink.push_row(&row)?;
+            sink.push_row(row)?;
         }
         sink.finish()?;
 

@@ -227,28 +227,35 @@ impl DomainIndex {
     #[must_use]
     pub fn rank_lt(&self, p: &Point) -> u64 {
         assert_eq!(p.dims(), self.dims, "point dimensionality mismatch");
-        let q = p.prefix(self.dims - 1);
-        match self.find_row(&q) {
-            Ok(r) => {
-                let row = &self.rows[r];
-                let inner = p[self.dims - 1];
-                row.base + (inner - row.lo).clamp(0, row.hi - row.lo + 1) as u64
-            }
-            Err(r) => {
-                if r < self.rows.len() {
-                    self.rows[r].base
-                } else {
-                    self.total
-                }
-            }
-        }
+        let slot = self.find_row(&p.prefix(self.dims - 1));
+        self.rank_in(slot, p[self.dims - 1], 0)
     }
 
     /// Number of domain points lexicographically **less than or equal**
     /// to `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p.dims() != self.dims()`.
     #[must_use]
     pub fn rank_le(&self, p: &Point) -> u64 {
-        self.rank_lt(p) + u64::from(self.contains(p))
+        assert_eq!(p.dims(), self.dims, "point dimensionality mismatch");
+        let slot = self.find_row(&p.prefix(self.dims - 1));
+        self.rank_in(slot, p[self.dims - 1], 1)
+    }
+
+    /// The rank arithmetic behind [`rank_lt`](Self::rank_lt) and
+    /// [`rank_le`](Self::rank_le): `slot` locates the point's prefix as
+    /// [`find_row`](Self::find_row) does, and `inclusive` (0 or 1)
+    /// counts the point itself when it lies in the found row.
+    fn rank_in(&self, slot: Result<usize, usize>, inner: i64, inclusive: i64) -> u64 {
+        match slot {
+            Ok(r) => {
+                let row = &self.rows[r];
+                row.base + (inner - row.lo + inclusive).clamp(0, row.hi - row.lo + 1) as u64
+            }
+            Err(r) => self.rows.get(r).map_or(self.total, |row| row.base),
+        }
     }
 
     /// The domain point with the given rank (0-based, lexicographic), or
@@ -309,6 +316,38 @@ impl DomainIndex {
                 Ordering::Equal => Ordering::Equal,
                 other => other,
             })
+    }
+}
+
+/// A forward-only [`DomainIndex::rank_le`] for queries that arrive in
+/// non-decreasing lexicographic order: the row cursor only ever moves
+/// forward, so a whole query sequence costs `O(#queries + #rows)`
+/// instead of a binary search per query. Answers are identical to
+/// [`DomainIndex::rank_le`] on any index whose rows are in ascending
+/// prefix order.
+#[derive(Debug, Default)]
+pub(crate) struct RankMerge {
+    row: usize,
+}
+
+impl RankMerge {
+    /// `idx.rank_le(p)`, provided `p` is not lexicographically below
+    /// any earlier query made through this cursor.
+    pub(crate) fn rank_le(&mut self, idx: &DomainIndex, p: &Point) -> u64 {
+        assert_eq!(p.dims(), idx.dims, "point dimensionality mismatch");
+        let (prefix, inner) = p.as_slice().split_at(idx.dims - 1);
+        while idx
+            .rows
+            .get(self.row)
+            .is_some_and(|row| row.prefix.as_slice() < prefix)
+        {
+            self.row += 1;
+        }
+        let slot = match idx.rows.get(self.row) {
+            Some(row) if row.prefix.as_slice() == prefix => Ok(self.row),
+            _ => Err(self.row),
+        };
+        idx.rank_in(slot, inner[0], 1)
     }
 }
 
@@ -420,6 +459,24 @@ mod tests {
         assert_eq!(idx.rank_lt(&Point::new(&[2, -7])), 3);
         // Inner coordinate beyond the row end clamps to the row length.
         assert_eq!(idx.rank_lt(&Point::new(&[2, 100])), 6);
+    }
+
+    #[test]
+    fn rank_merge_matches_rank_le_on_sorted_queries() {
+        // Members, gaps inside and between rows, and points off both
+        // ends, in non-decreasing lexicographic order (with repeats).
+        let idx = triangle().index().unwrap();
+        let mut queries = Vec::new();
+        for i in -1..=5 {
+            for j in -2..=5 {
+                queries.push(Point::new(&[i, j]));
+                queries.push(Point::new(&[i, j]));
+            }
+        }
+        let mut merge = RankMerge::default();
+        for q in &queries {
+            assert_eq!(merge.rank_le(&idx, q), idx.rank_le(q), "rank_le of {q}");
+        }
     }
 
     #[test]

@@ -52,6 +52,35 @@ fn convex_2d() -> impl Strategy<Value = Polyhedron> {
         })
 }
 
+/// A random convex 3-D domain: a small box, optionally carved by up to
+/// two random cross constraints into a skewed polyhedron (or emptied).
+fn convex_3d() -> impl Strategy<Value = Polyhedron> {
+    (
+        (
+            (-3i64..3),
+            (1i64..6),
+            (-3i64..3),
+            (1i64..6),
+            (-3i64..3),
+            (1i64..6),
+        ),
+        prop::collection::vec(((-2i64..=2), (-2i64..=2), (-2i64..=2), (-8i64..=8)), 0..3),
+    )
+        .prop_map(|((lo0, e0, lo1, e1, lo2, e2), cuts)| {
+            let mut p = Polyhedron::rect(&[
+                (lo0, lo0 + e0 - 1),
+                (lo1, lo1 + e1 - 1),
+                (lo2, lo2 + e2 - 1),
+            ]);
+            for (a, b, c, d) in cuts {
+                if a != 0 || b != 0 || c != 0 {
+                    p = p.with_constraint(Constraint::new(&[a, b, c], d));
+                }
+            }
+            p
+        })
+}
+
 /// Brute-force membership scan over a generous bounding window.
 fn brute_points(p: &Polyhedron) -> Vec<Point> {
     let mut out = Vec::new();
@@ -142,6 +171,26 @@ proptest! {
     ) {
         let f_x = Point::new(&[fx.0, fx.1]);
         let f_y = Point::new(&[fy.0, fy.1]);
+        let r = reuse_vector(&f_x, &f_y);
+        prop_assume!(lex_positive(&r));
+        prop_assume!(poly.count().unwrap() > 0);
+        let input = input_domain(&poly, &[f_x, f_y]).index().unwrap();
+        let dax = poly.translated(&f_x).index().unwrap();
+        let fast = max_reuse_distance(&input, &dax, &r).unwrap();
+        let slow = max_reuse_distance_exhaustive(&input, &dax, &r).unwrap();
+        prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn max_reuse_distance_matches_exhaustive_3d(
+        poly in convex_3d(),
+        fx in ((-2i64..=2), (-2i64..=2), (-2i64..=2)),
+        fy in ((-2i64..=2), (-2i64..=2), (-2i64..=2)),
+    ) {
+        // In 3-D the merge cursors compare two-coordinate row prefixes,
+        // so rows of one plane interleave with gaps between planes.
+        let f_x = Point::new(&[fx.0, fx.1, fx.2]);
+        let f_y = Point::new(&[fy.0, fy.1, fy.2]);
         let r = reuse_vector(&f_x, &f_y);
         prop_assume!(lex_positive(&r));
         prop_assume!(poly.count().unwrap() > 0);
