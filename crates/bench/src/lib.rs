@@ -11,7 +11,6 @@
 
 use std::path::PathBuf;
 
-use parking_lot::Mutex;
 use stencil_core::{MemorySystemPlan, StencilSpec};
 use stencil_kernels::Benchmark;
 use stencil_sim::{Machine, RunStats, SimError};
@@ -125,9 +124,10 @@ pub fn simulate_scaled(bench: &Benchmark, max_cells: u64) -> Result<RunStats, Si
     machine.run(limit)
 }
 
-/// Simulates every benchmark of a suite in parallel (one OS thread per
-/// benchmark via `crossbeam::scope`), each on a grid scaled to at most
-/// `max_cells` points. Results come back in suite order.
+/// Simulates every benchmark of a suite in parallel (one scoped OS
+/// thread per benchmark via `std::thread::scope`), each on a grid
+/// scaled to at most `max_cells` points. Results come back in suite
+/// order.
 ///
 /// # Errors
 ///
@@ -136,24 +136,20 @@ pub fn simulate_suite_parallel(
     suite: &[Benchmark],
     max_cells: u64,
 ) -> Result<Vec<(String, RunStats)>, SimError> {
-    let slots: Mutex<Vec<Option<Result<RunStats, SimError>>>> = Mutex::new(vec![None; suite.len()]);
-    crossbeam::scope(|scope| {
-        for (k, bench) in suite.iter().enumerate() {
-            let slots = &slots;
-            scope.spawn(move |_| {
-                let result = simulate_scaled(bench, max_cells);
-                slots.lock()[k] = Some(result);
-            });
-        }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = suite
+            .iter()
+            .map(|bench| scope.spawn(move || simulate_scaled(bench, max_cells)))
+            .collect();
+        suite
+            .iter()
+            .zip(handles)
+            .map(|(bench, h)| {
+                let stats = h.join().expect("no panics in simulation threads")?;
+                Ok((bench.name().to_owned(), stats))
+            })
+            .collect()
     })
-    .expect("no panics in simulation threads");
-    let results = slots.into_inner();
-    let mut out = Vec::with_capacity(suite.len());
-    for (bench, slot) in suite.iter().zip(results) {
-        let stats = slot.expect("every slot filled")?;
-        out.push((bench.name().to_owned(), stats));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -20,7 +20,6 @@
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use stencil_core::{row_outer_span, MemorySystemPlan, TilePlan};
 use stencil_polyhedral::{DomainIndex, Point, Row};
@@ -31,7 +30,7 @@ use crate::error::EngineError;
 use crate::format::MappedGrid;
 use crate::report::StreamReport;
 use crate::rowexec::{
-    execute_band_parallel, execute_rows, plan_offsets, threads_for, RankWindow, RowKernel, RowStats,
+    execute_band_parallel, plan_offsets, threads_for, RankWindow, RowKernel, RowStats,
 };
 use crate::stream::RowSource;
 
@@ -388,23 +387,14 @@ impl<'k> StreamStage<'k> {
             base,
         };
         let band_rows = band_idx.rows();
-        let workers = threads_for(self.worker_count, band_rows.len());
-        let kernel = &self.kernel;
-        let band_stats = if workers <= 1 {
-            catch_unwind(AssertUnwindSafe(|| {
-                execute_rows(band_rows, 0, &self.offsets, &win, kernel, &mut self.out_buf)
-            }))
-            .map_err(|_| EngineError::WorkerPanic)??
-        } else {
-            execute_band_parallel(
-                band_rows,
-                &self.offsets,
-                &win,
-                kernel,
-                &mut self.out_buf,
-                workers,
-            )?
-        };
+        let band_stats = execute_band_parallel(
+            band_rows,
+            &self.offsets,
+            &win,
+            &self.kernel,
+            &mut self.out_buf,
+            threads_for(self.worker_count, band_rows.len()),
+        )?;
         self.stats.merge(band_stats);
 
         for row in band_rows {

@@ -19,8 +19,14 @@
 //!   bases;
 //! * **gather rows** — some tap is non-contiguous or non-resident: the
 //!   defensive per-point fallback with exact error reporting.
+//!
+//! Both parallel row loops — in-core bands ([`execute_tiled`]) and a
+//! streaming band's row chunks ([`execute_band_parallel`]) — run
+//! through one fork-join, [`fork_join`], the engine's only
+//! `std::thread::scope`.
 
-use std::sync::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use stencil_core::{MemorySystemPlan, Tile, TilePlan};
@@ -32,19 +38,65 @@ use crate::input::InputGrid;
 use crate::report::{RunReport, TileReport};
 use crate::unroll::UnrolledProgram;
 
-/// Locks `m`, recovering from poisoning: a panicked worker already
-/// surfaces as [`EngineError::WorkerPanic`] through the scope join, and
-/// the guarded collections stay consistent (push/pop only), so a
-/// poisoned lock must not turn into a second panic on the submit path.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Locks `m`, recovering from poisoning: a panicking worker already
+/// surfaces as [`EngineError::WorkerPanic`] (through [`fork_join`], or
+/// its serve job's error slot), and no guarded value (work queues, job
+/// slots, counters) is left half-updated by a panic, so a poisoned lock
+/// must not turn into a second panic.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Consumes `m`, recovering its value even when poisoned (see
-/// [`lock_recover`]).
-fn into_inner_recover<T>(m: Mutex<T>) -> T {
-    m.into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Runs `f` over every item on up to `workers` scoped threads pulling
+/// from one shared queue, and returns the results in item order.
+///
+/// Items are claimed in order; the first failed item drops every
+/// unclaimed one, and the first error by item order is returned. At one
+/// worker (or one item) `f` runs inline on the caller's thread. A panic
+/// in `f` is [`EngineError::WorkerPanic`] on both paths.
+pub(crate) fn fork_join<I, T, F>(items: Vec<I>, workers: usize, f: F) -> Result<Vec<T>, EngineError>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> Result<T, EngineError> + Sync,
+{
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return catch_unwind(AssertUnwindSafe(|| items.into_iter().map(&f).collect()))
+            .map_err(|_| EngineError::WorkerPanic)?;
+    }
+    let mut slots: Vec<Option<Result<T, EngineError>>> = items.iter().map(|_| None).collect();
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let joined: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let Some((k, item)) = lock_recover(&queue).next() else {
+                            break done;
+                        };
+                        let r = f(item);
+                        if r.is_err() {
+                            lock_recover(&queue).by_ref().for_each(drop);
+                        }
+                        done.push((k, r));
+                    }
+                })
+            })
+            .collect();
+        // Join every worker before judging any, so a second panic is
+        // not re-raised by the scope.
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    for done in joined {
+        for (k, r) in done.map_err(|_| EngineError::WorkerPanic)? {
+            slots[k] = Some(r);
+        }
+    }
+    // Claimed items form a prefix and each one finishes, so an empty
+    // slot only ever follows a failed item.
+    slots.into_iter().flatten().collect()
 }
 
 /// How the row executor evaluates the kernel datapath. One enum serves
@@ -375,9 +427,10 @@ pub(crate) fn threads_for(requested: usize, tiles: usize) -> usize {
 }
 
 /// The in-core tiled executor: validates the input, splits the output
-/// buffer into disjoint per-band slices, and runs the bands on a scoped
-/// worker pool pulling from a shared queue. This is the single real
-/// implementation behind the session's `InCore`/`Tiled` modes.
+/// buffer into disjoint per-band slices, and runs the bands through
+/// [`fork_join`] on `threads_for(threads, bands)` workers. This is the
+/// single real implementation behind the session's `InCore`/`Tiled`
+/// modes.
 pub(crate) fn execute_tiled(
     plan: &MemorySystemPlan,
     tile_plan: &TilePlan,
@@ -425,35 +478,10 @@ pub(crate) fn execute_tiled(
         work.push((tile, head));
         rest = tail;
     }
-    // Shared work queue; idle workers steal the next unclaimed band.
-    work.reverse(); // pop() hands out bands in rank order
-    let queue = Mutex::new(work);
-    let results: Mutex<Vec<TileReport>> = Mutex::new(Vec::with_capacity(tile_plan.tile_count()));
-    let failure: Mutex<Option<EngineError>> = Mutex::new(None);
-
     let worker_count = threads_for(threads, tile_plan.tile_count());
-    crossbeam::scope(|s| {
-        for _ in 0..worker_count {
-            s.spawn(|_| loop {
-                let item = lock_recover(&queue).pop();
-                let Some((tile, out)) = item else { break };
-                match execute_tile(tile, &offsets, input, kernel, out) {
-                    Ok(report) => lock_recover(&results).push(report),
-                    Err(e) => {
-                        lock_recover(&failure).get_or_insert(e);
-                        break;
-                    }
-                }
-            });
-        }
-    })
-    .map_err(|_| EngineError::WorkerPanic)?;
-
-    if let Some(e) = into_inner_recover(failure) {
-        return Err(e);
-    }
-    let mut per_tile = into_inner_recover(results);
-    per_tile.sort_by_key(|t| t.id);
+    let per_tile = fork_join(work, worker_count, |(tile, out)| {
+        execute_tile(tile, &offsets, input, kernel, out)
+    })?;
 
     let report = RunReport {
         outputs: tile_plan.total_outputs(),
@@ -504,7 +532,8 @@ fn execute_tile(
 }
 
 /// Splits a band's iteration rows into contiguous per-worker chunks
-/// writing disjoint slices of the band buffer.
+/// writing disjoint slices of the band buffer, and runs them through
+/// [`fork_join`] (inline at one worker).
 pub(crate) fn execute_band_parallel(
     band_rows: &[Row],
     offsets: &[Point],
@@ -537,33 +566,16 @@ pub(crate) fn execute_band_parallel(
         consumed += chunk_vals;
     }
 
-    let queue = Mutex::new(chunks);
-    let results: Mutex<Vec<RowChunkResult>> = Mutex::new(Vec::with_capacity(workers));
-    crossbeam::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let item = lock_recover(&queue).pop();
-                let Some((rows, out)) = item else { break };
-                let out_base = rows.first().map_or(0, |r| r.base);
-                let r = execute_rows(rows, out_base, offsets, win, kernel, out);
-                let failed = r.is_err();
-                lock_recover(&results).push(r);
-                if failed {
-                    break;
-                }
-            });
-        }
-    })
-    .map_err(|_| EngineError::WorkerPanic)?;
-
+    let per_chunk = fork_join(chunks, workers, |(rows, out)| {
+        let out_base = rows.first().map_or(0, |r| r.base);
+        execute_rows(rows, out_base, offsets, win, kernel, out)
+    })?;
     let mut stats = RowStats::default();
-    for r in into_inner_recover(results) {
-        stats.merge(r?);
+    for s in per_chunk {
+        stats.merge(s);
     }
     Ok(stats)
 }
-
-type RowChunkResult = Result<RowStats, EngineError>;
 
 fn inconsistent_row(row: &Row, out_base: u64) -> EngineError {
     EngineError::InconsistentIndex {
@@ -636,6 +648,87 @@ mod tests {
         let lo = Point::new(&[1, 0]);
         let hi = Point::new(&[1, 4]);
         assert_eq!(contiguous_base(&idx, &lo, &hi, 5), Some(0));
+    }
+
+    #[test]
+    fn fork_join_keeps_item_order_and_types_every_failure() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..9).collect();
+        for workers in [1usize, 2, 4] {
+            // Beyond one worker, item `late` finishes only after item
+            // `early` has run on another worker, so completion order is
+            // not item order.
+            let reorder = |late: usize, early: usize| {
+                let (tx, rx) = std::sync::mpsc::channel::<()>();
+                let rx = Mutex::new(rx);
+                move |k: usize| {
+                    if workers > 1 && k == late {
+                        lock_recover(&rx)
+                            .recv_timeout(std::time::Duration::from_secs(10))
+                            .expect("the early item runs on another worker");
+                    } else if k == early {
+                        let _ = tx.send(());
+                    }
+                }
+            };
+
+            let wait = reorder(0, 1);
+            let ran = fork_join(items.clone(), workers, |k| {
+                wait(k);
+                Ok((k, std::thread::current().id()))
+            })
+            .unwrap();
+            assert_eq!(
+                ran.iter().map(|&(k, _)| k).collect::<Vec<_>>(),
+                items,
+                "workers={workers}"
+            );
+            if workers == 1 {
+                assert!(ran.iter().all(|&(_, id)| id == caller));
+            }
+
+            // Items 5 and 7 fail, 7 first; the first by item order wins.
+            let wait = reorder(5, 7);
+            let e = fork_join(items.clone(), workers, |k| {
+                wait(k);
+                match k {
+                    5 | 7 => Err(EngineError::MissingInput {
+                        point: format!("item {k}"),
+                    }),
+                    _ => Ok(k),
+                }
+            })
+            .unwrap_err();
+            assert_eq!(
+                e,
+                EngineError::MissingInput {
+                    point: "item 5".into()
+                },
+                "workers={workers}"
+            );
+
+            let e = fork_join(items.clone(), workers, |k| {
+                if k == 3 {
+                    panic!("datapath bug");
+                }
+                Ok(k)
+            })
+            .unwrap_err();
+            assert_eq!(e, EngineError::WorkerPanic, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn lock_recover_reads_through_a_poisoned_lock() {
+        let m = Mutex::new(vec![1u32]);
+        let poisoned = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut g = m.lock().unwrap();
+            g.push(2);
+            panic!("poison the lock");
+        }));
+        assert!(poisoned.is_err() && m.is_poisoned());
+        lock_recover(&m).push(3);
+        assert_eq!(*lock_recover(&m), vec![1, 2, 3]);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -42,14 +42,8 @@ use crate::compile::CompiledKernel;
 use crate::error::EngineError;
 use crate::format::MappedGrid;
 use crate::input::InputGrid;
+use crate::rowexec::lock_recover;
 use crate::session::{ExecMode, Session, SessionKernel};
-
-/// Locks without poisoning semantics: a panicked worker is already
-/// surfaced through its job's error slot, so the shared state (guarded
-/// collections, counters) is recovered as-is.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Configuration of a [`ServiceFront`].
 #[derive(Debug, Clone)]
@@ -413,19 +407,19 @@ impl Inner {
             extents: extents.to_vec(),
             mode: mode.into(),
         };
-        if let Some(hit) = lock(&self.plan_cache).get(&key) {
-            lock(&self.counters).cache_hits += 1;
+        if let Some(hit) = lock_recover(&self.plan_cache).get(&key) {
+            lock_recover(&self.counters).cache_hits += 1;
             return Ok(Arc::clone(hit));
         }
         // Build outside the cache lock: plan generation is the
         // expensive part this cache exists to amortize.
         let built = Arc::new(CachedPlan::build(bench, extents, mode)?);
-        let mut cache = lock(&self.plan_cache);
+        let mut cache = lock_recover(&self.plan_cache);
         if let Some(racer) = cache.get(&key) {
-            lock(&self.counters).cache_hits += 1;
+            lock_recover(&self.counters).cache_hits += 1;
             return Ok(Arc::clone(racer));
         }
-        lock(&self.counters).cache_misses += 1;
+        lock_recover(&self.counters).cache_misses += 1;
         cache.insert(key, Arc::clone(&built));
         Ok(built)
     }
@@ -458,17 +452,17 @@ impl Inner {
 
         let started = Instant::now();
         {
-            let mut g = lock(&self.gauges);
+            let mut g = lock_recover(&self.gauges);
             g.resident_now += cached.bound;
             g.resident_peak = g.resident_peak.max(g.resident_now);
         }
         let run = session.run(&grid);
         {
-            let mut g = lock(&self.gauges);
+            let mut g = lock_recover(&self.gauges);
             g.resident_now = g.resident_now.saturating_sub(cached.bound);
         }
         let run = run?;
-        let mut c = lock(&self.counters);
+        let mut c = lock_recover(&self.counters);
         c.shards_executed += 1;
         c.shard_ns_total += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         c.tile_plans_built += run.report.tile_plans_built;
@@ -484,7 +478,7 @@ impl Inner {
     fn work(&self) {
         loop {
             let task = {
-                let mut q = lock(&self.queue);
+                let mut q = lock_recover(&self.queue);
                 loop {
                     if let Some(t) = q.tasks.pop_front() {
                         break t;
@@ -499,14 +493,14 @@ impl Inner {
                 }
             };
             let result = self.run_shard(&task);
-            let mut jobs = lock(&self.jobs);
+            let mut jobs = lock_recover(&self.jobs);
             let slot = &mut jobs[task.job];
             match result {
                 Ok(outputs) => slot.shard_outputs[task.shard] = Some(outputs),
                 Err(e) => {
                     if slot.error.is_none() {
                         slot.error = Some(e);
-                        lock(&self.counters).jobs_failed += 1;
+                        lock_recover(&self.counters).jobs_failed += 1;
                     }
                 }
             }
@@ -515,7 +509,7 @@ impl Inner {
                 slot.done = true;
                 let released = slot.bound;
                 drop(jobs);
-                let mut g = lock(&self.gauges);
+                let mut g = lock_recover(&self.gauges);
                 g.admitted_now = g.admitted_now.saturating_sub(released);
                 drop(g);
                 self.job_done.notify_all();
@@ -575,7 +569,7 @@ impl ServiceFront {
     /// The retry hint for a rejected submission: pending work divided
     /// across the pool at the observed per-shard service time.
     fn retry_after(&self, pending: usize) -> Duration {
-        let c = lock(&self.inner.counters);
+        let c = lock_recover(&self.inner.counters);
         let avg_ns = c
             .shard_ns_total
             .checked_div(c.shards_executed)
@@ -621,16 +615,16 @@ impl ServiceFront {
         }
         let job_bound: u64 = cached.iter().map(|c| c.bound).sum();
         let expected: u64 = cached.iter().map(|c| c.outputs).sum();
-        lock(&self.inner.counters).jobs_submitted += 1;
+        lock_recover(&self.inner.counters).jobs_submitted += 1;
 
         // Admission control: budget first, then queue capacity.
         let budget = self.inner.cfg.memory_budget;
         if budget > 0 {
-            let mut g = lock(&self.inner.gauges);
+            let mut g = lock_recover(&self.inner.gauges);
             if g.admitted_now + job_bound > budget {
                 drop(g);
-                let pending = lock(&self.inner.queue).tasks.len();
-                lock(&self.inner.counters).jobs_rejected += 1;
+                let pending = lock_recover(&self.inner.queue).tasks.len();
+                lock_recover(&self.inner.counters).jobs_rejected += 1;
                 return Ok(Submission::Rejected(Rejection {
                     reason: RejectReason::BudgetExhausted,
                     retry_after: self.retry_after(pending),
@@ -640,15 +634,15 @@ impl ServiceFront {
             g.admitted_peak = g.admitted_peak.max(g.admitted_now);
         }
 
-        let mut q = lock(&self.inner.queue);
+        let mut q = lock_recover(&self.inner.queue);
         if q.tasks.len() + geom.bands.len() > self.inner.cfg.queue_depth {
             let pending = q.tasks.len();
             drop(q);
             if budget > 0 {
-                let mut g = lock(&self.inner.gauges);
+                let mut g = lock_recover(&self.inner.gauges);
                 g.admitted_now = g.admitted_now.saturating_sub(job_bound);
             }
-            lock(&self.inner.counters).jobs_rejected += 1;
+            lock_recover(&self.inner.counters).jobs_rejected += 1;
             return Ok(Submission::Rejected(Rejection {
                 reason: RejectReason::QueueFull,
                 retry_after: self.retry_after(pending),
@@ -657,7 +651,7 @@ impl ServiceFront {
 
         // Admitted: register the job slot and enqueue its shards.
         if budget == 0 {
-            let mut g = lock(&self.inner.gauges);
+            let mut g = lock_recover(&self.inner.gauges);
             g.admitted_now += job_bound;
             g.admitted_peak = g.admitted_peak.max(g.admitted_now);
         }
@@ -667,7 +661,7 @@ impl ServiceFront {
             bench.name().to_string()
         };
         let job_id = {
-            let mut jobs = lock(&self.inner.jobs);
+            let mut jobs = lock_recover(&self.inner.jobs);
             jobs.push(JobSlot {
                 label: label.clone(),
                 shard_outputs: vec![None; geom.bands.len()],
@@ -679,7 +673,7 @@ impl ServiceFront {
             jobs.len() - 1
         };
         {
-            let mut c = lock(&self.inner.counters);
+            let mut c = lock_recover(&self.inner.counters);
             c.jobs_admitted += 1;
             c.outputs_expected += expected;
         }
@@ -710,7 +704,7 @@ impl ServiceFront {
 
     /// Blocks until every admitted job has completed.
     pub fn wait_idle(&self) {
-        let mut jobs = lock(&self.inner.jobs);
+        let mut jobs = lock_recover(&self.inner.jobs);
         while jobs.iter().any(|j| !j.done) {
             jobs = self
                 .inner
@@ -726,7 +720,7 @@ impl ServiceFront {
     pub fn finish(mut self) -> ServiceOutcome {
         self.wait_idle();
         {
-            let mut q = lock(&self.inner.queue);
+            let mut q = lock_recover(&self.inner.queue);
             q.shutdown = true;
         }
         self.inner.task_ready.notify_all();
@@ -736,7 +730,7 @@ impl ServiceFront {
             let _ = h.join();
         }
         let elapsed = self.started.elapsed();
-        let jobs: Vec<JobResult> = lock(&self.inner.jobs)
+        let jobs: Vec<JobResult> = lock_recover(&self.inner.jobs)
             .drain(..)
             .map(|slot| {
                 let shards = slot.shard_outputs.len();
@@ -757,8 +751,8 @@ impl ServiceFront {
                 }
             })
             .collect();
-        let c = lock(&self.inner.counters);
-        let g = lock(&self.inner.gauges);
+        let c = lock_recover(&self.inner.counters);
+        let g = lock_recover(&self.inner.gauges);
         let elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         let metrics = ServiceMetrics {
             workers: self.inner.cfg.workers as u64,
@@ -791,7 +785,7 @@ impl Drop for ServiceFront {
         // finish() drains handles; a dropped-without-finish front still
         // stops its workers instead of leaking them.
         {
-            let mut q = lock(&self.inner.queue);
+            let mut q = lock_recover(&self.inner.queue);
             q.shutdown = true;
         }
         self.inner.task_ready.notify_all();
@@ -1046,6 +1040,72 @@ mod tests {
         assert_eq!(m.tile_plans_built, 0);
         let report = outcome.report("serve");
         assert_eq!(stencil_telemetry::validate_report(&report), vec![]);
+    }
+
+    #[test]
+    fn a_panicking_kernel_resolves_as_a_typed_failure() {
+        let extents = vec![24i64, 16];
+        // No expression: the job runs on the closure backend.
+        let boom = Benchmark::new(
+            "boom",
+            extents.clone(),
+            vec![stencil_polyhedral::Point::new(&[0, 0])],
+            stencil_kernels::KernelOps::default(),
+            |_| panic!("datapath bug"),
+        );
+        let input = Arc::new(lcg_input(24 * 16, 0xB00));
+        let reference = unsharded_outputs(&denoise(), &extents, &input);
+        for mode in [
+            ExecMode::InCore,
+            ExecMode::Streaming {
+                chunk_rows: Some(4),
+            },
+        ] {
+            for workers in [1usize, 2] {
+                // The batch runs on a helper thread, so a job that never
+                // resolves fails the test instead of hanging it.
+                let batch = [denoise(), boom.clone(), denoise()];
+                let (input, extents) = (Arc::clone(&input), extents.clone());
+                let (tx, rx) = std::sync::mpsc::channel();
+                let helper = std::thread::spawn(move || {
+                    let front = ServiceFront::new(ServiceConfig {
+                        workers,
+                        ..ServiceConfig::default()
+                    });
+                    for benchmark in batch {
+                        let req = JobRequest {
+                            benchmark,
+                            extents: Some(extents.clone()),
+                            mode,
+                            shards: ShardPolicy::Auto,
+                            input: Arc::clone(&input).into(),
+                        };
+                        let Submission::Admitted(_) = front.submit(&req).unwrap() else {
+                            panic!("unbudgeted submit rejected");
+                        };
+                    }
+                    let _ = tx.send(front.finish());
+                });
+                let case = format!("mode={mode:?} workers={workers}");
+                let outcome = rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|e| panic!("{case}: batch did not resolve: {e}"));
+                helper
+                    .join()
+                    .expect("the batch thread returns after sending");
+                assert_eq!(
+                    outcome.jobs[1].error,
+                    Some(EngineError::WorkerPanic),
+                    "{case}"
+                );
+                assert_eq!(outcome.metrics.jobs_failed, 1, "{case}");
+                for id in [0, 2] {
+                    let job = &outcome.jobs[id];
+                    assert!(job.error.is_none(), "{case}: {:?}", job.error);
+                    assert_eq!(job.outputs, reference, "{case}");
+                }
+            }
+        }
     }
 
     #[test]
