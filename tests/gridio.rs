@@ -44,9 +44,10 @@ fn input_values(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// A fresh path in a per-test temp directory.
+/// A fresh path in a per-test temp directory. The directory carries the
+/// process id so concurrent test processes never share a file.
 fn temp_path(dir: &str, file: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(dir);
+    let d = std::env::temp_dir().join(format!("{dir}_{}", std::process::id()));
     std::fs::create_dir_all(&d).expect("temp dir");
     d.join(file)
 }
@@ -142,11 +143,11 @@ proptest! {
     /// payload length, which no longer matches the file.
     #[test]
     fn corrupt_header_bytes_are_typed_errors(offset in 0usize..40, bits in 1u8..=255) {
-        let mut bytes = valid_sgrid_bytes("stencil_gridio_prop");
+        let mut bytes = valid_sgrid_bytes("stencil_gridio_prop_flip");
         prop_assume!(offset < bytes.len());
         bytes[offset] ^= bits;
         let path = temp_path(
-            "stencil_gridio_prop",
+            "stencil_gridio_prop_flip",
             &format!("flip_{offset}_{bits}.sgrid"),
         );
         std::fs::write(&path, &bytes).expect("write corrupted");
@@ -162,16 +163,16 @@ proptest! {
     /// error — never a panic, never a silently short grid.
     #[test]
     fn truncated_or_padded_files_are_typed_errors(cut in 0usize..320, pad in 1usize..64) {
-        let bytes = valid_sgrid_bytes("stencil_gridio_prop");
+        let bytes = valid_sgrid_bytes("stencil_gridio_prop_cut");
         prop_assume!(cut < bytes.len());
 
-        let path = temp_path("stencil_gridio_prop", &format!("cut_{cut}.sgrid"));
+        let path = temp_path("stencil_gridio_prop_cut", &format!("cut_{cut}.sgrid"));
         std::fs::write(&path, &bytes[..cut]).expect("write truncated");
         let truncated = MappedGrid::open(&path);
         let _ = std::fs::remove_file(&path);
         prop_assert!(truncated.is_err(), "truncation to {cut} bytes accepted");
 
-        let path = temp_path("stencil_gridio_prop", &format!("pad_{pad}.sgrid"));
+        let path = temp_path("stencil_gridio_prop_cut", &format!("pad_{pad}.sgrid"));
         let mut padded = bytes.clone();
         padded.extend(std::iter::repeat_n(0xAAu8, pad));
         std::fs::write(&path, &padded).expect("write padded");
