@@ -17,9 +17,17 @@
 //! budget instead of materializing T intermediate grids. Band
 //! schedules are built once at session construction and handed in
 //! prebuilt, so a T-step ring pays plan validation once, not per step.
+//!
+//! In core, a stage is the same machine over its whole resident input
+//! ([`StreamStage::attach_resident`]), its bands split across the
+//! workers and writing their outputs in place
+//! ([`StreamStage::run_in_place`]): [`StreamStage`] is the only code
+//! that runs a band.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::time::{Duration, Instant};
 
 use stencil_core::{row_outer_span, MemorySystemPlan, TilePlan};
 use stencil_polyhedral::{DomainIndex, Point, Row};
@@ -27,10 +35,10 @@ use stencil_telemetry::HighWater;
 
 use crate::compile::KernelBackend;
 use crate::error::EngineError;
-use crate::format::MappedGrid;
-use crate::report::StreamReport;
+use crate::report::{RunReport, StreamReport, TileReport};
 use crate::rowexec::{
-    execute_band_parallel, plan_offsets, threads_for, RankWindow, RowKernel, RowStats,
+    execute_band_parallel, plan_offsets, split_band_rows, threads_for, RankWindow, RowChunk,
+    RowKernel, RowStats,
 };
 use crate::stream::RowSource;
 
@@ -56,22 +64,23 @@ struct PendingPull {
     discard: bool,
 }
 
-/// One kernel stage of a streaming pipeline, as an incremental state
-/// machine over the band schedule of its [`TilePlan`].
+/// One kernel stage, as an incremental state machine over the band
+/// schedule of its [`TilePlan`] — the only code that runs a band.
 pub(crate) struct StreamStage<'k> {
     tile_plan: TilePlan,
-    in_idx: DomainIndex,
+    in_idx: Cow<'k, DomainIndex>,
     dims: usize,
     offsets: Vec<Point>,
-    kernel: RowKernel<'k>,
+    kernel: &'k RowKernel<'k>,
     backend: KernelBackend,
     chunk_rows: u64,
     worker_count: usize,
-    // Rolling halo window state. With `mapped` set the whole input is
-    // resident in mapped pages, `window` stays empty, and the resident
-    // range alone tracks the logical halo window (rank == map offset,
-    // guaranteed by the contiguity check in `new`).
-    mapped: Option<MappedGrid>,
+    // Rolling halo window state. With `resident_input` set the whole
+    // input is resident (a mapped payload or an in-memory grid),
+    // `window` stays empty, and the resident range alone tracks the
+    // logical halo window (rank == offset, guaranteed by the contiguity
+    // check in `new`).
+    resident_input: Option<&'k [f64]>,
     window: Vec<f64>,
     resident: Range<usize>,
     cursor: usize,
@@ -102,22 +111,19 @@ impl std::fmt::Debug for StreamStage<'_> {
 
 impl<'k> StreamStage<'k> {
     /// Adopts a prebuilt band schedule (validated once at session
-    /// construction) and checks that the stage's input index is in
-    /// contiguous stream order.
+    /// construction) and the stage's input index, and checks that the
+    /// index is in contiguous stream order. A stage runs on at most
+    /// `workers` workers.
     pub(crate) fn new(
         plan: &MemorySystemPlan,
+        in_idx: Cow<'k, DomainIndex>,
         tile_plan: TilePlan,
-        kernel: RowKernel<'k>,
+        kernel: &'k RowKernel<'k>,
         backend: KernelBackend,
         chunk_rows: Option<u64>,
-        threads: usize,
+        workers: usize,
     ) -> Result<Self, EngineError> {
-        let in_idx = plan
-            .input_domain()
-            .index()
-            .map_err(|e| EngineError::Plan(e.into()))?;
-
-        // Streaming addresses residents by rank offset from the window
+        // A band addresses residents by rank offset from the window
         // base, which requires the input stream to be exactly the rows
         // in order — i.e. contiguous monotone bases.
         let mut expect_base = 0u64;
@@ -126,7 +132,7 @@ impl<'k> StreamStage<'k> {
                 return Err(EngineError::InconsistentIndex {
                     detail: format!(
                         "input row at {} has base {} but the stream is at rank {expect_base}; \
-                         streaming requires contiguous rank order",
+                         a stage requires contiguous rank order",
                         row.prefix, row.base
                     ),
                 });
@@ -140,8 +146,8 @@ impl<'k> StreamStage<'k> {
             kernel,
             backend,
             chunk_rows: chunk_rows.unwrap_or(0),
-            worker_count: threads_for(threads, usize::MAX),
-            mapped: None,
+            worker_count: workers,
+            resident_input: None,
             window: Vec::new(),
             resident: 0..0,
             cursor: 0,
@@ -160,30 +166,25 @@ impl<'k> StreamStage<'k> {
         })
     }
 
-    /// Attaches a memory-mapped input covering the whole stream: bands
-    /// execute as slices of the mapped payload and the stage never
-    /// reports [`StagePump::Need`] — zero copies into the halo window.
+    /// Attaches an input that is resident as a whole — a mapped
+    /// `.sgrid` payload or an in-memory grid: bands execute as slices of
+    /// it and the stage never reports [`StagePump::Need`] — zero copies
+    /// into the halo window.
     ///
     /// Only valid on a fresh stage (nothing pulled yet) whose input
-    /// domain matches the mapped element count exactly.
-    pub(crate) fn attach_mapped(&mut self, grid: MappedGrid) -> Result<(), EngineError> {
+    /// index covers exactly `values.len()` points.
+    pub(crate) fn attach_resident(&mut self, values: &'k [f64]) -> Result<(), EngineError> {
         if self.rows_in > 0 || self.pending.is_some() {
             return Err(EngineError::InconsistentIndex {
-                detail: "mapped input attached to a stage that already pulled rows".into(),
+                detail: "resident input attached to a stage that already pulled rows".into(),
             });
         }
-        let expected: u64 = self.in_idx.rows().iter().map(Row::len).sum();
-        let got = grid.values().len() as u64;
+        let (expected, got) = (self.in_idx.len(), values.len() as u64);
         if got != expected {
             return Err(EngineError::InputSizeMismatch { expected, got });
         }
-        self.mapped = Some(grid);
+        self.resident_input = Some(values);
         Ok(())
-    }
-
-    /// Whether a mapped input is attached (the zero-copy path).
-    pub(crate) fn is_mapped(&self) -> bool {
-        self.mapped.is_some()
     }
 
     /// Values pulled into (or logically admitted to) the halo window.
@@ -195,6 +196,96 @@ impl<'k> StreamStage<'k> {
     /// ranges index.
     pub(crate) fn band_out(&self) -> &[f64] {
         &self.out_buf
+    }
+
+    /// Runs every band over the attached resident input, each band
+    /// writing its outputs in place into one zeroed buffer of the
+    /// stage's total outputs, and returns that buffer with the stage's
+    /// [`RunReport`] (`started`: when the stage began). Bands, not rows,
+    /// split across the workers: each band reads the whole resident
+    /// input, so no halo window moves.
+    pub(crate) fn run_in_place(
+        &self,
+        started: Instant,
+    ) -> Result<(Vec<f64>, RunReport), EngineError> {
+        let input = self
+            .resident_input
+            .ok_or_else(|| EngineError::InconsistentIndex {
+                detail: "an in-place stage needs its whole input resident".into(),
+            })?;
+        let tiles = self.tile_plan.tiles();
+        let total = usize::try_from(self.tile_plan.total_outputs()).map_err(|_| {
+            EngineError::DomainTooLarge {
+                points: self.tile_plan.total_outputs(),
+            }
+        })?;
+        let mut outputs = vec![0.0f64; total];
+        let band_idx = tiles
+            .iter()
+            .map(|t| {
+                t.iter_domain
+                    .index()
+                    .map_err(|e| EngineError::Plan(e.into()))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+
+        // Disjoint per-band output slices: bands are contiguous rank ranges.
+        let mut chunks: Vec<RowChunk<'_, '_>> = Vec::with_capacity(tiles.len());
+        let mut rest: &mut [f64] = &mut outputs;
+        for (tile, idx) in tiles.iter().zip(&band_idx) {
+            let len = usize::try_from(tile.len)
+                .map_err(|_| EngineError::DomainTooLarge { points: tile.len })?;
+            if len > rest.len() {
+                return Err(EngineError::InconsistentIndex {
+                    detail: format!(
+                        "band {} claims {len} outputs but only {} remain unassigned",
+                        tile.id,
+                        rest.len()
+                    ),
+                });
+            }
+            let (head, tail) = rest.split_at_mut(len);
+            chunks.push((idx.rows(), head));
+            rest = tail;
+        }
+        let win = RankWindow {
+            idx: &self.in_idx,
+            vals: input,
+            base: 0,
+        };
+        let per_band =
+            execute_band_parallel(chunks, &self.offsets, &win, self.kernel, self.worker_count)?;
+
+        let per_tile = tiles
+            .iter()
+            .zip(per_band)
+            .map(|(tile, (stats, elapsed))| {
+                Ok(TileReport {
+                    id: tile.id,
+                    outputs: tile.len,
+                    halo_elements: tile
+                        .halo_domain
+                        .count()
+                        .map_err(|e| EngineError::Plan(e.into()))?,
+                    sweep_rows: stats.sweep,
+                    fast_rows: stats.fast,
+                    gather_rows: stats.gather,
+                    elapsed,
+                })
+            })
+            .collect::<Result<Vec<_>, EngineError>>()?;
+        let report = RunReport {
+            outputs: self.tile_plan.total_outputs(),
+            tiles: self.tile_plan.tile_count(),
+            threads: self.worker_count,
+            backend: self.backend,
+            unroll: self.kernel.unroll(),
+            datapath: self.kernel.datapath(),
+            halo_elements: per_tile.iter().map(|t| t.halo_elements).sum(),
+            elapsed: started.elapsed(),
+            per_tile,
+        };
+        Ok((outputs, report))
     }
 
     /// Advances the stage until it emits a row, needs input, or
@@ -221,9 +312,9 @@ impl<'k> StreamStage<'k> {
                 self.evicted = true;
             }
             if let Some(need) = self.next_pull()? {
-                if self.mapped.is_some() {
-                    // The row is already resident in the mapping:
-                    // admit it logically instead of asking upstream.
+                if self.resident_input.is_some() {
+                    // The row is already resident: admit it logically
+                    // instead of asking upstream.
                     self.absorb(&need);
                     continue;
                 }
@@ -265,9 +356,9 @@ impl<'k> StreamStage<'k> {
         Ok(())
     }
 
-    /// Mapped-mode twin of [`feed`](Self::feed): the row's values are
-    /// already resident in the mapping, so only the window bookkeeping
-    /// advances — nothing is copied.
+    /// Resident-input twin of [`feed`](Self::feed): the row's values
+    /// are already resident, so only the window bookkeeping advances —
+    /// nothing is copied.
     fn absorb(&mut self, p: &PendingPull) {
         if p.discard {
             self.resident.start = self.resident.end + 1;
@@ -279,9 +370,9 @@ impl<'k> StreamStage<'k> {
 
     /// The logical halo-window length in values: the owned buffer's
     /// length on the copying path, the resident rows' rank span on the
-    /// mapped path (both identical by the contiguity invariant).
+    /// resident path (both identical by the contiguity invariant).
     fn window_len(&self) -> Result<usize, EngineError> {
-        if self.mapped.is_none() {
+        if self.resident_input.is_none() {
             return Ok(self.window.len());
         }
         if self.resident.is_empty() {
@@ -308,7 +399,7 @@ impl<'k> StreamStage<'k> {
             evicted += rows[self.resident.start].len();
             self.resident.start += 1;
         }
-        if self.mapped.is_none() && evicted > 0 {
+        if self.resident_input.is_none() && evicted > 0 {
             let n = usize::try_from(evicted)
                 .map_err(|_| EngineError::DomainTooLarge { points: evicted })?;
             self.window.drain(0..n);
@@ -362,19 +453,19 @@ impl<'k> StreamStage<'k> {
         // the previous band's values never need clearing.
         self.out_buf.resize(band_len, 0.0);
         let base = rows.get(self.resident.start).map_or(0, |r| r.base);
-        // Mapped path: the "window" is a borrowed slice of the mapped
-        // payload (rank == offset by the contiguity invariant); nothing
+        // Resident path: the "window" is a borrowed slice of the whole
+        // input (rank == offset by the contiguity invariant); nothing
         // was ever copied in. Copying path: the owned rolling buffer.
-        let vals: &[f64] = match &self.mapped {
-            Some(grid) => {
+        let vals: &[f64] = match self.resident_input {
+            Some(input) => {
                 let start = usize::try_from(base)
                     .map_err(|_| EngineError::DomainTooLarge { points: base })?;
                 start
                     .checked_add(window_len)
-                    .and_then(|end| grid.values().get(start..end))
+                    .and_then(|end| input.get(start..end))
                     .ok_or_else(|| EngineError::InconsistentIndex {
                         detail: format!(
-                            "band {} window [{base}, +{window_len}) exceeds the mapped payload",
+                            "band {} window [{base}, +{window_len}) exceeds the resident input",
                             tile.id
                         ),
                     })?
@@ -387,15 +478,12 @@ impl<'k> StreamStage<'k> {
             base,
         };
         let band_rows = band_idx.rows();
-        let band_stats = execute_band_parallel(
-            band_rows,
-            &self.offsets,
-            &win,
-            &self.kernel,
-            &mut self.out_buf,
-            threads_for(self.worker_count, band_rows.len()),
-        )?;
-        self.stats.merge(band_stats);
+        let workers = threads_for(self.worker_count, band_rows.len());
+        let chunks = split_band_rows(band_rows, &mut self.out_buf, workers)?;
+        for (stats, _) in execute_band_parallel(chunks, &self.offsets, &win, self.kernel, workers)?
+        {
+            self.stats.merge(stats);
+        }
 
         for row in band_rows {
             let start = usize::try_from(row.base)
@@ -427,8 +515,8 @@ impl<'k> StreamStage<'k> {
         self.resident_bound
     }
 
-    /// The finished stage's report, with the legacy field semantics.
-    pub(crate) fn report(&self, elapsed: std::time::Duration) -> StreamReport {
+    /// The finished streaming stage's report.
+    pub(crate) fn report(&self, elapsed: Duration) -> StreamReport {
         StreamReport {
             outputs: self.tile_plan.total_outputs(),
             bands: self.tile_plan.tile_count(),
@@ -511,7 +599,7 @@ fn next_part<'s>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::pack_grid;
+    use crate::format::{pack_grid, MappedGrid};
     use stencil_core::StencilSpec;
     use stencil_polyhedral::Polyhedron;
 
@@ -529,12 +617,13 @@ mod tests {
     }
 
     fn stage(plan: &MemorySystemPlan, chunk_rows: u64) -> StreamStage<'static> {
+        static KERNEL: RowKernel<'static> = RowKernel::Closure(&compute);
         let tiles = plan.tile_plan_chunked(chunk_rows).unwrap();
-        let kernel = RowKernel::Closure(&compute);
         StreamStage::new(
             plan,
+            Cow::Owned(plan.input_domain().index().unwrap()),
             tiles,
-            kernel,
+            &KERNEL,
             KernelBackend::Closure,
             Some(chunk_rows),
             1,
@@ -575,10 +664,9 @@ mod tests {
         pack_grid(&path, &[vals.len() as u64], &vals).unwrap();
 
         let mut owned = stage(&plan, 7);
+        let grid = MappedGrid::open(&path).unwrap();
         let mut mapped = stage(&plan, 7);
-        mapped
-            .attach_mapped(MappedGrid::open(&path).unwrap())
-            .unwrap();
+        mapped.attach_resident(grid.values()).unwrap();
         let (mut fed, mut never_fed) = (0usize, 0usize);
         let mut bands = 0usize;
         while let Some(out) = next_band(&mut owned, &vals, &mut fed) {
@@ -587,7 +675,7 @@ mod tests {
             assert_eq!(owned.resident, mapped.resident, "band {bands}");
             let len = mapped.window_len().unwrap();
             let base = usize::try_from(mapped.in_idx.rows()[mapped.resident.start].base).unwrap();
-            let window = &mapped.mapped.as_ref().unwrap().values()[base..base + len];
+            let window = &grid.values()[base..base + len];
             assert_eq!(owned.window.len(), len, "band {bands}");
             assert!(
                 owned

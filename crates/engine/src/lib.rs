@@ -14,9 +14,11 @@
 //!   reduces to a base rank + offset into the flat input stream, so the
 //!   hot loop is pure indexed arithmetic with no per-element channel
 //!   simulation;
-//! * bands execute in parallel on scoped worker threads pulling from a
-//!   shared work queue (a single worker runs inline on the caller's
-//!   thread), writing disjoint slices of one output buffer;
+//! * in core, bands execute in parallel on scoped worker threads
+//!   pulling from a shared work queue (a single worker runs inline on
+//!   the caller's thread), writing disjoint slices of one output
+//!   buffer; streaming, bands run in order and each band's rows split
+//!   across the workers;
 //! * kernels authored as [`stencil_kernels::KernelExpr`] trees compile
 //!   at plan time to flat stack bytecode ([`CompiledKernel`], checked
 //!   against the closure by [`CompiledKernel::compile_checked`]) and

@@ -20,22 +20,22 @@
 //! * **gather rows** — some tap is non-contiguous or non-resident: the
 //!   defensive per-point fallback with exact error reporting.
 //!
-//! Both parallel row loops — in-core bands ([`execute_tiled`]) and a
-//! streaming band's row chunks ([`execute_band_parallel`]) — run
-//! through one fork-join, [`fork_join`], the engine's only
-//! `std::thread::scope`.
+//! Every band, in core or streaming, runs through
+//! [`crate::chain::StreamStage`]. In core the bands split across the
+//! workers (each band's rows unsplit); streaming, each band's rows
+//! split across them ([`split_band_rows`]). Both hand their row chunks
+//! to [`execute_band_parallel`], the only caller of [`fork_join`] — the
+//! engine's only `std::thread::scope`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use stencil_core::{MemorySystemPlan, Tile, TilePlan};
+use stencil_core::MemorySystemPlan;
 use stencil_polyhedral::{DomainIndex, Point, Row};
 
 use crate::compile::{CompiledKernel, Datapath};
 use crate::error::EngineError;
-use crate::input::InputGrid;
-use crate::report::{RunReport, TileReport};
 use crate::unroll::UnrolledProgram;
 
 /// Locks `m`, recovering from poisoning: a panicking worker already
@@ -151,9 +151,9 @@ impl RowKernel<'_> {
 
 /// A rank-windowed view of the input stream: `vals` holds the values of
 /// lexicographic ranks `[base, base + vals.len())` of the full input
-/// domain indexed by `idx`. The in-core paths use a full window
-/// (`base == 0`, every rank resident); the streaming path keeps only
-/// the current band's halo rows resident.
+/// domain indexed by `idx`: the current band's halo rows, sliced from a
+/// whole resident input (in core, or a mapped payload) or from the
+/// streaming stage's rolling window.
 pub(crate) struct RankWindow<'a> {
     /// Index of the *full* input domain (rank queries stay global).
     pub idx: &'a DomainIndex,
@@ -426,125 +426,20 @@ pub(crate) fn threads_for(requested: usize, tiles: usize) -> usize {
     t.clamp(1, tiles.max(1))
 }
 
-/// The in-core tiled executor: validates the input, splits the output
-/// buffer into disjoint per-band slices, and runs the bands through
-/// [`fork_join`] on `threads_for(threads, bands)` workers. This is the
-/// single real implementation behind the session's `InCore`/`Tiled`
-/// modes.
-pub(crate) fn execute_tiled(
-    plan: &MemorySystemPlan,
-    tile_plan: &TilePlan,
-    input: &InputGrid<'_>,
-    kernel: &RowKernel<'_>,
-    threads: usize,
-    backend: crate::compile::KernelBackend,
-) -> Result<(Vec<f64>, RunReport), EngineError> {
-    let expected = input.index().len();
-    let declared = plan
-        .input_domain()
-        .count()
-        .map_err(|e| EngineError::Plan(e.into()))?;
-    if expected != declared {
-        return Err(EngineError::InputSizeMismatch {
-            expected: declared,
-            got: expected,
-        });
-    }
+/// A run of iteration rows (bases ranked from the start of its output
+/// slice) and the output slice it writes.
+pub(crate) type RowChunk<'r, 'o> = (&'r [Row], &'o mut [f64]);
 
-    let offsets = plan_offsets(plan);
-    let started = Instant::now();
-    let total =
-        usize::try_from(tile_plan.total_outputs()).map_err(|_| EngineError::DomainTooLarge {
-            points: tile_plan.total_outputs(),
-        })?;
-    let mut outputs = vec![0.0f64; total];
-
-    // Disjoint per-band output slices: bands are contiguous rank ranges.
-    let mut work: Vec<(&Tile, &mut [f64])> = Vec::with_capacity(tile_plan.tile_count());
-    let mut rest: &mut [f64] = &mut outputs;
-    for tile in tile_plan.tiles() {
-        let len = usize::try_from(tile.len)
-            .map_err(|_| EngineError::DomainTooLarge { points: tile.len })?;
-        if len > rest.len() {
-            return Err(EngineError::InconsistentIndex {
-                detail: format!(
-                    "band {} claims {len} outputs but only {} remain unassigned",
-                    tile.id,
-                    rest.len()
-                ),
-            });
-        }
-        let (head, tail) = rest.split_at_mut(len);
-        work.push((tile, head));
-        rest = tail;
-    }
-    let worker_count = threads_for(threads, tile_plan.tile_count());
-    let per_tile = fork_join(work, worker_count, |(tile, out)| {
-        execute_tile(tile, &offsets, input, kernel, out)
-    })?;
-
-    let report = RunReport {
-        outputs: tile_plan.total_outputs(),
-        tiles: tile_plan.tile_count(),
-        threads: worker_count,
-        backend,
-        unroll: kernel.unroll(),
-        datapath: kernel.datapath(),
-        halo_elements: per_tile.iter().map(|t| t.halo_elements).sum(),
-        elapsed: started.elapsed(),
-        per_tile,
-    };
-    Ok((outputs, report))
-}
-
-/// Runs one band against the full in-core input.
-fn execute_tile(
-    tile: &Tile,
-    offsets: &[Point],
-    input: &InputGrid<'_>,
-    kernel: &RowKernel<'_>,
-    out: &mut [f64],
-) -> Result<TileReport, EngineError> {
-    let tile_started = Instant::now();
-    let idx = tile
-        .iter_domain
-        .index()
-        .map_err(|e| EngineError::Plan(e.into()))?;
-    let win = RankWindow {
-        idx: input.index(),
-        vals: input.values(),
-        base: 0,
-    };
-    let stats = execute_rows(idx.rows(), 0, offsets, &win, kernel, out)?;
-
-    Ok(TileReport {
-        id: tile.id,
-        outputs: tile.len,
-        halo_elements: tile
-            .halo_domain
-            .count()
-            .map_err(|e| EngineError::Plan(e.into()))?,
-        sweep_rows: stats.sweep,
-        fast_rows: stats.fast,
-        gather_rows: stats.gather,
-        elapsed: tile_started.elapsed(),
-    })
-}
-
-/// Splits a band's iteration rows into contiguous per-worker chunks
-/// writing disjoint slices of the band buffer, and runs them through
-/// [`fork_join`] (inline at one worker).
-pub(crate) fn execute_band_parallel(
-    band_rows: &[Row],
-    offsets: &[Point],
-    win: &RankWindow<'_>,
-    kernel: &RowKernel<'_>,
-    out: &mut [f64],
+/// Splits a streaming band's iteration rows into at most `workers`
+/// contiguous chunks writing disjoint slices of the band buffer `out`.
+pub(crate) fn split_band_rows<'r, 'o>(
+    band_rows: &'r [Row],
+    out: &'o mut [f64],
     workers: usize,
-) -> Result<RowStats, EngineError> {
+) -> Result<Vec<RowChunk<'r, 'o>>, EngineError> {
     // Chunk boundaries in row space; output slices follow row bases.
     let per = band_rows.len().div_ceil(workers);
-    let mut chunks: Vec<(&[Row], &mut [f64])> = Vec::with_capacity(workers);
+    let mut chunks: Vec<RowChunk<'r, 'o>> = Vec::with_capacity(workers);
     let mut rest_rows = band_rows;
     let mut rest_out: &mut [f64] = out;
     let mut consumed = 0u64;
@@ -565,16 +460,26 @@ pub(crate) fn execute_band_parallel(
         rest_out = o_tail;
         consumed += chunk_vals;
     }
+    Ok(chunks)
+}
 
-    let per_chunk = fork_join(chunks, workers, |(rows, out)| {
+/// Runs row chunks — a streaming band's row split, or whole bands in
+/// core — through [`fork_join`] (inline at one worker), its only
+/// caller. Returns each chunk's row tallies and the time its worker
+/// spent on it, in chunk order.
+pub(crate) fn execute_band_parallel(
+    chunks: Vec<RowChunk<'_, '_>>,
+    offsets: &[Point],
+    win: &RankWindow<'_>,
+    kernel: &RowKernel<'_>,
+    workers: usize,
+) -> Result<Vec<(RowStats, Duration)>, EngineError> {
+    fork_join(chunks, workers, |(rows, out)| {
+        let started = Instant::now();
         let out_base = rows.first().map_or(0, |r| r.base);
-        execute_rows(rows, out_base, offsets, win, kernel, out)
-    })?;
-    let mut stats = RowStats::default();
-    for s in per_chunk {
-        stats.merge(s);
-    }
-    Ok(stats)
+        let stats = execute_rows(rows, out_base, offsets, win, kernel, out)?;
+        Ok((stats, started.elapsed()))
+    })
 }
 
 fn inconsistent_row(row: &Row, out_base: u64) -> EngineError {

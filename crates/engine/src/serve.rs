@@ -242,26 +242,9 @@ impl ServiceOutcome {
 struct PlanKey {
     bench: String,
     extents: Vec<i64>,
-    mode: ModeSlot,
-}
-
-/// Hashable image of [`ExecMode`] (band count / chunk height included,
-/// since they select different band schedules).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum ModeSlot {
-    InCore,
-    Tiled(usize),
-    Streaming(Option<u64>),
-}
-
-impl From<ExecMode> for ModeSlot {
-    fn from(mode: ExecMode) -> Self {
-        match mode {
-            ExecMode::InCore => ModeSlot::InCore,
-            ExecMode::Tiled { tiles } => ModeSlot::Tiled(tiles),
-            ExecMode::Streaming { chunk_rows } => ModeSlot::Streaming(chunk_rows),
-        }
-    }
+    /// Band count and chunk height included: they select different band
+    /// schedules.
+    mode: ExecMode,
 }
 
 /// One shared cache entry: everything expensive about a shard geometry,
@@ -272,7 +255,7 @@ struct CachedPlan {
     /// walks the whole domain, which would otherwise dominate small
     /// shard runs.
     index: stencil_polyhedral::DomainIndex,
-    /// The band schedule the session's mode key would build.
+    /// The band schedule the session's mode would build.
     tile: TilePlan,
     /// Pre-compiled checked bytecode, when the benchmark has an
     /// expression.
@@ -294,14 +277,7 @@ impl CachedPlan {
             .input_domain()
             .index()
             .map_err(|e| EngineError::Plan(e.into()))?;
-        let tile = match mode {
-            ExecMode::InCore => plan.tile_plan(plan.offchip_streams().max(1))?,
-            ExecMode::Tiled { tiles } => plan.tile_plan(tiles.max(1))?,
-            ExecMode::Streaming {
-                chunk_rows: Some(n),
-            } => plan.tile_plan_chunked(n)?,
-            ExecMode::Streaming { chunk_rows: None } => plan.tile_plan_from_streams()?,
-        };
+        let tile = mode.bands(&plan)?;
         let bound = match mode {
             ExecMode::Streaming { .. } => plan.planned_residency_bound(&tile)?,
             _ => index.len(),
@@ -405,7 +381,7 @@ impl Inner {
         let key = PlanKey {
             bench: bench.name().to_string(),
             extents: extents.to_vec(),
-            mode: mode.into(),
+            mode,
         };
         if let Some(hit) = lock_recover(&self.plan_cache).get(&key) {
             lock_recover(&self.counters).cache_hits += 1;

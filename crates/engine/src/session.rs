@@ -77,15 +77,16 @@ use stencil_polyhedral::{lex_cmp, DomainIndex};
 use crate::chain::{pump_chain, StreamStage};
 use crate::compile::{CompiledKernel, Datapath, KernelBackend};
 use crate::error::EngineError;
+use crate::format::MappedGrid;
 use crate::input::InputGrid;
 use crate::report::{GridIoReport, RunReport, StreamReport};
-use crate::rowexec::{check_kernel_window, execute_tiled, plan_offsets, RowKernel};
+use crate::rowexec::{check_kernel_window, plan_offsets, threads_for, RowKernel};
 use crate::stream::{RowSink, RowSource, SliceSource, VecSink};
 use crate::unroll::UnrolledProgram;
 
 /// How a [`Session`] drives execution — orthogonal to the kernel and
 /// backend choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// Whole grids in RAM; band count follows the plan's off-chip
     /// stream sharding (Appendix 9.4).
@@ -114,6 +115,21 @@ impl ExecMode {
             ExecMode::Tiled { .. } => "tiled",
             ExecMode::Streaming { .. } => "streaming",
         }
+    }
+
+    /// The band schedule this mode runs `plan` under: the plan's
+    /// off-chip stream sharding in core, the configured band count when
+    /// tiled, bands of `chunk_rows` when streaming (`None`: one band per
+    /// off-chip stream).
+    pub(crate) fn bands(self, plan: &MemorySystemPlan) -> Result<TilePlan, EngineError> {
+        Ok(match self {
+            ExecMode::InCore => plan.tile_plan(plan.offchip_streams().max(1))?,
+            ExecMode::Tiled { tiles } => plan.tile_plan(tiles.max(1))?,
+            ExecMode::Streaming {
+                chunk_rows: Some(n),
+            } => plan.tile_plan_chunked(n)?,
+            ExecMode::Streaming { chunk_rows: None } => plan.tile_plan_from_streams()?,
+        })
     }
 }
 
@@ -151,16 +167,6 @@ enum StageKernel<'a> {
     Compiled(Cow<'a, CompiledKernel>),
 }
 
-/// Which band schedule a stage's cached [`TilePlan`] was built for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TileKey {
-    /// In-core execution with this many row bands.
-    Bands(usize),
-    /// Streaming execution at this chunk height (`None` = the plan's
-    /// one-band-per-off-chip-stream sharding).
-    Chunk(Option<u64>),
-}
-
 /// A stage's plan: borrowed for stage 0, owned for chained stages
 /// (derived by domain erosion).
 enum PlanRef<'a> {
@@ -186,13 +192,13 @@ struct Stage<'a> {
     backend: Option<KernelBackend>,
     /// Per-stage unroll override; `None` inherits the session default.
     unroll: Option<usize>,
-    /// The stage's band schedules, one entry per [`TileKey`], built on
+    /// The stage's band schedules, one entry per [`ExecMode`], built on
     /// first use and reused across runs — the hoist that keeps
     /// `iterate` from paying tile-plan validation per step. Keyed (not
     /// single-slot) so a session alternating `run()` and
     /// `run_streaming()` — the CLI crosscheck path — keeps both
     /// schedules warm instead of evicting one with the other.
-    tile: RefCell<Vec<(TileKey, TilePlan)>>,
+    tile: RefCell<Vec<(ExecMode, TilePlan)>>,
 }
 
 impl<'a> Stage<'a> {
@@ -207,26 +213,21 @@ impl<'a> Stage<'a> {
         }
     }
 
-    /// The stage's tile plan for `key`, building and caching it on
+    /// The stage's tile plan under `mode`, building and caching it on
     /// miss. Misses during execution (as opposed to session
     /// construction) are tallied into `built` — the figure the
-    /// `tile_plans_built` telemetry counter reports. Each distinct key
-    /// gets its own cache entry; a key never evicts another.
-    fn tiles(&self, key: TileKey, built: Option<&Cell<u64>>) -> Result<TilePlan, EngineError> {
+    /// `tile_plans_built` telemetry counter reports. Each distinct mode
+    /// gets its own cache entry; a mode never evicts another.
+    fn tiles(&self, mode: ExecMode, built: Option<&Cell<u64>>) -> Result<TilePlan, EngineError> {
         let mut slots = self.tile.borrow_mut();
-        if let Some((_, tp)) = slots.iter().find(|(k, _)| *k == key) {
+        if let Some((_, tp)) = slots.iter().find(|(m, _)| *m == mode) {
             return Ok(tp.clone());
         }
-        let plan = self.plan.get();
-        let tp = match key {
-            TileKey::Bands(n) => plan.tile_plan(n)?,
-            TileKey::Chunk(Some(n)) => plan.tile_plan_chunked(n)?,
-            TileKey::Chunk(None) => plan.tile_plan_from_streams()?,
-        };
+        let tp = mode.bands(self.plan.get())?;
         if let Some(c) = built {
             c.set(c.get() + 1);
         }
-        slots.push((key, tp.clone()));
+        slots.push((mode, tp.clone()));
         Ok(tp)
     }
     /// The compiled form, when this stage has one (for window checks).
@@ -702,18 +703,16 @@ impl<'a> Session<'a> {
     }
 
     /// Seeds the first stage's band-schedule cache with a pre-built
-    /// [`TilePlan`] for the session's *current* mode key. The serving
+    /// [`TilePlan`] for the session's *current* mode. The serving
     /// front-end's shared plan cache hands shard sessions their
     /// schedule through this hook, so steady-state shard runs report
     /// `tile_plans_built == 0`. The seeded plan must be the one the
-    /// mode key would build (the cache constructs it with the same
-    /// plan functions); an already-warm key is left untouched.
+    /// mode would build (the cache constructs it with
+    /// [`ExecMode::bands`]); an already-warm mode is left untouched.
     pub(crate) fn seed_tiles(&self, tile_plan: TilePlan) {
-        let stage = &self.stages[0];
-        let key = self.mode_key(stage.plan.get());
-        let mut slots = stage.tile.borrow_mut();
-        if !slots.iter().any(|(k, _)| *k == key) {
-            slots.push((key, tile_plan));
+        let mut slots = self.stages[0].tile.borrow_mut();
+        if !slots.iter().any(|(m, _)| *m == self.mode) {
+            slots.push((self.mode, tile_plan));
         }
     }
 
@@ -724,15 +723,6 @@ impl<'a> Session<'a> {
         self.stages.last().ok_or_else(|| EngineError::Config {
             detail: "session has no stages".into(),
         })
-    }
-
-    /// The band-schedule cache key the session's current mode implies
-    /// for `plan`.
-    fn mode_key(&self, plan: &MemorySystemPlan) -> TileKey {
-        match self.mode {
-            ExecMode::Streaming { chunk_rows } => TileKey::Chunk(chunk_rows),
-            _ => TileKey::Bands(self.bands_for(plan)),
-        }
     }
 
     /// Prebuilds every stage's band schedule for the current mode, so
@@ -747,7 +737,7 @@ impl<'a> Session<'a> {
             {
                 continue;
             }
-            stage.tiles(self.mode_key(stage.plan.get()), None)?;
+            stage.tiles(self.mode, None)?;
         }
         Ok(())
     }
@@ -813,58 +803,59 @@ impl<'a> Session<'a> {
         let mut total = 0u64;
         for stage in &self.stages {
             let plan = stage.plan.get();
-            let tile_plan = match chunk_rows {
-                Some(n) => plan.tile_plan_chunked(n)?,
-                None => plan.tile_plan_from_streams()?,
-            };
+            let tile_plan = ExecMode::Streaming { chunk_rows }.bands(plan)?;
             total += plan.planned_residency_bound(&tile_plan)?;
         }
         Ok(total)
     }
 
-    /// Band count for an in-core stage under the session mode.
-    fn bands_for(&self, plan: &MemorySystemPlan) -> usize {
-        match self.mode {
-            ExecMode::Tiled { tiles } => tiles.max(1),
-            _ => plan.offchip_streams().max(1),
-        }
-    }
-
     /// Executes the pipeline over an in-memory input grid and returns
     /// the final stage's outputs. Under [`ExecMode::Streaming`] the
     /// input buffer is streamed row by row and outputs are collected
-    /// from the sink, so results are identical across modes.
+    /// from the sink, so results are identical across modes. Every mode
+    /// reads the input through the grid's own index.
     ///
     /// # Errors
     ///
     /// [`EngineError::Config`] for sessions missing a kernel, plus the
     /// executor's own errors: plan/index failures, input size
-    /// mismatches, kernel window mismatches, and worker panics.
+    /// mismatches, [`EngineError::MissingInput`] for a tap the grid's
+    /// index does not hold, kernel window mismatches, and worker
+    /// panics.
     pub fn run(&self, input: &InputGrid<'_>) -> Result<SessionRun, EngineError> {
+        self.check_input(input)?;
         match self.mode {
             ExecMode::InCore | ExecMode::Tiled { .. } => self.run_incore(input),
             ExecMode::Streaming { chunk_rows } => {
-                let declared = self.stages[0]
-                    .plan
-                    .get()
-                    .input_domain()
-                    .count()
-                    .map_err(|e| EngineError::Plan(e.into()))?;
-                if input.index().len() != declared {
-                    return Err(EngineError::InputSizeMismatch {
-                        expected: declared,
-                        got: input.index().len(),
-                    });
-                }
                 let mut source = SliceSource::new(input.values());
                 let mut sink = VecSink::new();
-                let report = self.stream_into(&mut source, &mut sink, chunk_rows)?;
+                let report =
+                    self.stream_into(&mut source, &mut sink, chunk_rows, Some(input.index()))?;
                 Ok(SessionRun {
                     outputs: sink.values,
                     report,
                 })
             }
         }
+    }
+
+    /// Rejects an input grid whose point count is not the first stage's
+    /// input domain's. Every mode then resolves ranks through the
+    /// grid's own index.
+    fn check_input(&self, input: &InputGrid<'_>) -> Result<(), EngineError> {
+        let declared = self.stages[0]
+            .plan
+            .get()
+            .input_domain()
+            .count()
+            .map_err(|e| EngineError::Plan(e.into()))?;
+        if input.index().len() != declared {
+            return Err(EngineError::InputSizeMismatch {
+                expected: declared,
+                got: input.index().len(),
+            });
+        }
+        Ok(())
     }
 
     /// Executes the pipeline between a row source and a row sink. Under
@@ -883,17 +874,13 @@ impl<'a> Session<'a> {
         sink: &mut dyn RowSink,
     ) -> Result<SessionReport, EngineError> {
         match self.mode {
-            ExecMode::Streaming { chunk_rows } => self.stream_into(source, sink, chunk_rows),
+            ExecMode::Streaming { chunk_rows } => self.stream_into(source, sink, chunk_rows, None),
             ExecMode::InCore | ExecMode::Tiled { .. } => {
                 // Materialize the input, run in core, stream the result
                 // out — mode stays orthogonal to the endpoints. A
                 // mapped source skips materialization entirely: the
                 // mapped payload *is* the input grid's value buffer.
-                let plan = self.stages[0].plan.get();
-                let in_idx = plan
-                    .input_domain()
-                    .index()
-                    .map_err(|e| EngineError::Plan(e.into()))?;
+                let in_idx = plan_index(self.stages[0].plan.get())?;
                 let mapped = source.mapped();
                 let (run, mut grid_io) = if let Some(grid) = &mapped {
                     let input = InputGrid::new(&in_idx, grid.values())?;
@@ -962,66 +949,39 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Sequential in-core execution: each stage runs through the shared
-    /// tiled executor, its output buffer becoming the next stage's
-    /// input grid.
+    /// Sequential in-core execution: each stage runs over its whole
+    /// resident input ([`Session::run_resident`]), its output buffer
+    /// becoming the next stage's input grid.
     fn run_incore(&self, input: &InputGrid<'_>) -> Result<SessionRun, EngineError> {
         let started = Instant::now();
         let built_before = self.tiles_built.get();
         let mut stage_reports = Vec::with_capacity(self.stages.len());
         let mut cur: Vec<f64> = Vec::new();
-        let mut peak = 0u64;
-        let mut stage_peaks = Vec::with_capacity(self.stages.len());
-        let mut threads_used = 1usize;
         for (i, stage) in self.stages.iter().enumerate() {
             let sp = self.resolve(stage)?;
-            let plan = sp.plan;
-            let tp_owned;
             let tile_plan = match (i, self.tile_plan) {
-                (0, Some(tp)) => tp,
-                _ => {
-                    tp_owned = stage.tiles(
-                        TileKey::Bands(self.bands_for(plan)),
-                        Some(&self.tiles_built),
-                    )?;
-                    &tp_owned
-                }
+                (0, Some(tp)) => tp.clone(),
+                _ => stage.tiles(self.mode, Some(&self.tiles_built))?,
             };
-            // In core, a stage's whole input grid is resident.
-            let stage_peak = plan
-                .input_domain()
-                .count()
-                .map_err(|e| EngineError::Plan(e.into()))?;
-            peak += stage_peak;
-            stage_peaks.push(stage_peak);
             let (outputs, report) = if i == 0 {
-                execute_tiled(plan, tile_plan, input, &sp.kernel, self.threads, sp.backend)?
+                let idx = Cow::Borrowed(input.index());
+                self.run_resident(&sp, sp.label, sp.plan, tile_plan, idx, input.values())?
             } else {
-                let idx = plan
-                    .input_domain()
-                    .index()
-                    .map_err(|e| EngineError::Plan(e.into()))?;
-                let grid = InputGrid::new(&idx, &cur)?;
-                execute_tiled(plan, tile_plan, &grid, &sp.kernel, self.threads, sp.backend)?
+                let idx = Cow::Owned(plan_index(sp.plan)?);
+                self.run_resident(&sp, sp.label, sp.plan, tile_plan, idx, &cur)?
             };
-            threads_used = threads_used.max(report.threads);
-            stage_reports.push(StageReport {
-                label: stage.label.clone(),
-                backend: sp.backend,
-                window_taps: sp.window_taps(),
-                window_rows: sp.window_rows(),
-                resident_bound: stage_peak,
-                engine: Some(report),
-                stream: None,
-            });
+            stage_reports.push(report);
             cur = outputs;
         }
+        // In core, every stage's whole input grid is resident.
+        let stage_peaks: Vec<u64> = stage_reports.iter().map(|r| r.resident_bound).collect();
+        let peak = stage_peaks.iter().sum();
         Ok(SessionRun {
             outputs: cur,
             report: SessionReport {
                 label: self.label.clone(),
                 mode: self.mode,
-                threads: threads_used,
+                threads: max_threads(&stage_reports),
                 stages: stage_reports,
                 peak_resident: peak,
                 resident_bound: peak,
@@ -1031,6 +991,40 @@ impl<'a> Session<'a> {
                 grid_io: None,
             },
         })
+    }
+
+    /// Runs one in-core stage: `sp`'s kernel over `plan` as a
+    /// [`StreamStage`] over the whole resident input `vals` (ranked by
+    /// `in_idx`), its bands split across `threads_for(threads, bands)`
+    /// workers and written in place into one output buffer. Returns the
+    /// outputs and the stage's report, labelled `label`.
+    fn run_resident(
+        &self,
+        sp: &StagePlan<'_>,
+        label: &str,
+        plan: &MemorySystemPlan,
+        tile_plan: TilePlan,
+        in_idx: Cow<'_, DomainIndex>,
+        vals: &[f64],
+    ) -> Result<(Vec<f64>, StageReport), EngineError> {
+        let started = Instant::now();
+        let workers = threads_for(self.threads, tile_plan.tile_count());
+        let resident_bound = in_idx.len();
+        let mut machine = StreamStage::new(
+            plan, in_idx, tile_plan, &sp.kernel, sp.backend, None, workers,
+        )?;
+        machine.attach_resident(vals)?;
+        let (outputs, run) = machine.run_in_place(started)?;
+        let report = StageReport {
+            label: label.to_string(),
+            backend: sp.backend,
+            window_taps: sp.window_taps(),
+            window_rows: sp.window_rows(),
+            resident_bound,
+            engine: Some(run),
+            stream: None,
+        };
+        Ok((outputs, report))
     }
 
     /// The [`IterateReport`] of a fixed-count [`Session::iterate`] run,
@@ -1058,37 +1052,38 @@ impl<'a> Session<'a> {
 
     /// Chained streaming execution: one [`StreamStage`] per kernel,
     /// pumped back to front so upstream rows are produced on demand.
+    /// Stage 0 ranks its input through `input_index` when given (an
+    /// [`InputGrid`]'s own index), else through its plan's input domain.
     fn stream_into(
         &self,
         source: &mut dyn RowSource,
         sink: &mut dyn RowSink,
         chunk_rows: Option<u64>,
+        input_index: Option<&DomainIndex>,
     ) -> Result<SessionReport, EngineError> {
         let started = Instant::now();
         let built_before = self.tiles_built.get();
-        let mut machines: Vec<StreamStage<'_>> = Vec::with_capacity(self.stages.len());
-        let mut stage_shapes = Vec::with_capacity(self.stages.len());
-        for stage in &self.stages {
-            let sp = self.resolve(stage)?;
-            let tile_plan = stage.tiles(TileKey::Chunk(chunk_rows), Some(&self.tiles_built))?;
-            stage_shapes.push((sp.backend, sp.window_taps(), sp.window_rows()));
-            machines.push(StreamStage::new(
-                sp.plan,
-                tile_plan,
-                sp.kernel,
-                sp.backend,
-                chunk_rows,
-                self.threads,
-            )?);
-        }
-
         // A mapped source puts the whole payload logically resident in
         // the first stage: bands execute as slices of the mapped pages
-        // and no value is ever copied into the halo window.
-        let mut bytes_mapped = 0u64;
-        if let Some(grid) = source.mapped() {
-            bytes_mapped = grid.bytes_mapped();
-            machines[0].attach_mapped(grid)?;
+        // and no value is ever copied into the halo window. The mapping
+        // and the stage plans outlive the stages that borrow them.
+        let mapped = source.mapped();
+        let sps = self.stage_plans()?;
+        let mode = ExecMode::Streaming { chunk_rows };
+        let workers = threads_for(self.threads, usize::MAX);
+        let mut machines: Vec<StreamStage<'_>> = Vec::with_capacity(sps.len());
+        for (i, (stage, sp)) in self.stages.iter().zip(&sps).enumerate() {
+            let tile_plan = stage.tiles(mode, Some(&self.tiles_built))?;
+            let in_idx = match (i, input_index) {
+                (0, Some(idx)) => Cow::Borrowed(idx),
+                _ => Cow::Owned(plan_index(sp.plan)?),
+            };
+            machines.push(StreamStage::new(
+                sp.plan, in_idx, tile_plan, &sp.kernel, sp.backend, chunk_rows, workers,
+            )?);
+        }
+        if let Some(grid) = &mapped {
+            machines[0].attach_resident(grid.values())?;
         }
 
         let mut buf = Vec::new();
@@ -1103,35 +1098,31 @@ impl<'a> Session<'a> {
         let mut peak = 0u64;
         let mut bound = 0u64;
         let mut stage_peaks = Vec::with_capacity(machines.len());
-        let mut threads_used = 1usize;
         let mut stage_reports = Vec::with_capacity(machines.len());
-        for ((stage, m), &(backend, window_taps, window_rows)) in
-            self.stages.iter().zip(&machines).zip(&stage_shapes)
-        {
+        for (sp, m) in sps.iter().zip(&machines) {
             peak += m.peak_resident();
             bound += m.runtime_bound();
             stage_peaks.push(m.peak_resident());
-            let r = m.report(elapsed);
-            threads_used = threads_used.max(r.threads);
             stage_reports.push(StageReport {
-                label: stage.label.clone(),
-                backend,
-                window_taps,
-                window_rows,
+                label: sp.label.to_string(),
+                backend: sp.backend,
+                window_taps: sp.window_taps(),
+                window_rows: sp.window_rows(),
                 resident_bound: m.runtime_bound(),
                 engine: None,
-                stream: Some(r),
+                stream: Some(m.report(elapsed)),
             });
         }
-        let (values_mapped, values_copied) = if machines[0].is_mapped() {
+        let (values_mapped, values_copied) = if mapped.is_some() {
             (machines[0].values_in(), 0)
         } else {
             (0, machines[0].values_in())
         };
+        let bytes_mapped = mapped.as_ref().map_or(0, MappedGrid::bytes_mapped);
         Ok(SessionReport {
             label: self.label.clone(),
             mode: self.mode,
-            threads: threads_used,
+            threads: max_threads(&stage_reports),
             stages: stage_reports,
             peak_resident: peak,
             resident_bound: bound,
@@ -1201,10 +1192,14 @@ impl<'a> Session<'a> {
         let stage = &self.stages[0];
         let base_plan = stage.plan.get();
         let sp = self.resolve(stage)?;
-        let (backend, window_taps, window_rows) = (sp.backend, sp.window_taps(), sp.window_rows());
-        let kernel = sp.kernel;
+        self.check_input(input)?;
         let window = plan_offsets(base_plan);
         let name = base_plan.name().to_string();
+        // Steps run in core: `Tiled` as configured, `InCore` otherwise.
+        let mode = match self.mode {
+            tiled @ ExecMode::Tiled { .. } => tiled,
+            _ => ExecMode::InCore,
+        };
 
         let mut derived: Option<MemorySystemPlan> = None;
         let mut cur_vals: Vec<f64> = Vec::new();
@@ -1213,68 +1208,42 @@ impl<'a> Session<'a> {
         let mut converged = false;
         let mut final_delta = 0.0f64;
         let mut steps = 0u64;
-        let mut threads_used = 1usize;
 
         for k in 1..=max_steps {
             let plan = derived.as_ref().unwrap_or(base_plan);
-            let tp_owned: TilePlan;
-            let tile_plan: &TilePlan = match (k, self.tile_plan) {
-                (1, Some(tp)) => tp,
-                (1, None) => {
-                    tp_owned = stage.tiles(
-                        TileKey::Bands(self.bands_for(plan)),
-                        Some(&self.tiles_built),
-                    )?;
-                    &tp_owned
-                }
+            let tile_plan = match (k, self.tile_plan) {
+                (1, Some(tp)) => tp.clone(),
+                (1, None) => stage.tiles(mode, Some(&self.tiles_built))?,
                 _ => {
                     // Derived step plans are fresh objects; their band
                     // schedules are inherently built per executed step.
                     self.tiles_built.set(self.tiles_built.get() + 1);
-                    tp_owned = plan.tile_plan(self.bands_for(plan))?;
-                    &tp_owned
+                    mode.bands(plan)?
                 }
             };
-            let in_idx = plan
-                .input_domain()
-                .index()
-                .map_err(|e| EngineError::Plan(e.into()))?;
-            let (outputs, report) = if k == 1 {
-                execute_tiled(plan, tile_plan, input, &kernel, self.threads, backend)?
+            let label = if k == 1 {
+                name.clone()
             } else {
-                let grid = InputGrid::new(&in_idx, &cur_vals)?;
-                execute_tiled(plan, tile_plan, &grid, &kernel, self.threads, backend)?
+                format!("{name}@t{k}")
             };
+            let in_idx;
+            let (prev_idx, prev_vals): (&DomainIndex, &[f64]) = if k == 1 {
+                (input.index(), input.values())
+            } else {
+                in_idx = plan_index(plan)?;
+                (&in_idx, &cur_vals)
+            };
+            let idx = Cow::Borrowed(prev_idx);
+            let (outputs, report) =
+                self.run_resident(&sp, &label, plan, tile_plan, idx, prev_vals)?;
             let out_idx = plan
                 .iteration_domain()
                 .index()
                 .map_err(|e| EngineError::Plan(e.into()))?;
-            let (prev_idx, prev_vals): (&DomainIndex, &[f64]) = if k == 1 {
-                (input.index(), input.values())
-            } else {
-                (&in_idx, &cur_vals)
-            };
             let delta = max_abs_delta(&out_idx, &outputs, prev_idx, prev_vals)?;
             steps += 1;
-            threads_used = threads_used.max(report.threads);
-            let step_peak = plan
-                .input_domain()
-                .count()
-                .map_err(|e| EngineError::Plan(e.into()))?;
-            step_peaks.push(step_peak);
-            stage_reports.push(StageReport {
-                label: if k == 1 {
-                    name.clone()
-                } else {
-                    format!("{name}@t{k}")
-                },
-                backend,
-                window_taps,
-                window_rows,
-                resident_bound: step_peak,
-                engine: Some(report),
-                stream: None,
-            });
+            step_peaks.push(report.resident_bound);
+            stage_reports.push(report);
             cur_vals = outputs;
             final_delta = delta;
             if delta <= epsilon {
@@ -1293,7 +1262,7 @@ impl<'a> Session<'a> {
             report: SessionReport {
                 label: self.label.clone(),
                 mode: ExecMode::InCore,
-                threads: threads_used,
+                threads: max_threads(&stage_reports),
                 stages: stage_reports,
                 peak_resident: peak,
                 resident_bound: peak,
@@ -1313,6 +1282,26 @@ impl<'a> Session<'a> {
             },
         })
     }
+}
+
+/// The index of `plan`'s input domain — the rank order a stage reads.
+fn plan_index(plan: &MemorySystemPlan) -> Result<DomainIndex, EngineError> {
+    plan.input_domain()
+        .index()
+        .map_err(|e| EngineError::Plan(e.into()))
+}
+
+/// Worker threads a run used: the most any stage used, at least one.
+fn max_threads(stages: &[StageReport]) -> usize {
+    stages
+        .iter()
+        .filter_map(|s| {
+            s.engine
+                .as_ref()
+                .map(|r| r.threads)
+                .or(s.stream.as_ref().map(|r| r.threads))
+        })
+        .fold(1, usize::max)
 }
 
 /// Row-aligned max-abs-delta reduction between a time step's outputs
@@ -2023,6 +2012,102 @@ mod tests {
             EngineError::MissingInput { point } => assert_eq!(point, "(5, 9)"),
             other => panic!("expected MissingInput, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn every_mode_resolves_ranks_through_the_input_grids_index() {
+        // The plan reads a 10x12 input; the grid holds the same 120
+        // points laid out 12x10. Every mode must read through the grid's
+        // own index and miss (1, 10), not compute on mis-shaped data.
+        let plan = plan_5pt(10, 12);
+        let idx = Polyhedron::grid(&[12, 10]).index().unwrap();
+        let vals = ramp(idx.len());
+        let input = InputGrid::new(&idx, &vals).unwrap();
+        for mode in [
+            ExecMode::InCore,
+            ExecMode::Tiled { tiles: 3 },
+            ExecMode::Streaming {
+                chunk_rows: Some(3),
+            },
+            ExecMode::Streaming { chunk_rows: None },
+        ] {
+            let e = Session::new(&plan)
+                .kernel(SessionKernel::Closure(&compute))
+                .mode(mode)
+                .run(&input)
+                .unwrap_err();
+            assert_eq!(
+                e,
+                EngineError::MissingInput {
+                    point: "(1, 10)".into()
+                },
+                "mode={mode:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn in_core_workers_follow_the_band_count_and_bands_report_in_order() {
+        let plan = plan_5pt(40, 24);
+        let in_idx = plan.input_domain().index().unwrap();
+        let vals = ramp(in_idx.len());
+        let input = InputGrid::new(&in_idx, &vals).unwrap();
+        let run = |mode: ExecMode, threads: usize| {
+            Session::new(&plan)
+                .kernel(SessionKernel::Closure(&compute))
+                .mode(mode)
+                .threads(threads)
+                .run(&input)
+                .unwrap()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let reference = bits(&run(ExecMode::InCore, 1).outputs);
+
+        // Default in-core DENOISE is one band, so one worker.
+        let one = run(ExecMode::InCore, 4);
+        assert_eq!(one.report.threads, 1);
+        assert_eq!(one.report.stages[0].engine.as_ref().unwrap().threads, 1);
+        assert_eq!(bits(&one.outputs), reference);
+
+        let tiled = run(ExecMode::Tiled { tiles: 3 }, 4);
+        let r = tiled.report.stages[0].engine.as_ref().unwrap();
+        assert_eq!((tiled.report.threads, r.threads, r.tiles), (3, 3, 3));
+        assert_eq!(r.per_tile.len(), 3);
+        assert_eq!(
+            r.per_tile.iter().map(|t| t.id).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+        assert_eq!(r.per_tile.iter().map(|t| t.outputs).sum::<u64>(), r.outputs);
+        assert_eq!(r.outputs, tiled.outputs.len() as u64);
+        assert_eq!(bits(&tiled.outputs), reference);
+    }
+
+    #[test]
+    fn tile_elapsed_is_each_bands_worker_time() {
+        // A sleeping kernel makes every band take milliseconds whatever
+        // the CPU count, so three workers overlap their bands.
+        let plan = plan_5pt(14, 8);
+        let in_idx = plan.input_domain().index().unwrap();
+        let vals = ramp(in_idx.len());
+        let input = InputGrid::new(&in_idx, &vals).unwrap();
+        let slow = |w: &[f64]| {
+            std::thread::sleep(Duration::from_micros(500));
+            compute(w)
+        };
+        let run = Session::new(&plan)
+            .kernel(SessionKernel::Closure(&slow))
+            .mode(ExecMode::Tiled { tiles: 3 })
+            .threads(3)
+            .run(&input)
+            .unwrap();
+        let r = run.report.stages[0].engine.as_ref().unwrap();
+        assert_eq!((r.threads, r.per_tile.len()), (3, 3));
+        let busy: Duration = r.per_tile.iter().map(|t| t.elapsed).sum();
+        assert!(
+            busy > r.elapsed,
+            "bands' worker time {busy:?} should exceed the run's {:?}",
+            r.elapsed
+        );
     }
 
     #[test]
