@@ -48,16 +48,16 @@ fn bench_engine(c: &mut Criterion) {
     });
 
     // Engine scaling: one band per worker, 1/2/4/8 workers.
+    // The session is built once: it caches its band schedule on the
+    // first (warm-up) run, so the timed runs build no tile plan.
     for threads in [1usize, 2, 4, 8] {
-        let tile_plan = plan.tile_plan(threads).expect("tile plan");
+        let session = Session::new(&plan)
+            .kernel(SessionKernel::Closure(&compute))
+            .mode(ExecMode::Tiled { tiles: threads })
+            .threads(threads);
         g.bench_function(format!("engine_{threads}thread"), |b| {
             b.iter(|| {
-                let run = Session::new(black_box(&plan))
-                    .kernel(SessionKernel::Closure(&compute))
-                    .tile_plan(&tile_plan)
-                    .threads(threads)
-                    .run(&input)
-                    .expect("engine");
+                let run = black_box(&session).run(&input).expect("engine");
                 black_box(run.outputs.len())
             })
         });

@@ -39,7 +39,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             let machine = report.machine.as_ref().expect("machine section");
-            let engine = report.engine.as_ref().expect("engine section");
+            let engine = report.sessions[0].stages[0]
+                .engine
+                .as_ref()
+                .expect("engine section");
             println!(
                 "wrote {out_path}: {} outputs in {} cycles (machine), {:.0} elem/s (engine)",
                 machine.outputs, machine.cycles, engine.throughput
@@ -89,13 +92,9 @@ fn build_report() -> Result<MetricsReport, Box<dyn std::error::Error>> {
     let run = Session::new(&plan)
         .kernel(SessionKernel::Closure(&compute))
         .run(&input)?;
-    let engine = run.report.stages[0]
-        .engine
-        .clone()
-        .ok_or("session produced no in-core stage report")?;
 
     let mut report = MetricsReport::new(spec.name());
     report.machine = Some(machine.metrics());
-    report.engine = Some(engine.metrics());
+    report.sessions.push(run.report.metrics());
     Ok(report)
 }

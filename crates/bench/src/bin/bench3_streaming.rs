@@ -36,8 +36,9 @@ fn main() -> ExitCode {
                 eprintln!("bench3_streaming: cannot write {out_path}: {e}");
                 return ExitCode::FAILURE;
             }
-            let engine = report.engine.as_ref().expect("engine section");
-            let stream = report.stream.as_ref().expect("stream section");
+            let stage = |k: usize| &report.sessions[k].stages[0];
+            let engine = stage(0).engine.as_ref().expect("engine section");
+            let stream = stage(1).stream.as_ref().expect("stream section");
             println!(
                 "wrote {out_path}: {} outputs, {:.0} elem/s in-core vs {:.0} elem/s streaming, \
                  peak resident {} of {} values",
@@ -95,10 +96,6 @@ fn build_report() -> Result<MetricsReport, Box<dyn std::error::Error>> {
     let run = Session::new(&plan)
         .kernel(SessionKernel::Closure(&compute))
         .run(&input)?;
-    let engine = run.report.stages[0]
-        .engine
-        .clone()
-        .ok_or("session produced no in-core stage report")?;
 
     let mut source = SliceSource::new(&in_vals);
     let mut sink = VecSink::new();
@@ -112,13 +109,9 @@ fn build_report() -> Result<MetricsReport, Box<dyn std::error::Error>> {
     if sink.values != run.outputs {
         return Err("streaming outputs diverged from the in-core engine".into());
     }
-    let streamed = streamed.stages[0]
-        .stream
-        .clone()
-        .ok_or("session produced no streaming stage report")?;
 
     let mut report = MetricsReport::new(spec.name());
-    report.engine = Some(engine.metrics());
-    report.stream = Some(streamed.metrics());
+    report.sessions.push(run.report.metrics());
+    report.sessions.push(streamed.metrics());
     Ok(report)
 }

@@ -329,7 +329,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
             .ok_or("session produced no in-core stage report")?;
         incore_closure = incore_closure.max(engine.throughput());
         let mut report = MetricsReport::new(spec.name());
-        report.engine = Some(engine.metrics());
+        report.sessions.push(run.report.metrics());
         validate(&report);
         reference = Some(run.outputs);
     }
@@ -355,7 +355,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
                 .ok_or("session produced no in-core stage report")?;
             sweep_f64[k] = sweep_f64[k].max(engine.throughput());
             let mut report = MetricsReport::new(spec.name());
-            report.engine = Some(engine.metrics());
+            report.sessions.push(run.report.metrics());
             validate(&report);
             if run.outputs != reference {
                 return Err(format!(
@@ -376,7 +376,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
                 .ok_or("session produced no in-core stage report")?;
             sweep_f32[k] = sweep_f32[k].max(engine.throughput());
             let mut report = MetricsReport::new(spec.name());
-            report.engine = Some(engine.metrics());
+            report.sessions.push(run.report.metrics());
             validate(&report);
             let err = max_rel_error(&run.outputs, &reference);
             if err > bench.f32_rtol() {
@@ -411,7 +411,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
             .ok_or("session produced no streaming stage report")?;
         streaming_closure = streaming_closure.max(streamed.throughput());
         let mut report = MetricsReport::new(spec.name());
-        report.stream = Some(streamed.metrics());
+        report.sessions.push(session.metrics());
         validate(&report);
         if sink.values != reference {
             return Err("closure streaming outputs diverge from the in-core run".into());
@@ -443,7 +443,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
                 .ok_or("session produced no streaming stage report")?;
             *slot = slot.max(streamed.throughput());
             let mut report = MetricsReport::new(spec.name());
-            report.stream = Some(streamed.metrics());
+            report.sessions.push(session.metrics());
             validate(&report);
             let expected = if datapath == Datapath::F32 {
                 &f32_reference

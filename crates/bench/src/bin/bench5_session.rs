@@ -368,7 +368,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
             .ok_or("session produced no in-core stage report")?;
         incore = incore.max(engine.throughput());
         let mut report = MetricsReport::new(spec.name());
-        report.session = Some(run.report.metrics());
+        report.sessions.push(run.report.metrics());
         validate(&report);
         reference = Some(run.outputs);
     }
@@ -392,7 +392,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
             .ok_or("session produced no streaming stage report")?;
         streaming = streaming.max(streamed.throughput());
         let mut report = MetricsReport::new(spec.name());
-        report.session = Some(session.metrics());
+        report.sessions.push(session.metrics());
         validate(&report);
         if sink.values != reference {
             return Err("session streaming outputs diverge from the in-core run".into());
@@ -427,7 +427,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
         chained = chained.max(report.throughput());
         chained_peak_resident = chained_peak_resident.max(report.peak_resident);
         let mut metrics = MetricsReport::new(spec.name());
-        metrics.session = Some(report.metrics());
+        metrics.sessions.push(report.metrics());
         validate(&metrics);
         if sink.values != golden {
             return Err("chained pipeline outputs diverge from sequential stage execution".into());
@@ -476,7 +476,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
             .collect::<Vec<_>>()
             .join(",");
         let mut metrics = MetricsReport::new(spec.name());
-        metrics.session = Some(report.metrics());
+        metrics.sessions.push(report.metrics());
         validate(&metrics);
         if sink.values != hetero_golden {
             return Err(

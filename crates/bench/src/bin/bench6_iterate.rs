@@ -340,7 +340,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
         let run = session.run(&input)?;
         incore = incore.max(run.report.throughput());
         let mut report = MetricsReport::new(spec.name());
-        report.session = Some(run.report.metrics());
+        report.sessions.push(run.report.metrics());
         validate(&report);
         if run.outputs != golden {
             return Err("in-core ring outputs diverge from sequential time steps".into());
@@ -367,7 +367,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
         streaming = streaming.max(report.throughput());
         peak_resident = peak_resident.max(report.peak_resident);
         let mut metrics = MetricsReport::new(spec.name());
-        metrics.session = Some(report.metrics());
+        metrics.sessions.push(report.metrics());
         validate(&metrics);
         if sink.values != golden {
             return Err("streaming ring outputs diverge from sequential time steps".into());
@@ -405,7 +405,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
         .clone()
         .ok_or("iterate_until produced no iterate report")?;
     let mut report = MetricsReport::new(spec.name());
-    report.session = Some(run.report.metrics());
+    report.sessions.push(run.report.metrics());
     validate(&report);
 
     Ok(Measurements {

@@ -21,7 +21,7 @@
 //!   `min(cores, workers) / workers` with the usual best-of-N
 //!   tolerance, and a missed gate earns one fresh measurement;
 //! * both phases' aggregated telemetry must pass the runtime bound
-//!   validator (`ServiceResidency` included) with zero violations;
+//!   validator (`Residency` and `Admission` included) with zero violations;
 //! * the plan cache must reach steady state: `tile_plans_built == 0`
 //!   (every session is seeded from the shared cache) and at most one
 //!   miss per distinct shard geometry — repeat jobs never rebuild.

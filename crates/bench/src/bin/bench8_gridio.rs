@@ -243,13 +243,8 @@ fn gated_run(
         .ok_or("read run reported no grid-io block")?;
 
     // --- 3. Report + validator. ---
-    let stream_report = mapped_run.stages[0]
-        .stream
-        .clone()
-        .ok_or("mapped run produced no streaming stage report")?;
     let mut report = MetricsReport::new(spec.name());
-    report.stream = Some(stream_report.metrics());
-    report.session = Some(mapped_run.metrics());
+    report.sessions.push(mapped_run.metrics());
     let violations = validate_report(&report);
     let json = report.to_json();
     std::fs::write(out_path, &json).map_err(|e| format!("cannot write {out_path}: {e}"))?;

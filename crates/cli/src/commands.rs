@@ -8,7 +8,7 @@ use stencil_core::{
 };
 use stencil_engine::{
     max_rel_error, pack_grid, CompiledKernel, Datapath, ExecMode, InputGrid, KernelBackend,
-    MappedGrid, MmapSink, MmapSource, Session, SessionKernel, SliceSource, VecSink,
+    MappedGrid, MmapSink, MmapSource, Session, SessionKernel, SessionRun, SliceSource, VecSink,
 };
 use stencil_fpga::{estimate_nonuniform, estimate_uniform};
 use stencil_kernels::{KernelExpr, KernelOps, KernelStage};
@@ -319,7 +319,7 @@ pub fn cmd_engine(
     );
     let _ = writeln!(out, "{verify_line}");
     let mut report = MetricsReport::new(spec.name());
-    report.engine = Some(engine_report.metrics());
+    report.sessions.push(run.report.metrics());
 
     if crosscheck {
         // Run the *other* backend over the same plan. On f64 the
@@ -438,50 +438,106 @@ pub fn cmd_engine(
         if let Some(io) = &stream.grid_io {
             let _ = writeln!(out, "{io}");
         }
-        report.stream = Some(stream_report.metrics());
-        if mapped_input.is_some() || output_grid.is_some() {
-            // Surface the grid-io block so the validator can check it.
-            report.session = Some(stream.metrics());
-        }
+        report.sessions.push(stream.metrics());
     }
 
+    let fused = Fused {
+        plan: &plan,
+        input: &input,
+        spec,
+        kernel: session_kernel,
+        backend,
+        unroll,
+        threads,
+        streaming,
+        chunk_rows,
+    };
     if !chain.is_empty() {
-        let (chain_out, session_metrics) = run_chain(
-            &plan,
-            &input,
-            spec,
-            session_kernel,
-            backend,
-            unroll,
-            threads,
-            streaming,
-            chunk_rows,
-            chain,
-        )?;
-        out.push_str(&chain_out);
-        report.session = Some(session_metrics);
+        report.sessions.push(run_chain(&fused, chain, &mut out)?);
     }
-
     if let Some(steps) = iterate {
-        let (iter_out, session_metrics) = run_iterate(
-            &plan,
-            &input,
-            spec,
-            session_kernel,
-            backend,
-            unroll,
-            threads,
-            streaming,
-            chunk_rows,
-            steps,
-            epsilon,
-        )?;
-        out.push_str(&iter_out);
-        report.session = Some(session_metrics);
+        report
+            .sessions
+            .push(run_iterate(&fused, steps, epsilon, &mut out)?);
     }
 
     let violations = append_bound_checks(&mut out, &report);
     Ok((out, report.to_json(), violations))
+}
+
+/// The spec's kernel as `cmd_engine` configured it, for the fused
+/// `--chain` and `--iterate` runs it verifies.
+struct Fused<'p> {
+    plan: &'p MemorySystemPlan,
+    input: &'p InputGrid<'p>,
+    spec: &'p StencilSpec,
+    kernel: SessionKernel<'p>,
+    backend: KernelBackend,
+    unroll: usize,
+    threads: usize,
+    streaming: bool,
+    chunk_rows: Option<u64>,
+}
+
+impl<'p> Fused<'p> {
+    /// A single-stage session over the spec's plan and kernel, in core
+    /// or streaming as configured.
+    fn session(&self) -> Session<'p> {
+        let mode = if self.streaming {
+            ExecMode::Streaming {
+                chunk_rows: self.chunk_rows,
+            }
+        } else {
+            ExecMode::InCore
+        };
+        Session::new(self.plan)
+            .kernel(self.kernel)
+            .backend(self.backend)
+            .unroll(self.unroll)
+            .mode(mode)
+            .threads(self.threads)
+    }
+
+    /// Runs the fused `session`, verifies it bit-exact against folding
+    /// the spec's single-stage run through `stages` one materialized
+    /// grid at a time ([`sequential_fold`]), and writes its report to
+    /// `out`. With a `planned_bound`, also writes the `{what} residency`
+    /// line and fails when the peak exceeds the bound. A divergence
+    /// fails with `diverged`.
+    fn verify(
+        &self,
+        session: &Session<'_>,
+        stages: &[KernelStage],
+        planned_bound: Option<u64>,
+        what: &str,
+        diverged: &str,
+        out: &mut String,
+    ) -> Result<SessionRun, CmdError> {
+        let run = session.run(self.input)?;
+        let first = Session::new(self.plan)
+            .kernel(self.kernel)
+            .backend(self.backend)
+            .run(self.input)?
+            .outputs;
+        if run.outputs != sequential_fold(self.plan, first, stages)? {
+            return Err(diverged.into());
+        }
+        let _ = write!(out, "{}", run.report);
+        if let Some(bound) = planned_bound {
+            let peak = run.report.peak_resident;
+            let _ = writeln!(
+                out,
+                "{what} residency: peak {peak} values, planned bound {bound}"
+            );
+            if peak > bound {
+                return Err(format!(
+                    "{what} peak residency {peak} exceeds the planned bound {bound}"
+                )
+                .into());
+            }
+        }
+        Ok(run)
+    }
 }
 
 /// Runs the iterated time-stepping ring for `cmd_engine`: the spec's
@@ -492,29 +548,14 @@ pub fn cmd_engine(
 /// whether the per-step max-abs delta converged within the step budget
 /// (the spec-file window-sum datapath is expansive, so expect
 /// convergence only for loose thresholds).
-#[allow(clippy::too_many_arguments)]
 fn run_iterate(
-    plan: &MemorySystemPlan,
-    input: &InputGrid<'_>,
-    spec: &StencilSpec,
-    session_kernel: SessionKernel<'_>,
-    backend: KernelBackend,
-    unroll: usize,
-    threads: usize,
-    streaming: bool,
-    chunk_rows: Option<u64>,
+    fused: &Fused<'_>,
     steps: usize,
     epsilon: Option<f64>,
-) -> Result<(String, stencil_telemetry::SessionMetrics), CmdError> {
-    let mut out = String::new();
-
+    out: &mut String,
+) -> Result<stencil_telemetry::SessionMetrics, CmdError> {
     if let Some(eps) = epsilon {
-        let run = Session::new(plan)
-            .kernel(session_kernel)
-            .backend(backend)
-            .unroll(unroll)
-            .threads(threads)
-            .iterate_until(input, eps, steps)?;
+        let run = fused.session().iterate_until(fused.input, eps, steps)?;
         let it = run
             .report
             .iterate
@@ -533,69 +574,40 @@ fn run_iterate(
             it.max_steps,
             it.final_delta
         );
-        return Ok((out, run.report.metrics()));
+        return Ok(run.report.metrics());
     }
 
-    let mode = if streaming {
-        ExecMode::Streaming { chunk_rows }
-    } else {
-        ExecMode::InCore
-    };
-    let session = Session::new(plan)
-        .kernel(session_kernel)
-        .backend(backend)
-        .unroll(unroll)
-        .mode(mode)
-        .threads(threads)
-        .iterate(steps)?;
-    let planned_bound = streaming
-        .then(|| session.planned_residency_bound(chunk_rows))
+    let session = fused.session().iterate(steps)?;
+    let planned_bound = fused
+        .streaming
+        .then(|| session.planned_residency_bound(fused.chunk_rows))
         .transpose()?;
-    let run = session.run(input)?;
-
-    // Sequential reference: fold the grid through one materialized
-    // single-step run per time step — each step is a self-chained stage
-    // over the spec's own window.
+    // Each step after the first is a self-chained stage over the spec's
+    // own window.
     let compute = stencil_kernels::default_compute();
     let step_stages: Vec<KernelStage> = (1..steps)
         .map(|k| {
             KernelStage::new(
-                format!("{}@t{}", plan.name(), k + 1),
-                spec.offsets().to_vec(),
+                format!("{}@t{}", fused.plan.name(), k + 1),
+                fused.spec.offsets().to_vec(),
                 compute,
             )
         })
         .collect();
-    let first = Session::new(plan)
-        .kernel(session_kernel)
-        .backend(backend)
-        .run(input)?
-        .outputs;
-    if run.outputs != sequential_fold(plan, first, &step_stages)? {
-        return Err("iterated ring diverged from sequential time steps".into());
-    }
-
-    let _ = write!(out, "{}", run.report);
-    if let Some(bound) = planned_bound {
-        let _ = writeln!(
-            out,
-            "iterate residency: peak {} values, planned bound {bound}",
-            run.report.peak_resident
-        );
-        if run.report.peak_resident > bound {
-            return Err(format!(
-                "iterate peak residency {} exceeds the planned bound {bound}",
-                run.report.peak_resident
-            )
-            .into());
-        }
-    }
+    let run = fused.verify(
+        &session,
+        &step_stages,
+        planned_bound,
+        "iterate",
+        "iterated ring diverged from sequential time steps",
+        out,
+    )?;
     let _ = writeln!(
         out,
         "verified iterate({steps}) against sequential time steps: {} outputs match",
         run.outputs.len()
     );
-    Ok((out, run.report.metrics()))
+    Ok(run.report.metrics())
 }
 
 /// Folds a materialized grid through one single-stage closure session
@@ -632,20 +644,13 @@ fn sequential_fold(
 /// suite benchmark (e.g. `blur3x3`) brings that benchmark's own window
 /// and datapath, so stages may be heterogeneous; other names fall back
 /// to the spec's window with the window-sum datapath.
-#[allow(clippy::too_many_arguments)]
 fn run_chain(
-    plan: &MemorySystemPlan,
-    input: &InputGrid<'_>,
-    spec: &StencilSpec,
-    session_kernel: SessionKernel<'_>,
-    backend: KernelBackend,
-    unroll: usize,
-    threads: usize,
-    streaming: bool,
-    chunk_rows: Option<u64>,
+    fused: &Fused<'_>,
     chain: &[String],
-) -> Result<(String, stencil_telemetry::SessionMetrics), CmdError> {
+    out: &mut String,
+) -> Result<stencil_telemetry::SessionMetrics, CmdError> {
     let compute = stencil_kernels::default_compute();
+    let spec = fused.spec;
     // A chain name naming a suite benchmark chains that benchmark's own
     // window and datapath (heterogeneous chains like
     // `--chain denoise,blur3x3`); any other name reuses the spec's
@@ -657,7 +662,7 @@ fn run_chain(
             Some(bench) => bench.stage(),
             None => {
                 let stage = KernelStage::new(name.clone(), spec.offsets().to_vec(), compute);
-                match backend {
+                match fused.backend {
                     KernelBackend::Compiled => {
                         stage.with_expr(KernelExpr::window_sum(spec.window_size()))
                     }
@@ -667,41 +672,19 @@ fn run_chain(
         })
         .collect();
 
-    let mode = if streaming {
-        ExecMode::Streaming { chunk_rows }
-    } else {
-        ExecMode::InCore
-    };
-    let mut session = Session::new(plan)
-        .kernel(session_kernel)
-        .backend(backend)
-        .unroll(unroll)
-        .mode(mode)
-        .threads(threads);
+    let mut session = fused.session();
     for stage in &stages {
         session = session.then(stage)?;
     }
-    let planned_bound = session.planned_residency_bound(chunk_rows)?;
-    let run = session.run(input)?;
-
-    // Sequential reference: fold the grid through one single-stage
-    // session per chained kernel, materializing every intermediate.
-    let first = Session::new(plan)
-        .kernel(session_kernel)
-        .backend(backend)
-        .run(input)?
-        .outputs;
-    if run.outputs != sequential_fold(plan, first, &stages)? {
-        return Err("chained pipeline diverged from sequential stage execution".into());
-    }
-
-    let mut out = String::new();
-    let _ = write!(out, "{}", run.report);
-    let _ = writeln!(
+    let planned_bound = session.planned_residency_bound(fused.chunk_rows)?;
+    let run = fused.verify(
+        &session,
+        &stages,
+        Some(planned_bound),
+        "chained",
+        "chained pipeline diverged from sequential stage execution",
         out,
-        "chained residency: peak {} values, planned bound {}",
-        run.report.peak_resident, planned_bound
-    );
+    )?;
     let _ = writeln!(
         out,
         "stage backends: {}",
@@ -717,14 +700,7 @@ fn run_chain(
         "verified chained pipeline against sequential stages: {} outputs match",
         run.outputs.len()
     );
-    if run.report.peak_resident > planned_bound {
-        return Err(format!(
-            "chained peak residency {} exceeds the planned bound {planned_bound}",
-            run.report.peak_resident
-        )
-        .into());
-    }
-    Ok((out, run.report.metrics()))
+    Ok(run.report.metrics())
 }
 
 /// `stencil rtl`: generate the Verilog bundle.
@@ -1382,7 +1358,7 @@ mod tests {
         assert!(out.contains("runtime bound checks: all passed"), "{out}");
         assert_eq!(violations, 0);
         let report = MetricsReport::parse(&metrics).unwrap();
-        let engine = report.engine.as_ref().unwrap();
+        let engine = report.sessions[0].stages[0].engine.as_ref().unwrap();
         assert_eq!(engine.tiles, 3);
         assert_eq!(engine.backend, "compiled");
         assert!(engine.throughput.is_finite());
@@ -1437,7 +1413,14 @@ mod tests {
         );
         assert_eq!(violations, 0);
         let report = MetricsReport::parse(&metrics).unwrap();
-        assert_eq!(report.engine.as_ref().unwrap().backend, "closure");
+        assert_eq!(
+            report.sessions[0].stages[0]
+                .engine
+                .as_ref()
+                .unwrap()
+                .backend,
+            "closure"
+        );
     }
 
     #[test]
@@ -1465,7 +1448,7 @@ mod tests {
         assert!(out.contains("outputs bit-identical"), "{out}");
         assert_eq!(violations, 0);
         let report = MetricsReport::parse(&metrics).unwrap();
-        let engine = report.engine.as_ref().unwrap();
+        let engine = report.sessions[0].stages[0].engine.as_ref().unwrap();
         assert_eq!(engine.unroll, 4);
         assert_eq!(engine.datapath, "f64");
         assert_eq!(validate_report(&report), Vec::new());
@@ -1500,10 +1483,10 @@ mod tests {
         assert!(out.contains("verified streaming against in-core"), "{out}");
         assert_eq!(violations, 0);
         let report = MetricsReport::parse(&metrics).unwrap();
-        let engine = report.engine.as_ref().unwrap();
+        let engine = report.sessions[0].stages[0].engine.as_ref().unwrap();
         assert_eq!(engine.unroll, 4);
         assert_eq!(engine.datapath, "f32");
-        let stream = report.stream.as_ref().unwrap();
+        let stream = report.sessions[1].stages[0].stream.as_ref().unwrap();
         assert_eq!(stream.unroll, 4);
         assert_eq!(stream.datapath, "f32");
         assert_eq!(validate_report(&report), Vec::new());
@@ -1558,7 +1541,7 @@ mod tests {
         assert!(out.contains("runtime bound checks: all passed"), "{out}");
         assert_eq!(violations, 0);
         let report = MetricsReport::parse(&metrics).unwrap();
-        let stream = report.stream.as_ref().unwrap();
+        let stream = report.sessions[1].stages[0].stream.as_ref().unwrap();
         assert_eq!(stream.chunk_rows, 4);
         assert_eq!(stream.backend, "compiled");
         assert!(stream.sweep_rows > 0);
@@ -1596,7 +1579,7 @@ mod tests {
         assert!(out.contains("runtime bound checks: all passed"), "{out}");
         assert_eq!(violations, 0);
         let report = MetricsReport::parse(&metrics).unwrap();
-        let session = report.session.as_ref().unwrap();
+        let session = &report.sessions[1];
         assert_eq!(session.mode, "incore");
         assert_eq!(session.stages.len(), 2);
         assert_eq!(session.stages[1].label, "s2");
@@ -1628,7 +1611,7 @@ mod tests {
         assert!(out.contains("chained residency: peak"), "{out}");
         assert_eq!(violations, 0);
         let report = MetricsReport::parse(&metrics).unwrap();
-        let session = report.session.as_ref().unwrap();
+        let session = &report.sessions[2];
         assert_eq!(session.mode, "streaming");
         assert_eq!(session.outputs, 60 * 92);
         assert_eq!(session.peak_resident, 3 * 96 + 3 * 94);
@@ -1660,7 +1643,7 @@ mod tests {
         assert!(out.contains("session [streaming]: 3 stage(s)"), "{out}");
         assert_eq!(violations, 0);
         let report = MetricsReport::parse(&metrics).unwrap();
-        let session = report.session.as_ref().unwrap();
+        let session = &report.sessions[2];
         assert_eq!(session.stages.len(), 3);
         assert_eq!(session.outputs, 58 * 90);
         assert_eq!(validate_report(&report), Vec::new());
@@ -1697,7 +1680,7 @@ mod tests {
         assert!(out.contains("runtime bound checks: all passed"), "{out}");
         assert_eq!(violations, 0);
         let report = MetricsReport::parse(&metrics).unwrap();
-        let session = report.session.as_ref().unwrap();
+        let session = &report.sessions[1];
         let it = session.iterate.as_ref().unwrap();
         assert_eq!(it.steps, 3);
         assert!(!it.converged);
@@ -1729,7 +1712,7 @@ mod tests {
         assert!(out.contains("iterate residency: peak"), "{out}");
         assert_eq!(violations, 0);
         let report = MetricsReport::parse(&metrics).unwrap();
-        let session = report.session.as_ref().unwrap();
+        let session = &report.sessions[2];
         assert_eq!(session.mode, "streaming");
         assert_eq!(session.outputs, 58 * 90);
         assert!(session.peak_resident < 62 * 94);
@@ -1767,7 +1750,7 @@ mod tests {
         assert!(out.contains("runtime bound checks: all passed"), "{out}");
         assert_eq!(violations, 0);
         let report = MetricsReport::parse(&metrics).unwrap();
-        let it = report.session.as_ref().unwrap().iterate.as_ref().unwrap();
+        let it = &report.sessions[1].iterate.as_ref().unwrap();
         assert_eq!(it.steps, 4);
         assert!(!it.converged);
         assert!(it.final_delta > 1e-6);
@@ -1798,7 +1781,7 @@ mod tests {
             "{out}"
         );
         let report = MetricsReport::parse(&metrics).unwrap();
-        let it = report.session.as_ref().unwrap().iterate.as_ref().unwrap();
+        let it = &report.sessions[1].iterate.as_ref().unwrap();
         assert!(it.converged);
         assert_eq!(it.steps, 1);
     }
@@ -1906,12 +1889,57 @@ o o o
         assert!(out.contains("runtime bound checks: all passed"), "{out}");
         assert_eq!(violations, 0);
         let report = MetricsReport::parse(&metrics).unwrap();
-        let io = report.session.as_ref().unwrap().grid_io.as_ref().unwrap();
+        let io = &report.sessions[1].grid_io.as_ref().unwrap();
         assert_eq!(io.values_copied, 0);
         assert!(io.values_mapped > 0);
         assert!(io.sink_finalized);
         let inspect = cmd_grid_inspect(&out_path).unwrap();
         assert!(inspect.contains("sgrid v1"), "{inspect}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn engine_mapped_chain_run_keeps_every_sessions_grid_io() {
+        let dir = std::env::temp_dir().join("stencil_cli_gridio_chain");
+        std::fs::create_dir_all(&dir).unwrap();
+        let in_path = dir.join("in.sgrid");
+        cmd_grid_pack(&in_path, &input_grid_extents(), 0x5EED_BA5E_D00D).unwrap();
+        let (_, metrics, violations) = cmd_engine(
+            &denoise_spec(),
+            1,
+            None,
+            1,
+            true,
+            Some(4),
+            KernelBackend::Compiled,
+            1,
+            Datapath::F64,
+            false,
+            &["blur3x3".into()],
+            None,
+            None,
+            Some(&in_path),
+            None,
+        )
+        .unwrap();
+        assert_eq!(violations, 0);
+        let report = MetricsReport::parse(&metrics).unwrap();
+        // In-core, streaming, then the chain: one session per report
+        // the command prints.
+        let modes: Vec<&str> = report.sessions.iter().map(|s| s.mode.as_str()).collect();
+        assert_eq!(modes, ["incore", "streaming", "streaming"]);
+        assert_eq!(report.sessions[2].stages.len(), 2);
+        // The mapped streaming run's zero-copy claim survives the chain.
+        let points = MemorySystemPlan::generate(&denoise_spec())
+            .unwrap()
+            .input_domain()
+            .index()
+            .unwrap()
+            .len();
+        let io = report.sessions[1].grid_io.as_ref().unwrap();
+        assert_eq!(io.values_copied, 0);
+        assert_eq!(io.values_mapped, points);
+        assert_eq!(validate_report(&report), Vec::new());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -756,8 +756,13 @@ mod tests {
         let report =
             stencil_telemetry::MetricsReport::parse(&fs::read_to_string(&eng_json).unwrap())
                 .unwrap();
-        assert!(report.engine.as_ref().unwrap().throughput.is_finite());
-        let stream = report.stream.as_ref().unwrap();
+        assert!(report.sessions[0].stages[0]
+            .engine
+            .as_ref()
+            .unwrap()
+            .throughput
+            .is_finite());
+        let stream = report.sessions[1].stages[0].stream.as_ref().unwrap();
         assert!(stream.peak_resident <= stream.resident_bound);
         assert_eq!(stencil_telemetry::validate_report(&report), Vec::new());
         let _ = fs::remove_dir_all(&dir);

@@ -475,11 +475,7 @@ mod tests {
         assert_eq!(m.resident_bound, 216);
         assert_eq!(m.elapsed_ns, 10_000_000);
         assert_eq!(
-            stencil_telemetry::validate_report(&{
-                let mut rep = stencil_telemetry::MetricsReport::new("s");
-                rep.stream = Some(m);
-                rep
-            }),
+            stencil_telemetry::validate_report(&one_stage_report(None, Some(m))),
             Vec::new()
         );
         let over = StreamReport {
@@ -506,12 +502,44 @@ mod tests {
         assert_eq!(m.per_tile.len(), 2);
         assert_eq!(m.per_tile[1].elapsed_ns, 5_000_000);
         assert_eq!(
-            stencil_telemetry::validate_report(&{
-                let mut rep = stencil_telemetry::MetricsReport::new("t");
-                rep.engine = Some(m);
-                rep
-            }),
+            stencil_telemetry::validate_report(&one_stage_report(Some(m), None)),
             Vec::new()
         );
+    }
+
+    /// `engine` or `stream` as the one stage (declaring the backend it
+    /// ran, no residency bound) of a one-session report.
+    fn one_stage_report(
+        engine: Option<EngineMetrics>,
+        stream: Option<StreamMetrics>,
+    ) -> stencil_telemetry::MetricsReport {
+        let backend = engine
+            .as_ref()
+            .map(|e| e.backend.clone())
+            .or_else(|| stream.as_ref().map(|s| s.backend.clone()))
+            .unwrap();
+        let mut rep = stencil_telemetry::MetricsReport::new("t");
+        rep.sessions.push(stencil_telemetry::SessionMetrics {
+            mode: "incore".into(),
+            threads: 1,
+            outputs: 0,
+            peak_resident: 0,
+            resident_bound: 0,
+            elapsed_ns: 0,
+            throughput: 0.0,
+            tile_plans_built: 0,
+            stages: vec![stencil_telemetry::StageMetrics {
+                label: "t".into(),
+                backend,
+                window_taps: 5,
+                window_rows: 3,
+                resident_bound: 0,
+                engine,
+                stream,
+            }],
+            iterate: None,
+            grid_io: None,
+        });
+        rep
     }
 }

@@ -25,8 +25,9 @@
 //!   without limit;
 //! * per-shard telemetry aggregates into one validated
 //!   [`stencil_telemetry::ServiceMetrics`] block, checked by the
-//!   `ServiceResidency` validator rule (aggregate peak resident ≤ the
-//!   sum of admitted bounds; shard merge conserves every output).
+//!   validator's `Residency` rule (aggregate peak resident ≤ the sum of
+//!   admitted bounds ≤ the memory budget), its `OutputsComplete` rule
+//!   (shard merge conserves every output) and its `Admission` rule.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;

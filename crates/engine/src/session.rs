@@ -54,9 +54,10 @@
 //! exit: after each step a row-aligned max-abs-delta reduction compares
 //! the step's output against its input, and stepping stops as soon as
 //! the update falls to `epsilon`. Both report [`IterateReport`]
-//! telemetry (steps, convergence, per-step residency, planned vs
-//! observed peak) that the `IterateResidency` validator rule re-checks
-//! from the serialized figures alone.
+//! telemetry (steps, step budget, convergence) that the validator's
+//! `Convergence` rule re-checks from the serialized figures alone; the
+//! run's residency is the session's own peak and bound, checked by the
+//! `Residency` rule like every other session's.
 //!
 //! Tile plans are hoisted to session construction: [`Session::then`]
 //! and [`Session::iterate`] prebuild each stage's band schedule for the
@@ -379,7 +380,6 @@ pub struct Session<'a> {
     unroll: usize,
     /// Arithmetic width of compiled sweeps.
     datapath: Datapath,
-    tile_plan: Option<&'a TilePlan>,
     label: Option<String>,
     /// `Some(T)` when the stages form a [`Session::iterate`] ring.
     iterate_steps: Option<usize>,
@@ -419,7 +419,6 @@ impl<'a> Session<'a> {
             backend: KernelBackend::default(),
             unroll: 1,
             datapath: Datapath::default(),
-            tile_plan: None,
             label: None,
             iterate_steps: None,
             tiles_built: Cell::new(0),
@@ -534,15 +533,6 @@ impl<'a> Session<'a> {
             .last_mut()
             .expect("sessions always have at least one stage")
             .unroll = Some(unroll);
-        self
-    }
-
-    /// Overrides the first stage's tiling with a pre-computed
-    /// [`TilePlan`] (in-core modes only; streaming derives its own band
-    /// schedule from the mode's `chunk_rows`).
-    #[must_use]
-    pub fn tile_plan(mut self, tile_plan: &'a TilePlan) -> Self {
-        self.tile_plan = Some(tile_plan);
         self
     }
 
@@ -729,14 +719,7 @@ impl<'a> Session<'a> {
     /// runs start with warm caches (misses during a run are what the
     /// `tile_plans_built` telemetry counter reports).
     fn prepare_tiles(&self) -> Result<(), EngineError> {
-        for (i, stage) in self.stages.iter().enumerate() {
-            // A stage-0 explicit tile plan overrides the cache in core.
-            if i == 0
-                && self.tile_plan.is_some()
-                && !matches!(self.mode, ExecMode::Streaming { .. })
-            {
-                continue;
-            }
+        for stage in &self.stages {
             stage.tiles(self.mode, None)?;
         }
         Ok(())
@@ -959,10 +942,7 @@ impl<'a> Session<'a> {
         let mut cur: Vec<f64> = Vec::new();
         for (i, stage) in self.stages.iter().enumerate() {
             let sp = self.resolve(stage)?;
-            let tile_plan = match (i, self.tile_plan) {
-                (0, Some(tp)) => tp.clone(),
-                _ => stage.tiles(self.mode, Some(&self.tiles_built))?,
-            };
+            let tile_plan = stage.tiles(self.mode, Some(&self.tiles_built))?;
             let (outputs, report) = if i == 0 {
                 let idx = Cow::Borrowed(input.index());
                 self.run_resident(&sp, sp.label, sp.plan, tile_plan, idx, input.values())?
@@ -974,8 +954,7 @@ impl<'a> Session<'a> {
             cur = outputs;
         }
         // In core, every stage's whole input grid is resident.
-        let stage_peaks: Vec<u64> = stage_reports.iter().map(|r| r.resident_bound).collect();
-        let peak = stage_peaks.iter().sum();
+        let peak = stage_reports.iter().map(|r| r.resident_bound).sum();
         Ok(SessionRun {
             outputs: cur,
             report: SessionReport {
@@ -987,7 +966,7 @@ impl<'a> Session<'a> {
                 resident_bound: peak,
                 elapsed: started.elapsed(),
                 tile_plans_built: self.tiles_built.get() - built_before,
-                iterate: self.fixed_iterate_report(&stage_peaks, peak, peak),
+                iterate: self.fixed_iterate_report(),
                 grid_io: None,
             },
         })
@@ -1031,12 +1010,7 @@ impl<'a> Session<'a> {
     /// or `None` for plain/chained sessions. Fixed-count runs never
     /// test convergence, so `converged` is `false` and the epsilon
     /// fields are zero.
-    fn fixed_iterate_report(
-        &self,
-        stage_peaks: &[u64],
-        observed_peak: u64,
-        planned_peak: u64,
-    ) -> Option<IterateReport> {
+    fn fixed_iterate_report(&self) -> Option<IterateReport> {
         let steps = self.iterate_steps? as u64;
         Some(IterateReport {
             steps,
@@ -1044,9 +1018,6 @@ impl<'a> Session<'a> {
             converged: false,
             epsilon: 0.0,
             final_delta: 0.0,
-            step_peaks: stage_peaks.to_vec(),
-            planned_peak,
-            observed_peak,
         })
     }
 
@@ -1097,12 +1068,10 @@ impl<'a> Session<'a> {
         let elapsed = started.elapsed();
         let mut peak = 0u64;
         let mut bound = 0u64;
-        let mut stage_peaks = Vec::with_capacity(machines.len());
         let mut stage_reports = Vec::with_capacity(machines.len());
         for (sp, m) in sps.iter().zip(&machines) {
             peak += m.peak_resident();
             bound += m.runtime_bound();
-            stage_peaks.push(m.peak_resident());
             stage_reports.push(StageReport {
                 label: sp.label.to_string(),
                 backend: sp.backend,
@@ -1128,7 +1097,7 @@ impl<'a> Session<'a> {
             resident_bound: bound,
             elapsed,
             tile_plans_built: self.tiles_built.get() - built_before,
-            iterate: self.fixed_iterate_report(&stage_peaks, peak, bound),
+            iterate: self.fixed_iterate_report(),
             grid_io: Some(GridIoReport {
                 bytes_mapped,
                 values_mapped,
@@ -1204,27 +1173,19 @@ impl<'a> Session<'a> {
         let mut derived: Option<MemorySystemPlan> = None;
         let mut cur_vals: Vec<f64> = Vec::new();
         let mut stage_reports = Vec::new();
-        let mut step_peaks: Vec<u64> = Vec::new();
         let mut converged = false;
         let mut final_delta = 0.0f64;
         let mut steps = 0u64;
 
         for k in 1..=max_steps {
             let plan = derived.as_ref().unwrap_or(base_plan);
-            let tile_plan = match (k, self.tile_plan) {
-                (1, Some(tp)) => tp.clone(),
-                (1, None) => stage.tiles(mode, Some(&self.tiles_built))?,
-                _ => {
-                    // Derived step plans are fresh objects; their band
-                    // schedules are inherently built per executed step.
-                    self.tiles_built.set(self.tiles_built.get() + 1);
-                    mode.bands(plan)?
-                }
-            };
-            let label = if k == 1 {
-                name.clone()
+            let (tile_plan, label) = if k == 1 {
+                (stage.tiles(mode, Some(&self.tiles_built))?, name.clone())
             } else {
-                format!("{name}@t{k}")
+                // Derived step plans are fresh objects; their band
+                // schedules are inherently built per executed step.
+                self.tiles_built.set(self.tiles_built.get() + 1);
+                (mode.bands(plan)?, format!("{name}@t{k}"))
             };
             let in_idx;
             let (prev_idx, prev_vals): (&DomainIndex, &[f64]) = if k == 1 {
@@ -1242,7 +1203,6 @@ impl<'a> Session<'a> {
                 .map_err(|e| EngineError::Plan(e.into()))?;
             let delta = max_abs_delta(&out_idx, &outputs, prev_idx, prev_vals)?;
             steps += 1;
-            step_peaks.push(report.resident_bound);
             stage_reports.push(report);
             cur_vals = outputs;
             final_delta = delta;
@@ -1256,7 +1216,11 @@ impl<'a> Session<'a> {
             derived = Some(plan.chain_next(format!("{name}@t{}", k + 1), &window)?);
         }
 
-        let peak = step_peaks.iter().copied().max().unwrap_or(0);
+        let peak = stage_reports
+            .iter()
+            .map(|r| r.resident_bound)
+            .max()
+            .unwrap_or(0);
         Ok(SessionRun {
             outputs: cur_vals,
             report: SessionReport {
@@ -1274,9 +1238,6 @@ impl<'a> Session<'a> {
                     converged,
                     epsilon,
                     final_delta,
-                    step_peaks,
-                    planned_peak: peak,
-                    observed_peak: peak,
                 }),
                 grid_io: None,
             },
@@ -1439,14 +1400,6 @@ pub struct IterateReport {
     /// The last measured per-step max-abs-delta (zero for fixed-count
     /// runs).
     pub final_delta: f64,
-    /// Per-step peak resident input values, step order.
-    pub step_peaks: Vec<u64>,
-    /// The planned residency ceiling: the summed T×halo bound when the
-    /// ring streams, the summed (sequential: maximum) step grids in
-    /// core.
-    pub planned_peak: u64,
-    /// The observed peak residency the bound is checked against.
-    pub observed_peak: u64,
 }
 
 impl SessionReport {
@@ -1482,7 +1435,7 @@ impl SessionReport {
 
     /// The session's counters in the `stencil-telemetry` wire schema,
     /// ready for JSON serialization and [`stencil_telemetry::validate`]
-    /// report-level validation (the `ChainResidency` rule re-checks the
+    /// report-level validation (the `Residency` rule re-checks the
     /// chained Sec. 2.3 bound from the serialized figures alone).
     #[must_use]
     pub fn metrics(&self) -> stencil_telemetry::SessionMetrics {
@@ -1517,9 +1470,6 @@ impl SessionReport {
                     converged: it.converged,
                     epsilon: it.epsilon,
                     final_delta: it.final_delta,
-                    step_peaks: it.step_peaks.clone(),
-                    planned_peak: it.planned_peak,
-                    observed_peak: it.observed_peak,
                 }),
             grid_io: self
                 .grid_io
@@ -1562,7 +1512,7 @@ impl fmt::Display for SessionReport {
         if let Some(it) = &self.iterate {
             writeln!(
                 f,
-                "  iterate: {} / {} step(s), {}, peak {} (planned {})",
+                "  iterate: {} / {} step(s), {}",
                 it.steps,
                 it.max_steps,
                 if it.converged {
@@ -1572,9 +1522,7 @@ impl fmt::Display for SessionReport {
                     )
                 } else {
                     "not converged".to_string()
-                },
-                it.observed_peak,
-                it.planned_peak
+                }
             )?;
         }
         for s in &self.stages {
@@ -2506,7 +2454,7 @@ mod tests {
         assert_eq!(metrics.stages[1].label, "stage2");
         assert!(metrics.stages.iter().all(|s| s.stream.is_some()));
         // Every stage-1 output value flows into stage 2 — the
-        // hand-off figure the ChainResidency validator rule re-checks.
+        // hand-off figure the StreamConservation validator rule re-checks.
         assert_eq!(
             metrics.stages[1].stream.as_ref().unwrap().values_in,
             metrics.stages[0].stream.as_ref().unwrap().outputs
@@ -2515,7 +2463,7 @@ mod tests {
         // The wire form round-trips and passes report validation,
         // including the chained-residency rule.
         let mut report = stencil_telemetry::MetricsReport::new("denoise-chain");
-        report.session = Some(metrics);
+        report.sessions.push(metrics);
         let text = report.to_json();
         let back = stencil_telemetry::MetricsReport::parse(&text).unwrap();
         assert_eq!(back, report);
@@ -2532,7 +2480,7 @@ mod tests {
         assert_eq!(metrics.mode, "incore");
         assert!(metrics.stages.iter().all(|s| s.engine.is_some()));
         let mut report = stencil_telemetry::MetricsReport::new("denoise-chain");
-        report.session = Some(metrics);
+        report.sessions.push(metrics);
         assert_eq!(stencil_telemetry::validate_report(&report), Vec::new());
     }
 
@@ -2776,9 +2724,8 @@ mod tests {
         assert_eq!(it.steps, 3);
         assert_eq!(it.max_steps, 3);
         assert!(!it.converged);
-        assert_eq!(it.step_peaks.len(), 3);
-        assert_eq!(it.observed_peak, run.report.peak_resident);
-        assert!(it.observed_peak <= it.planned_peak);
+        assert_eq!(run.report.stages.len(), 3);
+        assert!(run.report.within_residency_bound());
 
         for chunk in [1u64, 3] {
             let session = Session::new(&plan)
@@ -2794,8 +2741,7 @@ mod tests {
             assert!(run.report.within_residency_bound());
             let it = run.report.iterate.as_ref().unwrap();
             assert_eq!(it.steps, 3);
-            assert_eq!(it.planned_peak, run.report.resident_bound);
-            assert!(it.observed_peak <= planned, "chunk={chunk}");
+            assert!(run.report.peak_resident <= planned, "chunk={chunk}");
         }
 
         // At 1-row bands, three coupled step windows stay resident —
@@ -2813,9 +2759,9 @@ mod tests {
         assert!(run.report.peak_resident < 18 * 22);
 
         // The iterate metrics serialize and validate clean, including
-        // the IterateResidency rule.
+        // the Convergence and Residency rules.
         let mut report = stencil_telemetry::MetricsReport::new("denoise-iterate");
-        report.session = Some(run.report.metrics());
+        report.sessions.push(run.report.metrics());
         let back = stencil_telemetry::MetricsReport::parse(&report.to_json()).unwrap();
         assert_eq!(back, report);
         assert_eq!(stencil_telemetry::validate_report(&back), Vec::new());
@@ -2915,7 +2861,6 @@ mod tests {
         assert!(it.steps >= 2, "converged suspiciously fast: {}", it.steps);
         assert!(it.steps < 18, "no early exit: {} steps", it.steps);
         assert!(it.final_delta <= 1e-2);
-        assert_eq!(it.step_peaks.len(), usize::try_from(it.steps).unwrap());
         assert_eq!(
             closure_run.report.stages.len(),
             usize::try_from(it.steps).unwrap()
@@ -2924,7 +2869,13 @@ mod tests {
         // not a sum.
         assert_eq!(
             closure_run.report.peak_resident,
-            it.step_peaks.iter().copied().max().unwrap()
+            closure_run
+                .report
+                .stages
+                .iter()
+                .map(|s| s.resident_bound)
+                .max()
+                .unwrap()
         );
 
         // The compiled backend measures bit-identical deltas, so it
@@ -2940,7 +2891,7 @@ mod tests {
 
         // Convergence metrics serialize and validate clean.
         let mut report = stencil_telemetry::MetricsReport::new("relax-converge");
-        report.session = Some(closure_run.report.metrics());
+        report.sessions.push(closure_run.report.metrics());
         assert_eq!(stencil_telemetry::validate_report(&report), Vec::new());
 
         // Epsilon no run can reach: steps == max_steps, not converged.

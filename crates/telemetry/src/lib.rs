@@ -16,10 +16,14 @@
 //! * **Full pipelining (II = 1)** — zero steady-state filter stalls
 //!   implies the run finished within the input-bandwidth-limited cycle
 //!   bound.
+//! * **Residency (§2.3)** — every software run's peak of resident
+//!   values stays within its planned bound: each stage of each session
+//!   in the report's `sessions` list, each session as a whole, and the
+//!   serving front-end.
 //!
 //! Serialization goes through the vendored `serde` JSON data model
 //! ([`serde::json::Value`]); each schema record is declared once and
-//! its codec is generated from that declaration. Schema v2
+//! its codec is generated from that declaration. Schema v3
 //! ([`SCHEMA_VERSION`]) requires every key: an absent section is
 //! written as `null`, and [`MetricsReport::parse`] rejects a report
 //! that omits any key, naming it. Every schema type round-trips

@@ -1,10 +1,12 @@
 //! The metrics wire schema.
 //!
-//! One [`MetricsReport`] describes one run: the cycle-accurate
-//! machine's counters ([`MachineMetrics`]), the software engine's
-//! counters ([`EngineMetrics`]), or both (when a command runs the two
-//! back to back). Planned quantities (Eq. (2) FIFO capacities, the
-//! §2.3 minimum-buffer bound, the bandwidth-limited cycle bound) are
+//! One [`MetricsReport`] describes one named run: the cycle-accurate
+//! machine's counters ([`MachineMetrics`]), one [`SessionMetrics`] per
+//! software-engine session the command ran (in-core, streaming,
+//! chained or iterated, each with its per-stage blocks), and the
+//! serving front-end's counters ([`ServiceMetrics`]). Planned
+//! quantities (Eq. (2) FIFO capacities, the §2.3 minimum-buffer bound,
+//! the bandwidth-limited cycle bound, every residency bound) are
 //! recorded *next to* their observed counterparts, so a report is
 //! self-contained: [`crate::validate`] needs no plan object to check
 //! the paper's claims.
@@ -16,7 +18,9 @@ use crate::metric::Histogram;
 /// Version tag written into every report; bump on breaking schema
 /// changes so downstream tooling can dispatch. Version 2 made every key
 /// required: an absent section is written as `null`, never omitted.
-pub const SCHEMA_VERSION: u32 = 2;
+/// Version 3 replaced the top-level `engine`, `stream` and `session`
+/// blocks with the `sessions` list.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Declares one wire record: emits the struct exactly as written, plus
 /// its `ToValue` (an object whose keys are the field names, in
@@ -231,7 +235,7 @@ record! {
     /// window of input values resident (Sec. 2.3 — a stencil needs only its
     /// maximum reuse distance of history), and the validator checks the
     /// observed high-water mark against that planned bound
-    /// ([`crate::validate::BoundCheck::ResidencyBound`]).
+    /// ([`crate::validate::BoundCheck::Residency`]).
     #[derive(Debug, Clone, PartialEq)]
     pub struct StreamMetrics {
         /// Total outputs produced.
@@ -296,8 +300,8 @@ record! {
         pub window_rows: u64,
         /// This stage's own planned residency ceiling (0 when unknown):
         /// its halo-window bound under streaming, its whole input grid in
-        /// core. The per-stage figure the tightened `ChainResidency` rule
-        /// checks `peak_resident` against.
+        /// core. The per-stage figure the `Residency` rule checks the
+        /// stage's streaming `peak_resident` against.
         pub resident_bound: u64,
         /// In-core counters, when the stage executed in core.
         pub engine: Option<EngineMetrics>,
@@ -312,12 +316,12 @@ record! {
     /// stepped until an epsilon-based convergence criterion fired
     /// (`Session::iterate_until`).
     ///
-    /// The defining figures are `observed_peak` against `planned_peak`
-    /// (residency stayed within the planned T×halo budget — no intermediate
-    /// grid was materialized) and `steps`/`converged` (how many steps
-    /// actually ran, and whether the per-step max-abs-delta reduction fell
-    /// to `epsilon` before `max_steps`). Checked by
-    /// [`crate::validate::BoundCheck::IterateResidency`].
+    /// The defining figures are `steps`/`converged`: how many steps
+    /// actually ran (one stage block per step), and whether the per-step
+    /// max-abs-delta reduction fell to `epsilon` before `max_steps`.
+    /// Checked by [`crate::validate::BoundCheck::Convergence`]. The
+    /// run's residency is the enclosing session's `peak_resident`
+    /// against its `resident_bound`.
     #[derive(Debug, Clone, PartialEq)]
     pub struct IterateMetrics {
         /// Time steps actually executed.
@@ -332,12 +336,6 @@ record! {
         pub epsilon: f64,
         /// The last step's max-abs delta (0.0 for fixed-count runs).
         pub final_delta: f64,
-        /// Per-step peak resident values, step order.
-        pub step_peaks: Vec<u64>,
-        /// The planned residency budget for the whole run.
-        pub planned_peak: u64,
-        /// The observed peak residency for the whole run.
-        pub observed_peak: u64,
     }
 }
 
@@ -379,7 +377,7 @@ record! {
     /// `resident_bound`: summed across stages, a streaming chain holds
     /// roughly the *sum of the stages' halo windows* resident rather than
     /// any full intermediate grid
-    /// ([`crate::validate::BoundCheck::ChainResidency`]).
+    /// ([`crate::validate::BoundCheck::Residency`]).
     #[derive(Debug, Clone, PartialEq)]
     pub struct SessionMetrics {
         /// Execution mode (`"incore"`, `"tiled"`, or `"streaming"`).
@@ -421,7 +419,8 @@ record! {
     /// `admitted_bound_peak` (the executing shards never held more resident
     /// than admission accounted for) and `outputs_produced` against
     /// `outputs_expected` (shard merge conserved every output element).
-    /// Checked by [`crate::validate::BoundCheck::ServiceResidency`].
+    /// Checked by [`crate::validate::BoundCheck::Residency`] and
+    /// [`crate::validate::BoundCheck::OutputsComplete`].
     #[derive(Debug, Clone, PartialEq)]
     pub struct ServiceMetrics {
         /// Worker pool size.
@@ -480,12 +479,8 @@ record! {
         pub name: String,
         /// Cycle-accurate machine counters, if a machine ran.
         pub machine: Option<MachineMetrics>,
-        /// Software-engine counters, if the in-core engine ran.
-        pub engine: Option<EngineMetrics>,
-        /// Streaming-engine counters, if the out-of-core backend ran.
-        pub stream: Option<StreamMetrics>,
-        /// Session-pipeline counters, if a (possibly chained) session ran.
-        pub session: Option<SessionMetrics>,
+        /// One entry per engine session the run executed, in run order.
+        pub sessions: Vec<SessionMetrics>,
         /// Serving-front-end counters, if a job batch ran through the
         /// sharded multi-grid service.
         pub service: Option<ServiceMetrics>,
@@ -500,9 +495,7 @@ impl MetricsReport {
             schema_version: SCHEMA_VERSION,
             name: name.into(),
             machine: None,
-            engine: None,
-            stream: None,
-            session: None,
+            sessions: Vec::new(),
             service: None,
         }
     }
@@ -600,128 +593,128 @@ mod tests {
             schema_version: SCHEMA_VERSION,
             name: "denoise".into(),
             machine: Some(sample_machine()),
-            engine: Some(EngineMetrics {
-                outputs: 80,
-                tiles: 2,
-                threads: 2,
-                backend: "compiled".into(),
-                unroll: 1,
-                datapath: "f64".into(),
-                halo_elements: 132,
-                elapsed_ns: 81_532,
-                throughput: 981_208.3,
-                per_tile: vec![TileMetrics {
-                    id: 0,
-                    outputs: 40,
-                    halo_elements: 66,
-                    sweep_rows: 5,
-                    fast_rows: 0,
-                    gather_rows: 0,
-                    elapsed_ns: 40_000,
-                }],
-            }),
-            stream: Some(StreamMetrics {
-                outputs: 80,
-                bands: 4,
-                threads: 2,
-                backend: "closure".into(),
-                unroll: 1,
-                datapath: "f64".into(),
-                chunk_rows: 3,
-                rows_in: 12,
-                values_in: 144,
-                rows_out: 10,
-                peak_resident: 60,
-                resident_bound: 60,
-                sweep_rows: 0,
-                fast_rows: 10,
-                gather_rows: 0,
-                elapsed_ns: 91_004,
-                throughput: 879_082.5,
-            }),
-            session: Some(SessionMetrics {
-                mode: "streaming".into(),
-                threads: 2,
-                outputs: 60,
-                peak_resident: 138,
-                resident_bound: 138,
-                elapsed_ns: 120_330,
-                throughput: 498_628.9,
-                tile_plans_built: 0,
-                iterate: Some(IterateMetrics {
-                    steps: 2,
-                    max_steps: 2,
-                    converged: false,
-                    epsilon: 0.0,
-                    final_delta: 0.0,
-                    step_peaks: vec![72, 66],
-                    planned_peak: 138,
-                    observed_peak: 138,
-                }),
-                grid_io: None,
-                stages: vec![
-                    StageMetrics {
+            sessions: vec![
+                SessionMetrics {
+                    mode: "tiled".into(),
+                    threads: 2,
+                    outputs: 80,
+                    peak_resident: 132,
+                    resident_bound: 132,
+                    elapsed_ns: 81_532,
+                    throughput: 981_208.3,
+                    tile_plans_built: 0,
+                    iterate: None,
+                    grid_io: None,
+                    stages: vec![StageMetrics {
                         label: "denoise".into(),
                         backend: "compiled".into(),
                         window_taps: 5,
                         window_rows: 3,
-                        resident_bound: 72,
-                        engine: None,
-                        stream: Some(StreamMetrics {
+                        resident_bound: 132,
+                        engine: Some(EngineMetrics {
                             outputs: 80,
-                            bands: 4,
+                            tiles: 2,
                             threads: 2,
                             backend: "compiled".into(),
                             unroll: 1,
                             datapath: "f64".into(),
-                            chunk_rows: 1,
-                            rows_in: 12,
-                            values_in: 144,
-                            rows_out: 10,
-                            peak_resident: 72,
+                            halo_elements: 132,
+                            elapsed_ns: 81_532,
+                            throughput: 981_208.3,
+                            per_tile: vec![TileMetrics {
+                                id: 0,
+                                outputs: 40,
+                                halo_elements: 66,
+                                sweep_rows: 5,
+                                fast_rows: 0,
+                                gather_rows: 0,
+                                elapsed_ns: 40_000,
+                            }],
+                        }),
+                        stream: None,
+                    }],
+                },
+                SessionMetrics {
+                    mode: "streaming".into(),
+                    threads: 2,
+                    outputs: 60,
+                    peak_resident: 138,
+                    resident_bound: 138,
+                    elapsed_ns: 120_330,
+                    throughput: 498_628.9,
+                    tile_plans_built: 0,
+                    iterate: Some(IterateMetrics {
+                        steps: 2,
+                        max_steps: 2,
+                        converged: false,
+                        epsilon: 0.0,
+                        final_delta: 0.0,
+                    }),
+                    grid_io: None,
+                    stages: vec![
+                        StageMetrics {
+                            label: "denoise".into(),
+                            backend: "compiled".into(),
+                            window_taps: 5,
+                            window_rows: 3,
                             resident_bound: 72,
-                            sweep_rows: 10,
-                            fast_rows: 0,
-                            gather_rows: 0,
-                            elapsed_ns: 60_000,
-                            throughput: 1.0e6,
-                        }),
-                    },
-                    StageMetrics {
-                        label: "denoise+1".into(),
-                        backend: "compiled".into(),
-                        window_taps: 5,
-                        window_rows: 3,
-                        resident_bound: 66,
-                        engine: None,
-                        stream: Some(StreamMetrics {
-                            outputs: 60,
-                            bands: 4,
-                            threads: 2,
+                            engine: None,
+                            stream: Some(StreamMetrics {
+                                outputs: 80,
+                                bands: 4,
+                                threads: 2,
+                                backend: "compiled".into(),
+                                unroll: 1,
+                                datapath: "f64".into(),
+                                chunk_rows: 1,
+                                rows_in: 12,
+                                values_in: 144,
+                                rows_out: 10,
+                                peak_resident: 72,
+                                resident_bound: 72,
+                                sweep_rows: 10,
+                                fast_rows: 0,
+                                gather_rows: 0,
+                                elapsed_ns: 60_000,
+                                throughput: 1.0e6,
+                            }),
+                        },
+                        StageMetrics {
+                            label: "denoise+1".into(),
                             backend: "compiled".into(),
-                            unroll: 1,
-                            datapath: "f64".into(),
-                            chunk_rows: 1,
-                            rows_in: 10,
-                            values_in: 80,
-                            rows_out: 8,
-                            peak_resident: 66,
+                            window_taps: 5,
+                            window_rows: 3,
                             resident_bound: 66,
-                            sweep_rows: 8,
-                            fast_rows: 0,
-                            gather_rows: 0,
-                            elapsed_ns: 60_330,
-                            throughput: 0.9e6,
-                        }),
-                    },
-                ],
-            }),
+                            engine: None,
+                            stream: Some(StreamMetrics {
+                                outputs: 60,
+                                bands: 4,
+                                threads: 2,
+                                backend: "compiled".into(),
+                                unroll: 1,
+                                datapath: "f64".into(),
+                                chunk_rows: 1,
+                                rows_in: 10,
+                                values_in: 80,
+                                rows_out: 8,
+                                peak_resident: 66,
+                                resident_bound: 66,
+                                sweep_rows: 8,
+                                fast_rows: 0,
+                                gather_rows: 0,
+                                elapsed_ns: 60_330,
+                                throughput: 0.9e6,
+                            }),
+                        },
+                    ],
+                },
+            ],
             service: Some(sample_service()),
         };
         let text = report.to_json();
         let back = MetricsReport::parse(&text).unwrap();
         assert_eq!(back, report);
-        // And a partial report (engine only) stays partial.
+        // And an empty report stays empty.
         let partial = MetricsReport::new("x");
         assert_eq!(MetricsReport::parse(&partial.to_json()).unwrap(), partial);
     }
@@ -773,9 +766,7 @@ mod tests {
             schema_version: SCHEMA_VERSION,
             name: "denoise".into(),
             machine: Some(sample_machine()),
-            engine: Some(engine.clone()),
-            stream: Some(stream.clone()),
-            session: Some(SessionMetrics {
+            sessions: vec![SessionMetrics {
                 mode: "streaming".into(),
                 threads: 2,
                 outputs: 60,
@@ -810,9 +801,6 @@ mod tests {
                     converged: true,
                     epsilon: 1e-6,
                     final_delta: 5e-7,
-                    step_peaks: vec![72, 66, 60],
-                    planned_peak: 138,
-                    observed_peak: 138,
                 }),
                 grid_io: Some(GridIoMetrics {
                     bytes_mapped: 1_176,
@@ -821,7 +809,7 @@ mod tests {
                     output_values: 60,
                     sink_finalized: true,
                 }),
-            }),
+            }],
             service: Some(sample_service()),
         }
     }

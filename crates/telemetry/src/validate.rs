@@ -25,28 +25,32 @@
 //! * [`BoundCheck::StreamConservation`] — each off-chip stream head
 //!   walks its input domain at most once, and enough of it arrives to
 //!   feed every output: `outputs ≤ streamed ≤ streams × |D_A|` per
-//!   chain.
+//!   chain; a streaming stage's pulled rows carry values, and a chained
+//!   streaming stage consumes exactly what its upstream stage produced.
 //! * [`BoundCheck::OutputsComplete`] — the run produced exactly `|D|`
-//!   outputs.
-//! * [`BoundCheck::ChainResidency`] — a chained session keeps its
-//!   summed peak residency within the summed per-stage halo-window
-//!   bound (the Sec. 2.3 reuse window, applied per pipeline stage),
-//!   and adjacent streaming stages hand every produced value
-//!   downstream.
-//! * [`BoundCheck::IterateResidency`] — an iterative time-stepping run
-//!   (Sec. 2.3 applied across T self-chained steps) executed within its
-//!   step budget, its per-step telemetry is internally consistent, the
-//!   observed peak stayed within the planned T×halo budget, and a
+//!   outputs: machine outputs, band outputs summed per stage, stream
+//!   rows reaching the sink, and the service's merged shard outputs.
+//! * [`BoundCheck::Residency`] — §2.3 applied to software runs: every
+//!   observed peak of resident values stays within its planned bound
+//!   (each streaming stage's halo window, each session's summed stage
+//!   bounds, the service's admitted bounds and memory budget).
+//! * [`BoundCheck::Convergence`] — an iterative time-stepping run
+//!   executed within its step budget, one stage per step, and a
 //!   converged run's final max-abs delta actually fell to epsilon.
 //! * [`BoundCheck::GridIoConsistent`] — a session's grid-I/O block is
 //!   internally consistent: mapped values imply mapped bytes and fit
 //!   within them, and the output sink was finalized (flushed).
+//! * [`BoundCheck::Admission`] — every job the service was offered was
+//!   either admitted or rejected.
 //! * [`BoundCheck::Finite`] — the serialized report contains no NaN or
 //!   infinity (JSON cannot represent them).
 
 use serde::json::ToValue;
 
-use crate::schema::{MachineMetrics, MetricsReport};
+use crate::schema::{
+    EngineMetrics, GridIoMetrics, IterateMetrics, MachineMetrics, MetricsReport, ServiceMetrics,
+    SessionMetrics, StageMetrics, StreamMetrics,
+};
 
 /// The individual claims the validator checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,37 +65,29 @@ pub enum BoundCheck {
     MinimumBuffer,
     /// Zero steady-state stalls ⇔ cycles within the bandwidth bound.
     FullyPipelined,
-    /// Per chain, `outputs ≤ streamed ≤ streams × |D_A|`.
+    /// Per chain, `outputs ≤ streamed ≤ streams × |D_A|`; streamed rows
+    /// carry values, and chained streaming stages hand every produced
+    /// value downstream.
     StreamConservation,
     /// Outputs equal the iteration-domain size.
     OutputsComplete,
-    /// Streaming engine: peak resident input values stay within the
-    /// per-band halo-window bound (Sec. 2.3 reuse window).
-    ResidencyBound,
-    /// Session pipeline: summed peak residency across chained stages
-    /// stays within the summed per-stage halo-window bound, per-stage
-    /// streaming residency holds, and adjacent streaming stages hand
-    /// every produced value downstream.
-    ChainResidency,
-    /// Iterative time-stepping: steps stayed within the budget, the
-    /// per-step telemetry agrees with the per-stage figures, the
-    /// observed peak stayed within the planned T×halo budget, and a
-    /// converged run's final delta fell to epsilon.
-    IterateResidency,
+    /// Observed peak resident values ≤ the planned bound (Sec. 2.3
+    /// reuse window), for every stage, session and the service.
+    Residency,
+    /// Iterative time-stepping: steps stayed within the budget, one
+    /// stage ran per step, and a converged run's final delta fell to
+    /// epsilon.
+    Convergence,
     /// Grid I/O accounting is internally consistent: a run that mapped
     /// zero bytes claims no mapped values, mapped values fit within the
     /// mapped bytes (8 bytes per f64), and the sink was finalized
     /// (flushed/synced) — unfinalized sinks may have lost tail rows.
     GridIoConsistent,
-    /// Serving front-end: the aggregate resident high-water across
-    /// concurrently executing shards stays within the sum of admitted
-    /// `planned_residency_bound`s (which itself stays within the
-    /// configured memory budget), no shard exceeded its own bound, and
-    /// shard merge conserved every output element of every admitted
-    /// job.
-    ServiceResidency,
-    /// Sweep-row tallies agree with the reported kernel backend: only
-    /// the `"compiled"` backend may report vectorized sweep rows.
+    /// Serving front-end: admitted + rejected jobs = submitted jobs.
+    Admission,
+    /// Sweep-row tallies agree with the reported kernel backend (only
+    /// the `"compiled"` backend may report vectorized sweep rows), and
+    /// each stage ran the backend it declares.
     BackendConsistent,
     /// The reported sweep shape is well-formed: the unroll factor is at
     /// least 1, an unroll above 1 only appears with the `"compiled"`
@@ -113,11 +109,10 @@ impl core::fmt::Display for BoundCheck {
             Self::FullyPipelined => "fully-pipelined (II = 1)",
             Self::StreamConservation => "stream-conservation",
             Self::OutputsComplete => "outputs-complete",
-            Self::ResidencyBound => "residency-bound (Sec. 2.3)",
-            Self::ChainResidency => "chain-residency (Sec. 2.3)",
-            Self::IterateResidency => "iterate-residency (Sec. 2.3)",
+            Self::Residency => "residency (Sec. 2.3)",
+            Self::Convergence => "convergence",
             Self::GridIoConsistent => "grid-io-consistent",
-            Self::ServiceResidency => "service-residency",
+            Self::Admission => "admission",
             Self::BackendConsistent => "backend-consistent",
             Self::SweepShape => "sweep-shape",
             Self::Finite => "finite",
@@ -301,16 +296,41 @@ pub fn validate_machine(m: &MachineMetrics) -> Vec<BoundViolation> {
     v
 }
 
-/// Checks one sweep-shape claim ([`BoundCheck::SweepShape`]): unroll
-/// factors start at 1, unrolled dispatch is a compiled-backend
-/// construct, and the datapath names a known precision.
-fn check_sweep_shape(
+/// Checks the one claim every peak ≤ bound comparison makes
+/// ([`BoundCheck::Residency`], Sec. 2.3): `peak` resident values at
+/// `loc` stay within `bound`, called `bound_name` in the detail.
+fn residency(v: &mut Vec<BoundViolation>, loc: &str, peak: u64, bound_name: &str, bound: u64) {
+    if peak > bound {
+        violation(
+            v,
+            BoundCheck::Residency,
+            loc,
+            format!("peak {peak} values exceeds the {bound_name} {bound}"),
+        );
+    }
+}
+
+/// Checks the kernel a stage block reports it ran: only the compiled
+/// backend owns the vectorized row sweep
+/// ([`BoundCheck::BackendConsistent`]), unroll factors start at 1,
+/// unrolled dispatch is a compiled-backend construct, and the datapath
+/// names a known precision ([`BoundCheck::SweepShape`]).
+fn check_kernel(
+    backend: &str,
+    sweep_rows: u64,
     unroll: u64,
     datapath: &str,
-    backend: &str,
     loc: &str,
     v: &mut Vec<BoundViolation>,
 ) {
+    if backend != "compiled" && sweep_rows > 0 {
+        violation(
+            v,
+            BoundCheck::BackendConsistent,
+            loc,
+            format!("backend {backend:?} reports {sweep_rows} swept rows"),
+        );
+    }
     if unroll == 0 {
         violation(
             v,
@@ -337,14 +357,38 @@ fn check_sweep_shape(
     }
 }
 
-/// Checks a whole report: machine bounds (when present) plus
-/// finiteness of every number in the serialized form.
+/// Checks that `stage` ran the backend it declares: its `block`
+/// (`"engine"` / `"stream"`) report ran `ran`
+/// ([`BoundCheck::BackendConsistent`]).
+fn check_declared(
+    stage: &StageMetrics,
+    block: &str,
+    ran: &str,
+    loc: &str,
+    v: &mut Vec<BoundViolation>,
+) {
+    if ran != stage.backend {
+        violation(
+            v,
+            BoundCheck::BackendConsistent,
+            loc,
+            format!(
+                "stage declares backend {:?} but its {block} report ran {ran:?}",
+                stage.backend
+            ),
+        );
+    }
+}
+
+/// Checks a whole report: machine bounds (when present), every
+/// session's stages, the service's admission claims, and finiteness of
+/// every number in the serialized form.
 #[must_use]
 pub fn validate_report(report: &MetricsReport) -> Vec<BoundViolation> {
-    let mut v = match &report.machine {
-        Some(m) => validate_machine(m),
-        None => Vec::new(),
-    };
+    let mut v = report
+        .machine
+        .as_ref()
+        .map_or_else(Vec::new, validate_machine);
     if let Some(path) = report.to_value().find_non_finite() {
         violation(
             &mut v,
@@ -353,97 +397,8 @@ pub fn validate_report(report: &MetricsReport) -> Vec<BoundViolation> {
             "non-finite number in report".to_string(),
         );
     }
-    if let Some(e) = &report.engine {
-        if !e.throughput.is_finite() {
-            violation(
-                &mut v,
-                BoundCheck::Finite,
-                "engine.throughput",
-                format!("throughput is {}", e.throughput),
-            );
-        }
-        let tile_outputs: u64 = e.per_tile.iter().map(|t| t.outputs).sum();
-        if !e.per_tile.is_empty() && tile_outputs != e.outputs {
-            violation(
-                &mut v,
-                BoundCheck::OutputsComplete,
-                "engine",
-                format!(
-                    "tile outputs sum to {tile_outputs}, run reports {}",
-                    e.outputs
-                ),
-            );
-        }
-        // Only the compiled backend owns the vectorized row sweep.
-        let sweep: u64 = e.per_tile.iter().map(|t| t.sweep_rows).sum();
-        if e.backend != "compiled" && sweep > 0 {
-            violation(
-                &mut v,
-                BoundCheck::BackendConsistent,
-                "engine",
-                format!("backend {:?} reports {sweep} swept rows", e.backend),
-            );
-        }
-        check_sweep_shape(e.unroll, &e.datapath, &e.backend, "engine", &mut v);
-    }
-    if let Some(s) = &report.stream {
-        // The streaming backend's defining promise: only one band's
-        // halo window of input values is ever resident (Sec. 2.3).
-        if s.peak_resident > s.resident_bound {
-            violation(
-                &mut v,
-                BoundCheck::ResidencyBound,
-                "stream",
-                format!(
-                    "peak resident {} values exceeds the halo-window bound {}",
-                    s.peak_resident, s.resident_bound
-                ),
-            );
-        }
-        if !s.throughput.is_finite() {
-            violation(
-                &mut v,
-                BoundCheck::Finite,
-                "stream.throughput",
-                format!("throughput is {}", s.throughput),
-            );
-        }
-        // Every value the source handed over belongs to some pulled
-        // row, and all output rows together carry all outputs.
-        if s.rows_in > 0 && s.values_in == 0 {
-            violation(
-                &mut v,
-                BoundCheck::StreamConservation,
-                "stream",
-                format!("{} rows pulled but zero values", s.rows_in),
-            );
-        }
-        if s.outputs > 0 && s.rows_out == 0 {
-            violation(
-                &mut v,
-                BoundCheck::OutputsComplete,
-                "stream",
-                format!(
-                    "{} outputs produced but no rows reached the sink",
-                    s.outputs
-                ),
-            );
-        }
-        if s.backend != "compiled" && s.sweep_rows > 0 {
-            violation(
-                &mut v,
-                BoundCheck::BackendConsistent,
-                "stream",
-                format!(
-                    "backend {:?} reports {} swept rows",
-                    s.backend, s.sweep_rows
-                ),
-            );
-        }
-        check_sweep_shape(s.unroll, &s.datapath, &s.backend, "stream", &mut v);
-    }
-    if let Some(s) = &report.session {
-        validate_session(s, &mut v);
+    for (k, s) in report.sessions.iter().enumerate() {
+        validate_session(k, s, &mut v);
     }
     if let Some(s) = &report.service {
         validate_service(s, &mut v);
@@ -455,34 +410,28 @@ pub fn validate_report(report: &MetricsReport) -> Vec<BoundViolation> {
 /// shards' aggregate resident high-water stays within the admitted
 /// bound sum, the admitted bound sum stays within the memory budget, no
 /// shard exceeded its own planned bound, shard merge conserved every
-/// output element, and the reported throughput is finite.
-fn validate_service(s: &crate::schema::ServiceMetrics, v: &mut Vec<BoundViolation>) {
-    if s.peak_resident > s.admitted_bound_peak {
-        violation(
+/// output element, and every submitted job was admitted or rejected.
+fn validate_service(s: &ServiceMetrics, v: &mut Vec<BoundViolation>) {
+    residency(
+        v,
+        "service",
+        s.peak_resident,
+        "admitted bound sum",
+        s.admitted_bound_peak,
+    );
+    if s.memory_budget > 0 {
+        residency(
             v,
-            BoundCheck::ServiceResidency,
-            "service",
-            format!(
-                "aggregate peak resident {} exceeds the admitted bound sum {}",
-                s.peak_resident, s.admitted_bound_peak
-            ),
-        );
-    }
-    if s.memory_budget > 0 && s.admitted_bound_peak > s.memory_budget {
-        violation(
-            v,
-            BoundCheck::ServiceResidency,
-            "service",
-            format!(
-                "admitted bound high-water {} exceeds the memory budget {}",
-                s.admitted_bound_peak, s.memory_budget
-            ),
+            "service admitted bound",
+            s.admitted_bound_peak,
+            "memory budget",
+            s.memory_budget,
         );
     }
     if s.shards_over_bound > 0 {
         violation(
             v,
-            BoundCheck::ServiceResidency,
+            BoundCheck::Residency,
             "service",
             format!(
                 "{} shard(s) exceeded their own planned residency bound",
@@ -495,7 +444,7 @@ fn validate_service(s: &crate::schema::ServiceMetrics, v: &mut Vec<BoundViolatio
     if s.jobs_failed == 0 && s.outputs_produced != s.outputs_expected {
         violation(
             v,
-            BoundCheck::ServiceResidency,
+            BoundCheck::OutputsComplete,
             "service",
             format!(
                 "shards produced {} outputs but admitted jobs promised {}",
@@ -503,10 +452,10 @@ fn validate_service(s: &crate::schema::ServiceMetrics, v: &mut Vec<BoundViolatio
             ),
         );
     }
-    if s.jobs_admitted > s.jobs_submitted || s.jobs_admitted + s.jobs_rejected != s.jobs_submitted {
+    if s.jobs_admitted.checked_add(s.jobs_rejected) != Some(s.jobs_submitted) {
         violation(
             v,
-            BoundCheck::ServiceResidency,
+            BoundCheck::Admission,
             "service",
             format!(
                 "admission arithmetic broken: {} admitted + {} rejected != {} submitted",
@@ -514,173 +463,140 @@ fn validate_service(s: &crate::schema::ServiceMetrics, v: &mut Vec<BoundViolatio
             ),
         );
     }
-    if !s.throughput.is_finite() {
-        violation(
-            v,
-            BoundCheck::Finite,
-            "service.throughput",
-            format!("throughput is {}", s.throughput),
-        );
-    }
 }
 
-/// Checks a session pipeline's chained-residency claims: the summed
-/// peak never exceeds the summed per-stage halo-window bound, each
-/// stage individually honours its own declared bound, each stage's
-/// declared backend matches what its sub-report actually ran, and
-/// adjacent streaming stages conserve the rows flowing between them.
-fn validate_session(s: &crate::schema::SessionMetrics, v: &mut Vec<BoundViolation>) {
-    if s.peak_resident > s.resident_bound {
-        violation(
-            v,
-            BoundCheck::ChainResidency,
-            "session",
-            format!(
-                "summed peak resident {} values exceeds the summed halo-window bound {}",
-                s.peak_resident, s.resident_bound
-            ),
-        );
-    }
-    // Heterogeneous chains declare a bound per stage; when every stage
-    // carries one, the session peak must also fit under their sum (the
-    // stage-wise Sec. 2.3 decomposition of the whole-pipeline bound).
+/// Checks session `k`: its peak stays within its own bound and within
+/// the sum of its per-stage bounds, every stage block holds its claims
+/// ([`check_engine`], [`check_stream`]), adjacent streaming stages
+/// conserve the values flowing between them, and the iterate and
+/// grid-I/O blocks (when present) are consistent.
+fn validate_session(k: usize, s: &SessionMetrics, v: &mut Vec<BoundViolation>) {
+    let loc = format!("session {k}");
+    residency(v, &loc, s.peak_resident, "session bound", s.resident_bound);
+    // When every stage declares a bound, the session peak must also fit
+    // under their sum (the stage-wise Sec. 2.3 decomposition of the
+    // whole-pipeline bound).
     if !s.stages.is_empty() && s.stages.iter().all(|st| st.resident_bound > 0) {
         let summed = s
             .stages
             .iter()
             .try_fold(0u64, |acc, st| acc.checked_add(st.resident_bound));
         match summed {
-            Some(summed) if s.peak_resident <= summed => {}
-            Some(summed) => violation(
-                v,
-                BoundCheck::ChainResidency,
-                "session",
-                format!(
-                    "session peak resident {} values exceeds the sum {} of per-stage bounds",
-                    s.peak_resident, summed
-                ),
-            ),
+            Some(summed) => residency(v, &loc, s.peak_resident, "sum of per-stage bounds", summed),
             None => violation(
                 v,
-                BoundCheck::ChainResidency,
-                "session",
+                BoundCheck::Residency,
+                &loc,
                 "per-stage residency bounds overflow u64 when summed".to_string(),
             ),
         }
     }
-    if !s.throughput.is_finite() {
-        violation(
-            v,
-            BoundCheck::Finite,
-            "session.throughput",
-            format!("throughput is {}", s.throughput),
-        );
-    }
+    let mut upstream: Option<&StreamMetrics> = None;
     for (i, stage) in s.stages.iter().enumerate() {
-        let loc = format!("session stage {i} ({:?})", stage.label);
-        if let Some(sm) = &stage.stream {
-            if sm.peak_resident > sm.resident_bound {
-                violation(
-                    v,
-                    BoundCheck::ChainResidency,
-                    &loc,
-                    format!(
-                        "stage peak resident {} values exceeds its halo-window bound {}",
-                        sm.peak_resident, sm.resident_bound
-                    ),
-                );
-            }
-            if stage.resident_bound > 0 && sm.peak_resident > stage.resident_bound {
-                violation(
-                    v,
-                    BoundCheck::ChainResidency,
-                    &loc,
-                    format!(
-                        "stage peak resident {} values exceeds its declared per-stage bound {}",
-                        sm.peak_resident, stage.resident_bound
-                    ),
-                );
-            }
-            if sm.backend != stage.backend {
-                violation(
-                    v,
-                    BoundCheck::BackendConsistent,
-                    &loc,
-                    format!(
-                        "stage declares backend {:?} but its stream report ran {:?}",
-                        stage.backend, sm.backend
-                    ),
-                );
-            }
-            if sm.backend != "compiled" && sm.sweep_rows > 0 {
-                violation(
-                    v,
-                    BoundCheck::BackendConsistent,
-                    &loc,
-                    format!(
-                        "backend {:?} reports {} swept rows",
-                        sm.backend, sm.sweep_rows
-                    ),
-                );
-            }
-            check_sweep_shape(sm.unroll, &sm.datapath, &sm.backend, &loc, v);
+        let loc = format!("session {k} stage {i} ({:?})", stage.label);
+        if let Some(e) = &stage.engine {
+            check_engine(e, stage, &loc, v);
         }
-        if let Some(em) = &stage.engine {
-            if em.backend != stage.backend {
-                violation(
-                    v,
-                    BoundCheck::BackendConsistent,
-                    &loc,
-                    format!(
-                        "stage declares backend {:?} but its engine report ran {:?}",
-                        stage.backend, em.backend
-                    ),
-                );
-            }
-            let sweep: u64 = em.per_tile.iter().map(|t| t.sweep_rows).sum();
-            if em.backend != "compiled" && sweep > 0 {
-                violation(
-                    v,
-                    BoundCheck::BackendConsistent,
-                    &loc,
-                    format!("backend {:?} reports {sweep} swept rows", em.backend),
-                );
-            }
-            check_sweep_shape(em.unroll, &em.datapath, &em.backend, &loc, v);
+        if let Some(sm) = &stage.stream {
+            check_stream(sm, stage, &loc, v);
         }
         // A chained streaming stage consumes exactly what its upstream
         // stage produced — no intermediate grid materializes, so any
         // mismatch means rows leaked or were fabricated between stages.
-        if i > 0 {
-            if let (Some(prev), Some(cur)) = (&s.stages[i - 1].stream, &stage.stream) {
-                if cur.values_in != prev.outputs {
-                    violation(
-                        v,
-                        BoundCheck::ChainResidency,
-                        &loc,
-                        format!(
-                            "stage consumed {} values but its upstream stage produced {}",
-                            cur.values_in, prev.outputs
-                        ),
-                    );
-                }
+        if let (Some(prev), Some(cur)) = (upstream, &stage.stream) {
+            if cur.values_in != prev.outputs {
+                violation(
+                    v,
+                    BoundCheck::StreamConservation,
+                    &loc,
+                    format!(
+                        "stage consumed {} values but its upstream stage produced {}",
+                        cur.values_in, prev.outputs
+                    ),
+                );
             }
         }
+        upstream = stage.stream.as_ref();
     }
     if let Some(it) = &s.iterate {
-        validate_iterate(it, s, v);
+        validate_iterate(it, s.stages.len(), &format!("session {k} iterate"), v);
     }
     if let Some(io) = &s.grid_io {
-        validate_grid_io(io, v);
+        validate_grid_io(io, &format!("session {k} grid_io"), v);
     }
+}
+
+/// Checks an in-core stage block: its band outputs sum to the run's
+/// total ([`BoundCheck::OutputsComplete`]), and it ran a well-formed
+/// kernel on the backend the stage declares.
+fn check_engine(e: &EngineMetrics, stage: &StageMetrics, loc: &str, v: &mut Vec<BoundViolation>) {
+    let tile_outputs: u64 = e.per_tile.iter().map(|t| t.outputs).sum();
+    if !e.per_tile.is_empty() && tile_outputs != e.outputs {
+        violation(
+            v,
+            BoundCheck::OutputsComplete,
+            loc,
+            format!(
+                "tile outputs sum to {tile_outputs}, run reports {}",
+                e.outputs
+            ),
+        );
+    }
+    check_declared(stage, "engine", &e.backend, loc, v);
+    let sweep: u64 = e.per_tile.iter().map(|t| t.sweep_rows).sum();
+    check_kernel(&e.backend, sweep, e.unroll, &e.datapath, loc, v);
+}
+
+/// Checks a streaming stage block: only one band's halo window of input
+/// values was ever resident, within both the stream's own bound and the
+/// stage's declared one ([`BoundCheck::Residency`]); pulled rows carried
+/// values; output rows carried every output; and it ran a well-formed
+/// kernel on the backend the stage declares.
+fn check_stream(s: &StreamMetrics, stage: &StageMetrics, loc: &str, v: &mut Vec<BoundViolation>) {
+    residency(
+        v,
+        loc,
+        s.peak_resident,
+        "halo-window bound",
+        s.resident_bound,
+    );
+    if stage.resident_bound > 0 {
+        residency(
+            v,
+            loc,
+            s.peak_resident,
+            "declared per-stage bound",
+            stage.resident_bound,
+        );
+    }
+    if s.rows_in > 0 && s.values_in == 0 {
+        violation(
+            v,
+            BoundCheck::StreamConservation,
+            loc,
+            format!("{} rows pulled but zero values", s.rows_in),
+        );
+    }
+    if s.outputs > 0 && s.rows_out == 0 {
+        violation(
+            v,
+            BoundCheck::OutputsComplete,
+            loc,
+            format!(
+                "{} outputs produced but no rows reached the sink",
+                s.outputs
+            ),
+        );
+    }
+    check_declared(stage, "stream", &s.backend, loc, v);
+    check_kernel(&s.backend, s.sweep_rows, s.unroll, &s.datapath, loc, v);
 }
 
 /// Checks a grid-I/O block's internal consistency: mapped values imply
 /// mapped bytes, the mapped values fit within the mapped byte span, and
 /// the sink was finalized — the three invariants that make the
 /// zero-copy claim (`values_copied == 0`) trustworthy.
-fn validate_grid_io(io: &crate::schema::GridIoMetrics, v: &mut Vec<BoundViolation>) {
-    let loc = "session.grid_io";
+fn validate_grid_io(io: &GridIoMetrics, loc: &str, v: &mut Vec<BoundViolation>) {
     if io.bytes_mapped == 0 && io.values_mapped > 0 {
         violation(
             v,
@@ -714,21 +630,16 @@ fn validate_grid_io(io: &crate::schema::GridIoMetrics, v: &mut Vec<BoundViolatio
     }
 }
 
-/// Checks an iterative time-stepping run (Sec. 2.3 applied across T
-/// self-chained steps): the executed step count stays within its budget
-/// and agrees with the per-stage telemetry, the observed peak residency
-/// stays within the planned T×halo budget, and a run that claims
+/// Checks an iterative time-stepping run ([`BoundCheck::Convergence`]):
+/// the executed step count stays within its budget and matches the
+/// session's `stages` (one per step), and a run that claims
 /// convergence actually drove its final max-abs delta down to epsilon.
-fn validate_iterate(
-    it: &crate::schema::IterateMetrics,
-    s: &crate::schema::SessionMetrics,
-    v: &mut Vec<BoundViolation>,
-) {
-    let loc = "session.iterate";
+/// Its residency is the session's, checked with every other session.
+fn validate_iterate(it: &IterateMetrics, stages: usize, loc: &str, v: &mut Vec<BoundViolation>) {
     if it.steps == 0 || it.steps > it.max_steps {
         violation(
             v,
-            BoundCheck::IterateResidency,
+            BoundCheck::Convergence,
             loc,
             format!(
                 "executed {} step(s) against a budget of {}",
@@ -736,49 +647,14 @@ fn validate_iterate(
             ),
         );
     }
-    if it.steps != s.stages.len() as u64 {
+    if it.steps != stages as u64 {
         violation(
             v,
-            BoundCheck::IterateResidency,
+            BoundCheck::Convergence,
             loc,
             format!(
-                "{} step(s) reported but {} stage reports present",
-                it.steps,
-                s.stages.len()
-            ),
-        );
-    }
-    if it.step_peaks.len() as u64 != it.steps {
-        violation(
-            v,
-            BoundCheck::IterateResidency,
-            loc,
-            format!(
-                "{} step(s) reported but {} per-step peaks recorded",
-                it.steps,
-                it.step_peaks.len()
-            ),
-        );
-    }
-    if it.observed_peak > it.planned_peak {
-        violation(
-            v,
-            BoundCheck::IterateResidency,
-            loc,
-            format!(
-                "observed peak {} values exceeds the planned T×halo budget {}",
-                it.observed_peak, it.planned_peak
-            ),
-        );
-    }
-    if it.observed_peak != s.peak_resident {
-        violation(
-            v,
-            BoundCheck::IterateResidency,
-            loc,
-            format!(
-                "iterate observed peak {} disagrees with the session peak {}",
-                it.observed_peak, s.peak_resident
+                "{} step(s) reported but {stages} stage reports present",
+                it.steps
             ),
         );
     }
@@ -795,7 +671,7 @@ fn validate_iterate(
     } else if it.converged && it.final_delta > it.epsilon {
         violation(
             v,
-            BoundCheck::IterateResidency,
+            BoundCheck::Convergence,
             loc,
             format!(
                 "run claims convergence but the final delta {} exceeds epsilon {}",
@@ -803,33 +679,13 @@ fn validate_iterate(
             ),
         );
     }
-    // Step-k input conservation: the per-step peaks must be the very
-    // figures the per-stage streaming reports measured — the iterate
-    // section cannot claim a residency the stages did not see.
-    for (k, stage) in s.stages.iter().enumerate() {
-        if let (Some(sm), Some(&peak)) = (&stage.stream, it.step_peaks.get(k)) {
-            if sm.peak_resident != peak {
-                violation(
-                    v,
-                    BoundCheck::IterateResidency,
-                    format!("session.iterate step {k}"),
-                    format!(
-                        "step peak {} disagrees with stage peak {}",
-                        peak, sm.peak_resident
-                    ),
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metric::Histogram;
-    use crate::schema::{
-        ChainMetrics, EngineMetrics, FifoMetrics, FilterMetrics, MachineMetrics, TileMetrics,
-    };
+    use crate::schema::{ChainMetrics, FifoMetrics, FilterMetrics, TileMetrics};
 
     fn clean_machine() -> MachineMetrics {
         MachineMetrics {
@@ -943,105 +799,163 @@ mod tests {
         assert_eq!(validate_machine(&m), Vec::new());
     }
 
+    /// A report of one session whose one stage carries `engine` or
+    /// `stream`, declaring that block's backend and its resident input
+    /// (in-core halo, streaming bound) as the stage and session bound.
+    fn one_stage(engine: Option<EngineMetrics>, stream: Option<StreamMetrics>) -> MetricsReport {
+        let (backend, bound) = match (&engine, &stream) {
+            (Some(e), _) => (e.backend.clone(), e.halo_elements),
+            (None, Some(s)) => (s.backend.clone(), s.resident_bound),
+            (None, None) => unreachable!("a stage carries one block"),
+        };
+        let mut report = MetricsReport::new("x");
+        report.sessions.push(SessionMetrics {
+            mode: if stream.is_some() {
+                "streaming"
+            } else {
+                "incore"
+            }
+            .into(),
+            threads: 1,
+            outputs: 10,
+            peak_resident: bound,
+            resident_bound: bound,
+            elapsed_ns: 5,
+            throughput: 1.0,
+            tile_plans_built: 0,
+            stages: vec![StageMetrics {
+                label: "s".into(),
+                backend,
+                window_taps: 5,
+                window_rows: 3,
+                resident_bound: bound,
+                engine,
+                stream,
+            }],
+            iterate: None,
+            grid_io: None,
+        });
+        report
+    }
+
+    fn engine(r: &mut MetricsReport) -> &mut EngineMetrics {
+        r.sessions[0].stages[0].engine.as_mut().unwrap()
+    }
+
+    fn stream(r: &mut MetricsReport) -> &mut StreamMetrics {
+        r.sessions[0].stages[0].stream.as_mut().unwrap()
+    }
+
+    /// Sets the backend the one-stage report's engine block ran and the
+    /// stage declares (a session stage must declare what it ran).
+    fn set_backend(r: &mut MetricsReport, backend: &str) {
+        r.sessions[0].stages[0].backend = backend.into();
+        engine(r).backend = backend.into();
+    }
+
     #[test]
     fn non_finite_engine_numbers_are_flagged() {
-        let mut report = MetricsReport::new("x");
-        report.engine = Some(EngineMetrics {
-            outputs: 10,
-            tiles: 1,
-            threads: 1,
-            backend: "closure".into(),
-            unroll: 1,
-            datapath: "f64".into(),
-            halo_elements: 12,
-            elapsed_ns: 0,
-            throughput: f64::INFINITY,
-            per_tile: vec![TileMetrics {
-                id: 0,
+        let mut report = one_stage(
+            Some(EngineMetrics {
                 outputs: 10,
+                tiles: 1,
+                threads: 1,
+                backend: "closure".into(),
+                unroll: 1,
+                datapath: "f64".into(),
                 halo_elements: 12,
-                sweep_rows: 0,
-                fast_rows: 2,
-                gather_rows: 0,
                 elapsed_ns: 0,
-            }],
-        });
+                throughput: f64::INFINITY,
+                per_tile: vec![TileMetrics {
+                    id: 0,
+                    outputs: 10,
+                    halo_elements: 12,
+                    sweep_rows: 0,
+                    fast_rows: 2,
+                    gather_rows: 0,
+                    elapsed_ns: 0,
+                }],
+            }),
+            None,
+        );
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.check == BoundCheck::Finite));
-        report.engine.as_mut().unwrap().throughput = 1.0;
+        engine(&mut report).throughput = 1.0;
         assert_eq!(validate_report(&report), Vec::new());
     }
 
     #[test]
     fn closure_backend_reporting_swept_rows_is_flagged() {
-        let mut report = MetricsReport::new("x");
-        report.engine = Some(EngineMetrics {
-            outputs: 10,
-            tiles: 1,
-            threads: 1,
-            backend: "closure".into(),
-            unroll: 1,
-            datapath: "f64".into(),
-            halo_elements: 12,
-            elapsed_ns: 5,
-            throughput: 1.0,
-            per_tile: vec![TileMetrics {
-                id: 0,
+        let mut report = one_stage(
+            Some(EngineMetrics {
                 outputs: 10,
+                tiles: 1,
+                threads: 1,
+                backend: "closure".into(),
+                unroll: 1,
+                datapath: "f64".into(),
                 halo_elements: 12,
-                sweep_rows: 2,
-                fast_rows: 0,
-                gather_rows: 0,
                 elapsed_ns: 5,
-            }],
-        });
+                throughput: 1.0,
+                per_tile: vec![TileMetrics {
+                    id: 0,
+                    outputs: 10,
+                    halo_elements: 12,
+                    sweep_rows: 2,
+                    fast_rows: 0,
+                    gather_rows: 0,
+                    elapsed_ns: 5,
+                }],
+            }),
+            None,
+        );
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.check == BoundCheck::BackendConsistent));
         assert!(v[0].to_string().contains("backend-consistent"), "{}", v[0]);
         // The same tallies under the compiled backend are legitimate.
-        report.engine.as_mut().unwrap().backend = "compiled".into();
+        set_backend(&mut report, "compiled");
         assert_eq!(validate_report(&report), Vec::new());
     }
 
     #[test]
     fn malformed_sweep_shape_is_flagged() {
-        let mut report = MetricsReport::new("x");
-        report.engine = Some(EngineMetrics {
-            outputs: 10,
-            tiles: 1,
-            threads: 1,
-            backend: "compiled".into(),
-            unroll: 4,
-            datapath: "f32".into(),
-            halo_elements: 12,
-            elapsed_ns: 5,
-            throughput: 1.0,
-            per_tile: Vec::new(),
-        });
+        let mut report = one_stage(
+            Some(EngineMetrics {
+                outputs: 10,
+                tiles: 1,
+                threads: 1,
+                backend: "compiled".into(),
+                unroll: 4,
+                datapath: "f32".into(),
+                halo_elements: 12,
+                elapsed_ns: 5,
+                throughput: 1.0,
+                per_tile: Vec::new(),
+            }),
+            None,
+        );
         // An unrolled f32 compiled run is a legitimate shape.
         assert_eq!(validate_report(&report), Vec::new());
         // Unroll 0 is impossible: every dispatch makes >= 1 output.
-        report.engine.as_mut().unwrap().unroll = 0;
+        engine(&mut report).unroll = 0;
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.check == BoundCheck::SweepShape), "{v:?}");
         assert!(v[0].to_string().contains("sweep-shape"), "{}", v[0]);
         // The unrolled sweep only exists for the compiled backend.
-        let e = report.engine.as_mut().unwrap();
-        e.unroll = 4;
-        e.backend = "closure".into();
+        engine(&mut report).unroll = 4;
+        set_backend(&mut report, "closure");
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.check == BoundCheck::SweepShape), "{v:?}");
         // An unknown datapath string is malformed telemetry.
-        let e = report.engine.as_mut().unwrap();
-        e.backend = "compiled".into();
-        e.datapath = "f16".into();
+        set_backend(&mut report, "compiled");
+        engine(&mut report).datapath = "f16".into();
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.check == BoundCheck::SweepShape), "{v:?}");
         // The f32 datapath under the closure backend (scalar f32
         // bytecode, used by cross-checks) is well-formed as long as the
         // run does not also claim unrolled dispatch.
-        let e = report.engine.as_mut().unwrap();
-        e.backend = "closure".into();
+        set_backend(&mut report, "closure");
+        let e = engine(&mut report);
         e.datapath = "f32".into();
         e.unroll = 1;
         assert_eq!(validate_report(&report), Vec::new());
@@ -1049,40 +963,41 @@ mod tests {
 
     #[test]
     fn residency_bound_violation_is_flagged() {
-        use crate::schema::StreamMetrics;
-        let mut report = MetricsReport::new("x");
-        report.stream = Some(StreamMetrics {
-            outputs: 100,
-            bands: 5,
-            threads: 2,
-            backend: "compiled".into(),
-            unroll: 1,
-            datapath: "f64".into(),
-            chunk_rows: 4,
-            rows_in: 12,
-            values_in: 144,
-            rows_out: 10,
-            peak_resident: 72,
-            resident_bound: 72,
-            sweep_rows: 10,
-            fast_rows: 0,
-            gather_rows: 0,
-            elapsed_ns: 1000,
-            throughput: 1.0,
-        });
+        let mut report = one_stage(
+            None,
+            Some(StreamMetrics {
+                outputs: 100,
+                bands: 5,
+                threads: 2,
+                backend: "compiled".into(),
+                unroll: 1,
+                datapath: "f64".into(),
+                chunk_rows: 4,
+                rows_in: 12,
+                values_in: 144,
+                rows_out: 10,
+                peak_resident: 72,
+                resident_bound: 72,
+                sweep_rows: 10,
+                fast_rows: 0,
+                gather_rows: 0,
+                elapsed_ns: 1000,
+                throughput: 1.0,
+            }),
+        );
         assert_eq!(validate_report(&report), Vec::new());
         // A closure-backend stream claiming swept rows is inconsistent.
-        report.stream.as_mut().unwrap().backend = "closure".into();
+        stream(&mut report).backend = "closure".into();
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.check == BoundCheck::BackendConsistent));
-        report.stream.as_mut().unwrap().backend = "compiled".into();
+        stream(&mut report).backend = "compiled".into();
         // Exceeding the halo-window bound is the core violation.
-        report.stream.as_mut().unwrap().peak_resident = 73;
+        stream(&mut report).peak_resident = 73;
         let v = validate_report(&report);
-        assert!(v.iter().any(|x| x.check == BoundCheck::ResidencyBound));
-        assert!(v[0].to_string().contains("residency-bound"), "{}", v[0]);
+        assert!(v.iter().any(|x| x.check == BoundCheck::Residency));
+        assert!(v[0].to_string().contains("residency"), "{}", v[0]);
         // Non-finite throughput and empty-output inconsistencies too.
-        let s = report.stream.as_mut().unwrap();
+        let s = stream(&mut report);
         s.peak_resident = 72;
         s.throughput = f64::NAN;
         s.rows_out = 0;
@@ -1091,40 +1006,46 @@ mod tests {
         assert!(v.iter().any(|x| x.check == BoundCheck::OutputsComplete));
     }
 
-    #[test]
-    fn chain_residency_violations_are_flagged() {
-        use crate::schema::{SessionMetrics, StageMetrics, StreamMetrics};
-        fn stage(label: &str, outputs: u64, values_in: u64, peak: u64, bound: u64) -> StageMetrics {
-            StageMetrics {
-                label: label.into(),
+    fn stream_stage(
+        label: &str,
+        outputs: u64,
+        values_in: u64,
+        peak: u64,
+        bound: u64,
+    ) -> StageMetrics {
+        StageMetrics {
+            label: label.into(),
+            backend: "closure".into(),
+            window_taps: 5,
+            window_rows: 3,
+            resident_bound: bound,
+            engine: None,
+            stream: Some(StreamMetrics {
+                outputs,
+                bands: 4,
+                threads: 1,
                 backend: "closure".into(),
-                window_taps: 5,
-                window_rows: 3,
+                unroll: 1,
+                datapath: "f64".into(),
+                chunk_rows: 1,
+                rows_in: 10,
+                values_in,
+                rows_out: 8,
+                peak_resident: peak,
                 resident_bound: bound,
-                engine: None,
-                stream: Some(StreamMetrics {
-                    outputs,
-                    bands: 4,
-                    threads: 1,
-                    backend: "closure".into(),
-                    unroll: 1,
-                    datapath: "f64".into(),
-                    chunk_rows: 1,
-                    rows_in: 10,
-                    values_in,
-                    rows_out: 8,
-                    peak_resident: peak,
-                    resident_bound: bound,
-                    sweep_rows: 0,
-                    fast_rows: 8,
-                    gather_rows: 0,
-                    elapsed_ns: 100,
-                    throughput: 1.0,
-                }),
-            }
+                sweep_rows: 0,
+                fast_rows: 8,
+                gather_rows: 0,
+                elapsed_ns: 100,
+                throughput: 1.0,
+            }),
         }
-        let mut report = MetricsReport::new("chain");
-        report.session = Some(SessionMetrics {
+    }
+
+    /// A two-stage streaming session: `s1` (72 resident) feeding `s2`
+    /// (66 resident), peak and bound 138.
+    fn chain_session(labels: [&str; 2]) -> SessionMetrics {
+        SessionMetrics {
             mode: "streaming".into(),
             threads: 1,
             outputs: 320,
@@ -1133,125 +1054,103 @@ mod tests {
             elapsed_ns: 250,
             throughput: 1.0,
             tile_plans_built: 0,
-            stages: vec![stage("s1", 396, 480, 72, 72), stage("s2", 320, 396, 66, 66)],
+            stages: vec![
+                stream_stage(labels[0], 396, 480, 72, 72),
+                stream_stage(labels[1], 320, 396, 66, 66),
+            ],
             iterate: None,
             grid_io: None,
-        });
+        }
+    }
+
+    #[test]
+    fn chain_residency_violations_are_flagged() {
+        let mut report = MetricsReport::new("chain");
+        report.sessions.push(chain_session(["s1", "s2"]));
         assert_eq!(validate_report(&report), Vec::new());
+        fn st(r: &mut MetricsReport, i: usize) -> &mut StreamMetrics {
+            r.sessions[0].stages[i].stream.as_mut().unwrap()
+        }
 
         // Summed peak above the summed bound is the core violation.
-        report.session.as_mut().unwrap().peak_resident = 139;
+        report.sessions[0].peak_resident = 139;
         let v = validate_report(&report);
-        assert!(v.iter().any(|x| x.check == BoundCheck::ChainResidency));
-        assert!(v[0].to_string().contains("chain-residency"), "{}", v[0]);
-        report.session.as_mut().unwrap().peak_resident = 138;
+        assert!(v.iter().any(|x| x.check == BoundCheck::Residency));
+        assert!(v[0].to_string().contains("residency"), "{}", v[0]);
+        report.sessions[0].peak_resident = 138;
 
         // A single stage blowing its own bound is flagged with the
         // stage's position and label.
-        report.session.as_mut().unwrap().stages[1]
-            .stream
-            .as_mut()
-            .unwrap()
-            .peak_resident = 67;
+        st(&mut report, 1).peak_resident = 67;
         let v = validate_report(&report);
-        assert!(v.iter().any(|x| x.check == BoundCheck::ChainResidency
+        assert!(v.iter().any(|x| x.check == BoundCheck::Residency
             && x.location.contains("stage 1")
             && x.location.contains("s2")));
-        report.session.as_mut().unwrap().stages[1]
-            .stream
-            .as_mut()
-            .unwrap()
-            .peak_resident = 66;
+        st(&mut report, 1).peak_resident = 66;
 
         // A downstream stage consuming a different value count than its
         // upstream stage produced means the hand-off leaked rows.
-        report.session.as_mut().unwrap().stages[1]
-            .stream
-            .as_mut()
-            .unwrap()
-            .values_in = 395;
+        st(&mut report, 1).values_in = 395;
         let v = validate_report(&report);
-        assert!(v.iter().any(|x| x.check == BoundCheck::ChainResidency
+        assert!(v.iter().any(|x| x.check == BoundCheck::StreamConservation
             && x.detail.contains("upstream stage produced 396")));
-        report.session.as_mut().unwrap().stages[1]
-            .stream
-            .as_mut()
-            .unwrap()
-            .values_in = 396;
+        st(&mut report, 1).values_in = 396;
 
         // Backend consistency applies per stage.
-        report.session.as_mut().unwrap().stages[0]
-            .stream
-            .as_mut()
-            .unwrap()
-            .sweep_rows = 3;
+        st(&mut report, 0).sweep_rows = 3;
         let v = validate_report(&report);
         assert!(v
             .iter()
             .any(|x| x.check == BoundCheck::BackendConsistent && x.location.contains("stage 0")));
-        report.session.as_mut().unwrap().stages[0]
-            .stream
-            .as_mut()
-            .unwrap()
-            .sweep_rows = 0;
+        st(&mut report, 0).sweep_rows = 0;
 
         // A stream peak above the stage's *declared* per-stage bound is
         // flagged even when the stream's own runtime bound kept up.
-        report.session.as_mut().unwrap().stages[1].resident_bound = 60;
+        report.sessions[0].stages[1].resident_bound = 60;
         let v = validate_report(&report);
-        assert!(v.iter().any(|x| x.check == BoundCheck::ChainResidency
+        assert!(v.iter().any(|x| x.check == BoundCheck::Residency
             && x.detail.contains("declared per-stage bound 60")));
-        report.session.as_mut().unwrap().stages[1].resident_bound = 66;
+        report.sessions[0].stages[1].resident_bound = 66;
 
         // A stage whose declared backend disagrees with what its
         // sub-report actually ran is a backend-consistency violation.
-        report.session.as_mut().unwrap().stages[0].backend = "compiled".into();
+        report.sessions[0].stages[0].backend = "compiled".into();
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.check == BoundCheck::BackendConsistent
             && x.location.contains("stage 0")
             && x.detail.contains("stream report ran")));
-        report.session.as_mut().unwrap().stages[0].backend = "closure".into();
+        report.sessions[0].stages[0].backend = "closure".into();
 
         // Non-finite session throughput is rejected like any other.
-        report.session.as_mut().unwrap().throughput = f64::NAN;
+        report.sessions[0].throughput = f64::NAN;
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.check == BoundCheck::Finite));
     }
 
     #[test]
-    fn iterate_residency_violations_are_flagged() {
-        use crate::schema::{IterateMetrics, SessionMetrics, StageMetrics, StreamMetrics};
-        fn step(label: &str, outputs: u64, values_in: u64, peak: u64) -> StageMetrics {
-            StageMetrics {
-                label: label.into(),
-                backend: "closure".into(),
-                window_taps: 5,
-                window_rows: 3,
-                resident_bound: peak,
-                engine: None,
-                stream: Some(StreamMetrics {
-                    outputs,
-                    bands: 4,
-                    threads: 1,
-                    backend: "closure".into(),
-                    unroll: 1,
-                    datapath: "f64".into(),
-                    chunk_rows: 1,
-                    rows_in: 10,
-                    values_in,
-                    rows_out: 8,
-                    peak_resident: peak,
-                    resident_bound: peak,
-                    sweep_rows: 0,
-                    fast_rows: 8,
-                    gather_rows: 0,
-                    elapsed_ns: 100,
-                    throughput: 1.0,
-                }),
-            }
+    fn every_session_of_a_report_is_checked_at_its_own_position() {
+        let mut report = MetricsReport::new("two");
+        report.sessions.push(chain_session(["a1", "a2"]));
+        report.sessions.push(chain_session(["b1", "b2"]));
+        assert_eq!(validate_report(&report), Vec::new());
+        // Session 1's first stage holds one value more than its window.
+        report.sessions[1].stages[0]
+            .stream
+            .as_mut()
+            .unwrap()
+            .peak_resident = 73;
+        let v = validate_report(&report);
+        assert!(!v.is_empty());
+        for x in &v {
+            assert_eq!(x.check, BoundCheck::Residency, "{x}");
+            assert!(x.location.starts_with("session 1 stage 0 "), "{x}");
         }
+    }
+
+    #[test]
+    fn iterate_residency_violations_are_flagged() {
         let mut report = MetricsReport::new("iterate");
-        report.session = Some(SessionMetrics {
+        report.sessions.push(SessionMetrics {
             mode: "streaming".into(),
             threads: 1,
             outputs: 320,
@@ -1260,44 +1159,41 @@ mod tests {
             elapsed_ns: 250,
             throughput: 1.0,
             tile_plans_built: 0,
-            stages: vec![step("j@t1", 396, 480, 72), step("j@t2", 320, 396, 66)],
+            stages: vec![
+                stream_stage("j@t1", 396, 480, 72, 72),
+                stream_stage("j@t2", 320, 396, 66, 66),
+            ],
             iterate: Some(IterateMetrics {
                 steps: 2,
                 max_steps: 2,
                 converged: false,
                 epsilon: 0.0,
                 final_delta: 0.0,
-                step_peaks: vec![72, 66],
-                planned_peak: 138,
-                observed_peak: 138,
             }),
             grid_io: None,
         });
         assert_eq!(validate_report(&report), Vec::new());
         fn it(r: &mut MetricsReport) -> &mut IterateMetrics {
-            r.session.as_mut().unwrap().iterate.as_mut().unwrap()
+            r.sessions[0].iterate.as_mut().unwrap()
         }
 
-        // Observed peak above the planned T×halo budget is the core
-        // violation.
-        it(&mut report).observed_peak = 139;
-        it(&mut report).planned_peak = 138;
+        // A peak above the planned T×halo budget is the core violation.
+        report.sessions[0].peak_resident = 139;
         let v = validate_report(&report);
-        assert!(v.iter().any(|x| x.check == BoundCheck::IterateResidency));
-        assert!(v[0].to_string().contains("iterate-residency"), "{}", v[0]);
-        it(&mut report).observed_peak = 138;
+        assert!(v.iter().any(|x| x.check == BoundCheck::Residency));
+        assert!(v[0].to_string().contains("residency"), "{}", v[0]);
+        report.sessions[0].peak_resident = 138;
 
         // Step count must stay within the budget and match the stages.
         it(&mut report).max_steps = 1;
         let v = validate_report(&report);
         assert!(v
             .iter()
-            .any(|x| x.check == BoundCheck::IterateResidency && x.detail.contains("budget")));
+            .any(|x| x.check == BoundCheck::Convergence && x.detail.contains("budget")));
         it(&mut report).max_steps = 2;
         it(&mut report).steps = 3;
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.detail.contains("stage reports present")));
-        assert!(v.iter().any(|x| x.detail.contains("per-step peaks")));
         it(&mut report).steps = 2;
 
         // Claimed convergence needs the delta at or below epsilon.
@@ -1305,20 +1201,13 @@ mod tests {
         it(&mut report).epsilon = 1e-6;
         it(&mut report).final_delta = 1e-3;
         let v = validate_report(&report);
-        assert!(v
-            .iter()
-            .any(|x| x.check == BoundCheck::IterateResidency
-                && x.detail.contains("claims convergence")));
+        assert!(
+            v.iter()
+                .any(|x| x.check == BoundCheck::Convergence
+                    && x.detail.contains("claims convergence"))
+        );
         it(&mut report).final_delta = 1e-9;
         assert_eq!(validate_report(&report), Vec::new());
-
-        // Step-k conservation: step peaks are the stage peaks.
-        it(&mut report).step_peaks = vec![72, 65];
-        let v = validate_report(&report);
-        assert!(v
-            .iter()
-            .any(|x| x.check == BoundCheck::IterateResidency && x.location.contains("step 1")));
-        it(&mut report).step_peaks = vec![72, 66];
 
         // A negative epsilon can never be a meaningful threshold.
         it(&mut report).epsilon = -1.0;
@@ -1328,9 +1217,8 @@ mod tests {
 
     #[test]
     fn in_core_session_stage_backend_is_checked() {
-        use crate::schema::{SessionMetrics, StageMetrics};
         let mut report = MetricsReport::new("chain");
-        report.session = Some(SessionMetrics {
+        report.sessions.push(SessionMetrics {
             mode: "incore".into(),
             threads: 1,
             outputs: 10,
@@ -1374,37 +1262,35 @@ mod tests {
         assert!(v
             .iter()
             .any(|x| x.check == BoundCheck::BackendConsistent && x.location.contains("stage 0")));
-        report.session.as_mut().unwrap().stages[0]
-            .engine
-            .as_mut()
-            .unwrap()
-            .backend = "compiled".into();
+        engine(&mut report).backend = "compiled".into();
         assert_eq!(validate_report(&report), Vec::new());
     }
 
     #[test]
     fn tile_output_sum_must_match_run_total() {
-        let mut report = MetricsReport::new("x");
-        report.engine = Some(EngineMetrics {
-            outputs: 11,
-            tiles: 1,
-            threads: 1,
-            backend: "closure".into(),
-            unroll: 1,
-            datapath: "f64".into(),
-            halo_elements: 12,
-            elapsed_ns: 5,
-            throughput: 1.0,
-            per_tile: vec![TileMetrics {
-                id: 0,
-                outputs: 10,
+        let report = one_stage(
+            Some(EngineMetrics {
+                outputs: 11,
+                tiles: 1,
+                threads: 1,
+                backend: "closure".into(),
+                unroll: 1,
+                datapath: "f64".into(),
                 halo_elements: 12,
-                sweep_rows: 0,
-                fast_rows: 2,
-                gather_rows: 0,
                 elapsed_ns: 5,
-            }],
-        });
+                throughput: 1.0,
+                per_tile: vec![TileMetrics {
+                    id: 0,
+                    outputs: 10,
+                    halo_elements: 12,
+                    sweep_rows: 0,
+                    fast_rows: 2,
+                    gather_rows: 0,
+                    elapsed_ns: 5,
+                }],
+            }),
+            None,
+        );
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.check == BoundCheck::OutputsComplete));
     }
@@ -1446,7 +1332,7 @@ mod tests {
         s.peak_resident = s.admitted_bound_peak + 1;
         report.service = Some(s);
         let v = validate_report(&report);
-        assert!(v.iter().any(|x| x.check == BoundCheck::ServiceResidency));
+        assert!(v.iter().any(|x| x.check == BoundCheck::Residency));
     }
 
     #[test]
@@ -1457,7 +1343,7 @@ mod tests {
         s.peak_resident = s.memory_budget + 1;
         report.service = Some(s);
         let v = validate_report(&report);
-        assert!(v.iter().any(|x| x.check == BoundCheck::ServiceResidency));
+        assert!(v.iter().any(|x| x.check == BoundCheck::Residency));
         // An unbudgeted service (0 = unlimited) skips only that check.
         let mut s = clean_service();
         s.memory_budget = 0;
@@ -1473,7 +1359,7 @@ mod tests {
         s.outputs_produced = s.outputs_expected - 1;
         report.service = Some(s);
         let v = validate_report(&report);
-        assert!(v.iter().any(|x| x.check == BoundCheck::ServiceResidency));
+        assert!(v.iter().any(|x| x.check == BoundCheck::OutputsComplete));
         // ...but a batch with failed jobs may legitimately come up short.
         let mut s = clean_service();
         s.outputs_produced = s.outputs_expected - 1;
@@ -1490,7 +1376,7 @@ mod tests {
         s.jobs_rejected = 0; // 10 admitted + 0 rejected != 12 submitted
         report.service = Some(s);
         let v = validate_report(&report);
-        assert!(v.iter().any(|x| x.check == BoundCheck::ServiceResidency));
+        assert!(v.iter().any(|x| x.check == BoundCheck::Admission));
     }
 
     #[test]

@@ -288,7 +288,6 @@ fn engine_report_is_consistent_with_machine_stats() {
     let plan = MemorySystemPlan::generate(&spec).expect("plan");
 
     let machine = accelerate(&bench, &extents, &grid).expect("machine");
-    let tile_plan = plan.tile_plan(1).expect("tile plan");
     let in_idx = plan.input_domain().index().expect("input index");
     let mut in_vals = Vec::with_capacity(in_idx.len() as usize);
     let mut c = in_idx.cursor();
@@ -300,7 +299,7 @@ fn engine_report_is_consistent_with_machine_stats() {
     let compute = bench.compute_fn();
     let run = Session::new(&plan)
         .kernel(SessionKernel::Closure(&compute))
-        .tile_plan(&tile_plan)
+        .mode(ExecMode::Tiled { tiles: 1 })
         .threads(1)
         .run(&input)
         .expect("engine");

@@ -121,12 +121,10 @@ fn combined_machine_and_engine_report_validates() {
         .telemetry(spec.name())
         .run(&input)
         .unwrap();
-    let engine_report = run.report.stages[0].engine.as_ref().unwrap();
 
     let mut report = MetricsReport::new(spec.name());
     report.machine = Some(machine.metrics());
-    report.engine = Some(engine_report.metrics());
-    report.session = Some(run.report.metrics());
+    report.sessions.push(run.report.metrics());
     let violations = validate_report(&report);
     assert!(violations.is_empty(), "{violations:?}");
 

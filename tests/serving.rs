@@ -8,8 +8,9 @@
 //!   every paper benchmark through one [`ServiceFront`] produce
 //!   bit-identical outputs to sequential single-[`Session`] runs of the
 //!   same jobs, while the aggregated service telemetry passes the
-//!   `ServiceResidency` validator rule (peak resident ≤ admitted bound,
-//!   exact output conservation, exact admission arithmetic).
+//!   validator's `Residency` (peak resident ≤ admitted bound),
+//!   `OutputsComplete` (exact output conservation) and `Admission`
+//!   (exact admission arithmetic) rules.
 //! * **Sharded reassembly.** For random grid extents and shard counts
 //!   (proptest), splitting a job into halo-overlapped row bands and
 //!   concatenating the band outputs equals the unsharded run — the

@@ -72,16 +72,6 @@ fn session_modes_and_backends_agree_on_every_benchmark() {
             .expect("session tiled");
         assert_eq!(session.outputs, golden, "{}: tiled", bench.name());
 
-        // Precomputed tile plan via Session::tile_plan.
-        let tile_plan = plan.tile_plan(2).expect("tile plan");
-        let session = Session::new(&plan)
-            .kernel(SessionKernel::Closure(&compute))
-            .tile_plan(&tile_plan)
-            .threads(2)
-            .run(&input)
-            .expect("session tile_plan");
-        assert_eq!(session.outputs, golden, "{}: tile plan", bench.name());
-
         // Streaming through endpoints at several chunk heights.
         for chunk in [1u64, 5] {
             let mut source = SliceSource::new(&in_vals);
@@ -114,19 +104,6 @@ fn session_modes_and_backends_agree_on_every_benchmark() {
             .run(&input)
             .expect("session compiled");
         assert_eq!(session.outputs, golden, "{}: compiled", bench.name());
-
-        let session = Session::new(&plan)
-            .kernel(SessionKernel::Compiled(&kernel))
-            .tile_plan(&tile_plan)
-            .threads(2)
-            .run(&input)
-            .expect("session compiled tile_plan");
-        assert_eq!(
-            session.outputs,
-            golden,
-            "{}: compiled tile plan",
-            bench.name()
-        );
 
         let mut source = SliceSource::new(&in_vals);
         let mut sink = VecSink::new();
