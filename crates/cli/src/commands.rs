@@ -1996,4 +1996,18 @@ o o o
         assert!(err.to_string().contains("contradict"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn serve_admits_an_auto_sharded_job_on_a_queue_shallower_than_the_pool() {
+        // Four workers would split the job four ways; a depth-2 queue
+        // can only ever hold two shards, so auto splits two ways.
+        let (out, metrics, violations) = cmd_serve("denoise 64 48 shards=auto\n", 4, 2, 0).unwrap();
+        assert!(
+            out.contains("jobs: 1 submitted, 1 admitted, 0 rejected (retried), 0 failed"),
+            "{out}"
+        );
+        assert_eq!(violations, 0);
+        let service = MetricsReport::parse(&metrics).unwrap().service.unwrap();
+        assert_eq!(service.shards_executed, 2);
+    }
 }

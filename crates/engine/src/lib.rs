@@ -96,10 +96,10 @@ pub use format::{
     SGRID_MAX_DIMS, SGRID_VERSION,
 };
 pub use input::InputGrid;
-pub use report::{GridIoReport, RunReport, StreamReport, TileReport};
+pub use report::{finite_throughput, GridIoReport, RunReport, StreamReport, TileReport};
 pub use serve::{
-    finite_throughput, JobId, JobInput, JobRequest, JobResult, RejectReason, Rejection,
-    ServiceConfig, ServiceFront, ServiceOutcome, ShardPolicy, Submission,
+    JobId, JobInput, JobRequest, JobResult, RejectReason, Rejection, ServiceConfig, ServiceFront,
+    ServiceOutcome, ShardPolicy, Submission,
 };
 pub use session::{
     ExecMode, IterateReport, Session, SessionKernel, SessionReport, SessionRun, StagePlan,

@@ -75,12 +75,7 @@ impl RunReport {
     /// serialized to JSON).
     #[must_use]
     pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.outputs as f64 / secs
-        } else {
-            0.0
-        }
+        finite_throughput(self.outputs, self.elapsed)
     }
 
     /// The run's counters in the `stencil-telemetry` wire schema, ready
@@ -216,12 +211,7 @@ impl StreamReport {
     /// [`RunReport::throughput`].
     #[must_use]
     pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.outputs as f64 / secs
-        } else {
-            0.0
-        }
+        finite_throughput(self.outputs, self.elapsed)
     }
 
     /// True when the measured peak residency honored the planned halo
@@ -346,6 +336,19 @@ impl fmt::Display for GridIoReport {
 /// Whole nanoseconds of `d`, saturating at `u64::MAX` (584 years).
 pub(crate) fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Elements per second, `0.0` below timer resolution so the figure
+/// stays finite (JSON cannot carry `inf`). A nonzero [`Duration`] is at
+/// least one nanosecond, so every other quotient is finite too.
+#[must_use]
+pub fn finite_throughput(outputs: u64, elapsed: Duration) -> f64 {
+    let secs = elapsed.as_secs_f64();
+    if secs > 0.0 {
+        outputs as f64 / secs
+    } else {
+        0.0
+    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@
 //! engine's only `std::thread::scope`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use stencil_core::MemorySystemPlan;
@@ -45,6 +45,20 @@ use crate::unroll::UnrolledProgram;
 /// must not turn into a second panic.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits on `cv` while `blocked` holds, recovering from poisoning as
+/// [`lock_recover`] does. `Condvar::wait_while` returns as soon as a
+/// wake-up finds the lock poisoned, before `blocked` clears.
+pub(crate) fn wait_recover<'a, T>(
+    cv: &Condvar,
+    mut guard: MutexGuard<'a, T>,
+    mut blocked: impl FnMut(&T) -> bool,
+) -> MutexGuard<'a, T> {
+    while blocked(&guard) {
+        guard = cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+    }
+    guard
 }
 
 /// Runs `f` over every item on up to `workers` scoped threads pulling
@@ -634,6 +648,31 @@ mod tests {
         assert!(poisoned.is_err() && m.is_poisoned());
         lock_recover(&m).push(3);
         assert_eq!(*lock_recover(&m), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn wait_recover_keeps_waiting_on_a_poisoned_lock() {
+        let (m, cv) = (Mutex::new(0u32), Condvar::new());
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _g = m.lock().unwrap();
+            panic!("poison the lock");
+        }));
+        assert!(m.is_poisoned());
+        std::thread::scope(|s| {
+            // Held until the wait releases it, so the first wake-up
+            // finds the waiter waiting.
+            let guard = lock_recover(&m);
+            s.spawn(|| {
+                // A wake-up with the value still 0, then the value the
+                // waiter waits for.
+                for v in [0, 7] {
+                    *lock_recover(&m) = v;
+                    cv.notify_all();
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            });
+            assert_eq!(*wait_recover(&cv, guard, |v| *v == 0), 7);
+        });
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   along the outermost dimension (Zohouri-style spatial blocking) and
 //!   the band outputs merged back in row order, bit-identical to the
 //!   unsharded run for [shard-stable](stencil_kernels::Benchmark::shard_stable)
-//!   kernels;
+//!   kernels; [`ShardPolicy::Auto`] splits no wider than the pool or
+//!   the queue, so every job an idle front can hold gets admitted;
 //! * a shared **plan cache** keyed by `(benchmark, extents, mode,
 //!   chunk)` takes [`MemorySystemPlan`]/[`stencil_core::TilePlan`]
 //!   construction off the hot path — shard sessions are seeded with the
@@ -28,10 +29,17 @@
 //!   validator's `Residency` rule (aggregate peak resident ≤ the sum of
 //!   admitted bounds ≤ the memory budget), its `OutputsComplete` rule
 //!   (shard merge conserves every output) and its `Admission` rule.
+//!
+//! The queue, the job slots and the batch's figures sit in one `State`
+//! behind one lock, which both condvars wait on; the plan cache keeps
+//! its own, since plans are built with no lock held. A submission is
+//! decided in one critical section (count, check budget, check queue,
+//! commit or reject), so nothing is rolled back. A worker pops a shard
+//! in one section, runs it unlocked, and retires it in one more.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -43,8 +51,9 @@ use crate::compile::CompiledKernel;
 use crate::error::EngineError;
 use crate::format::MappedGrid;
 use crate::input::InputGrid;
-use crate::rowexec::lock_recover;
-use crate::session::{ExecMode, Session, SessionKernel};
+use crate::report::{duration_ns, finite_throughput};
+use crate::rowexec::{lock_recover, wait_recover};
+use crate::session::{ExecMode, Session, SessionKernel, SessionRun};
 
 /// Configuration of a [`ServiceFront`].
 #[derive(Debug, Clone)]
@@ -80,9 +89,10 @@ pub enum ShardPolicy {
     /// Run the grid whole, in one session.
     Whole,
     /// Split into exactly this many halo-overlapped row bands (clamped
-    /// to the number of output slabs).
+    /// to the number of output slabs); more bands than `queue_depth` is
+    /// a configuration error.
     Fixed(usize),
-    /// Split to the pool width (`min(workers, output slabs)`) when the
+    /// Split to `min(workers, queue_depth, output slabs)` when the
     /// kernel is shard-stable; run whole otherwise.
     Auto,
 }
@@ -300,6 +310,24 @@ impl CachedPlan {
     }
 }
 
+/// The plan cache: one entry per shard geometry, with its own hit and
+/// miss counts.
+#[derive(Default)]
+struct PlanCache {
+    plans: HashMap<PlanKey, Arc<CachedPlan>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl PlanCache {
+    /// The cached plan for `key`, counted as a hit.
+    fn hit(&mut self, key: &PlanKey) -> Option<Arc<CachedPlan>> {
+        let hit = self.plans.get(key).cloned();
+        self.hits += u64::from(hit.is_some());
+        hit
+    }
+}
+
 /// One queued unit of work: a row-band shard of an admitted job.
 struct ShardTask {
     job: JobId,
@@ -309,26 +337,79 @@ struct ShardTask {
     /// Element offset of the shard's input band in the job input.
     input_offset: usize,
     mode: ExecMode,
-    threads: usize,
     label: String,
+}
+
+impl ShardTask {
+    /// Runs the shard through a warm session of `threads` workers.
+    fn run(&self, threads: usize) -> Result<SessionRun, EngineError> {
+        let cached = &self.cached;
+        let in_idx = &cached.index;
+        let len = usize::try_from(in_idx.len()).map_err(|_| EngineError::DomainTooLarge {
+            points: in_idx.len(),
+        })?;
+        let band = self
+            .input
+            .values()
+            .get(self.input_offset..self.input_offset + len)
+            .ok_or_else(|| EngineError::InputSizeMismatch {
+                expected: (self.input_offset as u64) + in_idx.len(),
+                got: self.input.len() as u64,
+            })?;
+        let grid = InputGrid::new(in_idx, band)?;
+        let session = match &cached.kernel {
+            Some(ck) => Session::new(&cached.plan).kernel(SessionKernel::Compiled(ck)),
+            None => Session::build(&cached.plan, &cached.stage)?,
+        }
+        .mode(self.mode)
+        .threads(threads)
+        .telemetry(self.label.clone());
+        session.seed_tiles(cached.tile.clone());
+        session.run(&grid)
+    }
 }
 
 /// Book-keeping of one admitted job.
 struct JobSlot {
     label: String,
     /// Per-shard outputs, merged in shard order at finish.
-    shard_outputs: Vec<Option<Vec<f64>>>,
+    shard_outputs: Vec<Vec<f64>>,
     remaining: usize,
     error: Option<EngineError>,
     /// The job's admitted residency bound (sum of shard bounds),
     /// released when the job completes.
     bound: u64,
-    done: bool,
 }
 
-/// Monotonic counters of the batch.
+impl JobSlot {
+    fn into_result(self) -> JobResult {
+        JobResult {
+            label: self.label,
+            shards: self.shard_outputs.len(),
+            outputs: match self.error {
+                None => self.shard_outputs.concat(),
+                Some(_) => Vec::new(),
+            },
+            error: self.error,
+        }
+    }
+}
+
+/// Everything submitters and workers share, behind one lock: the
+/// queue, the job slots, and the batch's counters and gauges.
 #[derive(Default)]
-struct Counters {
+struct State {
+    tasks: VecDeque<ShardTask>,
+    shutdown: bool,
+    jobs: Vec<JobSlot>,
+    /// Admitted jobs whose last shard has not retired.
+    pending: usize,
+    /// Σ bounds of shards currently executing.
+    resident_now: u64,
+    resident_peak: u64,
+    /// Σ bounds of admitted, not-yet-completed jobs.
+    admitted_now: u64,
+    admitted_peak: u64,
     jobs_submitted: u64,
     jobs_admitted: u64,
     jobs_rejected: u64,
@@ -338,36 +419,50 @@ struct Counters {
     outputs_expected: u64,
     outputs_produced: u64,
     tile_plans_built: u64,
-    cache_hits: u64,
-    cache_misses: u64,
+    /// Summed service time of the shards that ran to completion.
     shard_ns_total: u64,
 }
 
-/// Residency gauges with high-water tracking.
-#[derive(Default)]
-struct Gauges {
-    /// Σ bounds of shards currently executing.
-    resident_now: u64,
-    resident_peak: u64,
-    /// Σ bounds of admitted, not-yet-completed jobs.
-    admitted_now: u64,
-    admitted_peak: u64,
-}
-
-struct QueueState {
-    tasks: VecDeque<ShardTask>,
-    shutdown: bool,
+impl State {
+    /// Records a finished shard and returns whether it was its job's
+    /// last; the last one releases the job's admitted bound.
+    fn retire(&mut self, task: &ShardTask, run: Result<SessionRun, EngineError>, ns: u64) -> bool {
+        self.resident_now -= task.cached.bound;
+        let slot = &mut self.jobs[task.job];
+        match run {
+            Ok(run) => {
+                self.shards_executed += 1;
+                self.shard_ns_total += ns;
+                self.tile_plans_built += run.report.tile_plans_built;
+                self.outputs_produced += run.outputs.len() as u64;
+                self.shards_over_bound += u64::from(run.report.peak_resident > task.cached.bound);
+                slot.shard_outputs[task.shard] = run.outputs;
+            }
+            Err(e) => {
+                if slot.error.is_none() {
+                    slot.error = Some(e);
+                    self.jobs_failed += 1;
+                }
+            }
+        }
+        slot.remaining -= 1;
+        if slot.remaining > 0 {
+            return false;
+        }
+        self.admitted_now -= slot.bound;
+        self.pending -= 1;
+        true
+    }
 }
 
 struct Inner {
     cfg: ServiceConfig,
-    queue: Mutex<QueueState>,
+    state: Mutex<State>,
+    /// Signalled when shards are queued or the front stops.
     task_ready: Condvar,
+    /// Signalled when a job's last shard retires.
     job_done: Condvar,
-    jobs: Mutex<Vec<JobSlot>>,
-    plan_cache: Mutex<HashMap<PlanKey, Arc<CachedPlan>>>,
-    counters: Mutex<Counters>,
-    gauges: Mutex<Gauges>,
+    plan_cache: Mutex<PlanCache>,
 }
 
 impl Inner {
@@ -384,111 +479,40 @@ impl Inner {
             extents: extents.to_vec(),
             mode,
         };
-        if let Some(hit) = lock_recover(&self.plan_cache).get(&key) {
-            lock_recover(&self.counters).cache_hits += 1;
-            return Ok(Arc::clone(hit));
+        if let Some(hit) = lock_recover(&self.plan_cache).hit(&key) {
+            return Ok(hit);
         }
         // Build outside the cache lock: plan generation is the
         // expensive part this cache exists to amortize.
         let built = Arc::new(CachedPlan::build(bench, extents, mode)?);
         let mut cache = lock_recover(&self.plan_cache);
-        if let Some(racer) = cache.get(&key) {
-            lock_recover(&self.counters).cache_hits += 1;
-            return Ok(Arc::clone(racer));
+        if let Some(racer) = cache.hit(&key) {
+            return Ok(racer);
         }
-        lock_recover(&self.counters).cache_misses += 1;
-        cache.insert(key, Arc::clone(&built));
+        cache.misses += 1;
+        cache.plans.insert(key, Arc::clone(&built));
         Ok(built)
     }
 
-    /// Runs one shard task through a warm session and returns its
-    /// merged-order outputs.
-    fn run_shard(&self, task: &ShardTask) -> Result<Vec<f64>, EngineError> {
-        let cached = &task.cached;
-        let in_idx = &cached.index;
-        let len = usize::try_from(in_idx.len()).map_err(|_| EngineError::DomainTooLarge {
-            points: in_idx.len(),
-        })?;
-        let band = task
-            .input
-            .values()
-            .get(task.input_offset..task.input_offset + len)
-            .ok_or_else(|| EngineError::InputSizeMismatch {
-                expected: (task.input_offset as u64) + in_idx.len(),
-                got: task.input.len() as u64,
-            })?;
-        let grid = InputGrid::new(in_idx, band)?;
-        let session = match &cached.kernel {
-            Some(ck) => Session::new(&cached.plan).kernel(SessionKernel::Compiled(ck)),
-            None => Session::build(&cached.plan, &cached.stage)?,
-        }
-        .mode(task.mode)
-        .threads(task.threads)
-        .telemetry(task.label.clone());
-        session.seed_tiles(cached.tile.clone());
-
-        let started = Instant::now();
-        {
-            let mut g = lock_recover(&self.gauges);
-            g.resident_now += cached.bound;
-            g.resident_peak = g.resident_peak.max(g.resident_now);
-        }
-        let run = session.run(&grid);
-        {
-            let mut g = lock_recover(&self.gauges);
-            g.resident_now = g.resident_now.saturating_sub(cached.bound);
-        }
-        let run = run?;
-        let mut c = lock_recover(&self.counters);
-        c.shards_executed += 1;
-        c.shard_ns_total += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        c.tile_plans_built += run.report.tile_plans_built;
-        c.outputs_produced += run.outputs.len() as u64;
-        if run.report.peak_resident > cached.bound {
-            c.shards_over_bound += 1;
-        }
-        Ok(run.outputs)
-    }
-
-    /// The worker loop: pull shard tasks until shutdown drains the
-    /// queue.
+    /// The worker loop: pop a shard, run it with no lock held, retire
+    /// it; after shutdown, exit once the queue is drained.
     fn work(&self) {
+        let mut state = lock_recover(&self.state);
         loop {
-            let task = {
-                let mut q = lock_recover(&self.queue);
-                loop {
-                    if let Some(t) = q.tasks.pop_front() {
-                        break t;
-                    }
-                    if q.shutdown {
-                        return;
-                    }
-                    q = self
-                        .task_ready
-                        .wait(q)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
+            state = wait_recover(&self.task_ready, state, |s| {
+                s.tasks.is_empty() && !s.shutdown
+            });
+            let Some(task) = state.tasks.pop_front() else {
+                return; // shut down with the queue drained
             };
-            let result = self.run_shard(&task);
-            let mut jobs = lock_recover(&self.jobs);
-            let slot = &mut jobs[task.job];
-            match result {
-                Ok(outputs) => slot.shard_outputs[task.shard] = Some(outputs),
-                Err(e) => {
-                    if slot.error.is_none() {
-                        slot.error = Some(e);
-                        lock_recover(&self.counters).jobs_failed += 1;
-                    }
-                }
-            }
-            slot.remaining -= 1;
-            if slot.remaining == 0 {
-                slot.done = true;
-                let released = slot.bound;
-                drop(jobs);
-                let mut g = lock_recover(&self.gauges);
-                g.admitted_now = g.admitted_now.saturating_sub(released);
-                drop(g);
+            state.resident_now += task.cached.bound;
+            state.resident_peak = state.resident_peak.max(state.resident_now);
+            drop(state);
+            let started = Instant::now();
+            let run = task.run(self.cfg.session_threads);
+            let ns = duration_ns(started.elapsed());
+            state = lock_recover(&self.state);
+            if state.retire(&task, run, ns) {
                 self.job_done.notify_all();
             }
         }
@@ -519,16 +543,10 @@ impl ServiceFront {
         cfg.queue_depth = cfg.queue_depth.max(1);
         let inner = Arc::new(Inner {
             cfg: cfg.clone(),
-            queue: Mutex::new(QueueState {
-                tasks: VecDeque::new(),
-                shutdown: false,
-            }),
+            state: Mutex::default(),
             task_ready: Condvar::new(),
             job_done: Condvar::new(),
-            jobs: Mutex::new(Vec::new()),
-            plan_cache: Mutex::new(HashMap::new()),
-            counters: Mutex::new(Counters::default()),
-            gauges: Mutex::new(Gauges::default()),
+            plan_cache: Mutex::default(),
         });
         let handles = (0..cfg.workers)
             .map(|_| {
@@ -543,151 +561,126 @@ impl ServiceFront {
         }
     }
 
-    /// The retry hint for a rejected submission: pending work divided
-    /// across the pool at the observed per-shard service time.
-    fn retry_after(&self, pending: usize) -> Duration {
-        let c = lock_recover(&self.inner.counters);
-        let avg_ns = c
-            .shard_ns_total
-            .checked_div(c.shards_executed)
-            .unwrap_or(1_000_000); // 1 ms floor before any observation
-        drop(c);
-        let per_worker = (pending as u64 + 1).div_ceil(self.inner.cfg.workers as u64);
-        Duration::from_nanos((per_worker * avg_ns).max(1_000_000))
-    }
-
-    /// Offers a job. Admission checks run in order: geometry and plan
-    /// validation (typed errors), then the memory budget, then queue
-    /// capacity; budget and queue failures are *not* errors but
-    /// [`Submission::Rejected`] backpressure with a retry hint.
+    /// Offers a job. Geometry and plan validation come first and fail
+    /// with typed errors before the job is counted. Admission then
+    /// checks the memory budget and then queue capacity; those failures
+    /// are *not* errors but [`Submission::Rejected`] backpressure with
+    /// a retry hint.
     ///
     /// # Errors
     ///
     /// * [`EngineError::Plan`] if the grid/shard geometry is invalid.
+    /// * [`EngineError::Config`] if the job splits into more shards
+    ///   than the queue holds.
     /// * [`EngineError::InputSizeMismatch`] if `input` does not cover
     ///   the grid.
     /// * [`EngineError::KernelCompile`] / [`EngineError::KernelMismatch`]
     ///   if the benchmark's expression fails checked compilation.
     pub fn submit(&self, req: &JobRequest) -> Result<Submission, EngineError> {
+        let cfg = &self.inner.cfg;
         let bench = &req.benchmark;
         let extents = req
             .extents
             .clone()
             .unwrap_or_else(|| bench.extents().to_vec());
-        let geom = ShardGeometry::plan(bench, &extents, req.shards, self.inner.cfg.workers)?;
+        // Auto splits no wider than the queue, so an idle front can
+        // hold every shard of the job at once.
+        let pool = cfg.workers.min(cfg.queue_depth);
+        let geom = ShardGeometry::plan(bench, &extents, req.shards, pool)?;
+        let shards = geom.bands.len();
+        if shards > cfg.queue_depth {
+            let detail = format!("{shards} shards exceed the queue depth {}", cfg.queue_depth);
+            return Err(EngineError::Config { detail });
+        }
         if req.input.len() as u64 != geom.input_elements {
             return Err(EngineError::InputSizeMismatch {
                 expected: geom.input_elements,
                 got: req.input.len() as u64,
             });
         }
-
-        // Resolve every shard's cached plan first: typed errors must
-        // surface before any admission state changes. Only well-formed
-        // jobs count as submissions, which keeps the admission
-        // arithmetic (`admitted + rejected == submitted`) exact.
-        let mut cached: Vec<Arc<CachedPlan>> = Vec::with_capacity(geom.bands.len());
+        let mut cached = Vec::with_capacity(shards);
         for band in &geom.bands {
             cached.push(self.inner.cached_plan(bench, &band.extents, req.mode)?);
         }
-        let job_bound: u64 = cached.iter().map(|c| c.bound).sum();
+        let bound: u64 = cached.iter().map(|c| c.bound).sum();
         let expected: u64 = cached.iter().map(|c| c.outputs).sum();
-        lock_recover(&self.inner.counters).jobs_submitted += 1;
+        let label = match shards {
+            1 => bench.name().to_string(),
+            n => format!("{}×{n}", bench.name()),
+        };
 
-        // Admission control: budget first, then queue capacity.
-        let budget = self.inner.cfg.memory_budget;
-        if budget > 0 {
-            let mut g = lock_recover(&self.inner.gauges);
-            if g.admitted_now + job_bound > budget {
-                drop(g);
-                let pending = lock_recover(&self.inner.queue).tasks.len();
-                lock_recover(&self.inner.counters).jobs_rejected += 1;
-                return Ok(Submission::Rejected(Rejection {
-                    reason: RejectReason::BudgetExhausted,
-                    retry_after: self.retry_after(pending),
-                }));
-            }
-            g.admitted_now += job_bound;
-            g.admitted_peak = g.admitted_peak.max(g.admitted_now);
-        }
-
-        let mut q = lock_recover(&self.inner.queue);
-        if q.tasks.len() + geom.bands.len() > self.inner.cfg.queue_depth {
-            let pending = q.tasks.len();
-            drop(q);
-            if budget > 0 {
-                let mut g = lock_recover(&self.inner.gauges);
-                g.admitted_now = g.admitted_now.saturating_sub(job_bound);
-            }
-            lock_recover(&self.inner.counters).jobs_rejected += 1;
+        // One admission decision: count the job, check the budget, then
+        // the queue, and either reject or commit.
+        let mut state = lock_recover(&self.inner.state);
+        state.jobs_submitted += 1;
+        let reason = if cfg.memory_budget > 0 && state.admitted_now + bound > cfg.memory_budget {
+            Some(RejectReason::BudgetExhausted)
+        } else if state.tasks.len() + shards > cfg.queue_depth {
+            Some(RejectReason::QueueFull)
+        } else {
+            None
+        };
+        if let Some(reason) = reason {
+            state.jobs_rejected += 1;
+            // Pending work divided across the pool at the observed
+            // per-shard service time; 1 ms before any observation.
+            let avg_ns = state
+                .shard_ns_total
+                .checked_div(state.shards_executed)
+                .unwrap_or(1_000_000);
+            let per_worker = (state.tasks.len() as u64 + 1).div_ceil(cfg.workers as u64);
+            let retry_after = Duration::from_nanos((per_worker * avg_ns).max(1_000_000));
             return Ok(Submission::Rejected(Rejection {
-                reason: RejectReason::QueueFull,
-                retry_after: self.retry_after(pending),
+                reason,
+                retry_after,
             }));
         }
-
-        // Admitted: register the job slot and enqueue its shards.
-        if budget == 0 {
-            let mut g = lock_recover(&self.inner.gauges);
-            g.admitted_now += job_bound;
-            g.admitted_peak = g.admitted_peak.max(g.admitted_now);
-        }
-        let label = if geom.bands.len() > 1 {
-            format!("{}×{}", bench.name(), geom.bands.len())
-        } else {
-            bench.name().to_string()
-        };
-        let job_id = {
-            let mut jobs = lock_recover(&self.inner.jobs);
-            jobs.push(JobSlot {
-                label: label.clone(),
-                shard_outputs: vec![None; geom.bands.len()],
-                remaining: geom.bands.len(),
-                error: None,
-                bound: job_bound,
-                done: false,
-            });
-            jobs.len() - 1
-        };
-        {
-            let mut c = lock_recover(&self.inner.counters);
-            c.jobs_admitted += 1;
-            c.outputs_expected += expected;
-        }
-        for (shard, (band, cp)) in geom.bands.iter().zip(cached).enumerate() {
-            q.tasks.push_back(ShardTask {
-                job: job_id,
+        state.admitted_now += bound;
+        state.admitted_peak = state.admitted_peak.max(state.admitted_now);
+        state.jobs_admitted += 1;
+        state.outputs_expected += expected;
+        state.pending += 1;
+        let job = state.jobs.len();
+        for (shard, (band, cached)) in geom.bands.iter().zip(cached).enumerate() {
+            state.tasks.push_back(ShardTask {
+                job,
                 shard,
-                cached: cp,
+                cached,
                 input: req.input.clone(),
                 input_offset: band.input_offset,
                 mode: req.mode,
-                threads: self.inner.cfg.session_threads,
                 label: format!("{label}/shard{shard}"),
             });
         }
-        drop(q);
-        self.task_ready_notify(geom.bands.len());
-        Ok(Submission::Admitted(job_id))
-    }
-
-    fn task_ready_notify(&self, tasks: usize) {
-        if tasks > 1 {
-            self.inner.task_ready.notify_all();
-        } else {
+        state.jobs.push(JobSlot {
+            label,
+            shard_outputs: vec![Vec::new(); shards],
+            remaining: shards,
+            error: None,
+            bound,
+        });
+        drop(state);
+        for _ in 0..shards {
             self.inner.task_ready.notify_one();
         }
+        Ok(Submission::Admitted(job))
     }
 
     /// Blocks until every admitted job has completed.
     pub fn wait_idle(&self) {
-        let mut jobs = lock_recover(&self.inner.jobs);
-        while jobs.iter().any(|j| !j.done) {
-            jobs = self
-                .inner
-                .job_done
-                .wait(jobs)
-                .unwrap_or_else(PoisonError::into_inner);
+        let state = lock_recover(&self.inner.state);
+        drop(wait_recover(&self.inner.job_done, state, |s| s.pending > 0));
+    }
+
+    /// Stops the pool: the workers drain the queue, exit, and are
+    /// joined. Shared by [`ServiceFront::finish`] and `Drop`.
+    fn stop(&mut self) {
+        lock_recover(&self.inner.state).shutdown = true;
+        self.inner.task_ready.notify_all();
+        for h in self.handles.drain(..) {
+            // Shard panics resolve as typed job errors inside the
+            // session; a worker has nothing else to report.
+            let _ = h.join();
         }
     }
 
@@ -696,96 +689,41 @@ impl ServiceFront {
     #[must_use]
     pub fn finish(mut self) -> ServiceOutcome {
         self.wait_idle();
-        {
-            let mut q = lock_recover(&self.inner.queue);
-            q.shutdown = true;
-        }
-        self.inner.task_ready.notify_all();
-        for h in self.handles.drain(..) {
-            // A worker that panicked outside a job is already accounted
-            // for by its job's error slot; nothing to propagate here.
-            let _ = h.join();
-        }
+        self.stop();
         let elapsed = self.started.elapsed();
-        let jobs: Vec<JobResult> = lock_recover(&self.inner.jobs)
-            .drain(..)
-            .map(|slot| {
-                let shards = slot.shard_outputs.len();
-                let outputs = if slot.error.is_none() {
-                    let mut merged = Vec::new();
-                    for piece in slot.shard_outputs.into_iter().flatten() {
-                        merged.extend_from_slice(&piece);
-                    }
-                    merged
-                } else {
-                    Vec::new()
-                };
-                JobResult {
-                    label: slot.label,
-                    outputs,
-                    shards,
-                    error: slot.error,
-                }
-            })
-            .collect();
-        let c = lock_recover(&self.inner.counters);
-        let g = lock_recover(&self.inner.gauges);
-        let elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        let cfg = &self.inner.cfg;
+        let cache = lock_recover(&self.inner.plan_cache);
+        let mut s = lock_recover(&self.inner.state);
         let metrics = ServiceMetrics {
-            workers: self.inner.cfg.workers as u64,
-            queue_depth: self.inner.cfg.queue_depth as u64,
-            memory_budget: self.inner.cfg.memory_budget,
-            jobs_submitted: c.jobs_submitted,
-            jobs_admitted: c.jobs_admitted,
-            jobs_rejected: c.jobs_rejected,
-            jobs_failed: c.jobs_failed,
-            shards_executed: c.shards_executed,
-            admitted_bound_peak: g.admitted_peak,
-            peak_resident: g.resident_peak,
-            shards_over_bound: c.shards_over_bound,
-            outputs_expected: c.outputs_expected,
-            outputs_produced: c.outputs_produced,
-            tile_plans_built: c.tile_plans_built,
-            plan_cache_hits: c.cache_hits,
-            plan_cache_misses: c.cache_misses,
-            elapsed_ns,
-            throughput: finite_throughput(c.outputs_produced, elapsed),
+            workers: cfg.workers as u64,
+            queue_depth: cfg.queue_depth as u64,
+            memory_budget: cfg.memory_budget,
+            jobs_submitted: s.jobs_submitted,
+            jobs_admitted: s.jobs_admitted,
+            jobs_rejected: s.jobs_rejected,
+            jobs_failed: s.jobs_failed,
+            shards_executed: s.shards_executed,
+            admitted_bound_peak: s.admitted_peak,
+            peak_resident: s.resident_peak,
+            shards_over_bound: s.shards_over_bound,
+            outputs_expected: s.outputs_expected,
+            outputs_produced: s.outputs_produced,
+            tile_plans_built: s.tile_plans_built,
+            plan_cache_hits: cache.hits,
+            plan_cache_misses: cache.misses,
+            elapsed_ns: duration_ns(elapsed),
+            throughput: finite_throughput(s.outputs_produced, elapsed),
         };
-        drop(c);
-        drop(g);
+        let jobs = s.jobs.drain(..).map(JobSlot::into_result).collect();
         ServiceOutcome { jobs, metrics }
     }
 }
 
 impl Drop for ServiceFront {
+    /// A front dropped without [`ServiceFront::finish`] still stops its
+    /// workers instead of leaking them.
     fn drop(&mut self) {
-        // finish() drains handles; a dropped-without-finish front still
-        // stops its workers instead of leaking them.
-        {
-            let mut q = lock_recover(&self.inner.queue);
-            q.shutdown = true;
-        }
-        self.inner.task_ready.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Elements per second, clamped to 0.0 below timer resolution so the
-/// figure stays finite (JSON cannot carry `inf`).
-#[must_use]
-pub fn finite_throughput(outputs: u64, elapsed: Duration) -> f64 {
-    let secs = elapsed.as_secs_f64();
-    if secs > 0.0 && secs.is_finite() {
-        let t = (outputs as f64) / secs;
-        if t.is_finite() {
-            t
-        } else {
-            0.0
-        }
-    } else {
-        0.0
+        self.stop();
     }
 }
 
@@ -895,7 +833,6 @@ impl ShardGeometry {
         })
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1241,5 +1178,149 @@ mod tests {
         assert!(matches!(e, EngineError::InputSizeMismatch { .. }));
         let outcome = front.finish();
         assert_eq!(outcome.metrics.jobs_submitted, 0);
+    }
+
+    /// A closure-backend kernel that holds its worker until [`GATE`]
+    /// opens, so a test can keep shards queued behind it.
+    static GATE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+    fn gated(_: &[f64]) -> f64 {
+        while !GATE.load(std::sync::atomic::Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        0.0
+    }
+
+    /// Opens [`GATE`] when dropped, so a failing test still releases
+    /// its worker before the front joins it.
+    struct OpenGate;
+
+    impl Drop for OpenGate {
+        fn drop(&mut self) {
+            GATE.store(true, std::sync::atomic::Ordering::Release);
+        }
+    }
+
+    #[test]
+    fn a_job_rejected_for_a_full_queue_leaves_no_admitted_bound() {
+        let input = Arc::new(lcg_input(64 * 48, 5));
+        let two_shards = JobRequest {
+            benchmark: denoise(),
+            extents: Some(vec![64, 48]),
+            mode: ExecMode::InCore,
+            shards: ShardPolicy::Fixed(2),
+            input: Arc::clone(&input).into(),
+        };
+        // Two shards can never fit a depth-1 queue: the job is refused
+        // before it is counted, and no bound is ever admitted for it.
+        let front = ServiceFront::new(ServiceConfig {
+            workers: 1,
+            queue_depth: 1,
+            memory_budget: 1 << 40,
+            session_threads: 1,
+        });
+        let refused = front.submit(&two_shards);
+        let m = front.finish().metrics;
+        assert!(!matches!(refused, Ok(Submission::Admitted(_))));
+        assert_eq!(m.jobs_admitted, 0);
+        assert_eq!(m.admitted_bound_peak, 0);
+
+        // A depth-2 queue holds the same job only while it is empty.
+        // The gated job occupies the one worker and the small job the
+        // queue, so the two-shard job is rejected for a full queue.
+        let front = ServiceFront::new(ServiceConfig {
+            workers: 1,
+            queue_depth: 2,
+            memory_budget: 1 << 40,
+            session_threads: 1,
+        });
+        let gate = OpenGate;
+        let small = vec![6i64, 4];
+        let blocker = JobRequest {
+            benchmark: Benchmark::new(
+                "GATED",
+                small.clone(),
+                vec![stencil_polyhedral::Point::new(&[0, 0])],
+                stencil_kernels::KernelOps::default(),
+                gated,
+            ),
+            extents: Some(small.clone()),
+            mode: ExecMode::InCore,
+            shards: ShardPolicy::Whole,
+            input: Arc::new(lcg_input(24, 1)).into(),
+        };
+        let queued = JobRequest {
+            benchmark: denoise(),
+            extents: Some(small),
+            ..blocker.clone()
+        };
+        let submissions = [&blocker, &queued, &two_shards].map(|req| front.submit(req));
+        drop(gate);
+        let outcome = front.finish();
+        let m = &outcome.metrics;
+        assert!(matches!(submissions[0], Ok(Submission::Admitted(0))));
+        assert!(matches!(submissions[1], Ok(Submission::Admitted(1))));
+        let Ok(Submission::Rejected(r)) = submissions[2] else {
+            panic!(
+                "a two-shard job fit behind a queued one: {:?}",
+                submissions[2]
+            );
+        };
+        assert_eq!(r.reason, RejectReason::QueueFull);
+        assert_eq!((m.jobs_admitted, m.jobs_rejected), (2, 1));
+        // The two admitted 6x4 in-core jobs bound 24 values each; the
+        // rejected job's 3168 never counts.
+        assert_eq!(m.admitted_bound_peak, 48);
+        assert_eq!(
+            stencil_telemetry::validate_report(&outcome.report("serve")),
+            vec![]
+        );
+    }
+
+    #[test]
+    fn auto_shards_fit_a_queue_shallower_than_the_pool() {
+        let extents = vec![64i64, 48];
+        let input = Arc::new(lcg_input(64 * 48, 11));
+        let reference = unsharded_outputs(&denoise(), &extents, &input);
+        let front = ServiceFront::new(ServiceConfig {
+            workers: 4,
+            queue_depth: 2,
+            ..ServiceConfig::default()
+        });
+        let req = JobRequest {
+            benchmark: denoise(),
+            extents: Some(extents),
+            mode: ExecMode::InCore,
+            shards: ShardPolicy::Auto,
+            input: input.into(),
+        };
+        let Submission::Admitted(id) = front.submit(&req).unwrap() else {
+            panic!("an idle front rejected an auto-sharded job");
+        };
+        let outcome = front.finish();
+        let job = &outcome.jobs[id];
+        assert_eq!(job.shards, 2);
+        assert!(job.error.is_none(), "{:?}", job.error);
+        assert_eq!(job.outputs, reference);
+        assert_eq!(outcome.metrics.jobs_rejected, 0);
+    }
+
+    #[test]
+    fn more_fixed_shards_than_the_queue_holds_is_a_config_error() {
+        let front = ServiceFront::new(ServiceConfig {
+            workers: 4,
+            queue_depth: 2,
+            ..ServiceConfig::default()
+        });
+        let req = JobRequest {
+            benchmark: denoise(),
+            extents: Some(vec![64, 48]),
+            mode: ExecMode::InCore,
+            shards: ShardPolicy::Fixed(3),
+            input: Arc::new(lcg_input(64 * 48, 2)).into(),
+        };
+        let e = front.submit(&req).unwrap_err();
+        assert!(matches!(e, EngineError::Config { .. }), "{e:?}");
+        assert_eq!(front.finish().metrics.jobs_submitted, 0);
     }
 }

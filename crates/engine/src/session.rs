@@ -80,7 +80,7 @@ use crate::compile::{CompiledKernel, Datapath, KernelBackend};
 use crate::error::EngineError;
 use crate::format::MappedGrid;
 use crate::input::InputGrid;
-use crate::report::{GridIoReport, RunReport, StreamReport};
+use crate::report::{finite_throughput, GridIoReport, RunReport, StreamReport};
 use crate::rowexec::{check_kernel_window, plan_offsets, threads_for, RowKernel};
 use crate::stream::{RowSink, RowSource, SliceSource, VecSink};
 use crate::unroll::UnrolledProgram;
@@ -1419,12 +1419,7 @@ impl SessionReport {
     /// resolution, as [`RunReport::throughput`].
     #[must_use]
     pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.outputs() as f64 / secs
-        } else {
-            0.0
-        }
+        finite_throughput(self.outputs(), self.elapsed)
     }
 
     /// True when the measured peak residency honored the chained bound.

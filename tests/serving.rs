@@ -18,8 +18,13 @@
 //! * **Plan-cache steady state.** Repeat jobs over the same geometry
 //!   never rebuild a `TilePlan` inside a session (`tile_plans_built`
 //!   stays 0) and hit the shared cache instead.
+//! * **Concurrent admission under a budget.** Submitters racing for a
+//!   budget that holds two jobs all get admitted after retrying, the
+//!   admitted-bound high-water never passes the budget, and every job
+//!   still matches its sequential session.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use stencil_bench::scaled_extents;
@@ -184,6 +189,82 @@ fn repeat_jobs_keep_the_plan_cache_in_steady_state() {
     assert_eq!(m.tile_plans_built, 0);
     let first = &outcome.jobs[0].outputs;
     assert!(outcome.jobs.iter().all(|j| &j.outputs == first));
+}
+
+#[test]
+fn concurrent_submitters_share_a_budget_without_exceeding_it() {
+    const SUBMITTERS: usize = 4;
+    const JOBS_EACH: usize = 3;
+    // A 48x32 in-core DENOISE job bounds 1536 resident values: the
+    // budget holds two at once, the queue four shards.
+    const BUDGET: u64 = 2 * 48 * 32;
+    let extents = vec![48i64, 32];
+    let seed = |t: usize, j: usize| 0xB0D6 ^ ((t as u64) << 32) ^ (j as u64);
+
+    // The batch runs on a helper thread, so a job that never resolves
+    // fails the test instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let batch_extents = extents.clone();
+    let helper = std::thread::spawn(move || {
+        let front = ServiceFront::new(ServiceConfig {
+            workers: 2,
+            queue_depth: 4,
+            memory_budget: BUDGET,
+            session_threads: 1,
+        });
+        let ids = std::sync::Mutex::new(Vec::<(usize, usize, usize)>::new());
+        std::thread::scope(|s| {
+            for t in 0..SUBMITTERS {
+                let (front, ids, extents) = (&front, &ids, &batch_extents);
+                s.spawn(move || {
+                    for j in 0..JOBS_EACH {
+                        let req = JobRequest {
+                            benchmark: denoise(),
+                            extents: Some(extents.clone()),
+                            mode: ExecMode::InCore,
+                            shards: ShardPolicy::Whole,
+                            input: Arc::new(input_values(48 * 32, seed(t, j))).into(),
+                        };
+                        loop {
+                            match front.submit(&req).expect("typed submit") {
+                                Submission::Admitted(id) => {
+                                    break ids.lock().unwrap().push((t, j, id))
+                                }
+                                Submission::Rejected(r) => std::thread::sleep(r.retry_after),
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let outcome = front.finish();
+        let _ = tx.send((ids.into_inner().unwrap(), outcome));
+    });
+    let (ids, outcome) = rx
+        .recv_timeout(Duration::from_secs(120))
+        .unwrap_or_else(|e| panic!("the budgeted batch did not resolve: {e}"));
+    helper
+        .join()
+        .expect("the batch thread returns after sending");
+
+    assert_eq!(ids.len(), SUBMITTERS * JOBS_EACH);
+    assert_eq!(outcome.jobs.len(), SUBMITTERS * JOBS_EACH);
+    for (t, j, id) in ids {
+        let job = &outcome.jobs[id];
+        assert!(job.error.is_none(), "{}: {:?}", job.label, job.error);
+        let input = input_values(48 * 32, seed(t, j));
+        assert_eq!(
+            job.outputs,
+            sequential_outputs(&denoise(), &extents, &input),
+            "submitter {t} job {j} diverged from its sequential session"
+        );
+    }
+    let m = &outcome.metrics;
+    assert_eq!(m.jobs_admitted, (SUBMITTERS * JOBS_EACH) as u64);
+    assert_eq!(m.jobs_admitted + m.jobs_rejected, m.jobs_submitted);
+    assert!(m.admitted_bound_peak <= BUDGET, "{m:?}");
+    assert!(m.peak_resident <= m.admitted_bound_peak, "{m:?}");
+    assert_eq!(validate_report(&outcome.report("budgeted")), vec![]);
 }
 
 proptest! {
