@@ -61,6 +61,15 @@ pub(crate) fn wait_recover<'a, T>(
     guard
 }
 
+/// Runs `f`, turning a panic inside it into
+/// [`EngineError::WorkerPanic`]: the one unwind guard around work a
+/// worker thread must survive.
+pub(crate) fn guard_unwind<T>(
+    f: impl FnOnce() -> Result<T, EngineError>,
+) -> Result<T, EngineError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or(Err(EngineError::WorkerPanic))
+}
+
 /// Runs `f` over every item on up to `workers` scoped threads pulling
 /// from one shared queue, and returns the results in item order.
 ///
@@ -76,8 +85,7 @@ where
 {
     let workers = workers.min(items.len());
     if workers <= 1 {
-        return catch_unwind(AssertUnwindSafe(|| items.into_iter().map(&f).collect()))
-            .map_err(|_| EngineError::WorkerPanic)?;
+        return guard_unwind(|| items.into_iter().map(&f).collect());
     }
     let mut slots: Vec<Option<Result<T, EngineError>>> = items.iter().map(|_| None).collect();
     let queue = Mutex::new(items.into_iter().enumerate());
@@ -433,10 +441,13 @@ pub(crate) fn check_kernel_window(
 }
 
 /// Resolves the worker count: `0` requests the machine's parallelism,
-/// and no run uses more workers than it has bands (or rows).
+/// and no run uses more workers than it has bands (or rows). Only `0`
+/// asks the OS, which reads cgroup files on every call.
 pub(crate) fn threads_for(requested: usize, tiles: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let t = if requested == 0 { hw } else { requested };
+    let t = match requested {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    };
     t.clamp(1, tiles.max(1))
 }
 
@@ -635,6 +646,31 @@ mod tests {
             .unwrap_err();
             assert_eq!(e, EngineError::WorkerPanic, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn threads_for_takes_a_resolved_count_as_given() {
+        for n in [1usize, 2, 3, 7, 64] {
+            for tiles in [0usize, 1, 2, 5, 100, usize::MAX] {
+                assert_eq!(
+                    threads_for(n, tiles),
+                    n.clamp(1, tiles.max(1)),
+                    "n={n} tiles={tiles}"
+                );
+            }
+        }
+        assert!((1..=4).contains(&threads_for(0, 4)));
+    }
+
+    #[test]
+    fn guard_unwind_types_a_panic_and_passes_results_through() {
+        assert_eq!(guard_unwind(|| Ok(7)), Ok(7));
+        let missing = EngineError::MissingInput { point: "p".into() };
+        assert_eq!(guard_unwind::<()>(|| Err(missing.clone())), Err(missing));
+        let r: Result<u32, _> = guard_unwind(|| panic!("datapath bug"));
+        assert_eq!(r, Err(EngineError::WorkerPanic));
+        // The guarded thread carries on after the panic.
+        assert_eq!(guard_unwind(|| Ok(8)), Ok(8));
     }
 
     #[test]

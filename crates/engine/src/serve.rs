@@ -12,7 +12,7 @@
 //!   in software);
 //! * an oversized grid is auto-sharded into halo-overlapped row bands
 //!   along the outermost dimension (Zohouri-style spatial blocking) and
-//!   the band outputs merged back in row order, bit-identical to the
+//!   the band outputs joined back in row order, bit-identical to the
 //!   unsharded run for [shard-stable](stencil_kernels::Benchmark::shard_stable)
 //!   kernels; [`ShardPolicy::Auto`] splits no wider than the pool or
 //!   the queue, so every job an idle front can hold gets admitted;
@@ -36,10 +36,19 @@
 //! decided in one critical section (count, check budget, check queue,
 //! commit or reject), so nothing is rolled back. A worker pops a shard
 //! in one section, runs it unlocked, and retires it in one more.
+//!
+//! A job's outputs are copied at most once after the kernel writes
+//! them. A one-shard job's result *is* its shard's run buffer. For a
+//! multi-shard job, the worker that retires the last shard extends
+//! shard 0's buffer with the others, in shard order and with no lock
+//! held, freeing each once copied. [`ServiceFront::finish`] only moves
+//! finished results out. A panic while a worker runs a shard or joins
+//! a job's outputs fails that job with [`EngineError::WorkerPanic`];
+//! the worker keeps serving.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -52,7 +61,7 @@ use crate::error::EngineError;
 use crate::format::MappedGrid;
 use crate::input::InputGrid;
 use crate::report::{duration_ns, finite_throughput};
-use crate::rowexec::{lock_recover, wait_recover};
+use crate::rowexec::{guard_unwind, lock_recover, wait_recover};
 use crate::session::{ExecMode, Session, SessionKernel, SessionRun};
 
 /// Configuration of a [`ServiceFront`].
@@ -213,12 +222,14 @@ pub enum Submission {
     Rejected(Rejection),
 }
 
-/// A completed job's merged result.
+/// A completed job's result.
 #[derive(Debug)]
 pub struct JobResult {
     /// `benchmark` (whole) or `benchmark×S` (sharded) label.
     pub label: String,
-    /// Merged outputs in full-grid row order (empty if the job failed).
+    /// Outputs in full-grid row order (empty if the job failed): a
+    /// one-shard job's run buffer itself, or the shard outputs joined
+    /// in shard order by the worker that retired the last shard.
     pub outputs: Vec<f64>,
     /// Row-band shards the job ran as.
     pub shards: usize,
@@ -369,30 +380,61 @@ impl ShardTask {
     }
 }
 
+/// Runs one shard task on a worker: [`ShardTask::run`], except in
+/// tests that inject faults.
+type RunShard = fn(&ShardTask, usize) -> Result<SessionRun, EngineError>;
+
 /// Book-keeping of one admitted job.
 struct JobSlot {
     label: String,
-    /// Per-shard outputs, merged in shard order at finish.
+    shards: usize,
+    /// Per-shard outputs in shard order, handed to the worker that
+    /// retires the last shard.
     shard_outputs: Vec<Vec<f64>>,
+    /// The job's outputs once that worker has joined them.
+    outputs: Vec<f64>,
     remaining: usize,
     error: Option<EngineError>,
     /// The job's admitted residency bound (sum of shard bounds),
-    /// released when the job completes.
+    /// released when its last shard retires.
     bound: u64,
 }
 
 impl JobSlot {
+    fn new(label: String, shards: usize, bound: u64) -> Self {
+        Self {
+            label,
+            shards,
+            shard_outputs: vec![Vec::new(); shards],
+            outputs: Vec::new(),
+            remaining: shards,
+            error: None,
+            bound,
+        }
+    }
+
     fn into_result(self) -> JobResult {
         JobResult {
             label: self.label,
-            shards: self.shard_outputs.len(),
-            outputs: match self.error {
-                None => self.shard_outputs.concat(),
-                Some(_) => Vec::new(),
-            },
+            shards: self.shards,
+            outputs: self.outputs,
             error: self.error,
         }
     }
+}
+
+/// A job's outputs from its shard outputs in shard order: shard 0's
+/// buffer, extended by the others, each freed once copied. A one-shard
+/// job's buffer moves through uncopied.
+fn join_shards(shard_outputs: Vec<Vec<f64>>) -> Vec<f64> {
+    let total: usize = shard_outputs.iter().map(Vec::len).sum();
+    let mut shards = shard_outputs.into_iter();
+    let mut outputs = shards.next().unwrap_or_default();
+    outputs.reserve_exact(total - outputs.len());
+    for shard in shards {
+        outputs.extend_from_slice(&shard);
+    }
+    outputs
 }
 
 /// Everything submitters and workers share, behind one lock: the
@@ -402,7 +444,7 @@ struct State {
     tasks: VecDeque<ShardTask>,
     shutdown: bool,
     jobs: Vec<JobSlot>,
-    /// Admitted jobs whose last shard has not retired.
+    /// Admitted jobs whose outputs are not yet joined.
     pending: usize,
     /// Σ bounds of shards currently executing.
     resident_now: u64,
@@ -424,11 +466,17 @@ struct State {
 }
 
 impl State {
-    /// Records a finished shard and returns whether it was its job's
-    /// last; the last one releases the job's admitted bound.
-    fn retire(&mut self, task: &ShardTask, run: Result<SessionRun, EngineError>, ns: u64) -> bool {
+    /// Records a finished shard. The job's last shard releases its
+    /// admitted bound and returns its shard outputs, which the caller
+    /// joins and hands to [`State::complete`]; a failed job's are
+    /// dropped here, so it joins nothing.
+    fn retire(
+        &mut self,
+        task: &ShardTask,
+        run: Result<SessionRun, EngineError>,
+        ns: u64,
+    ) -> Option<Vec<Vec<f64>>> {
         self.resident_now -= task.cached.bound;
-        let slot = &mut self.jobs[task.job];
         match run {
             Ok(run) => {
                 self.shards_executed += 1;
@@ -436,22 +484,39 @@ impl State {
                 self.tile_plans_built += run.report.tile_plans_built;
                 self.outputs_produced += run.outputs.len() as u64;
                 self.shards_over_bound += u64::from(run.report.peak_resident > task.cached.bound);
-                slot.shard_outputs[task.shard] = run.outputs;
+                self.jobs[task.job].shard_outputs[task.shard] = run.outputs;
             }
-            Err(e) => {
-                if slot.error.is_none() {
-                    slot.error = Some(e);
-                    self.jobs_failed += 1;
-                }
-            }
+            Err(e) => self.fail(task.job, e),
         }
+        let slot = &mut self.jobs[task.job];
         slot.remaining -= 1;
         if slot.remaining > 0 {
-            return false;
+            return None;
         }
         self.admitted_now -= slot.bound;
+        let shard_outputs = std::mem::take(&mut slot.shard_outputs);
+        Some(match slot.error {
+            None => shard_outputs,
+            Some(_) => Vec::new(),
+        })
+    }
+
+    /// Stores a job's joined outputs, or fails it if the join panicked.
+    fn complete(&mut self, job: JobId, outputs: Result<Vec<f64>, EngineError>) {
+        match outputs {
+            Ok(outputs) => self.jobs[job].outputs = outputs,
+            Err(e) => self.fail(job, e),
+        }
         self.pending -= 1;
-        true
+    }
+
+    /// Records `e` as the job's error unless it already has one.
+    fn fail(&mut self, job: JobId, e: EngineError) {
+        let slot = &mut self.jobs[job];
+        if slot.error.is_none() {
+            slot.error = Some(e);
+            self.jobs_failed += 1;
+        }
     }
 }
 
@@ -495,8 +560,9 @@ impl Inner {
     }
 
     /// The worker loop: pop a shard, run it with no lock held, retire
-    /// it; after shutdown, exit once the queue is drained.
-    fn work(&self) {
+    /// it. A panic in the run fails the job, not the worker. After
+    /// shutdown, exit once the queue is drained.
+    fn work(&self, run: RunShard) {
         let mut state = lock_recover(&self.state);
         loop {
             state = wait_recover(&self.task_ready, state, |s| {
@@ -509,13 +575,31 @@ impl Inner {
             state.resident_peak = state.resident_peak.max(state.resident_now);
             drop(state);
             let started = Instant::now();
-            let run = task.run(self.cfg.session_threads);
+            let outcome = guard_unwind(|| run(&task, self.cfg.session_threads));
             let ns = duration_ns(started.elapsed());
-            state = lock_recover(&self.state);
-            if state.retire(&task, run, ns) {
-                self.job_done.notify_all();
-            }
+            state = self.retire(&task, outcome, ns);
         }
+    }
+
+    /// Retires a shard that has run. The job's last shard also joins
+    /// the job's outputs, with no lock held; a panic there fails the
+    /// job. Returns with the state locked.
+    fn retire(
+        &self,
+        task: &ShardTask,
+        outcome: Result<SessionRun, EngineError>,
+        ns: u64,
+    ) -> MutexGuard<'_, State> {
+        let mut state = lock_recover(&self.state);
+        let Some(shard_outputs) = state.retire(task, outcome, ns) else {
+            return state;
+        };
+        drop(state);
+        let outputs = guard_unwind(|| Ok(join_shards(shard_outputs)));
+        state = lock_recover(&self.state);
+        state.complete(task.job, outputs);
+        self.job_done.notify_all();
+        state
     }
 }
 
@@ -538,7 +622,12 @@ impl ServiceFront {
     /// Starts the worker pool. Zero `workers`/`queue_depth` are clamped
     /// to 1.
     #[must_use]
-    pub fn new(mut cfg: ServiceConfig) -> Self {
+    pub fn new(cfg: ServiceConfig) -> Self {
+        Self::with_runner(cfg, ShardTask::run)
+    }
+
+    /// Starts a pool whose workers run each shard through `run`.
+    fn with_runner(mut cfg: ServiceConfig, run: RunShard) -> Self {
         cfg.workers = cfg.workers.max(1);
         cfg.queue_depth = cfg.queue_depth.max(1);
         let inner = Arc::new(Inner {
@@ -551,7 +640,7 @@ impl ServiceFront {
         let handles = (0..cfg.workers)
             .map(|_| {
                 let inner = Arc::clone(&inner);
-                std::thread::spawn(move || inner.work())
+                std::thread::spawn(move || inner.work(run))
             })
             .collect();
         Self {
@@ -652,13 +741,7 @@ impl ServiceFront {
                 label: format!("{label}/shard{shard}"),
             });
         }
-        state.jobs.push(JobSlot {
-            label,
-            shard_outputs: vec![Vec::new(); shards],
-            remaining: shards,
-            error: None,
-            bound,
-        });
+        state.jobs.push(JobSlot::new(label, shards, bound));
         drop(state);
         for _ in 0..shards {
             self.inner.task_ready.notify_one();
@@ -666,7 +749,8 @@ impl ServiceFront {
         Ok(Submission::Admitted(job))
     }
 
-    /// Blocks until every admitted job has completed.
+    /// Blocks until every admitted job has completed and its outputs are
+    /// joined.
     pub fn wait_idle(&self) {
         let state = lock_recover(&self.inner.state);
         drop(wait_recover(&self.inner.job_done, state, |s| s.pending > 0));
@@ -678,14 +762,15 @@ impl ServiceFront {
         lock_recover(&self.inner.state).shutdown = true;
         self.inner.task_ready.notify_all();
         for h in self.handles.drain(..) {
-            // Shard panics resolve as typed job errors inside the
-            // session; a worker has nothing else to report.
+            // Shard panics resolve as typed job errors; a worker has
+            // nothing else to report.
             let _ = h.join();
         }
     }
 
     /// Waits for all admitted jobs, stops the pool, and returns the
-    /// merged per-job results plus aggregated service telemetry.
+    /// per-job results plus aggregated service telemetry. The results
+    /// are moved out as the workers built them; nothing is copied.
     #[must_use]
     pub fn finish(mut self) -> ServiceOutcome {
         self.wait_idle();
@@ -1322,5 +1407,187 @@ mod tests {
         let e = front.submit(&req).unwrap_err();
         assert!(matches!(e, EngineError::Config { .. }), "{e:?}");
         assert_eq!(front.finish().metrics.jobs_submitted, 0);
+    }
+
+    /// A DENOISE job split into `shards` in-core bands, as `submit`
+    /// queues it, on a one-job `Inner` whose bounds are all admitted
+    /// and resident. No worker runs: the test runs and retires shards.
+    fn one_job(extents: &[i64], input: &Arc<Vec<f64>>, shards: usize) -> (Inner, Vec<ShardTask>) {
+        let bench = denoise();
+        let geom =
+            ShardGeometry::plan(&bench, extents, ShardPolicy::Fixed(shards), shards).unwrap();
+        let tasks: Vec<ShardTask> = geom
+            .bands
+            .iter()
+            .enumerate()
+            .map(|(shard, band)| ShardTask {
+                job: 0,
+                shard,
+                cached: Arc::new(
+                    CachedPlan::build(&bench, &band.extents, ExecMode::InCore).unwrap(),
+                ),
+                input: Arc::clone(input).into(),
+                input_offset: band.input_offset,
+                mode: ExecMode::InCore,
+                label: format!("job/shard{shard}"),
+            })
+            .collect();
+        let bound = tasks.iter().map(|t| t.cached.bound).sum();
+        let mut state = State {
+            pending: 1,
+            admitted_now: bound,
+            resident_now: bound,
+            ..State::default()
+        };
+        state
+            .jobs
+            .push(JobSlot::new("job".into(), tasks.len(), bound));
+        let inner = Inner {
+            cfg: ServiceConfig::default(),
+            state: Mutex::new(state),
+            task_ready: Condvar::new(),
+            job_done: Condvar::new(),
+            plan_cache: Mutex::default(),
+        };
+        (inner, tasks)
+    }
+
+    /// Retires each shard's outcome in `order` as a worker does, and
+    /// returns the job's result and the state it leaves, once the job
+    /// is no longer pending.
+    fn retire_in(
+        inner: Inner,
+        tasks: &[ShardTask],
+        mut outcomes: Vec<Option<Result<SessionRun, EngineError>>>,
+        order: &[usize],
+    ) -> (JobResult, State) {
+        for &k in order {
+            let outcome = outcomes[k].take().expect("each shard retires once");
+            drop(inner.retire(&tasks[k], outcome, 1));
+        }
+        let mut state = inner.state.into_inner().unwrap();
+        assert_eq!(
+            (state.pending, state.admitted_now, state.resident_now),
+            (0, 0, 0)
+        );
+        (state.jobs.pop().unwrap().into_result(), state)
+    }
+
+    #[test]
+    fn a_one_shard_result_is_its_run_buffer() {
+        let input = Arc::new(lcg_input(24 * 16, 21));
+        let (inner, tasks) = one_job(&[24, 16], &input, 1);
+        let run = tasks[0].run(1).unwrap();
+        let buffer = run.outputs.as_ptr();
+        let (job, _) = retire_in(inner, &tasks, vec![Some(Ok(run))], &[0]);
+        assert!(job.error.is_none(), "{:?}", job.error);
+        assert_eq!(job.outputs.as_ptr(), buffer);
+        assert_eq!(
+            job.outputs,
+            unsharded_outputs(&denoise(), &[24, 16], &input)
+        );
+    }
+
+    #[test]
+    fn a_multi_shard_result_is_the_shard_order_concatenation() {
+        let extents = [40i64, 24];
+        let input = Arc::new(lcg_input(40 * 24, 22));
+        let reference = unsharded_outputs(&denoise(), &extents, &input);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for order in [[0usize, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]] {
+            let (inner, tasks) = one_job(&extents, &input, 3);
+            let runs: Vec<SessionRun> = tasks.iter().map(|t| t.run(1).unwrap()).collect();
+            let in_order: Vec<f64> = runs.iter().flat_map(|r| r.outputs.clone()).collect();
+            let outcomes = runs.into_iter().map(|r| Some(Ok(r))).collect();
+            let (job, m) = retire_in(inner, &tasks, outcomes, &order);
+            assert!(job.error.is_none(), "{order:?}: {:?}", job.error);
+            assert_eq!(job.shards, 3);
+            assert_eq!(bits(&job.outputs), bits(&in_order), "{order:?}");
+            assert_eq!(bits(&job.outputs), bits(&reference), "{order:?}");
+            assert_eq!(m.outputs_produced, reference.len() as u64);
+        }
+    }
+
+    #[test]
+    fn a_failed_job_returns_no_outputs_and_its_first_error() {
+        let input = Arc::new(lcg_input(40 * 24, 23));
+        let (inner, tasks) = one_job(&[40, 24], &input, 3);
+        let first = EngineError::MissingInput {
+            point: "shard 1".into(),
+        };
+        let outcomes = vec![
+            Some(tasks[0].run(1)),
+            Some(Err(first.clone())),
+            Some(Err(EngineError::WorkerPanic)),
+        ];
+        let (job, m) = retire_in(inner, &tasks, outcomes, &[1, 0, 2]);
+        assert_eq!(job.error, Some(first));
+        assert!(job.outputs.is_empty());
+        assert_eq!(job.shards, 3);
+        assert_eq!(m.jobs_failed, 1);
+    }
+
+    #[test]
+    fn a_panicking_shard_fails_its_job_and_the_pool_keeps_serving() {
+        let extents = vec![24i64, 16];
+        let input = Arc::new(lcg_input(24 * 16, 24));
+        let reference = unsharded_outputs(&denoise(), &extents, &input);
+        let req = JobRequest {
+            benchmark: denoise(),
+            extents: Some(extents),
+            mode: ExecMode::InCore,
+            shards: ShardPolicy::Whole,
+            input: input.into(),
+        };
+        // The batch runs on a helper thread, so a job that never
+        // resolves fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            // Job 1 panics outside the session, where no executor
+            // scope catches it.
+            let front = ServiceFront::with_runner(
+                ServiceConfig {
+                    workers: 1,
+                    ..ServiceConfig::default()
+                },
+                |task, threads| {
+                    assert_ne!(task.job, 1, "shard runner bug");
+                    task.run(threads)
+                },
+            );
+            let submit = |req: &JobRequest| {
+                let Ok(Submission::Admitted(id)) = front.submit(req) else {
+                    panic!("an idle unbudgeted front rejected a job");
+                };
+                id
+            };
+            let first: Vec<JobId> = (0..3).map(|_| submit(&req)).collect();
+            front.wait_idle();
+            let admitted_now = lock_recover(&front.inner.state).admitted_now;
+            // The one worker survived the panic and takes another job.
+            let last = submit(&req);
+            let _ = tx.send((first, last, admitted_now, front.finish()));
+        });
+        let (first, last, admitted_now, outcome) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("every job resolves");
+        helper
+            .join()
+            .expect("the batch thread returns after sending");
+        assert_eq!((first, last), (vec![0, 1, 2], 3));
+        assert_eq!(admitted_now, 0);
+        assert_eq!(outcome.jobs[1].error, Some(EngineError::WorkerPanic));
+        assert!(outcome.jobs[1].outputs.is_empty());
+        for id in [0, 2, 3] {
+            let job = &outcome.jobs[id];
+            assert!(job.error.is_none(), "job {id}: {:?}", job.error);
+            assert_eq!(job.outputs, reference, "job {id}");
+        }
+        let m = &outcome.metrics;
+        assert_eq!((m.jobs_admitted, m.jobs_failed), (4, 1));
+        assert_eq!(
+            stencil_telemetry::validate_report(&outcome.report("serve")),
+            vec![]
+        );
     }
 }

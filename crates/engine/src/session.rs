@@ -811,7 +811,18 @@ impl<'a> Session<'a> {
             ExecMode::InCore | ExecMode::Tiled { .. } => self.run_incore(input),
             ExecMode::Streaming { chunk_rows } => {
                 let mut source = SliceSource::new(input.values());
-                let mut sink = VecSink::new();
+                // Sized up front, so the outputs never grow by
+                // reallocation.
+                let outputs = self
+                    .last_stage()?
+                    .plan
+                    .get()
+                    .iteration_domain()
+                    .count()
+                    .map_err(|e| EngineError::Plan(e.into()))?;
+                let mut sink = VecSink {
+                    values: Vec::with_capacity(usize::try_from(outputs).unwrap_or(0)),
+                };
                 let report =
                     self.stream_into(&mut source, &mut sink, chunk_rows, Some(input.index()))?;
                 Ok(SessionRun {
@@ -1575,6 +1586,23 @@ mod tests {
 
     fn compiled_5pt() -> CompiledKernel {
         CompiledKernel::compile_checked(&expr_5pt(), 5, &compute).unwrap()
+    }
+
+    #[test]
+    fn streaming_run_sizes_its_outputs_up_front() {
+        let plan = plan_5pt(40, 24);
+        let in_idx = plan.input_domain().index().unwrap();
+        let vals = ramp(in_idx.len());
+        let input = InputGrid::new(&in_idx, &vals).unwrap();
+        let run = Session::new(&plan)
+            .kernel(SessionKernel::Closure(&compute))
+            .mode(ExecMode::Streaming {
+                chunk_rows: Some(4),
+            })
+            .run(&input)
+            .unwrap();
+        assert_eq!(run.outputs.len() as u64, 38 * 22);
+        assert_eq!(run.outputs.capacity(), run.outputs.len());
     }
 
     #[test]
