@@ -1,7 +1,10 @@
 //! Criterion bench: parallel tiled engine vs the cycle-accurate
 //! machine on full-size DENOISE (768x1024), engine thread scaling at
 //! 1/2/4/8 workers, the compiled row-sweep backend vs the closure
-//! datapath, and the bounded-memory streaming path vs in-core.
+//! datapath, and the bounded-memory streaming path vs in-core. A
+//! second group runs the row shapes whose fixed per-row costs dominate
+//! — short DENOISE rows and the 19-tap SEGMENTATION_3D at 96³ — in
+//! core on one thread, compiled and closure.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -10,7 +13,7 @@ use stencil_core::MemorySystemPlan;
 use stencil_engine::{
     CompiledKernel, ExecMode, InputGrid, Session, SessionKernel, SliceSource, VecSink,
 };
-use stencil_kernels::{denoise, GridValues};
+use stencil_kernels::{denoise, segmentation_3d, Benchmark, GridValues};
 use stencil_polyhedral::Polyhedron;
 use stencil_sim::Machine;
 
@@ -143,5 +146,61 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_engine);
+/// Input values of `plan`'s input domain, in stream (rank) order.
+fn ramp_input(plan: &MemorySystemPlan) -> (stencil_polyhedral::DomainIndex, Vec<f64>) {
+    let in_idx = plan.input_domain().index().expect("input index");
+    let mut vals = Vec::with_capacity(in_idx.len() as usize);
+    let mut cur = in_idx.cursor();
+    while let Some(p) = cur.point(&in_idx) {
+        let mix = p.as_slice().iter().fold(0i64, |acc, &c| acc * 7 + c);
+        vals.push(mix as f64 * 0.125);
+        cur.advance(&in_idx);
+    }
+    (in_idx, vals)
+}
+
+fn bench_row_shapes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("engine_row_shapes");
+    g.sample_size(10);
+    let shapes: [(Benchmark, Vec<i64>); 2] = [
+        (denoise(), vec![8192, 96]),
+        (segmentation_3d(), vec![96, 96, 96]),
+    ];
+    for (bench, extents) in &shapes {
+        let spec = bench.spec_for(extents).expect("spec");
+        let plan = MemorySystemPlan::generate(&spec).expect("plan");
+        g.throughput(Throughput::Elements(
+            plan.iteration_domain().count().expect("count"),
+        ));
+        let (in_idx, in_vals) = ramp_input(&plan);
+        let input = InputGrid::new(&in_idx, &in_vals).expect("input");
+        let compute = bench.compute_fn();
+        let kernel = CompiledKernel::for_benchmark(bench)
+            .expect("compile")
+            .expect("suite kernels carry an expression");
+        let shape = extents
+            .iter()
+            .map(i64::to_string)
+            .collect::<Vec<_>>()
+            .join("x");
+        for (name, kernel) in [
+            ("compiled", SessionKernel::Compiled(&kernel)),
+            ("closure", SessionKernel::Closure(&compute)),
+        ] {
+            let session = Session::new(&plan)
+                .kernel(kernel)
+                .mode(ExecMode::InCore)
+                .threads(1);
+            g.bench_function(format!("{}_{shape}_{name}", bench.name()), |b| {
+                b.iter(|| {
+                    let run = black_box(&session).run(&input).expect("engine");
+                    black_box(run.outputs.len())
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_engine, bench_row_shapes);
 criterion_main!(benches);

@@ -47,7 +47,8 @@ fn usage() -> &'static str {
      stencil serve    <jobs.manifest> [--workers N] [--queue-depth N] \
      [--memory-budget ELEMS] [--metrics-out M.json]\n\
      \nsimulate/engine/serve exit non-zero when the runtime bound validator reports\n\
-     violations; pass --no-fail-on-violation to report them but exit 0."
+     violations; pass --no-fail-on-violation to report them but exit 0.\n\
+     -h/--help anywhere prints this text and exits 0."
 }
 
 /// What [`run`] hands back to `main`: the text to print plus the
@@ -91,6 +92,10 @@ fn main() -> ExitCode {
 }
 
 fn run(args: Vec<String>) -> Result<RunOutput, commands::CmdError> {
+    // Help wins wherever it appears, before any file is opened.
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        return Ok(RunOutput::from(format!("{}\n", usage())));
+    }
     let mut it = args.into_iter();
     let cmd = it.next().ok_or("missing subcommand")?;
     if cmd == "suite" {
@@ -816,6 +821,34 @@ mod tests {
         ])
         .is_err());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn help_flags_print_usage_and_open_no_file() {
+        let dir = std::env::temp_dir().join("stencil_cli_help_test");
+        let _ = fs::remove_dir_all(&dir);
+        let missing = dir.join("missing.stencil").display().to_string();
+        let written = dir.join("out.sgrid");
+        let out_path = written.display().to_string();
+        for help in ["-h", "--help"] {
+            let cases: Vec<Vec<&str>> = vec![
+                vec![help],
+                vec!["engine", help],
+                vec!["engine", &missing, help],
+                vec!["plan", &missing, "--threads", help],
+                vec![help, "frob"],
+                vec!["serve", &missing, help],
+                vec!["grid", "pack", &out_path, "--extents", "4x4", help],
+            ];
+            for args in cases {
+                let out = run(args.iter().map(|a| a.to_string()).collect())
+                    .unwrap_or_else(|e| panic!("{args:?}: {e}"));
+                assert_eq!(out.text, format!("{}\n", usage()), "{args:?}");
+                assert_eq!(out.violations, 0);
+            }
+        }
+        // Nothing was read or written: the directory was never created.
+        assert!(!dir.exists());
     }
 
     #[test]

@@ -37,8 +37,8 @@ use crate::compile::KernelBackend;
 use crate::error::EngineError;
 use crate::report::{RunReport, StreamReport, TileReport};
 use crate::rowexec::{
-    execute_band_parallel, plan_offsets, split_band_rows, threads_for, RankWindow, RowChunk,
-    RowKernel, RowStats,
+    execute_band_parallel, plan_offsets, prefixes_ascend, split_band_rows, threads_for, RankWindow,
+    RowChunk, RowKernel, RowStats,
 };
 use crate::stream::RowSource;
 
@@ -69,6 +69,8 @@ struct PendingPull {
 pub(crate) struct StreamStage<'k> {
     tile_plan: TilePlan,
     in_idx: Cow<'k, DomainIndex>,
+    // Whether `in_idx` may be walked forward (`RankWindow::ascending`).
+    in_ascending: bool,
     dims: usize,
     offsets: Vec<Point>,
     kernel: &'k RowKernel<'k>,
@@ -141,6 +143,7 @@ impl<'k> StreamStage<'k> {
         }
 
         Ok(Self {
+            in_ascending: prefixes_ascend(&in_idx),
             dims: in_idx.dims(),
             offsets: plan_offsets(plan),
             kernel,
@@ -252,6 +255,7 @@ impl<'k> StreamStage<'k> {
             idx: &self.in_idx,
             vals: input,
             base: 0,
+            ascending: self.in_ascending,
         };
         let per_band =
             execute_band_parallel(chunks, &self.offsets, &win, self.kernel, self.worker_count)?;
@@ -476,6 +480,7 @@ impl<'k> StreamStage<'k> {
             idx: &self.in_idx,
             vals,
             base,
+            ascending: self.in_ascending,
         };
         let band_rows = band_idx.rows();
         let workers = threads_for(self.worker_count, band_rows.len());

@@ -20,6 +20,13 @@
 //! * **gather rows** — some tap is non-contiguous or non-resident: the
 //!   defensive per-point fallback with exact error reporting.
 //!
+//! Classifying a row needs each tap's input run. One forward-only
+//! [`TapCursor`] per tap finds it by walking the input index alongside
+//! the output rows, and falls back to the binary-search predicate
+//! [`contiguous_base`] only to seed itself or to confirm a miss; the
+//! sweep's register files live in one [`SweepScratch`] per call, so no
+//! row pays a search or an allocation.
+//!
 //! Every band, in core or streaming, runs through
 //! [`crate::chain::StreamStage`]. In core the bands split across the
 //! workers (each band's rows unsplit); streaming, each band's rows
@@ -27,16 +34,17 @@
 //! to [`execute_band_parallel`], the only caller of [`fork_join`] — the
 //! engine's only `std::thread::scope`.
 
+use std::cmp::Ordering;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use stencil_core::MemorySystemPlan;
-use stencil_polyhedral::{DomainIndex, Point, Row};
+use stencil_polyhedral::{DomainIndex, Point, Row, MAX_DIMS};
 
 use crate::compile::{CompiledKernel, Datapath};
 use crate::error::EngineError;
-use crate::unroll::UnrolledProgram;
+use crate::unroll::{SweepScratch, UnrolledProgram};
 
 /// Locks `m`, recovering from poisoning: a panicking worker already
 /// surfaces as [`EngineError::WorkerPanic`] (through [`fork_join`], or
@@ -183,6 +191,11 @@ pub(crate) struct RankWindow<'a> {
     pub vals: &'a [f64],
     /// Global rank of `vals[0]`.
     pub base: u64,
+    /// True if `idx`'s row prefixes strictly ascend, as in every index
+    /// [`DomainIndex::build`] makes: only then may a [`TapCursor`] walk
+    /// it forward and land on the row a binary search finds. Otherwise
+    /// every tap lookup takes the binary search.
+    pub ascending: bool,
 }
 
 impl RankWindow<'_> {
@@ -230,10 +243,11 @@ impl RowStats {
 /// input window, writing `out` (one slot per iteration).
 ///
 /// Per output row, every window tap becomes a base rank into the flat
-/// input stream; resident contiguous rows then either sweep the
-/// compiled register program over the whole row or run the batched
-/// per-element loop, while rows whose taps are not contiguous (or not
-/// fully resident) fall back to per-point gathers.
+/// input stream through its own forward [`TapCursor`]; resident
+/// contiguous rows then either sweep the compiled register program
+/// over the whole row or run the batched per-element loop, while rows
+/// whose taps are not contiguous (or not fully resident) fall back to
+/// per-point gathers.
 pub(crate) fn execute_rows(
     rows: &[Row],
     out_base: u64,
@@ -245,12 +259,15 @@ pub(crate) fn execute_rows(
     let n = offsets.len();
     let mut window = vec![0.0f64; n];
     let mut bases = vec![0usize; n];
-    let mut ubases: Vec<usize> = Vec::new();
+    let mut cursors = vec![TapCursor::default(); n];
+    let mut scratch = SweepScratch::default();
     let mut stats = RowStats::default();
     let program = match kernel {
         RowKernel::Program(_, up) => Some(up),
         _ => None,
     };
+    let mut ubases: Vec<usize> = Vec::new();
+    let mut ucursors = vec![TapCursor::default(); program.map_or(0, |up| up.group_utaps().len())];
 
     let mut i = 0usize;
     while i < rows.len() {
@@ -258,7 +275,9 @@ pub(crate) fn execute_rows(
         // extent, stepping +1 in the unroll axis, writing contiguous
         // output — one multi-output register sweep covers them all.
         if let Some(up) = program.filter(|up| up.unroll() > 1) {
-            if let Some(len) = unroll_group_bases(rows, i, up, offsets, win, &mut ubases) {
+            if let Some(len) =
+                unroll_group_bases(rows, i, up, offsets, win, &mut ucursors, &mut ubases)
+            {
                 let start = rows[i]
                     .base
                     .checked_sub(out_base)
@@ -266,7 +285,7 @@ pub(crate) fn execute_rows(
                     .ok_or_else(|| inconsistent_row(&rows[i], out_base))?;
                 let group_len = len * up.unroll();
                 if let Some(group_out) = out.get_mut(start..).and_then(|o| o.get_mut(..group_len)) {
-                    up.sweep_group(&ubases, win.vals, group_out, len);
+                    up.sweep_group(&ubases, win.vals, group_out, len, &mut scratch);
                     stats.sweep += up.unroll() as u64;
                     i += up.unroll();
                     continue;
@@ -289,12 +308,12 @@ pub(crate) fn execute_rows(
             .ok_or_else(|| inconsistent_row(row, out_base))?;
 
         let mut all_fast = true;
-        for (k, f) in offsets.iter().enumerate() {
-            let start = tap_point(&row.prefix, row.lo, f);
-            let end = tap_point(&row.prefix, row.hi, f);
-            match contiguous_base(win.idx, &start, &end, len).and_then(|b| win.resident_run(b, len))
+        for ((f, cursor), base) in offsets.iter().zip(&mut cursors).zip(&mut bases) {
+            match cursor
+                .base(win, row, f, len)
+                .and_then(|b| win.resident_run(b, len))
             {
-                Some(off) => bases[k] = off,
+                Some(off) => *base = off,
                 None => {
                     all_fast = false;
                     break;
@@ -310,7 +329,7 @@ pub(crate) fn execute_rows(
                 // register program keeps the datapath identical to the
                 // group.
                 stats.sweep += 1;
-                up.sweep_single(&bases, win.vals, out_row, &mut ubases);
+                up.sweep_single(&bases, win.vals, out_row, &mut scratch);
             } else {
                 stats.fast += 1;
                 for (t, slot) in out_row.iter_mut().enumerate() {
@@ -363,16 +382,18 @@ pub(crate) fn execute_rows(
 /// Probes whether rows `i..i + U` form an unrollable group: identical
 /// inner extent, prefixes equal except the last coordinate stepping
 /// +1 per row, contiguous output ranks, and every shared tap of the
-/// group resident as one contiguous run. On success fills `ubases`
-/// with the window offset of each group utap and returns the row
-/// length; any miss returns `None` and the caller falls back to
-/// single-row dispatch for `rows[i]`.
+/// group resident as one contiguous run, each found through its own
+/// cursor of `cursors`. On success fills `ubases` with the window
+/// offset of each group utap and returns the row length; any miss
+/// returns `None` and the caller falls back to single-row dispatch for
+/// `rows[i]`.
 fn unroll_group_bases(
     rows: &[Row],
     i: usize,
     up: &UnrolledProgram,
     offsets: &[Point],
     win: &RankWindow<'_>,
+    cursors: &mut [TapCursor],
     ubases: &mut Vec<usize>,
 ) -> Option<usize> {
     let group = rows.get(i..i + up.unroll())?;
@@ -400,15 +421,82 @@ fn unroll_group_bases(
         }
     }
     ubases.clear();
-    for &(u, k) in up.group_utaps() {
+    for (&(u, k), cursor) in up.group_utaps().iter().zip(cursors) {
         let row = &group[usize::from(u)];
-        let f = &offsets[usize::from(k)];
-        let start = tap_point(&row.prefix, row.lo, f);
-        let end = tap_point(&row.prefix, row.hi, f);
-        let b = contiguous_base(win.idx, &start, &end, len)?;
+        let b = cursor.base(win, row, &offsets[usize::from(k)], len)?;
         ubases.push(win.resident_run(b, len)?);
     }
     Some(len)
+}
+
+/// One tap's forward-only position in the input index.
+///
+/// Iteration rows arrive in lexicographic order, and a tap shifts them
+/// by a constant offset, so the input row a tap reads only ever moves
+/// forward — the software form of the paper's data-filter counters,
+/// which need no address logic (§3.3). The cursor keeps the input row
+/// of its last lookup and walks forward from it by comparing prefix
+/// slices, a step or two per output row in a box domain, instead of
+/// four binary searches over the whole index.
+///
+/// It seeds itself, and re-seeds after any miss (a shifted row outside
+/// its input row, a prefix not in the index, or a query stepping
+/// backwards), through [`contiguous_base`]'s binary search, so its
+/// answer is always that predicate's.
+#[derive(Debug, Clone, Copy, Default)]
+struct TapCursor {
+    /// Index of the first input row whose prefix is not below the last
+    /// queried one; `None` until seeded.
+    row: Option<usize>,
+}
+
+impl TapCursor {
+    /// [`contiguous_base`] of tap `f` over iteration row `row` (of
+    /// `len` points): the input rank where the shifted row starts, if
+    /// it is one contiguous run of the input stream.
+    fn base(&mut self, win: &RankWindow<'_>, row: &Row, f: &Point, len: usize) -> Option<u64> {
+        let idx = win.idx;
+        let inner = row.prefix.dims();
+        if win.ascending {
+            // The shifted row has one prefix, so it is contiguous iff a
+            // single input row with that prefix holds both its ends.
+            let mut key = [0i64; MAX_DIMS];
+            for ((k, &p), &o) in key.iter_mut().zip(row.prefix.as_slice()).zip(f.as_slice()) {
+                *k = p + o;
+            }
+            let key = &key[..inner];
+            let (lo, hi) = (row.lo + f[inner], row.hi + f[inner]);
+            let in_rows = idx.rows();
+            if let Some(mut r) = self.row {
+                while let Some(x) = in_rows.get(r) {
+                    match x.prefix.as_slice().cmp(key) {
+                        Ordering::Less => r += 1,
+                        Ordering::Equal if x.lo <= lo && hi <= x.hi => {
+                            self.row = Some(r);
+                            return Some(x.base + (lo - x.lo) as u64);
+                        }
+                        _ => break,
+                    }
+                }
+            }
+            self.row = Some(in_rows.partition_point(|x| x.prefix.as_slice() < key));
+        }
+        contiguous_base(
+            idx,
+            &tap_point(&row.prefix, row.lo, f),
+            &tap_point(&row.prefix, row.hi, f),
+            len,
+        )
+    }
+}
+
+/// True if `idx`'s row prefixes strictly ascend — the order every
+/// [`DomainIndex::build`] index has, and the one a [`TapCursor`] needs
+/// to walk an index forward ([`RankWindow::ascending`]).
+pub(crate) fn prefixes_ascend(idx: &DomainIndex) -> bool {
+    idx.rows()
+        .windows(2)
+        .all(|w| w[0].prefix.as_slice() < w[1].prefix.as_slice())
 }
 
 /// Window offsets in the user's declared reference order — the order
@@ -578,6 +666,170 @@ mod tests {
         let lo = Point::new(&[1, 0]);
         let hi = Point::new(&[1, 4]);
         assert_eq!(contiguous_base(&idx, &lo, &hi, 5), Some(0));
+    }
+
+    /// Runs one cursor per tap over `queries` (iteration rows, in the
+    /// given order) against `in_idx`, asserting each lookup equals
+    /// [`contiguous_base`]. Returns how many lookups hit.
+    fn assert_cursors_agree(in_idx: &DomainIndex, queries: &[Row], offsets: &[Point]) -> usize {
+        let win = RankWindow {
+            idx: in_idx,
+            vals: &[],
+            base: 0,
+            ascending: prefixes_ascend(in_idx),
+        };
+        let mut cursors = vec![TapCursor::default(); offsets.len()];
+        let mut hits = 0;
+        for row in queries {
+            let len = usize::try_from(row.len()).unwrap();
+            for (f, cursor) in offsets.iter().zip(&mut cursors) {
+                let start = tap_point(&row.prefix, row.lo, f);
+                let end = tap_point(&row.prefix, row.hi, f);
+                let want = contiguous_base(in_idx, &start, &end, len);
+                assert_eq!(
+                    cursor.base(&win, row, f, len),
+                    want,
+                    "row {} [{}, {}] tap {f}",
+                    row.prefix,
+                    row.lo,
+                    row.hi
+                );
+                hits += usize::from(want.is_some());
+            }
+        }
+        hits
+    }
+
+    fn points(coords: &[Vec<i64>]) -> Vec<Point> {
+        coords.iter().map(|c| Point::new(c)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn tap_cursor_matches_the_predicate_on_random_boxes(
+            dims in 2usize..=3,
+            lo in proptest::collection::vec(-3i64..=3, 3),
+            ext in proptest::collection::vec(1i64..=7, 3),
+            shrink in proptest::collection::vec(-1i64..=2, 6),
+            raw in proptest::collection::vec(-2i64..=2, 3..=24),
+        ) {
+            let input: Vec<(i64, i64)> = (0..dims).map(|d| (lo[d], lo[d] + ext[d])).collect();
+            // The iteration box sits inside, on or across the input's edge.
+            let iter: Vec<(i64, i64)> = input
+                .iter()
+                .enumerate()
+                .map(|(d, &(a, b))| (a + shrink[2 * d], (b - shrink[2 * d + 1]).max(a + shrink[2 * d])))
+                .collect();
+            let in_idx = stencil_polyhedral::Polyhedron::rect(&input).index().unwrap();
+            let it_idx = stencil_polyhedral::Polyhedron::rect(&iter).index().unwrap();
+            let offsets: Vec<Point> = raw.chunks_exact(dims).map(Point::new).collect();
+            assert_cursors_agree(&in_idx, it_idx.rows(), &offsets);
+        }
+    }
+
+    #[test]
+    fn tap_cursor_matches_the_predicate_on_skewed_and_triangular_domains() {
+        use stencil_polyhedral::{Constraint, Polyhedron};
+        let cross = points(&[vec![-1, 0], vec![0, -1], vec![0, 0], vec![0, 1], vec![1, 0]]);
+        // The `index.rs` triangle: 0 <= i <= 3, 0 <= j <= i.
+        let triangle =
+            Polyhedron::rect(&[(0, 3), (0, 3)]).with_constraint(Constraint::new(&[1, -1], 0));
+        // Fig. 9's skewed strip: 0 <= i <= 7, i <= j <= i + 4.
+        let skewed = Polyhedron::new(
+            2,
+            vec![
+                Constraint::lower_bound(2, 0, 0),
+                Constraint::upper_bound(2, 0, 7),
+                Constraint::new(&[-1, 1], 0),
+                Constraint::new(&[1, -1], 4),
+            ],
+        );
+        for dom in [triangle, skewed] {
+            let idx = dom.index().unwrap();
+            let hits = assert_cursors_agree(&idx, idx.rows(), &cross);
+            // Shifted rows of a skewed domain leave their input row, so
+            // both the hit and the re-seed paths run.
+            assert!(hits > 0 && hits < idx.rows().len() * cross.len(), "{hits}");
+        }
+    }
+
+    #[test]
+    fn tap_cursor_matches_the_predicate_on_hand_built_indexes() {
+        let row = |p: i64, lo: i64, hi: i64, base: u64| Row {
+            prefix: Point::new(&[p]),
+            lo,
+            hi,
+            base,
+        };
+        let cross = points(&[vec![-1, 0], vec![0, -1], vec![0, 0], vec![0, 1], vec![1, 0]]);
+        let queries: Vec<Row> = (0..=6).map(|p| row(p, 1, 3, 0)).collect();
+        // Prefix gaps (no rows 2 and 5), a shifted row, and bases that
+        // invert rank order.
+        let gaps = DomainIndex::from_rows(
+            2,
+            vec![
+                row(0, 0, 4, 0),
+                row(1, 0, 4, 5),
+                row(3, -1, 3, 10),
+                row(4, 0, 4, 15),
+                row(6, 0, 4, 20),
+            ],
+        );
+        let scrambled = DomainIndex::from_rows(
+            2,
+            (0..=6).map(|p| row(p, 0, 4, 5 * (6 - p) as u64)).collect(),
+        );
+        // Prefixes out of order: the cursor must never walk it.
+        let unordered = DomainIndex::from_rows(
+            2,
+            [4, 0, 2, 1, 6, 3, 5]
+                .map(|p| row(p, 0, 4, 5 * p as u64))
+                .to_vec(),
+        );
+        assert!(prefixes_ascend(&gaps) && prefixes_ascend(&scrambled));
+        assert!(!prefixes_ascend(&unordered));
+        for idx in [&gaps, &scrambled, &unordered] {
+            assert_cursors_agree(idx, &queries, &cross);
+        }
+    }
+
+    #[test]
+    fn tap_cursor_reseeds_on_a_backward_query() {
+        let idx = stencil_polyhedral::Polyhedron::rect(&[(0, 9), (0, 9)])
+            .index()
+            .unwrap();
+        let it = stencil_polyhedral::Polyhedron::rect(&[(1, 8), (1, 8)])
+            .index()
+            .unwrap();
+        let cross = points(&[vec![-1, 0], vec![0, -1], vec![0, 0], vec![0, 1], vec![1, 0]]);
+        // Forward, then backward, then a scattered order.
+        let mut queries: Vec<Row> = it.rows().to_vec();
+        queries.extend(it.rows().iter().rev());
+        queries.extend([6, 2, 7, 0, 5, 1].map(|r| it.rows()[r]));
+        assert_eq!(
+            assert_cursors_agree(&idx, &queries, &cross),
+            queries.len() * cross.len()
+        );
+
+        // A backward step re-seeds: the cursor lands where a binary
+        // search puts it, not past the queried prefix.
+        let win = RankWindow {
+            idx: &idx,
+            vals: &[],
+            base: 0,
+            ascending: true,
+        };
+        let f = Point::new(&[0, 0]);
+        let mut cursor = TapCursor::default();
+        for r in [7usize, 3] {
+            let row = it.rows()[r];
+            assert_eq!(
+                cursor.base(&win, &row, &f, 8),
+                Some(idx.rank_lt(&row.prefix.pushed(1)))
+            );
+            assert_eq!(cursor.row, Some(r + 1));
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! output row, each tap bound to a column-shifted contiguous slice of
 //! the resident input rows: one dispatch covers [`LANES`] elements, and
 //! the per-lane loops run over fixed-width arrays the autovectorizer
-//! turns into SIMD.
+//! turns into SIMD. The last chunk of a row ends at the row's end,
+//! overlapping its predecessor, so no column runs outside the lane
+//! body; the register files live in a [`SweepScratch`] the row
+//! executor reuses across rows.
 //!
 //! A single-output sweep reloads every tap for every output row even
 //! though vertically adjacent rows share most of their stencil windows
@@ -456,61 +459,72 @@ impl RegProgram {
     /// The vectorized multi-output sweep: writes output position `u`,
     /// column `t` to `out[u * stride + t]` for `t in 0..stride`, with
     /// utap `j` reading the contiguous input run at `vals[bases[j]]`.
-    /// Lane chunks run the register body; remainder columns evaluate
-    /// through [`RegProgram::tail`] — the one scalar remainder
-    /// implementation for every unrolled path.
-    fn sweep<T: Lane>(&self, bases: &[usize], vals: &[f64], out: &mut [f64], stride: usize) {
-        debug_assert_eq!(bases.len(), self.utaps.len());
-        debug_assert_eq!(out.len(), stride * self.roots.len());
-        let nu = self.utaps.len();
-        let mut regs: Vec<[T; LANES]> = vec![[T::ZERO; LANES]; self.regs];
-        for (j, &c) in self.consts.iter().enumerate() {
-            regs[nu + j] = [T::from_f64(c); LANES];
-        }
-        let mut t = 0usize;
-        while t + LANES <= stride {
-            for (j, &b) in bases.iter().enumerate() {
-                let src = &vals[b + t..b + t + LANES];
-                let dst = &mut regs[j];
-                for i in 0..LANES {
-                    dst[i] = T::from_f64(src[i]);
-                }
-            }
-            self.run_chunk(&mut regs);
-            for (u, &r) in self.roots.iter().enumerate() {
-                let src = &regs[usize::from(r)];
-                let dst = &mut out[u * stride + t..u * stride + t + LANES];
-                for i in 0..LANES {
-                    dst[i] = src[i].to_f64();
-                }
-            }
-            t += LANES;
-        }
-        self.tail::<T>(bases, vals, out, stride, t);
-    }
-
-    /// Scalar remainder columns `from..stride`, one register-machine
-    /// evaluation per column producing all output positions at once.
-    fn tail<T: Lane>(
+    ///
+    /// Every column runs the lane-wide register body. A row at least
+    /// [`LANES`] wide ends with one more chunk placed at
+    /// `stride - LANES`, overlapping the chunk before it: lanes are
+    /// independent, so the overlap rewrites the same bits. A shorter
+    /// row is one chunk whose lanes past the row's end load zero and are
+    /// never stored. `regs` is the caller's register file, reused from
+    /// row to row; the sweep sizes it and loads its constants.
+    fn sweep<T: Lane>(
         &self,
         bases: &[usize],
         vals: &[f64],
         out: &mut [f64],
         stride: usize,
-        from: usize,
+        regs: &mut Vec<[T; LANES]>,
     ) {
+        debug_assert_eq!(bases.len(), self.utaps.len());
+        debug_assert_eq!(out.len(), stride * self.roots.len());
         let nu = self.utaps.len();
-        let mut regs: Vec<T> = vec![T::ZERO; self.regs];
+        regs.resize(self.regs, [T::ZERO; LANES]);
         for (j, &c) in self.consts.iter().enumerate() {
-            regs[nu + j] = T::from_f64(c);
+            regs[nu + j] = [T::from_f64(c); LANES];
         }
-        for col in from..stride {
-            for (j, &b) in bases.iter().enumerate() {
-                regs[j] = T::from_f64(vals[b + col]);
+        if stride < LANES {
+            self.chunk(bases, vals, out, stride, 0, stride, regs);
+            return;
+        }
+        let mut t = 0usize;
+        loop {
+            self.chunk(bases, vals, out, stride, t, LANES, regs);
+            if t + LANES == stride {
+                break;
             }
-            self.run_scalar(&mut regs);
-            for (u, &r) in self.roots.iter().enumerate() {
-                out[u * stride + col] = regs[usize::from(r)].to_f64();
+            t = (t + LANES).min(stride - LANES);
+        }
+    }
+
+    /// One lane chunk: loads columns `t..t + width` of every utap,
+    /// runs the register body, and stores those columns of every
+    /// output position. Lanes from `width` up load zero.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn chunk<T: Lane>(
+        &self,
+        bases: &[usize],
+        vals: &[f64],
+        out: &mut [f64],
+        stride: usize,
+        t: usize,
+        width: usize,
+        regs: &mut [[T; LANES]],
+    ) {
+        for (j, &b) in bases.iter().enumerate() {
+            let src = &vals[b + t..b + t + width];
+            let dst = &mut regs[j];
+            for i in 0..width {
+                dst[i] = T::from_f64(src[i]);
+            }
+            dst[width..].fill(T::ZERO);
+        }
+        self.run_chunk(regs);
+        for (u, &r) in self.roots.iter().enumerate() {
+            let src = &regs[usize::from(r)];
+            let dst = &mut out[u * stride + t..u * stride + t + width];
+            for i in 0..width {
+                dst[i] = src[i].to_f64();
             }
         }
     }
@@ -585,9 +599,8 @@ impl RegProgram {
         }
     }
 
-    /// One register-body pass over scalar registers — the tail, the
-    /// gather-row replay, and construction-time validation all share
-    /// this evaluator.
+    /// One register-body pass over scalar registers: the
+    /// construction-time replay against the bytecode.
     fn run_scalar<T: Lane>(&self, regs: &mut [T]) {
         for op in &self.ops {
             match *op {
@@ -725,26 +738,35 @@ impl UnrolledProgram {
         vals: &[f64],
         out: &mut [f64],
         stride: usize,
+        scratch: &mut SweepScratch,
     ) {
         match self.datapath {
-            Datapath::F64 => self.group.sweep::<f64>(bases, vals, out, stride),
-            Datapath::F32 => self.group.sweep::<f32>(bases, vals, out, stride),
+            Datapath::F64 => self
+                .group
+                .sweep(bases, vals, out, stride, &mut scratch.f64_regs),
+            Datapath::F32 => self
+                .group
+                .sweep(bases, vals, out, stride, &mut scratch.f32_regs),
         }
     }
 
     /// The single-row sweep: every sweep row at `U = 1`, leftover rows
-    /// above it. `tap_bases` are per
-    /// *tap* (the row executor's existing layout); the program maps
-    /// them onto its deduplicated utap slots via `scratch`.
+    /// above it. `tap_bases` are per *tap* (the row executor's layout);
+    /// the program maps them onto its deduplicated utap slots.
     pub(crate) fn sweep_single(
         &self,
         tap_bases: &[usize],
         vals: &[f64],
         out: &mut [f64],
-        scratch: &mut Vec<usize>,
+        scratch: &mut SweepScratch,
     ) {
-        scratch.clear();
-        scratch.extend(
+        let SweepScratch {
+            utap_bases,
+            f64_regs,
+            f32_regs,
+        } = scratch;
+        utap_bases.clear();
+        utap_bases.extend(
             self.single
                 .utaps()
                 .iter()
@@ -752,10 +774,20 @@ impl UnrolledProgram {
         );
         let stride = out.len();
         match self.datapath {
-            Datapath::F64 => self.single.sweep::<f64>(scratch, vals, out, stride),
-            Datapath::F32 => self.single.sweep::<f32>(scratch, vals, out, stride),
+            Datapath::F64 => self.single.sweep(utap_bases, vals, out, stride, f64_regs),
+            Datapath::F32 => self.single.sweep(utap_bases, vals, out, stride, f32_regs),
         }
     }
+}
+
+/// Buffers a row executor call reuses across its sweeps, so no row
+/// allocates: one register file per lane type, sized by each sweep to
+/// its program, and the single-row sweep's utap bases.
+#[derive(Debug, Default)]
+pub(crate) struct SweepScratch {
+    utap_bases: Vec<usize>,
+    f64_regs: Vec<[f64; LANES]>,
+    f32_regs: Vec<[f32; LANES]>,
 }
 
 /// Replays the register program against the scalar bytecode on the
@@ -910,7 +942,7 @@ mod tests {
             let bases: Vec<usize> = (0..prog.utaps().len()).map(|j| 3 * j).collect();
             for stride in [1usize, 31, 32, 33, 70] {
                 let mut out = vec![0.0f64; unroll * stride];
-                prog.sweep::<f64>(&bases, &vals, &mut out, stride);
+                prog.sweep::<f64>(&bases, &vals, &mut out, stride, &mut Vec::new());
                 for (u, row) in table.iter().enumerate() {
                     for t in 0..stride {
                         let window: Vec<f64> = row.iter().map(|&id| vals[bases[id] + t]).collect();
@@ -935,7 +967,7 @@ mod tests {
             let bases: Vec<usize> = (0..prog.utaps().len()).map(|j| 2 * j).collect();
             let stride = 45; // one chunk plus a remainder
             let mut out = vec![0.0f64; unroll * stride];
-            prog.sweep::<f32>(&bases, &vals, &mut out, stride);
+            prog.sweep::<f32>(&bases, &vals, &mut out, stride, &mut Vec::new());
             for (u, row) in table.iter().enumerate() {
                 for t in 0..stride {
                     let window: Vec<f64> = row.iter().map(|&id| vals[bases[id] + t]).collect();
@@ -944,6 +976,59 @@ mod tests {
                         ck.eval32(&window),
                         "unroll={unroll} u={u} t={t}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_last_chunk_is_bit_identical_to_eval_in() {
+        // Row lengths around the lane width: shorter than one chunk,
+        // exactly one, one column over (a last chunk overlapping 31
+        // columns), and the 94- and 1022-wide rows of the suite grids.
+        // One scratch serves every program, datapath and length, as it
+        // does across the rows of one executor call.
+        let lens = [1, LANES - 1, LANES, LANES + 1, 2 * LANES - 1, 94, 1022];
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let mut scratch = SweepScratch::default();
+        for b in [denoise(), sobel(), stencil_kernels::segmentation_3d()] {
+            let ck = compiled(&b);
+            for dp in [Datapath::F64, Datapath::F32] {
+                for unroll in [1usize, 4] {
+                    let up = UnrolledProgram::build(&ck, b.window(), unroll, dp).unwrap();
+                    let (group, table) = RegProgram::build(&ck, b.window(), unroll).unwrap();
+                    assert_eq!(group, up.group);
+                    let nu = group.utaps().len();
+                    let vals: Vec<f64> = (0..nu * 3 + 1100)
+                        .map(|i| ((i * 7919 % 1013) as f64) * 0.0625 - 31.0)
+                        .collect();
+                    let bases: Vec<usize> = (0..nu).map(|j| 3 * j).collect();
+                    for len in lens {
+                        let ctx = format!("{} {dp} U={unroll} len={len}", b.name());
+                        let mut out = vec![f64::MAX; unroll * len];
+                        up.sweep_group(&bases, &vals, &mut out, len, &mut scratch);
+                        let mut window = vec![0.0; ck.taps()];
+                        for (u, ids) in table.iter().enumerate() {
+                            for t in 0..len {
+                                for (w, &id) in window.iter_mut().zip(ids) {
+                                    *w = vals[bases[id] + t];
+                                }
+                                let want = ck.eval_in(dp, &window);
+                                assert!(same(out[u * len + t], want), "{ctx} u={u} t={t}");
+                            }
+                        }
+
+                        // The single-output program over per-tap bases.
+                        let tap_bases: Vec<usize> = (0..ck.taps()).map(|k| 5 * k).collect();
+                        let mut out = vec![f64::MAX; len];
+                        up.sweep_single(&tap_bases, &vals, &mut out, &mut scratch);
+                        for (t, &got) in out.iter().enumerate() {
+                            for (k, w) in window.iter_mut().enumerate() {
+                                *w = vals[tap_bases[k] + t];
+                            }
+                            assert!(same(got, ck.eval_in(dp, &window)), "{ctx} single t={t}");
+                        }
+                    }
                 }
             }
         }
