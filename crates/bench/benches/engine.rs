@@ -4,14 +4,17 @@
 //! datapath, and the bounded-memory streaming path vs in-core. A
 //! second group runs the row shapes whose fixed per-row costs dominate
 //! — short DENOISE rows and the 19-tap SEGMENTATION_3D at 96³ — in
-//! core on one thread, compiled and closure.
+//! core on one thread, compiled and closure. A third runs an 8-step
+//! streaming DENOISE ring from a mapped `.sgrid` into memory on one
+//! thread: the stage-to-stage hand-off without file-system noise.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use stencil_core::MemorySystemPlan;
 use stencil_engine::{
-    CompiledKernel, ExecMode, InputGrid, Session, SessionKernel, SliceSource, VecSink,
+    pack_grid, CompiledKernel, ExecMode, InputGrid, MmapSource, Session, SessionKernel,
+    SliceSource, VecSink,
 };
 use stencil_kernels::{denoise, segmentation_3d, Benchmark, GridValues};
 use stencil_polyhedral::Polyhedron;
@@ -202,5 +205,52 @@ fn bench_row_shapes(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_engine, bench_row_shapes);
+/// DENOISE 768×1024 through `iterate(8)` at 64-row bands, compiled, on
+/// one thread: a mapped `.sgrid` source (admitted in place) into a
+/// `VecSink`. The session is built once, so a sample times the band
+/// wavefront — sweeps, evictions and stage hand-offs — and the sink.
+fn bench_ring(c: &mut Criterion) {
+    const STEPS: usize = 8;
+    let bench = denoise();
+    let spec = bench.spec_for(&[768, 1024]).expect("spec");
+    let plan = MemorySystemPlan::generate(&spec).expect("plan");
+    let (in_idx, in_vals) = ramp_input(&plan);
+    let path = std::env::temp_dir().join(format!("engine_ring_{}.sgrid", std::process::id()));
+    pack_grid(&path, &[in_idx.len()], &in_vals).expect("pack");
+    let kernel = CompiledKernel::for_benchmark(&bench)
+        .expect("compile")
+        .expect("DENOISE carries an expression");
+    let session = Session::new(&plan)
+        .kernel(SessionKernel::Compiled(&kernel))
+        .mode(ExecMode::Streaming {
+            chunk_rows: Some(64),
+        })
+        .threads(1)
+        .iterate(STEPS)
+        .expect("ring");
+    let outputs: u64 = (0..STEPS)
+        .map(|k| {
+            let plan = session.stage_plan(k).expect("stage");
+            plan.iteration_domain().count().expect("count")
+        })
+        .sum();
+
+    let mut g = c.benchmark_group("engine_ring");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(outputs));
+    g.bench_function("denoise_768x1024_iterate8_chunk64_mmap", |b| {
+        b.iter(|| {
+            let mut source = MmapSource::open(&path).expect("open");
+            let mut sink = VecSink::new();
+            let report = black_box(&session)
+                .run_streaming(&mut source, &mut sink)
+                .expect("ring");
+            black_box((sink.values.len(), report.peak_resident))
+        })
+    });
+    g.finish();
+    std::fs::remove_file(&path).ok();
+}
+
+criterion_group!(benches, bench_engine, bench_row_shapes, bench_ring);
 criterion_main!(benches);

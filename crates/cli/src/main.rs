@@ -14,6 +14,8 @@
 //! stencil compare  <spec.stencil>                 vs best uniform partitioning
 //! stencil report   <spec.stencil>                 full markdown design report
 //! stencil suite                                   paper benchmark suite summary
+//! stencil grid     pack <out.sgrid> --extents E0xE1[x...] [--seed N]
+//! stencil grid     inspect <file.sgrid>           read an .sgrid header
 //! stencil serve    <jobs.manifest> [--workers N] [--queue-depth N]
 //!                                  [--memory-budget ELEMS] [--metrics-out M.json]
 //! stencil fmt      <spec.stencil>                 canonicalize a spec file
@@ -30,6 +32,11 @@ use commands::{
 };
 use spec_file::SpecFile;
 
+/// Every subcommand [`run`] dispatches, in [`usage`] order.
+const SUBCOMMANDS: [&str; 10] = [
+    "plan", "simulate", "engine", "rtl", "compare", "report", "suite", "grid", "serve", "fmt",
+];
+
 fn usage() -> &'static str {
     "usage:\n  stencil plan     <spec.stencil>\n  stencil simulate <spec.stencil> \
      [--streams K] [--metrics-out M.json] [--vcd OUT.vcd [--cycles N]]\n  \
@@ -42,10 +49,12 @@ fn usage() -> &'static str {
      [--metrics-out M.json]\n  \
      stencil rtl      <spec.stencil> \
      [--out DIR]\n  stencil compare  <spec.stencil>\n  stencil report   <spec.stencil>\n  \
+     stencil suite\n  \
      stencil grid     pack <out.sgrid> --extents E0xE1[x...] [--seed N] | \
      inspect <file.sgrid>\n  \
      stencil serve    <jobs.manifest> [--workers N] [--queue-depth N] \
-     [--memory-budget ELEMS] [--metrics-out M.json]\n\
+     [--memory-budget ELEMS] [--metrics-out M.json]\n  \
+     stencil fmt      <spec.stencil>\n\
      \nsimulate/engine/serve exit non-zero when the runtime bound validator reports\n\
      violations; pass --no-fail-on-violation to report them but exit 0.\n\
      -h/--help anywhere prints this text and exits 0."
@@ -98,6 +107,11 @@ fn run(args: Vec<String>) -> Result<RunOutput, commands::CmdError> {
     }
     let mut it = args.into_iter();
     let cmd = it.next().ok_or("missing subcommand")?;
+    // Judged before any file is read: a typo must not surface as a
+    // missing or unreadable spec file.
+    if !SUBCOMMANDS.contains(&cmd.as_str()) {
+        return Err(format!("unknown subcommand `{cmd}`").into());
+    }
     if cmd == "suite" {
         return cmd_suite().map(RunOutput::from);
     }
@@ -821,6 +835,34 @@ mod tests {
         ])
         .is_err());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn usage_lists_every_subcommand_run_dispatches() {
+        // Each subcommand with no arguments: dispatched (it may then
+        // fail for want of a file), never rejected as unknown.
+        for name in SUBCOMMANDS {
+            let words: Vec<&str> = usage().split_whitespace().collect();
+            assert!(words.windows(2).any(|w| w == ["stencil", name]), "{name}");
+            if let Err(e) = run(vec![name.to_string()]) {
+                let e = e.to_string();
+                assert!(!e.contains("unknown subcommand"), "{name}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_subcommand_is_reported_before_any_file_is_read() {
+        let missing = std::env::temp_dir()
+            .join("stencil_cli_unknown_test")
+            .join("missing.stencil");
+        assert!(!missing.exists());
+        for args in [vec!["bogus"], vec!["bogus", missing.to_str().unwrap()]] {
+            let e = run(args.iter().map(|a| a.to_string()).collect())
+                .err()
+                .unwrap_or_else(|| panic!("{args:?} succeeded"));
+            assert_eq!(e.to_string(), "unknown subcommand `bogus`", "{args:?}");
+        }
     }
 
     #[test]

@@ -115,6 +115,13 @@ impl TilePlan {
         self.total_outputs
     }
 
+    /// Each band's last outermost value, in band order: the cuts
+    /// [`MemorySystemPlan::tile_plan_from_cuts`] rebuilds this plan from.
+    #[must_use]
+    pub fn cuts(&self) -> Vec<i64> {
+        self.tiles.iter().map(|t| t.band.1).collect()
+    }
+
     /// Total input elements fetched across all halos, counting overlap
     /// regions once per tile that reads them. The excess over the input
     /// domain size is the redundant-fetch cost of sharding.
@@ -149,47 +156,28 @@ impl MemorySystemPlan {
     /// Panics if `tiles == 0`.
     pub fn tile_plan(&self, tiles: usize) -> Result<TilePlan, PlanError> {
         assert!(tiles > 0, "tile count must be positive");
-        let iter = self.iteration_domain();
-        let dims = iter.dims();
-        let idx = iter.index().map_err(PlanError::from)?;
-        let total = idx.len();
-        if total == 0 {
-            return Err(PlanError::EmptyIterationDomain);
-        }
-        let bb = idx.bounding_box().expect("non-empty domain has a box");
-        let (lo0, hi0) = bb[0];
-        let counts = outer_counts(&idx, dims, lo0, hi0);
+        let profile = self.outer_profile()?;
+        let total = profile.total;
 
         // Greedy balanced cut: close a band once it reaches the ideal
         // cumulative share of outputs; the last band takes the rest.
-        let window: Vec<Point> = self.filters().iter().map(|f| f.offset).collect();
-        let mut out = Vec::with_capacity(tiles);
-        let mut band_lo = lo0;
+        let mut cuts = Vec::with_capacity(tiles);
         let mut in_band = 0u64;
         let mut emitted = 0u64;
-        for (j, &c) in counts.iter().enumerate() {
+        for (i0, &c) in (profile.lo0..).zip(&profile.counts) {
             in_band += c;
-            let i0 = lo0 + i64::try_from(j).expect("in box");
             // Computed in u128: `total` can approach u64::MAX on huge
             // (sparsely indexed) domains, where `total * (k + 1)` would
             // wrap and silently misplace every remaining cut.
-            let share_wide = (u128::from(total) * (out.len() as u128 + 1)).div_ceil(tiles as u128);
+            let share_wide = (u128::from(total) * (cuts.len() as u128 + 1)).div_ceil(tiles as u128);
             let share = u64::try_from(share_wide).expect("share <= total outputs");
-            let close_early = emitted + in_band >= share && out.len() + 1 < tiles;
-            if in_band > 0 && (close_early || i0 == hi0) {
-                let tile = self.build_tile(out.len(), band_lo, i0, &window, &idx)?;
-                debug_assert_eq!(tile.len, in_band);
+            if in_band > 0 && emitted + in_band >= share && cuts.len() + 1 < tiles {
+                cuts.push(i0);
                 emitted += in_band;
-                out.push(tile);
                 in_band = 0;
-                band_lo = i0 + 1;
             }
         }
-        debug_assert_eq!(emitted, total, "bands must cover the domain");
-        Ok(TilePlan {
-            tiles: out,
-            total_outputs: total,
-        })
+        self.bands_at(&profile, &cuts)
     }
 
     /// Partitions the iteration domain into row bands of at most
@@ -207,44 +195,37 @@ impl MemorySystemPlan {
     /// * [`PlanError::EmptyIterationDomain`] if `D` has no points.
     /// * Polyhedral failures as [`PlanError::Poly`].
     pub fn tile_plan_chunked(&self, chunk_rows: u64) -> Result<TilePlan, PlanError> {
-        let chunk_rows = chunk_rows.max(1);
-        let iter = self.iteration_domain();
-        let idx = iter.index().map_err(PlanError::from)?;
-        let total = idx.len();
-        if total == 0 {
-            return Err(PlanError::EmptyIterationDomain);
+        let step = i64::try_from(chunk_rows.max(1)).unwrap_or(i64::MAX);
+        let profile = self.outer_profile()?;
+        let hi0 = profile.hi0();
+        let mut cuts = Vec::new();
+        let mut cut = profile.lo0.saturating_add(step - 1);
+        while cut < hi0 {
+            cuts.push(cut);
+            cut = cut.saturating_add(step);
         }
-        let bb = idx.bounding_box().expect("non-empty domain has a box");
-        let (lo0, hi0) = bb[0];
-        let counts = outer_counts(&idx, iter.dims(), lo0, hi0);
+        self.bands_at(&profile, &cuts)
+    }
 
-        let window: Vec<Point> = self.filters().iter().map(|f| f.offset).collect();
-        let mut out = Vec::new();
-        let mut band_lo = lo0;
-        let mut in_band = 0u64;
-        let mut span_used = 0u64;
-        for (j, &c) in counts.iter().enumerate() {
-            let i0 = lo0 + i64::try_from(j).expect("in box");
-            in_band += c;
-            span_used += 1;
-            if span_used == chunk_rows || i0 == hi0 {
-                if in_band > 0 {
-                    out.push(self.build_tile(out.len(), band_lo, i0, &window, &idx)?);
-                }
-                in_band = 0;
-                span_used = 0;
-                band_lo = i0 + 1;
-            }
-        }
-        debug_assert_eq!(
-            out.iter().map(|t| t.len).sum::<u64>(),
-            total,
-            "chunked bands must cover the domain"
-        );
-        Ok(TilePlan {
-            tiles: out,
-            total_outputs: total,
-        })
+    /// Partitions the iteration domain at explicit band cuts: band `b`
+    /// spans the outermost values `(cuts[b - 1], cuts[b]]`, the first
+    /// band starts at the domain's first outermost value, and a final
+    /// band runs from the last cut to the domain's end.
+    ///
+    /// Cuts below the domain, cuts at or below an earlier cut, and bands
+    /// holding no iterations produce no band; cuts past the domain's end
+    /// are clipped to it. This is how a chained streaming stage lags its
+    /// upstream: its cuts are the upstream's [`TilePlan::cuts`] shifted
+    /// down by its window's largest outermost offset, so upstream band
+    /// `b` produces exactly the input rows downstream band `b` still
+    /// lacks.
+    ///
+    /// # Errors
+    ///
+    /// * [`PlanError::EmptyIterationDomain`] if `D` has no points.
+    /// * Polyhedral failures as [`PlanError::Poly`].
+    pub fn tile_plan_from_cuts(&self, cuts: &[i64]) -> Result<TilePlan, PlanError> {
+        self.bands_at(&self.outer_profile()?, cuts)
     }
 
     /// The Appendix 9.4 sharding rule: one band per off-chip stream.
@@ -290,14 +271,61 @@ impl MemorySystemPlan {
         Ok(bound)
     }
 
+    /// The iteration domain's output counts per outermost value.
+    fn outer_profile(&self) -> Result<OuterProfile, PlanError> {
+        let iter = self.iteration_domain();
+        let idx = iter.index().map_err(PlanError::from)?;
+        if idx.is_empty() {
+            return Err(PlanError::EmptyIterationDomain);
+        }
+        let bb = idx.bounding_box().expect("non-empty domain has a box");
+        let (lo0, hi0) = bb[0];
+        Ok(OuterProfile {
+            lo0,
+            counts: outer_counts(&idx, iter.dims(), lo0, hi0),
+            total: idx.len(),
+        })
+    }
+
+    /// The bands `(cuts[b - 1], cuts[b]]` of `profile`'s domain, as
+    /// [`MemorySystemPlan::tile_plan_from_cuts`] describes. Ranks and
+    /// lengths come from the per-value counts: lexicographic order sorts
+    /// on the outermost dimension first, so a band's first rank is the
+    /// count of every value below it.
+    fn bands_at(&self, profile: &OuterProfile, cuts: &[i64]) -> Result<TilePlan, PlanError> {
+        let hi0 = profile.hi0();
+        let window: Vec<Point> = self.filters().iter().map(|f| f.offset).collect();
+        let mut tiles = Vec::new();
+        let mut band_lo = profile.lo0;
+        let mut start_rank = 0u64;
+        for &cut in cuts.iter().chain(std::iter::once(&hi0)) {
+            let cut = cut.min(hi0);
+            if cut < band_lo {
+                continue;
+            }
+            let len = profile.count(band_lo, cut);
+            if len > 0 {
+                tiles.push(self.build_tile(tiles.len(), band_lo, cut, &window, start_rank, len));
+                start_rank += len;
+            }
+            band_lo = cut + 1;
+        }
+        debug_assert_eq!(start_rank, profile.total, "bands must cover the domain");
+        Ok(TilePlan {
+            tiles,
+            total_outputs: profile.total,
+        })
+    }
+
     fn build_tile(
         &self,
         id: usize,
         lo: i64,
         hi: i64,
         window: &[Point],
-        full_index: &stencil_polyhedral::DomainIndex,
-    ) -> Result<Tile, PlanError> {
+        start_rank: u64,
+        len: u64,
+    ) -> Tile {
         let dims = self.iteration_domain().dims();
         let iter_domain = self
             .iteration_domain()
@@ -308,17 +336,36 @@ impl MemorySystemPlan {
             .intersection(self.input_domain());
         let min0 = window.iter().map(|f| f[0]).min().unwrap_or(0);
         let max0 = window.iter().map(|f| f[0]).max().unwrap_or(0);
-        let band_index = iter_domain.index().map_err(PlanError::from)?;
-        let first = band_index.first().ok_or(PlanError::EmptyIterationDomain)?;
-        Ok(Tile {
+        Tile {
             id,
             band: (lo, hi),
             iter_domain,
             halo_domain,
             halo_band: (lo + min0, hi + max0),
-            start_rank: full_index.rank_lt(&first),
-            len: band_index.len(),
-        })
+            start_rank,
+            len,
+        }
+    }
+}
+
+/// A non-empty iteration domain's output count per outermost value.
+struct OuterProfile {
+    /// The first outermost value; `counts[j]` is value `lo0 + j`'s.
+    lo0: i64,
+    counts: Vec<u64>,
+    total: u64,
+}
+
+impl OuterProfile {
+    /// The last outermost value.
+    fn hi0(&self) -> i64 {
+        self.lo0 + i64::try_from(self.counts.len()).expect("in box") - 1
+    }
+
+    /// Outputs with an outermost value in `[lo, hi]` (within the box).
+    fn count(&self, lo: i64, hi: i64) -> u64 {
+        let at = |v: i64| usize::try_from(v - self.lo0).expect("in box");
+        self.counts[at(lo)..=at(hi)].iter().sum()
     }
 }
 
@@ -514,6 +561,50 @@ mod tests {
         // Zero clamps to one row per band.
         let tp = plan.tile_plan_chunked(0).unwrap();
         assert_eq!(tp.tile_count(), 30);
+    }
+
+    #[test]
+    fn cuts_rebuild_chunked_and_balanced_plans() {
+        let plan = denoise_plan();
+        for tp in [1u64, 3, 7, 100]
+            .map(|c| plan.tile_plan_chunked(c).unwrap())
+            .into_iter()
+            .chain([1usize, 3, 7].map(|t| plan.tile_plan(t).unwrap()))
+        {
+            assert_eq!(plan.tile_plan_from_cuts(&tp.cuts()).unwrap(), tp);
+        }
+        // Rows 1..=30: cuts below the domain, repeated cuts and cuts
+        // past its end add no band; the last band always ends at 30.
+        let tp = plan.tile_plan_from_cuts(&[-4, 0, 9, 9, 5, 40]).unwrap();
+        let bands: Vec<_> = tp.tiles().iter().map(|t| t.band).collect();
+        assert_eq!(bands, vec![(1, 9), (10, 30)]);
+        assert_eq!(tp.tiles()[1].start_rank, 9 * 22);
+        assert_eq!(tp.total_outputs(), 30 * 22);
+    }
+
+    #[test]
+    fn lagged_cuts_hand_each_downstream_band_its_missing_rows() {
+        // A chained DENOISE stage erodes rows 1..=30 to 2..=29 and lags
+        // by its window's largest outermost offset, 1.
+        let up = denoise_plan();
+        let window: Vec<Point> = up.filters().iter().map(|f| f.offset).collect();
+        let down = up.chain_next("denoise@t2", &window).unwrap();
+        for chunk in [1u64, 2, 5, 64] {
+            let ups = up.tile_plan_chunked(chunk).unwrap();
+            let cuts: Vec<i64> = ups.cuts().iter().map(|c| c - 1).collect();
+            let downs = down.tile_plan_from_cuts(&cuts).unwrap();
+            assert_eq!(downs.total_outputs(), 28 * 20);
+            assert_eq!(downs.tiles().last().unwrap().band.1, 29, "chunk={chunk}");
+            // Each downstream band's halo tops out at a row some
+            // upstream band ends on: the wavefront never waits.
+            for t in downs.tiles() {
+                assert!(ups.cuts().contains(&t.halo_band.1), "chunk={chunk}");
+            }
+            // Against the stage's own chunking, the lag moves at most
+            // one cut across the domain's ends.
+            let own = down.tile_plan_chunked(chunk).unwrap().tile_count();
+            assert!(downs.tile_count().abs_diff(own) <= 1, "chunk={chunk}");
+        }
     }
 
     #[test]

@@ -544,7 +544,8 @@ pub(crate) fn threads_for(requested: usize, tiles: usize) -> usize {
 pub(crate) type RowChunk<'r, 'o> = (&'r [Row], &'o mut [f64]);
 
 /// Splits a streaming band's iteration rows into at most `workers`
-/// contiguous chunks writing disjoint slices of the band buffer `out`.
+/// contiguous chunks writing disjoint slices of `out`, the band's
+/// outputs from the rank of its first row on.
 pub(crate) fn split_band_rows<'r, 'o>(
     band_rows: &'r [Row],
     out: &'o mut [f64],
@@ -555,7 +556,7 @@ pub(crate) fn split_band_rows<'r, 'o>(
     let mut chunks: Vec<RowChunk<'r, 'o>> = Vec::with_capacity(workers);
     let mut rest_rows = band_rows;
     let mut rest_out: &mut [f64] = out;
-    let mut consumed = 0u64;
+    let mut consumed = band_rows.first().map_or(0, |r| r.base);
     while !rest_rows.is_empty() {
         let take = per.min(rest_rows.len());
         let (head, tail) = rest_rows.split_at(take);

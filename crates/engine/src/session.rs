@@ -66,7 +66,7 @@
 //! well-prepared run reports 0.
 
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::cmp::Ordering;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -75,7 +75,7 @@ use stencil_core::{MemorySystemPlan, TilePlan};
 use stencil_kernels::{ComputeFn, KernelStage};
 use stencil_polyhedral::{lex_cmp, DomainIndex};
 
-use crate::chain::{pump_chain, StreamStage};
+use crate::chain::{run_chain, StreamStage};
 use crate::compile::{CompiledKernel, Datapath, KernelBackend};
 use crate::error::EngineError;
 use crate::format::MappedGrid;
@@ -200,6 +200,13 @@ struct Stage<'a> {
     /// `run_streaming()` — the CLI crosscheck path — keeps both
     /// schedules warm instead of evicting one with the other.
     tile: RefCell<Vec<(ExecMode, TilePlan)>>,
+    /// The stage's iteration index, built on first use: every band's
+    /// rows are a rank range of it, and it is the next stage's input
+    /// index row for row.
+    iter_index: OnceCell<DomainIndex>,
+    /// The stage's input index, built on first use (stage 0 only: a
+    /// later stage reads its upstream's iteration index).
+    input_index: OnceCell<DomainIndex>,
 }
 
 impl<'a> Stage<'a> {
@@ -211,25 +218,49 @@ impl<'a> Stage<'a> {
             backend: None,
             unroll: None,
             tile: RefCell::new(Vec::new()),
+            iter_index: OnceCell::new(),
+            input_index: OnceCell::new(),
         }
     }
 
     /// The stage's tile plan under `mode`, building and caching it on
-    /// miss. Misses during execution (as opposed to session
-    /// construction) are tallied into `built` — the figure the
-    /// `tile_plans_built` telemetry counter reports. Each distinct mode
-    /// gets its own cache entry; a mode never evicts another.
-    fn tiles(&self, mode: ExecMode, built: Option<&Cell<u64>>) -> Result<TilePlan, EngineError> {
+    /// miss: [`ExecMode::bands`], or with `upstream` (a streaming
+    /// stage's upstream schedule) the upstream's cuts lagged by this
+    /// stage's window ([`lagged`]). Misses during execution (as opposed
+    /// to session construction) are tallied into `built` — the figure
+    /// the `tile_plans_built` telemetry counter reports. Each distinct
+    /// mode gets its own cache entry; a mode never evicts another.
+    fn tiles(
+        &self,
+        mode: ExecMode,
+        upstream: Option<&TilePlan>,
+        built: Option<&Cell<u64>>,
+    ) -> Result<TilePlan, EngineError> {
         let mut slots = self.tile.borrow_mut();
         if let Some((_, tp)) = slots.iter().find(|(m, _)| *m == mode) {
             return Ok(tp.clone());
         }
-        let tp = mode.bands(self.plan.get())?;
+        let tp = match upstream {
+            Some(up) => lagged(self.plan.get(), up)?,
+            None => mode.bands(self.plan.get())?,
+        };
         if let Some(c) = built {
             c.set(c.get() + 1);
         }
         slots.push((mode, tp.clone()));
         Ok(tp)
+    }
+
+    /// The stage's iteration index, built once.
+    fn iteration_index(&self) -> Result<&DomainIndex, EngineError> {
+        cached_index(&self.iter_index, || {
+            self.plan.get().iteration_domain().index()
+        })
+    }
+
+    /// The stage's input index, built once.
+    fn input_index(&self) -> Result<&DomainIndex, EngineError> {
+        cached_index(&self.input_index, || self.plan.get().input_domain().index())
     }
     /// The compiled form, when this stage has one (for window checks).
     fn compiled(&self) -> Option<&CompiledKernel> {
@@ -719,10 +750,28 @@ impl<'a> Session<'a> {
     /// runs start with warm caches (misses during a run are what the
     /// `tile_plans_built` telemetry counter reports).
     fn prepare_tiles(&self) -> Result<(), EngineError> {
+        self.schedules(self.mode, None).map(drop)
+    }
+
+    /// Every stage's band schedule under `mode`, in pipeline order, from
+    /// the stages' caches (misses tallied into `built`). Under
+    /// streaming, each stage past the first lags its upstream's
+    /// schedule, so the stages run as one band wavefront.
+    fn schedules(
+        &self,
+        mode: ExecMode,
+        built: Option<&Cell<u64>>,
+    ) -> Result<Vec<TilePlan>, EngineError> {
+        let mut out: Vec<TilePlan> = Vec::with_capacity(self.stages.len());
         for stage in &self.stages {
-            stage.tiles(self.mode, None)?;
+            let upstream = match mode {
+                ExecMode::Streaming { .. } => out.last(),
+                _ => None,
+            };
+            let tp = stage.tiles(mode, upstream, built)?;
+            out.push(tp);
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Number of kernel stages in the pipeline.
@@ -776,7 +825,9 @@ impl<'a> Session<'a> {
 
     /// The planned chained residency bound under streaming: the sum
     /// over stages of each stage's one-band halo window (Sec. 2.3),
-    /// for the band schedule `chunk_rows` would produce.
+    /// for the band schedules a streaming run at `chunk_rows` executes
+    /// (stage 0 in bands of `chunk_rows`, every later stage lagging its
+    /// upstream). The schedules are cached like a run's.
     ///
     /// # Errors
     ///
@@ -784,10 +835,9 @@ impl<'a> Session<'a> {
     /// derived.
     pub fn planned_residency_bound(&self, chunk_rows: Option<u64>) -> Result<u64, EngineError> {
         let mut total = 0u64;
-        for stage in &self.stages {
-            let plan = stage.plan.get();
-            let tile_plan = ExecMode::Streaming { chunk_rows }.bands(plan)?;
-            total += plan.planned_residency_bound(&tile_plan)?;
+        let schedules = self.schedules(ExecMode::Streaming { chunk_rows }, None)?;
+        for (stage, tile_plan) in self.stages.iter().zip(&schedules) {
+            total += stage.plan.get().planned_residency_bound(tile_plan)?;
         }
         Ok(total)
     }
@@ -874,10 +924,10 @@ impl<'a> Session<'a> {
                 // out — mode stays orthogonal to the endpoints. A
                 // mapped source skips materialization entirely: the
                 // mapped payload *is* the input grid's value buffer.
-                let in_idx = plan_index(self.stages[0].plan.get())?;
+                let in_idx = self.stages[0].input_index()?;
                 let mapped = source.mapped();
                 let (run, mut grid_io) = if let Some(grid) = &mapped {
-                    let input = InputGrid::new(&in_idx, grid.values())?;
+                    let input = InputGrid::new(in_idx, grid.values())?;
                     let run = self.run_incore(&input)?;
                     let io = GridIoReport {
                         bytes_mapped: grid.bytes_mapped(),
@@ -910,14 +960,10 @@ impl<'a> Session<'a> {
                         output_values: 0,
                         sink_finalized: false,
                     };
-                    let input = InputGrid::new(&in_idx, &vals)?;
+                    let input = InputGrid::new(in_idx, &vals)?;
                     (self.run_incore(&input)?, io)
                 };
-                let out_plan = self.last_stage()?.plan.get();
-                let out_idx = out_plan
-                    .iteration_domain()
-                    .index()
-                    .map_err(|e| EngineError::Plan(e.into()))?;
+                let out_idx = self.last_stage()?.iteration_index()?;
                 for row in out_idx.rows() {
                     let start = usize::try_from(row.base)
                         .map_err(|_| EngineError::DomainTooLarge { points: row.base })?;
@@ -953,14 +999,16 @@ impl<'a> Session<'a> {
         let mut cur: Vec<f64> = Vec::new();
         for (i, stage) in self.stages.iter().enumerate() {
             let sp = self.resolve(stage)?;
-            let tile_plan = stage.tiles(self.mode, Some(&self.tiles_built))?;
-            let (outputs, report) = if i == 0 {
-                let idx = Cow::Borrowed(input.index());
-                self.run_resident(&sp, sp.label, sp.plan, tile_plan, idx, input.values())?
-            } else {
-                let idx = Cow::Owned(plan_index(sp.plan)?);
-                self.run_resident(&sp, sp.label, sp.plan, tile_plan, idx, &cur)?
+            let tile_plan = stage.tiles(self.mode, None, Some(&self.tiles_built))?;
+            let out_idx = stage.iteration_index()?;
+            // A later stage's input index is its upstream's iteration
+            // index, row for row (`chains_from`).
+            let (in_idx, vals) = match i.checked_sub(1) {
+                None => (input.index(), input.values()),
+                Some(up) => (self.stages[up].iteration_index()?, cur.as_slice()),
             };
+            let (outputs, report) =
+                self.run_resident(&sp, sp.label, sp.plan, tile_plan, in_idx, out_idx, vals)?;
             stage_reports.push(report);
             cur = outputs;
         }
@@ -985,23 +1033,27 @@ impl<'a> Session<'a> {
 
     /// Runs one in-core stage: `sp`'s kernel over `plan` as a
     /// [`StreamStage`] over the whole resident input `vals` (ranked by
-    /// `in_idx`), its bands split across `threads_for(threads, bands)`
-    /// workers and written in place into one output buffer. Returns the
-    /// outputs and the stage's report, labelled `label`.
+    /// `in_idx`; `out_idx` indexes `plan`'s iteration domain), its bands
+    /// split across `threads_for(threads, bands)` workers and written in
+    /// place into one output buffer. Returns the outputs and the stage's
+    /// report, labelled `label`.
+    // `label`/`plan` differ from `sp`'s on `iterate_until`'s derived steps.
+    #[allow(clippy::too_many_arguments)]
     fn run_resident(
         &self,
         sp: &StagePlan<'_>,
         label: &str,
         plan: &MemorySystemPlan,
         tile_plan: TilePlan,
-        in_idx: Cow<'_, DomainIndex>,
+        in_idx: &DomainIndex,
+        out_idx: &DomainIndex,
         vals: &[f64],
     ) -> Result<(Vec<f64>, StageReport), EngineError> {
         let started = Instant::now();
         let workers = threads_for(self.threads, tile_plan.tile_count());
         let resident_bound = in_idx.len();
         let mut machine = StreamStage::new(
-            plan, in_idx, tile_plan, &sp.kernel, sp.backend, None, workers,
+            plan, in_idx, out_idx, tile_plan, &sp.kernel, sp.backend, None, workers,
         )?;
         machine.attach_resident(vals)?;
         let (outputs, run) = machine.run_in_place(started)?;
@@ -1032,10 +1084,12 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// Chained streaming execution: one [`StreamStage`] per kernel,
-    /// pumped back to front so upstream rows are produced on demand.
+    /// Chained streaming execution: one [`StreamStage`] per kernel, run
+    /// as one band wavefront ([`run_chain`]) over the lagged schedules,
+    /// each band landing in place in the next stage's halo window.
     /// Stage 0 ranks its input through `input_index` when given (an
-    /// [`InputGrid`]'s own index), else through its plan's input domain.
+    /// [`InputGrid`]'s own index), else through its plan's input domain;
+    /// every later stage through its upstream's iteration index.
     fn stream_into(
         &self,
         source: &mut dyn RowSource,
@@ -1053,27 +1107,31 @@ impl<'a> Session<'a> {
         let sps = self.stage_plans()?;
         let mode = ExecMode::Streaming { chunk_rows };
         let workers = threads_for(self.threads, usize::MAX);
+        let schedules = self.schedules(mode, Some(&self.tiles_built))?;
         let mut machines: Vec<StreamStage<'_>> = Vec::with_capacity(sps.len());
-        for (i, (stage, sp)) in self.stages.iter().zip(&sps).enumerate() {
-            let tile_plan = stage.tiles(mode, Some(&self.tiles_built))?;
-            let in_idx = match (i, input_index) {
-                (0, Some(idx)) => Cow::Borrowed(idx),
-                _ => Cow::Owned(plan_index(sp.plan)?),
+        for (i, ((stage, sp), tile_plan)) in self.stages.iter().zip(&sps).zip(schedules).enumerate()
+        {
+            let in_idx = match (i.checked_sub(1), input_index) {
+                (Some(up), _) => self.stages[up].iteration_index()?,
+                (None, Some(idx)) => idx,
+                (None, None) => stage.input_index()?,
             };
             machines.push(StreamStage::new(
-                sp.plan, in_idx, tile_plan, &sp.kernel, sp.backend, chunk_rows, workers,
+                sp.plan,
+                in_idx,
+                stage.iteration_index()?,
+                tile_plan,
+                &sp.kernel,
+                sp.backend,
+                chunk_rows,
+                workers,
             )?);
         }
         if let Some(grid) = &mapped {
             machines[0].attach_resident(grid.values())?;
         }
 
-        let mut buf = Vec::new();
-        let mut output_values = 0u64;
-        while let Some(row) = pump_chain(&mut machines, source, &mut buf)? {
-            output_values += row.len() as u64;
-            sink.push_row(row)?;
-        }
+        let output_values = run_chain(&mut machines, source, sink)?;
         sink.finish()?;
 
         let elapsed = started.elapsed();
@@ -1191,7 +1249,10 @@ impl<'a> Session<'a> {
         for k in 1..=max_steps {
             let plan = derived.as_ref().unwrap_or(base_plan);
             let (tile_plan, label) = if k == 1 {
-                (stage.tiles(mode, Some(&self.tiles_built))?, name.clone())
+                (
+                    stage.tiles(mode, None, Some(&self.tiles_built))?,
+                    name.clone(),
+                )
             } else {
                 // Derived step plans are fresh objects; their band
                 // schedules are inherently built per executed step.
@@ -1205,13 +1266,12 @@ impl<'a> Session<'a> {
                 in_idx = plan_index(plan)?;
                 (&in_idx, &cur_vals)
             };
-            let idx = Cow::Borrowed(prev_idx);
-            let (outputs, report) =
-                self.run_resident(&sp, &label, plan, tile_plan, idx, prev_vals)?;
             let out_idx = plan
                 .iteration_domain()
                 .index()
                 .map_err(|e| EngineError::Plan(e.into()))?;
+            let (outputs, report) =
+                self.run_resident(&sp, &label, plan, tile_plan, prev_idx, &out_idx, prev_vals)?;
             let delta = max_abs_delta(&out_idx, &outputs, prev_idx, prev_vals)?;
             steps += 1;
             stage_reports.push(report);
@@ -1254,6 +1314,34 @@ impl<'a> Session<'a> {
             },
         })
     }
+}
+
+/// A streaming stage's band schedule: `upstream`'s cuts shifted down by
+/// the stage window's largest outermost offset, clipped to the stage's
+/// domain. Upstream band `b` then produces exactly the input rows this
+/// stage's band `b` still lacks, and the last cut lands on the stage's
+/// domain end, which erosion moved by the same offset.
+fn lagged(plan: &MemorySystemPlan, upstream: &TilePlan) -> Result<TilePlan, EngineError> {
+    let lag = plan
+        .filters()
+        .iter()
+        .map(|f| f.offset[0])
+        .max()
+        .unwrap_or(0);
+    let cuts: Vec<i64> = upstream.cuts().iter().map(|c| c - lag).collect();
+    Ok(plan.tile_plan_from_cuts(&cuts)?)
+}
+
+/// The index in `cell`, built by `build` on first use.
+fn cached_index(
+    cell: &OnceCell<DomainIndex>,
+    build: impl FnOnce() -> Result<DomainIndex, stencil_polyhedral::PolyError>,
+) -> Result<&DomainIndex, EngineError> {
+    if let Some(idx) = cell.get() {
+        return Ok(idx);
+    }
+    let idx = build().map_err(|e| EngineError::Plan(e.into()))?;
+    Ok(cell.get_or_init(|| idx))
 }
 
 /// The index of `plan`'s input domain — the rank order a stage reads.

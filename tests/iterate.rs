@@ -316,3 +316,158 @@ proptest! {
         prop_assert_eq!(compiled_run.outputs, closure_run.outputs);
     }
 }
+
+/// The streaming sessions the wavefront property test draws from: rings
+/// of DENOISE (2-D), DENOISE_3D and HEAT_1D, and heterogeneous chains
+/// whose stages lag by different offsets (BLUR3X3 by 1, ASYMMETRIC_2D
+/// by 0, HIGH_ORDER_2D by 2).
+#[derive(Debug, Clone, Copy)]
+enum Wavefront {
+    Ring2d {
+        rows: i64,
+        cols: i64,
+        steps: usize,
+    },
+    Ring3d {
+        side: i64,
+        steps: usize,
+    },
+    Ring1d {
+        len: i64,
+        steps: usize,
+    },
+    Chain {
+        rows: i64,
+        cols: i64,
+        lopsided: bool,
+    },
+}
+
+impl Wavefront {
+    /// The case `kind` (0..4) names, shaped by the other draws.
+    fn draw(kind: usize, rows: i64, cols: i64, steps: usize) -> Wavefront {
+        match kind {
+            0 => Wavefront::Ring2d { rows, cols, steps },
+            1 => Wavefront::Ring3d {
+                side: 8 + rows % 4,
+                steps: 1 + steps % 3,
+            },
+            2 => Wavefront::Ring1d {
+                len: rows + cols,
+                steps,
+            },
+            _ => Wavefront::Chain {
+                rows,
+                cols,
+                lopsided: steps.is_multiple_of(2),
+            },
+        }
+    }
+
+    /// The stage-0 plan.
+    fn plan(self) -> MemorySystemPlan {
+        let (bench, extents) = match self {
+            Wavefront::Ring2d { rows, cols, .. } | Wavefront::Chain { rows, cols, .. } => {
+                (stencil_kernels::denoise(), vec![rows, cols])
+            }
+            Wavefront::Ring3d { side, .. } => (stencil_kernels::denoise_3d(), vec![side; 3]),
+            Wavefront::Ring1d { len, .. } => (stencil_kernels::heat_1d(), vec![len]),
+        };
+        MemorySystemPlan::generate(&bench.spec_for(&extents).expect("spec")).expect("plan")
+    }
+
+    /// The session over `plan` in `mode`.
+    fn session(self, plan: &MemorySystemPlan, mode: ExecMode) -> Session<'_> {
+        let head = match self {
+            Wavefront::Ring3d { .. } => stencil_kernels::denoise_3d(),
+            Wavefront::Ring1d { .. } => stencil_kernels::heat_1d(),
+            _ => stencil_kernels::denoise(),
+        };
+        let session = Session::build(plan, &head.stage())
+            .expect("build")
+            .mode(mode);
+        match self {
+            Wavefront::Ring2d { steps, .. }
+            | Wavefront::Ring3d { steps, .. }
+            | Wavefront::Ring1d { steps, .. } => session.iterate(steps).expect("iterate"),
+            Wavefront::Chain { lopsided, .. } => {
+                let tail = if lopsided {
+                    vec![
+                        stencil_kernels::asymmetric_2d(),
+                        stencil_kernels::high_order_2d(),
+                    ]
+                } else {
+                    vec![stencil_kernels::blur3x3()]
+                };
+                tail.iter()
+                    .fold(session, |s, b| s.then(&b.stage()).expect("then"))
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The band wavefront is the in-core run, bit for bit, at any band
+    /// height — including heights below T x halo, where downstream
+    /// stages start with empty leading bands — from a slice or a mapped
+    /// source. Every stage's peak is its own halo-window bound, the
+    /// planned bound is the one the run meets (same lagged schedules),
+    /// and each stage admits and emits exactly its logical rows.
+    #[test]
+    fn band_wavefront_matches_in_core_and_admits_logical_rows(
+        kind in 0usize..4,
+        rows in 14i64..40,
+        cols in 14i64..40,
+        steps in 1usize..=6,
+        chunk in 1u64..=24,
+        mapped in 0u8..2,
+    ) {
+        let case = Wavefront::draw(kind, rows, cols, steps);
+        let plan = case.plan();
+        let in_idx = plan.input_domain().index().expect("index");
+        let in_vals = input_values(in_idx.len());
+        let input = InputGrid::new(&in_idx, &in_vals).expect("input");
+        let golden = case.session(&plan, ExecMode::InCore).run(&input).expect("in core").outputs;
+
+        let session = case.session(&plan, ExecMode::Streaming { chunk_rows: Some(chunk) });
+        let planned = session.planned_residency_bound(Some(chunk)).expect("planned bound");
+        let mut sink = VecSink::new();
+        let report = if mapped == 1 {
+            let path = std::env::temp_dir().join(format!(
+                "wavefront_{}_{chunk}_{}.sgrid",
+                std::process::id(),
+                in_vals.len()
+            ));
+            stencil_engine::pack_grid(&path, &[in_idx.len()], &in_vals).expect("pack");
+            let mut source = stencil_engine::MmapSource::open(&path).expect("map");
+            let report = session.run_streaming(&mut source, &mut sink);
+            std::fs::remove_file(&path).ok();
+            report.expect("mapped streaming run")
+        } else {
+            let mut source = SliceSource::new(&in_vals);
+            session.run_streaming(&mut source, &mut sink).expect("streaming run")
+        };
+        prop_assert!(
+            sink.values.iter().map(|v| v.to_bits()).eq(golden.iter().map(|v| v.to_bits())),
+            "{case:?} chunk {chunk}: streaming diverges from in core"
+        );
+        prop_assert_eq!(report.tile_plans_built, 0);
+        prop_assert_eq!(planned, report.resident_bound);
+        prop_assert!(report.peak_resident <= planned);
+        for (k, stage) in report.stages.iter().enumerate() {
+            let s = stage.stream.as_ref().expect("stream report");
+            prop_assert_eq!(s.peak_resident, s.resident_bound, "{:?} stage {}", case, k);
+            let stage_plan = session.stage_plan(k).expect("stage plan");
+            let stage_in = stage_plan.input_domain().index().expect("input index");
+            let stage_out = stage_plan.iteration_domain().index().expect("iteration index");
+            prop_assert_eq!(s.values_in, stage_in.len(), "{:?} stage {}", case, k);
+            prop_assert_eq!(s.rows_in, stage_in.rows().len() as u64, "{:?} stage {}", case, k);
+            // Past 1-D a band emits whole index rows; in 1-D each band
+            // emits its slice of the one row.
+            let rows_out = if stage_out.dims() == 1 { s.bands } else { stage_out.rows().len() };
+            prop_assert_eq!(s.rows_out, rows_out as u64, "{:?} stage {}", case, k);
+        }
+    }
+}
