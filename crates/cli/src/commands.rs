@@ -7,8 +7,9 @@ use stencil_core::{
     verify_plan, MappingPolicy, MemorySystemPlan, ModuloSchedulePlan, ReuseAnalysis, StencilSpec,
 };
 use stencil_engine::{
-    max_rel_error, pack_grid, CompiledKernel, Datapath, ExecMode, InputGrid, KernelBackend,
-    MappedGrid, MmapSink, MmapSource, Session, SessionKernel, SessionRun, SliceSource, VecSink,
+    max_rel_error, pack_grid, CompiledKernel, Datapath, EngineError, ExecMode, InputGrid,
+    KernelBackend, MappedGrid, MmapSink, MmapSource, Session, SessionKernel, SessionRun,
+    SliceSource, VecSink,
 };
 use stencil_fpga::{estimate_nonuniform, estimate_uniform};
 use stencil_kernels::{KernelExpr, KernelOps, KernelStage};
@@ -133,9 +134,10 @@ fn append_bound_checks(out: &mut String, report: &MetricsReport) -> usize {
 /// streaming run read the mapping directly — the streaming path pulls
 /// zero payload copies, which the session's grid-io telemetry records.
 /// With `output_grid` (streaming only), output rows are written
-/// straight into a pre-sized mapped `.sgrid` file ([`MmapSink`]) and
+/// sequentially into an `.sgrid` file ([`MmapSink`], header last) and
 /// the file is re-opened afterwards to verify it bit-exact against the
-/// in-core outputs.
+/// in-core outputs. The output must not be the input file, under any
+/// name.
 ///
 /// The datapath is the spec-file fallback (plain window sum), since a
 /// spec file carries window geometry but no arithmetic. With
@@ -187,8 +189,21 @@ pub fn cmd_engine(
     }
     if output_grid.is_some() && !streaming {
         return Err("--output-grid needs --streaming; only the streaming \
-                    path writes rows through a mapped sink"
+                    path writes rows through an `.sgrid` sink"
             .into());
+    }
+    if let (Some(input), Some(output)) = (input_grid, output_grid) {
+        // Sizing the sink would cut the mapped input under the run and
+        // overwrite the values it reads.
+        if same_file(input, output) {
+            return Err(EngineError::Sink {
+                detail: format!(
+                    "output grid {} is also the input grid; write the output to another path",
+                    output.display()
+                ),
+            }
+            .into());
+        }
     }
     let plan = MemorySystemPlan::generate(spec)?.with_offchip_streams(streams)?;
     let in_idx = plan.input_domain().index()?;
@@ -463,6 +478,20 @@ pub fn cmd_engine(
 
     let violations = append_bound_checks(&mut out, &report);
     Ok((out, report.to_json(), violations))
+}
+
+/// Whether `a` and `b` name one existing file. On unix this compares
+/// device and inode, which also catches a hard link; elsewhere it
+/// compares canonical paths, which catches symlinks and `.` or `..`.
+fn same_file(a: &std::path::Path, b: &std::path::Path) -> bool {
+    #[cfg(unix)]
+    let id = |p: &std::path::Path| {
+        use std::os::unix::fs::MetadataExt;
+        std::fs::metadata(p).ok().map(|m| (m.dev(), m.ino()))
+    };
+    #[cfg(not(unix))]
+    let id = |p: &std::path::Path| std::fs::canonicalize(p).ok();
+    id(a).is_some_and(|i| id(b) == Some(i))
 }
 
 /// The spec's kernel as `cmd_engine` configured it, for the fused
@@ -1971,6 +2000,52 @@ o o o
             err.to_string().contains("do not match"),
             "unexpected error: {err}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn engine_rejects_the_input_grid_as_its_output_grid() {
+        let dir = std::env::temp_dir().join("stencil_cli_gridio_same");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("same.sgrid");
+        cmd_grid_pack(&path, &input_grid_extents(), 0x5EED_BA5E_D00D).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // The same name, another spelling of it, and (on unix, where
+        // the check compares inodes) a hard link.
+        let mut aliases = vec![path.clone(), dir.join(".").join("same.sgrid")];
+        if cfg!(unix) {
+            let link = dir.join("link.sgrid");
+            let _ = std::fs::remove_file(&link);
+            std::fs::hard_link(&path, &link).unwrap();
+            aliases.push(link);
+        }
+        for alias in &aliases {
+            let err = cmd_engine(
+                &denoise_spec(),
+                1,
+                None,
+                1,
+                true,
+                Some(4),
+                KernelBackend::Compiled,
+                1,
+                Datapath::F64,
+                false,
+                &[],
+                None,
+                None,
+                Some(&path),
+                Some(alias),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err.downcast_ref(), Some(EngineError::Sink { .. })),
+                "{}: unexpected error: {err}",
+                alias.display()
+            );
+            assert!(err.to_string().contains("also the input grid"), "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), before, "input grid changed");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -289,8 +289,8 @@ pub struct GridIoReport {
     pub values_copied: u64,
     /// Output values pushed to the sink.
     pub output_values: u64,
-    /// Whether [`crate::RowSink::finish`] ran to completion (flush /
-    /// msync succeeded) — `false` means tail rows may not be durable.
+    /// Whether [`crate::RowSink::finish`] ran to completion (flush and
+    /// sync succeeded) — `false` means tail rows may not be durable.
     pub sink_finalized: bool,
 }
 

@@ -23,15 +23,19 @@
 //! * a source backed by an `.sgrid` file ([`MmapSource`]) can skip the
 //!   pull/copy cycle entirely: it advertises the whole payload as a
 //!   [`MappedGrid`] and the stage machine executes bands as slices of
-//!   the mapped pages — zero parse, zero copy.
+//!   the mapped pages — zero parse, zero copy;
+//! * the `.sgrid` output end ([`MmapSink`], named for the writable
+//!   mapping it once stored rows into) writes through the file: rows
+//!   are encoded into one reused buffer and written sequentially, the
+//!   header last, then the data synced — no per-page write faults.
 //!
 //! Residency is telemetry-tracked with a [`stencil_telemetry::HighWater`]
 //! gauge; the report's `peak_resident` and its planned `resident_bound`
 //! feed the validator rule `peak_resident <= resident_bound`.
 
+use std::fs::{File, OpenOptions};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
-
-use memmap2::MmapMut;
 
 use crate::error::EngineError;
 use crate::format::{GridFormatError, GridHeader, MappedGrid};
@@ -74,10 +78,10 @@ pub trait RowSink {
     /// A typed [`EngineError`] describing why the row was rejected.
     fn push_row(&mut self, row: &[f64]) -> Result<(), EngineError>;
 
-    /// Finalizes the sink after the last row: flush buffered bytes,
-    /// sync mapped pages, verify completeness. The streaming endpoints
-    /// call this exactly once at end-of-run; the default is a no-op for
-    /// sinks with nothing buffered.
+    /// Finalizes the sink after the last row: verify completeness,
+    /// flush buffered bytes, sync written data to storage. The
+    /// streaming endpoints call this exactly once at end-of-run; the
+    /// default is a no-op for sinks with nothing buffered.
     ///
     /// # Errors
     ///
@@ -364,48 +368,61 @@ impl RowSource for MmapSource {
     }
 }
 
-/// A [`RowSink`] writing an `.sgrid` file through a shared writable
-/// mapping: the file is sized up front from the output extents, the
-/// header written once, and each pushed row stored directly into the
-/// mapped payload. [`finish`](RowSink::finish) verifies every declared
-/// value arrived and syncs the pages to disk.
+/// Most payload bytes [`MmapSink`] holds encoded before it writes
+/// them out (a single longer row is written whole).
+const SINK_WRITE_BYTES: usize = 1 << 20;
+
+/// A [`RowSink`] writing an `.sgrid` file with sequential file writes.
+///
+/// The name is kept from when it stored rows into a writable mapping;
+/// it now writes through the file: pushed rows are encoded into one
+/// reused buffer and written in order, about 1 MiB at a time, so the
+/// output costs no per-page write faults and no `msync`. The header is
+/// written last, by [`finish`](RowSink::finish), after it has checked
+/// that every declared value arrived; a sink dropped unfinished, or a
+/// run that fails mid-stream, leaves a zeroed header that
+/// [`MappedGrid::open`] rejects.
 #[derive(Debug)]
 pub struct MmapSink {
-    map: MmapMut,
+    file: File,
     header: GridHeader,
-    /// Values written so far (= payload write cursor / 8).
+    /// Values pushed so far.
     cursor: u64,
+    /// Encoded payload bytes not yet written to `file`.
+    buf: Vec<u8>,
 }
 
 impl MmapSink {
-    /// Creates (truncating) `path` as an `.sgrid` file of the given
-    /// extents, sized for the full payload and ready to receive rows.
+    /// Opens `path` as an `.sgrid` file of the given extents, ready to
+    /// receive rows. An existing file is not truncated but resized to
+    /// exactly header plus payload, so a reused output path keeps its
+    /// allocated blocks; its header slot is zeroed until `finish`.
     ///
     /// # Errors
     ///
-    /// [`EngineError::GridFormat`] for invalid extents, a payload too
-    /// large to map on this target, or filesystem failures.
+    /// [`EngineError::GridFormat`] for invalid extents or filesystem
+    /// failures.
     pub fn create(path: &Path, extents: &[u64]) -> Result<MmapSink, EngineError> {
         let header = GridHeader::new(extents).map_err(EngineError::GridFormat)?;
-        let file_len = header.payload_offset() as u64 + header.payload_bytes();
-        usize::try_from(file_len)
-            .map_err(|_| EngineError::GridFormat(GridFormatError::ExtentOverflow))?;
-        let file = std::fs::OpenOptions::new()
-            .read(true)
+        let file_len = (header.payload_offset() as u64)
+            .checked_add(header.payload_bytes())
+            .ok_or(EngineError::GridFormat(GridFormatError::ExtentOverflow))?;
+        let io = |e: std::io::Error| EngineError::GridFormat(e.into());
+        let mut file = OpenOptions::new()
             .write(true)
             .create(true)
-            .truncate(true)
+            .truncate(false)
             .open(path)
-            .map_err(|e| EngineError::GridFormat(e.into()))?;
-        file.set_len(file_len)
-            .map_err(|e| EngineError::GridFormat(e.into()))?;
-        let mut map = MmapMut::map_mut(&file).map_err(|e| EngineError::GridFormat(e.into()))?;
-        let encoded = header.encode();
-        map[..encoded.len()].copy_from_slice(&encoded);
+            .map_err(io)?;
+        file.set_len(file_len).map_err(io)?;
+        file.write_all(&vec![0; header.payload_offset()])
+            .map_err(io)?;
+        let buf_len = header.payload_bytes().min(SINK_WRITE_BYTES as u64);
         Ok(MmapSink {
-            map,
+            file,
             header,
             cursor: 0,
+            buf: Vec::with_capacity(usize::try_from(buf_len).expect("at most 1 MiB")),
         })
     }
 
@@ -413,6 +430,26 @@ impl MmapSink {
     #[must_use]
     pub fn header(&self) -> &GridHeader {
         &self.header
+    }
+
+    /// Writes the buffered payload bytes where they belong in the file:
+    /// they end at the value cursor, so a write retried after an I/O
+    /// error lands in the same place.
+    fn write_buf(&mut self) -> Result<(), EngineError> {
+        let at = self.header.payload_offset() as u64 + self.cursor * 8 - self.buf.len() as u64;
+        self.file
+            .seek(SeekFrom::Start(at))
+            .and_then(|_| self.file.write_all(&self.buf))
+            .map_err(|e| sink_io("payload write", &e))?;
+        self.buf.clear();
+        Ok(())
+    }
+}
+
+/// A failed file operation of [`MmapSink`], typed as a sink failure.
+fn sink_io(what: &str, e: &std::io::Error) -> EngineError {
+    EngineError::Sink {
+        detail: format!("{what} failed: {e}"),
     }
 }
 
@@ -432,11 +469,11 @@ impl RowSink for MmapSink {
                 ),
             });
         };
-        let offset = self.header.payload_offset()
-            + usize::try_from(self.cursor * 8).expect("file length fits usize (checked at create)");
-        let bytes = &mut self.map[offset..offset + row.len() * 8];
-        for (slot, v) in bytes.chunks_exact_mut(8).zip(row) {
-            slot.copy_from_slice(&v.to_le_bytes());
+        if self.buf.len() + row.len() * 8 > SINK_WRITE_BYTES {
+            self.write_buf()?;
+        }
+        for v in row {
+            self.buf.extend_from_slice(&v.to_le_bytes());
         }
         self.cursor = end;
         Ok(())
@@ -452,9 +489,12 @@ impl RowSink for MmapSink {
                 ),
             });
         }
-        self.map.flush().map_err(|e| EngineError::Sink {
-            detail: format!("msync failed: {e}"),
-        })
+        self.write_buf()?;
+        self.file
+            .seek(SeekFrom::Start(0))
+            .and_then(|_| self.file.write_all(&self.header.encode()))
+            .map_err(|e| sink_io("header write", &e))?;
+        self.file.sync_data().map_err(|e| sink_io("sync", &e))
     }
 }
 

@@ -362,7 +362,7 @@ record! {
         pub values_copied: u64,
         /// Output values pushed to the sink.
         pub output_values: u64,
-        /// Whether the sink's end-of-run finalization (flush / msync) ran
+        /// Whether the sink's end-of-run finalization (flush and sync) ran
         /// to completion.
         pub sink_finalized: bool,
     }

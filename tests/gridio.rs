@@ -14,7 +14,10 @@
 //! * **Streaming I/O fixes hold.** [`ReadSource`] reports truncated
 //!   payloads with a typed error carrying the partial-value byte
 //!   count; [`WriteSink`] flushes on `finish()` rather than relying on
-//!   drop order; [`MmapSink`] refuses an incomplete finalize.
+//!   drop order; [`MmapSink`] refuses an incomplete finalize, writes
+//!   its header only at finalize (an unfinished or failed run leaves a
+//!   file that does not open), and resizes a reused output path to
+//!   exactly the new grid.
 //! * **Oversized jobs are typed.** Grid extents whose element or byte
 //!   count overflows are rejected by the serving front-end as
 //!   [`EngineError::JobTooLarge`], not silently saturated.
@@ -256,6 +259,109 @@ fn mmap_sink_round_trips_and_rejects_partial_grids() {
     drop(sink);
     let grid = MappedGrid::open(&path).expect("reopen");
     assert_eq!(grid.values(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Writes `values` as a `(rows, cols)` grid through an [`MmapSink`],
+/// one row per push.
+fn sink_grid(path: &std::path::Path, rows: u64, cols: u64, values: &[f64]) {
+    let mut sink = MmapSink::create(path, &[rows, cols]).expect("create");
+    for row in values.chunks(usize::try_from(cols).expect("fits")) {
+        sink.push_row(row).expect("push");
+    }
+    sink.finish().expect("finish");
+}
+
+fn assert_bits(got: &[f64], want: &[f64]) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got), bits(want));
+}
+
+#[test]
+fn mmap_sink_dropped_unfinished_leaves_an_unopenable_file() {
+    let path = temp_path("stencil_gridio_sink_drop", "out.sgrid");
+    let mut sink = MmapSink::create(&path, &[2, 3]).expect("create");
+    sink.push_row(&[1.0, 2.0, 3.0]).expect("row 0");
+    sink.push_row(&[4.0, 5.0, 6.0]).expect("row 1");
+    drop(sink);
+    let err = MappedGrid::open(&path).expect_err("unfinished grid opened");
+    assert_eq!(err, GridFormatError::BadMagic);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn mmap_sink_of_a_run_cut_short_by_truncated_input_does_not_open() {
+    let bench = denoise();
+    let extents = scaled_extents(&bench, 10_000);
+    let spec = bench.spec_for(&extents).expect("spec");
+    let plan = MemorySystemPlan::generate(&spec).expect("plan");
+    let n = usize::try_from(plan.input_domain().index().expect("index").len()).expect("fits");
+    let out_bb = spec
+        .iteration_domain()
+        .index()
+        .expect("index")
+        .bounding_box()
+        .expect("bounding box");
+    let out_extents: Vec<u64> = out_bb
+        .iter()
+        .map(|&(lo, hi)| (hi - lo + 1) as u64)
+        .collect();
+    let out_len = usize::try_from(out_extents.iter().product::<u64>()).expect("fits");
+    // A valid grid from an earlier run sits at the output path.
+    let path = temp_path("stencil_gridio_sink_cut", "out.sgrid");
+    pack_grid(&path, &out_extents, &vec![1.0; out_len]).expect("pack");
+
+    // Two thirds of the input: the first bands stream out, then the
+    // source runs dry.
+    let bytes: Vec<u8> = input_values(n, 5)
+        .iter()
+        .take(n * 2 / 3)
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let mut source = ReadSource::new(&bytes[..]);
+    let mut sink = MmapSink::create(&path, &out_extents).expect("create");
+    let session = Session::build(&plan, &bench.stage()).expect("session");
+    let err = session
+        .mode(ExecMode::Streaming {
+            chunk_rows: Some(4),
+        })
+        .run_streaming(&mut source, &mut sink)
+        .expect_err("truncated input");
+    assert!(matches!(err, EngineError::TruncatedInput { .. }), "{err:?}");
+    drop(sink);
+    let err = MappedGrid::open(&path).expect_err("cut-short grid opened");
+    assert_eq!(err, GridFormatError::BadMagic);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn mmap_sink_resizes_an_existing_file_to_exactly_the_new_grid() {
+    let values = input_values(6 * 7, 11);
+    for (old_rows, old_cols) in [(40, 50), (1, 1)] {
+        let path = temp_path("stencil_gridio_sink_resize", &format!("{old_rows}.sgrid"));
+        let old = input_values(old_rows * old_cols, 12);
+        pack_grid(&path, &[old_rows as u64, old_cols as u64], &old).expect("pack");
+        sink_grid(&path, 6, 7, &values);
+        let grid = MappedGrid::open(&path).expect("reopen");
+        let want_len = grid.header().payload_offset() as u64 + grid.header().payload_bytes();
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), want_len);
+        assert_eq!(grid.header().extents(), &[6, 7]);
+        assert_bits(grid.values(), &values);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
+fn mmap_sink_rewrites_a_reused_path_with_the_latest_run() {
+    // 2.4 MB per grid: the payload crosses several buffered writes.
+    let (rows, cols) = (300, 1000);
+    let path = temp_path("stencil_gridio_sink_reuse", "out.sgrid");
+    let first = input_values(rows * cols, 21);
+    let second = input_values(rows * cols, 22);
+    sink_grid(&path, rows as u64, cols as u64, &first);
+    assert_bits(MappedGrid::open(&path).expect("first").values(), &first);
+    sink_grid(&path, rows as u64, cols as u64, &second);
+    assert_bits(MappedGrid::open(&path).expect("second").values(), &second);
     let _ = std::fs::remove_file(&path);
 }
 
