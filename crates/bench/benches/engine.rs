@@ -2,15 +2,18 @@
 //! machine on full-size DENOISE (768x1024), engine thread scaling at
 //! 1/2/4/8 workers, the compiled row-sweep backend vs the closure
 //! datapath, and the bounded-memory streaming path vs in-core. A
-//! second group runs the row shapes whose fixed per-row costs dominate
-//! — short DENOISE rows and the 19-tap SEGMENTATION_3D at 96³ — in
-//! core on one thread, compiled and closure. A third runs an 8-step
+//! second group runs DENOISE 768×1024 and the row shapes whose fixed
+//! per-row costs dominate — short DENOISE rows and the 19-tap
+//! SEGMENTATION_3D at 96³ — in core on one thread, three ways: the
+//! kernel's native row body, the register program (an expression-only
+//! copy of the same kernel), and the closure. A third runs an 8-step
 //! streaming DENOISE ring from a mapped `.sgrid` into memory on one
 //! thread: the stage-to-stage hand-off without file-system noise.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
+use stencil_bench::expression_only;
 use stencil_core::MemorySystemPlan;
 use stencil_engine::{
     pack_grid, CompiledKernel, ExecMode, InputGrid, MmapSource, Session, SessionKernel,
@@ -165,7 +168,8 @@ fn ramp_input(plan: &MemorySystemPlan) -> (stencil_polyhedral::DomainIndex, Vec<
 fn bench_row_shapes(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_row_shapes");
     g.sample_size(10);
-    let shapes: [(Benchmark, Vec<i64>); 2] = [
+    let shapes: [(Benchmark, Vec<i64>); 3] = [
+        (denoise(), vec![768, 1024]),
         (denoise(), vec![8192, 96]),
         (segmentation_3d(), vec![96, 96, 96]),
     ];
@@ -178,7 +182,10 @@ fn bench_row_shapes(c: &mut Criterion) {
         let (in_idx, in_vals) = ramp_input(&plan);
         let input = InputGrid::new(&in_idx, &in_vals).expect("input");
         let compute = bench.compute_fn();
-        let kernel = CompiledKernel::for_benchmark(bench)
+        let native = CompiledKernel::for_benchmark(bench)
+            .expect("compile")
+            .expect("suite kernels carry an expression");
+        let program = CompiledKernel::for_benchmark(&expression_only(bench))
             .expect("compile")
             .expect("suite kernels carry an expression");
         let shape = extents
@@ -187,7 +194,8 @@ fn bench_row_shapes(c: &mut Criterion) {
             .collect::<Vec<_>>()
             .join("x");
         for (name, kernel) in [
-            ("compiled", SessionKernel::Compiled(&kernel)),
+            ("native", SessionKernel::Compiled(&native)),
+            ("program", SessionKernel::Compiled(&program)),
             ("closure", SessionKernel::Closure(&compute)),
         ] {
             let session = Session::new(&plan)

@@ -4,16 +4,21 @@
 //!
 //! Runs the same plan through the original closure datapath and the
 //! compiled row-sweep backend, in-core and streaming, best of three
-//! runs each — then sweeps the compiled in-core configuration over
-//! unroll factors U in {1, 2, 4, 8} on both the f64 and the f32
-//! datapath. All f64 output buffers must agree bit-for-bit, the f32
-//! runs must stay inside the benchmark's declared relative tolerance
-//! (`Benchmark::f32_rtol`), every telemetry report must pass the
-//! runtime bound validator, and two throughput gates hold: the
-//! compiled backend must not be slower than the closure it replaces,
-//! and (on DENOISE, the CI geometry) the unrolled sweep at
-//! `DEFAULT_UNROLL` must clear 1.15x the U=1 compiled in-core rate
-//! (the single-output register program).
+//! runs each — then sweeps the register program in core over unroll
+//! factors U in {1, 2, 4, 8} on both the f64 and the f32 datapath.
+//! The built-in kernel's compiled backend runs its native row body at
+//! U=1; the sweep runs an expression-only copy of the kernel (same
+//! window, closure and expression, no native row), so every swept
+//! factor, U=1 included, is the register program. All f64 output
+//! buffers must agree bit-for-bit, the f32 runs must stay inside the
+//! benchmark's declared relative tolerance (`Benchmark::f32_rtol`),
+//! every telemetry report must pass the runtime bound validator, and
+//! three throughput gates hold: the compiled backend must not be
+//! slower than the closure it replaces, the native row body must not
+//! be slower than the U=1 register program, and (on DENOISE, the CI
+//! geometry) the unrolled sweep at `DEFAULT_UNROLL` must clear 1.15x
+//! the U=1 register program's in-core rate (the single-output
+//! register program).
 //! Correctness failures exit nonzero immediately; a missed throughput
 //! gate earns fresh measurements (keeping the per-configuration
 //! maximum) before it fails the pipeline, because a descheduled
@@ -26,6 +31,7 @@
 
 use std::process::ExitCode;
 
+use stencil_bench::expression_only;
 use stencil_core::MemorySystemPlan;
 use stencil_engine::{
     max_rel_error, CompiledKernel, Datapath, ExecMode, InputGrid, Session, SessionKernel,
@@ -37,22 +43,32 @@ use stencil_telemetry::{validate_report, MetricsReport};
 /// Measurement repetitions per configuration; the best run is kept.
 const RUNS: usize = 3;
 
-/// Unroll factors swept on the compiled in-core configuration.
+/// Unroll factors swept on the register program in core.
 const UNROLL_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Required in-core speedup of the `DEFAULT_UNROLL` f64 sweep over the
-/// U=1 compiled run (the single-output register program) on DENOISE,
-/// the CI gate geometry.
+/// U=1 run of the register program (the single-output register
+/// program) on DENOISE, the CI gate geometry. Both sides run the
+/// expression-only copy of the kernel.
 const UNROLL_GATE: f64 = 1.15;
+
+/// Required in-core speedup of the native row body over the U=1
+/// register program: the native body must not be slower.
+const NATIVE_GATE: f64 = 1.0;
 
 /// The measured throughputs (elements per second).
 struct Measurements {
     name: String,
     extents: Vec<i64>,
     incore_closure: f64,
-    /// Per-factor compiled in-core rates, f64 datapath, [`UNROLL_SWEEP`] order.
+    /// The built-in kernel's compiled in-core rate at U=1 (its native
+    /// row body, when it has one).
+    incore_compiled: f64,
+    /// Per-factor register-program in-core rates, f64 datapath,
+    /// [`UNROLL_SWEEP`] order.
     sweep_f64: [f64; UNROLL_SWEEP.len()],
-    /// Per-factor compiled in-core rates, f32 datapath, [`UNROLL_SWEEP`] order.
+    /// Per-factor register-program in-core rates, f32 datapath,
+    /// [`UNROLL_SWEEP`] order.
     sweep_f32: [f64; UNROLL_SWEEP.len()],
     streaming_closure: f64,
     streaming_compiled: f64,
@@ -73,9 +89,10 @@ fn default_unroll_slot() -> usize {
 }
 
 impl Measurements {
-    /// Compiled U=1 in-core rate (the single-output register program) —
-    /// the baseline both speedup gates divide by.
-    fn incore_compiled(&self) -> f64 {
+    /// Register-program U=1 in-core rate (the single-output register
+    /// program) — the baseline the unroll, native and f32 ratios
+    /// divide by.
+    fn incore_program(&self) -> f64 {
         self.sweep_f64[0]
     }
 
@@ -88,15 +105,19 @@ impl Measurements {
     }
 
     fn incore_speedup(&self) -> f64 {
-        self.incore_compiled() / self.incore_closure
+        self.incore_compiled / self.incore_closure
+    }
+
+    fn native_speedup(&self) -> f64 {
+        self.incore_compiled / self.incore_program()
     }
 
     fn unrolled_speedup(&self) -> f64 {
-        self.incore_unrolled() / self.incore_compiled()
+        self.incore_unrolled() / self.incore_program()
     }
 
     fn f32_speedup(&self) -> f64 {
-        self.incore_f32() / self.incore_compiled()
+        self.incore_f32() / self.incore_program()
     }
 
     fn streaming_speedup(&self) -> f64 {
@@ -107,6 +128,7 @@ impl Measurements {
     /// configuration and accumulating validator violations.
     fn keep_max(&mut self, fresh: &Measurements) {
         self.incore_closure = self.incore_closure.max(fresh.incore_closure);
+        self.incore_compiled = self.incore_compiled.max(fresh.incore_compiled);
         for k in 0..UNROLL_SWEEP.len() {
             self.sweep_f64[k] = self.sweep_f64[k].max(fresh.sweep_f64[k]);
             self.sweep_f32[k] = self.sweep_f32[k].max(fresh.sweep_f32[k]);
@@ -134,6 +156,7 @@ impl Measurements {
              \"outputs\": {},\n  \"unroll\": {},\n  \
              \"incore_closure_elem_per_s\": {:.1},\n  \
              \"incore_compiled_elem_per_s\": {:.1},\n  \"incore_speedup\": {:.4},\n  \
+             \"incore_program_elem_per_s\": {:.1},\n  \"native_speedup\": {:.4},\n  \
              \"incore_unrolled_elem_per_s\": {:.1},\n  \"unrolled_speedup\": {:.4},\n  \
              \"incore_f32_elem_per_s\": {:.1},\n  \"f32_speedup\": {:.4},\n\
              {sweep}  \
@@ -148,8 +171,10 @@ impl Measurements {
             self.outputs,
             DEFAULT_UNROLL,
             self.incore_closure,
-            self.incore_compiled(),
+            self.incore_compiled,
             self.incore_speedup(),
+            self.incore_program(),
+            self.native_speedup(),
             self.incore_unrolled(),
             self.unrolled_speedup(),
             self.incore_f32(),
@@ -180,11 +205,20 @@ fn gate_fails(m: &Measurements, report: bool) -> bool {
         }
         failed = true;
     }
+    if m.native_speedup() < NATIVE_GATE {
+        if report {
+            eprintln!(
+                "native row body is SLOWER than the U=1 register program in-core: {:.2}x",
+                m.native_speedup()
+            );
+        }
+        failed = true;
+    }
     if m.name == "DENOISE" && m.unrolled_speedup() < UNROLL_GATE {
         if report {
             eprintln!(
-                "unrolled sweep (U={DEFAULT_UNROLL}) holds only {:.2}x of the U=1 compiled \
-                 in-core rate, below the {UNROLL_GATE}x gate",
+                "unrolled sweep (U={DEFAULT_UNROLL}) holds only {:.2}x of the U=1 register \
+                 program's in-core rate, below the {UNROLL_GATE}x gate",
                 m.unrolled_speedup()
             );
         }
@@ -243,13 +277,16 @@ fn main() -> ExitCode {
     }
     println!(
         "wrote {out_path}: {} {} outputs; in-core {:.1} -> {:.1} Melem/s ({:.2}x), \
+         native/program U=1 {:.2}x (program {:.1} Melem/s), \
          unrolled U={} {:.1} Melem/s ({:.2}x), f32 {:.1} Melem/s ({:.2}x, \
          max rel err {:.2e} <= {:.0e}); streaming {:.1} -> {:.1} Melem/s ({:.2}x)",
         m.name,
         m.outputs,
         m.incore_closure / 1e6,
-        m.incore_compiled() / 1e6,
+        m.incore_compiled / 1e6,
         m.incore_speedup(),
+        m.native_speedup(),
+        m.incore_program() / 1e6,
         DEFAULT_UNROLL,
         m.incore_unrolled() / 1e6,
         m.unrolled_speedup(),
@@ -263,7 +300,7 @@ fn main() -> ExitCode {
     );
     for (k, &u) in UNROLL_SWEEP.iter().enumerate() {
         println!(
-            "  U={u}: f64 {:.1} Melem/s, f32 {:.1} Melem/s",
+            "  program U={u}: f64 {:.1} Melem/s, f32 {:.1} Melem/s",
             m.sweep_f64[k] / 1e6,
             m.sweep_f32[k] / 1e6
         );
@@ -302,6 +339,10 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
     let compute = bench.compute_fn();
     let kernel = CompiledKernel::for_benchmark(bench)?
         .ok_or_else(|| format!("{} carries no expression", bench.name()))?;
+    // The same kernel without its native row body: every compiled run
+    // of it is the register program.
+    let program = CompiledKernel::for_benchmark(&expression_only(bench))?
+        .ok_or_else(|| format!("{} carries no expression", bench.name()))?;
 
     let stream_mode = ExecMode::Streaming {
         chunk_rows: Some(64),
@@ -336,7 +377,26 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
     let reference = reference.expect("at least one run");
     let outputs = reference.len() as u64;
 
-    // In-core, compiled row sweep: unroll factors on both datapaths.
+    // In-core, the built-in kernel's compiled backend at U=1.
+    let mut incore_compiled = 0.0f64;
+    for _ in 0..RUNS {
+        let run = Session::new(&plan)
+            .kernel(SessionKernel::Compiled(&kernel))
+            .run(&input)?;
+        let engine = run.report.stages[0]
+            .engine
+            .clone()
+            .ok_or("session produced no in-core stage report")?;
+        incore_compiled = incore_compiled.max(engine.throughput());
+        let mut report = MetricsReport::new(spec.name());
+        report.sessions.push(run.report.metrics());
+        validate(&report);
+        if run.outputs != reference {
+            return Err("compiled in-core outputs (U=1) diverge from the closure run".into());
+        }
+    }
+
+    // In-core, the register program: unroll factors on both datapaths.
     // The f64 runs must reproduce the closure bits exactly at every
     // factor; the f32 runs must stay inside the declared tolerance.
     let mut sweep_f64 = [0.0f64; UNROLL_SWEEP.len()];
@@ -346,7 +406,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
     for (k, &u) in UNROLL_SWEEP.iter().enumerate() {
         for _ in 0..RUNS {
             let run = Session::new(&plan)
-                .kernel(SessionKernel::Compiled(&kernel))
+                .kernel(SessionKernel::Compiled(&program))
                 .unroll(u)
                 .run(&input)?;
             let engine = run.report.stages[0]
@@ -359,14 +419,14 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
             validate(&report);
             if run.outputs != reference {
                 return Err(format!(
-                    "compiled in-core outputs (U={u}) diverge from the closure run"
+                    "register-program in-core outputs (U={u}) diverge from the closure run"
                 )
                 .into());
             }
         }
         for _ in 0..RUNS {
             let run = Session::new(&plan)
-                .kernel(SessionKernel::Compiled(&kernel))
+                .kernel(SessionKernel::Compiled(&program))
                 .unroll(u)
                 .datapath(Datapath::F32)
                 .run(&input)?;
@@ -464,6 +524,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
         name: bench.name().to_string(),
         extents,
         incore_closure,
+        incore_compiled,
         sweep_f64,
         sweep_f32,
         streaming_closure,

@@ -109,6 +109,33 @@ pub fn scaled_extents(bench: &Benchmark, max_cells: u64) -> Vec<i64> {
     }
 }
 
+/// A copy of `bench` with the same name, grid, window, closure and
+/// expression but no native row body, so its compiled sweep runs the
+/// register program instead. Benches use it to time the native body
+/// and the register program on one kernel in one process.
+#[must_use]
+pub fn expression_only(bench: &Benchmark) -> Benchmark {
+    let mut copy = Benchmark::new(
+        bench.name(),
+        bench.extents().to_vec(),
+        bench.window().to_vec(),
+        bench.ops(),
+        bench.compute_fn(),
+    )
+    .with_element_bits(bench.element_bits())
+    .with_f32_rtol(bench.f32_rtol());
+    if let Some(expr) = bench.expr() {
+        copy = copy.with_expr(expr.clone());
+    }
+    if bench.iteration_stable() {
+        copy = copy.with_iteration_stable();
+    }
+    if bench.shard_stable() {
+        copy = copy.with_shard_stable();
+    }
+    copy
+}
+
 /// Plans and cycle-accurately simulates a benchmark on a scaled grid.
 ///
 /// # Errors
@@ -190,6 +217,22 @@ mod tests {
             parse_bench_args("BENCH_9.json", strs(&["y.json", "SOBEL", "base.json"])).unwrap();
         assert_eq!(out, "y.json");
         assert_eq!(rest, strs(&["SOBEL", "base.json"]));
+    }
+
+    #[test]
+    fn expression_only_drops_just_the_native_row() {
+        for b in paper_suite() {
+            let copy = expression_only(&b);
+            assert!(b.native_row().is_some());
+            assert!(copy.native_row().is_none());
+            assert_eq!(copy.name(), b.name());
+            assert_eq!(copy.window(), b.window());
+            assert_eq!(copy.expr(), b.expr());
+            assert_eq!(copy.f32_rtol(), b.f32_rtol());
+            assert_eq!(copy.element_bits(), b.element_bits());
+            let w: Vec<f64> = (0..b.window().len()).map(|k| k as f64 - 1.5).collect();
+            assert_eq!(copy.compute(&w).to_bits(), b.compute(&w).to_bits());
+        }
     }
 
     #[test]

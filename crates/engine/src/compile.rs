@@ -19,9 +19,11 @@
 //! * **evaluate** — [`CompiledKernel::eval`] (and [`CompiledKernel::eval32`]
 //!   for the f32 datapath) runs the bytecode on one window. This scalar
 //!   form serves the per-element `Closure` backend, gather rows, and the
-//!   replay that validates every register program. Row sweeps run the
-//!   register program [`crate::unroll`] lowers from the same folded
-//!   expression.
+//!   replay that validates every register program and native row body.
+//!   Row sweeps run the kernel's native row body when it carries one
+//!   (checked against this bytecode on attachment, see
+//!   [`CompiledKernel::for_benchmark`]) and otherwise the register
+//!   program [`crate::unroll`] lowers from the same folded expression.
 //!
 //! Evaluation order is exactly the expression's association order, which
 //! the suite expressions in turn copy from their closures — the chain
@@ -31,7 +33,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
-use stencil_kernels::{Benchmark, KernelExpr};
+use stencil_kernels::{Benchmark, KernelExpr, KernelStage, NativeRow};
 
 use crate::error::EngineError;
 use crate::unroll::Lane;
@@ -39,11 +41,16 @@ use crate::unroll::Lane;
 /// Selects how the engine evaluates the kernel datapath.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KernelBackend {
-    /// Row-sweep interior rows through the vectorized register program
-    /// lowered from the [`CompiledKernel`] — `U` adjacent rows per
-    /// dispatch with `Session::unroll`, one row per dispatch at the
-    /// default `U = 1` (the default when a [`CompiledKernel`] is
-    /// supplied). Gather rows evaluate the scalar bytecode.
+    /// Row-sweep interior rows (the default when a [`CompiledKernel`]
+    /// is supplied). At the default `U = 1` on the f64 datapath, a
+    /// kernel with a checked native row body
+    /// ([`stencil_kernels::NativeRow`], carried by every built-in
+    /// benchmark) sweeps each row through that body: the kernel's own
+    /// formula as one vectorized loop. Every other compiled row runs
+    /// the vectorized register program lowered from the
+    /// [`CompiledKernel`] — expression-only kernels, the f32 datapath,
+    /// and `U > 1` (`U` adjacent rows per dispatch with
+    /// `Session::unroll`). Gather rows evaluate the scalar bytecode.
     #[default]
     Compiled,
     /// Evaluate one element at a time through the per-window call — the
@@ -183,6 +190,54 @@ pub struct CompiledKernel {
     /// multi-output compiler ([`crate::unroll`]) can re-lower it across
     /// output positions without decompiling the bytecode.
     expr: KernelExpr,
+    /// The kernel's native row body, checked against this bytecode
+    /// ([`CompiledKernel::with_native_row`]); the single-row f64 sweep
+    /// runs it instead of the register program.
+    native: Option<NativeRow>,
+}
+
+/// Windows in the construction-time check battery ([`battery`]).
+const BATTERY: usize = 64;
+
+/// Row lengths the native-row check lays the battery out as: they
+/// partition its [`BATTERY`] windows, from a one-column row to one
+/// spanning several vector widths.
+const BATTERY_ROWS: [usize; 6] = [1, 2, 5, 8, 16, 32];
+
+/// The construction-time check battery over `taps`-point windows,
+/// tap-major (`vals[k * BATTERY + j]` is tap `k` of window `j`, so tap
+/// `k` of windows `j..j + n` is one contiguous run): four constant
+/// fills (0, 1, -1, 0.5), then pseudo-random windows.
+fn battery(taps: usize) -> Vec<f64> {
+    const FILLS: [f64; 4] = [0.0, 1.0, -1.0, 0.5];
+    let mut vals = vec![0.0f64; taps * BATTERY];
+    let mut state = 0x0BAD_C0DE_CAFE_u64;
+    for j in 0..BATTERY {
+        for k in 0..taps {
+            vals[k * BATTERY + j] = match FILLS.get(j) {
+                Some(&fill) => fill,
+                None => {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((state >> 33) as f64) / 1e8 - 42.0
+                }
+            };
+        }
+    }
+    vals
+}
+
+/// Window `j` of a tap-major [`battery`].
+fn battery_window(vals: &[f64], j: usize, window: &mut [f64]) {
+    for (k, w) in window.iter_mut().enumerate() {
+        *w = vals[k * BATTERY + j];
+    }
+}
+
+/// Whether two evaluations agree: equal bits, or both NaN.
+fn same_value(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
 // ---------------------------------------------------------------------
@@ -483,6 +538,7 @@ impl CompiledKernel {
             slots: usize::from(slots),
             max_stack,
             expr: folded,
+            native: None,
         })
     }
 
@@ -503,49 +559,89 @@ impl CompiledKernel {
         C: Fn(&[f64]) -> f64 + ?Sized,
     {
         let ck = Self::compile(expr, taps)?;
+        let vals = battery(taps);
         let mut window = vec![0.0f64; taps];
-        let check = |window: &[f64]| -> Result<(), EngineError> {
-            let got = ck.eval(window);
-            let want = reference(window);
-            if got == want || (got.is_nan() && want.is_nan()) {
-                Ok(())
-            } else {
-                Err(EngineError::KernelMismatch {
+        for j in 0..BATTERY {
+            battery_window(&vals, j, &mut window);
+            let got = ck.eval(&window);
+            let want = reference(&window);
+            if !same_value(got, want) {
+                return Err(EngineError::KernelMismatch {
                     detail: format!("window {window:?}: bytecode {got:?} vs closure {want:?}"),
-                })
+                });
             }
-        };
-        for fill in [0.0, 1.0, -1.0, 0.5] {
-            window.iter_mut().for_each(|w| *w = fill);
-            check(&window)?;
-        }
-        let mut state = 0x0BAD_C0DE_CAFE_u64;
-        for _ in 0..60 {
-            for w in &mut window {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                *w = ((state >> 33) as f64) / 1e8 - 42.0;
-            }
-            check(&window)?;
         }
         Ok(ck)
     }
 
-    /// Compiles a [`Benchmark`]'s expression, validated against its own
-    /// closure — `Ok(None)` when the benchmark carries no expression.
+    /// Attaches a native row body, checked first: the battery of
+    /// [`CompiledKernel::compile_checked`], laid out as rows of several
+    /// lengths, must give the bytecode's bits in every column (NaN
+    /// where the bytecode gives NaN). The single-row f64 sweep then
+    /// runs the native body in place of the register program.
     ///
     /// # Errors
     ///
-    /// As [`CompiledKernel::compile_checked`].
-    pub fn for_benchmark(bench: &Benchmark) -> Result<Option<Self>, EngineError> {
-        match bench.expr() {
-            None => Ok(None),
-            Some(expr) => {
-                let reference = bench.compute_fn();
-                Self::compile_checked(expr, bench.window().len(), &reference).map(Some)
+    /// [`EngineError::KernelMismatch`] if any column diverges.
+    fn with_native_row(mut self, row: NativeRow) -> Result<Self, EngineError> {
+        let vals = battery(self.taps);
+        let mut bases = vec![0usize; self.taps];
+        let mut out = [0.0f64; BATTERY];
+        let mut window = vec![0.0f64; self.taps];
+        let mut start = 0usize;
+        for len in BATTERY_ROWS {
+            for (k, b) in bases.iter_mut().enumerate() {
+                *b = k * BATTERY + start;
             }
+            row.run(&vals, &bases, &mut out[..len]);
+            for (t, &got) in out[..len].iter().enumerate() {
+                battery_window(&vals, start + t, &mut window);
+                let want = self.eval(&window);
+                if !same_value(got, want) {
+                    return Err(EngineError::KernelMismatch {
+                        detail: format!(
+                            "window {window:?} (column {t} of a {len}-column row): native row \
+                             {got:?} vs bytecode {want:?}"
+                        ),
+                    });
+                }
+            }
+            start += len;
         }
+        debug_assert_eq!(start, BATTERY);
+        self.native = Some(row);
+        Ok(self)
+    }
+
+    /// Compiles a [`Benchmark`]'s expression, validated against its own
+    /// closure, and attaches its native row body when it has one —
+    /// `Ok(None)` when the benchmark carries no expression.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledKernel::compile_checked`], plus
+    /// [`EngineError::KernelMismatch`] when the native row diverges from
+    /// the bytecode.
+    pub fn for_benchmark(bench: &Benchmark) -> Result<Option<Self>, EngineError> {
+        Self::for_stage(&bench.stage())
+    }
+
+    /// [`CompiledKernel::for_benchmark`] for stage metadata (a stage's
+    /// native row reads as many taps as its window has).
+    pub(crate) fn for_stage(stage: &KernelStage) -> Result<Option<Self>, EngineError> {
+        let Some(expr) = stage.expr() else {
+            return Ok(None);
+        };
+        let ck = Self::compile_checked(expr, stage.window().len(), &stage.compute_fn())?;
+        match stage.native_row() {
+            Some(row) => ck.with_native_row(row).map(Some),
+            None => Ok(Some(ck)),
+        }
+    }
+
+    /// The checked native row body, when one is attached.
+    pub(crate) fn native_row(&self) -> Option<NativeRow> {
+        self.native
     }
 
     /// The window size the bytecode was compiled for.

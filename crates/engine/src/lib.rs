@@ -27,7 +27,10 @@
 //!   contiguous slice of the resident rows and every op evaluates over
 //!   fixed-width lane chunks the compiler can autovectorize — `U`
 //!   adjacent rows per dispatch with `Session::unroll`, bit-identical
-//!   to the closure datapath at every `U`.
+//!   to the closure datapath at every `U`. A built-in kernel's native
+//!   row body ([`stencil_kernels::NativeRow`], checked against the
+//!   bytecode when the kernel is compiled) replaces the register
+//!   program on every swept f64 row at `U = 1`.
 //!
 //! Every mode × backend combination executes through one composable
 //! [`Session`] pipeline layer: `Session::new(&plan).kernel(..)

@@ -12,7 +12,8 @@
 //!   the kernel runs the compiled backend: the row evaluates through
 //!   the vectorized [`UnrolledProgram`] register sweep — `U` adjacent
 //!   rows per dispatch when they line up, the single-output program
-//!   otherwise (every row at the default `U = 1`);
+//!   otherwise (every row at the default `U = 1`), or at `U = 1` on
+//!   f64 the kernel's native row body when it carries one;
 //! * **fast rows** — taps are contiguous and resident but the kernel is
 //!   a closure (or the `Closure` backend is forced onto the scalar
 //!   bytecode): a batched per-element loop gathers each window from tap

@@ -168,6 +168,18 @@ enum StageKernel<'a> {
     Compiled(Cow<'a, CompiledKernel>),
 }
 
+impl StageKernel<'_> {
+    /// A stage's datapath from its metadata: the checked compiled form
+    /// (with its native row body, if any) when the stage carries an
+    /// expression, else its closure.
+    fn from_stage(stage: &KernelStage) -> Result<Self, EngineError> {
+        Ok(match CompiledKernel::for_stage(stage)? {
+            Some(ck) => StageKernel::Compiled(Cow::Owned(ck)),
+            None => StageKernel::ClosureFn(stage.compute_fn()),
+        })
+    }
+}
+
 /// A stage's plan: borrowed for stage 0, owned for chained stages
 /// (derived by domain erosion).
 enum PlanRef<'a> {
@@ -459,7 +471,8 @@ impl<'a> Session<'a> {
     /// A single-stage session over `plan` whose datapath comes from
     /// `stage` metadata: when the stage carries a
     /// [`stencil_kernels::KernelExpr`] it is compiled to owned bytecode
-    /// and validated against the stage closure, otherwise the closure
+    /// and validated against the stage closure (and the stage's native
+    /// row body, if any, against the bytecode), otherwise the closure
     /// runs directly. This is the fallible entry point the serving
     /// front-end uses — a benchmark whose expression fails checked
     /// compilation surfaces as a typed error instead of killing the
@@ -470,16 +483,10 @@ impl<'a> Session<'a> {
     /// * [`EngineError::KernelCompile`] if the stage's expression fails
     ///   checked compilation.
     /// * [`EngineError::KernelMismatch`] if the compiled bytecode
-    ///   diverges from the stage closure on the validation sweep.
+    ///   diverges from the stage closure on the validation sweep, or
+    ///   the stage's native row body from the bytecode.
     pub fn build(plan: &'a MemorySystemPlan, stage: &KernelStage) -> Result<Self, EngineError> {
-        let kernel = match stage.expr() {
-            Some(expr) => StageKernel::Compiled(Cow::Owned(CompiledKernel::compile_checked(
-                expr,
-                stage.window().len(),
-                &stage.compute_fn(),
-            )?)),
-            None => StageKernel::ClosureFn(stage.compute_fn()),
-        };
+        let kernel = StageKernel::from_stage(stage)?;
         let mut session = Self::new(plan);
         session.stages[0].kernel = Some(kernel);
         Ok(session)
@@ -636,14 +643,7 @@ impl<'a> Session<'a> {
                 ),
             });
         }
-        let kernel = match stage.expr() {
-            Some(expr) => StageKernel::Compiled(Cow::Owned(CompiledKernel::compile_checked(
-                expr,
-                stage.window().len(),
-                &stage.compute_fn(),
-            )?)),
-            None => StageKernel::ClosureFn(stage.compute_fn()),
-        };
+        let kernel = StageKernel::from_stage(stage)?;
         self.stages.push(Stage::new(
             PlanRef::Owned(Box::new(next)),
             Some(kernel),
@@ -1807,6 +1807,99 @@ mod tests {
         let report = scalar.report.stages[0].engine.as_ref().unwrap();
         assert_eq!(report.backend, KernelBackend::Closure);
         assert_eq!(report.per_tile.iter().map(|t| t.sweep_rows).sum::<u64>(), 0);
+    }
+
+    /// Native row bodies counted as they run (only
+    /// `native_rows_run_only_on_f64_single_row_sweeps` reads it).
+    static NATIVE_ROWS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    fn counting_row(vals: &[f64], bases: &[usize], out: &mut [f64]) {
+        NATIVE_ROWS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        stencil_kernels::sweep_row::<5>(vals, bases, out, compute);
+    }
+
+    #[test]
+    fn native_rows_run_only_on_f64_single_row_sweeps() {
+        // Which stages resolve to the built-in DENOISE's native body:
+        // compiled f64 stages at U = 1 only.
+        let bench = stencil_kernels::denoise();
+        let plan = MemorySystemPlan::generate(&bench.spec_for(&[43, 37]).unwrap()).unwrap();
+        let expr_only = KernelStage::new("expr-only", bench.window().to_vec(), bench.compute_fn())
+            .with_expr(bench.expr().unwrap().clone());
+        let runs_native = |s: &Session<'_>| -> Vec<bool> {
+            s.stage_plans()
+                .unwrap()
+                .iter()
+                .map(|p| matches!(&p.kernel, RowKernel::Program(_, up) if up.runs_native()))
+                .collect()
+        };
+        let built = || Session::build(&plan, &bench.stage()).unwrap().threads(1);
+        assert_eq!(runs_native(&built()), [true]);
+        assert_eq!(runs_native(&built().iterate(3).unwrap()), [true; 3]);
+        assert_eq!(
+            runs_native(&Session::build(&plan, &expr_only).unwrap()),
+            [false]
+        );
+        assert_eq!(runs_native(&built().datapath(Datapath::F32)), [false]);
+        assert_eq!(runs_native(&built().unroll(4)), [false]);
+        assert_eq!(
+            runs_native(&built().backend(KernelBackend::Closure)),
+            [false]
+        );
+
+        // Whatever runs, f64 bits are the closure's, and the f32
+        // register program gives the scalar f32 bytecode's bits.
+        let in_idx = plan.input_domain().index().unwrap();
+        let vals = ramp(in_idx.len());
+        let input = InputGrid::new(&in_idx, &vals).unwrap();
+        let closure = bench.compute_fn();
+        let reference = Session::new(&plan)
+            .kernel(SessionKernel::Closure(&closure))
+            .run(&input)
+            .unwrap()
+            .outputs;
+        for session in [
+            built(),
+            Session::build(&plan, &expr_only).unwrap(),
+            built().unroll(4),
+        ] {
+            assert_eq!(session.run(&input).unwrap().outputs, reference);
+        }
+        let scalar_f32 = built()
+            .datapath(Datapath::F32)
+            .backend(KernelBackend::Closure)
+            .run(&input)
+            .unwrap()
+            .outputs;
+        let swept_f32 = built().datapath(Datapath::F32).run(&input).unwrap().outputs;
+        assert_eq!(swept_f32, scalar_f32);
+
+        // At run time: a counting native body runs once per swept row
+        // at U = 1 on f64, and never under f32 or U = 4 (41 rows, not
+        // a multiple of four, so some run as leftover single rows).
+        let counted = KernelStage::new("counted", window_5pt(), compute)
+            .with_expr(expr_5pt())
+            .with_native_row(stencil_kernels::NativeRow::new(5, counting_row));
+        let plan = plan_5pt(43, 37);
+        let in_idx = plan.input_domain().index().unwrap();
+        let vals = ramp(in_idx.len());
+        let input = InputGrid::new(&in_idx, &vals).unwrap();
+        let swept_rows = |run: &SessionRun| -> u64 {
+            let report = run.report.stages[0].engine.as_ref().unwrap();
+            report.per_tile.iter().map(|t| t.sweep_rows).sum()
+        };
+        let counted_session = || Session::build(&plan, &counted).unwrap().threads(1);
+        for (session, native_rows) in [
+            (counted_session(), 41),
+            (counted_session().datapath(Datapath::F32), 0),
+            (counted_session().unroll(4), 0),
+        ] {
+            let before = NATIVE_ROWS.load(std::sync::atomic::Ordering::Relaxed);
+            let run = session.run(&input).unwrap();
+            let ran = NATIVE_ROWS.load(std::sync::atomic::Ordering::Relaxed) - before;
+            assert_eq!(swept_rows(&run), 41);
+            assert_eq!(ran, native_rows);
+        }
     }
 
     #[test]

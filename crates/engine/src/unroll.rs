@@ -1,13 +1,17 @@
 //! The compiled row sweep: one register program body produces `U`
 //! adjacent output rows per dispatch, and every compiled row of the
 //! engine runs through it — at the default `U = 1` the single-output
-//! program alone.
+//! program alone — except where the kernel carries a native row body:
+//! at `U = 1` on the f64 datapath the single-row sweep runs that body
+//! ([`stencil_kernels::NativeRow`], the kernel's formula compiled as
+//! one loop) instead of interpreting the program.
 //!
 //! Each register operation runs over [`LANES`]-wide chunks of a whole
 //! output row, each tap bound to a column-shifted contiguous slice of
 //! the resident input rows: one dispatch covers [`LANES`] elements, and
 //! the per-lane loops run over fixed-width arrays the autovectorizer
-//! turns into SIMD. The last chunk of a row ends at the row's end,
+//! turns into SIMD — on the baseline x86-64 target, SSE2 `xmm` pairs of
+//! two f64 (four f32) lanes. The last chunk of a row ends at the row's end,
 //! overlapping its predecessor, so no column runs outside the lane
 //! body; the register files live in a [`SweepScratch`] the row
 //! executor reuses across rows.
@@ -48,15 +52,16 @@
 
 use std::collections::HashMap;
 
-use stencil_kernels::KernelExpr;
+use stencil_kernels::{KernelExpr, NativeRow};
 use stencil_polyhedral::Point;
 
 use crate::compile::{Arena, CompiledKernel, Datapath, Node};
 use crate::error::EngineError;
 
 /// Lanes per register-op dispatch: the dispatch overhead of one op
-/// amortizes over 32 elements (four AVX2 / two AVX-512 vectors per
-/// inner loop) while the lane registers stay cache-hot. Picked on
+/// amortizes over 32 elements (sixteen SSE2 `xmm` vectors of two f64
+/// per inner loop on the baseline x86-64 target) while the lane
+/// registers stay cache-hot. Picked on
 /// DENOISE 768×1024 with the stack-bytecode sweep this interpreter
 /// replaced: 32 beat 8 by ~40%, and 64/128 regressed as the lane
 /// working set outgrew L1.
@@ -652,12 +657,19 @@ impl RegProgram {
 /// divisible by `U`, or rows whose group alignment check fails) — both
 /// proven equivalent to the scalar bytecode at construction, so any mix
 /// of grouped and single execution produces identical bits.
+///
+/// At `U = 1` on the f64 datapath, a kernel with a checked native row
+/// body ([`stencil_kernels::NativeRow`]) sweeps every row through that
+/// body instead of the single-output program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnrolledProgram {
     unroll: usize,
     datapath: Datapath,
     group: RegProgram,
     single: RegProgram,
+    /// The kernel's native row body, set only at `U = 1` on the f64
+    /// datapath: the single-row sweep runs it instead of `single`.
+    native: Option<NativeRow>,
 }
 
 impl UnrolledProgram {
@@ -702,11 +714,15 @@ impl UnrolledProgram {
             single
         };
 
+        let native = ck
+            .native_row()
+            .filter(|_| eff == 1 && datapath == Datapath::F64);
         Ok(Self {
             unroll: eff,
             datapath,
             group,
             single,
+            native,
         })
     }
 
@@ -750,9 +766,16 @@ impl UnrolledProgram {
         }
     }
 
+    /// Whether the single-row sweep runs the kernel's native row body.
+    #[cfg(test)]
+    pub(crate) fn runs_native(&self) -> bool {
+        self.native.is_some()
+    }
+
     /// The single-row sweep: every sweep row at `U = 1`, leftover rows
-    /// above it. `tap_bases` are per *tap* (the row executor's layout);
-    /// the program maps them onto its deduplicated utap slots.
+    /// above it. `tap_bases` are per *tap* (the row executor's layout):
+    /// the native row body reads them as they are, the program maps
+    /// them onto its deduplicated utap slots.
     pub(crate) fn sweep_single(
         &self,
         tap_bases: &[usize],
@@ -760,6 +783,10 @@ impl UnrolledProgram {
         out: &mut [f64],
         scratch: &mut SweepScratch,
     ) {
+        if let Some(row) = &self.native {
+            row.run(vals, tap_bases, out);
+            return;
+        }
         let SweepScratch {
             utap_bases,
             f64_regs,

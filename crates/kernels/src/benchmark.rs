@@ -8,6 +8,7 @@ use stencil_core::{PlanError, StencilSpec};
 use stencil_polyhedral::{Point, Polyhedron};
 
 use crate::expr::KernelExpr;
+use crate::native::NativeRow;
 
 /// Datapath operation counts of one kernel iteration, used by the FPGA
 /// resource model to estimate the computation kernel's footprint.
@@ -60,6 +61,8 @@ pub struct Benchmark {
     compute: ComputeFn,
     #[serde(skip)]
     expr: Option<KernelExpr>,
+    #[serde(skip)]
+    native: Option<NativeRow>,
 }
 
 /// The fallback datapath (plain window sum) used when a benchmark is
@@ -107,6 +110,7 @@ impl Benchmark {
             f32_rtol: default_f32_rtol(),
             compute,
             expr: None,
+            native: None,
         }
     }
 
@@ -202,6 +206,38 @@ impl Benchmark {
     #[must_use]
     pub fn expr(&self) -> Option<&KernelExpr> {
         self.expr.as_ref()
+    }
+
+    /// Attaches the [`NativeRow`] form of the datapath — the same
+    /// formula as `compute`, compiled as one loop over a whole output
+    /// row. The engine's compiled sweep runs it in place of the
+    /// register program once it has checked it bit for bit against the
+    /// compiled expression, so it only takes effect alongside
+    /// [`Benchmark::with_expr`]. Every built-in kernel carries one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row body reads a different number of taps than
+    /// the window has.
+    #[must_use]
+    pub fn with_native_row(mut self, row: NativeRow) -> Self {
+        assert_eq!(
+            row.taps(),
+            self.offsets.len(),
+            "native row reads {} taps but the window has {} points",
+            row.taps(),
+            self.offsets.len()
+        );
+        self.native = Some(row);
+        self
+    }
+
+    /// The datapath's native row body, when the benchmark carries one
+    /// (all built-in benchmarks do; deserialized and hand-built ones
+    /// have none unless attached).
+    #[must_use]
+    pub fn native_row(&self) -> Option<NativeRow> {
+        self.native
     }
 
     /// Sets the data element width in bits (e.g. 16 for imaging pixels).
@@ -334,6 +370,7 @@ impl Benchmark {
         if let Some(expr) = &self.expr {
             stage = stage.with_expr(expr.clone());
         }
+        stage.native = self.native;
         stage
     }
 
@@ -362,7 +399,7 @@ impl Benchmark {
 
 /// One stage of a temporal kernel pipeline: a named window plus its
 /// datapath (closure form, and optionally the compilable
-/// [`KernelExpr`]), without any grid geometry. Stage metadata is what
+/// [`KernelExpr`] and its [`NativeRow`]), without any grid geometry. Stage metadata is what
 /// execution sessions chain on — the iteration domain of stage *i+1*
 /// is derived from stage *i*'s output domain and this window, so the
 /// stage itself stays extent-free.
@@ -375,6 +412,7 @@ pub struct KernelStage {
     offsets: Vec<Point>,
     compute: ComputeFn,
     expr: Option<KernelExpr>,
+    native: Option<NativeRow>,
 }
 
 impl KernelStage {
@@ -396,6 +434,7 @@ impl KernelStage {
             offsets,
             compute,
             expr: None,
+            native: None,
         }
     }
 
@@ -462,6 +501,32 @@ impl KernelStage {
     #[must_use]
     pub fn expr(&self) -> Option<&KernelExpr> {
         self.expr.as_ref()
+    }
+
+    /// Attaches the native row body of the datapath (same semantics as
+    /// [`Benchmark::with_native_row`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row body reads a different number of taps than
+    /// the window has.
+    #[must_use]
+    pub fn with_native_row(mut self, row: NativeRow) -> Self {
+        assert_eq!(
+            row.taps(),
+            self.offsets.len(),
+            "native row reads {} taps but the window has {} points",
+            row.taps(),
+            self.offsets.len()
+        );
+        self.native = Some(row);
+        self
+    }
+
+    /// The native row body, when the stage carries one.
+    #[must_use]
+    pub fn native_row(&self) -> Option<NativeRow> {
+        self.native
     }
 }
 

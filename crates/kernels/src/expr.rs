@@ -76,14 +76,16 @@ impl KernelExpr {
         std::array::from_fn(KernelExpr::Tap)
     }
 
-    /// The plain window sum over `n` taps, folded from `0.0` exactly
+    /// The plain window sum over `n` taps, folded from `-0.0` exactly
     /// like `vals.iter().sum::<f64>()` — the expression form of
-    /// [`crate::default_compute`].
+    /// [`crate::default_compute`]. The start must be `-0.0`, the
+    /// additive identity: from `0.0` a window of all `-0.0` would sum
+    /// to `0.0` instead of the closure's `-0.0`.
     #[must_use]
     pub fn window_sum(n: usize) -> Self {
         (0..n)
             .map(KernelExpr::Tap)
-            .fold(KernelExpr::Const(0.0), |acc, t| acc + t)
+            .fold(KernelExpr::Const(-0.0), |acc, t| acc + t)
     }
 
     /// Square root of this expression.
@@ -249,6 +251,11 @@ mod tests {
         let e = KernelExpr::window_sum(5);
         let w = [1.0, 2.5, -3.0, 4.0, 0.125];
         assert_eq!(e.eval(&w), w.iter().sum::<f64>());
+        let zeros = [-0.0; 5];
+        assert_eq!(
+            e.eval(&zeros).to_bits(),
+            zeros.iter().sum::<f64>().to_bits()
+        );
         assert_eq!(e.max_tap(), Some(4));
     }
 

@@ -7,11 +7,13 @@ use stencil_polyhedral::{Constraint, Point, Polyhedron};
 
 use crate::benchmark::{Benchmark, KernelOps};
 use crate::expr::KernelExpr;
+use crate::native::datapath;
 
 /// JACOBI_2D (2D, 512×512): the standard 5-point Jacobi relaxation —
 /// same window as DENOISE with plain averaging.
 #[must_use]
 pub fn jacobi_2d() -> Benchmark {
+    let (compute, row) = datapath!(5, |v| 0.2 * (v[0] + v[1] + v[2] + v[3] + v[4]));
     Benchmark::new(
         "JACOBI_2D",
         vec![512, 512],
@@ -27,8 +29,9 @@ pub fn jacobi_2d() -> Benchmark {
             muls: 1,
             ..KernelOps::default()
         },
-        |v| 0.2 * (v[0] + v[1] + v[2] + v[3] + v[4]),
+        compute,
     )
+    .with_native_row(row)
     .with_iteration_stable()
     .with_shard_stable()
     .with_expr({
@@ -44,6 +47,7 @@ pub fn jacobi_2d() -> Benchmark {
 /// reference workload for `iterate_until`-style convergence detection.
 #[must_use]
 pub fn relax_2d() -> Benchmark {
+    let (compute, row) = datapath!(5, |v| 0.2 * v[2] + 0.2 * (v[0] + v[1] + v[3] + v[4]));
     Benchmark::new(
         "RELAX_2D",
         vec![512, 512],
@@ -59,8 +63,9 @@ pub fn relax_2d() -> Benchmark {
             muls: 2,
             ..KernelOps::default()
         },
-        |v| 0.2 * v[2] + 0.2 * (v[0] + v[1] + v[3] + v[4]),
+        compute,
     )
+    .with_native_row(row)
     .with_iteration_stable()
     .with_shard_stable()
     .with_expr({
@@ -74,6 +79,10 @@ pub fn relax_2d() -> Benchmark {
 /// to show the non-uniform design matches it too.
 #[must_use]
 pub fn gaussian_3x3() -> Benchmark {
+    let (compute, row) = datapath!(9, |v| {
+        let w = [1.0, 2.0, 1.0, 2.0, 4.0, 2.0, 1.0, 2.0, 1.0];
+        v.iter().zip(&w).map(|(x, c)| x * c).sum::<f64>() / 16.0
+    });
     let mut offsets = Vec::with_capacity(9);
     for a in -1..=1i64 {
         for b in -1..=1i64 {
@@ -89,20 +98,18 @@ pub fn gaussian_3x3() -> Benchmark {
             muls: 3,
             ..KernelOps::default()
         },
-        |v| {
-            let w = [1.0, 2.0, 1.0, 2.0, 4.0, 2.0, 1.0, 2.0, 1.0];
-            v.iter().zip(&w).map(|(x, c)| x * c).sum::<f64>() / 16.0
-        },
+        compute,
     )
+    .with_native_row(row)
     .with_iteration_stable()
     .with_shard_stable()
     .with_expr({
-        // `sum()` folds from 0.0; keep that exact order.
+        // `sum()` folds from -0.0; keep that exact order.
         let w = [1.0, 2.0, 1.0, 2.0, 4.0, 2.0, 1.0, 2.0, 1.0];
         let weighted = w
             .iter()
             .enumerate()
-            .fold(KernelExpr::constant(0.0), |acc, (k, &c)| {
+            .fold(KernelExpr::constant(-0.0), |acc, (k, &c)| {
                 acc + KernelExpr::tap(k) * c
             });
         weighted / 16.0
@@ -116,6 +123,7 @@ pub fn gaussian_3x3() -> Benchmark {
 /// inter-stage reuse buffer is sized from *this* stage's own halo.
 #[must_use]
 pub fn blur3x3() -> Benchmark {
+    let (compute, row) = datapath!(9, |v| v.iter().sum::<f64>() / 9.0);
     let mut offsets = Vec::with_capacity(9);
     for a in -1..=1i64 {
         for b in -1..=1i64 {
@@ -131,11 +139,12 @@ pub fn blur3x3() -> Benchmark {
             divs: 1,
             ..KernelOps::default()
         },
-        |v| v.iter().sum::<f64>() / 9.0,
+        compute,
     )
+    .with_native_row(row)
     .with_iteration_stable()
     .with_shard_stable()
-    // `sum()` folds from 0.0; `window_sum` keeps that exact order.
+    // `sum()` folds from -0.0; `window_sum` keeps that exact order.
     .with_expr(KernelExpr::window_sum(9) / 9.0)
 }
 
@@ -143,6 +152,7 @@ pub fn blur3x3() -> Benchmark {
 /// smallest interesting chain (two depth-1 FIFOs).
 #[must_use]
 pub fn heat_1d() -> Benchmark {
+    let (compute, row) = datapath!(3, |v| v[1] + 0.25 * (v[0] - 2.0 * v[1] + v[2]));
     Benchmark::new(
         "HEAT_1D",
         vec![4096],
@@ -152,8 +162,9 @@ pub fn heat_1d() -> Benchmark {
             muls: 1,
             ..KernelOps::default()
         },
-        |v| v[1] + 0.25 * (v[0] - 2.0 * v[1] + v[2]),
+        compute,
     )
+    .with_native_row(row)
     .with_iteration_stable()
     .with_shard_stable()
     .with_expr({
@@ -177,6 +188,11 @@ pub fn fused_denoise() -> Benchmark {
         }
     }
     debug_assert_eq!(offsets.len(), 13);
+    let (compute, row) = datapath!(13, |v| {
+        let sum: f64 = v.iter().sum();
+        let center = v[6];
+        center + 0.04 * (sum - 13.0 * center)
+    });
     Benchmark::new(
         "FUSED_DENOISE",
         vec![768, 1024],
@@ -186,12 +202,9 @@ pub fn fused_denoise() -> Benchmark {
             muls: 3,
             ..KernelOps::default()
         },
-        |v| {
-            let sum: f64 = v.iter().sum();
-            let center = v[6];
-            center + 0.04 * (sum - 13.0 * center)
-        },
+        compute,
     )
+    .with_native_row(row)
     .with_shard_stable()
     .with_expr({
         let sum = KernelExpr::window_sum(13);
@@ -248,6 +261,13 @@ pub fn skewed_denoise(rows: i64, cols: i64) -> Result<StencilSpec, PlanError> {
 /// FIFO, exercising every storage tier at once.
 #[must_use]
 pub fn high_order_2d() -> Benchmark {
+    let (compute, row) = datapath!(9, |v| {
+        // 4th-order: (16*(n1+s1+e1+w1) - (n2+s2+e2+w2) - 60*c) / 12.
+        let c = v[4];
+        let near = v[1] + v[3] + v[5] + v[7];
+        let far = v[0] + v[2] + v[6] + v[8];
+        c + (16.0 * near - far - 60.0 * c) / 720.0
+    });
     Benchmark::new(
         "HIGH_ORDER_2D",
         vec![512, 512],
@@ -267,14 +287,9 @@ pub fn high_order_2d() -> Benchmark {
             muls: 3,
             ..KernelOps::default()
         },
-        |v| {
-            // 4th-order: (16*(n1+s1+e1+w1) - (n2+s2+e2+w2) - 60*c) / 12.
-            let c = v[4];
-            let near = v[1] + v[3] + v[5] + v[7];
-            let far = v[0] + v[2] + v[6] + v[8];
-            c + (16.0 * near - far - 60.0 * c) / 720.0
-        },
+        compute,
     )
+    .with_native_row(row)
     .with_shard_stable()
     .with_expr({
         let [t0, t1, t2, t3, c, t5, t6, t7, t8] = KernelExpr::taps::<9>();
@@ -289,6 +304,7 @@ pub fn high_order_2d() -> Benchmark {
 /// heuristic to exploit.
 #[must_use]
 pub fn asymmetric_2d() -> Benchmark {
+    let (compute, row) = datapath!(4, |v| 0.5 * v[2] + 0.25 * v[1] + 0.15 * v[0] + 0.1 * v[3]);
     Benchmark::new(
         "ASYMMETRIC_2D",
         vec![512, 512],
@@ -303,8 +319,9 @@ pub fn asymmetric_2d() -> Benchmark {
             muls: 3,
             ..KernelOps::default()
         },
-        |v| 0.5 * v[2] + 0.25 * v[1] + 0.15 * v[0] + 0.1 * v[3],
+        compute,
     )
+    .with_native_row(row)
     .with_shard_stable()
     .with_expr({
         let [t0, t1, t2, t3] = KernelExpr::taps::<4>();

@@ -8,7 +8,10 @@
 //!
 //! Each [`Benchmark`] bundles the data-grid extents, the stencil window,
 //! per-iteration datapath arithmetic (for end-to-end value checking),
-//! and operation counts (for FPGA resource estimation).
+//! and operation counts (for FPGA resource estimation). Every built-in
+//! benchmark writes its arithmetic once, as a per-window closure, a
+//! compilable [`KernelExpr`], and a [`NativeRow`] body that runs the
+//! closure's formula as one vectorizable loop over a whole row.
 //!
 //! # Example
 //!
@@ -37,6 +40,7 @@ mod benchmark;
 mod expr;
 mod extras;
 mod golden;
+mod native;
 mod suite;
 
 pub use accel::{accelerate, accelerate_steps, AcceleratedRun};
@@ -47,6 +51,7 @@ pub use extras::{
     jacobi_2d, relax_2d, skewed_denoise,
 };
 pub use golden::{run_golden, GridValues};
+pub use native::{sweep_row, NativeRow, RowFn};
 pub use suite::{
     bicubic, denoise, denoise_3d, find_benchmark, paper_suite, rician, segmentation_3d, sobel,
 };

@@ -11,11 +11,16 @@ use stencil_polyhedral::Point;
 
 use crate::benchmark::{Benchmark, KernelOps};
 use crate::expr::KernelExpr;
+use crate::native::datapath;
 
 /// DENOISE (2D, 768×1024): the 5-point total-variation denoising window
 /// of the paper's Fig. 1/2 — one damped-Laplacian relaxation step.
 #[must_use]
 pub fn denoise() -> Benchmark {
+    let (compute, row) = datapath!(5, |v| {
+        let (n, w, c, e, s) = (v[0], v[1], v[2], v[3], v[4]);
+        c + 0.2 * (n + s + e + w - 4.0 * c)
+    });
     Benchmark::new(
         "DENOISE",
         vec![768, 1024],
@@ -31,11 +36,9 @@ pub fn denoise() -> Benchmark {
             muls: 2,
             ..KernelOps::default()
         },
-        |v| {
-            let (n, w, c, e, s) = (v[0], v[1], v[2], v[3], v[4]);
-            c + 0.2 * (n + s + e + w - 4.0 * c)
-        },
+        compute,
     )
+    .with_native_row(row)
     .with_element_bits(16)
     .with_shard_stable()
     .with_iteration_stable()
@@ -50,6 +53,11 @@ pub fn denoise() -> Benchmark {
 /// average feeding the fixed-point update.
 #[must_use]
 pub fn rician() -> Benchmark {
+    let (compute, row) = datapath!(4, |v| {
+        let avg = 0.25 * (v[0] + v[1] + v[2] + v[3]);
+        // Rician correction: attenuate by the noise-floor ratio.
+        (avg * avg / (avg.abs() + 1.0)).sqrt()
+    });
     Benchmark::new(
         "RICIAN",
         vec![768, 1024],
@@ -66,12 +74,9 @@ pub fn rician() -> Benchmark {
             sqrts: 1,
             ..KernelOps::default()
         },
-        |v| {
-            let avg = 0.25 * (v[0] + v[1] + v[2] + v[3]);
-            // Rician correction: attenuate by the noise-floor ratio.
-            (avg * avg / (avg.abs() + 1.0)).sqrt()
-        },
+        compute,
     )
+    .with_native_row(row)
     .with_element_bits(16)
     .with_shard_stable()
     // The divide-then-sqrt chain amplifies single-precision rounding,
@@ -88,6 +93,12 @@ pub fn rician() -> Benchmark {
 /// edge detection (gradient magnitude, L1 norm).
 #[must_use]
 pub fn sobel() -> Benchmark {
+    let (compute, row) = datapath!(8, |v| {
+        let (nw, n, ne, w, e, sw, s, se) = (v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]);
+        let gx = (ne + 2.0 * e + se) - (nw + 2.0 * w + sw);
+        let gy = (sw + 2.0 * s + se) - (nw + 2.0 * n + ne);
+        gx.abs() + gy.abs()
+    });
     Benchmark::new(
         "SOBEL",
         vec![1024, 1024],
@@ -107,13 +118,9 @@ pub fn sobel() -> Benchmark {
             cmps: 2,
             ..KernelOps::default()
         },
-        |v| {
-            let (nw, n, ne, w, e, sw, s, se) = (v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]);
-            let gx = (ne + 2.0 * e + se) - (nw + 2.0 * w + sw);
-            let gy = (sw + 2.0 * s + se) - (nw + 2.0 * n + ne);
-            gx.abs() + gy.abs()
-        },
+        compute,
     )
+    .with_native_row(row)
     .with_element_bits(16)
     .with_shard_stable()
     .with_expr({
@@ -129,6 +136,7 @@ pub fn sobel() -> Benchmark {
 /// here the 1-D cubic midpoint formula applied per output phase.
 #[must_use]
 pub fn bicubic() -> Benchmark {
+    let (compute, row) = datapath!(4, |v| (9.0 * (v[0] + v[3]) - (v[1] + v[2])) / 16.0);
     Benchmark::new(
         "BICUBIC",
         vec![1024, 1024],
@@ -143,8 +151,9 @@ pub fn bicubic() -> Benchmark {
             muls: 4,
             ..KernelOps::default()
         },
-        |v| (9.0 * (v[0] + v[3]) - (v[1] + v[2])) / 16.0,
+        compute,
     )
+    .with_native_row(row)
     .with_element_bits(16)
     .with_shard_stable()
     .with_expr({
@@ -157,6 +166,11 @@ pub fn bicubic() -> Benchmark {
 /// volumetric variant of DENOISE.
 #[must_use]
 pub fn denoise_3d() -> Benchmark {
+    let (compute, row) = datapath!(7, |v| {
+        let c = v[3];
+        let sum: f64 = v[0] + v[1] + v[2] + v[4] + v[5] + v[6];
+        c + 0.1 * (sum - 6.0 * c)
+    });
     Benchmark::new(
         "DENOISE_3D",
         vec![96, 96, 96],
@@ -174,12 +188,9 @@ pub fn denoise_3d() -> Benchmark {
             muls: 2,
             ..KernelOps::default()
         },
-        |v| {
-            let c = v[3];
-            let sum: f64 = v[0] + v[1] + v[2] + v[4] + v[5] + v[6];
-            c + 0.1 * (sum - 6.0 * c)
-        },
+        compute,
     )
+    .with_native_row(row)
     .with_element_bits(16)
     .with_shard_stable()
     .with_iteration_stable()
@@ -207,6 +218,28 @@ pub fn segmentation_3d() -> Benchmark {
         }
     }
     debug_assert_eq!(offsets.len(), 19);
+    let (compute, row) = datapath!(19, |v| {
+        // Curvature-like smoothing: faces weighted 2, edges 1. Both
+        // running sums start at 0.0 and take their taps in ascending
+        // lex position (the faces are FACE_POSITIONS; offset (0,0,0)
+        // is the 10th in lex order).
+        let center = v[9];
+        let faces = 0.0 + v[2] + v[6] + v[8] + v[10] + v[12] + v[16];
+        let edges = 0.0
+            + v[0]
+            + v[1]
+            + v[3]
+            + v[4]
+            + v[5]
+            + v[7]
+            + v[11]
+            + v[13]
+            + v[14]
+            + v[15]
+            + v[17]
+            + v[18];
+        center + (2.0 * faces + edges - 24.0 * center) / 32.0
+    });
     Benchmark::new(
         "SEGMENTATION_3D",
         vec![96, 96, 96],
@@ -218,26 +251,9 @@ pub fn segmentation_3d() -> Benchmark {
             cmps: 2,
             ..KernelOps::default()
         },
-        |v| {
-            // Curvature-like smoothing: faces weighted 2, edges 1.
-            let center = v[9]; // offset (0,0,0) is the 10th in lex order
-            let mut faces = 0.0;
-            let mut edges = 0.0;
-            for (k, &val) in v.iter().enumerate() {
-                if k == 9 {
-                    continue;
-                }
-                // Reconstruct the L1 norm from the lex position: faces
-                // are the 6 single-axis offsets.
-                if FACE_POSITIONS.contains(&k) {
-                    faces += val;
-                } else {
-                    edges += val;
-                }
-            }
-            center + (2.0 * faces + edges - 24.0 * center) / 32.0
-        },
+        compute,
     )
+    .with_native_row(row)
     .with_element_bits(16)
     .with_shard_stable()
     // The 18-term accumulation compounds f32 rounding across the long
