@@ -4,7 +4,7 @@
 //!
 //! Runs the same plan through the original closure datapath and the
 //! compiled row-sweep backend, in-core and streaming, best of three
-//! runs each — then sweeps the register program in core over unroll
+//! timed runs each after one untimed warm-up run — then sweeps the register program in core over unroll
 //! factors U in {1, 2, 4, 8} on both the f64 and the f32 datapath.
 //! The built-in kernel's compiled backend runs its native row body at
 //! U=1; the sweep runs an expression-only copy of the kernel (same
@@ -41,7 +41,14 @@ use stencil_kernels::{extra_suite, paper_suite, Benchmark};
 use stencil_telemetry::{validate_report, MetricsReport};
 
 /// Measurement repetitions per configuration; the best run is kept.
+/// Each configuration first runs once untimed (repetition 0), so no
+/// configuration's figure depends on what ran before it.
 const RUNS: usize = 3;
+
+/// True for a timed repetition: every one but the warm-up.
+fn timed(rep: usize) -> bool {
+    rep > 0
+}
 
 /// Unroll factors swept on the register program in core.
 const UNROLL_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -360,7 +367,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
     // In-core, closure datapath.
     let mut reference: Option<Vec<f64>> = None;
     let mut incore_closure = 0.0f64;
-    for _ in 0..RUNS {
+    for rep in 0..=RUNS {
         let run = Session::new(&plan)
             .kernel(SessionKernel::Closure(&compute))
             .run(&input)?;
@@ -368,7 +375,9 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
             .engine
             .clone()
             .ok_or("session produced no in-core stage report")?;
-        incore_closure = incore_closure.max(engine.throughput());
+        if timed(rep) {
+            incore_closure = incore_closure.max(engine.throughput());
+        }
         let mut report = MetricsReport::new(spec.name());
         report.sessions.push(run.report.metrics());
         validate(&report);
@@ -379,7 +388,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
 
     // In-core, the built-in kernel's compiled backend at U=1.
     let mut incore_compiled = 0.0f64;
-    for _ in 0..RUNS {
+    for rep in 0..=RUNS {
         let run = Session::new(&plan)
             .kernel(SessionKernel::Compiled(&kernel))
             .run(&input)?;
@@ -387,7 +396,9 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
             .engine
             .clone()
             .ok_or("session produced no in-core stage report")?;
-        incore_compiled = incore_compiled.max(engine.throughput());
+        if timed(rep) {
+            incore_compiled = incore_compiled.max(engine.throughput());
+        }
         let mut report = MetricsReport::new(spec.name());
         report.sessions.push(run.report.metrics());
         validate(&report);
@@ -404,7 +415,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
     let mut f32_max_rel_error = 0.0f64;
     let mut f32_reference: Option<Vec<f64>> = None;
     for (k, &u) in UNROLL_SWEEP.iter().enumerate() {
-        for _ in 0..RUNS {
+        for rep in 0..=RUNS {
             let run = Session::new(&plan)
                 .kernel(SessionKernel::Compiled(&program))
                 .unroll(u)
@@ -413,7 +424,9 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
                 .engine
                 .clone()
                 .ok_or("session produced no in-core stage report")?;
-            sweep_f64[k] = sweep_f64[k].max(engine.throughput());
+            if timed(rep) {
+                sweep_f64[k] = sweep_f64[k].max(engine.throughput());
+            }
             let mut report = MetricsReport::new(spec.name());
             report.sessions.push(run.report.metrics());
             validate(&report);
@@ -424,7 +437,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
                 .into());
             }
         }
-        for _ in 0..RUNS {
+        for rep in 0..=RUNS {
             let run = Session::new(&plan)
                 .kernel(SessionKernel::Compiled(&program))
                 .unroll(u)
@@ -434,7 +447,9 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
                 .engine
                 .clone()
                 .ok_or("session produced no in-core stage report")?;
-            sweep_f32[k] = sweep_f32[k].max(engine.throughput());
+            if timed(rep) {
+                sweep_f32[k] = sweep_f32[k].max(engine.throughput());
+            }
             let mut report = MetricsReport::new(spec.name());
             report.sessions.push(run.report.metrics());
             validate(&report);
@@ -457,7 +472,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
 
     // Streaming, closure datapath.
     let mut streaming_closure = 0.0f64;
-    for _ in 0..RUNS {
+    for rep in 0..=RUNS {
         let mut source = SliceSource::new(&in_vals);
         let mut sink = VecSink::new();
         let session = Session::new(&plan)
@@ -469,7 +484,9 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
             .stream
             .clone()
             .ok_or("session produced no streaming stage report")?;
-        streaming_closure = streaming_closure.max(streamed.throughput());
+        if timed(rep) {
+            streaming_closure = streaming_closure.max(streamed.throughput());
+        }
         let mut report = MetricsReport::new(spec.name());
         report.sessions.push(session.metrics());
         validate(&report);
@@ -487,7 +504,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
         (&mut streaming_unrolled, DEFAULT_UNROLL, Datapath::F64),
         (&mut streaming_f32, DEFAULT_UNROLL, Datapath::F32),
     ] {
-        for _ in 0..RUNS {
+        for rep in 0..=RUNS {
             let mut source = SliceSource::new(&in_vals);
             let mut sink = VecSink::new();
             let session = Session::new(&plan)
@@ -501,7 +518,9 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
                 .stream
                 .clone()
                 .ok_or("session produced no streaming stage report")?;
-            *slot = slot.max(streamed.throughput());
+            if timed(rep) {
+                *slot = slot.max(streamed.throughput());
+            }
             let mut report = MetricsReport::new(spec.name());
             report.sessions.push(session.metrics());
             validate(&report);

@@ -30,9 +30,15 @@
 //!
 //! In core, a stage is the same machine over its whole resident input
 //! ([`StreamStage::attach_resident`]), its bands split across the
-//! workers and writing their outputs in place
-//! ([`StreamStage::run_in_place`]): [`StreamStage`] is the only code
-//! that runs a band.
+//! workers ([`StreamStage::run_in_place`]): [`StreamStage`] is the only
+//! code that runs a band.
+//!
+//! Every output is written once. In core at one worker the bands append
+//! to a result that nothing zero-filled; streaming, a band appends to the downstream halo window (or
+//! the last stage's band buffer) at one worker, and at more than one
+//! its row chunks write disjoint slices. Both buffers are reserved at
+//! the stage's planned bound the first time the stage needs them, so
+//! they never grow by reallocation.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -46,8 +52,8 @@ use crate::compile::KernelBackend;
 use crate::error::EngineError;
 use crate::report::{RunReport, StreamReport, TileReport};
 use crate::rowexec::{
-    execute_band_parallel, plan_offsets, prefixes_ascend, split_band_rows, threads_for, RankWindow,
-    RowChunk, RowKernel, RowStats,
+    box_tap_offsets, execute_band_parallel, plan_offsets, split_band_rows, threads_for, RankWindow,
+    RowChunk, RowKernel, RowOut, RowStats,
 };
 use crate::stream::{RowSink, RowSource};
 
@@ -59,8 +65,9 @@ pub(crate) struct StreamStage<'k> {
     // The stage's iteration index: each band's rows are a rank range of
     // it.
     out_idx: &'k DomainIndex,
-    // Whether `in_idx` may be walked forward (`RankWindow::ascending`).
-    in_ascending: bool,
+    // Each tap's rank offset from tap 0 when the input is a box holding
+    // every shifted iteration row (`RankWindow::box_taps`).
+    box_taps: Option<Vec<i64>>,
     dims: usize,
     offsets: Vec<Point>,
     kernel: &'k RowKernel<'k>,
@@ -73,9 +80,8 @@ pub(crate) struct StreamStage<'k> {
     // logical halo window (rank == offset, guaranteed by the contiguity
     // check in `new`). Otherwise `window[..filled]` holds the input
     // ranks from the first resident row up to `admitted`: pulled from
-    // the source, or written in place by the upstream stage. Past
-    // `filled` the buffer keeps its high-water length, so a band landing
-    // on the tail reuses it instead of growing it again.
+    // the source, or appended by the upstream stage. The buffer is
+    // reserved at the stage's planned bound on first use.
     resident_input: Option<&'k [f64]>,
     window: Vec<f64>,
     filled: usize,
@@ -125,25 +131,30 @@ impl<'k> StreamStage<'k> {
     ) -> Result<Self, EngineError> {
         // A band addresses residents by rank offset from the window
         // base, which requires the input stream to be exactly the rows
-        // in order — i.e. contiguous monotone bases.
-        let mut expect_base = 0u64;
-        for row in in_idx.rows() {
-            if row.base != expect_base {
-                return Err(EngineError::InconsistentIndex {
-                    detail: format!(
-                        "input row at {} has base {} but the stream is at rank {expect_base}; \
-                         a stage requires contiguous rank order",
-                        row.prefix, row.base
-                    ),
-                });
+        // in order — i.e. contiguous monotone bases. The index finds
+        // that once and keeps it; only a failure walks it again, to
+        // name the first row out of place.
+        if !in_idx.ranks_contiguous() {
+            let mut at = 0u64;
+            for row in in_idx.rows() {
+                if row.base != at {
+                    return Err(EngineError::InconsistentIndex {
+                        detail: format!(
+                            "input row at {} has base {} but the stream is at rank {at}; \
+                             a stage requires contiguous rank order",
+                            row.prefix, row.base
+                        ),
+                    });
+                }
+                at += row.len();
             }
-            expect_base += row.len();
         }
+        let offsets = plan_offsets(plan);
 
         Ok(Self {
-            in_ascending: prefixes_ascend(in_idx),
+            box_taps: box_tap_offsets(in_idx, out_idx, &offsets),
             dims: in_idx.dims(),
-            offsets: plan_offsets(plan),
+            offsets,
             kernel,
             backend,
             chunk_rows: chunk_rows.unwrap_or(0),
@@ -193,15 +204,20 @@ impl<'k> StreamStage<'k> {
         self.values_in
     }
 
-    /// Runs every band over the attached resident input, each band
-    /// writing its outputs in place into one zeroed buffer of the
-    /// stage's total outputs, and returns that buffer with the stage's
-    /// [`RunReport`] (`started`: when the stage began). Bands, not rows,
-    /// split across the workers: each band reads the whole resident
-    /// input, so no halo window moves.
+    /// Runs every band over the attached resident input and returns the
+    /// stage's outputs with its [`RunReport`] (`started`: when the
+    /// stage began; `halo_elements`: each band's halo size, in band
+    /// order, counted once by the session). Bands, not rows, split
+    /// across the workers: each band reads the whole resident input, so
+    /// no halo window moves. At one worker every band appends its rows,
+    /// in band order, to one result that nothing zero-filled. At more,
+    /// the bands write disjoint slices of one zeroed result: joining
+    /// per-band results afterwards measured slower than the zero fill
+    /// (EXPERIMENTS.md "Write-once in-core sweep").
     pub(crate) fn run_in_place(
         &self,
         started: Instant,
+        halo_elements: &[u64],
     ) -> Result<(Vec<f64>, RunReport), EngineError> {
         let input = self
             .resident_input
@@ -214,58 +230,86 @@ impl<'k> StreamStage<'k> {
                 points: self.tile_plan.total_outputs(),
             }
         })?;
-        let mut outputs = vec![0.0f64; total];
         let band_rows = tiles
             .iter()
             .map(|t| band_rows(self.out_idx, t))
             .collect::<Result<Vec<_>, _>>()?;
-
-        // Disjoint per-band output slices: bands are contiguous rank ranges.
-        let mut chunks: Vec<RowChunk<'_, '_>> = Vec::with_capacity(tiles.len());
-        let mut rest: &mut [f64] = &mut outputs;
-        for (tile, rows) in tiles.iter().zip(&band_rows) {
-            let len = usize::try_from(tile.len)
-                .map_err(|_| EngineError::DomainTooLarge { points: tile.len })?;
-            if len > rest.len() {
-                return Err(EngineError::InconsistentIndex {
-                    detail: format!(
-                        "band {} claims {len} outputs but only {} remain unassigned",
-                        tile.id,
-                        rest.len()
-                    ),
-                });
-            }
-            let (head, tail) = rest.split_at_mut(len);
-            chunks.push((rows, head));
-            rest = tail;
-        }
         let win = RankWindow {
             idx: self.in_idx,
             vals: input,
             base: 0,
-            ascending: self.in_ascending,
+            box_taps: self.box_taps.as_deref(),
         };
-        let per_band =
-            execute_band_parallel(chunks, &self.offsets, &win, self.kernel, self.worker_count)?;
+        let run = |chunks: Vec<RowChunk<'_, '_>>| {
+            execute_band_parallel(chunks, &self.offsets, &win, self.kernel, self.worker_count)
+        };
 
-        let per_tile = tiles
+        let (outputs, per_band) = if self.worker_count == 1 {
+            let mut outputs = Vec::with_capacity(total);
+            let mut per_band = Vec::with_capacity(tiles.len());
+            for (tile, rows) in tiles.iter().zip(&band_rows) {
+                let before = outputs.len();
+                per_band.extend(run(vec![(rows.as_ref(), RowOut::append(&mut outputs))])?);
+                let produced = outputs.len() - before;
+                if produced as u64 != tile.len {
+                    return Err(EngineError::InconsistentIndex {
+                        detail: format!(
+                            "band {} claims {} outputs but its rows produced {produced}",
+                            tile.id, tile.len
+                        ),
+                    });
+                }
+            }
+            (outputs, per_band)
+        } else {
+            let mut outputs = vec![0.0f64; total];
+            // Disjoint per-band output slices: bands are contiguous rank
+            // ranges.
+            let mut chunks: Vec<RowChunk<'_, '_>> = Vec::with_capacity(tiles.len());
+            let mut rest: &mut [f64] = &mut outputs;
+            for (tile, rows) in tiles.iter().zip(&band_rows) {
+                let len = usize::try_from(tile.len)
+                    .map_err(|_| EngineError::DomainTooLarge { points: tile.len })?;
+                if len > rest.len() {
+                    return Err(EngineError::InconsistentIndex {
+                        detail: format!(
+                            "band {} claims {len} outputs but only {} remain unassigned",
+                            tile.id,
+                            rest.len()
+                        ),
+                    });
+                }
+                let (head, tail) = rest.split_at_mut(len);
+                chunks.push((rows, RowOut::Slice(head)));
+                rest = tail;
+            }
+            let per_band = run(chunks)?;
+            (outputs, per_band)
+        };
+
+        if halo_elements.len() != tiles.len() {
+            return Err(EngineError::InconsistentIndex {
+                detail: format!(
+                    "{} halo counts for {} bands",
+                    halo_elements.len(),
+                    tiles.len()
+                ),
+            });
+        }
+        let per_tile: Vec<TileReport> = tiles
             .iter()
             .zip(per_band)
-            .map(|(tile, (stats, elapsed))| {
-                Ok(TileReport {
-                    id: tile.id,
-                    outputs: tile.len,
-                    halo_elements: tile
-                        .halo_domain
-                        .count()
-                        .map_err(|e| EngineError::Plan(e.into()))?,
-                    sweep_rows: stats.sweep,
-                    fast_rows: stats.fast,
-                    gather_rows: stats.gather,
-                    elapsed,
-                })
+            .zip(halo_elements)
+            .map(|((tile, (stats, elapsed)), &halo_elements)| TileReport {
+                id: tile.id,
+                outputs: tile.len,
+                halo_elements,
+                sweep_rows: stats.sweep,
+                fast_rows: stats.fast,
+                gather_rows: stats.gather,
+                elapsed,
             })
-            .collect::<Result<Vec<_>, EngineError>>()?;
+            .collect();
         let report = RunReport {
             outputs: self.tile_plan.total_outputs(),
             tiles: self.tile_plan.tile_count(),
@@ -302,6 +346,9 @@ impl<'k> StreamStage<'k> {
     /// place when the input is resident. Rows below the halo (never read
     /// by any band) are consumed for stream order and dropped.
     fn pull(&mut self, source: &mut dyn RowSource) -> Result<(), EngineError> {
+        if self.resident_input.is_none() {
+            self.reserve_window()?;
+        }
         let Some(tile) = self.tile_plan.tiles().get(self.cursor) else {
             return Ok(());
         };
@@ -338,9 +385,9 @@ impl<'k> StreamStage<'k> {
         Ok(())
     }
 
-    /// The `len` window slots the upstream band starting at input rank
-    /// `start` writes in place: the tail of the halo window.
-    fn tail(&mut self, start: u64, len: usize) -> Result<&mut [f64], EngineError> {
+    /// The halo window an upstream band starting at input rank `start`
+    /// lands on, reserved: the band's values go after `filled`.
+    fn tail(&mut self, start: u64) -> Result<&mut Vec<f64>, EngineError> {
         if start != self.admitted {
             return Err(EngineError::InconsistentIndex {
                 detail: format!(
@@ -349,11 +396,35 @@ impl<'k> StreamStage<'k> {
                 ),
             });
         }
-        let end = self.filled + len;
-        if self.window.len() < end {
-            self.window.resize(end, 0.0);
+        self.reserve_window()?;
+        Ok(&mut self.window)
+    }
+
+    /// Reserves the owned halo window, once, at the stage's planned
+    /// bound: the most values any band's halo holds, the rows of its
+    /// halo times the widest of them, as the bound
+    /// [`MemorySystemPlan::planned_residency_bound`] gives for the same
+    /// input index and band schedule. The window then never grows by
+    /// reallocation.
+    fn reserve_window(&mut self) -> Result<(), EngineError> {
+        if self.window.capacity() > 0 {
+            return Ok(());
         }
-        Ok(&mut self.window[self.filled..end])
+        let rows = self.in_idx.rows();
+        let mut bound = 0u64;
+        for tile in self.tile_plan.tiles() {
+            let span = |r: &Row| row_outer_span(r, self.dims);
+            let first = rows.partition_point(|r| tile.row_below_halo(span(r)));
+            let halo = rows[first..]
+                .iter()
+                .take_while(|r| !tile.row_above_halo(span(r)));
+            let (count, widest) = halo.fold((0u64, 0u64), |(n, w), r| (n + 1, w.max(r.len())));
+            bound = bound.max(count * widest);
+        }
+        let bound =
+            usize::try_from(bound).map_err(|_| EngineError::DomainTooLarge { points: bound })?;
+        self.window.reserve_exact(bound);
+        Ok(())
     }
 
     /// Admits the `len` values an upstream band just wrote on the tail,
@@ -415,9 +486,12 @@ impl<'k> StreamStage<'k> {
     }
 
     /// Runs the current band through the shared sweep/fast/gather
-    /// executor, writing its outputs into `out` (one slot per band
-    /// iteration), and moves on to the next band.
-    fn run_band(&mut self, out: &mut [f64]) -> Result<(), EngineError> {
+    /// executor, placing its outputs (one per band iteration) in `out`
+    /// from `origin` on, and moves on to the next band. At one worker
+    /// `out` is cut back to `origin` and the rows append to it; at more,
+    /// `out` is cut or zero-extended to the band's end and each worker's
+    /// row chunk overwrites its own slice of it.
+    fn run_band(&mut self, out: &mut Vec<f64>, origin: usize) -> Result<(), EngineError> {
         let tile = &self.tile_plan.tiles()[self.cursor];
         let rows = self.in_idx.rows();
 
@@ -454,14 +528,31 @@ impl<'k> StreamStage<'k> {
             idx: self.in_idx,
             vals,
             base,
-            ascending: self.in_ascending,
+            box_taps: self.box_taps.as_deref(),
         };
+        let band_len = usize::try_from(tile.len)
+            .map_err(|_| EngineError::DomainTooLarge { points: tile.len })?;
         let band_rows = band_rows(self.out_idx, tile)?;
         let workers = threads_for(self.worker_count, band_rows.len());
-        let chunks = split_band_rows(&band_rows, out, workers)?;
+        let chunks = if workers == 1 {
+            out.truncate(origin);
+            vec![(band_rows.as_ref(), RowOut::append(out))]
+        } else {
+            out.resize(origin + band_len, 0.0);
+            split_band_rows(&band_rows, &mut out[origin..], workers)?
+        };
         for (stats, _) in execute_band_parallel(chunks, &self.offsets, &win, self.kernel, workers)?
         {
             self.stats.merge(stats);
+        }
+        if out.len() != origin + band_len {
+            return Err(EngineError::InconsistentIndex {
+                detail: format!(
+                    "band {} claims {band_len} outputs but its rows produced {}",
+                    tile.id,
+                    out.len() - origin
+                ),
+            });
         }
         self.rows_out += band_rows.len() as u64;
         self.cursor += 1;
@@ -469,18 +560,22 @@ impl<'k> StreamStage<'k> {
     }
 
     /// Runs the current band into the stage's band buffer and pushes
-    /// its rows to `sink` in order; returns the values pushed.
+    /// its rows to `sink` in order; returns the values pushed. The
+    /// buffer is reserved once, at the longest band.
     fn run_band_to_sink(&mut self, sink: &mut dyn RowSink) -> Result<u64, EngineError> {
         let tile = &self.tile_plan.tiles()[self.cursor];
         let (start, len) = (tile.start_rank, tile.len);
         let rows = band_rows(self.out_idx, tile)?;
-        let band_len =
-            usize::try_from(len).map_err(|_| EngineError::DomainTooLarge { points: len })?;
         let mut out = std::mem::take(&mut self.out_buf);
-        // Every band slot is written by the executor (or it errors), so
-        // the previous band's values never need clearing.
-        out.resize(band_len, 0.0);
-        let ran = self.run_band(&mut out);
+        if out.capacity() == 0 {
+            let longest = self.tile_plan.tiles().iter().map(|t| t.len).max();
+            let longest = longest.unwrap_or(0);
+            out.reserve_exact(
+                usize::try_from(longest)
+                    .map_err(|_| EngineError::DomainTooLarge { points: longest })?,
+            );
+        }
+        let ran = self.run_band(&mut out, 0);
         let pushed = ran.and_then(|()| {
             for row in rows.iter() {
                 let at = usize::try_from(row.base - start)
@@ -615,7 +710,8 @@ fn hand_off(
     let (start, len) = (tile.start_rank, tile.len);
     let len = usize::try_from(len).map_err(|_| EngineError::DomainTooLarge { points: len })?;
     down.evict_below_halo()?;
-    up.run_band(down.tail(start, len)?)?;
+    let origin = down.filled;
+    up.run_band(down.tail(start)?, origin)?;
     down.admit(len);
     let mut pushed = 0u64;
     while stages[k + 1].ready() {
@@ -704,9 +800,10 @@ mod tests {
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "band {bands}: owned window diverges from the mapped slice"
             );
-            let (mut out, mut mapped_out) = (vec![0.0; len], vec![0.0; len]);
-            owned.run_band(&mut out).unwrap();
-            mapped.run_band(&mut mapped_out).unwrap();
+            let (mut out, mut mapped_out) = (Vec::new(), vec![f64::NAN; 3]);
+            owned.run_band(&mut out, 0).unwrap();
+            mapped.run_band(&mut mapped_out, 0).unwrap();
+            assert_eq!((out.len(), mapped_out.len()), (len, len));
             assert!(out
                 .iter()
                 .zip(&mapped_out)
@@ -720,6 +817,37 @@ mod tests {
         assert_eq!(owned.values_in(), vals.len() as u64);
         assert_eq!(mapped.values_in(), vals.len() as u64);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_owned_window_is_reserved_once_at_the_planned_bound() {
+        // Bands of 7 rows landing on a downstream window, one worker: the
+        // window is reserved at the planned bound before the first band
+        // and never moves, and each band appends exactly its outputs.
+        let plan = denoise_plan(40, 24);
+        let in_idx = plan.input_domain().index().unwrap();
+        let out_idx = plan.iteration_domain().index().unwrap();
+        let vals: Vec<f64> = (0..in_idx.len()).map(|r| (r % 13) as f64).collect();
+        let tiles = plan.tile_plan_chunked(7).unwrap();
+        let bound = usize::try_from(plan.planned_residency_bound(&tiles).unwrap()).unwrap();
+        let mut owned = stage(&plan, [&in_idx, &out_idx], 7);
+        let mut source = SliceSource::new(&vals);
+        let mut at = None;
+        while owned.current().is_some() {
+            owned.evict_below_halo().unwrap();
+            owned.pull(&mut source).unwrap();
+            assert_eq!(owned.window.capacity(), bound);
+            assert!(owned.filled <= bound);
+            let place = owned.window.as_ptr();
+            assert_eq!(*at.get_or_insert(place), place, "the window moved");
+            let mut out = vec![f64::NAN; 2];
+            let len = usize::try_from(owned.current().unwrap().len).unwrap();
+            owned.run_band(&mut out, 1).unwrap();
+            assert_eq!(out.len(), 1 + len);
+            assert!(out[0].is_nan(), "a band keeps what lies before its origin");
+        }
+        assert_eq!(owned.peak_resident(), owned.runtime_bound());
+        assert_eq!(owned.runtime_bound(), bound as u64);
     }
 
     #[test]

@@ -577,8 +577,11 @@ impl CompiledKernel {
     /// Attaches a native row body, checked first: the battery of
     /// [`CompiledKernel::compile_checked`], laid out as rows of several
     /// lengths, must give the bytecode's bits in every column (NaN
-    /// where the bytecode gives NaN). The single-row f64 sweep then
-    /// runs the native body in place of the register program.
+    /// where the bytecode gives NaN), through both the slice form and
+    /// the appending form — which must also append exactly one value
+    /// per column after what the vector already holds. The single-row
+    /// f64 sweep then runs the native body in place of the register
+    /// program.
     ///
     /// # Errors
     ///
@@ -587,6 +590,7 @@ impl CompiledKernel {
         let vals = battery(self.taps);
         let mut bases = vec![0usize; self.taps];
         let mut out = [0.0f64; BATTERY];
+        let mut appended: Vec<f64> = Vec::with_capacity(BATTERY + 1);
         let mut window = vec![0.0f64; self.taps];
         let mut start = 0usize;
         for len in BATTERY_ROWS {
@@ -594,16 +598,31 @@ impl CompiledKernel {
                 *b = k * BATTERY + start;
             }
             row.run(&vals, &bases, &mut out[..len]);
-            for (t, &got) in out[..len].iter().enumerate() {
+            // A value already in the vector stays, and the row lands
+            // after it.
+            appended.clear();
+            appended.push(f64::MAX);
+            row.append(&vals, &bases, len, &mut appended);
+            if appended.len() != len + 1 || appended[0] != f64::MAX {
+                return Err(EngineError::KernelMismatch {
+                    detail: format!(
+                        "native row append form left {} values after one for a {len}-column row",
+                        appended.len()
+                    ),
+                });
+            }
+            for (t, (&got, &pushed)) in out[..len].iter().zip(&appended[1..]).enumerate() {
                 battery_window(&vals, start + t, &mut window);
                 let want = self.eval(&window);
-                if !same_value(got, want) {
-                    return Err(EngineError::KernelMismatch {
-                        detail: format!(
-                            "window {window:?} (column {t} of a {len}-column row): native row \
-                             {got:?} vs bytecode {want:?}"
-                        ),
-                    });
+                for (form, got) in [("", got), (" append form", pushed)] {
+                    if !same_value(got, want) {
+                        return Err(EngineError::KernelMismatch {
+                            detail: format!(
+                                "window {window:?} (column {t} of a {len}-column row): native \
+                                 row{form} {got:?} vs bytecode {want:?}"
+                            ),
+                        });
+                    }
                 }
             }
             start += len;

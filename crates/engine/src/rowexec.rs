@@ -21,12 +21,20 @@
 //! * **gather rows** — some tap is non-contiguous or non-resident: the
 //!   defensive per-point fallback with exact error reporting.
 //!
-//! Classifying a row needs each tap's input run. One forward-only
-//! [`TapCursor`] per tap finds it by walking the input index alongside
-//! the output rows, and falls back to the binary-search predicate
-//! [`contiguous_base`] only to seed itself or to confirm a miss; the
-//! sweep's register files live in one [`SweepScratch`] per call, so no
-//! row pays a search or an allocation.
+//! Classifying a row needs each tap's input run. On a box input whose
+//! box holds every shifted iteration row, one forward-only [`TapCursor`]
+//! finds tap 0's run and every other tap sits at a fixed rank offset
+//! from it ([`box_tap_offsets`], the paper's Eq. 2 reuse distances as
+//! ranks); on any other input one cursor per tap walks the input index
+//! alongside the output rows. A cursor falls back to the binary-search
+//! predicate [`contiguous_base`] only to seed itself or to confirm a
+//! miss, and the sweep's register files live in one [`SweepScratch`]
+//! per call, so no row pays a search or an allocation.
+//!
+//! Rows write their outputs once ([`RowOut`]): a chunk either fills a
+//! preassigned slice, or appends its rows in rank order to a vector
+//! that nothing zero-filled — the native row body's appending form
+//! writes each output straight into the result.
 //!
 //! Every band, in core or streaming, runs through
 //! [`crate::chain::StreamStage`]. In core the bands split across the
@@ -133,9 +141,6 @@ where
 /// How the row executor evaluates the kernel datapath. One enum serves
 /// every backend: only `Program` row-sweeps; the other two evaluate
 /// per element.
-// One value per stage, built once per run: the inline program's size
-// costs nothing, and boxing it would only add an indirection per row.
-#[allow(clippy::large_enum_variant)]
 pub(crate) enum RowKernel<'a> {
     /// A window closure (the `Closure` backend, or an expression-less
     /// stage): always per element, always f64.
@@ -148,7 +153,8 @@ pub(crate) enum RowKernel<'a> {
     /// evaluate the multi-output `group` program (one dispatch per U
     /// rows), every other contiguous row the single-output program,
     /// and gather rows the scalar bytecode in the program's datapath.
-    Program(&'a CompiledKernel, UnrolledProgram),
+    /// The program is built once per session stage and borrowed.
+    Program(&'a CompiledKernel, &'a UnrolledProgram),
 }
 
 impl RowKernel<'_> {
@@ -192,11 +198,10 @@ pub(crate) struct RankWindow<'a> {
     pub vals: &'a [f64],
     /// Global rank of `vals[0]`.
     pub base: u64,
-    /// True if `idx`'s row prefixes strictly ascend, as in every index
-    /// [`DomainIndex::build`] makes: only then may a [`TapCursor`] walk
-    /// it forward and land on the row a binary search finds. Otherwise
-    /// every tap lookup takes the binary search.
-    pub ascending: bool,
+    /// Each tap's rank offset from tap 0 ([`box_tap_offsets`]), when
+    /// the stage's input is a box holding every shifted iteration row:
+    /// then only tap 0 is looked up per row.
+    pub box_taps: Option<&'a [i64]>,
 }
 
 impl RankWindow<'_> {
@@ -239,23 +244,77 @@ impl RowStats {
     }
 }
 
+/// Where a row chunk's outputs go: each written once.
+pub(crate) enum RowOut<'o> {
+    /// A preassigned slice, one slot per iteration: slot 0 holds the
+    /// chunk's first rank.
+    Slice(&'o mut [f64]),
+    /// Rows append in rank order to `vec`, whose length at `origin`
+    /// holds the chunk's first rank: no slot exists, or is cleared,
+    /// before its row is computed.
+    Append {
+        /// The growing result.
+        vec: &'o mut Vec<f64>,
+        /// `vec`'s length where the chunk starts.
+        origin: usize,
+    },
+}
+
+impl<'o> RowOut<'o> {
+    /// Appends to `vec` after what it already holds.
+    pub(crate) fn append(vec: &'o mut Vec<f64>) -> Self {
+        let origin = vec.len();
+        RowOut::Append { vec, origin }
+    }
+
+    /// True if the row of outputs `start..` (from the chunk's first
+    /// rank) is the next one an append output takes; always true for
+    /// a slice, whose slots are checked when taken.
+    fn is_next(&self, start: usize) -> bool {
+        match self {
+            RowOut::Slice(_) => true,
+            RowOut::Append { vec, origin } => vec.len() == origin + start,
+        }
+    }
+
+    /// The `len` slots of the outputs at `start..` (from the chunk's
+    /// first rank): borrowed from a slice, or appended as zeros, for a
+    /// path that writes its row in place. `None` if a slice lacks them
+    /// or an append output is not at `start`.
+    fn slot(&mut self, start: usize, len: usize) -> Option<&mut [f64]> {
+        if !self.is_next(start) {
+            return None;
+        }
+        match self {
+            RowOut::Slice(out) => out.get_mut(start..)?.get_mut(..len),
+            RowOut::Append { vec, .. } => {
+                let at = vec.len();
+                vec.resize(at + len, 0.0);
+                vec.get_mut(at..)
+            }
+        }
+    }
+}
+
 /// Runs the iteration rows `rows` (a contiguous slice of one band's
 /// index, whose `base` ranks start at `out_base`) against the resident
-/// input window, writing `out` (one slot per iteration).
+/// input window, writing each output once into `out`.
 ///
 /// Per output row, every window tap becomes a base rank into the flat
-/// input stream through its own forward [`TapCursor`]; resident
-/// contiguous rows then either sweep the compiled register program
-/// over the whole row or run the batched per-element loop, while rows
-/// whose taps are not contiguous (or not fully resident) fall back to
-/// per-point gathers.
+/// input stream: tap 0 through its forward [`TapCursor`] and the rest at
+/// their box offsets when the window has them, else each tap through
+/// its own cursor. Resident contiguous rows then either sweep the
+/// compiled kernel over the whole row (its native body appends the row
+/// straight to an append output) or run the batched per-element loop,
+/// while rows whose taps are not contiguous (or not fully resident)
+/// fall back to per-point gathers.
 pub(crate) fn execute_rows(
     rows: &[Row],
     out_base: u64,
     offsets: &[Point],
     win: &RankWindow<'_>,
     kernel: &RowKernel<'_>,
-    out: &mut [f64],
+    mut out: RowOut<'_>,
 ) -> Result<RowStats, EngineError> {
     let n = offsets.len();
     let mut window = vec![0.0f64; n];
@@ -264,7 +323,7 @@ pub(crate) fn execute_rows(
     let mut scratch = SweepScratch::default();
     let mut stats = RowStats::default();
     let program = match kernel {
-        RowKernel::Program(_, up) => Some(up),
+        RowKernel::Program(_, up) => Some(*up),
         _ => None,
     };
     let mut ubases: Vec<usize> = Vec::new();
@@ -285,7 +344,7 @@ pub(crate) fn execute_rows(
                     .and_then(|s| usize::try_from(s).ok())
                     .ok_or_else(|| inconsistent_row(&rows[i], out_base))?;
                 let group_len = len * up.unroll();
-                if let Some(group_out) = out.get_mut(start..).and_then(|o| o.get_mut(..group_len)) {
+                if let Some(group_out) = out.slot(start, group_len) {
                     up.sweep_group(&ubases, win.vals, group_out, len, &mut scratch);
                     stats.sweep += up.unroll() as u64;
                     i += up.unroll();
@@ -303,36 +362,63 @@ pub(crate) fn execute_rows(
             .checked_sub(out_base)
             .and_then(|s| usize::try_from(s).ok())
             .ok_or_else(|| inconsistent_row(row, out_base))?;
-        let out_row = out
-            .get_mut(start..)
-            .and_then(|o| o.get_mut(..len))
-            .ok_or_else(|| inconsistent_row(row, out_base))?;
-
-        let mut all_fast = true;
-        for ((f, cursor), base) in offsets.iter().zip(&mut cursors).zip(&mut bases) {
-            match cursor
-                .base(win, row, f, len)
-                .and_then(|b| win.resident_run(b, len))
-            {
-                Some(off) => *base = off,
-                None => {
-                    all_fast = false;
-                    break;
-                }
-            }
+        if !out.is_next(start) {
+            return Err(inconsistent_row(row, out_base));
         }
+
+        let all_fast = match win.box_taps {
+            Some(deltas) => box_bases(
+                win,
+                deltas,
+                &mut cursors[0],
+                row,
+                &offsets[0],
+                len,
+                &mut bases,
+            ),
+            None => offsets
+                .iter()
+                .zip(&mut cursors)
+                .zip(&mut bases)
+                .all(|((f, cursor), base)| {
+                    match cursor
+                        .base(win, row, f, len)
+                        .and_then(|b| win.resident_run(b, len))
+                    {
+                        Some(off) => {
+                            *base = off;
+                            true
+                        }
+                        None => false,
+                    }
+                }),
+        };
 
         if all_fast {
             if let Some(up) = program {
                 // Single-row sweep (every row at U=1; a group remainder
                 // or alignment miss above it): each tap is a
-                // column-shifted contiguous slice, and the single-output
-                // register program keeps the datapath identical to the
-                // group.
+                // column-shifted contiguous slice. The native body
+                // appends the row as it computes it; otherwise the
+                // single-output register program, which keeps the
+                // datapath identical to the group, writes its slot.
                 stats.sweep += 1;
-                up.sweep_single(&bases, win.vals, out_row, &mut scratch);
+                match (up.native(), &mut out) {
+                    (Some(native), RowOut::Append { vec, .. }) => {
+                        native.append(win.vals, &bases, len, vec);
+                    }
+                    _ => {
+                        let out_row = out
+                            .slot(start, len)
+                            .ok_or_else(|| inconsistent_row(row, out_base))?;
+                        up.sweep_single(&bases, win.vals, out_row, &mut scratch);
+                    }
+                }
             } else {
                 stats.fast += 1;
+                let out_row = out
+                    .slot(start, len)
+                    .ok_or_else(|| inconsistent_row(row, out_base))?;
                 for (t, slot) in out_row.iter_mut().enumerate() {
                     for (w, &b) in window.iter_mut().zip(&bases) {
                         *w = win.vals[b + t];
@@ -347,6 +433,9 @@ pub(crate) fn execute_rows(
             // that break contiguity still execute correctly (or report
             // the exact missing point).
             stats.gather += 1;
+            let out_row = out
+                .slot(start, len)
+                .ok_or_else(|| inconsistent_row(row, out_base))?;
             for (t, slot) in out_row.iter_mut().enumerate() {
                 let t_inner = i64::try_from(t)
                     .map_err(|_| EngineError::DomainTooLarge { points: row.len() })?;
@@ -378,6 +467,89 @@ pub(crate) fn execute_rows(
     }
 
     Ok(stats)
+}
+
+/// Fills `bases` with every tap's window offset for iteration row `row`
+/// (of `len` points) on a box input: tap 0 (offset `f0`) through its
+/// `cursor`, tap `k` at `deltas[k]` ranks from it. False if tap 0's run
+/// is not found or some tap's run is not resident.
+fn box_bases(
+    win: &RankWindow<'_>,
+    deltas: &[i64],
+    cursor: &mut TapCursor,
+    row: &Row,
+    f0: &Point,
+    len: usize,
+    bases: &mut [usize],
+) -> bool {
+    let Some(first) = cursor
+        .base(win, row, f0, len)
+        .and_then(|b| i64::try_from(b.checked_sub(win.base)?).ok())
+    else {
+        return false;
+    };
+    deltas
+        .iter()
+        .zip(bases)
+        .all(|(&d, base)| match usize::try_from(first + d) {
+            Ok(off) if off + len <= win.vals.len() => {
+                *base = off;
+                true
+            }
+            _ => false,
+        })
+}
+
+/// Each tap's rank offset from tap 0 when the stage's input index is a
+/// dense box ([`DomainIndex::dense_box`]) that holds the stage's
+/// iteration box shifted by every offset of the window.
+///
+/// The rank of a box point is linear in its coordinates, so tap `k` of
+/// every iteration row starts `δ_k = Σ_d (f_k − f_0)_d · stride_d` ranks
+/// after tap 0 — the software form of the paper's reuse FIFOs, which
+/// hand each tap to the datapath at a fixed distance from the first
+/// (§3, Eq. 2). Each index finds its box once and keeps it, so this
+/// costs arithmetic over the window, no walk. `None` for any
+/// other input (a triangle, a skewed domain, a hand-built index) or a
+/// window that leaves the input box: those stages look every tap up
+/// through its own cursor.
+pub(crate) fn box_tap_offsets(
+    in_idx: &DomainIndex,
+    out_idx: &DomainIndex,
+    offsets: &[Point],
+) -> Option<Vec<i64>> {
+    let (input, iter) = (in_idx.dense_box()?, out_idx.dense_box()?);
+    let f0 = offsets.first()?;
+    if input.len() != iter.len() || offsets.iter().any(|f| f.dims() != input.len()) {
+        return None;
+    }
+    let inside = offsets.iter().all(|f| {
+        input
+            .iter()
+            .zip(iter)
+            .zip(f.as_slice())
+            .all(|((&(in_lo, in_hi), &(lo, hi)), &o)| in_lo <= lo + o && hi + o <= in_hi)
+    });
+    if !inside {
+        return None;
+    }
+    let mut strides = vec![1i64; input.len()];
+    for d in (1..input.len()).rev() {
+        let (lo, hi) = input[d];
+        strides[d - 1] = strides[d].checked_mul(hi - lo + 1)?;
+    }
+    offsets
+        .iter()
+        .map(|f| {
+            f.as_slice()
+                .iter()
+                .zip(f0.as_slice())
+                .zip(&strides)
+                .try_fold(0i64, |acc, ((&a, &b), &s)| {
+                    acc.checked_add((a - b).checked_mul(s)?)
+                })
+        })
+        .collect()
 }
 
 /// Probes whether rows `i..i + U` form an unrollable group: identical
@@ -458,7 +630,7 @@ impl TapCursor {
     fn base(&mut self, win: &RankWindow<'_>, row: &Row, f: &Point, len: usize) -> Option<u64> {
         let idx = win.idx;
         let inner = row.prefix.dims();
-        if win.ascending {
+        if idx.prefixes_ascend() {
             // The shifted row has one prefix, so it is contiguous iff a
             // single input row with that prefix holds both its ends.
             let mut key = [0i64; MAX_DIMS];
@@ -491,15 +663,6 @@ impl TapCursor {
     }
 }
 
-/// True if `idx`'s row prefixes strictly ascend — the order every
-/// [`DomainIndex::build`] index has, and the one a [`TapCursor`] needs
-/// to walk an index forward ([`RankWindow::ascending`]).
-pub(crate) fn prefixes_ascend(idx: &DomainIndex) -> bool {
-    idx.rows()
-        .windows(2)
-        .all(|w| w[0].prefix.as_slice() < w[1].prefix.as_slice())
-}
-
 /// Window offsets in the user's declared reference order — the order
 /// the kernel consumes (`FilterPlan.user_index` inverts the chain's
 /// descending sort).
@@ -529,20 +692,20 @@ pub(crate) fn check_kernel_window(
     Ok(())
 }
 
-/// Resolves the worker count: `0` requests the machine's parallelism,
-/// and no run uses more workers than it has bands (or rows). Only `0`
-/// asks the OS, which reads cgroup files on every call.
-pub(crate) fn threads_for(requested: usize, tiles: usize) -> usize {
-    let t = match requested {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        n => n,
-    };
-    t.clamp(1, tiles.max(1))
+/// The machine's parallelism, which the OS finds by reading cgroup
+/// files: a session asks once ([`crate::Session`]'s `threads(0)`).
+pub(crate) fn machine_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// A run of iteration rows (bases ranked from the start of its output
-/// slice) and the output slice it writes.
-pub(crate) type RowChunk<'r, 'o> = (&'r [Row], &'o mut [f64]);
+/// Clamps a resolved worker count to the work: no run uses more workers
+/// than it has bands (or rows), and every run uses at least one.
+pub(crate) fn threads_for(workers: usize, tiles: usize) -> usize {
+    workers.clamp(1, tiles.max(1))
+}
+
+/// A run of iteration rows and where its outputs go.
+pub(crate) type RowChunk<'r, 'o> = (&'r [Row], RowOut<'o>);
 
 /// Splits a streaming band's iteration rows into at most `workers`
 /// contiguous chunks writing disjoint slices of `out`, the band's
@@ -570,7 +733,7 @@ pub(crate) fn split_band_rows<'r, 'o>(
             });
         }
         let (o_head, o_tail) = rest_out.split_at_mut(chunk_len);
-        chunks.push((head, o_head));
+        chunks.push((head, RowOut::Slice(o_head)));
         rest_rows = tail;
         rest_out = o_tail;
         consumed += chunk_vals;
@@ -589,7 +752,7 @@ pub(crate) fn execute_band_parallel(
     kernel: &RowKernel<'_>,
     workers: usize,
 ) -> Result<Vec<(RowStats, Duration)>, EngineError> {
-    fork_join(chunks, workers, |(rows, out)| {
+    fork_join(chunks, workers, |(rows, out): RowChunk<'_, '_>| {
         let started = Instant::now();
         let out_base = rows.first().map_or(0, |r| r.base);
         let stats = execute_rows(rows, out_base, offsets, win, kernel, out)?;
@@ -678,7 +841,7 @@ mod tests {
             idx: in_idx,
             vals: &[],
             base: 0,
-            ascending: prefixes_ascend(in_idx),
+            box_taps: None,
         };
         let mut cursors = vec![TapCursor::default(); offsets.len()];
         let mut hits = 0;
@@ -728,6 +891,155 @@ mod tests {
             let offsets: Vec<Point> = raw.chunks_exact(dims).map(Point::new).collect();
             assert_cursors_agree(&in_idx, it_idx.rows(), &offsets);
         }
+    }
+
+    /// Asserts that `box_tap_offsets` places every tap of every
+    /// iteration row of `it_idx` where the contiguity predicate does:
+    /// tap 0's rank plus the tap's offset.
+    fn assert_box_offsets_agree(in_idx: &DomainIndex, it_idx: &DomainIndex, offsets: &[Point]) {
+        let deltas = box_tap_offsets(in_idx, it_idx, offsets).expect("a box holding the window");
+        assert_eq!(deltas.len(), offsets.len());
+        for row in it_idx.rows() {
+            let len = usize::try_from(row.len()).unwrap();
+            let base = |f: &Point| {
+                let start = tap_point(&row.prefix, row.lo, f);
+                let end = tap_point(&row.prefix, row.hi, f);
+                contiguous_base(in_idx, &start, &end, len).expect("inside the box")
+            };
+            let b0 = base(&offsets[0]);
+            for (f, &d) in offsets.iter().zip(&deltas) {
+                assert_eq!(
+                    i64::try_from(base(f)).unwrap(),
+                    i64::try_from(b0).unwrap() + d,
+                    "row {} tap {f}",
+                    row.prefix
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// On a box input, every tap sits at its box offset from tap 0
+        /// exactly when the window keeps the iteration box inside the
+        /// input box; otherwise the stage keeps per-tap cursors.
+        #[test]
+        fn box_offsets_match_the_predicate_on_random_boxes(
+            dims in 2usize..=3,
+            lo in proptest::collection::vec(-3i64..=3, 3),
+            ext in proptest::collection::vec(2i64..=7, 3),
+            shrink in proptest::collection::vec(-1i64..=2, 6),
+            raw in proptest::collection::vec(-2i64..=2, 3..=24),
+        ) {
+            let input: Vec<(i64, i64)> = (0..dims).map(|d| (lo[d], lo[d] + ext[d])).collect();
+            let iter: Vec<(i64, i64)> = input
+                .iter()
+                .enumerate()
+                .map(|(d, &(a, b))| (a + shrink[2 * d], (b - shrink[2 * d + 1]).max(a + shrink[2 * d])))
+                .collect();
+            let in_idx = stencil_polyhedral::Polyhedron::rect(&input).index().unwrap();
+            let it_idx = stencil_polyhedral::Polyhedron::rect(&iter).index().unwrap();
+            let offsets: Vec<Point> = raw.chunks_exact(dims).map(Point::new).collect();
+            let inside = offsets.iter().all(|f| {
+                (0..dims).all(|d| input[d].0 <= iter[d].0 + f[d] && iter[d].1 + f[d] <= input[d].1)
+            });
+            proptest::prop_assert_eq!(box_tap_offsets(&in_idx, &it_idx, &offsets).is_some(), inside);
+            if inside {
+                assert_box_offsets_agree(&in_idx, &it_idx, &offsets);
+            }
+        }
+    }
+
+    #[test]
+    fn only_box_inputs_get_box_offsets() {
+        use stencil_polyhedral::{Constraint, Polyhedron};
+        let cross = points(&[vec![-1, 0], vec![0, -1], vec![0, 0], vec![0, 1], vec![1, 0]]);
+        let boxed = Polyhedron::rect(&[(0, 9), (0, 9)]).index().unwrap();
+        let interior = Polyhedron::rect(&[(1, 8), (1, 8)]).index().unwrap();
+        assert_box_offsets_agree(&boxed, &interior, &cross);
+        // DENOISE's cross over a 10-column box: one row up, one left,
+        // itself, one right, one row down.
+        assert_eq!(
+            box_tap_offsets(&boxed, &interior, &cross),
+            Some(vec![0, 9, 10, 11, 20])
+        );
+
+        let triangle = Polyhedron::rect(&[(0, 3), (0, 3)])
+            .with_constraint(Constraint::new(&[1, -1], 0))
+            .index()
+            .unwrap();
+        let skewed = Polyhedron::new(
+            2,
+            vec![
+                Constraint::lower_bound(2, 0, 0),
+                Constraint::upper_bound(2, 0, 7),
+                Constraint::new(&[-1, 1], 0),
+                Constraint::new(&[1, -1], 4),
+            ],
+        )
+        .index()
+        .unwrap();
+        let row = |p: i64, lo: i64, hi: i64, base: u64| Row {
+            prefix: Point::new(&[p]),
+            lo,
+            hi,
+            base,
+        };
+        let gaps =
+            DomainIndex::from_rows(2, vec![row(0, 0, 4, 0), row(1, 0, 4, 5), row(3, 0, 4, 10)]);
+        let scrambled = DomainIndex::from_rows(
+            2,
+            (0..=6).map(|p| row(p, 0, 4, 5 * (6 - p) as u64)).collect(),
+        );
+        let unordered = DomainIndex::from_rows(
+            2,
+            [4, 0, 2, 1, 6, 3, 5]
+                .map(|p| row(p, 0, 4, 5 * p as u64))
+                .to_vec(),
+        );
+        let small = Polyhedron::rect(&[(1, 2), (1, 3)]).index().unwrap();
+        for (name, idx) in [
+            ("triangle", &triangle),
+            ("skewed", &skewed),
+            ("gaps", &gaps),
+            ("scrambled", &scrambled),
+            ("unordered", &unordered),
+        ] {
+            assert_eq!(box_tap_offsets(idx, &small, &cross), None, "{name} input");
+            assert_eq!(box_tap_offsets(idx, idx, &cross), None, "{name} as both");
+        }
+        // A box input whose window reaches past its edge.
+        assert_eq!(box_tap_offsets(&boxed, &boxed, &cross), None);
+        assert_eq!(box_tap_offsets(&boxed, &triangle, &cross), None);
+    }
+
+    /// On a box, the rank distance between consecutive filters of the
+    /// plan's chain is the reuse FIFO between them: the box offsets are
+    /// the prefix sums of the plan's Eq. 2 capacities.
+    #[test]
+    fn box_offsets_step_by_the_plans_fifo_capacities() {
+        use stencil_kernels::{denoise, paper_suite};
+        let benches = [denoise()]
+            .into_iter()
+            .chain(paper_suite().into_iter().filter(|b| b.dims() == 3));
+        let mut checked = 0;
+        for bench in benches {
+            let extents: Vec<i64> = bench.extents().iter().map(|&e| e.min(12)).collect();
+            let plan = MemorySystemPlan::generate(&bench.spec_for(&extents).unwrap()).unwrap();
+            let in_idx = plan.input_domain().index().unwrap();
+            let it_idx = plan.iteration_domain().index().unwrap();
+            let deltas = box_tap_offsets(&in_idx, &it_idx, &plan_offsets(&plan))
+                .unwrap_or_else(|| panic!("{}: a box plan", bench.name()));
+            let chain: Vec<i64> = plan
+                .filters()
+                .iter()
+                .map(|f| deltas[f.user_index])
+                .collect();
+            let steps: Vec<u64> = chain.windows(2).map(|w| (w[0] - w[1]) as u64).collect();
+            assert_eq!(steps, plan.fifo_capacities(), "{}", bench.name());
+            checked += 1;
+        }
+        assert!(checked >= 3, "DENOISE and the 3D suite: {checked}");
     }
 
     #[test]
@@ -789,8 +1101,8 @@ mod tests {
                 .map(|p| row(p, 0, 4, 5 * p as u64))
                 .to_vec(),
         );
-        assert!(prefixes_ascend(&gaps) && prefixes_ascend(&scrambled));
-        assert!(!prefixes_ascend(&unordered));
+        assert!(gaps.prefixes_ascend() && scrambled.prefixes_ascend());
+        assert!(!unordered.prefixes_ascend());
         for idx in [&gaps, &scrambled, &unordered] {
             assert_cursors_agree(idx, &queries, &cross);
         }
@@ -820,7 +1132,7 @@ mod tests {
             idx: &idx,
             vals: &[],
             base: 0,
-            ascending: true,
+            box_taps: None,
         };
         let f = Point::new(&[0, 0]);
         let mut cursor = TapCursor::default();

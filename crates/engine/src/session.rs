@@ -81,7 +81,9 @@ use crate::error::EngineError;
 use crate::format::MappedGrid;
 use crate::input::InputGrid;
 use crate::report::{finite_throughput, GridIoReport, RunReport, StreamReport};
-use crate::rowexec::{check_kernel_window, plan_offsets, threads_for, RowKernel};
+use crate::rowexec::{
+    check_kernel_window, machine_parallelism, plan_offsets, threads_for, RowKernel,
+};
 use crate::stream::{RowSink, RowSource, SliceSource, VecSink};
 use crate::unroll::UnrolledProgram;
 
@@ -219,6 +221,13 @@ struct Stage<'a> {
     /// The stage's input index, built on first use (stage 0 only: a
     /// later stage reads its upstream's iteration index).
     input_index: OnceCell<DomainIndex>,
+    /// Each band's halo size in input points, per in-core [`ExecMode`],
+    /// counted on first use: the in-core report's `halo_elements`.
+    halo: RefCell<Vec<(ExecMode, Vec<u64>)>>,
+    /// The stage's validated register program, built on first use and
+    /// reused by every later run; a builder call that changes its
+    /// kernel, unroll or datapath clears it.
+    program: OnceCell<UnrolledProgram>,
 }
 
 impl<'a> Stage<'a> {
@@ -232,6 +241,8 @@ impl<'a> Stage<'a> {
             tile: RefCell::new(Vec::new()),
             iter_index: OnceCell::new(),
             input_index: OnceCell::new(),
+            halo: RefCell::new(Vec::new()),
+            program: OnceCell::new(),
         }
     }
 
@@ -263,6 +274,18 @@ impl<'a> Stage<'a> {
         Ok(tp)
     }
 
+    /// Each band's halo size under in-core `mode`, whose schedule is
+    /// `tile_plan`: counted once, then reused by every run.
+    fn halo_counts(&self, mode: ExecMode, tile_plan: &TilePlan) -> Result<Vec<u64>, EngineError> {
+        let mut slots = self.halo.borrow_mut();
+        if let Some((_, counts)) = slots.iter().find(|(m, _)| *m == mode) {
+            return Ok(counts.clone());
+        }
+        let counts = band_halos(tile_plan)?;
+        slots.push((mode, counts.clone()));
+        Ok(counts)
+    }
+
     /// The stage's iteration index, built once.
     fn iteration_index(&self) -> Result<&DomainIndex, EngineError> {
         cached_index(&self.iter_index, || {
@@ -292,11 +315,12 @@ impl<'a> Stage<'a> {
     }
 
     /// The stage's row executor, or a config error if no kernel was
-    /// supplied. Under the `Compiled` backend a compiled stage builds
-    /// a validated [`UnrolledProgram`] over the stage plan's window,
-    /// shaped by `unroll`/`datapath`; under `Closure` it evaluates the
-    /// scalar bytecode per element. Closure datapaths reject f32 (no
-    /// bytecode to narrow).
+    /// supplied. Under the `Compiled` backend a compiled stage runs a
+    /// validated [`UnrolledProgram`] over the stage plan's window,
+    /// shaped by `unroll`/`datapath` — built on the first call and
+    /// borrowed from the stage by every later one; under `Closure` it
+    /// evaluates the scalar bytecode per element. Closure datapaths
+    /// reject f32 (no bytecode to narrow).
     fn row_kernel(
         &self,
         session_backend: KernelBackend,
@@ -319,8 +343,14 @@ impl<'a> Stage<'a> {
             Some(StageKernel::Compiled(k)) => match session_backend {
                 KernelBackend::Closure => Ok(RowKernel::Bytecode(k, datapath)),
                 KernelBackend::Compiled => {
-                    let offsets = plan_offsets(self.plan.get());
-                    let prog = UnrolledProgram::build(k, &offsets, unroll, datapath)?;
+                    let prog = match self.program.get() {
+                        Some(prog) => prog,
+                        None => {
+                            let offsets = plan_offsets(self.plan.get());
+                            let prog = UnrolledProgram::build(k, &offsets, unroll, datapath)?;
+                            self.program.get_or_init(|| prog)
+                        }
+                    };
                     Ok(RowKernel::Program(k, prog))
                 }
             },
@@ -429,6 +459,9 @@ pub struct Session<'a> {
     /// Tile plans constructed during execution (cache misses past the
     /// hoisted construction-time prefill), across this session's runs.
     tiles_built: Cell<u64>,
+    /// The machine's parallelism, asked of the OS once, by the first
+    /// run under `threads(0)`.
+    parallelism: OnceCell<usize>,
 }
 
 impl fmt::Debug for Session<'_> {
@@ -465,6 +498,7 @@ impl<'a> Session<'a> {
             label: None,
             iterate_steps: None,
             tiles_built: Cell::new(0),
+            parallelism: OnceCell::new(),
         }
     }
 
@@ -499,6 +533,15 @@ impl<'a> Session<'a> {
             SessionKernel::Closure(c) => StageKernel::Closure(c),
             SessionKernel::Compiled(k) => StageKernel::Compiled(Cow::Borrowed(k)),
         });
+        self.forget_programs()
+    }
+
+    /// Drops every stage's cached register program, for a builder call
+    /// that changes what it would be.
+    fn forget_programs(mut self) -> Self {
+        for stage in &mut self.stages {
+            stage.program.take();
+        }
         self
     }
 
@@ -534,7 +577,7 @@ impl<'a> Session<'a> {
     #[must_use]
     pub fn unroll(mut self, unroll: usize) -> Self {
         self.unroll = unroll;
-        self
+        self.forget_programs()
     }
 
     /// Selects the arithmetic width of compiled sweeps.
@@ -545,7 +588,7 @@ impl<'a> Session<'a> {
     #[must_use]
     pub fn datapath(mut self, datapath: Datapath) -> Self {
         self.datapath = datapath;
-        self
+        self.forget_programs()
     }
 
     /// Overrides the kernel backend of the *most recently added* stage,
@@ -571,7 +614,7 @@ impl<'a> Session<'a> {
             .last_mut()
             .expect("sessions always have at least one stage")
             .unroll = Some(unroll);
-        self
+        self.forget_programs()
     }
 
     /// Labels the session's telemetry output.
@@ -734,6 +777,16 @@ impl<'a> Session<'a> {
         let mut slots = self.stages[0].tile.borrow_mut();
         if !slots.iter().any(|(m, _)| *m == self.mode) {
             slots.push((self.mode, tile_plan));
+        }
+    }
+
+    /// The worker count a run may use: the configured count, or under
+    /// `threads(0)` the machine's parallelism, asked of the OS once per
+    /// session.
+    fn workers(&self) -> usize {
+        match self.threads {
+            0 => *self.parallelism.get_or_init(machine_parallelism),
+            n => n,
         }
     }
 
@@ -1007,8 +1060,10 @@ impl<'a> Session<'a> {
                 None => (input.index(), input.values()),
                 Some(up) => (self.stages[up].iteration_index()?, cur.as_slice()),
             };
-            let (outputs, report) =
-                self.run_resident(&sp, sp.label, sp.plan, tile_plan, in_idx, out_idx, vals)?;
+            let halo = stage.halo_counts(self.mode, &tile_plan)?;
+            let (outputs, report) = self.run_resident(
+                &sp, sp.label, sp.plan, tile_plan, &halo, in_idx, out_idx, vals,
+            )?;
             stage_reports.push(report);
             cur = outputs;
         }
@@ -1034,9 +1089,10 @@ impl<'a> Session<'a> {
     /// Runs one in-core stage: `sp`'s kernel over `plan` as a
     /// [`StreamStage`] over the whole resident input `vals` (ranked by
     /// `in_idx`; `out_idx` indexes `plan`'s iteration domain), its bands
-    /// split across `threads_for(threads, bands)` workers and written in
-    /// place into one output buffer. Returns the outputs and the stage's
-    /// report, labelled `label`.
+    /// split across up to [`Session::workers`] workers and written once
+    /// ([`StreamStage::run_in_place`]). `halo` holds each band's halo
+    /// size. Returns the outputs and the stage's report, labelled
+    /// `label`.
     // `label`/`plan` differ from `sp`'s on `iterate_until`'s derived steps.
     #[allow(clippy::too_many_arguments)]
     fn run_resident(
@@ -1045,18 +1101,19 @@ impl<'a> Session<'a> {
         label: &str,
         plan: &MemorySystemPlan,
         tile_plan: TilePlan,
+        halo: &[u64],
         in_idx: &DomainIndex,
         out_idx: &DomainIndex,
         vals: &[f64],
     ) -> Result<(Vec<f64>, StageReport), EngineError> {
         let started = Instant::now();
-        let workers = threads_for(self.threads, tile_plan.tile_count());
+        let workers = threads_for(self.workers(), tile_plan.tile_count());
         let resident_bound = in_idx.len();
         let mut machine = StreamStage::new(
             plan, in_idx, out_idx, tile_plan, &sp.kernel, sp.backend, None, workers,
         )?;
         machine.attach_resident(vals)?;
-        let (outputs, run) = machine.run_in_place(started)?;
+        let (outputs, run) = machine.run_in_place(started, halo)?;
         let report = StageReport {
             label: label.to_string(),
             backend: sp.backend,
@@ -1106,7 +1163,7 @@ impl<'a> Session<'a> {
         let mapped = source.mapped();
         let sps = self.stage_plans()?;
         let mode = ExecMode::Streaming { chunk_rows };
-        let workers = threads_for(self.threads, usize::MAX);
+        let workers = self.workers();
         let schedules = self.schedules(mode, Some(&self.tiles_built))?;
         let mut machines: Vec<StreamStage<'_>> = Vec::with_capacity(sps.len());
         for (i, ((stage, sp), tile_plan)) in self.stages.iter().zip(&sps).zip(schedules).enumerate()
@@ -1248,16 +1305,17 @@ impl<'a> Session<'a> {
 
         for k in 1..=max_steps {
             let plan = derived.as_ref().unwrap_or(base_plan);
-            let (tile_plan, label) = if k == 1 {
-                (
-                    stage.tiles(mode, None, Some(&self.tiles_built))?,
-                    name.clone(),
-                )
+            let (tile_plan, halo, label) = if k == 1 {
+                let tile_plan = stage.tiles(mode, None, Some(&self.tiles_built))?;
+                let halo = stage.halo_counts(mode, &tile_plan)?;
+                (tile_plan, halo, name.clone())
             } else {
                 // Derived step plans are fresh objects; their band
                 // schedules are inherently built per executed step.
                 self.tiles_built.set(self.tiles_built.get() + 1);
-                (mode.bands(plan)?, format!("{name}@t{k}"))
+                let tile_plan = mode.bands(plan)?;
+                let halo = band_halos(&tile_plan)?;
+                (tile_plan, halo, format!("{name}@t{k}"))
             };
             let in_idx;
             let (prev_idx, prev_vals): (&DomainIndex, &[f64]) = if k == 1 {
@@ -1270,8 +1328,9 @@ impl<'a> Session<'a> {
                 .iteration_domain()
                 .index()
                 .map_err(|e| EngineError::Plan(e.into()))?;
-            let (outputs, report) =
-                self.run_resident(&sp, &label, plan, tile_plan, prev_idx, &out_idx, prev_vals)?;
+            let (outputs, report) = self.run_resident(
+                &sp, &label, plan, tile_plan, &halo, prev_idx, &out_idx, prev_vals,
+            )?;
             let delta = max_abs_delta(&out_idx, &outputs, prev_idx, prev_vals)?;
             steps += 1;
             stage_reports.push(report);
@@ -1330,6 +1389,19 @@ fn lagged(plan: &MemorySystemPlan, upstream: &TilePlan) -> Result<TilePlan, Engi
         .unwrap_or(0);
     let cuts: Vec<i64> = upstream.cuts().iter().map(|c| c - lag).collect();
     Ok(plan.tile_plan_from_cuts(&cuts)?)
+}
+
+/// Each band's halo size in input points, in band order.
+fn band_halos(tile_plan: &TilePlan) -> Result<Vec<u64>, EngineError> {
+    tile_plan
+        .tiles()
+        .iter()
+        .map(|t| {
+            t.halo_domain
+                .count()
+                .map_err(|e| EngineError::Plan(e.into()))
+        })
+        .collect()
 }
 
 /// The index in `cell`, built by `build` on first use.
@@ -1818,6 +1890,11 @@ mod tests {
         stencil_kernels::sweep_row::<5>(vals, bases, out, compute);
     }
 
+    fn counting_append(vals: &[f64], bases: &[usize], len: usize, out: &mut Vec<f64>) {
+        NATIVE_ROWS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        stencil_kernels::append_row::<5>(vals, bases, len, out, compute);
+    }
+
     #[test]
     fn native_rows_run_only_on_f64_single_row_sweeps() {
         // Which stages resolve to the built-in DENOISE's native body:
@@ -1879,7 +1956,11 @@ mod tests {
         // a multiple of four, so some run as leftover single rows).
         let counted = KernelStage::new("counted", window_5pt(), compute)
             .with_expr(expr_5pt())
-            .with_native_row(stencil_kernels::NativeRow::new(5, counting_row));
+            .with_native_row(stencil_kernels::NativeRow::new(
+                5,
+                counting_row,
+                counting_append,
+            ));
         let plan = plan_5pt(43, 37);
         let in_idx = plan.input_domain().index().unwrap();
         let vals = ramp(in_idx.len());
@@ -2232,6 +2313,90 @@ mod tests {
         assert_eq!(r.per_tile.iter().map(|t| t.outputs).sum::<u64>(), r.outputs);
         assert_eq!(r.outputs, tiled.outputs.len() as u64);
         assert_eq!(bits(&tiled.outputs), reference);
+    }
+
+    #[test]
+    fn in_core_outputs_are_written_once_into_an_exact_buffer() {
+        // The compiled DENOISE (native append form), the register
+        // program and a closure, in one band and in three at one and
+        // three workers: every result is bit-identical to the one-band
+        // run and holds exactly its outputs, nothing reserved past them.
+        let bench = stencil_kernels::denoise();
+        let plan = MemorySystemPlan::generate(&bench.spec_for(&[40, 37]).unwrap()).unwrap();
+        let in_idx = plan.input_domain().index().unwrap();
+        let vals = ramp(in_idx.len());
+        let input = InputGrid::new(&in_idx, &vals).unwrap();
+        let closure = bench.compute_fn();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let reference = Session::build(&plan, &bench.stage())
+            .unwrap()
+            .threads(1)
+            .run(&input)
+            .unwrap();
+        assert_eq!(reference.outputs.capacity(), reference.outputs.len());
+        assert_eq!(reference.outputs.len(), 38 * 35);
+        let session = |k: usize| match k {
+            0 => Session::build(&plan, &bench.stage()).unwrap(),
+            1 => Session::build(&plan, &bench.stage()).unwrap().unroll(4),
+            _ => Session::new(&plan).kernel(SessionKernel::Closure(&closure)),
+        };
+        for k in 0..3 {
+            for (mode, threads) in [
+                (ExecMode::InCore, 1),
+                (ExecMode::Tiled { tiles: 3 }, 1),
+                (ExecMode::Tiled { tiles: 3 }, 3),
+            ] {
+                let run = session(k).mode(mode).threads(threads).run(&input).unwrap();
+                let what = format!("session {k}, {mode:?}, {threads} threads");
+                assert_eq!(bits(&run.outputs), bits(&reference.outputs), "{what}");
+                assert_eq!(run.outputs.capacity(), run.outputs.len(), "{what}");
+                let engine = run.report.stages[0].engine.as_ref().unwrap();
+                assert_eq!(engine.threads, threads, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_run_reuses_the_first_runs_program() {
+        let bench = stencil_kernels::denoise();
+        let plan = MemorySystemPlan::generate(&bench.spec_for(&[20, 24]).unwrap()).unwrap();
+        let in_idx = plan.input_domain().index().unwrap();
+        let vals = ramp(in_idx.len());
+        let input = InputGrid::new(&in_idx, &vals).unwrap();
+        let program = |s: &Session<'_>| -> Vec<*const UnrolledProgram> {
+            s.stage_plans()
+                .unwrap()
+                .iter()
+                .map(|p| match &p.kernel {
+                    RowKernel::Program(_, up) => std::ptr::from_ref::<UnrolledProgram>(up),
+                    _ => panic!("a compiled stage sweeps its program"),
+                })
+                .collect()
+        };
+        let session = Session::build(&plan, &bench.stage())
+            .unwrap()
+            .threads(1)
+            .iterate(2)
+            .unwrap();
+        let first = session.run(&input).unwrap();
+        let built = program(&session);
+        let second = session.run(&input).unwrap();
+        assert_eq!(program(&session), built);
+        assert_eq!(first.outputs, second.outputs);
+        // Streaming resolves through the same cache.
+        let mut sink = VecSink::new();
+        let streaming = session.mode(ExecMode::Streaming {
+            chunk_rows: Some(4),
+        });
+        streaming
+            .run_streaming(&mut SliceSource::new(&vals), &mut sink)
+            .unwrap();
+        assert_eq!(program(&streaming), built);
+        // A builder call that changes the program drops the cache.
+        let rebuilt = streaming.unroll(2);
+        for p in rebuilt.stage_plans().unwrap() {
+            assert!(matches!(&p.kernel, RowKernel::Program(_, up) if up.unroll() == 2));
+        }
     }
 
     #[test]

@@ -472,8 +472,11 @@ impl RowSink for MmapSink {
         if self.buf.len() + row.len() * 8 > SINK_WRITE_BYTES {
             self.write_buf()?;
         }
-        for v in row {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+        // One growth per row, then a plain encode loop over its bytes.
+        let at = self.buf.len();
+        self.buf.resize(at + row.len() * 8, 0);
+        for (bytes, v) in self.buf[at..].chunks_exact_mut(8).zip(row) {
+            bytes.copy_from_slice(&v.to_le_bytes());
         }
         self.cursor = end;
         Ok(())

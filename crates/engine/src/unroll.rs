@@ -772,6 +772,12 @@ impl UnrolledProgram {
         self.native.is_some()
     }
 
+    /// The native row body the single-row sweep runs, if any: the row
+    /// executor appends rows through its appending form.
+    pub(crate) fn native(&self) -> Option<&NativeRow> {
+        self.native.as_ref()
+    }
+
     /// The single-row sweep: every sweep row at `U = 1`, leftover rows
     /// above it. `tap_bases` are per *tap* (the row executor's layout):
     /// the native row body reads them as they are, the program maps

@@ -1,11 +1,12 @@
 //! Native row bodies against the scalar forms of the same kernel.
 //!
 //! Every built-in kernel carries a native row body ([`NativeRow`]): its
-//! closure formula compiled as one vectorizable loop over a whole row.
-//! The compiled sweep runs it in place of the register program, so it
-//! must reproduce the closure and the scalar bytecode bit for bit on
-//! any input, special values included, and a body that does not must
-//! be refused before it produces any output.
+//! closure formula compiled as one vectorizable loop over a whole row,
+//! in a slice form and an appending form. The compiled sweep runs it in
+//! place of the register program, so both forms must reproduce the
+//! closure and the scalar bytecode bit for bit on any input, special
+//! values included, and a body either of whose forms does not must be
+//! refused before it produces any output.
 //!
 //! CI also runs this file with `--release`: the test profile builds
 //! at a lower optimization level, and only the release build emits the
@@ -85,10 +86,11 @@ fn same(a: f64, b: f64) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Native row == closure per window == scalar bytecode, bit for
-    /// bit (all NaN where any is NaN), for every built-in benchmark
-    /// with a native row, over rows of every length in
-    /// [`ROW_LENGTHS`] whose taps overlap like a stencil's.
+    /// Native row == its append form == closure per window == scalar
+    /// bytecode, bit for bit (all NaN where any is NaN), for every
+    /// built-in benchmark with a native row, over rows of every length
+    /// in [`ROW_LENGTHS`] whose taps overlap like a stencil's. The
+    /// append form lands after what its vector already holds.
     #[test]
     fn native_rows_match_closure_and_bytecode(seed in 0u64..u64::MAX, mode in 0u8..3) {
         let benches = native_benchmarks();
@@ -107,17 +109,21 @@ proptest! {
                 let bases: Vec<usize> = (0..taps).map(|_| rng.next() as usize % (3 * taps + 1)).collect();
                 let mut out = vec![f64::MAX; len];
                 row.run(&vals, &bases, &mut out);
+                let mut appended = vec![f64::MIN; 3];
+                row.append(&vals, &bases, len, &mut appended);
+                prop_assert_eq!(appended.len(), len + 3, "{} len {}", b.name(), len);
+                prop_assert!(appended[..3].iter().all(|&v| v == f64::MIN));
                 let mut window = vec![0.0; taps];
-                for (t, &native) in out.iter().enumerate() {
+                for (t, (&native, &append)) in out.iter().zip(&appended[3..]).enumerate() {
                     for (w, &base) in window.iter_mut().zip(&bases) {
                         *w = vals[base + t];
                     }
                     let closure = compute(&window);
                     let bytecode = ck.eval(&window);
                     prop_assert!(
-                        same(native, closure) && same(closure, bytecode),
-                        "{} len {len} column {t}: native {native:?}, closure {closure:?}, \
-                         bytecode {bytecode:?} on {window:?}",
+                        same(native, append) && same(append, closure) && same(closure, bytecode),
+                        "{} len {len} column {t}: native {native:?}, append {append:?}, \
+                         closure {closure:?}, bytecode {bytecode:?} on {window:?}",
                         b.name()
                     );
                 }
@@ -139,12 +145,16 @@ fn uniform_special_windows_agree() {
             let window = vec![v; taps];
             let mut out = [0.0];
             row.run(&window, &vec![0; taps], &mut out);
+            let mut appended = Vec::new();
+            row.append(&window, &vec![0; taps], 1, &mut appended);
             let (closure, bytecode) = (b.compute(&window), ck.eval(&window));
             assert!(
-                same(out[0], closure) && same(closure, bytecode),
-                "{} on all {v:?}: native {:?}, closure {closure:?}, bytecode {bytecode:?}",
+                same(out[0], appended[0]) && same(out[0], closure) && same(closure, bytecode),
+                "{} on all {v:?}: native {:?}, append {:?}, closure {closure:?}, \
+                 bytecode {bytecode:?}",
                 b.name(),
-                out[0]
+                out[0],
+                appended[0]
             );
         }
     }
@@ -155,6 +165,11 @@ fn uniform_special_windows_agree() {
 fn mismatched_denoise() -> Benchmark {
     fn wrong_row(vals: &[f64], bases: &[usize], out: &mut [f64]) {
         stencil_kernels::sweep_row::<5>(vals, bases, out, |v| {
+            v[2] + (v[0] + v[4] + v[3] + v[1] - 4.0 * v[2]) / 5.0
+        });
+    }
+    fn wrong_append(vals: &[f64], bases: &[usize], len: usize, out: &mut Vec<f64>) {
+        stencil_kernels::append_row::<5>(vals, bases, len, out, |v| {
             v[2] + (v[0] + v[4] + v[3] + v[1] - 4.0 * v[2]) / 5.0
         });
     }
@@ -172,7 +187,7 @@ fn mismatched_denoise() -> Benchmark {
             .expect("DENOISE carries an expression")
             .clone(),
     )
-    .with_native_row(NativeRow::new(5, wrong_row))
+    .with_native_row(NativeRow::new(5, wrong_row, wrong_append))
 }
 
 #[test]
@@ -199,6 +214,75 @@ fn a_native_row_that_disagrees_fails_session_build() {
     )
     .with_expr(bench.expr().unwrap().clone());
     assert!(Session::build(&plan, &expr_only.stage()).is_ok());
+}
+
+/// DENOISE with a correct slice form and the given append form.
+fn denoise_appending_with(append: stencil_kernels::AppendFn) -> Benchmark {
+    fn right_row(vals: &[f64], bases: &[usize], out: &mut [f64]) {
+        denoise().native_row().unwrap().run(vals, bases, out);
+    }
+    let built_in = denoise();
+    Benchmark::new(
+        "DENOISE_APPEND",
+        built_in.extents().to_vec(),
+        built_in.window().to_vec(),
+        KernelOps::default(),
+        built_in.compute_fn(),
+    )
+    .with_expr(
+        built_in
+            .expr()
+            .expect("DENOISE carries an expression")
+            .clone(),
+    )
+    .with_native_row(NativeRow::new(5, right_row, append))
+}
+
+#[test]
+fn a_wrong_append_form_fails_session_build() {
+    // The formula of the slice form's mismatched sibling.
+    fn wrong_formula(vals: &[f64], bases: &[usize], len: usize, out: &mut Vec<f64>) {
+        stencil_kernels::append_row::<5>(vals, bases, len, out, |v| {
+            v[2] + (v[0] + v[4] + v[3] + v[1] - 4.0 * v[2]) / 5.0
+        });
+    }
+    // The right values, one column short.
+    fn short(vals: &[f64], bases: &[usize], len: usize, out: &mut Vec<f64>) {
+        denoise()
+            .native_row()
+            .unwrap()
+            .append(vals, bases, len.saturating_sub(1), out);
+    }
+    // The right values written over what the vector held.
+    fn overwrites(vals: &[f64], bases: &[usize], len: usize, out: &mut Vec<f64>) {
+        out.clear();
+        denoise()
+            .native_row()
+            .unwrap()
+            .append(vals, bases, len, out);
+    }
+    fn right(vals: &[f64], bases: &[usize], len: usize, out: &mut Vec<f64>) {
+        denoise()
+            .native_row()
+            .unwrap()
+            .append(vals, bases, len, out);
+    }
+    let spec = denoise().spec_for(&[12, 40]).unwrap();
+    let plan = MemorySystemPlan::generate(&spec).unwrap();
+    for (wrong, what) in [
+        (wrong_formula as stencil_kernels::AppendFn, "append form"),
+        (short, "append form left"),
+        (overwrites, "append form left"),
+    ] {
+        let bench = denoise_appending_with(wrong);
+        let err = Session::build(&plan, &bench.stage())
+            .expect_err("a wrong append form must not build a session");
+        assert!(
+            matches!(&err, EngineError::KernelMismatch { detail } if detail.contains(what)),
+            "{err}"
+        );
+    }
+    assert!(Session::build(&plan, &denoise_appending_with(right).stage()).is_ok());
 }
 
 #[test]

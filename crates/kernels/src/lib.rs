@@ -51,7 +51,7 @@ pub use extras::{
     jacobi_2d, relax_2d, skewed_denoise,
 };
 pub use golden::{run_golden, GridValues};
-pub use native::{sweep_row, NativeRow, RowFn};
+pub use native::{append_row, sweep_row, AppendFn, NativeRow, RowFn};
 pub use suite::{
     bicubic, denoise, denoise_3d, find_benchmark, paper_suite, rician, segmentation_3d, sobel,
 };

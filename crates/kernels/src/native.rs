@@ -4,7 +4,9 @@
 //! Every built-in kernel writes its formula once, through
 //! [`datapath!`](crate::native::datapath), which emits both the
 //! per-window [`ComputeFn`](crate::ComputeFn) and a [`NativeRow`] whose
-//! body is [`sweep_row`] over that same function. In `sweep_row` the
+//! two forms — [`sweep_row`], which writes a preassigned slice, and
+//! [`append_row`], which appends the row to a growing result — run
+//! that same function. In both the
 //! tap count is a compile-time constant, so the formula inlines into a
 //! loop over `N` column-shifted tap slices that the autovectorizer
 //! turns into SIMD — the software form of the kernel-specific datapath
@@ -18,23 +20,30 @@ use std::fmt;
 /// column `t` of `out`, where `window_t[k] = vals[bases[k] + t]`.
 pub type RowFn = fn(vals: &[f64], bases: &[usize], out: &mut [f64]);
 
-/// A kernel's native row body together with the window size it was
-/// written for.
+/// The appending form of a native row: pushes `compute(window_t)` for
+/// `t` in `0..len` onto `out`, where `window_t[k] = vals[bases[k] + t]`.
+/// Each output is written once, with no slot to clear first.
+pub type AppendFn = fn(vals: &[f64], bases: &[usize], len: usize, out: &mut Vec<f64>);
+
+/// A kernel's native row body, in its slice and appending forms,
+/// together with the window size it was written for.
 ///
 /// Attach one with [`Benchmark::with_native_row`](crate::Benchmark::with_native_row);
-/// the engine checks it bit for bit against the kernel's compiled
-/// expression before a run uses it.
+/// the engine checks both forms bit for bit against the kernel's
+/// compiled expression before a run uses them.
 #[derive(Clone, Copy)]
 pub struct NativeRow {
     taps: usize,
     body: RowFn,
+    append: AppendFn,
 }
 
 impl NativeRow {
-    /// A row body over `taps`-point windows.
+    /// A row body over `taps`-point windows: `body` writes a slice,
+    /// `append` appends the same outputs to a vector.
     #[must_use]
-    pub const fn new(taps: usize, body: RowFn) -> Self {
-        Self { taps, body }
+    pub const fn new(taps: usize, body: RowFn, append: AppendFn) -> Self {
+        Self { taps, body, append }
     }
 
     /// The window size the body reads.
@@ -54,13 +63,27 @@ impl NativeRow {
         assert_eq!(bases.len(), self.taps, "one base per tap");
         (self.body)(vals, bases, out);
     }
+
+    /// Appends one row of `len` outputs to `out`: the kernel on the
+    /// window `vals[bases[k] + t]` for `t` in `0..len`, `k` in declared
+    /// offset order.
+    ///
+    /// # Panics
+    ///
+    /// As [`NativeRow::run`], for a row of `len` columns.
+    pub fn append(&self, vals: &[f64], bases: &[usize], len: usize, out: &mut Vec<f64>) {
+        assert_eq!(bases.len(), self.taps, "one base per tap");
+        (self.append)(vals, bases, len, out);
+    }
 }
 
 /// Two native rows are equal when they read the same number of taps
-/// through the same function.
+/// through the same functions.
 impl PartialEq for NativeRow {
     fn eq(&self, other: &Self) -> bool {
-        self.taps == other.taps && std::ptr::fn_addr_eq(self.body, other.body)
+        self.taps == other.taps
+            && std::ptr::fn_addr_eq(self.body, other.body)
+            && std::ptr::fn_addr_eq(self.append, other.append)
     }
 }
 
@@ -96,8 +119,34 @@ pub fn sweep_row<const N: usize>(
     }
 }
 
+/// The appending native row loop: [`sweep_row`]'s loop, pushing each
+/// column's output onto `out` instead of writing a slot, so no slot is
+/// cleared first. The tap slices move into the loop's closure by value:
+/// captured by reference, several kernels' append loops compiled to
+/// scalar code.
+///
+/// # Panics
+///
+/// Panics if `bases.len() != N` or a tap's run leaves `vals`.
+#[inline(always)]
+pub fn append_row<const N: usize>(
+    vals: &[f64],
+    bases: &[usize],
+    len: usize,
+    out: &mut Vec<f64>,
+    compute: impl Fn(&[f64]) -> f64,
+) {
+    let bases: &[usize; N] = bases.try_into().expect("one base per tap");
+    let taps: [&[f64]; N] = std::array::from_fn(|k| &vals[bases[k]..bases[k] + len]);
+    out.extend((0..len).map(move |t| {
+        let window: [f64; N] = std::array::from_fn(|k| taps[k][t]);
+        compute(&window)
+    }));
+}
+
 /// Writes a kernel formula once and returns `(ComputeFn, NativeRow)`:
-/// the per-window function and the native row body over it.
+/// the per-window function and the native row body over it, in both
+/// forms.
 ///
 /// `datapath!(5, |v| v[0] + v[4])` — the tap count, then a closure over
 /// the window slice `v` in declared offset order.
@@ -110,9 +159,12 @@ macro_rules! datapath {
         fn row(vals: &[f64], bases: &[usize], out: &mut [f64]) {
             $crate::native::sweep_row::<$taps>(vals, bases, out, compute);
         }
+        fn append(vals: &[f64], bases: &[usize], len: usize, out: &mut Vec<f64>) {
+            $crate::native::append_row::<$taps>(vals, bases, len, out, compute);
+        }
         (
             compute as $crate::ComputeFn,
-            $crate::native::NativeRow::new($taps, row),
+            $crate::native::NativeRow::new($taps, row, append),
         )
     }};
 }
@@ -132,6 +184,16 @@ mod tests {
             assert_eq!(o.to_bits(), compute(&w).to_bits(), "column {t}");
         }
         assert_eq!(row.taps(), 3);
+
+        // The appending form pushes the same bits after what is there.
+        let mut appended = vec![-1.0];
+        row.append(&vals, &bases, 20, &mut appended);
+        assert_eq!(appended.len(), 21);
+        assert_eq!(appended[0], -1.0);
+        assert!(appended[1..]
+            .iter()
+            .zip(&out)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]
@@ -139,5 +201,12 @@ mod tests {
     fn run_rejects_a_wrong_base_count() {
         let (_, row) = datapath!(2, |v| v[0] + v[1]);
         row.run(&[1.0, 2.0], &[0], &mut [0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one base per tap")]
+    fn append_rejects_a_wrong_base_count() {
+        let (_, row) = datapath!(2, |v| v[0] + v[1]);
+        row.append(&[1.0, 2.0], &[0], 1, &mut Vec::new());
     }
 }

@@ -9,6 +9,7 @@
 //! clock cycle costs `O(1)` amortized via [`Cursor`].
 
 use std::cmp::Ordering;
+use std::sync::OnceLock;
 
 use crate::error::PolyError;
 use crate::order::lex_cmp;
@@ -60,6 +61,67 @@ pub struct DomainIndex {
     dims: usize,
     rows: Vec<Row>,
     total: u64,
+    layout: OnceLock<Layout>,
+}
+
+/// What one walk over an index's rows finds, on the first query that
+/// needs it, so no consumer walks the rows again to learn it. Planning
+/// builds many indexes that never ask, so none of them pays for it.
+#[derive(Debug, Clone)]
+struct Layout {
+    /// Row prefixes strictly ascend.
+    ascending: bool,
+    /// Row `k` starts at the rank where row `k - 1` ends, row 0 at 0.
+    contiguous: bool,
+    /// The per-dimension inclusive bounds of the box the rows cover
+    /// exactly, in ascending contiguous order.
+    dense_box: Option<Vec<(i64, i64)>>,
+}
+
+impl Layout {
+    fn of(dims: usize, rows: &[Row]) -> Self {
+        let ascending = rows
+            .windows(2)
+            .all(|w| w[0].prefix.as_slice() < w[1].prefix.as_slice());
+        let mut next = 0u64;
+        let contiguous = rows.iter().all(|r| {
+            let at = r.base == next;
+            next = r.base + r.len();
+            at
+        });
+        let dense_box = (ascending && contiguous)
+            .then(|| dense_box(dims, rows))
+            .flatten();
+        Self {
+            ascending,
+            contiguous,
+            dense_box,
+        }
+    }
+}
+
+/// The box `rows` cover exactly, if they do: every row spans the same
+/// innermost range, and the strictly ascending prefixes number as many
+/// as their bounding box holds, so they are every prefix of it.
+fn dense_box(dims: usize, rows: &[Row]) -> Option<Vec<(i64, i64)>> {
+    let first = rows.first()?;
+    if rows.iter().any(|r| (r.lo, r.hi) != (first.lo, first.hi)) {
+        return None;
+    }
+    let mut bounds: Vec<(i64, i64)> = first.prefix.as_slice().iter().map(|&c| (c, c)).collect();
+    for row in rows {
+        for (b, &c) in bounds.iter_mut().zip(row.prefix.as_slice()) {
+            *b = (b.0.min(c), b.1.max(c));
+        }
+    }
+    let prefixes = bounds.iter().try_fold(1u64, |n, &(lo, hi)| {
+        n.checked_mul(u64::try_from(hi - lo + 1).ok()?)
+    })?;
+    (prefixes == rows.len() as u64).then(|| {
+        bounds.push((first.lo, first.hi));
+        debug_assert_eq!(bounds.len(), dims);
+        bounds
+    })
 }
 
 impl DomainIndex {
@@ -79,6 +141,7 @@ impl DomainIndex {
                 dims: m,
                 rows,
                 total,
+                layout: OnceLock::new(),
             });
         }
 
@@ -146,6 +209,7 @@ impl DomainIndex {
             dims: m,
             rows,
             total,
+            layout: OnceLock::new(),
         })
     }
 
@@ -177,7 +241,12 @@ impl DomainIndex {
             assert!(row.lo <= row.hi, "row range must be non-empty");
             total = total.max(row.base + row.len());
         }
-        Self { dims, rows, total }
+        Self {
+            dims,
+            rows,
+            total,
+            layout: OnceLock::new(),
+        }
     }
 
     /// Number of dimensions of the indexed domain.
@@ -202,6 +271,48 @@ impl DomainIndex {
     #[must_use]
     pub fn rows(&self) -> &[Row] {
         &self.rows
+    }
+
+    /// True if the row prefixes strictly ascend, as in every index
+    /// [`DomainIndex::build`] makes. Found once per index, on first use.
+    #[must_use]
+    pub fn prefixes_ascend(&self) -> bool {
+        self.layout().ascending
+    }
+
+    /// True if the rows tile the rank stream in order: each row starts
+    /// at the rank where the previous one ends, the first at rank 0, as
+    /// in every index [`DomainIndex::build`] makes. Found once per
+    /// index, on first use.
+    #[must_use]
+    pub fn ranks_contiguous(&self) -> bool {
+        self.layout().contiguous
+    }
+
+    /// The per-dimension inclusive bounds of the box this index covers
+    /// exactly, if it does: its rows are every prefix of the box in
+    /// ascending, contiguous rank order, each spanning the same
+    /// innermost range. The rank of a box point `p` is then linear,
+    /// `Σ_d (p_d - lo_d) · stride_d` with `stride_d` the product of the
+    /// extents inside dimension `d`. Found once per index, on first
+    /// use.
+    ///
+    /// ```
+    /// use stencil_polyhedral::Polyhedron;
+    ///
+    /// let idx = Polyhedron::rect(&[(1, 3), (-2, 5)]).index()?;
+    /// assert_eq!(idx.dense_box(), Some(&[(1, 3), (-2, 5)][..]));
+    /// # Ok::<(), stencil_polyhedral::PolyError>(())
+    /// ```
+    #[must_use]
+    pub fn dense_box(&self) -> Option<&[(i64, i64)]> {
+        self.layout().dense_box.as_deref()
+    }
+
+    /// The rows' layout, found by one walk on first use.
+    fn layout(&self) -> &Layout {
+        self.layout
+            .get_or_init(|| Layout::of(self.dims, &self.rows))
     }
 
     /// True if `p` is a point of the domain.
@@ -621,5 +732,46 @@ mod tests {
             assert_eq!((row.lo, row.hi), (i as i64, i as i64 + 2));
         }
         assert_eq!(idx.len(), 15);
+    }
+
+    #[test]
+    fn layout_is_found_once_per_index() {
+        let row = |p: i64, lo: i64, hi: i64, base: u64| Row {
+            prefix: Point::new(&[p]),
+            lo,
+            hi,
+            base,
+        };
+        let boxed = Polyhedron::rect(&[(2, 4), (-1, 0), (5, 9)])
+            .index()
+            .unwrap();
+        assert!(boxed.prefixes_ascend() && boxed.ranks_contiguous());
+        assert_eq!(boxed.dense_box(), Some(&[(2, 4), (-1, 0), (5, 9)][..]));
+        let line = Polyhedron::rect(&[(3, 8)]).index().unwrap();
+        assert_eq!(line.dense_box(), Some(&[(3, 8)][..]));
+
+        // Ordered and contiguous, but not a box.
+        let tri = triangle().index().unwrap();
+        assert!(tri.prefixes_ascend() && tri.ranks_contiguous());
+        assert_eq!(tri.dense_box(), None);
+        // A prefix gap: equal rows, but fewer than the prefix box holds.
+        let gap = DomainIndex::from_rows(2, vec![row(0, 0, 4, 0), row(2, 0, 4, 5)]);
+        assert!(gap.prefixes_ascend() && gap.ranks_contiguous());
+        assert_eq!(gap.dense_box(), None);
+        // Box-shaped rows whose bases invert rank order.
+        let scrambled = DomainIndex::from_rows(2, vec![row(0, 0, 4, 5), row(1, 0, 4, 0)]);
+        assert!(scrambled.prefixes_ascend() && !scrambled.ranks_contiguous());
+        assert_eq!(scrambled.dense_box(), None);
+        // Box-shaped rows out of prefix order.
+        let unordered = DomainIndex::from_rows(2, vec![row(1, 0, 4, 0), row(0, 0, 4, 5)]);
+        assert!(!unordered.prefixes_ascend() && unordered.ranks_contiguous());
+        assert_eq!(unordered.dense_box(), None);
+        // Hand-built rows that do form a box.
+        let hand = DomainIndex::from_rows(2, vec![row(7, 1, 2, 0), row(8, 1, 2, 2)]);
+        assert_eq!(hand.dense_box(), Some(&[(7, 8), (1, 2)][..]));
+
+        let empty = Polyhedron::rect(&[(0, 1), (3, 2)]).index().unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(empty.dense_box(), None);
     }
 }
