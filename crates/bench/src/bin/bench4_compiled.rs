@@ -4,21 +4,17 @@
 //!
 //! Runs the same plan through the original closure datapath and the
 //! compiled row-sweep backend, in-core and streaming, best of three
-//! timed runs each after one untimed warm-up run — then sweeps the register program in core over unroll
-//! factors U in {1, 2, 4, 8} on both the f64 and the f32 datapath.
-//! The built-in kernel's compiled backend runs its native row body at
-//! U=1; the sweep runs an expression-only copy of the kernel (same
-//! window, closure and expression, no native row), so every swept
-//! factor, U=1 included, is the register program. All f64 output
-//! buffers must agree bit-for-bit, the f32 runs must stay inside the
-//! benchmark's declared relative tolerance (`Benchmark::f32_rtol`),
-//! every telemetry report must pass the runtime bound validator, and
-//! three throughput gates hold: the compiled backend must not be
-//! slower than the closure it replaces, the native row body must not
-//! be slower than the U=1 register program, and (on DENOISE, the CI
-//! geometry) the unrolled sweep at `DEFAULT_UNROLL` must clear 1.15x
-//! the U=1 register program's in-core rate (the single-output
-//! register program).
+//! timed runs each after one untimed warm-up run. The built-in kernel's
+//! compiled backend runs its native row body on f64; an
+//! expression-only copy of the kernel (same window, closure and
+//! expression, no native row) times the register program in core on
+//! the f64 and the f32 datapath. All f64 output buffers must agree
+//! bit-for-bit, the f32 runs must stay inside the benchmark's declared
+//! relative tolerance (`Benchmark::f32_rtol`), every telemetry report
+//! must pass the runtime bound validator, and two throughput gates
+//! hold: the compiled backend must not be slower than the closure it
+//! replaces, and the native row body must not be slower than the
+//! register program.
 //! Correctness failures exit nonzero immediately; a missed throughput
 //! gate earns fresh measurements (keeping the per-configuration
 //! maximum) before it fails the pipeline, because a descheduled
@@ -35,7 +31,7 @@ use stencil_bench::expression_only;
 use stencil_core::MemorySystemPlan;
 use stencil_engine::{
     max_rel_error, CompiledKernel, Datapath, ExecMode, InputGrid, Session, SessionKernel,
-    SliceSource, VecSink, DEFAULT_UNROLL,
+    SliceSource, VecSink,
 };
 use stencil_kernels::{extra_suite, paper_suite, Benchmark};
 use stencil_telemetry::{validate_report, MetricsReport};
@@ -50,17 +46,8 @@ fn timed(rep: usize) -> bool {
     rep > 0
 }
 
-/// Unroll factors swept on the register program in core.
-const UNROLL_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-/// Required in-core speedup of the `DEFAULT_UNROLL` f64 sweep over the
-/// U=1 run of the register program (the single-output register
-/// program) on DENOISE, the CI gate geometry. Both sides run the
-/// expression-only copy of the kernel.
-const UNROLL_GATE: f64 = 1.15;
-
-/// Required in-core speedup of the native row body over the U=1
-/// register program: the native body must not be slower.
+/// Required in-core speedup of the native row body over the register
+/// program: the native body must not be slower.
 const NATIVE_GATE: f64 = 1.0;
 
 /// The measured throughputs (elements per second).
@@ -68,18 +55,16 @@ struct Measurements {
     name: String,
     extents: Vec<i64>,
     incore_closure: f64,
-    /// The built-in kernel's compiled in-core rate at U=1 (its native
-    /// row body, when it has one).
+    /// The built-in kernel's compiled in-core rate (its native row
+    /// body, when it has one).
     incore_compiled: f64,
-    /// Per-factor register-program in-core rates, f64 datapath,
-    /// [`UNROLL_SWEEP`] order.
-    sweep_f64: [f64; UNROLL_SWEEP.len()],
-    /// Per-factor register-program in-core rates, f32 datapath,
-    /// [`UNROLL_SWEEP`] order.
-    sweep_f32: [f64; UNROLL_SWEEP.len()],
+    /// The register program's in-core rate (the expression-only copy),
+    /// f64 datapath: the baseline the native and f32 ratios divide by.
+    incore_program: f64,
+    /// The register program's in-core rate, f32 datapath.
+    incore_f32: f64,
     streaming_closure: f64,
     streaming_compiled: f64,
-    streaming_unrolled: f64,
     streaming_f32: f64,
     f32_max_rel_error: f64,
     f32_rtol: f64,
@@ -87,44 +72,17 @@ struct Measurements {
     violations: usize,
 }
 
-/// Index of [`DEFAULT_UNROLL`] within [`UNROLL_SWEEP`].
-fn default_unroll_slot() -> usize {
-    UNROLL_SWEEP
-        .iter()
-        .position(|&u| u == DEFAULT_UNROLL)
-        .expect("DEFAULT_UNROLL is one of the swept factors")
-}
-
 impl Measurements {
-    /// Register-program U=1 in-core rate (the single-output register
-    /// program) — the baseline the unroll, native and f32 ratios
-    /// divide by.
-    fn incore_program(&self) -> f64 {
-        self.sweep_f64[0]
-    }
-
-    fn incore_unrolled(&self) -> f64 {
-        self.sweep_f64[default_unroll_slot()]
-    }
-
-    fn incore_f32(&self) -> f64 {
-        self.sweep_f32[default_unroll_slot()]
-    }
-
     fn incore_speedup(&self) -> f64 {
         self.incore_compiled / self.incore_closure
     }
 
     fn native_speedup(&self) -> f64 {
-        self.incore_compiled / self.incore_program()
-    }
-
-    fn unrolled_speedup(&self) -> f64 {
-        self.incore_unrolled() / self.incore_program()
+        self.incore_compiled / self.incore_program
     }
 
     fn f32_speedup(&self) -> f64 {
-        self.incore_f32() / self.incore_program()
+        self.incore_f32 / self.incore_program
     }
 
     fn streaming_speedup(&self) -> f64 {
@@ -136,13 +94,10 @@ impl Measurements {
     fn keep_max(&mut self, fresh: &Measurements) {
         self.incore_closure = self.incore_closure.max(fresh.incore_closure);
         self.incore_compiled = self.incore_compiled.max(fresh.incore_compiled);
-        for k in 0..UNROLL_SWEEP.len() {
-            self.sweep_f64[k] = self.sweep_f64[k].max(fresh.sweep_f64[k]);
-            self.sweep_f32[k] = self.sweep_f32[k].max(fresh.sweep_f32[k]);
-        }
+        self.incore_program = self.incore_program.max(fresh.incore_program);
+        self.incore_f32 = self.incore_f32.max(fresh.incore_f32);
         self.streaming_closure = self.streaming_closure.max(fresh.streaming_closure);
         self.streaming_compiled = self.streaming_compiled.max(fresh.streaming_compiled);
-        self.streaming_unrolled = self.streaming_unrolled.max(fresh.streaming_unrolled);
         self.streaming_f32 = self.streaming_f32.max(fresh.streaming_f32);
         self.f32_max_rel_error = self.f32_max_rel_error.max(fresh.f32_max_rel_error);
         self.violations += fresh.violations;
@@ -150,46 +105,31 @@ impl Measurements {
 
     /// The flat JSON document written to `BENCH_4.json`.
     fn to_json(&self) -> String {
-        let mut sweep = String::new();
-        for (k, &u) in UNROLL_SWEEP.iter().enumerate() {
-            sweep.push_str(&format!(
-                "  \"incore_u{u}_f64_elem_per_s\": {:.1},\n  \
-                 \"incore_u{u}_f32_elem_per_s\": {:.1},\n",
-                self.sweep_f64[k], self.sweep_f32[k],
-            ));
-        }
         format!(
             "{{\n  \"benchmark\": \"{}\",\n  \"extents\": {:?},\n  \
-             \"outputs\": {},\n  \"unroll\": {},\n  \
+             \"outputs\": {},\n  \
              \"incore_closure_elem_per_s\": {:.1},\n  \
              \"incore_compiled_elem_per_s\": {:.1},\n  \"incore_speedup\": {:.4},\n  \
              \"incore_program_elem_per_s\": {:.1},\n  \"native_speedup\": {:.4},\n  \
-             \"incore_unrolled_elem_per_s\": {:.1},\n  \"unrolled_speedup\": {:.4},\n  \
-             \"incore_f32_elem_per_s\": {:.1},\n  \"f32_speedup\": {:.4},\n\
-             {sweep}  \
+             \"incore_f32_elem_per_s\": {:.1},\n  \"f32_speedup\": {:.4},\n  \
              \"streaming_closure_elem_per_s\": {:.1},\n  \
              \"streaming_compiled_elem_per_s\": {:.1},\n  \"streaming_speedup\": {:.4},\n  \
-             \"streaming_unrolled_elem_per_s\": {:.1},\n  \
              \"streaming_f32_elem_per_s\": {:.1},\n  \
              \"f32_max_rel_error\": {:.3e},\n  \"f32_rtol\": {:.1e},\n  \
              \"violations\": {}\n}}\n",
             self.name,
             self.extents,
             self.outputs,
-            DEFAULT_UNROLL,
             self.incore_closure,
             self.incore_compiled,
             self.incore_speedup(),
-            self.incore_program(),
+            self.incore_program,
             self.native_speedup(),
-            self.incore_unrolled(),
-            self.unrolled_speedup(),
-            self.incore_f32(),
+            self.incore_f32,
             self.f32_speedup(),
             self.streaming_closure,
             self.streaming_compiled,
             self.streaming_speedup(),
-            self.streaming_unrolled,
             self.streaming_f32,
             self.f32_max_rel_error,
             self.f32_rtol,
@@ -215,18 +155,8 @@ fn gate_fails(m: &Measurements, report: bool) -> bool {
     if m.native_speedup() < NATIVE_GATE {
         if report {
             eprintln!(
-                "native row body is SLOWER than the U=1 register program in-core: {:.2}x",
+                "native row body is SLOWER than the register program in-core: {:.2}x",
                 m.native_speedup()
-            );
-        }
-        failed = true;
-    }
-    if m.name == "DENOISE" && m.unrolled_speedup() < UNROLL_GATE {
-        if report {
-            eprintln!(
-                "unrolled sweep (U={DEFAULT_UNROLL}) holds only {:.2}x of the U=1 register \
-                 program's in-core rate, below the {UNROLL_GATE}x gate",
-                m.unrolled_speedup()
             );
         }
         failed = true;
@@ -284,8 +214,7 @@ fn main() -> ExitCode {
     }
     println!(
         "wrote {out_path}: {} {} outputs; in-core {:.1} -> {:.1} Melem/s ({:.2}x), \
-         native/program U=1 {:.2}x (program {:.1} Melem/s), \
-         unrolled U={} {:.1} Melem/s ({:.2}x), f32 {:.1} Melem/s ({:.2}x, \
+         native/program {:.2}x (program {:.1} Melem/s), f32 {:.1} Melem/s ({:.2}x, \
          max rel err {:.2e} <= {:.0e}); streaming {:.1} -> {:.1} Melem/s ({:.2}x)",
         m.name,
         m.outputs,
@@ -293,11 +222,8 @@ fn main() -> ExitCode {
         m.incore_compiled / 1e6,
         m.incore_speedup(),
         m.native_speedup(),
-        m.incore_program() / 1e6,
-        DEFAULT_UNROLL,
-        m.incore_unrolled() / 1e6,
-        m.unrolled_speedup(),
-        m.incore_f32() / 1e6,
+        m.incore_program / 1e6,
+        m.incore_f32 / 1e6,
         m.f32_speedup(),
         m.f32_max_rel_error,
         m.f32_rtol,
@@ -305,13 +231,6 @@ fn main() -> ExitCode {
         m.streaming_compiled / 1e6,
         m.streaming_speedup(),
     );
-    for (k, &u) in UNROLL_SWEEP.iter().enumerate() {
-        println!(
-            "  program U={u}: f64 {:.1} Melem/s, f32 {:.1} Melem/s",
-            m.sweep_f64[k] / 1e6,
-            m.sweep_f32[k] / 1e6
-        );
-    }
     if m.violations > 0 {
         eprintln!("runtime bound checks: {} FAILED", m.violations);
         return ExitCode::FAILURE;
@@ -386,7 +305,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
     let reference = reference.expect("at least one run");
     let outputs = reference.len() as u64;
 
-    // In-core, the built-in kernel's compiled backend at U=1.
+    // In-core, the built-in kernel's compiled backend.
     let mut incore_compiled = 0.0f64;
     for rep in 0..=RUNS {
         let run = Session::new(&plan)
@@ -403,72 +322,58 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
         report.sessions.push(run.report.metrics());
         validate(&report);
         if run.outputs != reference {
-            return Err("compiled in-core outputs (U=1) diverge from the closure run".into());
+            return Err("compiled in-core outputs diverge from the closure run".into());
         }
     }
 
-    // In-core, the register program: unroll factors on both datapaths.
-    // The f64 runs must reproduce the closure bits exactly at every
-    // factor; the f32 runs must stay inside the declared tolerance.
-    let mut sweep_f64 = [0.0f64; UNROLL_SWEEP.len()];
-    let mut sweep_f32 = [0.0f64; UNROLL_SWEEP.len()];
+    // In-core, the register program on both datapaths. The f64 run
+    // must reproduce the closure bits exactly; the f32 run must stay
+    // inside the declared tolerance.
+    let mut incore_program = 0.0f64;
+    let mut incore_f32 = 0.0f64;
     let mut f32_max_rel_error = 0.0f64;
     let mut f32_reference: Option<Vec<f64>> = None;
-    for (k, &u) in UNROLL_SWEEP.iter().enumerate() {
+    for (slot, datapath) in [
+        (&mut incore_program, Datapath::F64),
+        (&mut incore_f32, Datapath::F32),
+    ] {
         for rep in 0..=RUNS {
             let run = Session::new(&plan)
                 .kernel(SessionKernel::Compiled(&program))
-                .unroll(u)
+                .datapath(datapath)
                 .run(&input)?;
             let engine = run.report.stages[0]
                 .engine
                 .clone()
                 .ok_or("session produced no in-core stage report")?;
             if timed(rep) {
-                sweep_f64[k] = sweep_f64[k].max(engine.throughput());
+                *slot = slot.max(engine.throughput());
             }
             let mut report = MetricsReport::new(spec.name());
             report.sessions.push(run.report.metrics());
             validate(&report);
-            if run.outputs != reference {
-                return Err(format!(
-                    "register-program in-core outputs (U={u}) diverge from the closure run"
-                )
-                .into());
+            if datapath == Datapath::F64 {
+                if run.outputs != reference {
+                    return Err(
+                        "register-program in-core outputs diverge from the closure run".into(),
+                    );
+                }
+                continue;
             }
-        }
-        for rep in 0..=RUNS {
-            let run = Session::new(&plan)
-                .kernel(SessionKernel::Compiled(&program))
-                .unroll(u)
-                .datapath(Datapath::F32)
-                .run(&input)?;
-            let engine = run.report.stages[0]
-                .engine
-                .clone()
-                .ok_or("session produced no in-core stage report")?;
-            if timed(rep) {
-                sweep_f32[k] = sweep_f32[k].max(engine.throughput());
-            }
-            let mut report = MetricsReport::new(spec.name());
-            report.sessions.push(run.report.metrics());
-            validate(&report);
             let err = max_rel_error(&run.outputs, &reference);
             if err > bench.f32_rtol() {
                 return Err(format!(
-                    "f32 in-core outputs (U={u}) drift {err:.3e} from the f64 reference, \
-                     over the declared tolerance {:.1e}",
+                    "f32 in-core outputs drift {err:.3e} from the f64 reference, over the \
+                     declared tolerance {:.1e}",
                     bench.f32_rtol()
                 )
                 .into());
             }
             f32_max_rel_error = f32_max_rel_error.max(err);
-            if u == DEFAULT_UNROLL {
-                f32_reference = Some(run.outputs);
-            }
+            f32_reference = Some(run.outputs);
         }
     }
-    let f32_reference = f32_reference.expect("DEFAULT_UNROLL is swept");
+    let f32_reference = f32_reference.expect("the f32 datapath ran");
 
     // Streaming, closure datapath.
     let mut streaming_closure = 0.0f64;
@@ -495,14 +400,12 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
         }
     }
 
-    // Streaming, compiled row sweep: U=1 f64, unrolled f64, and f32.
+    // Streaming, compiled row sweep: f64 and f32.
     let mut streaming_compiled = 0.0f64;
-    let mut streaming_unrolled = 0.0f64;
     let mut streaming_f32 = 0.0f64;
-    for (slot, unroll, datapath) in [
-        (&mut streaming_compiled, 1, Datapath::F64),
-        (&mut streaming_unrolled, DEFAULT_UNROLL, Datapath::F64),
-        (&mut streaming_f32, DEFAULT_UNROLL, Datapath::F32),
+    for (slot, datapath) in [
+        (&mut streaming_compiled, Datapath::F64),
+        (&mut streaming_f32, Datapath::F32),
     ] {
         for rep in 0..=RUNS {
             let mut source = SliceSource::new(&in_vals);
@@ -511,7 +414,6 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
                 .kernel(SessionKernel::Compiled(&kernel))
                 .mode(stream_mode)
                 .threads(4)
-                .unroll(unroll)
                 .datapath(datapath)
                 .run_streaming(&mut source, &mut sink)?;
             let streamed = session.stages[0]
@@ -531,8 +433,7 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
             };
             if &sink.values != expected {
                 return Err(format!(
-                    "compiled streaming outputs (U={unroll}, {datapath}) diverge from \
-                     the in-core run"
+                    "compiled streaming outputs ({datapath}) diverge from the in-core run"
                 )
                 .into());
             }
@@ -544,11 +445,10 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
         extents,
         incore_closure,
         incore_compiled,
-        sweep_f64,
-        sweep_f32,
+        incore_program,
+        incore_f32,
         streaming_closure,
         streaming_compiled,
-        streaming_unrolled,
         streaming_f32,
         f32_max_rel_error,
         f32_rtol: bench.f32_rtol(),

@@ -455,9 +455,8 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
         .threads(4)
         .telemetry(spec.name())
         // Both stages sweep their built-in kernels' native row bodies,
-        // as the homogeneous chain's do: an unrolled blur stage would
-        // run the register program and time that instead of the
-        // per-stage planning this gate is about.
+        // as the homogeneous chain's do, so the gate times per-stage
+        // planning, not a different row body.
         .then(&blur_stage)?;
     let hetero_resident_bound = session.planned_residency_bound(Some(64))?;
     let mut hetero = 0.0f64;

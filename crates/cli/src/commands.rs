@@ -143,10 +143,9 @@ fn append_bound_checks(out: &mut String, report: &MetricsReport) -> usize {
 /// spec file carries window geometry but no arithmetic. With
 /// `backend == Compiled` (the default) the sum is authored as a
 /// [`KernelExpr`], compiled to stack bytecode validated against the
-/// closure, and executed through the register-program row sweep (the
-/// one compiled sweep, at every unroll factor); `Closure` keeps the
-/// original per-window call. `unroll` sets the compiled
-/// sweep's outputs-per-dispatch; `datapath` its arithmetic width — f32
+/// closure, and executed through the register-program row sweep;
+/// `Closure` keeps the original per-window call. `datapath` sets the
+/// compiled sweep's arithmetic width — f32
 /// runs always route through the compiled expression (the raw closure
 /// cannot narrow), and the direct-loop verification switches from
 /// bit-exact to a relative-tolerance bound. `crosscheck` runs *both*
@@ -166,7 +165,6 @@ pub fn cmd_engine(
     streaming: bool,
     chunk_rows: Option<u64>,
     backend: KernelBackend,
-    unroll: usize,
     datapath: Datapath,
     crosscheck: bool,
     chain: &[String],
@@ -270,7 +268,6 @@ pub fn cmd_engine(
     let run = Session::new(&plan)
         .kernel(session_kernel)
         .backend(backend)
-        .unroll(unroll)
         .datapath(datapath)
         .mode(mode)
         .threads(threads)
@@ -338,7 +335,7 @@ pub fn cmd_engine(
 
     if crosscheck {
         // Run the *other* backend over the same plan. On f64 the
-        // backends must agree bit for bit; on f32 the unrolled lane
+        // backends must agree bit for bit; on f32 the register lane
         // program and the scalar f32 bytecode are compared within the
         // verification tolerance.
         let other_backend = match backend {
@@ -352,7 +349,6 @@ pub fn cmd_engine(
         let other = Session::new(&plan)
             .kernel(other_kernel)
             .backend(other_backend)
-            .unroll(unroll)
             .datapath(datapath)
             .mode(mode)
             .threads(threads)
@@ -397,7 +393,6 @@ pub fn cmd_engine(
         let session = Session::new(&plan)
             .kernel(session_kernel)
             .backend(backend)
-            .unroll(unroll)
             .datapath(datapath)
             .mode(ExecMode::Streaming { chunk_rows })
             .threads(threads);
@@ -462,7 +457,6 @@ pub fn cmd_engine(
         spec,
         kernel: session_kernel,
         backend,
-        unroll,
         threads,
         streaming,
         chunk_rows,
@@ -502,7 +496,6 @@ struct Fused<'p> {
     spec: &'p StencilSpec,
     kernel: SessionKernel<'p>,
     backend: KernelBackend,
-    unroll: usize,
     threads: usize,
     streaming: bool,
     chunk_rows: Option<u64>,
@@ -522,7 +515,6 @@ impl<'p> Fused<'p> {
         Session::new(self.plan)
             .kernel(self.kernel)
             .backend(self.backend)
-            .unroll(self.unroll)
             .mode(mode)
             .threads(self.threads)
     }
@@ -1370,7 +1362,6 @@ mod tests {
             false,
             None,
             KernelBackend::Compiled,
-            1,
             Datapath::F64,
             false,
             &[],
@@ -1402,7 +1393,6 @@ mod tests {
             false,
             None,
             KernelBackend::Compiled,
-            1,
             Datapath::F64,
             false,
             &[],
@@ -1425,7 +1415,6 @@ mod tests {
             false,
             None,
             KernelBackend::Closure,
-            1,
             Datapath::F64,
             true,
             &[],
@@ -1453,37 +1442,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_unrolled_f64_stays_bit_exact_and_reports_shape() {
-        let (out, metrics, violations) = cmd_engine(
-            &denoise_spec(),
-            1,
-            None,
-            2,
-            false,
-            None,
-            KernelBackend::Compiled,
-            4,
-            Datapath::F64,
-            true,
-            &[],
-            None,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
-        assert!(out.contains("[compiled kernel] (unroll 4)"), "{out}");
-        assert!(out.contains("verified against direct loop"), "{out}");
-        assert!(out.contains("outputs bit-identical"), "{out}");
-        assert_eq!(violations, 0);
-        let report = MetricsReport::parse(&metrics).unwrap();
-        let engine = report.sessions[0].stages[0].engine.as_ref().unwrap();
-        assert_eq!(engine.unroll, 4);
-        assert_eq!(engine.datapath, "f64");
-        assert_eq!(validate_report(&report), Vec::new());
-    }
-
-    #[test]
     fn engine_f32_datapath_verifies_within_tolerance() {
         let (out, metrics, violations) = cmd_engine(
             &denoise_spec(),
@@ -1493,7 +1451,6 @@ mod tests {
             true,
             Some(3),
             KernelBackend::Compiled,
-            4,
             Datapath::F32,
             true,
             &[],
@@ -1503,7 +1460,7 @@ mod tests {
             None,
         )
         .unwrap();
-        assert!(out.contains("(unroll 4, f32)"), "{out}");
+        assert!(out.contains("[compiled kernel] (f32)"), "{out}");
         assert!(out.contains("verified against f64 direct loop"), "{out}");
         assert!(
             out.contains("cross-check compiled vs closure (f32)"),
@@ -1513,10 +1470,8 @@ mod tests {
         assert_eq!(violations, 0);
         let report = MetricsReport::parse(&metrics).unwrap();
         let engine = report.sessions[0].stages[0].engine.as_ref().unwrap();
-        assert_eq!(engine.unroll, 4);
         assert_eq!(engine.datapath, "f32");
         let stream = report.sessions[1].stages[0].stream.as_ref().unwrap();
-        assert_eq!(stream.unroll, 4);
         assert_eq!(stream.datapath, "f32");
         assert_eq!(validate_report(&report), Vec::new());
     }
@@ -1531,7 +1486,6 @@ mod tests {
             false,
             None,
             KernelBackend::Compiled,
-            1,
             Datapath::F32,
             false,
             &[],
@@ -1554,7 +1508,6 @@ mod tests {
             true,
             Some(4),
             KernelBackend::Compiled,
-            1,
             Datapath::F64,
             true,
             &[],
@@ -1590,7 +1543,6 @@ mod tests {
             false,
             None,
             KernelBackend::Compiled,
-            1,
             Datapath::F64,
             false,
             &["s2".into()],
@@ -1626,7 +1578,6 @@ mod tests {
             true,
             Some(1),
             KernelBackend::Compiled,
-            1,
             Datapath::F64,
             false,
             &["s2".into()],
@@ -1659,7 +1610,6 @@ mod tests {
             true,
             Some(2),
             KernelBackend::Closure,
-            1,
             Datapath::F64,
             false,
             &["s2".into(), "s3".into()],
@@ -1690,7 +1640,6 @@ mod tests {
             false,
             None,
             KernelBackend::Compiled,
-            1,
             Datapath::F64,
             false,
             &[],
@@ -1727,7 +1676,6 @@ mod tests {
             true,
             Some(1),
             KernelBackend::Compiled,
-            1,
             Datapath::F64,
             false,
             &[],
@@ -1762,7 +1710,6 @@ mod tests {
             false,
             None,
             KernelBackend::Compiled,
-            1,
             Datapath::F64,
             false,
             &[],
@@ -1795,7 +1742,6 @@ mod tests {
             false,
             None,
             KernelBackend::Closure,
-            1,
             Datapath::F64,
             false,
             &[],
@@ -1825,7 +1771,6 @@ mod tests {
             false,
             None,
             KernelBackend::Compiled,
-            1,
             Datapath::F64,
             false,
             &["s2".into()],
@@ -1902,7 +1847,6 @@ o o o
             true,
             Some(4),
             KernelBackend::Compiled,
-            1,
             Datapath::F64,
             false,
             &[],
@@ -1941,7 +1885,6 @@ o o o
             true,
             Some(4),
             KernelBackend::Compiled,
-            1,
             Datapath::F64,
             false,
             &["blur3x3".into()],
@@ -1986,7 +1929,6 @@ o o o
             false,
             None,
             KernelBackend::Compiled,
-            1,
             Datapath::F64,
             false,
             &[],
@@ -2028,7 +1970,6 @@ o o o
                 true,
                 Some(4),
                 KernelBackend::Compiled,
-                1,
                 Datapath::F64,
                 false,
                 &[],

@@ -7,7 +7,7 @@
 //!                                 [--vcd OUT.vcd [--cycles N]]
 //! stencil engine   <spec.stencil> [--streams K] [--tiles N] [--threads T]
 //!                                 [--kernel compiled|closure] [--crosscheck]
-//!                                 [--unroll U] [--datapath f64|f32]
+//!                                 [--datapath f64|f32]
 //!                                 [--streaming [--chunk-rows N]] [--chain s2,s3,...]
 //!                                 [--iterate T [--epsilon E]] [--metrics-out M.json]
 //! stencil rtl      <spec.stencil> [--out DIR]     generate Verilog
@@ -42,7 +42,7 @@ fn usage() -> &'static str {
      [--streams K] [--metrics-out M.json] [--vcd OUT.vcd [--cycles N]]\n  \
      stencil engine   <spec.stencil> [--streams K] [--tiles N] [--threads T] \
      [--kernel compiled|closure] [--crosscheck] \
-     [--unroll U] [--datapath f64|f32] \
+     [--datapath f64|f32] \
      [--streaming [--chunk-rows N]] [--chain NAME,NAME,... (suite benchmarks chain \
      their own windows)] \
      [--iterate T [--epsilon E]] [--input-grid F.sgrid] [--output-grid F.sgrid] \
@@ -138,7 +138,6 @@ fn run(args: Vec<String>) -> Result<RunOutput, commands::CmdError> {
     let mut streaming = false;
     let mut chunk_rows: Option<u64> = None;
     let mut backend = stencil_engine::KernelBackend::default();
-    let mut unroll = 1usize;
     let mut datapath = stencil_engine::Datapath::default();
     let mut crosscheck = false;
     let mut chain: Vec<String> = Vec::new();
@@ -193,13 +192,6 @@ fn run(args: Vec<String>) -> Result<RunOutput, commands::CmdError> {
                     .parse()?;
             }
             "--crosscheck" => crosscheck = true,
-            "--unroll" => {
-                unroll = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&u: &usize| u > 0)
-                    .ok_or("--unroll needs a positive output-per-dispatch count")?;
-            }
             "--datapath" => {
                 datapath = it
                     .next()
@@ -289,7 +281,6 @@ fn run(args: Vec<String>) -> Result<RunOutput, commands::CmdError> {
                 streaming,
                 chunk_rows,
                 backend,
-                unroll,
                 datapath,
                 crosscheck,
                 &chain,
@@ -490,6 +481,24 @@ mod tests {
         assert!(out.contains("2 band(s)"), "{out}");
         assert!(out.contains("[compiled kernel]"), "{out}");
         assert!(out.contains("verified against direct loop"), "{out}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn removed_unroll_flag_is_an_unknown_option() {
+        let dir = std::env::temp_dir().join("stencil_cli_unroll_flag_test");
+        fs::create_dir_all(&dir).unwrap();
+        let spec = write_spec(&dir);
+        let Err(err) = run(vec![
+            "engine".into(),
+            spec.display().to_string(),
+            "--unroll".into(),
+            "4".into(),
+        ]) else {
+            panic!("--unroll must be refused");
+        };
+        assert_eq!(err.to_string(), "unknown option `--unroll`");
+        assert!(!usage().contains("unroll"));
         let _ = fs::remove_dir_all(&dir);
     }
 

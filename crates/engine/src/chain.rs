@@ -315,7 +315,6 @@ impl<'k> StreamStage<'k> {
             tiles: self.tile_plan.tile_count(),
             threads: self.worker_count,
             backend: self.backend,
-            unroll: self.kernel.unroll(),
             datapath: self.kernel.datapath(),
             halo_elements: per_tile.iter().map(|t| t.halo_elements).sum(),
             elapsed: started.elapsed(),
@@ -607,7 +606,6 @@ impl<'k> StreamStage<'k> {
             bands: self.tile_plan.tile_count(),
             threads: self.worker_count,
             backend: self.backend,
-            unroll: self.kernel.unroll(),
             datapath: self.kernel.datapath(),
             chunk_rows: self.chunk_rows,
             rows_in: self.rows_in,

@@ -19,11 +19,13 @@
 //! * **evaluate** — [`CompiledKernel::eval`] (and [`CompiledKernel::eval32`]
 //!   for the f32 datapath) runs the bytecode on one window. This scalar
 //!   form serves the per-element `Closure` backend, gather rows, and the
-//!   replay that validates every register program and native row body.
-//!   Row sweeps run the kernel's native row body when it carries one
-//!   (checked against this bytecode on attachment, see
-//!   [`CompiledKernel::for_benchmark`]) and otherwise the register
-//!   program [`crate::unroll`] lowers from the same folded expression.
+//!   replay that validates every register program and native row body
+//!   ([`replay_rows`]: one battery, compared bit for bit). Row sweeps on
+//!   f64 run the kernel's native row body when it carries one (checked
+//!   against this bytecode on attachment, see
+//!   [`CompiledKernel::for_benchmark`]); every other compiled row runs
+//!   the register program [`crate::unroll`] lowers from the same folded
+//!   expression.
 //!
 //! Evaluation order is exactly the expression's association order, which
 //! the suite expressions in turn copy from their closures — the chain
@@ -42,15 +44,13 @@ use crate::unroll::Lane;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KernelBackend {
     /// Row-sweep interior rows (the default when a [`CompiledKernel`]
-    /// is supplied). At the default `U = 1` on the f64 datapath, a
-    /// kernel with a checked native row body
-    /// ([`stencil_kernels::NativeRow`], carried by every built-in
-    /// benchmark) sweeps each row through that body: the kernel's own
-    /// formula as one vectorized loop. Every other compiled row runs
-    /// the vectorized register program lowered from the
-    /// [`CompiledKernel`] — expression-only kernels, the f32 datapath,
-    /// and `U > 1` (`U` adjacent rows per dispatch with
-    /// `Session::unroll`). Gather rows evaluate the scalar bytecode.
+    /// is supplied). On the f64 datapath, a kernel with a checked
+    /// native row body ([`stencil_kernels::NativeRow`], carried by
+    /// every built-in benchmark) sweeps each row through that body: the
+    /// kernel's own formula as one vectorized loop. Every other
+    /// compiled row runs the vectorized register program lowered from
+    /// the [`CompiledKernel`] — expression-only kernels and the f32
+    /// datapath. Gather rows evaluate the scalar bytecode.
     #[default]
     Compiled,
     /// Evaluate one element at a time through the per-window call — the
@@ -92,7 +92,7 @@ impl FromStr for KernelBackend {
 /// Arithmetic precision of the compiled sweep datapath.
 ///
 /// `F64` is the bit-exact reference: every backend (closure, scalar
-/// bytecode, register-program sweep at any unroll) produces identical
+/// bytecode, native row body, register-program sweep) produces identical
 /// bits. `F32` narrows constants and taps to single precision at the
 /// kernel boundary — grids stay `f64` in memory, values narrow on load
 /// and widen on store — trading bit-exactness for double the arithmetic
@@ -186,12 +186,12 @@ pub struct CompiledKernel {
     taps: usize,
     slots: usize,
     max_stack: usize,
-    /// The folded source expression — retained so the unrolled
-    /// multi-output compiler ([`crate::unroll`]) can re-lower it across
-    /// output positions without decompiling the bytecode.
+    /// The folded source expression — retained so the register
+    /// program ([`crate::unroll`]) lowers from it without decompiling
+    /// the bytecode.
     expr: KernelExpr,
     /// The kernel's native row body, checked against this bytecode
-    /// ([`CompiledKernel::with_native_row`]); the single-row f64 sweep
+    /// ([`CompiledKernel::with_native_row`]); the f64 sweep
     /// runs it instead of the register program.
     native: Option<NativeRow>,
 }
@@ -238,6 +238,51 @@ fn battery_window(vals: &[f64], j: usize, window: &mut [f64]) {
 /// Whether two evaluations agree: equal bits, or both NaN.
 fn same_value(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Replays a row sweep on the check [`battery`] laid out as rows of
+/// [`BATTERY_ROWS`] columns: `sweep(vals, bases, out)` computes one row,
+/// tap `k` reading the contiguous run at `vals[bases[k]..]`, and every
+/// column must give `want`'s bits on its window (NaN where `want` gives
+/// NaN). `what` names the sweep in the mismatch message. Native row
+/// bodies and register programs are both checked this way.
+///
+/// # Errors
+///
+/// [`EngineError::KernelMismatch`] at the first diverging column, or
+/// whatever `sweep` returns.
+pub(crate) fn replay_rows(
+    taps: usize,
+    what: &str,
+    mut sweep: impl FnMut(&[f64], &[usize], &mut [f64]) -> Result<(), EngineError>,
+    want: impl Fn(&[f64]) -> f64,
+) -> Result<(), EngineError> {
+    let vals = battery(taps);
+    let mut bases = vec![0usize; taps];
+    let mut out = [0.0f64; BATTERY];
+    let mut window = vec![0.0f64; taps];
+    let mut start = 0usize;
+    for len in BATTERY_ROWS {
+        for (k, b) in bases.iter_mut().enumerate() {
+            *b = k * BATTERY + start;
+        }
+        sweep(&vals, &bases, &mut out[..len])?;
+        for (t, &got) in out[..len].iter().enumerate() {
+            battery_window(&vals, start + t, &mut window);
+            let want = want(&window);
+            if !same_value(got, want) {
+                return Err(EngineError::KernelMismatch {
+                    detail: format!(
+                        "window {window:?} (column {t} of a {len}-column row): {what} {got:?} \
+                         vs bytecode {want:?}"
+                    ),
+                });
+            }
+        }
+        start += len;
+    }
+    debug_assert_eq!(start, BATTERY);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -292,9 +337,8 @@ fn fold(e: &KernelExpr) -> KernelExpr {
 
 /// The hash-consing arena: structurally equal subtrees intern to the
 /// same id, turning the tree into a DAG whose shared nodes CSE finds by
-/// in-degree. The unrolled multi-output compiler interns *several*
-/// remapped roots into one arena, so subtrees shared across adjacent
-/// output positions land on the same id.
+/// in-degree. The bytecode emitter and the register program
+/// ([`crate::unroll`]) both lower from it.
 #[derive(Default)]
 pub(crate) struct Arena {
     pub(crate) nodes: Vec<Node>,
@@ -336,18 +380,9 @@ impl Arena {
 
     /// Structural in-degree of every node (plus one for the root) — the
     /// number of places each value is consumed.
-    fn use_counts(&self, root: usize) -> Vec<usize> {
-        self.use_counts_multi(&[root])
-    }
-
-    /// In-degrees over a DAG with several roots (one per unrolled
-    /// output position) — counts accumulate across all of them, so a
-    /// subtree shared between outputs registers as multiply used.
-    pub(crate) fn use_counts_multi(&self, roots: &[usize]) -> Vec<usize> {
+    pub(crate) fn use_counts(&self, root: usize) -> Vec<usize> {
         let mut counts = vec![0usize; self.nodes.len()];
-        for &root in roots {
-            counts[root] += 1;
-        }
+        counts[root] += 1;
         for node in &self.nodes {
             match *node {
                 Node::Tap(_) | Node::Const(_) => {}
@@ -576,58 +611,49 @@ impl CompiledKernel {
 
     /// Attaches a native row body, checked first: the battery of
     /// [`CompiledKernel::compile_checked`], laid out as rows of several
-    /// lengths, must give the bytecode's bits in every column (NaN
-    /// where the bytecode gives NaN), through both the slice form and
-    /// the appending form — which must also append exactly one value
-    /// per column after what the vector already holds. The single-row
-    /// f64 sweep then runs the native body in place of the register
-    /// program.
+    /// lengths ([`replay_rows`]), must give the bytecode's bits in every
+    /// column through both the slice form and the appending form —
+    /// which must also append exactly one value per column after what
+    /// the vector already holds. The f64 sweep then runs the native body
+    /// in place of the register program.
     ///
     /// # Errors
     ///
     /// [`EngineError::KernelMismatch`] if any column diverges.
     fn with_native_row(mut self, row: NativeRow) -> Result<Self, EngineError> {
-        let vals = battery(self.taps);
-        let mut bases = vec![0usize; self.taps];
-        let mut out = [0.0f64; BATTERY];
+        replay_rows(
+            self.taps,
+            "native row",
+            |vals, bases, out| {
+                row.run(vals, bases, out);
+                Ok(())
+            },
+            |window| self.eval(window),
+        )?;
         let mut appended: Vec<f64> = Vec::with_capacity(BATTERY + 1);
-        let mut window = vec![0.0f64; self.taps];
-        let mut start = 0usize;
-        for len in BATTERY_ROWS {
-            for (k, b) in bases.iter_mut().enumerate() {
-                *b = k * BATTERY + start;
-            }
-            row.run(&vals, &bases, &mut out[..len]);
-            // A value already in the vector stays, and the row lands
-            // after it.
-            appended.clear();
-            appended.push(f64::MAX);
-            row.append(&vals, &bases, len, &mut appended);
-            if appended.len() != len + 1 || appended[0] != f64::MAX {
-                return Err(EngineError::KernelMismatch {
-                    detail: format!(
-                        "native row append form left {} values after one for a {len}-column row",
-                        appended.len()
-                    ),
-                });
-            }
-            for (t, (&got, &pushed)) in out[..len].iter().zip(&appended[1..]).enumerate() {
-                battery_window(&vals, start + t, &mut window);
-                let want = self.eval(&window);
-                for (form, got) in [("", got), (" append form", pushed)] {
-                    if !same_value(got, want) {
-                        return Err(EngineError::KernelMismatch {
-                            detail: format!(
-                                "window {window:?} (column {t} of a {len}-column row): native \
-                                 row{form} {got:?} vs bytecode {want:?}"
-                            ),
-                        });
-                    }
+        replay_rows(
+            self.taps,
+            "native row append form",
+            |vals, bases, out| {
+                // A value already in the vector stays, and the row
+                // lands after it.
+                appended.clear();
+                appended.push(f64::MAX);
+                row.append(vals, bases, out.len(), &mut appended);
+                if appended.len() != out.len() + 1 || appended[0] != f64::MAX {
+                    return Err(EngineError::KernelMismatch {
+                        detail: format!(
+                            "native row append form left {} values after one for a {}-column row",
+                            appended.len(),
+                            out.len()
+                        ),
+                    });
                 }
-            }
-            start += len;
-        }
-        debug_assert_eq!(start, BATTERY);
+                out.copy_from_slice(&appended[1..]);
+                Ok(())
+            },
+            |window| self.eval(window),
+        )?;
         self.native = Some(row);
         Ok(self)
     }
@@ -682,7 +708,7 @@ impl CompiledKernel {
     }
 
     /// The constant-folded source expression this bytecode was lowered
-    /// from — the unrolled compiler's input.
+    /// from — the register program's input.
     pub(crate) fn folded_expr(&self) -> &KernelExpr {
         &self.expr
     }

@@ -22,15 +22,15 @@
 //! * kernels authored as [`stencil_kernels::KernelExpr`] trees compile
 //!   at plan time to flat stack bytecode ([`CompiledKernel`], checked
 //!   against the closure by [`CompiledKernel::compile_checked`]) and
-//!   lower to a register program ([`UnrolledProgram`]) that runs as a
-//!   vectorized *row sweep*: each window tap binds to a column-shifted
-//!   contiguous slice of the resident rows and every op evaluates over
-//!   fixed-width lane chunks the compiler can autovectorize — `U`
-//!   adjacent rows per dispatch with `Session::unroll`, bit-identical
-//!   to the closure datapath at every `U`. A built-in kernel's native
+//!   sweep one whole row per call. On f64 a built-in kernel's native
 //!   row body ([`stencil_kernels::NativeRow`], checked against the
-//!   bytecode when the kernel is compiled) replaces the register
-//!   program on every swept f64 row at `U = 1`.
+//!   bytecode when the kernel is compiled) runs the row; every other
+//!   compiled row — an expression-only kernel, or the f32 datapath —
+//!   runs a register program lowered from the bytecode's expression:
+//!   each window tap binds to a column-shifted contiguous slice of the
+//!   resident rows and every op evaluates over fixed-width lane chunks
+//!   the compiler can autovectorize, bit-identical to the closure
+//!   datapath on f64.
 //!
 //! Every mode × backend combination executes through one composable
 //! [`Session`] pipeline layer: `Session::new(&plan).kernel(..)
@@ -111,7 +111,7 @@ pub use session::{
 pub use stream::{
     FnSource, MmapSink, MmapSource, ReadSource, RowSink, RowSource, SliceSource, VecSink, WriteSink,
 };
-pub use unroll::{max_rel_error, UnrolledProgram, DEFAULT_UNROLL};
+pub use unroll::max_rel_error;
 
 #[cfg(test)]
 mod tests {

@@ -8,15 +8,12 @@ use stencil_telemetry::{EngineMetrics, StreamMetrics, TileMetrics};
 
 use crate::compile::{Datapath, KernelBackend};
 
-/// Display suffix describing a non-default sweep shape: empty for the
-/// baseline single-output f64 sweep, otherwise the unroll factor
-/// and/or datapath in parentheses.
-fn shape_suffix(unroll: usize, datapath: Datapath) -> String {
-    match (unroll > 1, datapath) {
-        (false, Datapath::F64) => String::new(),
-        (true, Datapath::F64) => format!(" (unroll {unroll})"),
-        (false, Datapath::F32) => " (f32)".to_string(),
-        (true, Datapath::F32) => format!(" (unroll {unroll}, f32)"),
+/// Display suffix naming a non-default datapath: empty for the f64
+/// reference, ` (f32)` for the narrowed one.
+fn datapath_suffix(datapath: Datapath) -> &'static str {
+    match datapath {
+        Datapath::F64 => "",
+        Datapath::F32 => " (f32)",
     }
 }
 
@@ -54,9 +51,6 @@ pub struct RunReport {
     pub threads: usize,
     /// How the kernel datapath executed.
     pub backend: KernelBackend,
-    /// Output rows per grouped sweep dispatch (1 = the classic
-    /// single-output sweep).
-    pub unroll: usize,
     /// Arithmetic precision the kernel evaluated in.
     pub datapath: Datapath,
     /// Total input elements fetched across bands, halo overlap counted
@@ -87,7 +81,6 @@ impl RunReport {
             tiles: self.tiles,
             threads: self.threads,
             backend: self.backend.as_str().to_string(),
-            unroll: self.unroll as u64,
             datapath: self.datapath.as_str().to_string(),
             halo_elements: self.halo_elements,
             elapsed_ns: duration_ns(self.elapsed),
@@ -130,7 +123,7 @@ impl fmt::Display for RunReport {
             self.tiles,
             self.threads,
             self.backend,
-            shape_suffix(self.unroll, self.datapath),
+            datapath_suffix(self.datapath),
             self.elapsed,
             self.throughput() / 1e6
         )?;
@@ -177,9 +170,6 @@ pub struct StreamReport {
     pub threads: usize,
     /// How the kernel datapath executed.
     pub backend: KernelBackend,
-    /// Output rows per grouped sweep dispatch (1 = the classic
-    /// single-output sweep).
-    pub unroll: usize,
     /// Arithmetic precision the kernel evaluated in.
     pub datapath: Datapath,
     /// Requested band height in outermost-dimension rows (0 = the
@@ -229,7 +219,6 @@ impl StreamReport {
             bands: self.bands,
             threads: self.threads,
             backend: self.backend.as_str().to_string(),
-            unroll: self.unroll as u64,
             datapath: self.datapath.as_str().to_string(),
             chunk_rows: self.chunk_rows,
             rows_in: self.rows_in,
@@ -255,7 +244,7 @@ impl fmt::Display for StreamReport {
             self.bands,
             self.threads,
             self.backend,
-            shape_suffix(self.unroll, self.datapath),
+            datapath_suffix(self.datapath),
             self.elapsed,
             self.throughput() / 1e6
         )?;
@@ -361,7 +350,6 @@ mod tests {
             tiles: 2,
             threads: 2,
             backend: KernelBackend::Closure,
-            unroll: 1,
             datapath: Datapath::F64,
             halo_elements: 1100,
             elapsed: Duration::from_millis(10),
@@ -426,25 +414,26 @@ mod tests {
     #[test]
     fn display_appends_sweep_shape_only_when_non_default() {
         // The default shape keeps the exact legacy line.
-        assert!(!report().to_string().contains("unroll"), "{}", report());
+        assert!(!report().to_string().contains("(f"), "{}", report());
         let shaped = RunReport {
             backend: KernelBackend::Compiled,
-            unroll: 4,
             datapath: Datapath::F32,
             ..report()
         };
         let s = shaped.to_string();
-        assert!(s.contains("[compiled kernel] (unroll 4, f32)"), "{s}");
-        let m = shaped.metrics();
-        assert_eq!(m.unroll, 4);
-        assert_eq!(m.datapath, "f32");
+        assert!(s.contains("[compiled kernel] (f32) in"), "{s}");
+        assert_eq!(shaped.metrics().datapath, "f32");
         let stream = StreamReport {
-            unroll: 2,
+            datapath: Datapath::F32,
             ..stream_report()
         };
-        assert!(stream.to_string().contains("(unroll 2)"), "{stream}");
-        assert_eq!(stream.metrics().unroll, 2);
-        assert_eq!(stream.metrics().datapath, "f64");
+        assert!(
+            stream.to_string().contains("[compiled kernel] (f32) in"),
+            "{stream}"
+        );
+        assert_eq!(stream.metrics().datapath, "f32");
+        assert!(!stream_report().to_string().contains("(f"));
+        assert_eq!(stream_report().metrics().datapath, "f64");
     }
 
     fn stream_report() -> StreamReport {
@@ -453,7 +442,6 @@ mod tests {
             bands: 10,
             threads: 2,
             backend: KernelBackend::Compiled,
-            unroll: 1,
             datapath: Datapath::F64,
             chunk_rows: 2,
             rows_in: 22,

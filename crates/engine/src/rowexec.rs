@@ -9,11 +9,10 @@
 //! its three row classes:
 //!
 //! * **sweep rows** — every tap is one contiguous resident run *and*
-//!   the kernel runs the compiled backend: the row evaluates through
-//!   the vectorized [`UnrolledProgram`] register sweep — `U` adjacent
-//!   rows per dispatch when they line up, the single-output program
-//!   otherwise (every row at the default `U = 1`), or at `U = 1` on
-//!   f64 the kernel's native row body when it carries one;
+//!   the kernel runs the compiled backend: the whole row evaluates
+//!   through the stage's [`RowProgram`] — on f64 the kernel's native
+//!   row body when it carries one, else the vectorized register
+//!   program;
 //! * **fast rows** — taps are contiguous and resident but the kernel is
 //!   a closure (or the `Closure` backend is forced onto the scalar
 //!   bytecode): a batched per-element loop gathers each window from tap
@@ -53,7 +52,7 @@ use stencil_polyhedral::{DomainIndex, Point, Row, MAX_DIMS};
 
 use crate::compile::{CompiledKernel, Datapath};
 use crate::error::EngineError;
-use crate::unroll::{SweepScratch, UnrolledProgram};
+use crate::unroll::{RowProgram, SweepScratch};
 
 /// Locks `m`, recovering from poisoning: a panicking worker already
 /// surfaces as [`EngineError::WorkerPanic`] (through [`fork_join`], or
@@ -149,12 +148,10 @@ pub(crate) enum RowKernel<'a> {
     /// `Closure` backend selected with a compiled kernel) — used by
     /// cross-checks to isolate the sweep from the bytecode semantics.
     Bytecode(&'a CompiledKernel, Datapath),
-    /// The compiled sweep: grouped runs of adjacent aligned rows
-    /// evaluate the multi-output `group` program (one dispatch per U
-    /// rows), every other contiguous row the single-output program,
-    /// and gather rows the scalar bytecode in the program's datapath.
-    /// The program is built once per session stage and borrowed.
-    Program(&'a CompiledKernel, &'a UnrolledProgram),
+    /// The compiled sweep: every contiguous row runs the row program,
+    /// gather rows the scalar bytecode in the program's datapath. The
+    /// program is built once per session stage and borrowed.
+    Program(&'a CompiledKernel, &'a RowProgram),
 }
 
 impl RowKernel<'_> {
@@ -164,14 +161,6 @@ impl RowKernel<'_> {
             RowKernel::Closure(c) => c(window),
             RowKernel::Bytecode(ck, dp) => ck.eval_in(*dp, window),
             RowKernel::Program(ck, up) => ck.eval_in(up.datapath(), window),
-        }
-    }
-
-    /// Output rows per grouped dispatch — `1` off the compiled sweep.
-    pub(crate) fn unroll(&self) -> usize {
-        match self {
-            RowKernel::Program(_, up) => up.unroll(),
-            _ => 1,
         }
     }
 
@@ -323,38 +312,11 @@ pub(crate) fn execute_rows(
     let mut scratch = SweepScratch::default();
     let mut stats = RowStats::default();
     let program = match kernel {
-        RowKernel::Program(_, up) => Some(*up),
+        RowKernel::Program(_, prog) => Some(*prog),
         _ => None,
     };
-    let mut ubases: Vec<usize> = Vec::new();
-    let mut ucursors = vec![TapCursor::default(); program.map_or(0, |up| up.group_utaps().len())];
 
-    let mut i = 0usize;
-    while i < rows.len() {
-        // Grouped unrolled dispatch: U adjacent rows with identical
-        // extent, stepping +1 in the unroll axis, writing contiguous
-        // output — one multi-output register sweep covers them all.
-        if let Some(up) = program.filter(|up| up.unroll() > 1) {
-            if let Some(len) =
-                unroll_group_bases(rows, i, up, offsets, win, &mut ucursors, &mut ubases)
-            {
-                let start = rows[i]
-                    .base
-                    .checked_sub(out_base)
-                    .and_then(|s| usize::try_from(s).ok())
-                    .ok_or_else(|| inconsistent_row(&rows[i], out_base))?;
-                let group_len = len * up.unroll();
-                if let Some(group_out) = out.slot(start, group_len) {
-                    up.sweep_group(&ubases, win.vals, group_out, len, &mut scratch);
-                    stats.sweep += up.unroll() as u64;
-                    i += up.unroll();
-                    continue;
-                }
-            }
-        }
-
-        let row = &rows[i];
-        i += 1;
+    for row in rows {
         let len = usize::try_from(row.len())
             .map_err(|_| EngineError::DomainTooLarge { points: row.len() })?;
         let start = row
@@ -395,15 +357,12 @@ pub(crate) fn execute_rows(
         };
 
         if all_fast {
-            if let Some(up) = program {
-                // Single-row sweep (every row at U=1; a group remainder
-                // or alignment miss above it): each tap is a
-                // column-shifted contiguous slice. The native body
-                // appends the row as it computes it; otherwise the
-                // single-output register program, which keeps the
-                // datapath identical to the group, writes its slot.
+            if let Some(prog) = program {
+                // Each tap is a column-shifted contiguous slice. The
+                // native body appends the row as it computes it;
+                // otherwise the sweep writes the row's slot.
                 stats.sweep += 1;
-                match (up.native(), &mut out) {
+                match (prog.native(), &mut out) {
                     (Some(native), RowOut::Append { vec, .. }) => {
                         native.append(win.vals, &bases, len, vec);
                     }
@@ -411,7 +370,7 @@ pub(crate) fn execute_rows(
                         let out_row = out
                             .slot(start, len)
                             .ok_or_else(|| inconsistent_row(row, out_base))?;
-                        up.sweep_single(&bases, win.vals, out_row, &mut scratch);
+                        prog.sweep(&bases, win.vals, out_row, &mut scratch);
                     }
                 }
             } else {
@@ -550,56 +509,6 @@ pub(crate) fn box_tap_offsets(
                 })
         })
         .collect()
-}
-
-/// Probes whether rows `i..i + U` form an unrollable group: identical
-/// inner extent, prefixes equal except the last coordinate stepping
-/// +1 per row, contiguous output ranks, and every shared tap of the
-/// group resident as one contiguous run, each found through its own
-/// cursor of `cursors`. On success fills `ubases` with the window
-/// offset of each group utap and returns the row length; any miss
-/// returns `None` and the caller falls back to single-row dispatch for
-/// `rows[i]`.
-fn unroll_group_bases(
-    rows: &[Row],
-    i: usize,
-    up: &UnrolledProgram,
-    offsets: &[Point],
-    win: &RankWindow<'_>,
-    cursors: &mut [TapCursor],
-    ubases: &mut Vec<usize>,
-) -> Option<usize> {
-    let group = rows.get(i..i + up.unroll())?;
-    let first = &group[0];
-    let len = usize::try_from(first.len()).ok()?;
-    if len == 0 {
-        return None;
-    }
-    let pdims = first.prefix.dims();
-    if pdims == 0 {
-        return None;
-    }
-    for (d, row) in group.iter().enumerate().skip(1) {
-        let step = u64::try_from(d).ok()?;
-        if row.lo != first.lo
-            || row.hi != first.hi
-            || row.base != first.base.checked_add(step.checked_mul(len as u64)?)?
-        {
-            return None;
-        }
-        if (0..pdims - 1).any(|c| row.prefix[c] != first.prefix[c])
-            || row.prefix[pdims - 1] != first.prefix[pdims - 1].checked_add(d as i64)?
-        {
-            return None;
-        }
-    }
-    ubases.clear();
-    for (&(u, k), cursor) in up.group_utaps().iter().zip(cursors) {
-        let row = &group[usize::from(u)];
-        let b = cursor.base(win, row, &offsets[usize::from(k)], len)?;
-        ubases.push(win.resident_run(b, len)?);
-    }
-    Some(len)
 }
 
 /// One tap's forward-only position in the input index.

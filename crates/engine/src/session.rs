@@ -85,7 +85,7 @@ use crate::rowexec::{
     check_kernel_window, machine_parallelism, plan_offsets, threads_for, RowKernel,
 };
 use crate::stream::{RowSink, RowSource, SliceSource, VecSink};
-use crate::unroll::UnrolledProgram;
+use crate::unroll::RowProgram;
 
 /// How a [`Session`] drives execution — orthogonal to the kernel and
 /// backend choices.
@@ -160,10 +160,7 @@ impl fmt::Debug for SessionKernel<'_> {
 
 /// A stage's datapath, covering both borrowed builder inputs and
 /// kernels the chain owns (compiled on the fly from stage metadata, or
-/// a plain-`fn` closure from [`KernelStage`] metadata). Cloning hands
-/// the self-chained ring [`Session::iterate`] builds a second handle:
-/// borrowed kernels are re-borrowed, owned bytecode is cloned.
-#[derive(Clone)]
+/// a plain-`fn` closure from [`KernelStage`] metadata).
 enum StageKernel<'a> {
     Closure(&'a (dyn Fn(&[f64]) -> f64 + Sync)),
     ClosureFn(ComputeFn),
@@ -205,8 +202,6 @@ struct Stage<'a> {
     label: String,
     /// Per-stage backend override; `None` inherits the session default.
     backend: Option<KernelBackend>,
-    /// Per-stage unroll override; `None` inherits the session default.
-    unroll: Option<usize>,
     /// The stage's band schedules, one entry per [`ExecMode`], built on
     /// first use and reused across runs — the hoist that keeps
     /// `iterate` from paying tile-plan validation per step. Keyed (not
@@ -224,10 +219,11 @@ struct Stage<'a> {
     /// Each band's halo size in input points, per in-core [`ExecMode`],
     /// counted on first use: the in-core report's `halo_elements`.
     halo: RefCell<Vec<(ExecMode, Vec<u64>)>>,
-    /// The stage's validated register program, built on first use and
-    /// reused by every later run; a builder call that changes its
-    /// kernel, unroll or datapath clears it.
-    program: OnceCell<UnrolledProgram>,
+    /// The stage's validated row program, built on first use and
+    /// reused by every later run (and by every step of an iterate
+    /// ring); a builder call that changes its kernel or datapath clears
+    /// it.
+    program: OnceCell<RowProgram>,
 }
 
 impl<'a> Stage<'a> {
@@ -237,7 +233,6 @@ impl<'a> Stage<'a> {
             kernel,
             label,
             backend: None,
-            unroll: None,
             tile: RefCell::new(Vec::new()),
             iter_index: OnceCell::new(),
             input_index: OnceCell::new(),
@@ -316,18 +311,15 @@ impl<'a> Stage<'a> {
 
     /// The stage's row executor, or a config error if no kernel was
     /// supplied. Under the `Compiled` backend a compiled stage runs a
-    /// validated [`UnrolledProgram`] over the stage plan's window,
-    /// shaped by `unroll`/`datapath` — built on the first call and
-    /// borrowed from the stage by every later one; under `Closure` it
+    /// validated [`RowProgram`] in `datapath` — built on the first call
+    /// and borrowed from the stage by every later one; under `Closure` it
     /// evaluates the scalar bytecode per element. Closure datapaths
     /// reject f32 (no bytecode to narrow).
     fn row_kernel(
         &self,
         session_backend: KernelBackend,
-        unroll: usize,
         datapath: Datapath,
     ) -> Result<RowKernel<'_>, EngineError> {
-        crate::unroll::check_unroll(unroll)?;
         match &self.kernel {
             None => Err(EngineError::Config {
                 detail: format!("stage '{}' has no kernel; call Session::kernel", self.label),
@@ -346,8 +338,7 @@ impl<'a> Stage<'a> {
                     let prog = match self.program.get() {
                         Some(prog) => prog,
                         None => {
-                            let offsets = plan_offsets(self.plan.get());
-                            let prog = UnrolledProgram::build(k, &offsets, unroll, datapath)?;
+                            let prog = RowProgram::build(k, datapath)?;
                             self.program.get_or_init(|| prog)
                         }
                     };
@@ -396,9 +387,6 @@ pub struct StagePlan<'s> {
     /// else the session default — and always [`KernelBackend::Closure`]
     /// for stages without compiled bytecode.
     pub backend: KernelBackend,
-    /// The compiled-sweep unroll factor this stage requests (ignored by
-    /// closure stages, which always evaluate per element).
-    pub unroll: usize,
     /// Arithmetic width of this stage's compiled sweeps.
     pub datapath: Datapath,
     /// The resolved row executor.
@@ -431,7 +419,6 @@ impl fmt::Debug for StagePlan<'_> {
         f.debug_struct("StagePlan")
             .field("label", &self.label)
             .field("backend", &self.backend)
-            .field("unroll", &self.unroll)
             .field("datapath", &self.datapath)
             .field("window_taps", &self.window_taps())
             .field("window_rows", &self.window_rows())
@@ -448,9 +435,6 @@ pub struct Session<'a> {
     mode: ExecMode,
     threads: usize,
     backend: KernelBackend,
-    /// Outputs produced per compiled-sweep dispatch (`1` = the
-    /// single-output program on every row).
-    unroll: usize,
     /// Arithmetic width of compiled sweeps.
     datapath: Datapath,
     label: Option<String>,
@@ -493,7 +477,6 @@ impl<'a> Session<'a> {
             mode: ExecMode::default(),
             threads: 0,
             backend: KernelBackend::default(),
-            unroll: 1,
             datapath: Datapath::default(),
             label: None,
             iterate_steps: None,
@@ -566,20 +549,6 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Sets the compiled-sweep unroll factor: each dispatch produces
-    /// `unroll` adjacent output rows, loading taps whose stencil
-    /// offsets coincide across the rows once and sharing common
-    /// subexpressions across the row bodies. `1` (the default) sweeps
-    /// every row with the single-output program. Values above `1`
-    /// require the [`KernelBackend::Compiled`] backend; the factor is
-    /// validated when the session runs. See [`crate::DEFAULT_UNROLL`] for the
-    /// empirically chosen sweet spot.
-    #[must_use]
-    pub fn unroll(mut self, unroll: usize) -> Self {
-        self.unroll = unroll;
-        self.forget_programs()
-    }
-
     /// Selects the arithmetic width of compiled sweeps.
     /// [`Datapath::F32`] narrows plan-time constants and tap loads to
     /// `f32` lanes, trading bit-exactness for roughly doubled SIMD
@@ -603,18 +572,6 @@ impl<'a> Session<'a> {
             .expect("sessions always have at least one stage")
             .backend = Some(backend);
         self
-    }
-
-    /// Overrides the compiled-sweep unroll factor of the *most recently
-    /// added* stage (see [`Session::unroll`] for the session-wide
-    /// default and validation rules).
-    #[must_use]
-    pub fn stage_unroll(mut self, unroll: usize) -> Self {
-        self.stages
-            .last_mut()
-            .expect("sessions always have at least one stage")
-            .unroll = Some(unroll);
-        self.forget_programs()
     }
 
     /// Labels the session's telemetry output.
@@ -750,16 +707,10 @@ impl<'a> Session<'a> {
                     ),
                 });
             }
-            let kernel = self.stages[0]
-                .kernel
-                .as_ref()
-                .expect("checked above")
-                .clone();
-            self.stages.push(Stage::new(
-                PlanRef::Owned(Box::new(next)),
-                Some(kernel),
-                label,
-            ));
+            // A step carries no kernel of its own: it resolves stage
+            // 0's, and stage 0's one cached program ([`Session::resolve`]).
+            self.stages
+                .push(Stage::new(PlanRef::Owned(Box::new(next)), None, label));
         }
         self.iterate_steps = Some(steps);
         self.prepare_tiles()?;
@@ -840,24 +791,28 @@ impl<'a> Session<'a> {
         self.stages.get(i).map(|s| s.plan.get())
     }
 
-    /// Resolves one stage into its execution recipe: window check for
-    /// compiled kernels, per-stage backend/unroll (override or session
-    /// default), and the row executor. Every execution path — in-core,
-    /// streaming, and the iterate ring — goes through here, so the
-    /// per-stage choice is made in exactly one place.
-    fn resolve<'s>(&'s self, stage: &'s Stage<'a>) -> Result<StagePlan<'s>, EngineError> {
+    /// Resolves stage `i` into its execution recipe: window check for
+    /// compiled kernels, per-stage backend (override or session
+    /// default), and the row executor. Every step of an iterate ring
+    /// runs stage 0's kernel and its one cached program. Every execution
+    /// path — in-core, streaming, and the iterate ring — goes through
+    /// here, so the per-stage choice is made in exactly one place.
+    fn resolve(&self, i: usize) -> Result<StagePlan<'_>, EngineError> {
+        let stage = &self.stages[i];
+        let source = match self.iterate_steps {
+            Some(steps) if i < steps => &self.stages[0],
+            _ => stage,
+        };
         let plan = stage.plan.get();
-        if let Some(k) = stage.compiled() {
+        if let Some(k) = source.compiled() {
             check_kernel_window(plan, k)?;
         }
         let requested = stage.backend.unwrap_or(self.backend);
-        let unroll = stage.unroll.unwrap_or(self.unroll);
-        let kernel = stage.row_kernel(requested, unroll, self.datapath)?;
+        let kernel = source.row_kernel(requested, self.datapath)?;
         Ok(StagePlan {
             label: &stage.label,
             plan,
-            backend: stage.effective_backend(requested),
-            unroll,
+            backend: source.effective_backend(requested),
             datapath: self.datapath,
             kernel,
         })
@@ -873,7 +828,7 @@ impl<'a> Session<'a> {
     /// invalid sweep shape, plus the window checker's error when a
     /// compiled kernel does not fit its stage plan.
     pub fn stage_plans(&self) -> Result<Vec<StagePlan<'_>>, EngineError> {
-        self.stages.iter().map(|s| self.resolve(s)).collect()
+        (0..self.stages.len()).map(|i| self.resolve(i)).collect()
     }
 
     /// The planned chained residency bound under streaming: the sum
@@ -1051,7 +1006,7 @@ impl<'a> Session<'a> {
         let mut stage_reports = Vec::with_capacity(self.stages.len());
         let mut cur: Vec<f64> = Vec::new();
         for (i, stage) in self.stages.iter().enumerate() {
-            let sp = self.resolve(stage)?;
+            let sp = self.resolve(i)?;
             let tile_plan = stage.tiles(self.mode, None, Some(&self.tiles_built))?;
             let out_idx = stage.iteration_index()?;
             // A later stage's input index is its upstream's iteration
@@ -1238,7 +1193,7 @@ impl<'a> Session<'a> {
     /// falls to `epsilon` or `max_steps` is reached, whichever comes
     /// first. Steps run sequentially in core, each step's plan derived
     /// from the previous by self-chaining ([`Session::iterate`]'s
-    /// ring, unrolled lazily so unneeded steps are never planned);
+    /// ring, expanded lazily so unneeded steps are never planned);
     /// after each step a row-aligned max-abs-delta reduction compares
     /// the step's output against its input over the step's iteration
     /// domain. Because closure and compiled backends produce
@@ -1286,7 +1241,7 @@ impl<'a> Session<'a> {
         let built_before = self.tiles_built.get();
         let stage = &self.stages[0];
         let base_plan = stage.plan.get();
-        let sp = self.resolve(stage)?;
+        let sp = self.resolve(0)?;
         self.check_input(input)?;
         let window = plan_offsets(base_plan);
         let name = base_plan.name().to_string();
@@ -1898,7 +1853,7 @@ mod tests {
     #[test]
     fn native_rows_run_only_on_f64_single_row_sweeps() {
         // Which stages resolve to the built-in DENOISE's native body:
-        // compiled f64 stages at U = 1 only.
+        // compiled f64 stages only.
         let bench = stencil_kernels::denoise();
         let plan = MemorySystemPlan::generate(&bench.spec_for(&[43, 37]).unwrap()).unwrap();
         let expr_only = KernelStage::new("expr-only", bench.window().to_vec(), bench.compute_fn())
@@ -1907,7 +1862,9 @@ mod tests {
             s.stage_plans()
                 .unwrap()
                 .iter()
-                .map(|p| matches!(&p.kernel, RowKernel::Program(_, up) if up.runs_native()))
+                .map(
+                    |p| matches!(&p.kernel, RowKernel::Program(_, prog) if prog.native().is_some()),
+                )
                 .collect()
         };
         let built = || Session::build(&plan, &bench.stage()).unwrap().threads(1);
@@ -1918,7 +1875,6 @@ mod tests {
             [false]
         );
         assert_eq!(runs_native(&built().datapath(Datapath::F32)), [false]);
-        assert_eq!(runs_native(&built().unroll(4)), [false]);
         assert_eq!(
             runs_native(&built().backend(KernelBackend::Closure)),
             [false]
@@ -1935,11 +1891,7 @@ mod tests {
             .run(&input)
             .unwrap()
             .outputs;
-        for session in [
-            built(),
-            Session::build(&plan, &expr_only).unwrap(),
-            built().unroll(4),
-        ] {
+        for session in [built(), Session::build(&plan, &expr_only).unwrap()] {
             assert_eq!(session.run(&input).unwrap().outputs, reference);
         }
         let scalar_f32 = built()
@@ -1952,8 +1904,7 @@ mod tests {
         assert_eq!(swept_f32, scalar_f32);
 
         // At run time: a counting native body runs once per swept row
-        // at U = 1 on f64, and never under f32 or U = 4 (41 rows, not
-        // a multiple of four, so some run as leftover single rows).
+        // on f64, and never under f32.
         let counted = KernelStage::new("counted", window_5pt(), compute)
             .with_expr(expr_5pt())
             .with_native_row(stencil_kernels::NativeRow::new(
@@ -1973,7 +1924,6 @@ mod tests {
         for (session, native_rows) in [
             (counted_session(), 41),
             (counted_session().datapath(Datapath::F32), 0),
-            (counted_session().unroll(4), 0),
         ] {
             let before = NATIVE_ROWS.load(std::sync::atomic::Ordering::Relaxed);
             let run = session.run(&input).unwrap();
@@ -1985,46 +1935,40 @@ mod tests {
 
     #[test]
     fn unrolled_sweeps_are_bit_identical_across_modes_and_factors() {
+        // The register program (an expression-only kernel) gives the
+        // closure's bits in every mode, whatever the band count or
+        // chunk height.
         let plan = plan_5pt(23, 29);
         let in_idx = plan.input_domain().index().unwrap();
         let vals = ramp(in_idx.len());
         let input = InputGrid::new(&in_idx, &vals).unwrap();
         let kernel = compiled_5pt();
-
         let reference = Session::new(&plan)
-            .kernel(SessionKernel::Compiled(&kernel))
+            .kernel(SessionKernel::Closure(&compute))
             .run(&input)
             .unwrap();
-        assert_eq!(
-            reference.report.stages[0].engine.as_ref().unwrap().unroll,
-            1
-        );
-
-        for unroll in [2usize, 4, 8] {
-            for mode in [
-                ExecMode::InCore,
-                ExecMode::Tiled { tiles: 3 },
-                ExecMode::Streaming { chunk_rows: None },
-                ExecMode::Streaming {
-                    chunk_rows: Some(3),
-                },
-            ] {
-                let run = Session::new(&plan)
-                    .kernel(SessionKernel::Compiled(&kernel))
-                    .mode(mode)
-                    .unroll(unroll)
-                    .run(&input)
-                    .unwrap();
-                assert_eq!(run.outputs, reference.outputs, "unroll={unroll} {mode:?}");
-                let stage = &run.report.stages[0];
-                let (got_unroll, got_dp) = match (&stage.engine, &stage.stream) {
-                    (Some(e), _) => (e.unroll, e.datapath),
-                    (None, Some(s)) => (s.unroll, s.datapath),
-                    _ => panic!("stage carried no report"),
-                };
-                assert_eq!(got_unroll, unroll);
-                assert_eq!(got_dp, Datapath::F64);
-            }
+        for mode in [
+            ExecMode::InCore,
+            ExecMode::Tiled { tiles: 3 },
+            ExecMode::Streaming { chunk_rows: None },
+            ExecMode::Streaming {
+                chunk_rows: Some(3),
+            },
+        ] {
+            let run = Session::new(&plan)
+                .kernel(SessionKernel::Compiled(&kernel))
+                .mode(mode)
+                .run(&input)
+                .unwrap();
+            assert_eq!(run.outputs, reference.outputs, "{mode:?}");
+            let stage = &run.report.stages[0];
+            let (sweep_rows, datapath) = match (&stage.engine, &stage.stream) {
+                (Some(e), _) => (e.per_tile.iter().map(|t| t.sweep_rows).sum(), e.datapath),
+                (None, Some(s)) => (s.sweep_rows, s.datapath),
+                _ => panic!("stage carried no report"),
+            };
+            assert_eq!(sweep_rows, 21, "{mode:?}");
+            assert_eq!(datapath, Datapath::F64);
         }
     }
 
@@ -2047,7 +1991,6 @@ mod tests {
         let f32_run = Session::new(&plan)
             .kernel(SessionKernel::Compiled(&kernel))
             .datapath(Datapath::F32)
-            .unroll(4)
             .run(&input)
             .unwrap();
         let err = crate::unroll::max_rel_error(&f32_run.outputs, &f64_run.outputs);
@@ -2059,14 +2002,13 @@ mod tests {
         let engine = f32_run.report.stages[0].engine.as_ref().unwrap();
         assert_eq!(engine.datapath, Datapath::F32);
 
-        // Chunking must not change f32 results: the unrolled register
-        // program is bit-deterministic per output row, so streaming at
+        // Chunking must not change f32 results: the register program
+        // is bit-deterministic per output row, so streaming at
         // any granularity reproduces the in-core f32 bits exactly.
         for chunk_rows in [1u64, 3, 64] {
             let streamed = Session::new(&plan)
                 .kernel(SessionKernel::Compiled(&kernel))
                 .datapath(Datapath::F32)
-                .unroll(4)
                 .mode(ExecMode::Streaming {
                     chunk_rows: Some(chunk_rows),
                 })
@@ -2076,7 +2018,7 @@ mod tests {
         }
 
         // The scalar f32 bytecode path (Closure backend) agrees with
-        // the unrolled f32 lanes bit for bit: both narrow taps and
+        // the f32 register lanes bit for bit: both narrow taps and
         // constants identically and evaluate in the same order.
         let scalar32 = Session::new(&plan)
             .kernel(SessionKernel::Compiled(&kernel))
@@ -2104,23 +2046,6 @@ mod tests {
                 assert!(detail.contains("compiled"), "{detail}");
             }
             other => panic!("expected Config, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn out_of_range_unroll_is_a_config_error() {
-        let plan = plan_5pt(12, 12);
-        let in_idx = plan.input_domain().index().unwrap();
-        let vals = ramp(in_idx.len());
-        let input = InputGrid::new(&in_idx, &vals).unwrap();
-        let kernel = compiled_5pt();
-        for unroll in [0usize, 17] {
-            let e = Session::new(&plan)
-                .kernel(SessionKernel::Compiled(&kernel))
-                .unroll(unroll)
-                .run(&input)
-                .unwrap_err();
-            assert!(matches!(e, EngineError::Config { .. }), "unroll={unroll}");
         }
     }
 
@@ -2335,9 +2260,11 @@ mod tests {
             .unwrap();
         assert_eq!(reference.outputs.capacity(), reference.outputs.len());
         assert_eq!(reference.outputs.len(), 38 * 35);
+        let expr_only = KernelStage::new("expr-only", bench.window().to_vec(), closure)
+            .with_expr(bench.expr().unwrap().clone());
         let session = |k: usize| match k {
             0 => Session::build(&plan, &bench.stage()).unwrap(),
-            1 => Session::build(&plan, &bench.stage()).unwrap().unroll(4),
+            1 => Session::build(&plan, &expr_only).unwrap(),
             _ => Session::new(&plan).kernel(SessionKernel::Closure(&closure)),
         };
         for k in 0..3 {
@@ -2363,16 +2290,7 @@ mod tests {
         let in_idx = plan.input_domain().index().unwrap();
         let vals = ramp(in_idx.len());
         let input = InputGrid::new(&in_idx, &vals).unwrap();
-        let program = |s: &Session<'_>| -> Vec<*const UnrolledProgram> {
-            s.stage_plans()
-                .unwrap()
-                .iter()
-                .map(|p| match &p.kernel {
-                    RowKernel::Program(_, up) => std::ptr::from_ref::<UnrolledProgram>(up),
-                    _ => panic!("a compiled stage sweeps its program"),
-                })
-                .collect()
-        };
+        let program = |s: &Session<'_>| -> Vec<*const RowProgram> { programs(s) };
         let session = Session::build(&plan, &bench.stage())
             .unwrap()
             .threads(1)
@@ -2393,10 +2311,71 @@ mod tests {
             .unwrap();
         assert_eq!(program(&streaming), built);
         // A builder call that changes the program drops the cache.
-        let rebuilt = streaming.unroll(2);
+        let rebuilt = streaming.datapath(Datapath::F32);
         for p in rebuilt.stage_plans().unwrap() {
-            assert!(matches!(&p.kernel, RowKernel::Program(_, up) if up.unroll() == 2));
+            assert!(
+                matches!(&p.kernel, RowKernel::Program(_, prog) if prog.datapath() == Datapath::F32)
+            );
         }
+    }
+
+    /// Each stage's row program, by address.
+    fn programs(s: &Session<'_>) -> Vec<*const RowProgram> {
+        s.stage_plans()
+            .unwrap()
+            .iter()
+            .map(|p| match &p.kernel {
+                RowKernel::Program(_, prog) => std::ptr::from_ref::<RowProgram>(prog),
+                _ => panic!("a compiled stage sweeps its program"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ring_steps_share_stage_zeros_program() {
+        // An 8-step ring over a kernel the session owns builds one
+        // program, and every step resolves that one and stage 0's
+        // kernel; the ring's outputs are the closure ring's bits.
+        let bench = stencil_kernels::denoise();
+        let plan = MemorySystemPlan::generate(&bench.spec_for(&[40, 37]).unwrap()).unwrap();
+        let in_idx = plan.input_domain().index().unwrap();
+        let vals = ramp(in_idx.len());
+        let input = InputGrid::new(&in_idx, &vals).unwrap();
+        let ring = Session::build(&plan, &bench.stage())
+            .unwrap()
+            .threads(1)
+            .iterate(8)
+            .unwrap();
+        let progs = programs(&ring);
+        assert_eq!(progs.len(), 8);
+        assert!(progs.iter().all(|&p| p == progs[0]), "{progs:?}");
+        let kernels: Vec<*const CompiledKernel> = ring
+            .stage_plans()
+            .unwrap()
+            .iter()
+            .map(|p| match &p.kernel {
+                RowKernel::Program(ck, _) => std::ptr::from_ref::<CompiledKernel>(ck),
+                _ => panic!("a compiled stage sweeps its program"),
+            })
+            .collect();
+        assert!(kernels.iter().all(|&k| k == kernels[0]));
+
+        let closure = bench.compute_fn();
+        let reference = Session::new(&plan)
+            .kernel(SessionKernel::Closure(&closure))
+            .threads(1)
+            .iterate(8)
+            .unwrap()
+            .run(&input)
+            .unwrap();
+        assert_eq!(ring.run(&input).unwrap().outputs, reference.outputs);
+        let mut sink = VecSink::new();
+        ring.mode(ExecMode::Streaming {
+            chunk_rows: Some(4),
+        })
+        .run_streaming(&mut SliceSource::new(&vals), &mut sink)
+        .unwrap();
+        assert_eq!(sink.values, reference.outputs);
     }
 
     #[test]
@@ -2999,10 +2978,8 @@ mod tests {
         let stage3 = stage_5pt("s3"); // closure-only, no expression
         let session = Session::new(&plan)
             .kernel(SessionKernel::Compiled(&ck))
-            .unroll(2)
             .then(&stage2)
             .unwrap()
-            .stage_unroll(4)
             .then(&stage3)
             .unwrap()
             // Requesting the compiled backend on an expression-less
@@ -3011,9 +2988,7 @@ mod tests {
         let plans = session.stage_plans().unwrap();
         assert_eq!(plans.len(), 3);
         assert_eq!(plans[0].backend, KernelBackend::Compiled);
-        assert_eq!(plans[0].unroll, 2);
         assert_eq!(plans[1].backend, KernelBackend::Compiled);
-        assert_eq!(plans[1].unroll, 4);
         assert_eq!(plans[2].backend, KernelBackend::Closure);
         assert!(plans.iter().all(|p| p.window_taps() == 5));
         assert!(plans.iter().all(|p| p.window_rows() == 3));

@@ -1,10 +1,12 @@
-//! The compiled row sweep: one register program body produces `U`
-//! adjacent output rows per dispatch, and every compiled row of the
-//! engine runs through it — at the default `U = 1` the single-output
-//! program alone — except where the kernel carries a native row body:
-//! at `U = 1` on the f64 datapath the single-row sweep runs that body
-//! ([`stencil_kernels::NativeRow`], the kernel's formula compiled as
-//! one loop) instead of interpreting the program.
+//! The register program: the compiled row sweep of every row that no
+//! native row body covers.
+//!
+//! A compiled row runs one body. On the f64 datapath, a kernel with a
+//! checked native row body ([`stencil_kernels::NativeRow`], the
+//! kernel's formula compiled as one loop) sweeps the row through that
+//! body. Every other compiled row — an expression-only kernel, or the
+//! f32 datapath — runs the register program this module lowers from
+//! the kernel's folded expression ([`RowProgram`]).
 //!
 //! Each register operation runs over [`LANES`]-wide chunks of a whole
 //! output row, each tap bound to a column-shifted contiguous slice of
@@ -16,46 +18,29 @@
 //! body; the register files live in a [`SweepScratch`] the row
 //! executor reuses across rows.
 //!
-//! A single-output sweep reloads every tap for every output row even
-//! though vertically adjacent rows share most of their stencil windows
-//! — DENOISE's north tap of row `r+1` is the center tap of row `r`.
-//! Above `U = 1` this module removes that redundancy the way the
-//! paper's non-uniform reuse buffers do in hardware, by *binding*
-//! coinciding taps once per group:
-//!
-//! * **shared-tap slots** — for output positions `u in 0..U` (adjacent
-//!   in the next-to-innermost dimension, the one iteration rows step
-//!   through), tap `k` of output `u` reads offset `offsets[k] + u·e`.
-//!   Taps whose shifted offsets coincide are deduplicated into one
-//!   *utap* loaded exactly once per lane chunk;
-//! * **cross-output CSE** — each output's folded expression is remapped
-//!   onto utap ids and interned into one shared hash-consing arena, so
-//!   subexpressions common to several outputs (SOBEL's column sums)
-//!   evaluate once per group;
-//! * **register form** — the group body is emitted as a register
-//!   machine ([`RegOp`]) instead of stack bytecode: every DAG node gets
-//!   an SSA register, so a shared value is reused by naming its
-//!   register — no `Store`/`Load` traffic and no slot limit. Mul-add
-//!   fusion keeps the stack machine's rule (singly-used products only)
-//!   and its two-rounding semantics, so f64 results stay bit-identical
-//!   to the closure.
+//! The program is a register machine ([`RegOp`]), not stack bytecode:
+//! every node of the hash-consed expression DAG gets an SSA register,
+//! so a shared subexpression is reused by naming its register — no
+//! `Store`/`Load` traffic and no slot limit. Mul-add fusion keeps the
+//! stack machine's rule (singly-used products only) and its
+//! two-rounding semantics, so f64 results stay bit-identical to the
+//! closure.
 //!
 //! The interpreter is generic over the lane type: [`Datapath::F64`]
 //! keeps the bit-exact reference semantics, [`Datapath::F32`] narrows
 //! constants and taps to single precision (grids stay `f64` in memory)
 //! and doubles the arithmetic lanes per vector op.
 //!
-//! Construction replays the register program against the scalar
-//! bytecode on synthetic windows (the same discipline as
-//! [`CompiledKernel::compile_checked`]) and rejects any divergence, so
-//! a mis-emitted program fails loudly before producing output.
+//! Construction replays the lane sweep against the scalar bytecode on
+//! the battery of [`CompiledKernel::compile_checked`] and compares bits,
+//! as the native row check does, so a mis-emitted program fails loudly
+//! before producing output.
 
 use std::collections::HashMap;
 
-use stencil_kernels::{KernelExpr, NativeRow};
-use stencil_polyhedral::Point;
+use stencil_kernels::NativeRow;
 
-use crate::compile::{Arena, CompiledKernel, Datapath, Node};
+use crate::compile::{replay_rows, Arena, CompiledKernel, Datapath, Node};
 use crate::error::EngineError;
 
 /// Lanes per register-op dispatch: the dispatch overhead of one op
@@ -66,30 +51,6 @@ use crate::error::EngineError;
 /// replaced: 32 beat 8 by ~40%, and 64/128 regressed as the lane
 /// working set outgrew L1.
 const LANES: usize = 32;
-
-/// The default unroll factor of the compiled sweep, picked empirically
-/// from {2, 4, 8} the way the lane width `LANES` was: on DENOISE
-/// 768×1024 in-core, U=4 cuts tap loads from 5 to 3.5 per output and op dispatches by
-/// ~25%, beating U=2 (less sharing) and U=8 (marginal extra sharing,
-/// larger register file working set) — see EXPERIMENTS.md.
-pub const DEFAULT_UNROLL: usize = 4;
-
-/// Upper bound on the accepted unroll factor — beyond this the
-/// register file outgrows cache long before sharing pays.
-const MAX_UNROLL: usize = 16;
-
-/// Rejects unroll factors outside `1..=MAX_UNROLL`. Shared by
-/// [`UnrolledProgram::build`] and the session builder so the closure
-/// backend (which never constructs a program) still surfaces a bad
-/// knob instead of silently running single-row.
-pub(crate) fn check_unroll(unroll: usize) -> Result<(), EngineError> {
-    if unroll == 0 || unroll > MAX_UNROLL {
-        return Err(EngineError::Config {
-            detail: format!("unroll must be in 1..={MAX_UNROLL}, got {unroll}"),
-        });
-    }
-    Ok(())
-}
 
 /// Arithmetic lane abstraction: the register interpreter and the scalar
 /// bytecode loop are each written once and monomorphized per
@@ -197,45 +158,8 @@ enum RegOp {
     },
 }
 
-/// A register program producing `roots.len()` outputs per column from
-/// `utaps.len()` deduplicated tap loads. Register layout:
-/// `[0, utaps.len())` tap loads, then constants, then op results.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RegProgram {
-    /// Representative `(output position, tap index)` per distinct
-    /// shared tap — the executor derives each utap's input base rank
-    /// from this pair.
-    utaps: Vec<(u16, u16)>,
-    /// Distinct literal values, preloaded once per sweep call.
-    consts: Vec<f64>,
-    ops: Vec<RegOp>,
-    /// Result register of each output position.
-    roots: Vec<u16>,
-    /// Total registers (taps + consts + op results).
-    regs: usize,
-}
-
-/// Remaps every tap index of `e` through `map` (tap `k` of one output
-/// position becomes the group-wide utap id `map[k]`).
-fn remap_taps(e: &KernelExpr, map: &[usize]) -> KernelExpr {
-    match e {
-        KernelExpr::Tap(k) => KernelExpr::tap(map[*k]),
-        KernelExpr::Const(c) => KernelExpr::constant(*c),
-        KernelExpr::Add(a, b) => remap_taps(a, map) + remap_taps(b, map),
-        KernelExpr::Sub(a, b) => remap_taps(a, map) - remap_taps(b, map),
-        KernelExpr::Mul(a, b) => remap_taps(a, map) * remap_taps(b, map),
-        KernelExpr::Div(a, b) => remap_taps(a, map) / remap_taps(b, map),
-        KernelExpr::Sqrt(a) => remap_taps(a, map).sqrt(),
-        KernelExpr::Abs(a) => remap_taps(a, map).abs(),
-        KernelExpr::MulAdd(a, b, c) => {
-            remap_taps(a, map).mul_add(remap_taps(b, map), remap_taps(c, map))
-        }
-    }
-}
-
-/// Register emission over the shared DAG: nodes are memoized, so a
-/// subtree shared across output positions is computed once and its
-/// register reused.
+/// Register emission over the expression DAG: nodes are memoized, so a
+/// shared subtree is computed once and its register reused.
 struct RegEmitter<'a> {
     arena: &'a Arena,
     counts: &'a [usize],
@@ -267,7 +191,7 @@ impl RegEmitter<'_> {
             return r;
         }
         let r = match self.arena.nodes[id] {
-            Node::Tap(u) => u16::try_from(u).expect("utap ids fit the register budget"),
+            Node::Tap(k) => u16::try_from(k).expect("tap ids fit the register budget"),
             Node::Const(bits) => self.const_reg[&bits],
             Node::Add(a, b) => {
                 // Addition commutes bit-exactly in IEEE-754, so either
@@ -340,103 +264,117 @@ impl RegEmitter<'_> {
     }
 }
 
-impl RegProgram {
-    /// Lowers `ck`'s folded expression to a `unroll`-output register
-    /// program over `offsets`. Returns the program plus the utap table
-    /// (`table[u][k]` = utap id read by tap `k` of output `u`), which
-    /// validation and tests use to reconstruct per-output windows.
+/// A kernel's compiled row body, built once per session stage: the
+/// native row body on the f64 datapath when the kernel carries one,
+/// else the register program lowered from its folded expression. Both
+/// are checked bit for bit against the scalar bytecode at
+/// construction, so every compiled row gives the bytecode's bits in
+/// the program's datapath.
+///
+/// Register layout: `[0, taps)` tap loads, then constants, then op
+/// results.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RowProgram {
+    datapath: Datapath,
+    /// The kernel's native row body, kept on the f64 datapath only: the
+    /// sweep runs it instead of the registers.
+    native: Option<NativeRow>,
+    /// Tap loads; register `k` holds tap `k`.
+    taps: usize,
+    /// Distinct literal values, preloaded once per sweep call.
+    consts: Vec<f64>,
+    ops: Vec<RegOp>,
+    /// The result register.
+    root: u16,
+    /// Total registers (taps + consts + op results).
+    regs: usize,
+}
+
+impl RowProgram {
+    /// Lowers `ck`'s folded expression to a register program in
+    /// `datapath`, checks it, and attaches `ck`'s native row body on
+    /// the f64 datapath.
     ///
-    /// The caller guarantees `unroll == 1` for windows with fewer than
-    /// two dimensions (there is no adjacent-row axis to unroll along).
-    pub(crate) fn build(
-        ck: &CompiledKernel,
-        offsets: &[Point],
-        unroll: usize,
-    ) -> Result<(Self, Vec<Vec<usize>>), EngineError> {
-        let dims = offsets.first().map_or(0, Point::dims);
-        debug_assert!(unroll == 1 || dims >= 2);
-        // The unroll axis: iteration rows span the innermost dimension,
-        // so adjacent rows step the next-to-innermost coordinate.
-        let axis = dims.checked_sub(2);
+    /// # Errors
+    ///
+    /// * [`EngineError::KernelCompile`] if the program exceeds the
+    ///   register budget.
+    /// * [`EngineError::KernelMismatch`] if the register program
+    ///   diverges from the scalar bytecode on replay.
+    pub(crate) fn build(ck: &CompiledKernel, datapath: Datapath) -> Result<Self, EngineError> {
+        let mut prog = Self::lower(ck, datapath)?;
+        prog.check(ck)?;
+        prog.native = ck.native_row().filter(|_| datapath == Datapath::F64);
+        Ok(prog)
+    }
 
-        // Deduplicate taps across output positions by shifted offset.
-        let mut key_ids: HashMap<Point, usize> = HashMap::new();
-        let mut utaps: Vec<(u16, u16)> = Vec::new();
-        let mut table = vec![vec![0usize; offsets.len()]; unroll];
-        for (u, row) in table.iter_mut().enumerate() {
-            for (k, f) in offsets.iter().enumerate() {
-                let mut coords: Vec<i64> = (0..dims).map(|d| f[d]).collect();
-                if let (Some(axis), true) = (axis, unroll > 1) {
-                    coords[axis] += i64::try_from(u).expect("unroll fits i64");
-                }
-                let key = Point::new(&coords);
-                let id = *key_ids.entry(key).or_insert_with(|| {
-                    utaps.push((
-                        u16::try_from(u).expect("unroll fits u16"),
-                        u16::try_from(k).expect("tap count validated at compile"),
-                    ));
-                    utaps.len() - 1
-                });
-                row[k] = id;
-            }
-        }
-
-        // One shared arena across all output expressions: subtrees
-        // common to several outputs intern to the same id.
+    /// The register program of `ck`'s folded expression, unchecked and
+    /// without a native body.
+    fn lower(ck: &CompiledKernel, datapath: Datapath) -> Result<Self, EngineError> {
         let mut arena = Arena::default();
-        let mut root_ids = Vec::with_capacity(unroll);
-        for row in &table {
-            let remapped = remap_taps(ck.folded_expr(), row);
-            root_ids.push(arena.intern_expr(&remapped));
-        }
-        let counts = arena.use_counts_multi(&root_ids);
+        let root_id = arena.intern_expr(ck.folded_expr());
+        let counts = arena.use_counts(root_id);
 
-        // Constant registers, one per distinct bit pattern.
-        let mut const_reg: HashMap<u64, u16> = HashMap::new();
-        let mut consts: Vec<f64> = Vec::new();
-        for node in &arena.nodes {
-            if let Node::Const(bits) = *node {
-                if let std::collections::hash_map::Entry::Vacant(e) = const_reg.entry(bits) {
-                    e.insert(0); // placeholder, assigned below
-                    consts.push(f64::from_bits(bits));
-                }
-            }
-        }
-        if utaps.len() + consts.len() + arena.nodes.len() > usize::from(u16::MAX) {
+        // Constant registers, one per distinct bit pattern: the arena
+        // interns each pattern once.
+        let consts: Vec<f64> = arena
+            .nodes
+            .iter()
+            .filter_map(|node| match *node {
+                Node::Const(bits) => Some(f64::from_bits(bits)),
+                _ => None,
+            })
+            .collect();
+        let taps = ck.taps();
+        if taps + consts.len() + arena.nodes.len() > usize::from(u16::MAX) {
             return Err(EngineError::KernelCompile {
-                detail: format!(
-                    "unroll-by-{unroll} program needs more than {} registers",
-                    u16::MAX
-                ),
+                detail: format!("register program needs more than {} registers", u16::MAX),
             });
         }
-        for (j, c) in consts.iter().enumerate() {
-            const_reg.insert(
-                c.to_bits(),
-                u16::try_from(utaps.len() + j).expect("checked above"),
-            );
-        }
+        let const_reg: HashMap<u64, u16> = consts
+            .iter()
+            .enumerate()
+            .map(|(j, c)| (c.to_bits(), u16::try_from(taps + j).expect("checked above")))
+            .collect();
 
-        // Taps intern as Node::Tap(utap id); their register IS the id.
+        // Taps intern as Node::Tap(k); their register IS k.
         let mut emitter = RegEmitter {
             arena: &arena,
             counts: &counts,
             const_reg: &const_reg,
             reg_of: vec![None; arena.nodes.len()],
-            next: utaps.len() + consts.len(),
+            next: taps + consts.len(),
             ops: Vec::new(),
         };
-        let roots: Vec<u16> = root_ids.iter().map(|&id| emitter.emit(id)).collect();
-
-        let program = RegProgram {
-            utaps,
+        let root = emitter.emit(root_id);
+        let program = RowProgram {
+            datapath,
+            native: None,
+            taps,
             consts,
             ops: emitter.ops,
-            roots,
+            root,
             regs: emitter.next,
         };
         debug_assert!(program.ssa_well_formed());
-        Ok((program, table))
+        Ok(program)
+    }
+
+    /// Replays the lane sweep on the check battery of
+    /// [`CompiledKernel::compile_checked`], laid out as rows as the
+    /// native row check lays it: every column must give the scalar
+    /// bytecode's bits in this program's datapath.
+    fn check(&self, ck: &CompiledKernel) -> Result<(), EngineError> {
+        let mut scratch = SweepScratch::default();
+        replay_rows(
+            self.taps,
+            &format!("register program ({})", self.datapath),
+            |vals, bases, out| {
+                self.sweep(bases, vals, out, &mut scratch);
+                Ok(())
+            },
+            |window| ck.eval_in(self.datapath, window),
+        )
     }
 
     /// SSA sanity: every operand register precedes its destination.
@@ -451,49 +389,67 @@ impl RegProgram {
         })
     }
 
-    pub(crate) fn utaps(&self) -> &[(u16, u16)] {
-        &self.utaps
+    /// The arithmetic precision this program evaluates in.
+    pub(crate) fn datapath(&self) -> Datapath {
+        self.datapath
     }
 
-    /// Register operations in the group body (tap/const loads excluded).
-    #[cfg(test)]
-    pub(crate) fn op_count(&self) -> usize {
-        self.ops.len()
+    /// The native row body the sweep runs, if any: the row executor
+    /// appends rows through its appending form.
+    pub(crate) fn native(&self) -> Option<&NativeRow> {
+        self.native.as_ref()
     }
 
-    /// The vectorized multi-output sweep: writes output position `u`,
-    /// column `t` to `out[u * stride + t]` for `t in 0..stride`, with
-    /// utap `j` reading the contiguous input run at `vals[bases[j]]`.
-    ///
-    /// Every column runs the lane-wide register body. A row at least
-    /// [`LANES`] wide ends with one more chunk placed at
-    /// `stride - LANES`, overlapping the chunk before it: lanes are
-    /// independent, so the overlap rewrites the same bits. A shorter
-    /// row is one chunk whose lanes past the row's end load zero and are
-    /// never stored. `regs` is the caller's register file, reused from
-    /// row to row; the sweep sizes it and loads its constants.
-    fn sweep<T: Lane>(
+    /// Sweeps one output row: `out[t]` is column `t`, with tap `k`
+    /// reading the contiguous input run at `vals[bases[k]..]`. Runs the
+    /// native row body when the program carries one, else the register
+    /// program in its datapath.
+    pub(crate) fn sweep(
         &self,
         bases: &[usize],
         vals: &[f64],
         out: &mut [f64],
-        stride: usize,
+        scratch: &mut SweepScratch,
+    ) {
+        if let Some(row) = &self.native {
+            row.run(vals, bases, out);
+            return;
+        }
+        match self.datapath {
+            Datapath::F64 => self.sweep_lanes(bases, vals, out, &mut scratch.f64_regs),
+            Datapath::F32 => self.sweep_lanes(bases, vals, out, &mut scratch.f32_regs),
+        }
+    }
+
+    /// The vectorized register sweep of one row.
+    ///
+    /// Every column runs the lane-wide register body. A row at least
+    /// [`LANES`] wide ends with one more chunk placed at
+    /// `out.len() - LANES`, overlapping the chunk before it: lanes are
+    /// independent, so the overlap rewrites the same bits. A shorter
+    /// row is one chunk whose lanes past the row's end load zero and are
+    /// never stored. `regs` is the caller's register file, reused from
+    /// row to row; the sweep sizes it and loads its constants.
+    fn sweep_lanes<T: Lane>(
+        &self,
+        bases: &[usize],
+        vals: &[f64],
+        out: &mut [f64],
         regs: &mut Vec<[T; LANES]>,
     ) {
-        debug_assert_eq!(bases.len(), self.utaps.len());
-        debug_assert_eq!(out.len(), stride * self.roots.len());
-        let nu = self.utaps.len();
+        debug_assert_eq!(bases.len(), self.taps);
+        let stride = out.len();
         regs.resize(self.regs, [T::ZERO; LANES]);
         for (j, &c) in self.consts.iter().enumerate() {
-            regs[nu + j] = [T::from_f64(c); LANES];
+            regs[self.taps + j] = [T::from_f64(c); LANES];
         }
         if stride < LANES {
-            self.chunk(bases, vals, out, stride, 0, stride, regs);
+            self.chunk(bases, vals, out, 0, stride, regs);
             return;
         }
         let mut t = 0usize;
         loop {
-            self.chunk(bases, vals, out, stride, t, LANES, regs);
+            self.chunk(bases, vals, out, t, LANES, regs);
             if t + LANES == stride {
                 break;
             }
@@ -501,17 +457,15 @@ impl RegProgram {
         }
     }
 
-    /// One lane chunk: loads columns `t..t + width` of every utap,
-    /// runs the register body, and stores those columns of every
-    /// output position. Lanes from `width` up load zero.
+    /// One lane chunk: loads columns `t..t + width` of every tap, runs
+    /// the register body, and stores those columns of the row. Lanes
+    /// from `width` up load zero.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
     fn chunk<T: Lane>(
         &self,
         bases: &[usize],
         vals: &[f64],
         out: &mut [f64],
-        stride: usize,
         t: usize,
         width: usize,
         regs: &mut [[T; LANES]],
@@ -525,12 +479,10 @@ impl RegProgram {
             dst[width..].fill(T::ZERO);
         }
         self.run_chunk(regs);
-        for (u, &r) in self.roots.iter().enumerate() {
-            let src = &regs[usize::from(r)];
-            let dst = &mut out[u * stride + t..u * stride + t + width];
-            for i in 0..width {
-                dst[i] = src[i].to_f64();
-            }
+        let src = &regs[usize::from(self.root)];
+        let dst = &mut out[t..t + width];
+        for i in 0..width {
+            dst[i] = src[i].to_f64();
         }
     }
 
@@ -603,276 +555,15 @@ impl RegProgram {
             }
         }
     }
-
-    /// One register-body pass over scalar registers: the
-    /// construction-time replay against the bytecode.
-    fn run_scalar<T: Lane>(&self, regs: &mut [T]) {
-        for op in &self.ops {
-            match *op {
-                RegOp::Add { dst, a, b } => {
-                    regs[usize::from(dst)] = regs[usize::from(a)] + regs[usize::from(b)];
-                }
-                RegOp::Sub { dst, a, b } => {
-                    regs[usize::from(dst)] = regs[usize::from(a)] - regs[usize::from(b)];
-                }
-                RegOp::Mul { dst, a, b } => {
-                    regs[usize::from(dst)] = regs[usize::from(a)] * regs[usize::from(b)];
-                }
-                RegOp::Div { dst, a, b } => {
-                    regs[usize::from(dst)] = regs[usize::from(a)] / regs[usize::from(b)];
-                }
-                RegOp::Sqrt { dst, a } => regs[usize::from(dst)] = regs[usize::from(a)].lane_sqrt(),
-                RegOp::Abs { dst, a } => regs[usize::from(dst)] = regs[usize::from(a)].lane_abs(),
-                RegOp::MulAdd { dst, a, b, c } => {
-                    let p = regs[usize::from(a)] * regs[usize::from(b)];
-                    regs[usize::from(dst)] = regs[usize::from(c)] + p;
-                }
-            }
-        }
-    }
-
-    /// Evaluates all output positions on one synthetic per-utap value
-    /// assignment (validation replay).
-    fn eval_outputs<T: Lane>(&self, utap_vals: &[f64]) -> Vec<f64> {
-        let nu = self.utaps.len();
-        let mut regs: Vec<T> = vec![T::ZERO; self.regs];
-        for (j, &v) in utap_vals.iter().enumerate() {
-            regs[j] = T::from_f64(v);
-        }
-        for (j, &c) in self.consts.iter().enumerate() {
-            regs[nu + j] = T::from_f64(c);
-        }
-        self.run_scalar(&mut regs);
-        self.roots
-            .iter()
-            .map(|&r| regs[usize::from(r)].to_f64())
-            .collect()
-    }
-}
-
-/// A validated unroll-by-U program pair: the `group` program produces
-/// `U` adjacent output rows per dispatch, the `single` program is its
-/// one-output sibling for every other sweep row (all of them at
-/// `U = 1`, where the two are one program; above it the row count not
-/// divisible by `U`, or rows whose group alignment check fails) — both
-/// proven equivalent to the scalar bytecode at construction, so any mix
-/// of grouped and single execution produces identical bits.
-///
-/// At `U = 1` on the f64 datapath, a kernel with a checked native row
-/// body ([`stencil_kernels::NativeRow`]) sweeps every row through that
-/// body instead of the single-output program.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UnrolledProgram {
-    unroll: usize,
-    datapath: Datapath,
-    group: RegProgram,
-    single: RegProgram,
-    /// The kernel's native row body, set only at `U = 1` on the f64
-    /// datapath: the single-row sweep runs it instead of `single`.
-    native: Option<NativeRow>,
-}
-
-impl UnrolledProgram {
-    /// Builds and validates the program pair. `unroll` is clamped to 1
-    /// for one-dimensional windows (no adjacent-row axis exists);
-    /// [`UnrolledProgram::unroll`] reports the effective factor.
-    ///
-    /// # Errors
-    ///
-    /// * [`EngineError::Config`] for `unroll` of 0 or above the
-    ///   supported maximum.
-    /// * [`EngineError::KernelCompile`] if the window disagrees with
-    ///   the kernel or the program exceeds the register budget.
-    /// * [`EngineError::KernelMismatch`] if the emitted register
-    ///   program diverges from the scalar bytecode on replay.
-    pub(crate) fn build(
-        ck: &CompiledKernel,
-        offsets: &[Point],
-        unroll: usize,
-        datapath: Datapath,
-    ) -> Result<Self, EngineError> {
-        if offsets.len() != ck.taps() {
-            return Err(EngineError::KernelCompile {
-                detail: format!(
-                    "kernel compiled for {} taps but the unroll window has {} offsets",
-                    ck.taps(),
-                    offsets.len()
-                ),
-            });
-        }
-        check_unroll(unroll)?;
-        let dims = offsets.first().map_or(0, Point::dims);
-        let eff = if dims >= 2 { unroll } else { 1 };
-
-        let (group, group_table) = RegProgram::build(ck, offsets, eff)?;
-        validate_against_bytecode(ck, &group, &group_table, datapath)?;
-        let single = if eff == 1 {
-            group.clone()
-        } else {
-            let (single, single_table) = RegProgram::build(ck, offsets, 1)?;
-            validate_against_bytecode(ck, &single, &single_table, datapath)?;
-            single
-        };
-
-        let native = ck
-            .native_row()
-            .filter(|_| eff == 1 && datapath == Datapath::F64);
-        Ok(Self {
-            unroll: eff,
-            datapath,
-            group,
-            single,
-            native,
-        })
-    }
-
-    /// The effective unroll factor (output rows per grouped dispatch).
-    #[must_use]
-    pub fn unroll(&self) -> usize {
-        self.unroll
-    }
-
-    /// The arithmetic precision this program evaluates in.
-    #[must_use]
-    pub fn datapath(&self) -> Datapath {
-        self.datapath
-    }
-
-    /// Representative `(output position, tap)` of each shared tap of
-    /// the grouped body — the row executor derives input bases from
-    /// these.
-    pub(crate) fn group_utaps(&self) -> &[(u16, u16)] {
-        self.group.utaps()
-    }
-
-    /// The grouped sweep: `out` holds `unroll()` adjacent rows of
-    /// `stride` columns each, `bases[j]` the input run of group utap
-    /// `j`.
-    pub(crate) fn sweep_group(
-        &self,
-        bases: &[usize],
-        vals: &[f64],
-        out: &mut [f64],
-        stride: usize,
-        scratch: &mut SweepScratch,
-    ) {
-        match self.datapath {
-            Datapath::F64 => self
-                .group
-                .sweep(bases, vals, out, stride, &mut scratch.f64_regs),
-            Datapath::F32 => self
-                .group
-                .sweep(bases, vals, out, stride, &mut scratch.f32_regs),
-        }
-    }
-
-    /// Whether the single-row sweep runs the kernel's native row body.
-    #[cfg(test)]
-    pub(crate) fn runs_native(&self) -> bool {
-        self.native.is_some()
-    }
-
-    /// The native row body the single-row sweep runs, if any: the row
-    /// executor appends rows through its appending form.
-    pub(crate) fn native(&self) -> Option<&NativeRow> {
-        self.native.as_ref()
-    }
-
-    /// The single-row sweep: every sweep row at `U = 1`, leftover rows
-    /// above it. `tap_bases` are per *tap* (the row executor's layout):
-    /// the native row body reads them as they are, the program maps
-    /// them onto its deduplicated utap slots.
-    pub(crate) fn sweep_single(
-        &self,
-        tap_bases: &[usize],
-        vals: &[f64],
-        out: &mut [f64],
-        scratch: &mut SweepScratch,
-    ) {
-        if let Some(row) = &self.native {
-            row.run(vals, tap_bases, out);
-            return;
-        }
-        let SweepScratch {
-            utap_bases,
-            f64_regs,
-            f32_regs,
-        } = scratch;
-        utap_bases.clear();
-        utap_bases.extend(
-            self.single
-                .utaps()
-                .iter()
-                .map(|&(_, k)| tap_bases[usize::from(k)]),
-        );
-        let stride = out.len();
-        match self.datapath {
-            Datapath::F64 => self.single.sweep(utap_bases, vals, out, stride, f64_regs),
-            Datapath::F32 => self.single.sweep(utap_bases, vals, out, stride, f32_regs),
-        }
-    }
 }
 
 /// Buffers a row executor call reuses across its sweeps, so no row
 /// allocates: one register file per lane type, sized by each sweep to
-/// its program, and the single-row sweep's utap bases.
+/// its program.
 #[derive(Debug, Default)]
 pub(crate) struct SweepScratch {
-    utap_bases: Vec<usize>,
     f64_regs: Vec<[f64; LANES]>,
     f32_regs: Vec<[f32; LANES]>,
-}
-
-/// Replays the register program against the scalar bytecode on the
-/// same battery shape as [`CompiledKernel::compile_checked`]: edge
-/// fills plus pseudo-random assignments of the deduplicated taps. Each
-/// output position must agree bit-for-bit with evaluating the bytecode
-/// on that position's reconstructed window.
-fn validate_against_bytecode(
-    ck: &CompiledKernel,
-    prog: &RegProgram,
-    table: &[Vec<usize>],
-    datapath: Datapath,
-) -> Result<(), EngineError> {
-    let mut utap_vals = vec![0.0f64; prog.utaps.len()];
-    let mut window = vec![0.0f64; ck.taps()];
-    let check = |utap_vals: &[f64], window: &mut [f64]| -> Result<(), EngineError> {
-        let got = match datapath {
-            Datapath::F64 => prog.eval_outputs::<f64>(utap_vals),
-            Datapath::F32 => prog.eval_outputs::<f32>(utap_vals),
-        };
-        for (u, row) in table.iter().enumerate() {
-            for (k, &id) in row.iter().enumerate() {
-                window[k] = utap_vals[id];
-            }
-            let want = ck.eval_in(datapath, window);
-            let g = got[u];
-            if !(g == want || (g.is_nan() && want.is_nan())) {
-                return Err(EngineError::KernelMismatch {
-                    detail: format!(
-                        "unrolled output {u} ({datapath}): register program {g:?} vs bytecode \
-                         {want:?} on utap values {utap_vals:?}"
-                    ),
-                });
-            }
-        }
-        Ok(())
-    };
-    for fill in [0.0, 1.0, -1.0, 0.5] {
-        utap_vals.iter_mut().for_each(|v| *v = fill);
-        check(&utap_vals, &mut window)?;
-    }
-    let mut state = 0x0BAD_5EED_0042_u64;
-    for _ in 0..48 {
-        for v in &mut utap_vals {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            *v = ((state >> 33) as f64) / 1e8 - 42.0;
-        }
-        check(&utap_vals, &mut window)?;
-    }
-    Ok(())
 }
 
 /// Maximum scaled deviation between two output vectors:
@@ -905,112 +596,24 @@ pub fn max_rel_error(got: &[f64], want: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_kernels::{denoise, heat_1d, sobel};
+    use stencil_kernels::{denoise, sobel, KernelExpr};
 
     fn compiled(b: &stencil_kernels::Benchmark) -> CompiledKernel {
         CompiledKernel::for_benchmark(b).unwrap().unwrap()
     }
 
     #[test]
-    fn one_dimensional_windows_clamp_to_single_output() {
-        let b = heat_1d();
-        let ck = compiled(&b);
-        let up = UnrolledProgram::build(&ck, b.window(), 8, Datapath::F64).unwrap();
-        assert_eq!(up.unroll(), 1);
-        assert_eq!(up.group, up.single);
-    }
-
-    #[test]
-    fn unroll_bounds_are_enforced() {
-        let b = denoise();
-        let ck = compiled(&b);
-        for bad in [0, MAX_UNROLL + 1] {
-            let err = UnrolledProgram::build(&ck, b.window(), bad, Datapath::F64).unwrap_err();
-            assert!(matches!(err, EngineError::Config { .. }), "{err}");
-        }
-    }
-
-    #[test]
-    fn adjacent_outputs_share_coinciding_taps() {
-        // DENOISE reads a 5-point cross; at U=4 the vertical taps of
-        // adjacent rows coincide: 14 distinct loads instead of 20.
-        let b = denoise();
-        let ck = compiled(&b);
-        let up = UnrolledProgram::build(&ck, b.window(), 4, Datapath::F64).unwrap();
-        assert_eq!(up.unroll(), 4);
-        assert_eq!(up.group_utaps().len(), 14);
-        assert_eq!(up.single.utaps().len(), 5);
-    }
-
-    #[test]
-    fn cross_output_cse_shares_subtrees() {
-        // SOBEL's column sums are shared between horizontally adjacent
-        // outputs... vertically here: a grouped body must cost less
-        // than U independent single bodies.
-        for b in [denoise(), sobel()] {
-            let ck = compiled(&b);
-            let up = UnrolledProgram::build(&ck, b.window(), 4, Datapath::F64).unwrap();
-            assert!(
-                up.group.op_count() <= 4 * up.single.op_count(),
-                "{}: group {} vs 4x single {}",
-                b.name(),
-                up.group.op_count(),
-                up.single.op_count()
-            );
-        }
-    }
-
-    #[test]
-    fn group_sweep_matches_bytecode_per_output() {
-        // Synthetic flat buffer with hand-picked utap bases: output u
-        // column t must equal evaluating the bytecode on the window
-        // reconstructed through the utap table. U=1 is the
-        // single-output program every default compiled row runs.
-        let b = denoise();
-        let ck = compiled(&b);
-        let vals: Vec<f64> = (0..512).map(|i| f64::from(i) * 0.375 - 17.0).collect();
-        for unroll in [1usize, 4] {
-            let (prog, table) = RegProgram::build(&ck, b.window(), unroll).unwrap();
-            // utap j reads vals starting at 3*j: arbitrary distinct runs.
-            let bases: Vec<usize> = (0..prog.utaps().len()).map(|j| 3 * j).collect();
-            for stride in [1usize, 31, 32, 33, 70] {
-                let mut out = vec![0.0f64; unroll * stride];
-                prog.sweep::<f64>(&bases, &vals, &mut out, stride, &mut Vec::new());
-                for (u, row) in table.iter().enumerate() {
-                    for t in 0..stride {
-                        let window: Vec<f64> = row.iter().map(|&id| vals[bases[id] + t]).collect();
-                        assert_eq!(
-                            out[u * stride + t],
-                            ck.eval(&window),
-                            "unroll={unroll} stride={stride} u={u} t={t}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn f32_sweep_matches_eval32() {
         let b = sobel();
         let ck = compiled(&b);
+        let prog = RowProgram::build(&ck, Datapath::F32).unwrap();
         let vals: Vec<f64> = (0..256).map(|i| f64::from(i) * 0.7 - 40.0).collect();
-        for unroll in [1usize, 2] {
-            let (prog, table) = RegProgram::build(&ck, b.window(), unroll).unwrap();
-            let bases: Vec<usize> = (0..prog.utaps().len()).map(|j| 2 * j).collect();
-            let stride = 45; // one chunk plus a remainder
-            let mut out = vec![0.0f64; unroll * stride];
-            prog.sweep::<f32>(&bases, &vals, &mut out, stride, &mut Vec::new());
-            for (u, row) in table.iter().enumerate() {
-                for t in 0..stride {
-                    let window: Vec<f64> = row.iter().map(|&id| vals[bases[id] + t]).collect();
-                    assert_eq!(
-                        out[u * stride + t],
-                        ck.eval32(&window),
-                        "unroll={unroll} u={u} t={t}"
-                    );
-                }
-            }
+        let bases: Vec<usize> = (0..ck.taps()).map(|k| 2 * k).collect();
+        let mut out = vec![0.0f64; 45]; // one chunk plus a remainder
+        prog.sweep(&bases, &vals, &mut out, &mut SweepScratch::default());
+        for (t, &got) in out.iter().enumerate() {
+            let window: Vec<f64> = bases.iter().map(|&b| vals[b + t]).collect();
+            assert_eq!(got, ck.eval32(&window), "t={t}");
         }
     }
 
@@ -1020,47 +623,30 @@ mod tests {
         // exactly one, one column over (a last chunk overlapping 31
         // columns), and the 94- and 1022-wide rows of the suite grids.
         // One scratch serves every program, datapath and length, as it
-        // does across the rows of one executor call.
+        // does across the rows of one executor call. Expression-only
+        // copies keep the f64 sweep on the register program.
         let lens = [1, LANES - 1, LANES, LANES + 1, 2 * LANES - 1, 94, 1022];
         let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
         let mut scratch = SweepScratch::default();
         for b in [denoise(), sobel(), stencil_kernels::segmentation_3d()] {
-            let ck = compiled(&b);
+            let ck = CompiledKernel::compile(b.expr().unwrap(), b.window().len()).unwrap();
             for dp in [Datapath::F64, Datapath::F32] {
-                for unroll in [1usize, 4] {
-                    let up = UnrolledProgram::build(&ck, b.window(), unroll, dp).unwrap();
-                    let (group, table) = RegProgram::build(&ck, b.window(), unroll).unwrap();
-                    assert_eq!(group, up.group);
-                    let nu = group.utaps().len();
-                    let vals: Vec<f64> = (0..nu * 3 + 1100)
-                        .map(|i| ((i * 7919 % 1013) as f64) * 0.0625 - 31.0)
-                        .collect();
-                    let bases: Vec<usize> = (0..nu).map(|j| 3 * j).collect();
-                    for len in lens {
-                        let ctx = format!("{} {dp} U={unroll} len={len}", b.name());
-                        let mut out = vec![f64::MAX; unroll * len];
-                        up.sweep_group(&bases, &vals, &mut out, len, &mut scratch);
-                        let mut window = vec![0.0; ck.taps()];
-                        for (u, ids) in table.iter().enumerate() {
-                            for t in 0..len {
-                                for (w, &id) in window.iter_mut().zip(ids) {
-                                    *w = vals[bases[id] + t];
-                                }
-                                let want = ck.eval_in(dp, &window);
-                                assert!(same(out[u * len + t], want), "{ctx} u={u} t={t}");
-                            }
+                let prog = RowProgram::build(&ck, dp).unwrap();
+                assert!(prog.native().is_none());
+                let vals: Vec<f64> = (0..ck.taps() * 5 + 1100)
+                    .map(|i| ((i * 7919 % 1013) as f64) * 0.0625 - 31.0)
+                    .collect();
+                let bases: Vec<usize> = (0..ck.taps()).map(|k| 5 * k).collect();
+                let mut window = vec![0.0; ck.taps()];
+                for len in lens {
+                    let mut out = vec![f64::MAX; len];
+                    prog.sweep(&bases, &vals, &mut out, &mut scratch);
+                    for (t, &got) in out.iter().enumerate() {
+                        for (w, &b) in window.iter_mut().zip(&bases) {
+                            *w = vals[b + t];
                         }
-
-                        // The single-output program over per-tap bases.
-                        let tap_bases: Vec<usize> = (0..ck.taps()).map(|k| 5 * k).collect();
-                        let mut out = vec![f64::MAX; len];
-                        up.sweep_single(&tap_bases, &vals, &mut out, &mut scratch);
-                        for (t, &got) in out.iter().enumerate() {
-                            for (k, w) in window.iter_mut().enumerate() {
-                                *w = vals[tap_bases[k] + t];
-                            }
-                            assert!(same(got, ck.eval_in(dp, &window)), "{ctx} single t={t}");
-                        }
+                        let ctx = format!("{} {dp} len={len} t={t}", b.name());
+                        assert!(same(got, ck.eval_in(dp, &window)), "{ctx}");
                     }
                 }
             }
@@ -1074,13 +660,36 @@ mod tests {
             .chain(stencil_kernels::extra_suite())
         {
             let ck = compiled(&b);
-            for u in [1usize, 2, 4, 8] {
-                for dp in [Datapath::F64, Datapath::F32] {
-                    let up = UnrolledProgram::build(&ck, b.window(), u, dp)
-                        .unwrap_or_else(|e| panic!("{} u={u} {dp}: {e}", b.name()));
-                    assert!(up.unroll() >= 1);
-                }
+            for dp in [Datapath::F64, Datapath::F32] {
+                let prog =
+                    RowProgram::build(&ck, dp).unwrap_or_else(|e| panic!("{} {dp}: {e}", b.name()));
+                assert_eq!(prog.native().is_some(), dp == Datapath::F64, "{}", b.name());
             }
+        }
+    }
+
+    #[test]
+    fn a_program_off_by_the_sign_of_zero_is_refused() {
+        // `t0 * 0.0 + 0.0` differs from `t0 * 0.0` only on negative
+        // taps, where it gives 0.0 for -0.0: the replay compares bits,
+        // so `==` (which takes 0.0 for -0.0) must not be its test.
+        let t0 = || KernelExpr::tap(0);
+        let ck = CompiledKernel::compile(&(t0() * KernelExpr::constant(0.0)), 1).unwrap();
+        let wrong = CompiledKernel::compile(
+            &(t0() * KernelExpr::constant(0.0) + KernelExpr::constant(0.0)),
+            1,
+        )
+        .unwrap();
+        for dp in [Datapath::F64, Datapath::F32] {
+            RowProgram::lower(&ck, dp).unwrap().check(&ck).unwrap();
+            let err = RowProgram::lower(&wrong, dp)
+                .unwrap()
+                .check(&ck)
+                .unwrap_err();
+            assert!(
+                matches!(err, EngineError::KernelMismatch { .. }),
+                "{dp}: {err}"
+            );
         }
     }
 

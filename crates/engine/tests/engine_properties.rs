@@ -365,12 +365,13 @@ proptest! {
         }
     }
 
-    /// The unrolled multi-output sweep is bit-identical to the
-    /// single-output compiled sweep and to the authored closure on
-    /// every suite kernel, whatever the grid shape, unroll factor,
-    /// thread count, and streaming chunk height. Grouped dispatch,
-    /// the single-row fallback at band edges, and the scalar lane
-    /// tail are all exercised by the varying extents.
+    /// Every compiled row sweep is bit-identical to the authored
+    /// closure on every suite kernel, whatever the grid shape, thread
+    /// count, and streaming chunk height: the built-in kernel's native
+    /// row body, and the register program of a `compile_checked` copy
+    /// without one, each in core and streaming. The varying extents
+    /// exercise rows shorter than one lane chunk and the overlapping
+    /// last chunk.
     #[test]
     fn unrolled_sweeps_match_closure_on_all_suite_kernels(
         s0 in 0i64..=10,
@@ -395,42 +396,40 @@ proptest! {
                 .run(&input)
                 .map_err(|e| TestCaseError::fail(format!("{}: closure: {e}", bench.name())))?
                 .outputs;
-            let ck = CompiledKernel::for_benchmark(&bench)
+            let native = CompiledKernel::for_benchmark(&bench)
                 .map_err(|e| TestCaseError::fail(format!("{}: {e}", bench.name())))?
                 .expect("every suite benchmark carries an expression");
-            let single = Session::new(&plan)
-                .kernel(SessionKernel::Compiled(&ck))
-                .run(&input)
-                .map_err(|e| TestCaseError::fail(format!("{}: U=1: {e}", bench.name())))?
-                .outputs;
-            prop_assert_eq!(&single, &closure, "{}: U=1 vs closure", bench.name());
+            let program = CompiledKernel::compile_checked(
+                bench.expr().expect("every suite benchmark carries an expression"),
+                bench.window().len(),
+                &compute,
+            )
+            .map_err(|e| TestCaseError::fail(format!("{}: {e}", bench.name())))?;
 
-            for u in [2usize, 4, 8] {
-                let unrolled = Session::new(&plan)
-                    .kernel(SessionKernel::Compiled(&ck))
-                    .unroll(u)
+            for (body, ck) in [("native", &native), ("program", &program)] {
+                let incore = Session::new(&plan)
+                    .kernel(SessionKernel::Compiled(ck))
                     .threads(threads)
                     .run(&input)
                     .map_err(|e| TestCaseError::fail(
-                        format!("{}: U={u}: {e}", bench.name())))?
+                        format!("{}: {body}: {e}", bench.name())))?
                     .outputs;
                 prop_assert_eq!(
-                    &unrolled, &closure,
-                    "{}: U={} vs closure ({} threads)", bench.name(), u, threads
+                    &incore, &closure,
+                    "{}: {} in core ({} threads) vs closure", bench.name(), body, threads
                 );
 
                 let mut source = SliceSource::new(&in_vals);
                 let mut sink = VecSink::new();
                 Session::new(&plan)
-                    .kernel(SessionKernel::Compiled(&ck))
-                    .unroll(u)
+                    .kernel(SessionKernel::Compiled(ck))
                     .mode(ExecMode::Streaming { chunk_rows: Some(chunk) })
                     .run_streaming(&mut source, &mut sink)
                     .map_err(|e| TestCaseError::fail(
-                        format!("{}: U={u} streaming: {e}", bench.name())))?;
+                        format!("{}: {body} streaming: {e}", bench.name())))?;
                 prop_assert_eq!(
                     &sink.values, &closure,
-                    "{}: U={} streaming (chunk={}) vs closure", bench.name(), u, chunk
+                    "{}: {} streaming (chunk={}) vs closure", bench.name(), body, chunk
                 );
             }
         }

@@ -19,8 +19,9 @@ use crate::metric::Histogram;
 /// changes so downstream tooling can dispatch. Version 2 made every key
 /// required: an absent section is written as `null`, never omitted.
 /// Version 3 replaced the top-level `engine`, `stream` and `session`
-/// blocks with the `sessions` list.
-pub const SCHEMA_VERSION: u32 = 3;
+/// blocks with the `sessions` list. Version 4 dropped the `unroll` key
+/// of engine and stream blocks: every compiled row runs one sweep shape.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Declares one wire record: emits the struct exactly as written, plus
 /// its `ToValue` (an object whose keys are the field names, in
@@ -208,9 +209,6 @@ record! {
         /// Kernel backend that executed the datapath (`"compiled"` for the
         /// register-program row sweep, `"closure"` otherwise).
         pub backend: String,
-        /// Output rows per grouped sweep dispatch (1 = the classic
-        /// single-output sweep; above 1 only for the compiled backend).
-        pub unroll: u64,
         /// Arithmetic precision the kernel evaluated in (`"f64"` or
         /// `"f32"`).
         pub datapath: String,
@@ -247,9 +245,6 @@ record! {
         /// Kernel backend that executed the datapath (`"compiled"` for the
         /// register-program row sweep, `"closure"` otherwise).
         pub backend: String,
-        /// Output rows per grouped sweep dispatch (1 = the classic
-        /// single-output sweep; above 1 only for the compiled backend).
-        pub unroll: u64,
         /// Arithmetic precision the kernel evaluated in (`"f64"` or
         /// `"f32"`).
         pub datapath: String,
@@ -616,7 +611,6 @@ mod tests {
                             tiles: 2,
                             threads: 2,
                             backend: "compiled".into(),
-                            unroll: 1,
                             datapath: "f64".into(),
                             halo_elements: 132,
                             elapsed_ns: 81_532,
@@ -664,7 +658,6 @@ mod tests {
                                 bands: 4,
                                 threads: 2,
                                 backend: "compiled".into(),
-                                unroll: 1,
                                 datapath: "f64".into(),
                                 chunk_rows: 1,
                                 rows_in: 12,
@@ -691,7 +684,6 @@ mod tests {
                                 bands: 4,
                                 threads: 2,
                                 backend: "compiled".into(),
-                                unroll: 1,
                                 datapath: "f64".into(),
                                 chunk_rows: 1,
                                 rows_in: 10,
@@ -728,7 +720,6 @@ mod tests {
             tiles: 2,
             threads: 2,
             backend: "compiled".into(),
-            unroll: 4,
             datapath: "f64".into(),
             halo_elements: 132,
             elapsed_ns: 81_532,
@@ -748,7 +739,6 @@ mod tests {
             bands: 4,
             threads: 2,
             backend: "compiled".into(),
-            unroll: 2,
             datapath: "f32".into(),
             chunk_rows: 3,
             rows_in: 12,

@@ -89,11 +89,9 @@ pub enum BoundCheck {
     /// the `"compiled"` backend may report vectorized sweep rows), and
     /// each stage ran the backend it declares.
     BackendConsistent,
-    /// The reported sweep shape is well-formed: the unroll factor is at
-    /// least 1, an unroll above 1 only appears with the `"compiled"`
-    /// backend (the unrolled register sweep is a compiled-kernel
-    /// construct), and the datapath names a known precision (`"f64"`
-    /// bit-identical runs, `"f32"` tolerance-verified runs).
+    /// The reported sweep shape is well-formed: the datapath names a
+    /// known precision (`"f64"` bit-identical runs, `"f32"`
+    /// tolerance-verified runs).
     SweepShape,
     /// No NaN/infinity anywhere in the report.
     Finite,
@@ -312,13 +310,11 @@ fn residency(v: &mut Vec<BoundViolation>, loc: &str, peak: u64, bound_name: &str
 
 /// Checks the kernel a stage block reports it ran: only the compiled
 /// backend owns the vectorized row sweep
-/// ([`BoundCheck::BackendConsistent`]), unroll factors start at 1,
-/// unrolled dispatch is a compiled-backend construct, and the datapath
-/// names a known precision ([`BoundCheck::SweepShape`]).
+/// ([`BoundCheck::BackendConsistent`]), and the datapath names a known
+/// precision ([`BoundCheck::SweepShape`]).
 fn check_kernel(
     backend: &str,
     sweep_rows: u64,
-    unroll: u64,
     datapath: &str,
     loc: &str,
     v: &mut Vec<BoundViolation>,
@@ -329,22 +325,6 @@ fn check_kernel(
             BoundCheck::BackendConsistent,
             loc,
             format!("backend {backend:?} reports {sweep_rows} swept rows"),
-        );
-    }
-    if unroll == 0 {
-        violation(
-            v,
-            BoundCheck::SweepShape,
-            loc,
-            "unroll factor 0: every dispatch produces at least one output".to_string(),
-        );
-    }
-    if unroll > 1 && backend != "compiled" {
-        violation(
-            v,
-            BoundCheck::SweepShape,
-            loc,
-            format!("backend {backend:?} reports unroll {unroll}: only the compiled backend runs the unrolled sweep"),
         );
     }
     if datapath != "f64" && datapath != "f32" {
@@ -544,7 +524,7 @@ fn check_engine(e: &EngineMetrics, stage: &StageMetrics, loc: &str, v: &mut Vec<
     }
     check_declared(stage, "engine", &e.backend, loc, v);
     let sweep: u64 = e.per_tile.iter().map(|t| t.sweep_rows).sum();
-    check_kernel(&e.backend, sweep, e.unroll, &e.datapath, loc, v);
+    check_kernel(&e.backend, sweep, &e.datapath, loc, v);
 }
 
 /// Checks a streaming stage block: only one band's halo window of input
@@ -589,7 +569,7 @@ fn check_stream(s: &StreamMetrics, stage: &StageMetrics, loc: &str, v: &mut Vec<
         );
     }
     check_declared(stage, "stream", &s.backend, loc, v);
-    check_kernel(&s.backend, s.sweep_rows, s.unroll, &s.datapath, loc, v);
+    check_kernel(&s.backend, s.sweep_rows, &s.datapath, loc, v);
 }
 
 /// Checks a grid-I/O block's internal consistency: mapped values imply
@@ -861,7 +841,6 @@ mod tests {
                 tiles: 1,
                 threads: 1,
                 backend: "closure".into(),
-                unroll: 1,
                 datapath: "f64".into(),
                 halo_elements: 12,
                 elapsed_ns: 0,
@@ -892,7 +871,6 @@ mod tests {
                 tiles: 1,
                 threads: 1,
                 backend: "closure".into(),
-                unroll: 1,
                 datapath: "f64".into(),
                 halo_elements: 12,
                 elapsed_ns: 5,
@@ -925,7 +903,6 @@ mod tests {
                 tiles: 1,
                 threads: 1,
                 backend: "compiled".into(),
-                unroll: 4,
                 datapath: "f32".into(),
                 halo_elements: 12,
                 elapsed_ns: 5,
@@ -934,30 +911,17 @@ mod tests {
             }),
             None,
         );
-        // An unrolled f32 compiled run is a legitimate shape.
+        // An f32 compiled run is a legitimate shape.
         assert_eq!(validate_report(&report), Vec::new());
-        // Unroll 0 is impossible: every dispatch makes >= 1 output.
-        engine(&mut report).unroll = 0;
-        let v = validate_report(&report);
-        assert!(v.iter().any(|x| x.check == BoundCheck::SweepShape), "{v:?}");
-        assert!(v[0].to_string().contains("sweep-shape"), "{}", v[0]);
-        // The unrolled sweep only exists for the compiled backend.
-        engine(&mut report).unroll = 4;
-        set_backend(&mut report, "closure");
-        let v = validate_report(&report);
-        assert!(v.iter().any(|x| x.check == BoundCheck::SweepShape), "{v:?}");
         // An unknown datapath string is malformed telemetry.
-        set_backend(&mut report, "compiled");
         engine(&mut report).datapath = "f16".into();
         let v = validate_report(&report);
         assert!(v.iter().any(|x| x.check == BoundCheck::SweepShape), "{v:?}");
+        assert!(v[0].to_string().contains("sweep-shape"), "{}", v[0]);
         // The f32 datapath under the closure backend (scalar f32
-        // bytecode, used by cross-checks) is well-formed as long as the
-        // run does not also claim unrolled dispatch.
+        // bytecode, used by cross-checks) is well-formed.
         set_backend(&mut report, "closure");
-        let e = engine(&mut report);
-        e.datapath = "f32".into();
-        e.unroll = 1;
+        engine(&mut report).datapath = "f32".into();
         assert_eq!(validate_report(&report), Vec::new());
     }
 
@@ -970,7 +934,6 @@ mod tests {
                 bands: 5,
                 threads: 2,
                 backend: "compiled".into(),
-                unroll: 1,
                 datapath: "f64".into(),
                 chunk_rows: 4,
                 rows_in: 12,
@@ -1025,7 +988,6 @@ mod tests {
                 bands: 4,
                 threads: 1,
                 backend: "closure".into(),
-                unroll: 1,
                 datapath: "f64".into(),
                 chunk_rows: 1,
                 rows_in: 10,
@@ -1240,7 +1202,6 @@ mod tests {
                     tiles: 1,
                     threads: 1,
                     backend: "closure".into(),
-                    unroll: 1,
                     datapath: "f64".into(),
                     halo_elements: 12,
                     elapsed_ns: 50,
@@ -1274,7 +1235,6 @@ mod tests {
                 tiles: 1,
                 threads: 1,
                 backend: "closure".into(),
-                unroll: 1,
                 datapath: "f64".into(),
                 halo_elements: 12,
                 elapsed_ns: 5,

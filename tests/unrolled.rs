@@ -1,5 +1,4 @@
-//! Integration test: the unrolled compiled sweep and the f32 datapath
-//! across the paper benchmark suite.
+//! Integration test: the f32 datapath across the paper benchmark suite.
 //!
 //! Two guarantees are certified here:
 //!
@@ -19,7 +18,7 @@ use stencil_bench::scaled_extents;
 use stencil_core::MemorySystemPlan;
 use stencil_engine::{
     max_rel_error, CompiledKernel, Datapath, ExecMode, InputGrid, Session, SessionKernel,
-    SliceSource, VecSink, DEFAULT_UNROLL,
+    SliceSource, VecSink,
 };
 use stencil_kernels::{paper_suite, Benchmark};
 
@@ -73,7 +72,6 @@ fn f32_datapath_stays_within_declared_tolerance_on_paper_benchmarks() {
         let f32_incore = Session::new(&plan)
             .kernel(SessionKernel::Compiled(&kernel))
             .datapath(Datapath::F32)
-            .unroll(DEFAULT_UNROLL)
             .run(&input)
             .expect("f32 in-core")
             .outputs;
@@ -100,7 +98,6 @@ fn f32_datapath_stays_within_declared_tolerance_on_paper_benchmarks() {
             Session::new(&plan)
                 .kernel(SessionKernel::Compiled(&kernel))
                 .datapath(Datapath::F32)
-                .unroll(DEFAULT_UNROLL)
                 .mode(ExecMode::Streaming {
                     chunk_rows: Some(chunk),
                 })
@@ -114,36 +111,5 @@ fn f32_datapath_stays_within_declared_tolerance_on_paper_benchmarks() {
                 chunk
             );
         }
-    }
-}
-
-#[test]
-fn unrolled_f64_sweep_is_bit_exact_on_paper_benchmarks() {
-    for bench in paper_suite() {
-        let (plan, in_vals) = plan_and_values(&bench);
-        let in_idx = plan.input_domain().index().expect("input index");
-        let input = InputGrid::new(&in_idx, &in_vals).expect("sized input");
-        let compute = bench.compute_fn();
-        let kernel = CompiledKernel::for_benchmark(&bench)
-            .expect("compile")
-            .expect("every paper benchmark carries an expression");
-
-        let golden = Session::new(&plan)
-            .kernel(SessionKernel::Closure(&compute))
-            .run(&input)
-            .expect("closure in-core")
-            .outputs;
-        let unrolled = Session::new(&plan)
-            .kernel(SessionKernel::Compiled(&kernel))
-            .unroll(DEFAULT_UNROLL)
-            .run(&input)
-            .expect("unrolled in-core")
-            .outputs;
-        assert_eq!(
-            unrolled,
-            golden,
-            "{}: unrolled f64 sweep diverged from the closure",
-            bench.name()
-        );
     }
 }
