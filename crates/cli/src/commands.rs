@@ -1080,21 +1080,25 @@ pub fn cmd_serve(
                     .extents
                     .clone()
                     .unwrap_or_else(|| job.bench.extents().to_vec());
-                let len: i64 = extents.iter().product();
-                let len = usize::try_from(len).map_err(|_| "manifest grid too large")?;
+                // A grid whose point count overflows, or whose values
+                // cannot be allocated, is a manifest error, not a panic.
+                let too_large = "manifest grid too large";
+                let len = extents
+                    .iter()
+                    .try_fold(1i64, |n, &e| n.checked_mul(e))
+                    .and_then(|n| usize::try_from(n).ok())
+                    .ok_or(too_large)?;
+                let mut values: Vec<f64> = Vec::new();
+                values.try_reserve_exact(len).map_err(|_| too_large)?;
                 // Deterministic pseudo-random input, seeded per line.
                 let mut state = 0x5EED_BA5E_D00Du64 ^ ((line_idx as u64) << 17);
-                let input: Arc<Vec<f64>> = Arc::new(
-                    (0..len)
-                        .map(|_| {
-                            state = state
-                                .wrapping_mul(6364136223846793005u64)
-                                .wrapping_add(1442695040888963407);
-                            ((state >> 40) as f64) / 256.0
-                        })
-                        .collect(),
-                );
-                (extents, input.into())
+                values.extend((0..len).map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005u64)
+                        .wrapping_add(1442695040888963407);
+                    ((state >> 40) as f64) / 256.0
+                }));
+                (extents, Arc::new(values).into())
             }
         };
         let req = JobRequest {
@@ -2011,6 +2015,19 @@ o o o
         let err = cmd_serve(&bad, 1, 8, 0).unwrap_err();
         assert!(err.to_string().contains("contradict"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serve_refuses_a_manifest_grid_too_large_to_count_or_allocate() {
+        // 2^32 x 2^32 points overflow i64; 2^31 x 2^31 fit in i64 but
+        // not in an allocation. Neither allocates anything.
+        for line in [
+            "DENOISE 4294967296 4294967296\n",
+            "DENOISE 2147483648 2147483648\n",
+        ] {
+            let err = cmd_serve(line, 1, 8, 0).unwrap_err();
+            assert_eq!(err.to_string(), "manifest grid too large", "{line}");
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ use crate::rowexec::{
     box_tap_offsets, execute_band_parallel, plan_offsets, split_band_rows, threads_for, RankWindow,
     RowChunk, RowKernel, RowOut, RowStats,
 };
-use crate::stream::{RowSink, RowSource};
+use crate::stream::{result_buffer, RowSink, RowSource};
 
 /// One kernel stage, run band by band over the band schedule of its
 /// [`TilePlan`] — the only code that runs a band.
@@ -213,7 +213,9 @@ impl<'k> StreamStage<'k> {
     /// in band order, to one result that nothing zero-filled. At more,
     /// the bands write disjoint slices of one zeroed result: joining
     /// per-band results afterwards measured slower than the zero fill
-    /// (EXPERIMENTS.md "Write-once in-core sweep").
+    /// (EXPERIMENTS.md "Write-once in-core sweep"). The appended result
+    /// comes from [`result_buffer`], so its appends fault in whole huge
+    /// pages.
     pub(crate) fn run_in_place(
         &self,
         started: Instant,
@@ -245,7 +247,7 @@ impl<'k> StreamStage<'k> {
         };
 
         let (outputs, per_band) = if self.worker_count == 1 {
-            let mut outputs = Vec::with_capacity(total);
+            let mut outputs = result_buffer(total);
             let mut per_band = Vec::with_capacity(tiles.len());
             for (tile, rows) in tiles.iter().zip(&band_rows) {
                 let before = outputs.len();

@@ -84,7 +84,7 @@ use crate::report::{finite_throughput, GridIoReport, RunReport, StreamReport};
 use crate::rowexec::{
     check_kernel_window, machine_parallelism, plan_offsets, threads_for, RowKernel,
 };
-use crate::stream::{RowSink, RowSource, SliceSource, VecSink};
+use crate::stream::{result_buffer, RowSink, RowSource, SliceSource, VecSink};
 use crate::unroll::RowProgram;
 
 /// How a [`Session`] drives execution — orthogonal to the kernel and
@@ -879,7 +879,7 @@ impl<'a> Session<'a> {
                     .count()
                     .map_err(|e| EngineError::Plan(e.into()))?;
                 let mut sink = VecSink {
-                    values: Vec::with_capacity(usize::try_from(outputs).unwrap_or(0)),
+                    values: result_buffer(usize::try_from(outputs).unwrap_or(0)),
                 };
                 let report =
                     self.stream_into(&mut source, &mut sink, chunk_rows, Some(input.index()))?;

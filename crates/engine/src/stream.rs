@@ -238,6 +238,23 @@ impl<R: std::io::Read> RowSource for ReadSource<R> {
     }
 }
 
+/// An empty run result with room for exactly `len` outputs, its whole
+/// 2 MiB pages advised for transparent huge pages before anything
+/// writes them: a fresh large result then faults in its aligned
+/// interior 2 MiB at a time instead of 4 KiB at a time (EXPERIMENTS.md
+/// "Result buffers on huge pages"). Capacity is never rounded up to a
+/// huge page: a page that reached past the last output would be
+/// resident but unused. Every result a run fills by appending is
+/// allocated here: the one-worker in-core sweep's and a streaming
+/// `Session::run`'s. The zeroed result of a sweep above one worker and
+/// a multi-shard served job's join (which grows shard 0's result) are
+/// not (DESIGN.md §9 "Result allocation").
+pub(crate) fn result_buffer(len: usize) -> Vec<f64> {
+    let mut values = Vec::with_capacity(len);
+    memmap2::advise_huge_pages(values.spare_capacity_mut());
+    values
+}
+
 /// A [`RowSink`] that collects every output row into one vector —
 /// useful for tests and for comparing against in-core runs.
 #[derive(Debug, Clone, Default)]
