@@ -130,9 +130,6 @@ pub fn expression_only(bench: &Benchmark) -> Benchmark {
     if bench.iteration_stable() {
         copy = copy.with_iteration_stable();
     }
-    if bench.shard_stable() {
-        copy = copy.with_shard_stable();
-    }
     copy
 }
 

@@ -109,10 +109,28 @@ impl TilePlan {
         self.tiles.len()
     }
 
-    /// Total outputs across all bands — the size of `D`.
+    /// Total outputs across the plan's bands: the size of `D`, or of a
+    /// [`TilePlan::restricted`] plan's own bands.
     #[must_use]
     pub fn total_outputs(&self) -> u64 {
         self.total_outputs
+    }
+
+    /// The contiguous band range `bands` of this plan as a plan of its
+    /// own. Each band keeps its id, ranks and halo, so an executor that
+    /// runs the range computes exactly those bands' outputs of `D`. A
+    /// serving front cuts one job's schedule into shards this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bands` is out of range.
+    #[must_use]
+    pub fn restricted(&self, bands: std::ops::Range<usize>) -> TilePlan {
+        let tiles = self.tiles[bands].to_vec();
+        TilePlan {
+            total_outputs: tiles.iter().map(|t| t.len).sum(),
+            tiles,
+        }
     }
 
     /// Each band's last outermost value, in band order: the cuts
@@ -605,6 +623,17 @@ mod tests {
             let own = down.tile_plan_chunked(chunk).unwrap().tile_count();
             assert!(downs.tile_count().abs_diff(own) <= 1, "chunk={chunk}");
         }
+    }
+
+    #[test]
+    fn a_restricted_plan_keeps_its_bands_and_their_outputs() {
+        let plan = denoise_plan();
+        let tp = plan.tile_plan_chunked(4).unwrap();
+        let range = tp.restricted(2..5);
+        assert_eq!(range.tiles(), &tp.tiles()[2..5]);
+        assert_eq!(range.total_outputs(), 3 * 4 * 22);
+        assert_eq!(range.tiles()[0].start_rank, 2 * 4 * 22);
+        assert_eq!(tp.restricted(0..tp.tile_count()), tp);
     }
 
     #[test]

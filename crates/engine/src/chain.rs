@@ -411,17 +411,7 @@ impl<'k> StreamStage<'k> {
         if self.window.capacity() > 0 {
             return Ok(());
         }
-        let rows = self.in_idx.rows();
-        let mut bound = 0u64;
-        for tile in self.tile_plan.tiles() {
-            let span = |r: &Row| row_outer_span(r, self.dims);
-            let first = rows.partition_point(|r| tile.row_below_halo(span(r)));
-            let halo = rows[first..]
-                .iter()
-                .take_while(|r| !tile.row_above_halo(span(r)));
-            let (count, widest) = halo.fold((0u64, 0u64), |(n, w), r| (n + 1, w.max(r.len())));
-            bound = bound.max(count * widest);
-        }
+        let bound = halo_window_bound(self.in_idx, &self.tile_plan);
         let bound =
             usize::try_from(bound).map_err(|_| EngineError::DomainTooLarge { points: bound })?;
         self.window.reserve_exact(bound);
@@ -621,6 +611,68 @@ impl<'k> StreamStage<'k> {
             elapsed,
         }
     }
+}
+
+/// The most input values any band of `tile_plan` holds while it
+/// streams: the rows of its halo times the widest of them, as
+/// [`MemorySystemPlan::planned_residency_bound`] gives for the same
+/// band schedule over `in_idx`.
+pub(crate) fn halo_window_bound(in_idx: &DomainIndex, tile_plan: &TilePlan) -> u64 {
+    let rows = in_idx.rows();
+    let span = |r: &Row| row_outer_span(r, in_idx.dims());
+    let mut bound = 0u64;
+    for tile in tile_plan.tiles() {
+        let first = rows.partition_point(|r| tile.row_below_halo(span(r)));
+        let halo = rows[first..]
+            .iter()
+            .take_while(|r| !tile.row_above_halo(span(r)));
+        let (count, widest) = halo.fold((0u64, 0u64), |(n, w), r| (n + 1, w.max(r.len())));
+        bound = bound.max(count * widest);
+    }
+    bound
+}
+
+/// The input points a band schedule reads in core: those whose
+/// outermost coordinate lies between its first band's halo and its
+/// last's, open at either end where the schedule reaches the end of its
+/// iteration domain of `outputs` points. A whole schedule reads its
+/// whole input; a band range, such as a serve shard, the input its
+/// bands' halos span (in 1-D, a clipped slice of the one row).
+pub(crate) fn resident_span(in_idx: &DomainIndex, tile_plan: &TilePlan, outputs: u64) -> u64 {
+    let tiles = tile_plan.tiles();
+    let (Some(first), Some(last)) = (tiles.first(), tiles.last()) else {
+        return 0;
+    };
+    // A whole schedule needs no walk over the index's rows.
+    if first.start_rank == 0 && last.end_rank() == outputs {
+        return in_idx.len();
+    }
+    let lo = if first.start_rank == 0 {
+        i64::MIN
+    } else {
+        first.halo_band.0
+    };
+    let hi = if last.end_rank() == outputs {
+        i64::MAX
+    } else {
+        last.halo_band.1
+    };
+    let dims = in_idx.dims();
+    in_idx
+        .rows()
+        .iter()
+        .map(|row| {
+            let (a, b) = row_outer_span(row, dims);
+            let (a, b) = (a.max(lo), b.min(hi));
+            if a > b {
+                0
+            } else if dims == 1 {
+                (b - a + 1) as u64
+            } else {
+                row.len()
+            }
+        })
+        .sum()
 }
 
 /// The iteration rows of `tile`: the rows of the stage's iteration

@@ -10,17 +10,19 @@
 //! * many independent grid jobs are dispatched across a worker pool of
 //!   [`Session`]s (the SASA shape — duplicated PEs behind one queue —
 //!   in software);
-//! * an oversized grid is auto-sharded into halo-overlapped row bands
-//!   along the outermost dimension (Zohouri-style spatial blocking) and
-//!   the band outputs joined back in row order, bit-identical to the
-//!   unsharded run for [shard-stable](stencil_kernels::Benchmark::shard_stable)
-//!   kernels; [`ShardPolicy::Auto`] splits no wider than the pool or
-//!   the queue, so every job an idle front can hold gets admitted;
-//! * a shared **plan cache** keyed by `(benchmark, extents, mode,
-//!   chunk)` takes [`MemorySystemPlan`]/[`stencil_core::TilePlan`]
-//!   construction off the hot path — shard sessions are seeded with the
-//!   cached band schedule, so steady-state runs report
-//!   `tile_plans_built == 0`;
+//! * a job runs as shards cut where its one plan cuts the grid: its
+//!   mode's band schedule, also cut at the seams of `S` balanced bands
+//!   ([`MemorySystemPlan::tile_plan`]), gives each shard a contiguous
+//!   band range ([`TilePlan::restricted`]), which its session runs over
+//!   the job's whole input in place (Zohouri-style spatial blocking
+//!   inside one kernel). The shard outputs join in shard order,
+//!   bit-identical to the unsharded run. [`ShardPolicy::Auto`] splits
+//!   no wider than the pool or the queue, so every job an idle front
+//!   can hold gets admitted;
+//! * a shared **plan cache** keyed by `(benchmark, extents, mode)`
+//!   builds each job geometry's plan, band schedule, input index and
+//!   checked kernel once — shard sessions are seeded with their band
+//!   range, so steady-state runs report `tile_plans_built == 0`;
 //! * the pending-task queue is **bounded**: when the pool saturates,
 //!   submission rejects with a retry-after hint instead of buffering
 //!   without limit;
@@ -56,6 +58,7 @@ use stencil_core::{MemorySystemPlan, TilePlan};
 use stencil_kernels::{Benchmark, KernelStage};
 use stencil_telemetry::{MetricsReport, ServiceMetrics};
 
+use crate::chain::{halo_window_bound, resident_span};
 use crate::compile::CompiledKernel;
 use crate::error::EngineError;
 use crate::format::MappedGrid;
@@ -97,12 +100,11 @@ impl Default for ServiceConfig {
 pub enum ShardPolicy {
     /// Run the grid whole, in one session.
     Whole,
-    /// Split into exactly this many halo-overlapped row bands (clamped
-    /// to the number of output slabs); more bands than `queue_depth` is
-    /// a configuration error.
+    /// Split into exactly this many band ranges of the job's schedule
+    /// (clamped to the number of output rows); more shards than
+    /// `queue_depth` is a configuration error.
     Fixed(usize),
-    /// Split to `min(workers, queue_depth, output slabs)` when the
-    /// kernel is shard-stable; run whole otherwise.
+    /// Split to `min(workers, queue_depth, output rows)`.
     Auto,
 }
 
@@ -114,7 +116,7 @@ pub enum JobInput {
     /// Values held in an owned, shared vector.
     InMemory(Arc<Vec<f64>>),
     /// Values borrowed straight from a mapped `.sgrid` file — no parse,
-    /// no copy; shards slice the mapped payload.
+    /// no copy; every shard reads the mapped payload in place.
     Mapped(MappedGrid),
 }
 
@@ -258,8 +260,7 @@ impl ServiceOutcome {
     }
 }
 
-/// Key of the shared plan cache: one entry per distinct
-/// `(benchmark, extents, mode, chunk)` a shard geometry resolves to.
+/// Key of the shared plan cache: one entry per job geometry.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct PlanKey {
     bench: String,
@@ -269,8 +270,8 @@ struct PlanKey {
     mode: ExecMode,
 }
 
-/// One shared cache entry: everything expensive about a shard geometry,
-/// built once and reused by every session over the same key.
+/// One shared cache entry: everything expensive about a job geometry,
+/// built once and reused by every shard session over the same key.
 struct CachedPlan {
     plan: MemorySystemPlan,
     /// The input-domain index, built once per geometry: constructing it
@@ -284,9 +285,6 @@ struct CachedPlan {
     kernel: Option<CompiledKernel>,
     /// Stage metadata for the closure fallback ([`Session::build`]).
     stage: KernelStage,
-    /// Admission bound in resident f64 elements: the full input grid
-    /// in core, the Sec. 2.3 halo-window bound when streaming.
-    bound: u64,
     /// Output elements the geometry promises.
     outputs: u64,
 }
@@ -300,14 +298,7 @@ impl CachedPlan {
             .index()
             .map_err(|e| EngineError::Plan(e.into()))?;
         let tile = mode.bands(&plan)?;
-        let bound = match mode {
-            ExecMode::Streaming { .. } => plan.planned_residency_bound(&tile)?,
-            _ => index.len(),
-        };
-        let outputs = plan
-            .iteration_domain()
-            .count()
-            .map_err(|e| EngineError::Plan(e.into()))?;
+        let outputs = tile.total_outputs();
         let kernel = CompiledKernel::for_benchmark(bench)?;
         Ok(Self {
             plan,
@@ -315,13 +306,38 @@ impl CachedPlan {
             tile,
             kernel,
             stage: bench.stage(),
-            bound,
             outputs,
         })
     }
+
+    /// The mode's schedule cut into at most `shards` contiguous band
+    /// ranges, one per band of the balanced `tile_plan(shards)`: its
+    /// seams become band cuts too, so a shard ends where a balanced band
+    /// does. One shard is the schedule itself.
+    fn shard_bands(&self, shards: usize) -> Result<Vec<TilePlan>, EngineError> {
+        if shards <= 1 {
+            return Ok(vec![self.tile.clone()]);
+        }
+        let seams = self.plan.tile_plan(shards)?.cuts();
+        let mut cuts = self.tile.cuts();
+        cuts.extend(&seams);
+        cuts.sort_unstable();
+        cuts.dedup();
+        let schedule = self.plan.tile_plan_from_cuts(&cuts)?;
+        let mut start = 0;
+        Ok(seams
+            .iter()
+            .map(|&seam| {
+                let end = start + schedule.tiles()[start..].partition_point(|t| t.band.1 <= seam);
+                let range = schedule.restricted(start..end);
+                start = end;
+                range
+            })
+            .collect())
+    }
 }
 
-/// The plan cache: one entry per shard geometry, with its own hit and
+/// The plan cache: one entry per job geometry, with its own hit and
 /// miss counts.
 #[derive(Default)]
 struct PlanCache {
@@ -339,35 +355,26 @@ impl PlanCache {
     }
 }
 
-/// One queued unit of work: a row-band shard of an admitted job.
+/// One queued unit of work: a band-range shard of an admitted job.
 struct ShardTask {
     job: JobId,
     shard: usize,
     cached: Arc<CachedPlan>,
     input: JobInput,
-    /// Element offset of the shard's input band in the job input.
-    input_offset: usize,
+    /// The shard's band range of the job's schedule.
+    bands: TilePlan,
+    /// The resident values the shard is admitted for.
+    bound: u64,
     mode: ExecMode,
     label: String,
 }
 
 impl ShardTask {
-    /// Runs the shard through a warm session of `threads` workers.
+    /// Runs the shard's bands over the job's whole input, in place,
+    /// through a warm session of `threads` workers.
     fn run(&self, threads: usize) -> Result<SessionRun, EngineError> {
         let cached = &self.cached;
-        let in_idx = &cached.index;
-        let len = usize::try_from(in_idx.len()).map_err(|_| EngineError::DomainTooLarge {
-            points: in_idx.len(),
-        })?;
-        let band = self
-            .input
-            .values()
-            .get(self.input_offset..self.input_offset + len)
-            .ok_or_else(|| EngineError::InputSizeMismatch {
-                expected: (self.input_offset as u64) + in_idx.len(),
-                got: self.input.len() as u64,
-            })?;
-        let grid = InputGrid::new(in_idx, band)?;
+        let grid = InputGrid::new(&cached.index, self.input.values())?;
         let session = match &cached.kernel {
             Some(ck) => Session::new(&cached.plan).kernel(SessionKernel::Compiled(ck)),
             None => Session::build(&cached.plan, &cached.stage)?,
@@ -375,7 +382,7 @@ impl ShardTask {
         .mode(self.mode)
         .threads(threads)
         .telemetry(self.label.clone());
-        session.seed_tiles(cached.tile.clone());
+        session.seed_tiles(self.bands.clone());
         session.run(&grid)
     }
 }
@@ -476,14 +483,14 @@ impl State {
         run: Result<SessionRun, EngineError>,
         ns: u64,
     ) -> Option<Vec<Vec<f64>>> {
-        self.resident_now -= task.cached.bound;
+        self.resident_now -= task.bound;
         match run {
             Ok(run) => {
                 self.shards_executed += 1;
                 self.shard_ns_total += ns;
                 self.tile_plans_built += run.report.tile_plans_built;
                 self.outputs_produced += run.outputs.len() as u64;
-                self.shards_over_bound += u64::from(run.report.peak_resident > task.cached.bound);
+                self.shards_over_bound += u64::from(run.report.peak_resident > task.bound);
                 self.jobs[task.job].shard_outputs[task.shard] = run.outputs;
             }
             Err(e) => self.fail(task.job, e),
@@ -531,7 +538,17 @@ struct Inner {
 }
 
 impl Inner {
-    /// Looks a shard geometry up in the shared plan cache, building and
+    fn new(cfg: ServiceConfig) -> Self {
+        Self {
+            cfg,
+            state: Mutex::default(),
+            task_ready: Condvar::new(),
+            job_done: Condvar::new(),
+            plan_cache: Mutex::default(),
+        }
+    }
+
+    /// Looks a job geometry up in the shared plan cache, building and
     /// inserting it on miss.
     fn cached_plan(
         &self,
@@ -559,6 +576,79 @@ impl Inner {
         Ok(built)
     }
 
+    /// Resolves a job to its geometry's one cached plan and cuts it into
+    /// its label and shard tasks, numbered job 0 until admitted, with
+    /// typed errors for a job that can never run.
+    fn shard_job(&self, req: &JobRequest) -> Result<(String, Vec<ShardTask>), EngineError> {
+        let bench = &req.benchmark;
+        let extents = req
+            .extents
+            .clone()
+            .unwrap_or_else(|| bench.extents().to_vec());
+        if extents.is_empty() || extents.iter().any(|&e| e <= 0) {
+            return Err(EngineError::Config {
+                detail: format!("invalid grid extents {extents:?}"),
+            });
+        }
+        // Overflow is a typed rejection, not a saturated count that
+        // fails later as a confusing length mismatch; the elements must
+        // also be addressable as payload bytes.
+        let bytes = extents
+            .iter()
+            .try_fold(8u64, |n, &e| n.checked_mul(e as u64))
+            .ok_or_else(|| EngineError::JobTooLarge {
+                extents: extents.clone(),
+            })?;
+        let elements = bytes / 8;
+        if req.input.len() as u64 != elements {
+            return Err(EngineError::InputSizeMismatch {
+                expected: elements,
+                got: req.input.len() as u64,
+            });
+        }
+        let cached = self.cached_plan(bench, &extents, req.mode)?;
+        // Auto splits no wider than the queue, so an idle front can
+        // hold every shard of the job at once.
+        let requested = match req.shards {
+            ShardPolicy::Whole => 1,
+            ShardPolicy::Fixed(n) => n,
+            ShardPolicy::Auto => self.cfg.workers.min(self.cfg.queue_depth),
+        };
+        let shards = cached.shard_bands(requested)?;
+        if shards.len() > self.cfg.queue_depth {
+            let detail = format!(
+                "{} shards exceed the queue depth {}",
+                shards.len(),
+                self.cfg.queue_depth
+            );
+            return Err(EngineError::Config { detail });
+        }
+        let label = match shards.len() {
+            1 => bench.name().to_string(),
+            n => format!("{}×{n}", bench.name()),
+        };
+        let tasks = shards
+            .into_iter()
+            .enumerate()
+            .map(|(shard, bands)| ShardTask {
+                job: 0,
+                shard,
+                // Streaming, the Sec. 2.3 halo-window bound of the
+                // shard's bands; in core, the input their halos span.
+                bound: match req.mode {
+                    ExecMode::Streaming { .. } => halo_window_bound(&cached.index, &bands),
+                    _ => resident_span(&cached.index, &bands, cached.outputs),
+                },
+                cached: Arc::clone(&cached),
+                input: req.input.clone(),
+                bands,
+                mode: req.mode,
+                label: format!("{label}/shard{shard}"),
+            })
+            .collect();
+        Ok((label, tasks))
+    }
+
     /// The worker loop: pop a shard, run it with no lock held, retire
     /// it. A panic in the run fails the job, not the worker. After
     /// shutdown, exit once the queue is drained.
@@ -571,7 +661,7 @@ impl Inner {
             let Some(task) = state.tasks.pop_front() else {
                 return; // shut down with the queue drained
             };
-            state.resident_now += task.cached.bound;
+            state.resident_now += task.bound;
             state.resident_peak = state.resident_peak.max(state.resident_now);
             drop(state);
             let started = Instant::now();
@@ -630,13 +720,7 @@ impl ServiceFront {
     fn with_runner(mut cfg: ServiceConfig, run: RunShard) -> Self {
         cfg.workers = cfg.workers.max(1);
         cfg.queue_depth = cfg.queue_depth.max(1);
-        let inner = Arc::new(Inner {
-            cfg: cfg.clone(),
-            state: Mutex::default(),
-            task_ready: Condvar::new(),
-            job_done: Condvar::new(),
-            plan_cache: Mutex::default(),
-        });
+        let inner = Arc::new(Inner::new(cfg.clone()));
         let handles = (0..cfg.workers)
             .map(|_| {
                 let inner = Arc::clone(&inner);
@@ -658,45 +742,22 @@ impl ServiceFront {
     ///
     /// # Errors
     ///
-    /// * [`EngineError::Plan`] if the grid/shard geometry is invalid.
-    /// * [`EngineError::Config`] if the job splits into more shards
-    ///   than the queue holds.
+    /// * [`EngineError::Config`] if the extents are empty or not
+    ///   positive, or the job splits into more shards than the queue
+    ///   holds.
+    /// * [`EngineError::JobTooLarge`] if the grid's element or byte
+    ///   count overflows.
     /// * [`EngineError::InputSizeMismatch`] if `input` does not cover
     ///   the grid.
+    /// * [`EngineError::Plan`] if the grid cannot be planned.
     /// * [`EngineError::KernelCompile`] / [`EngineError::KernelMismatch`]
     ///   if the benchmark's expression fails checked compilation.
     pub fn submit(&self, req: &JobRequest) -> Result<Submission, EngineError> {
         let cfg = &self.inner.cfg;
-        let bench = &req.benchmark;
-        let extents = req
-            .extents
-            .clone()
-            .unwrap_or_else(|| bench.extents().to_vec());
-        // Auto splits no wider than the queue, so an idle front can
-        // hold every shard of the job at once.
-        let pool = cfg.workers.min(cfg.queue_depth);
-        let geom = ShardGeometry::plan(bench, &extents, req.shards, pool)?;
-        let shards = geom.bands.len();
-        if shards > cfg.queue_depth {
-            let detail = format!("{shards} shards exceed the queue depth {}", cfg.queue_depth);
-            return Err(EngineError::Config { detail });
-        }
-        if req.input.len() as u64 != geom.input_elements {
-            return Err(EngineError::InputSizeMismatch {
-                expected: geom.input_elements,
-                got: req.input.len() as u64,
-            });
-        }
-        let mut cached = Vec::with_capacity(shards);
-        for band in &geom.bands {
-            cached.push(self.inner.cached_plan(bench, &band.extents, req.mode)?);
-        }
-        let bound: u64 = cached.iter().map(|c| c.bound).sum();
-        let expected: u64 = cached.iter().map(|c| c.outputs).sum();
-        let label = match shards {
-            1 => bench.name().to_string(),
-            n => format!("{}×{n}", bench.name()),
-        };
+        let (label, tasks) = self.inner.shard_job(req)?;
+        let shards = tasks.len();
+        let bound = tasks.iter().map(|t| t.bound).sum();
+        let expected = tasks[0].cached.outputs;
 
         // One admission decision: count the job, check the budget, then
         // the queue, and either reject or commit.
@@ -730,18 +791,10 @@ impl ServiceFront {
         state.outputs_expected += expected;
         state.pending += 1;
         let job = state.jobs.len();
-        for (shard, (band, cached)) in geom.bands.iter().zip(cached).enumerate() {
-            state.tasks.push_back(ShardTask {
-                job,
-                shard,
-                cached,
-                input: req.input.clone(),
-                input_offset: band.input_offset,
-                mode: req.mode,
-                label: format!("{label}/shard{shard}"),
-            });
-        }
         state.jobs.push(JobSlot::new(label, shards, bound));
+        state
+            .tasks
+            .extend(tasks.into_iter().map(|t| ShardTask { job, ..t }));
         drop(state);
         for _ in 0..shards {
             self.inner.task_ready.notify_one();
@@ -812,116 +865,10 @@ impl Drop for ServiceFront {
     }
 }
 
-/// One row band of a sharded grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ShardBand {
-    /// The band's own grid extents (output slabs + halo overlap).
-    extents: Vec<i64>,
-    /// Element offset of the band's first input value in the job's
-    /// row-major input buffer.
-    input_offset: usize,
-}
-
-/// The halo-overlapped row-band decomposition of one grid job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ShardGeometry {
-    bands: Vec<ShardBand>,
-    input_elements: u64,
-}
-
-impl ShardGeometry {
-    /// Splits `extents` into halo-overlapped row bands along the
-    /// outermost dimension. Band `k` owns a contiguous run of output
-    /// slabs; its input is that run dilated by the window's
-    /// outer-dimension reach, so every band computes exactly the values
-    /// the unsharded run computes for those slabs (the Zohouri spatial
-    /// blocking argument, and the same halo math as
-    /// [`stencil_core::TilePlan`] bands — applied here *between*
-    /// independent plans rather than within one).
-    fn plan(
-        bench: &Benchmark,
-        extents: &[i64],
-        policy: ShardPolicy,
-        workers: usize,
-    ) -> Result<Self, EngineError> {
-        if extents.is_empty() || extents.iter().any(|&e| e <= 0) {
-            return Err(EngineError::Config {
-                detail: format!("invalid grid extents {extents:?}"),
-            });
-        }
-        // Overflow is a typed rejection, not a saturated count that
-        // fails later as a confusing length mismatch.
-        let too_large = || EngineError::JobTooLarge {
-            extents: extents.to_vec(),
-        };
-        let mut input_elements = 1u64;
-        for &e in extents {
-            input_elements = input_elements.checked_mul(e as u64).ok_or_else(too_large)?;
-        }
-        // The elements must also be addressable as payload bytes.
-        input_elements.checked_mul(8).ok_or_else(too_large)?;
-        // Window reach along the outermost dimension.
-        let min0 = bench.window().iter().map(|p| p[0]).min().unwrap_or(0);
-        let max0 = bench.window().iter().map(|p| p[0]).max().unwrap_or(0);
-        let r_lo = (-min0).max(0);
-        let r_hi = max0.max(0);
-        let n_out = extents[0] - r_lo - r_hi;
-        if n_out < 1 {
-            return Err(EngineError::Config {
-                detail: format!(
-                    "window reach {r_lo}+{r_hi} leaves no output slabs in extent {}",
-                    extents[0]
-                ),
-            });
-        }
-        let requested = match policy {
-            ShardPolicy::Whole => 1,
-            ShardPolicy::Fixed(n) => n.max(1),
-            ShardPolicy::Auto => workers.max(1),
-        };
-        let shards = if requested > 1 && !bench.shard_stable() {
-            1 // unmarked kernels always run whole
-        } else {
-            requested.min(usize::try_from(n_out).unwrap_or(1))
-        };
-        let mut slab = 1u64;
-        for &e in &extents[1..] {
-            slab = slab.checked_mul(e as u64).ok_or_else(too_large)?;
-        }
-        let shards_u = shards as u64;
-        let n_out_u = n_out as u64;
-        let base = n_out_u / shards_u;
-        let rem = n_out_u % shards_u;
-        let mut bands = Vec::with_capacity(shards);
-        let mut first_slab = 0u64; // first owned output slab, 0-based
-        for k in 0..shards_u {
-            let owned = base + u64::from(k < rem);
-            let mut band_extents = extents.to_vec();
-            band_extents[0] = i64::try_from(owned)
-                .ok()
-                .and_then(|o| o.checked_add(r_lo))
-                .and_then(|o| o.checked_add(r_hi))
-                .ok_or_else(too_large)?;
-            let input_offset =
-                usize::try_from(first_slab * slab).map_err(|_| EngineError::DomainTooLarge {
-                    points: first_slab * slab,
-                })?;
-            bands.push(ShardBand {
-                extents: band_extents,
-                input_offset,
-            });
-            first_slab += owned;
-        }
-        Ok(Self {
-            bands,
-            input_elements,
-        })
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_kernels::{denoise, paper_suite, sobel};
+    use stencil_kernels::{denoise, extra_suite, paper_suite, sobel};
 
     /// The repo's deterministic input generator (same LCG as the CLI).
     fn lcg_input(len: usize, seed: u64) -> Vec<f64> {
@@ -949,31 +896,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_geometry_covers_every_output_slab_once() {
-        let bench = denoise();
-        let extents = [24i64, 16];
-        for shards in [1usize, 2, 3, 5, 22, 100] {
-            let g = ShardGeometry::plan(&bench, &extents, ShardPolicy::Fixed(shards), 4).unwrap();
-            // 5-point cross: reach 1 above and below, 22 output slabs.
-            let owned: i64 = g.bands.iter().map(|b| b.extents[0] - 2).sum();
-            assert_eq!(owned, 22, "shards={shards}");
-            assert!(g.bands.len() <= 22);
-            // Band inputs start exactly at their first owned slab minus
-            // the reach (offset is in elements, slab = 16 wide).
-            let mut first_owned = 0i64;
-            for b in &g.bands {
-                assert_eq!(b.input_offset as i64, first_owned * 16);
-                first_owned += b.extents[0] - 2;
-            }
-        }
-    }
-
-    #[test]
     fn sharded_jobs_merge_bit_identical_to_unsharded() {
-        for bench in paper_suite() {
+        for bench in paper_suite().into_iter().chain(extra_suite()) {
             // Small grids keep the test fast; every benchmark keeps its
-            // own dimensionality (2D and 3D both shard along dim 0).
+            // own dimensionality (1D, 2D and 3D all shard along dim 0:
+            // a 1D shard is a clipped slice of the one row).
             let extents: Vec<i64> = match bench.dims() {
+                1 => vec![64],
                 2 => vec![40, 24],
                 _ => vec![20, 12, 10],
             };
@@ -999,10 +928,35 @@ mod tests {
             let outcome = front.finish();
             let job = &outcome.jobs[id];
             assert!(job.error.is_none(), "{}: {:?}", bench.name(), job.error);
+            assert_eq!(job.shards, 3, "{}", bench.name());
             assert_eq!(job.outputs, reference, "{}", bench.name());
             assert_eq!(outcome.metrics.outputs_produced, reference.len() as u64);
             assert_eq!(outcome.metrics.outputs_expected, reference.len() as u64);
         }
+    }
+
+    #[test]
+    fn a_sharded_job_builds_one_plan() {
+        // 38 output rows in three shards of 13, 13 and 12 rows: one
+        // geometry, one plan.
+        let input = Arc::new(lcg_input(40 * 24, 8));
+        let front = ServiceFront::new(ServiceConfig {
+            workers: 3,
+            ..ServiceConfig::default()
+        });
+        let req = JobRequest {
+            benchmark: denoise(),
+            extents: Some(vec![40, 24]),
+            mode: ExecMode::InCore,
+            shards: ShardPolicy::Fixed(3),
+            input: input.into(),
+        };
+        assert!(matches!(front.submit(&req), Ok(Submission::Admitted(0))));
+        let outcome = front.finish();
+        assert_eq!(outcome.jobs[0].shards, 3);
+        let m = &outcome.metrics;
+        assert_eq!((m.plan_cache_misses, m.plan_cache_hits), (1, 0));
+        assert_eq!(m.tile_plans_built, 0);
     }
 
     #[test]
@@ -1217,23 +1171,19 @@ mod tests {
     }
 
     #[test]
-    fn auto_policy_shards_to_pool_width_only_when_stable() {
-        let stable = sobel();
-        assert!(stable.shard_stable());
-        let g = ShardGeometry::plan(&stable, &[40, 24], ShardPolicy::Auto, 4).unwrap();
-        assert_eq!(g.bands.len(), 4);
-        // An unmarked kernel never shards.
-        let unstable = Benchmark::new(
-            "UNMARKED",
-            vec![40, 24],
-            stable.window().to_vec(),
-            stencil_kernels::KernelOps::default(),
-            |v| v.iter().sum(),
-        );
-        let g = ShardGeometry::plan(&unstable, &[40, 24], ShardPolicy::Auto, 4).unwrap();
-        assert_eq!(g.bands.len(), 1);
-        let g = ShardGeometry::plan(&unstable, &[40, 24], ShardPolicy::Fixed(8), 4).unwrap();
-        assert_eq!(g.bands.len(), 1);
+    fn auto_policy_shards_to_pool_width() {
+        let inner = Inner::new(ServiceConfig {
+            workers: 4,
+            ..ServiceConfig::default()
+        });
+        let req = JobRequest {
+            benchmark: sobel(),
+            extents: Some(vec![40, 24]),
+            mode: ExecMode::InCore,
+            shards: ShardPolicy::Auto,
+            input: Arc::new(lcg_input(40 * 24, 4)).into(),
+        };
+        assert_eq!(inner.shard_job(&req).unwrap().1.len(), 4);
     }
 
     #[test]
@@ -1242,7 +1192,17 @@ mod tests {
         // u64 multiplication; the planner must reject with a typed
         // error instead of saturating into a bogus geometry.
         let extents = vec![i64::MAX / 2, 8, 8];
-        let e = ShardGeometry::plan(&denoise(), &extents, ShardPolicy::Whole, 1).unwrap_err();
+        let req = JobRequest {
+            benchmark: denoise(),
+            extents: Some(extents.clone()),
+            mode: ExecMode::InCore,
+            shards: ShardPolicy::Whole,
+            input: Arc::new(Vec::new()).into(),
+        };
+        let e = Inner::new(ServiceConfig::default())
+            .shard_job(&req)
+            .err()
+            .unwrap();
         match e {
             EngineError::JobTooLarge { extents: got } => assert_eq!(got, extents),
             other => panic!("expected JobTooLarge, got {other:?}"),
@@ -1409,46 +1369,29 @@ mod tests {
         assert_eq!(front.finish().metrics.jobs_submitted, 0);
     }
 
-    /// A DENOISE job split into `shards` in-core bands, as `submit`
-    /// queues it, on a one-job `Inner` whose bounds are all admitted
-    /// and resident. No worker runs: the test runs and retires shards.
+    /// A DENOISE job split into `shards` in-core band ranges by
+    /// `submit`'s own [`Inner::shard_job`], on a one-job `Inner` whose
+    /// bounds are all admitted and resident. No worker runs: the test
+    /// runs and retires shards.
     fn one_job(extents: &[i64], input: &Arc<Vec<f64>>, shards: usize) -> (Inner, Vec<ShardTask>) {
-        let bench = denoise();
-        let geom =
-            ShardGeometry::plan(&bench, extents, ShardPolicy::Fixed(shards), shards).unwrap();
-        let tasks: Vec<ShardTask> = geom
-            .bands
-            .iter()
-            .enumerate()
-            .map(|(shard, band)| ShardTask {
-                job: 0,
-                shard,
-                cached: Arc::new(
-                    CachedPlan::build(&bench, &band.extents, ExecMode::InCore).unwrap(),
-                ),
-                input: Arc::clone(input).into(),
-                input_offset: band.input_offset,
-                mode: ExecMode::InCore,
-                label: format!("job/shard{shard}"),
-            })
-            .collect();
-        let bound = tasks.iter().map(|t| t.cached.bound).sum();
-        let mut state = State {
+        let mut inner = Inner::new(ServiceConfig::default());
+        let req = JobRequest {
+            benchmark: denoise(),
+            extents: Some(extents.to_vec()),
+            mode: ExecMode::InCore,
+            shards: ShardPolicy::Fixed(shards),
+            input: Arc::clone(input).into(),
+        };
+        let (label, tasks) = inner.shard_job(&req).unwrap();
+        let bound = tasks.iter().map(|t| t.bound).sum();
+        let state = inner.state.get_mut().unwrap();
+        *state = State {
             pending: 1,
             admitted_now: bound,
             resident_now: bound,
             ..State::default()
         };
-        state
-            .jobs
-            .push(JobSlot::new("job".into(), tasks.len(), bound));
-        let inner = Inner {
-            cfg: ServiceConfig::default(),
-            state: Mutex::new(state),
-            task_ready: Condvar::new(),
-            job_done: Condvar::new(),
-            plan_cache: Mutex::default(),
-        };
+        state.jobs.push(JobSlot::new(label, tasks.len(), bound));
         (inner, tasks)
     }
 

@@ -75,7 +75,7 @@ use stencil_core::{MemorySystemPlan, TilePlan};
 use stencil_kernels::{ComputeFn, KernelStage};
 use stencil_polyhedral::{lex_cmp, DomainIndex};
 
-use crate::chain::{run_chain, StreamStage};
+use crate::chain::{resident_span, run_chain, StreamStage};
 use crate::compile::{CompiledKernel, Datapath, KernelBackend};
 use crate::error::EngineError;
 use crate::format::MappedGrid;
@@ -279,6 +279,20 @@ impl<'a> Stage<'a> {
         let counts = band_halos(tile_plan)?;
         slots.push((mode, counts.clone()));
         Ok(counts)
+    }
+
+    /// Outputs of the stage's schedule under `mode`: its cached
+    /// schedule's, which a seeded band range makes part of the domain,
+    /// else its whole iteration domain's.
+    fn outputs(&self, mode: ExecMode) -> Result<u64, EngineError> {
+        if let Some((_, tp)) = self.tile.borrow().iter().find(|(m, _)| *m == mode) {
+            return Ok(tp.total_outputs());
+        }
+        self.plan
+            .get()
+            .iteration_domain()
+            .count()
+            .map_err(|e| EngineError::Plan(e.into()))
     }
 
     /// The stage's iteration index, built once.
@@ -721,9 +735,13 @@ impl<'a> Session<'a> {
     /// [`TilePlan`] for the session's *current* mode. The serving
     /// front-end's shared plan cache hands shard sessions their
     /// schedule through this hook, so steady-state shard runs report
-    /// `tile_plans_built == 0`. The seeded plan must be the one the
-    /// mode would build (the cache constructs it with
-    /// [`ExecMode::bands`]); an already-warm mode is left untouched.
+    /// `tile_plans_built == 0`. The seeded plan may be a contiguous band
+    /// range ([`TilePlan::restricted`]) of a schedule over the stage's
+    /// whole iteration domain: the mode's own ([`ExecMode::bands`]), or
+    /// one cut further at shard seams. A run then computes, holds and
+    /// reports only those bands, their outputs in rank order. A band
+    /// range is for single-stage sessions, since a later stage expects
+    /// its whole input. An already-warm mode is left untouched.
     pub(crate) fn seed_tiles(&self, tile_plan: TilePlan) {
         let mut slots = self.stages[0].tile.borrow_mut();
         if !slots.iter().any(|(m, _)| *m == self.mode) {
@@ -851,9 +869,10 @@ impl<'a> Session<'a> {
     }
 
     /// Executes the pipeline over an in-memory input grid and returns
-    /// the final stage's outputs. Under [`ExecMode::Streaming`] the
-    /// input buffer is streamed row by row and outputs are collected
-    /// from the sink, so results are identical across modes. Every mode
+    /// the final stage's outputs. The grid is resident in every mode:
+    /// under [`ExecMode::Streaming`] the stages run as coupled halo
+    /// windows over it in place, as over a mapped source, and nothing
+    /// copies it, so results are identical across modes. Every mode
     /// reads the input through the grid's own index.
     ///
     /// # Errors
@@ -868,21 +887,15 @@ impl<'a> Session<'a> {
         match self.mode {
             ExecMode::InCore | ExecMode::Tiled { .. } => self.run_incore(input),
             ExecMode::Streaming { chunk_rows } => {
-                let mut source = SliceSource::new(input.values());
                 // Sized up front, so the outputs never grow by
                 // reallocation.
-                let outputs = self
-                    .last_stage()?
-                    .plan
-                    .get()
-                    .iteration_domain()
-                    .count()
-                    .map_err(|e| EngineError::Plan(e.into()))?;
+                let outputs = self.last_stage()?.outputs(self.mode)?;
                 let mut sink = VecSink {
                     values: result_buffer(usize::try_from(outputs).unwrap_or(0)),
                 };
-                let report =
-                    self.stream_into(&mut source, &mut sink, chunk_rows, Some(input.index()))?;
+                // The resident grid is never pulled from its source.
+                let mut source = SliceSource::new(&[]);
+                let report = self.stream_into(&mut source, &mut sink, chunk_rows, Some(input))?;
                 Ok(SessionRun {
                     outputs: sink.values,
                     report,
@@ -1063,7 +1076,7 @@ impl<'a> Session<'a> {
     ) -> Result<(Vec<f64>, StageReport), EngineError> {
         let started = Instant::now();
         let workers = threads_for(self.workers(), tile_plan.tile_count());
-        let resident_bound = in_idx.len();
+        let resident_bound = resident_span(in_idx, &tile_plan, out_idx.len());
         let mut machine = StreamStage::new(
             plan, in_idx, out_idx, tile_plan, &sp.kernel, sp.backend, None, workers,
         )?;
@@ -1099,23 +1112,29 @@ impl<'a> Session<'a> {
     /// Chained streaming execution: one [`StreamStage`] per kernel, run
     /// as one band wavefront ([`run_chain`]) over the lagged schedules,
     /// each band landing in place in the next stage's halo window.
-    /// Stage 0 ranks its input through `input_index` when given (an
-    /// [`InputGrid`]'s own index), else through its plan's input domain;
-    /// every later stage through its upstream's iteration index.
+    /// Stage 0 reads `input` resident, ranked through the grid's own
+    /// index, when given; else it reads `source` through its plan's
+    /// input domain. Every later stage ranks through its upstream's
+    /// iteration index. Only a run from `source` reports its grid I/O.
     fn stream_into(
         &self,
         source: &mut dyn RowSource,
         sink: &mut dyn RowSink,
         chunk_rows: Option<u64>,
-        input_index: Option<&DomainIndex>,
+        input: Option<&InputGrid<'_>>,
     ) -> Result<SessionReport, EngineError> {
         let started = Instant::now();
         let built_before = self.tiles_built.get();
-        // A mapped source puts the whole payload logically resident in
-        // the first stage: bands execute as slices of the mapped pages
-        // and no value is ever copied into the halo window. The mapping
-        // and the stage plans outlive the stages that borrow them.
+        // A resident grid or a mapped source puts the whole input
+        // logically resident in the first stage: bands execute as slices
+        // of it and no value is ever copied into the halo window. The
+        // mapping and the stage plans outlive the stages that borrow
+        // them.
         let mapped = source.mapped();
+        let resident = match input {
+            Some(grid) => Some(grid.values()),
+            None => mapped.as_ref().map(MappedGrid::values),
+        };
         let sps = self.stage_plans()?;
         let mode = ExecMode::Streaming { chunk_rows };
         let workers = self.workers();
@@ -1123,9 +1142,9 @@ impl<'a> Session<'a> {
         let mut machines: Vec<StreamStage<'_>> = Vec::with_capacity(sps.len());
         for (i, ((stage, sp), tile_plan)) in self.stages.iter().zip(&sps).zip(schedules).enumerate()
         {
-            let in_idx = match (i.checked_sub(1), input_index) {
+            let in_idx = match (i.checked_sub(1), input) {
                 (Some(up), _) => self.stages[up].iteration_index()?,
-                (None, Some(idx)) => idx,
+                (None, Some(grid)) => grid.index(),
                 (None, None) => stage.input_index()?,
             };
             machines.push(StreamStage::new(
@@ -1139,8 +1158,8 @@ impl<'a> Session<'a> {
                 workers,
             )?);
         }
-        if let Some(grid) = &mapped {
-            machines[0].attach_resident(grid.values())?;
+        if let Some(values) = resident {
+            machines[0].attach_resident(values)?;
         }
 
         let output_values = run_chain(&mut machines, source, sink)?;
@@ -1168,7 +1187,13 @@ impl<'a> Session<'a> {
         } else {
             (0, machines[0].values_in())
         };
-        let bytes_mapped = mapped.as_ref().map_or(0, MappedGrid::bytes_mapped);
+        let grid_io = input.is_none().then(|| GridIoReport {
+            bytes_mapped: mapped.as_ref().map_or(0, MappedGrid::bytes_mapped),
+            values_mapped,
+            values_copied,
+            output_values,
+            sink_finalized: true,
+        });
         Ok(SessionReport {
             label: self.label.clone(),
             mode: self.mode,
@@ -1179,13 +1204,7 @@ impl<'a> Session<'a> {
             elapsed,
             tile_plans_built: self.tiles_built.get() - built_before,
             iterate: self.fixed_iterate_report(),
-            grid_io: Some(GridIoReport {
-                bytes_mapped,
-                values_mapped,
-                values_copied,
-                output_values,
-                sink_finalized: true,
-            }),
+            grid_io,
         })
     }
 

@@ -53,8 +53,6 @@ pub struct Benchmark {
     element_bits: u32,
     #[serde(default)]
     iteration_stable: bool,
-    #[serde(default)]
-    shard_stable: bool,
     #[serde(default = "default_f32_rtol")]
     f32_rtol: f64,
     #[serde(skip, default = "default_compute")]
@@ -106,7 +104,6 @@ impl Benchmark {
             ops,
             element_bits: StencilSpec::DEFAULT_ELEMENT_BITS,
             iteration_stable: false,
-            shard_stable: false,
             f32_rtol: default_f32_rtol(),
             compute,
             expr: None,
@@ -156,25 +153,6 @@ impl Benchmark {
     #[must_use]
     pub fn iteration_stable(&self) -> bool {
         self.iteration_stable
-    }
-
-    /// Declares the kernel *shard-stable*: the datapath is a pure
-    /// function of its window (no cross-row or cross-shard state), so
-    /// splitting the grid into halo-overlapped row bands along the
-    /// outermost dimension and merging the band outputs reproduces the
-    /// unsharded run bit for bit. Serving layers only auto-shard marked
-    /// kernels; unmarked ones always run whole.
-    #[must_use]
-    pub fn with_shard_stable(mut self) -> Self {
-        self.shard_stable = true;
-        self
-    }
-
-    /// Whether halo-overlapped row-band sharding of this kernel is
-    /// exact (see [`Benchmark::with_shard_stable`]).
-    #[must_use]
-    pub fn shard_stable(&self) -> bool {
-        self.shard_stable
     }
 
     /// Attaches the [`KernelExpr`] form of the datapath — the same

@@ -33,7 +33,6 @@ pub fn jacobi_2d() -> Benchmark {
     )
     .with_native_row(row)
     .with_iteration_stable()
-    .with_shard_stable()
     .with_expr({
         let [t0, t1, t2, t3, t4] = KernelExpr::taps::<5>();
         0.2 * (t0 + t1 + t2 + t3 + t4)
@@ -67,7 +66,6 @@ pub fn relax_2d() -> Benchmark {
     )
     .with_native_row(row)
     .with_iteration_stable()
-    .with_shard_stable()
     .with_expr({
         let [t0, t1, t2, t3, t4] = KernelExpr::taps::<5>();
         0.2 * t2 + 0.2 * (t0 + t1 + t3 + t4)
@@ -102,7 +100,6 @@ pub fn gaussian_3x3() -> Benchmark {
     )
     .with_native_row(row)
     .with_iteration_stable()
-    .with_shard_stable()
     .with_expr({
         // `sum()` folds from -0.0; keep that exact order.
         let w = [1.0, 2.0, 1.0, 2.0, 4.0, 2.0, 1.0, 2.0, 1.0];
@@ -143,7 +140,6 @@ pub fn blur3x3() -> Benchmark {
     )
     .with_native_row(row)
     .with_iteration_stable()
-    .with_shard_stable()
     // `sum()` folds from -0.0; `window_sum` keeps that exact order.
     .with_expr(KernelExpr::window_sum(9) / 9.0)
 }
@@ -166,7 +162,6 @@ pub fn heat_1d() -> Benchmark {
     )
     .with_native_row(row)
     .with_iteration_stable()
-    .with_shard_stable()
     .with_expr({
         let [t0, t1, t2] = KernelExpr::taps::<3>();
         t1.clone() + 0.25 * (t0 - 2.0 * t1 + t2)
@@ -205,7 +200,6 @@ pub fn fused_denoise() -> Benchmark {
         compute,
     )
     .with_native_row(row)
-    .with_shard_stable()
     .with_expr({
         let sum = KernelExpr::window_sum(13);
         let center = KernelExpr::tap(6);
@@ -290,7 +284,6 @@ pub fn high_order_2d() -> Benchmark {
         compute,
     )
     .with_native_row(row)
-    .with_shard_stable()
     .with_expr({
         let [t0, t1, t2, t3, c, t5, t6, t7, t8] = KernelExpr::taps::<9>();
         let near = t1 + t3 + t5 + t7;
@@ -322,7 +315,6 @@ pub fn asymmetric_2d() -> Benchmark {
         compute,
     )
     .with_native_row(row)
-    .with_shard_stable()
     .with_expr({
         let [t0, t1, t2, t3] = KernelExpr::taps::<4>();
         0.5 * t2 + 0.25 * t1 + 0.15 * t0 + 0.1 * t3
@@ -385,7 +377,7 @@ mod tests {
     #[test]
     fn blur_preserves_constants_and_matches_expr() {
         let b = blur3x3();
-        assert!(b.iteration_stable() && b.shard_stable());
+        assert!(b.iteration_stable());
         assert!((b.compute(&[7.0; 9]) - 7.0).abs() < 1e-12);
         let vals: Vec<f64> = (0..9).map(|k| f64::from(k) * 1.25 - 3.0).collect();
         let expr = b.expr().expect("blur carries its compilable form");

@@ -40,7 +40,6 @@ pub fn denoise() -> Benchmark {
     )
     .with_native_row(row)
     .with_element_bits(16)
-    .with_shard_stable()
     .with_iteration_stable()
     .with_expr({
         let [n, w, c, e, s] = KernelExpr::taps::<5>();
@@ -78,7 +77,6 @@ pub fn rician() -> Benchmark {
     )
     .with_native_row(row)
     .with_element_bits(16)
-    .with_shard_stable()
     // The divide-then-sqrt chain amplifies single-precision rounding,
     // so the f32 datapath gets a looser verification bound.
     .with_f32_rtol(1e-4)
@@ -122,7 +120,6 @@ pub fn sobel() -> Benchmark {
     )
     .with_native_row(row)
     .with_element_bits(16)
-    .with_shard_stable()
     .with_expr({
         let [nw, n, ne, w, e, sw, s, se] = KernelExpr::taps::<8>();
         let gx = (ne.clone() + 2.0 * e + se.clone()) - (nw.clone() + 2.0 * w + sw.clone());
@@ -155,7 +152,6 @@ pub fn bicubic() -> Benchmark {
     )
     .with_native_row(row)
     .with_element_bits(16)
-    .with_shard_stable()
     .with_expr({
         let [t0, t1, t2, t3] = KernelExpr::taps::<4>();
         (9.0 * (t0 + t3) - (t1 + t2)) / 16.0
@@ -192,7 +188,6 @@ pub fn denoise_3d() -> Benchmark {
     )
     .with_native_row(row)
     .with_element_bits(16)
-    .with_shard_stable()
     .with_iteration_stable()
     .with_expr({
         let [t0, t1, t2, c, t4, t5, t6] = KernelExpr::taps::<7>();
@@ -255,7 +250,6 @@ pub fn segmentation_3d() -> Benchmark {
     )
     .with_native_row(row)
     .with_element_bits(16)
-    .with_shard_stable()
     // The 18-term accumulation compounds f32 rounding across the long
     // add chain; relax the f32 verification bound accordingly.
     .with_f32_rtol(1e-4)

@@ -180,12 +180,11 @@ fn repeat_jobs_keep_the_plan_cache_in_steady_state() {
     }
     let outcome = front.finish();
     let m = &outcome.metrics;
-    // 48 output-bearing rows split evenly in two give both bands the
-    // *same* 25-row geometry, so warmup builds exactly one plan; after
-    // that every shard of every repeat is a cache hit and no session
-    // builds a plan.
+    // Both shards of a job cut the job's one plan, so the first job
+    // builds exactly one plan; after that every repeat is a cache hit
+    // and no session builds a plan.
     assert_eq!(m.plan_cache_misses, 1);
-    assert_eq!(m.plan_cache_hits, 8 * 2 - 1);
+    assert_eq!(m.plan_cache_hits, 8 - 1);
     assert_eq!(m.tile_plans_built, 0);
     let first = &outcome.jobs[0].outputs;
     assert!(outcome.jobs.iter().all(|j| &j.outputs == first));
