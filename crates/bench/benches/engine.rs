@@ -1,4 +1,4 @@
-//! Criterion bench: parallel tiled engine vs the cycle-accurate
+//! Criterion bench: the in-core engine vs the cycle-accurate
 //! machine on full-size DENOISE (768x1024), engine thread scaling at
 //! 1/2/4/8 workers, the compiled row-sweep backend vs the closure
 //! datapath, and the bounded-memory streaming path vs in-core. A
@@ -56,13 +56,14 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
 
-    // Engine scaling: one band per worker, 1/2/4/8 workers.
-    // The session is built once: it caches its band schedule on the
-    // first (warm-up) run, so the timed runs build no tile plan.
+    // Engine scaling: 1/2/4/8 workers splitting the rows of each of the
+    // plan's bands. The session is built once: it caches its band
+    // schedule on the first (warm-up) run, so the timed runs build no
+    // tile plan.
     for threads in [1usize, 2, 4, 8] {
         let session = Session::new(&plan)
             .kernel(SessionKernel::Closure(&compute))
-            .mode(ExecMode::Tiled { tiles: threads })
+            .mode(ExecMode::InCore)
             .threads(threads);
         g.bench_function(format!("engine_{threads}thread"), |b| {
             b.iter(|| {
@@ -82,7 +83,7 @@ fn bench_engine(c: &mut Criterion) {
             b.iter(|| {
                 let run = Session::new(black_box(&plan))
                     .kernel(SessionKernel::Compiled(&kernel))
-                    .mode(ExecMode::Tiled { tiles: threads })
+                    .mode(ExecMode::InCore)
                     .threads(threads)
                     .run(&input)
                     .expect("compiled engine");

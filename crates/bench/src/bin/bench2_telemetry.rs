@@ -2,7 +2,7 @@
 //! CI bench-smoke job publishes and gates on.
 //!
 //! Runs the DENOISE benchmark twice — cycle-accurately on the machine
-//! with occupancy sampling enabled, and natively on the parallel tiled
+//! with occupancy sampling enabled, and natively on the in-core
 //! engine — then validates every paper bound against the live counters
 //! (Eq. 2 capacity tightness, the Section 2.3 minimum-buffer bound,
 //! II = 1, stream conservation) and that every number in the report is

@@ -1,7 +1,7 @@
 //! Emits `BENCH_3.json`: the streaming-engine telemetry report the CI
 //! bench-smoke job publishes and gates on.
 //!
-//! Runs scaled DENOISE twice — in-core on the parallel tiled engine
+//! Runs scaled DENOISE twice — in-core on the engine
 //! and out-of-core through the bounded-memory streaming path with
 //! 64-row bands — then checks the two agree bit-for-bit, validates
 //! every runtime bound against the live counters (including the

@@ -160,7 +160,6 @@ fn append_bound_checks(out: &mut String, report: &MetricsReport) -> usize {
 pub fn cmd_engine(
     spec: &StencilSpec,
     streams: usize,
-    tiles: Option<usize>,
     threads: usize,
     streaming: bool,
     chunk_rows: Option<u64>,
@@ -254,10 +253,7 @@ pub fn cmd_engine(
         &compute,
     )?;
 
-    let mode = match tiles {
-        None => ExecMode::InCore,
-        Some(n) => ExecMode::Tiled { tiles: n },
-    };
+    let mode = ExecMode::InCore;
     // f32 always routes through the compiled expression: under the
     // Closure backend it runs the scalar f32 bytecode, so both backends
     // stay available for cross-checking at either width.
@@ -912,7 +908,7 @@ struct ManifestJob {
 /// Parses one job-manifest line:
 ///
 /// ```text
-/// <benchmark> [e0 e1 ...] [mode=incore|streaming[:ROWS]|tiled:N]
+/// <benchmark> [e0 e1 ...] [mode=incore|streaming[:ROWS]]
 ///             [shards=auto|whole|N] [repeat=N] [input=FILE.sgrid]
 /// ```
 ///
@@ -951,11 +947,6 @@ fn parse_manifest_line(line: &str, lineno: usize) -> Result<Option<ManifestJob>,
                         chunk_rows: Some(rows.parse().map_err(|_| {
                             format!("manifest line {lineno}: bad chunk rows `{rows}`")
                         })?),
-                    },
-                    Some(("tiled", n)) => ExecMode::Tiled {
-                        tiles: n
-                            .parse()
-                            .map_err(|_| format!("manifest line {lineno}: bad tile count `{n}`"))?,
                     },
                     _ => return Err(format!("manifest line {lineno}: bad mode `{v}`").into()),
                 };
@@ -1361,7 +1352,6 @@ mod tests {
         let (out, metrics, violations) = cmd_engine(
             &denoise_spec(),
             3,
-            None,
             2,
             false,
             None,
@@ -1388,11 +1378,10 @@ mod tests {
         assert!(engine.throughput.is_finite());
         assert_eq!(validate_report(&report), Vec::new());
 
-        // Explicit band count wins over the stream default.
+        // The band count follows the plan's off-chip streams.
         let (out, _, _) = cmd_engine(
             &denoise_spec(),
-            1,
-            Some(4),
+            4,
             4,
             false,
             None,
@@ -1414,7 +1403,6 @@ mod tests {
         let (out, metrics, violations) = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             2,
             false,
             None,
@@ -1450,7 +1438,6 @@ mod tests {
         let (out, metrics, violations) = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             1,
             true,
             Some(3),
@@ -1485,7 +1472,6 @@ mod tests {
         let err = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             1,
             false,
             None,
@@ -1507,7 +1493,6 @@ mod tests {
         let (out, metrics, violations) = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             2,
             true,
             Some(4),
@@ -1542,7 +1527,6 @@ mod tests {
         let (out, metrics, violations) = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             1,
             false,
             None,
@@ -1577,7 +1561,6 @@ mod tests {
         let (out, metrics, violations) = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             1,
             true,
             Some(1),
@@ -1609,7 +1592,6 @@ mod tests {
         let (out, metrics, violations) = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             1,
             true,
             Some(2),
@@ -1639,7 +1621,6 @@ mod tests {
         let (out, metrics, violations) = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             1,
             false,
             None,
@@ -1675,7 +1656,6 @@ mod tests {
         let (out, metrics, violations) = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             1,
             true,
             Some(1),
@@ -1709,7 +1689,6 @@ mod tests {
         let (out, metrics, violations) = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             1,
             false,
             None,
@@ -1741,7 +1720,6 @@ mod tests {
         let (out, metrics, _) = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             1,
             false,
             None,
@@ -1770,7 +1748,6 @@ mod tests {
         let err = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             1,
             false,
             None,
@@ -1846,7 +1823,6 @@ o o o
         let (out, metrics, violations) = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             1,
             true,
             Some(4),
@@ -1884,7 +1860,6 @@ o o o
         let (_, metrics, violations) = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             1,
             true,
             Some(4),
@@ -1928,7 +1903,6 @@ o o o
         let err = cmd_engine(
             &denoise_spec(),
             1,
-            None,
             1,
             false,
             None,
@@ -1969,7 +1943,6 @@ o o o
             let err = cmd_engine(
                 &denoise_spec(),
                 1,
-                None,
                 1,
                 true,
                 Some(4),
@@ -2042,5 +2015,60 @@ o o o
         assert_eq!(violations, 0);
         let service = MetricsReport::parse(&metrics).unwrap().service.unwrap();
         assert_eq!(service.shards_executed, 2);
+    }
+
+    #[test]
+    fn a_tiled_manifest_mode_is_a_bad_mode() {
+        // In core, the band count follows the plan's off-chip streams;
+        // a band height is `mode=streaming:ROWS`.
+        match parse_manifest_line("denoise 40 24 mode=tiled:3", 7) {
+            Err(e) => assert_eq!(e.to_string(), "manifest line 7: bad mode `tiled:3`"),
+            Ok(_) => panic!("mode=tiled:3 parsed"),
+        }
+    }
+
+    /// Manifest parsing never panics on arbitrary token lines.
+    mod manifest_fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One manifest token: a benchmark name, a key with a value that
+        /// is often malformed, an integer anywhere in `i64`, a comment
+        /// mark or printable garbage.
+        fn token() -> impl Strategy<Value = String> {
+            let name = prop::sample::select(vec!["denoise", "SOBEL", "heat_1d", "nope"]);
+            let key = prop::sample::select(vec![
+                "mode=", "mode=", "shards=", "repeat=", "input=", "", "#",
+            ]);
+            let value = prop::sample::select(vec![
+                "incore",
+                "streaming",
+                "streaming:",
+                "tiled:",
+                "auto",
+                "whole",
+                "",
+                ":",
+            ]);
+            (0u8..4, name, key, value, i64::MIN..=i64::MAX, "[!-~]{1,8}").prop_map(
+                |(kind, name, key, value, int, garbage)| match kind {
+                    0 => name.to_string(),
+                    1 => format!("{key}{value}{int}"),
+                    2 => int.to_string(),
+                    _ => format!("{key}{garbage}"),
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn manifest_lines_parse_or_fail_typed(
+                tokens in prop::collection::vec(token(), 0..8),
+            ) {
+                let _ = parse_manifest_line(&tokens.join(" "), 1);
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! stencil plan     <spec.stencil>                 plan + verify optimality
 //! stencil simulate <spec.stencil> [--streams K] [--metrics-out M.json]
 //!                                 [--vcd OUT.vcd [--cycles N]]
-//! stencil engine   <spec.stencil> [--streams K] [--tiles N] [--threads T]
+//! stencil engine   <spec.stencil> [--streams K] [--threads T]
 //!                                 [--kernel compiled|closure] [--crosscheck]
 //!                                 [--datapath f64|f32]
 //!                                 [--streaming [--chunk-rows N]] [--chain s2,s3,...]
@@ -40,7 +40,7 @@ const SUBCOMMANDS: [&str; 10] = [
 fn usage() -> &'static str {
     "usage:\n  stencil plan     <spec.stencil>\n  stencil simulate <spec.stencil> \
      [--streams K] [--metrics-out M.json] [--vcd OUT.vcd [--cycles N]]\n  \
-     stencil engine   <spec.stencil> [--streams K] [--tiles N] [--threads T] \
+     stencil engine   <spec.stencil> [--streams K] [--threads T] \
      [--kernel compiled|closure] [--crosscheck] \
      [--datapath f64|f32] \
      [--streaming [--chunk-rows N]] [--chain NAME,NAME,... (suite benchmarks chain \
@@ -55,6 +55,9 @@ fn usage() -> &'static str {
      stencil serve    <jobs.manifest> [--workers N] [--queue-depth N] \
      [--memory-budget ELEMS] [--metrics-out M.json]\n  \
      stencil fmt      <spec.stencil>\n\
+     \nengine runs in core in one row band per off-chip stream (--streams K); \
+     --streaming --chunk-rows N\nsets a band height. A serve manifest line takes \
+     mode=incore or mode=streaming[:ROWS].\n\
      \nsimulate/engine/serve exit non-zero when the runtime bound validator reports\n\
      violations; pass --no-fail-on-violation to report them but exit 0.\n\
      -h/--help anywhere prints this text and exits 0."
@@ -132,7 +135,6 @@ fn run(args: Vec<String>) -> Result<RunOutput, commands::CmdError> {
     let mut vcd_path: Option<PathBuf> = None;
     let mut cycles = 256usize;
     let mut out_dir = PathBuf::from("rtl_out");
-    let mut tiles: Option<usize> = None;
     let mut threads = 0usize;
     let mut metrics_out: Option<PathBuf> = None;
     let mut streaming = false;
@@ -153,13 +155,6 @@ fn run(args: Vec<String>) -> Result<RunOutput, commands::CmdError> {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("--streams needs a count")?;
-            }
-            "--tiles" => {
-                tiles = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--tiles needs a count")?,
-                );
             }
             "--threads" => {
                 threads = it
@@ -276,7 +271,6 @@ fn run(args: Vec<String>) -> Result<RunOutput, commands::CmdError> {
             let (mut out, metrics, violations) = cmd_engine(
                 &spec,
                 streams,
-                tiles,
                 threads,
                 streaming,
                 chunk_rows,

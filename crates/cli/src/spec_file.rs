@@ -67,6 +67,7 @@ impl SpecFile {
         let mut name = None;
         let mut grid: Option<Vec<i64>> = None;
         let mut offsets = Vec::new();
+        let mut offset_lines = Vec::new();
         let mut element_bits = StencilSpec::DEFAULT_ELEMENT_BITS;
         let mut constraints_raw: Vec<(usize, Vec<i64>)> = Vec::new();
 
@@ -118,6 +119,7 @@ impl SpecFile {
                         });
                     }
                     offsets.push(Point::new(&v));
+                    offset_lines.push(line);
                 }
                 "element_bits" => {
                     let v = ints(line, &rest)?;
@@ -170,6 +172,23 @@ impl SpecFile {
                 return Err(ParseSpecError {
                     line: 0,
                     message: format!("offset {f} does not match grid dimensionality {dims}"),
+                });
+            }
+        }
+        if constraints_raw.is_empty() {
+            // The default interior box starts at the negated least
+            // offset in each dimension, which `i64` cannot hold for
+            // `i64::MIN`.
+            let overflow = offsets
+                .iter()
+                .zip(&offset_lines)
+                .find(|(f, _)| f.as_slice().contains(&i64::MIN));
+            if let Some((f, &line)) = overflow {
+                return Err(ParseSpecError {
+                    line,
+                    message: format!(
+                        "offset {f} puts the default interior box's lower bound outside i64"
+                    ),
                 });
             }
         }
@@ -228,7 +247,12 @@ impl SpecFile {
             for d in 0..dims {
                 let min_f = self.offsets.iter().map(|f| f[d]).min().expect("non-empty");
                 let max_f = self.offsets.iter().map(|f| f[d]).max().expect("non-empty");
-                bounds.push((-min_f.min(0), self.grid[d] - 1 - max_f.max(0)));
+                // `parse` rejects an `i64::MIN` offset; saturating keeps a
+                // hand-built spec from panicking (its box is then empty).
+                bounds.push((
+                    min_f.min(0).saturating_neg(),
+                    self.grid[d] - 1 - max_f.max(0),
+                ));
             }
             Polyhedron::rect(&bounds)
         } else {
@@ -269,6 +293,26 @@ offset 1 0
         let spec = f.to_spec().unwrap();
         assert_eq!(spec.window_size(), 5);
         assert_eq!(spec.input_domain().count().unwrap(), 768 * 1024);
+    }
+
+    #[test]
+    fn an_offset_past_the_interior_box_is_a_typed_error() {
+        // The least offset's negation is the box's lower bound: `i64`
+        // cannot hold it for `i64::MIN`.
+        let text = "name x\ngrid 10 10\noffset -9223372036854775808 0\n";
+        let e = SpecFile::parse(text).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("interior box"), "{e}");
+        // Explicit constraints replace the default box, so the offset
+        // parses, and the hand-built default box is empty, not a panic.
+        let constrained = format!("{text}constraint 1 0 0\nconstraint 0 1 0\n");
+        let f = SpecFile::parse(&constrained).unwrap();
+        let boxed = SpecFile {
+            constraints: Vec::new(),
+            ..f
+        };
+        let spec = boxed.to_spec().unwrap();
+        assert!(spec.iteration_domain().is_empty().unwrap());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property-based validation of the `.stencil` format: render/parse
-//! round-trips and parser robustness over randomized specifications.
+//! round-trips and parser robustness over randomized specifications,
+//! through `to_spec` too.
 
 use proptest::prelude::*;
 
@@ -85,6 +86,77 @@ proptest! {
         let direct = spec.to_spec().expect("box domains build");
         let rebuilt = reparsed.to_spec().expect("roundtripped specs build");
         prop_assert_eq!(rebuilt, direct);
+    }
+}
+
+/// One token of a spec line: an integer anywhere in `i64` (its
+/// extremes often), a small integer, or printable garbage.
+fn spec_token() -> impl Strategy<Value = String> {
+    let extremes = prop::sample::select(vec![i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX]);
+    (
+        0u8..4,
+        i64::MIN..=i64::MAX,
+        extremes,
+        -4i64..=64,
+        "[!-~]{1,6}",
+    )
+        .prop_map(|(kind, any, extreme, small, garbage)| match kind {
+            0 => any.to_string(),
+            1 => extreme.to_string(),
+            2 => small.to_string(),
+            _ => garbage,
+        })
+}
+
+/// One arbitrary spec line: a directive, known or not, with up to four
+/// tokens.
+fn spec_line() -> impl Strategy<Value = String> {
+    let key = prop::sample::select(vec![
+        "name",
+        "grid",
+        "offset",
+        "offset",
+        "element_bits",
+        "constraint",
+        "bogus",
+        "#",
+    ]);
+    (key, prop::collection::vec(spec_token(), 0..5))
+        .prop_map(|(key, tokens)| format!("{key} {}", tokens.join(" ")))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Parsing arbitrary directive lines and building the spec of what
+    /// parses never panics: every failure is a typed error.
+    #[test]
+    fn parse_then_to_spec_is_total(lines in prop::collection::vec(spec_line(), 0..10)) {
+        if let Ok(file) = SpecFile::parse(&lines.join("\n")) {
+            let _ = file.to_spec();
+        }
+    }
+
+    /// The same on files that carry a name, a grid and offsets of one
+    /// dimensionality, so most of them parse: extreme extents, offsets
+    /// and constraints reach `to_spec`.
+    #[test]
+    fn near_valid_specs_build_or_fail_typed(
+        grid in prop::collection::vec(spec_token(), 1..=3),
+        offsets in prop::collection::vec(prop::collection::vec(spec_token(), 3), 1..5),
+        constraints in prop::collection::vec(prop::collection::vec(spec_token(), 4), 0..3),
+    ) {
+        let dims = grid.len();
+        let mut text = format!("name fuzz\ngrid {}\n", grid.join(" "));
+        for f in &offsets {
+            text += &format!("offset {}\n", f[..dims].join(" "));
+        }
+        for c in &constraints {
+            text += &format!("constraint {}\n", c[..=dims].join(" "));
+        }
+        if let Ok(file) = SpecFile::parse(&text) {
+            let _ = file.to_spec();
+        }
     }
 }
 

@@ -28,21 +28,22 @@
 //! schedules are built once at session construction and handed in
 //! prebuilt, so a T-step ring pays plan validation once, not per step.
 //!
-//! In core, a stage is the same machine over its whole resident input
-//! ([`StreamStage::attach_resident`]), its bands split across the
-//! workers ([`StreamStage::run_in_place`]): [`StreamStage`] is the only
-//! code that runs a band.
+//! In core, the stages run the same wavefront: stage 0 reads its whole
+//! input resident ([`StreamStage::attach_resident`]) and every later
+//! stage its upstream's bands through a halo window, so no intermediate
+//! grid is ever materialised. [`StreamStage`] is the only code that runs
+//! a band, and [`run_chain`] the only loop that drives it.
 //!
-//! Every output is written once. In core at one worker the bands append
-//! to a result that nothing zero-filled; streaming, a band appends to the downstream halo window (or
-//! the last stage's band buffer) at one worker, and at more than one
-//! its row chunks write disjoint slices. Both buffers are reserved at
-//! the stage's planned bound the first time the stage needs them, so
-//! they never grow by reallocation.
+//! Every output is written once. At one worker a band appends to the
+//! downstream halo window, or for the last stage to the run's result
+//! ([`Outlet::Append`]) or its band buffer ([`Outlet::Sink`]); at more
+//! than one its row chunks write disjoint slices. The halo window and
+//! the band buffer are reserved at the stage's planned bound the first
+//! time the stage needs them, so they never grow by reallocation.
 
 use std::borrow::Cow;
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use stencil_core::{row_outer_span, MemorySystemPlan, Tile, TilePlan};
 use stencil_polyhedral::{DomainIndex, Point, Row};
@@ -53,7 +54,7 @@ use crate::error::EngineError;
 use crate::report::{RunReport, StreamReport, TileReport};
 use crate::rowexec::{
     box_tap_offsets, execute_band_parallel, plan_offsets, split_band_rows, threads_for, RankWindow,
-    RowChunk, RowKernel, RowOut, RowStats,
+    RowKernel, RowOut, RowStats,
 };
 use crate::stream::{result_buffer, RowSink, RowSource};
 
@@ -91,7 +92,8 @@ pub(crate) struct StreamStage<'k> {
     admitted: u64,
     // The next band to run.
     cursor: usize,
-    // The last stage's band outputs, reused across bands.
+    // The last stage's band outputs on the way to a sink, reused across
+    // bands.
     out_buf: Vec<f64>,
     // Telemetry.
     gauge: HighWater,
@@ -99,7 +101,10 @@ pub(crate) struct StreamStage<'k> {
     rows_in: u64,
     values_in: u64,
     rows_out: u64,
-    stats: RowStats,
+    // Each band run so far, in band order, and the most workers one
+    // used.
+    bands: Vec<TileReport>,
+    threads_used: usize,
 }
 
 impl std::fmt::Debug for StreamStage<'_> {
@@ -171,7 +176,8 @@ impl<'k> StreamStage<'k> {
             rows_in: 0,
             values_in: 0,
             rows_out: 0,
-            stats: RowStats::default(),
+            bands: Vec::with_capacity(tile_plan.tile_count()),
+            threads_used: 0,
             tile_plan,
             in_idx,
             out_idx,
@@ -204,125 +210,10 @@ impl<'k> StreamStage<'k> {
         self.values_in
     }
 
-    /// Runs every band over the attached resident input and returns the
-    /// stage's outputs with its [`RunReport`] (`started`: when the
-    /// stage began; `halo_elements`: each band's halo size, in band
-    /// order, counted once by the session). Bands, not rows, split
-    /// across the workers: each band reads the whole resident input, so
-    /// no halo window moves. At one worker every band appends its rows,
-    /// in band order, to one result that nothing zero-filled. At more,
-    /// the bands write disjoint slices of one zeroed result: joining
-    /// per-band results afterwards measured slower than the zero fill
-    /// (EXPERIMENTS.md "Write-once in-core sweep"). The appended result
-    /// comes from [`result_buffer`], so its appends fault in whole huge
-    /// pages.
-    pub(crate) fn run_in_place(
-        &self,
-        started: Instant,
-        halo_elements: &[u64],
-    ) -> Result<(Vec<f64>, RunReport), EngineError> {
-        let input = self
-            .resident_input
-            .ok_or_else(|| EngineError::InconsistentIndex {
-                detail: "an in-place stage needs its whole input resident".into(),
-            })?;
-        let tiles = self.tile_plan.tiles();
-        let total = usize::try_from(self.tile_plan.total_outputs()).map_err(|_| {
-            EngineError::DomainTooLarge {
-                points: self.tile_plan.total_outputs(),
-            }
-        })?;
-        let band_rows = tiles
-            .iter()
-            .map(|t| band_rows(self.out_idx, t))
-            .collect::<Result<Vec<_>, _>>()?;
-        let win = RankWindow {
-            idx: self.in_idx,
-            vals: input,
-            base: 0,
-            box_taps: self.box_taps.as_deref(),
-        };
-        let run = |chunks: Vec<RowChunk<'_, '_>>| {
-            execute_band_parallel(chunks, &self.offsets, &win, self.kernel, self.worker_count)
-        };
-
-        let (outputs, per_band) = if self.worker_count == 1 {
-            let mut outputs = result_buffer(total);
-            let mut per_band = Vec::with_capacity(tiles.len());
-            for (tile, rows) in tiles.iter().zip(&band_rows) {
-                let before = outputs.len();
-                per_band.extend(run(vec![(rows.as_ref(), RowOut::append(&mut outputs))])?);
-                let produced = outputs.len() - before;
-                if produced as u64 != tile.len {
-                    return Err(EngineError::InconsistentIndex {
-                        detail: format!(
-                            "band {} claims {} outputs but its rows produced {produced}",
-                            tile.id, tile.len
-                        ),
-                    });
-                }
-            }
-            (outputs, per_band)
-        } else {
-            let mut outputs = vec![0.0f64; total];
-            // Disjoint per-band output slices: bands are contiguous rank
-            // ranges.
-            let mut chunks: Vec<RowChunk<'_, '_>> = Vec::with_capacity(tiles.len());
-            let mut rest: &mut [f64] = &mut outputs;
-            for (tile, rows) in tiles.iter().zip(&band_rows) {
-                let len = usize::try_from(tile.len)
-                    .map_err(|_| EngineError::DomainTooLarge { points: tile.len })?;
-                if len > rest.len() {
-                    return Err(EngineError::InconsistentIndex {
-                        detail: format!(
-                            "band {} claims {len} outputs but only {} remain unassigned",
-                            tile.id,
-                            rest.len()
-                        ),
-                    });
-                }
-                let (head, tail) = rest.split_at_mut(len);
-                chunks.push((rows, RowOut::Slice(head)));
-                rest = tail;
-            }
-            let per_band = run(chunks)?;
-            (outputs, per_band)
-        };
-
-        if halo_elements.len() != tiles.len() {
-            return Err(EngineError::InconsistentIndex {
-                detail: format!(
-                    "{} halo counts for {} bands",
-                    halo_elements.len(),
-                    tiles.len()
-                ),
-            });
-        }
-        let per_tile: Vec<TileReport> = tiles
-            .iter()
-            .zip(per_band)
-            .zip(halo_elements)
-            .map(|((tile, (stats, elapsed)), &halo_elements)| TileReport {
-                id: tile.id,
-                outputs: tile.len,
-                halo_elements,
-                sweep_rows: stats.sweep,
-                fast_rows: stats.fast,
-                gather_rows: stats.gather,
-                elapsed,
-            })
-            .collect();
-        let report = RunReport {
-            outputs: self.tile_plan.total_outputs(),
-            tiles: self.tile_plan.tile_count(),
-            threads: self.worker_count,
-            backend: self.backend,
-            datapath: self.kernel.datapath(),
-            halo_elements: per_tile.iter().map(|t| t.halo_elements).sum(),
-            elapsed: started.elapsed(),
-            per_tile,
-        };
-        Ok((outputs, report))
+    /// The input the stage's bands read when it is resident as a whole
+    /// ([`resident_span`]).
+    pub(crate) fn resident_span(&self) -> u64 {
+        resident_span(self.in_idx, &self.tile_plan, self.out_idx.len())
     }
 
     /// The band the stage runs next, if any is left.
@@ -344,9 +235,10 @@ impl<'k> StreamStage<'k> {
 
     /// Stage 0's intake for its current band: pulls from `source` every
     /// input row up to the top of the band's halo, or admits them in
-    /// place when the input is resident. Rows below the halo (never read
-    /// by any band) are consumed for stream order and dropped.
-    fn pull(&mut self, source: &mut dyn RowSource) -> Result<(), EngineError> {
+    /// place when the input is resident (and `source` may be `None`).
+    /// Rows below the halo (never read by any band) are consumed for
+    /// stream order and dropped.
+    fn pull(&mut self, mut source: Option<&mut dyn RowSource>) -> Result<(), EngineError> {
         if self.resident_input.is_none() {
             self.reserve_window()?;
         }
@@ -363,6 +255,9 @@ impl<'k> StreamStage<'k> {
                 .map_err(|_| EngineError::DomainTooLarge { points: row.len() })?;
             let discard = tile.row_below_halo(span);
             if self.resident_input.is_none() {
+                let source = source.as_deref_mut().ok_or_else(|| EngineError::Source {
+                    detail: "a stage without a resident input has no row source".into(),
+                })?;
                 self.window.truncate(self.filled);
                 source.fill_row(len, &mut self.window)?;
                 let got = self.window.len() - self.filled;
@@ -406,7 +301,8 @@ impl<'k> StreamStage<'k> {
     /// halo times the widest of them, as the bound
     /// [`MemorySystemPlan::planned_residency_bound`] gives for the same
     /// input index and band schedule. The window then never grows by
-    /// reallocation.
+    /// reallocation, and, like a run's result, faults in whole huge
+    /// pages where it spans them (a one-band window holds a whole grid).
     fn reserve_window(&mut self) -> Result<(), EngineError> {
         if self.window.capacity() > 0 {
             return Ok(());
@@ -414,7 +310,7 @@ impl<'k> StreamStage<'k> {
         let bound = halo_window_bound(self.in_idx, &self.tile_plan);
         let bound =
             usize::try_from(bound).map_err(|_| EngineError::DomainTooLarge { points: bound })?;
-        self.window.reserve_exact(bound);
+        self.window = result_buffer(bound);
         Ok(())
     }
 
@@ -478,24 +374,21 @@ impl<'k> StreamStage<'k> {
 
     /// Runs the current band through the shared sweep/fast/gather
     /// executor, placing its outputs (one per band iteration) in `out`
-    /// from `origin` on, and moves on to the next band. At one worker
-    /// `out` is cut back to `origin` and the rows append to it; at more,
-    /// `out` is cut or zero-extended to the band's end and each worker's
-    /// row chunk overwrites its own slice of it.
+    /// from `origin` on, records it, and moves on to the next band. At
+    /// one worker `out` is cut back to `origin` and the rows append to
+    /// it; at more, `out` is cut or zero-extended to the band's end and
+    /// each worker's row chunk overwrites its own slice of it.
     fn run_band(&mut self, out: &mut Vec<f64>, origin: usize) -> Result<(), EngineError> {
         let tile = &self.tile_plan.tiles()[self.cursor];
         let rows = self.in_idx.rows();
+        let resident = &rows[self.resident.clone()];
 
         let window_len = self.window_len()?;
         self.gauge.observe(window_len as u64);
-        let widest = rows[self.resident.clone()]
-            .iter()
-            .map(Row::len)
-            .max()
-            .unwrap_or(0);
-        self.resident_bound = self.resident_bound.max(self.resident.len() as u64 * widest);
+        let widest = resident.iter().map(Row::len).max().unwrap_or(0);
+        self.resident_bound = self.resident_bound.max(resident.len() as u64 * widest);
 
-        let base = rows.get(self.resident.start).map_or(0, |r| r.base);
+        let base = resident.first().map_or(0, |r| r.base);
         // Resident path: the "window" is a borrowed slice of the whole
         // input (rank == offset by the contiguity invariant); nothing
         // was ever copied in. Otherwise: the owned rolling buffer.
@@ -532,9 +425,13 @@ impl<'k> StreamStage<'k> {
             out.resize(origin + band_len, 0.0);
             split_band_rows(&band_rows, &mut out[origin..], workers)?
         };
-        for (stats, _) in execute_band_parallel(chunks, &self.offsets, &win, self.kernel, workers)?
+        let used = chunks.len();
+        let (mut stats, mut busy) = (RowStats::default(), Duration::ZERO);
+        for (chunk, elapsed) in
+            execute_band_parallel(chunks, &self.offsets, &win, self.kernel, workers)?
         {
-            self.stats.merge(stats);
+            stats.merge(chunk);
+            busy += elapsed;
         }
         if out.len() != origin + band_len {
             return Err(EngineError::InconsistentIndex {
@@ -546,22 +443,48 @@ impl<'k> StreamStage<'k> {
             });
         }
         self.rows_out += band_rows.len() as u64;
+        if self.cursor + 1 == self.tile_plan.tile_count() {
+            // The stage's last band has read its window: release it now,
+            // so a one-band chain holds two windows at a time, not one
+            // per stage.
+            self.window = Vec::new();
+        }
+        self.threads_used = self.threads_used.max(used);
+        // The halo count is the in-core report's, taken there.
+        self.bands.push(TileReport {
+            id: tile.id,
+            outputs: tile.len,
+            halo_elements: 0,
+            sweep_rows: stats.sweep,
+            fast_rows: stats.fast,
+            gather_rows: stats.gather,
+            elapsed: busy,
+        });
         self.cursor += 1;
         Ok(())
     }
 
-    /// Runs the current band into the stage's band buffer and pushes
-    /// its rows to `sink` in order; returns the values pushed. The
-    /// buffer is reserved once, at the longest band.
-    fn run_band_to_sink(&mut self, sink: &mut dyn RowSink) -> Result<u64, EngineError> {
+    /// Runs the current band of the last stage to `outlet`: appended to
+    /// the run's result, or through the stage's band buffer to the sink
+    /// row by row. Returns the values produced. The band buffer is
+    /// reserved once, at the longest band.
+    fn run_band_out(&mut self, outlet: &mut Outlet<'_>) -> Result<u64, EngineError> {
         let tile = &self.tile_plan.tiles()[self.cursor];
         let (start, len) = (tile.start_rank, tile.len);
+        let sink = match outlet {
+            Outlet::Append(result) => {
+                let origin = result.len();
+                self.run_band(result, origin)?;
+                return Ok(len);
+            }
+            Outlet::Sink(sink) => sink,
+        };
         let rows = band_rows(self.out_idx, tile)?;
         let mut out = std::mem::take(&mut self.out_buf);
         if out.capacity() == 0 {
             let longest = self.tile_plan.tiles().iter().map(|t| t.len).max();
             let longest = longest.unwrap_or(0);
-            out.reserve_exact(
+            out = result_buffer(
                 usize::try_from(longest)
                     .map_err(|_| EngineError::DomainTooLarge { points: longest })?,
             );
@@ -605,10 +528,35 @@ impl<'k> StreamStage<'k> {
             rows_out: self.rows_out,
             peak_resident: self.gauge.get(),
             resident_bound: self.resident_bound,
-            sweep_rows: self.stats.sweep,
-            fast_rows: self.stats.fast,
-            gather_rows: self.stats.gather,
+            sweep_rows: self.bands.iter().map(|b| b.sweep_rows).sum(),
+            fast_rows: self.bands.iter().map(|b| b.fast_rows).sum(),
+            gather_rows: self.bands.iter().map(|b| b.gather_rows).sum(),
             elapsed,
+        }
+    }
+
+    /// The finished stage's in-core report: its bands, each with its
+    /// workers' busy time and the input points of its halo region (the
+    /// band dilated by the window, as [`Tile::halo_domain`] holds them),
+    /// and the most workers a band used.
+    pub(crate) fn engine_report(&self, elapsed: Duration) -> RunReport {
+        let mut per_tile = self.bands.clone();
+        for (band, tile) in per_tile.iter_mut().zip(self.tile_plan.tiles()) {
+            let (lo, hi) = (
+                tile.band.0.min(tile.halo_band.0),
+                tile.band.1.max(tile.halo_band.1),
+            );
+            band.halo_elements = points_within(self.in_idx.rows(), self.dims, (lo, hi));
+        }
+        RunReport {
+            outputs: self.tile_plan.total_outputs(),
+            tiles: self.tile_plan.tile_count(),
+            threads: self.threads_used.max(1),
+            backend: self.backend,
+            datapath: self.kernel.datapath(),
+            halo_elements: per_tile.iter().map(|t| t.halo_elements).sum(),
+            elapsed,
+            per_tile,
         }
     }
 }
@@ -657,10 +605,13 @@ pub(crate) fn resident_span(in_idx: &DomainIndex, tile_plan: &TilePlan, outputs:
     } else {
         last.halo_band.1
     };
-    let dims = in_idx.dims();
-    in_idx
-        .rows()
-        .iter()
+    points_within(in_idx.rows(), in_idx.dims(), (lo, hi))
+}
+
+/// The points of `rows` whose outermost coordinate lies in `lo..=hi`:
+/// whole rows past 1-D, a clipped slice of the one row in 1-D.
+fn points_within(rows: &[Row], dims: usize, (lo, hi): (i64, i64)) -> u64 {
+    rows.iter()
         .map(|row| {
             let (a, b) = row_outer_span(row, dims);
             let (a, b) = (a.max(lo), b.min(hi));
@@ -712,20 +663,29 @@ fn band_rows<'i>(idx: &'i DomainIndex, tile: &Tile) -> Result<Cow<'i, [Row]>, En
     Ok(Cow::Owned(clipped))
 }
 
-/// Runs a streaming chain as one band wavefront: stage 0 pulls each
-/// band's rows from `source` and hands the band to stage 1 in place,
-/// every stage runs each band that becomes ready, and the last stage
-/// pushes its rows to `sink`. Returns the values pushed.
+/// Where the last stage of a wavefront puts its bands.
+pub(crate) enum Outlet<'o> {
+    /// Rows go to a sink, in order.
+    Sink(&'o mut dyn RowSink),
+    /// Bands append to the run's result, reserved for every output.
+    Append(&'o mut Vec<f64>),
+}
+
+/// Runs a chain of stages as one band wavefront: stage 0 admits each
+/// band's rows (in place from a resident input, else pulled from
+/// `source`) and hands the band to stage 1 in place, every stage runs
+/// each band that becomes ready, and the last stage's bands go to
+/// `outlet`. Returns the values the last stage produced.
 pub(crate) fn run_chain(
     stages: &mut [StreamStage<'_>],
-    source: &mut dyn RowSource,
-    sink: &mut dyn RowSink,
+    mut source: Option<&mut dyn RowSource>,
+    outlet: &mut Outlet<'_>,
 ) -> Result<u64, EngineError> {
-    let mut pushed = 0u64;
+    let mut produced = 0u64;
     while stages[0].current().is_some() {
         stages[0].evict_below_halo()?;
-        stages[0].pull(source)?;
-        pushed += hand_off(stages, 0, sink)?;
+        stages[0].pull(source.as_mut().map(|s| &mut **s as &mut dyn RowSource))?;
+        produced += hand_off(stages, 0, outlet)?;
     }
     if let Some((k, stage)) = stages
         .iter()
@@ -740,21 +700,22 @@ pub(crate) fn run_chain(
             ),
         });
     }
-    Ok(pushed)
+    Ok(produced)
 }
 
 /// Runs stage `k`'s current band onto the tail of stage `k + 1`'s halo
-/// window (or, for the last stage, to `sink`), then every downstream
-/// band that band made ready. Returns the values pushed to `sink`.
+/// window (or, for the last stage, to `outlet`), then every downstream
+/// band that band made ready. Returns the values the last stage
+/// produced.
 fn hand_off(
     stages: &mut [StreamStage<'_>],
     k: usize,
-    sink: &mut dyn RowSink,
+    outlet: &mut Outlet<'_>,
 ) -> Result<u64, EngineError> {
     let (head, rest) = stages.split_at_mut(k + 1);
     let up = &mut head[k];
     let Some(down) = rest.first_mut() else {
-        return up.run_band_to_sink(sink);
+        return up.run_band_out(outlet);
     };
     let Some(tile) = up.current() else {
         return Ok(0);
@@ -765,11 +726,11 @@ fn hand_off(
     let origin = down.filled;
     up.run_band(down.tail(start)?, origin)?;
     down.admit(len);
-    let mut pushed = 0u64;
+    let mut produced = 0u64;
     while stages[k + 1].ready() {
-        pushed += hand_off(stages, k + 1, sink)?;
+        produced += hand_off(stages, k + 1, outlet)?;
     }
-    Ok(pushed)
+    Ok(produced)
 }
 
 #[cfg(test)]
@@ -829,16 +790,15 @@ mod tests {
         let grid = MappedGrid::open(&path).unwrap();
         let mut mapped = stage(&plan, [&in_idx, &out_idx], 7);
         mapped.attach_resident(grid.values()).unwrap();
-        // The mapped stage admits in place: pulling from the empty
-        // source would fail.
-        let (mut source, mut empty) = (SliceSource::new(&vals), SliceSource::new(&[]));
+        // The mapped stage admits in place, with no source at all.
+        let mut source = SliceSource::new(&vals);
         let mut bands = 0usize;
         while let Some(tile) = owned.current() {
             let len = usize::try_from(tile.len).unwrap();
             owned.evict_below_halo().unwrap();
-            owned.pull(&mut source).unwrap();
+            owned.pull(Some(&mut source)).unwrap();
             mapped.evict_below_halo().unwrap();
-            mapped.pull(&mut empty).unwrap();
+            mapped.pull(None).unwrap();
             bands += 1;
             assert_eq!(owned.resident, mapped.resident, "band {bands}");
             let len_w = mapped.window_len().unwrap();
@@ -887,7 +847,7 @@ mod tests {
         let mut at = None;
         while owned.current().is_some() {
             owned.evict_below_halo().unwrap();
-            owned.pull(&mut source).unwrap();
+            owned.pull(Some(&mut source)).unwrap();
             assert_eq!(owned.window.capacity(), bound);
             assert!(owned.filled <= bound);
             let place = owned.window.as_ptr();

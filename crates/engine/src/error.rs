@@ -5,7 +5,7 @@ use std::fmt;
 
 use stencil_core::PlanError;
 
-/// Errors produced while preparing or running a tiled execution.
+/// Errors produced while preparing or running a session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineError {

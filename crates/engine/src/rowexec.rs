@@ -1,7 +1,7 @@
 //! The shared per-row executor behind every engine path.
 //!
-//! The session's in-core tiled modes and its bounded-memory streaming
-//! mode ([`crate::ExecMode`]) reduce to
+//! The session's in-core and bounded-memory streaming modes
+//! ([`crate::ExecMode`]) reduce to
 //! the same inner problem: given a contiguous run of iteration rows and
 //! a resident window of the input stream, produce one output per
 //! iteration. This module is that single integration point — the
@@ -36,10 +36,9 @@
 //! writes each output straight into the result.
 //!
 //! Every band, in core or streaming, runs through
-//! [`crate::chain::StreamStage`]. In core the bands split across the
-//! workers (each band's rows unsplit); streaming, each band's rows
-//! split across them ([`split_band_rows`]). Both hand their row chunks
-//! to [`execute_band_parallel`], the only caller of [`fork_join`] — the
+//! [`crate::chain::StreamStage`], and each band's rows split across the
+//! workers ([`split_band_rows`]). Its row chunks go to
+//! [`execute_band_parallel`], the only caller of [`fork_join`] — the
 //! engine's only `std::thread::scope`.
 
 use std::cmp::Ordering;
@@ -616,7 +615,7 @@ pub(crate) fn threads_for(workers: usize, tiles: usize) -> usize {
 /// A run of iteration rows and where its outputs go.
 pub(crate) type RowChunk<'r, 'o> = (&'r [Row], RowOut<'o>);
 
-/// Splits a streaming band's iteration rows into at most `workers`
+/// Splits a band's iteration rows into at most `workers`
 /// contiguous chunks writing disjoint slices of `out`, the band's
 /// outputs from the rank of its first row on.
 pub(crate) fn split_band_rows<'r, 'o>(
@@ -650,9 +649,8 @@ pub(crate) fn split_band_rows<'r, 'o>(
     Ok(chunks)
 }
 
-/// Runs row chunks — a streaming band's row split, or whole bands in
-/// core — through [`fork_join`] (inline at one worker), its only
-/// caller. Returns each chunk's row tallies and the time its worker
+/// Runs row chunks — one band's row split — through [`fork_join`]
+/// (inline at one worker), its only caller. Returns each chunk's row tallies and the time its worker
 /// spent on it, in chunk order.
 pub(crate) fn execute_band_parallel(
     chunks: Vec<RowChunk<'_, '_>>,

@@ -1,23 +1,25 @@
 //! The unified execution layer: one [`Session`] builder behind every
 //! backend × mode combination, with temporal kernel chaining.
 //!
-//! Before this layer the engine exposed an execution *matrix* — six
-//! entry points crossing {closure, compiled} kernels with {in-core,
-//! pre-tiled, streaming} drivers, each re-implementing backend
-//! selection, tiling, and metrics. A [`Session`] factors those axes
-//! orthogonally:
+//! A [`Session`] factors the engine's axes orthogonally:
 //!
 //! ```text
 //! Session::new(&plan)                  // what to compute
 //!     .kernel(SessionKernel::..)       // datapath: closure or bytecode
 //!     .backend(KernelBackend::..)      // how bytecode executes
-//!     .mode(ExecMode::..)              // in-core / tiled / streaming
-//!     .threads(n)                      // worker parallelism
+//!     .mode(ExecMode::..)              // in-core / streaming band schedule
+//!     .threads(n)                      // workers splitting each band's rows
 //!     .run(&input)                     // or .run_streaming(src, sink)
 //! ```
 //!
-//! Every backend × mode combination executes through this one builder;
-//! there are no parallel entry points.
+//! Every run is one pump: the stages run as one band wavefront
+//! ([`crate::chain`]), each band landing in place in the next stage's
+//! halo window and the last stage's in the result or the sink. The
+//! input decides what is resident: an [`InputGrid`] or a mapped source
+//! is read in place, any other source row by row. The mode only picks
+//! the band schedule — in core one band per off-chip stream of the plan
+//! (Appendix 9.4), streaming bands of `chunk_rows` — and the stage
+//! report block (`engine` in core, `stream` streaming).
 //!
 //! # Temporal chaining
 //!
@@ -33,22 +35,22 @@
 //! independently executes compiled bytecode (when its
 //! [`KernelStage::expr`] exists) or its closure, overridable per stage
 //! via [`Session::stage_backend`]; [`Session::stage_plans`] exposes the
-//! resolved per-stage recipe ([`StagePlan`]) without running. Under
-//! [`ExecMode::Streaming`] the stages run as coupled halo windows of
-//! possibly different reaches — stage `k`'s output rows feed stage
-//! `k + 1` without materializing an intermediate grid, so a DENOISE →
-//! 3x3-blur chain keeps roughly two (differently sized) halo windows
-//! resident instead of a full frame. The session report carries each
+//! resolved per-stage recipe ([`StagePlan`]) without running. The
+//! stages run as coupled halo windows of possibly different reaches —
+//! stage `k`'s output rows feed stage `k + 1` without materializing an
+//! intermediate grid, so a DENOISE → 3x3-blur chain keeps roughly two
+//! (differently sized) halo windows resident instead of a full frame. The session report carries each
 //! stage's backend, window shape, and residency bound, and sums the
 //! per-stage windows into one chained residency bound that the
-//! telemetry validator re-checks per stage.
+//! telemetry validator re-checks per stage. In core the chain runs the
+//! same way: only the first stage's input is held whole.
 //!
 //! # Iterative time-stepping
 //!
 //! [`Session::iterate`] generalizes the chain to a *self-chained ring*:
 //! the single stage's own window erodes its own iteration domain, T
 //! times, so a Jacobi/heat-style kernel runs for T time steps through
-//! one plan built once. Under streaming, T coupled halo windows stay
+//! one plan built once. In every mode, T coupled halo windows stay
 //! resident — a T×halo budget instead of T−1 materialized grids.
 //! [`Session::iterate_until`] adds an epsilon-based convergence early
 //! exit: after each step a row-aligned max-abs-delta reduction compares
@@ -75,31 +77,29 @@ use stencil_core::{MemorySystemPlan, TilePlan};
 use stencil_kernels::{ComputeFn, KernelStage};
 use stencil_polyhedral::{lex_cmp, DomainIndex};
 
-use crate::chain::{resident_span, run_chain, StreamStage};
+use crate::chain::{run_chain, Outlet, StreamStage};
 use crate::compile::{CompiledKernel, Datapath, KernelBackend};
 use crate::error::EngineError;
 use crate::format::MappedGrid;
 use crate::input::InputGrid;
 use crate::report::{finite_throughput, GridIoReport, RunReport, StreamReport};
-use crate::rowexec::{
-    check_kernel_window, machine_parallelism, plan_offsets, threads_for, RowKernel,
-};
-use crate::stream::{result_buffer, RowSink, RowSource, SliceSource, VecSink};
+use crate::rowexec::{check_kernel_window, machine_parallelism, plan_offsets, RowKernel};
+use crate::stream::{result_buffer, RowSink, RowSource};
 use crate::unroll::RowProgram;
 
 /// How a [`Session`] drives execution — orthogonal to the kernel and
-/// backend choices.
+/// backend choices. Every mode runs the same band wavefront; the mode
+/// picks its band schedule and whether the report carries `engine` or
+/// `stream` stage blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// Whole grids in RAM; band count follows the plan's off-chip
-    /// stream sharding (Appendix 9.4).
+    /// The input grid stays resident as a whole, and its schedule is
+    /// the plan's off-chip streams: one band per stream (Appendix 9.4;
+    /// [`MemorySystemPlan::with_offchip_streams`] sets the count).
+    /// Later stages of a chain or ring read their upstream's bands
+    /// through halo windows, as streaming.
     #[default]
     InCore,
-    /// Whole grids in RAM with an explicit band count.
-    Tiled {
-        /// Number of row bands (clamped to at least 1).
-        tiles: usize,
-    },
     /// Bounded-memory streaming: only each stage's current halo window
     /// stays resident.
     Streaming {
@@ -115,23 +115,21 @@ impl ExecMode {
     pub fn as_str(&self) -> &'static str {
         match self {
             ExecMode::InCore => "incore",
-            ExecMode::Tiled { .. } => "tiled",
             ExecMode::Streaming { .. } => "streaming",
         }
     }
 
-    /// The band schedule this mode runs `plan` under: the plan's
-    /// off-chip stream sharding in core, the configured band count when
-    /// tiled, bands of `chunk_rows` when streaming (`None`: one band per
-    /// off-chip stream).
+    /// The band schedule this mode runs `plan` under: bands of
+    /// `chunk_rows` when streaming with a height, else (in core, or
+    /// streaming with `None`) one band per off-chip stream.
     pub(crate) fn bands(self, plan: &MemorySystemPlan) -> Result<TilePlan, EngineError> {
         Ok(match self {
-            ExecMode::InCore => plan.tile_plan(plan.offchip_streams().max(1))?,
-            ExecMode::Tiled { tiles } => plan.tile_plan(tiles.max(1))?,
             ExecMode::Streaming {
                 chunk_rows: Some(n),
             } => plan.tile_plan_chunked(n)?,
-            ExecMode::Streaming { chunk_rows: None } => plan.tile_plan_from_streams()?,
+            ExecMode::InCore | ExecMode::Streaming { chunk_rows: None } => {
+                plan.tile_plan(plan.offchip_streams().max(1))?
+            }
         })
     }
 }
@@ -216,9 +214,6 @@ struct Stage<'a> {
     /// The stage's input index, built on first use (stage 0 only: a
     /// later stage reads its upstream's iteration index).
     input_index: OnceCell<DomainIndex>,
-    /// Each band's halo size in input points, per in-core [`ExecMode`],
-    /// counted on first use: the in-core report's `halo_elements`.
-    halo: RefCell<Vec<(ExecMode, Vec<u64>)>>,
     /// The stage's validated row program, built on first use and
     /// reused by every later run (and by every step of an iterate
     /// ring); a builder call that changes its kernel or datapath clears
@@ -236,14 +231,13 @@ impl<'a> Stage<'a> {
             tile: RefCell::new(Vec::new()),
             iter_index: OnceCell::new(),
             input_index: OnceCell::new(),
-            halo: RefCell::new(Vec::new()),
             program: OnceCell::new(),
         }
     }
 
     /// The stage's tile plan under `mode`, building and caching it on
-    /// miss: [`ExecMode::bands`], or with `upstream` (a streaming
-    /// stage's upstream schedule) the upstream's cuts lagged by this
+    /// miss: [`ExecMode::bands`], or with `upstream` (a later stage's
+    /// upstream schedule) the upstream's cuts lagged by this
     /// stage's window ([`lagged`]). Misses during execution (as opposed
     /// to session construction) are tallied into `built` — the figure
     /// the `tile_plans_built` telemetry counter reports. Each distinct
@@ -267,18 +261,6 @@ impl<'a> Stage<'a> {
         }
         slots.push((mode, tp.clone()));
         Ok(tp)
-    }
-
-    /// Each band's halo size under in-core `mode`, whose schedule is
-    /// `tile_plan`: counted once, then reused by every run.
-    fn halo_counts(&self, mode: ExecMode, tile_plan: &TilePlan) -> Result<Vec<u64>, EngineError> {
-        let mut slots = self.halo.borrow_mut();
-        if let Some((_, counts)) = slots.iter().find(|(m, _)| *m == mode) {
-            return Ok(counts.clone());
-        }
-        let counts = band_halos(tile_plan)?;
-        slots.push((mode, counts.clone()));
-        Ok(counts)
     }
 
     /// Outputs of the stage's schedule under `mode`: its cached
@@ -672,10 +654,10 @@ impl<'a> Session<'a> {
     /// iteration domain per step ([`MemorySystemPlan::chain_next`]
     /// applied to itself), and the same kernel executes every step.
     /// Each step's plan and band schedule are built here, once — a run
-    /// then reuses them, whether in core or streaming. Under
-    /// [`ExecMode::Streaming`] the steps run as T coupled halo windows,
-    /// keeping peak residency within a T×halo budget with no
-    /// intermediate grid.
+    /// then reuses them, whether in core or streaming. In every mode
+    /// the steps run as T coupled halo windows, keeping peak residency
+    /// within a T×halo budget (in core, plus the resident input) with
+    /// no intermediate grid.
     ///
     /// The run's report carries an [`IterateReport`] (`converged` stays
     /// `false`: a fixed-count run never tests convergence — see
@@ -776,9 +758,9 @@ impl<'a> Session<'a> {
     }
 
     /// Every stage's band schedule under `mode`, in pipeline order, from
-    /// the stages' caches (misses tallied into `built`). Under
-    /// streaming, each stage past the first lags its upstream's
-    /// schedule, so the stages run as one band wavefront.
+    /// the stages' caches (misses tallied into `built`). Each stage past
+    /// the first lags its upstream's schedule, so the stages run as one
+    /// band wavefront.
     fn schedules(
         &self,
         mode: ExecMode,
@@ -786,11 +768,7 @@ impl<'a> Session<'a> {
     ) -> Result<Vec<TilePlan>, EngineError> {
         let mut out: Vec<TilePlan> = Vec::with_capacity(self.stages.len());
         for stage in &self.stages {
-            let upstream = match mode {
-                ExecMode::Streaming { .. } => out.last(),
-                _ => None,
-            };
-            let tp = stage.tiles(mode, upstream, built)?;
+            let tp = stage.tiles(mode, out.last(), built)?;
             out.push(tp);
         }
         Ok(out)
@@ -870,10 +848,10 @@ impl<'a> Session<'a> {
 
     /// Executes the pipeline over an in-memory input grid and returns
     /// the final stage's outputs. The grid is resident in every mode:
-    /// under [`ExecMode::Streaming`] the stages run as coupled halo
-    /// windows over it in place, as over a mapped source, and nothing
-    /// copies it, so results are identical across modes. Every mode
-    /// reads the input through the grid's own index.
+    /// the stages run as one band wavefront over it in place
+    /// (`Session::pump`), nothing copies it, and the last stage's bands
+    /// append to the result, so results are identical across modes.
+    /// Every mode reads the input through the grid's own index.
     ///
     /// # Errors
     ///
@@ -884,24 +862,14 @@ impl<'a> Session<'a> {
     /// panics.
     pub fn run(&self, input: &InputGrid<'_>) -> Result<SessionRun, EngineError> {
         self.check_input(input)?;
-        match self.mode {
-            ExecMode::InCore | ExecMode::Tiled { .. } => self.run_incore(input),
-            ExecMode::Streaming { chunk_rows } => {
-                // Sized up front, so the outputs never grow by
-                // reallocation.
-                let outputs = self.last_stage()?.outputs(self.mode)?;
-                let mut sink = VecSink {
-                    values: result_buffer(usize::try_from(outputs).unwrap_or(0)),
-                };
-                // The resident grid is never pulled from its source.
-                let mut source = SliceSource::new(&[]);
-                let report = self.stream_into(&mut source, &mut sink, chunk_rows, Some(input))?;
-                Ok(SessionRun {
-                    outputs: sink.values,
-                    report,
-                })
-            }
-        }
+        // Sized up front, so the outputs never grow by reallocation.
+        let outputs = self.last_stage()?.outputs(self.mode)?;
+        let mut values = result_buffer(usize::try_from(outputs).unwrap_or(0));
+        let report = self.pump(None, Some(input), &mut Outlet::Append(&mut values))?;
+        Ok(SessionRun {
+            outputs: values,
+            report,
+        })
     }
 
     /// Rejects an input grid whose point count is not the first stage's
@@ -923,11 +891,11 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
-    /// Executes the pipeline between a row source and a row sink. Under
-    /// the in-core modes the input is materialized from the source
-    /// first and the final outputs pushed row by row afterwards; under
-    /// [`ExecMode::Streaming`] the stages run as coupled halo windows
-    /// and only the chained reuse windows stay resident.
+    /// Executes the pipeline between a row source and a row sink, in
+    /// every mode as one band wavefront (`Session::pump`): a mapped
+    /// source is read in place, any other source row by row into the
+    /// first stage's halo window, and only the chained halo windows stay
+    /// resident.
     ///
     /// # Errors
     ///
@@ -938,160 +906,7 @@ impl<'a> Session<'a> {
         source: &mut dyn RowSource,
         sink: &mut dyn RowSink,
     ) -> Result<SessionReport, EngineError> {
-        match self.mode {
-            ExecMode::Streaming { chunk_rows } => self.stream_into(source, sink, chunk_rows, None),
-            ExecMode::InCore | ExecMode::Tiled { .. } => {
-                // Materialize the input, run in core, stream the result
-                // out — mode stays orthogonal to the endpoints. A
-                // mapped source skips materialization entirely: the
-                // mapped payload *is* the input grid's value buffer.
-                let in_idx = self.stages[0].input_index()?;
-                let mapped = source.mapped();
-                let (run, mut grid_io) = if let Some(grid) = &mapped {
-                    let input = InputGrid::new(in_idx, grid.values())?;
-                    let run = self.run_incore(&input)?;
-                    let io = GridIoReport {
-                        bytes_mapped: grid.bytes_mapped(),
-                        values_mapped: grid.values().len() as u64,
-                        values_copied: 0,
-                        output_values: 0,
-                        sink_finalized: false,
-                    };
-                    (run, io)
-                } else {
-                    let mut vals = Vec::new();
-                    for row in in_idx.rows() {
-                        let len = usize::try_from(row.len())
-                            .map_err(|_| EngineError::DomainTooLarge { points: row.len() })?;
-                        let before = vals.len();
-                        source.fill_row(len, &mut vals)?;
-                        if vals.len() - before != len {
-                            return Err(EngineError::Source {
-                                detail: format!(
-                                    "source produced {} of {len} requested values",
-                                    vals.len() - before
-                                ),
-                            });
-                        }
-                    }
-                    let io = GridIoReport {
-                        bytes_mapped: 0,
-                        values_mapped: 0,
-                        values_copied: vals.len() as u64,
-                        output_values: 0,
-                        sink_finalized: false,
-                    };
-                    let input = InputGrid::new(in_idx, &vals)?;
-                    (self.run_incore(&input)?, io)
-                };
-                let out_idx = self.last_stage()?.iteration_index()?;
-                for row in out_idx.rows() {
-                    let start = usize::try_from(row.base)
-                        .map_err(|_| EngineError::DomainTooLarge { points: row.base })?;
-                    let len = usize::try_from(row.len())
-                        .map_err(|_| EngineError::DomainTooLarge { points: row.len() })?;
-                    let slice = run.outputs.get(start..start + len).ok_or_else(|| {
-                        EngineError::InconsistentIndex {
-                            detail: format!(
-                                "output row at {} exceeds the output buffer",
-                                row.prefix
-                            ),
-                        }
-                    })?;
-                    sink.push_row(slice)?;
-                    grid_io.output_values += slice.len() as u64;
-                }
-                sink.finish()?;
-                grid_io.sink_finalized = true;
-                let mut report = run.report;
-                report.grid_io = Some(grid_io);
-                Ok(report)
-            }
-        }
-    }
-
-    /// Sequential in-core execution: each stage runs over its whole
-    /// resident input ([`Session::run_resident`]), its output buffer
-    /// becoming the next stage's input grid.
-    fn run_incore(&self, input: &InputGrid<'_>) -> Result<SessionRun, EngineError> {
-        let started = Instant::now();
-        let built_before = self.tiles_built.get();
-        let mut stage_reports = Vec::with_capacity(self.stages.len());
-        let mut cur: Vec<f64> = Vec::new();
-        for (i, stage) in self.stages.iter().enumerate() {
-            let sp = self.resolve(i)?;
-            let tile_plan = stage.tiles(self.mode, None, Some(&self.tiles_built))?;
-            let out_idx = stage.iteration_index()?;
-            // A later stage's input index is its upstream's iteration
-            // index, row for row (`chains_from`).
-            let (in_idx, vals) = match i.checked_sub(1) {
-                None => (input.index(), input.values()),
-                Some(up) => (self.stages[up].iteration_index()?, cur.as_slice()),
-            };
-            let halo = stage.halo_counts(self.mode, &tile_plan)?;
-            let (outputs, report) = self.run_resident(
-                &sp, sp.label, sp.plan, tile_plan, &halo, in_idx, out_idx, vals,
-            )?;
-            stage_reports.push(report);
-            cur = outputs;
-        }
-        // In core, every stage's whole input grid is resident.
-        let peak = stage_reports.iter().map(|r| r.resident_bound).sum();
-        Ok(SessionRun {
-            outputs: cur,
-            report: SessionReport {
-                label: self.label.clone(),
-                mode: self.mode,
-                threads: max_threads(&stage_reports),
-                stages: stage_reports,
-                peak_resident: peak,
-                resident_bound: peak,
-                elapsed: started.elapsed(),
-                tile_plans_built: self.tiles_built.get() - built_before,
-                iterate: self.fixed_iterate_report(),
-                grid_io: None,
-            },
-        })
-    }
-
-    /// Runs one in-core stage: `sp`'s kernel over `plan` as a
-    /// [`StreamStage`] over the whole resident input `vals` (ranked by
-    /// `in_idx`; `out_idx` indexes `plan`'s iteration domain), its bands
-    /// split across up to [`Session::workers`] workers and written once
-    /// ([`StreamStage::run_in_place`]). `halo` holds each band's halo
-    /// size. Returns the outputs and the stage's report, labelled
-    /// `label`.
-    // `label`/`plan` differ from `sp`'s on `iterate_until`'s derived steps.
-    #[allow(clippy::too_many_arguments)]
-    fn run_resident(
-        &self,
-        sp: &StagePlan<'_>,
-        label: &str,
-        plan: &MemorySystemPlan,
-        tile_plan: TilePlan,
-        halo: &[u64],
-        in_idx: &DomainIndex,
-        out_idx: &DomainIndex,
-        vals: &[f64],
-    ) -> Result<(Vec<f64>, StageReport), EngineError> {
-        let started = Instant::now();
-        let workers = threads_for(self.workers(), tile_plan.tile_count());
-        let resident_bound = resident_span(in_idx, &tile_plan, out_idx.len());
-        let mut machine = StreamStage::new(
-            plan, in_idx, out_idx, tile_plan, &sp.kernel, sp.backend, None, workers,
-        )?;
-        machine.attach_resident(vals)?;
-        let (outputs, run) = machine.run_in_place(started, halo)?;
-        let report = StageReport {
-            label: label.to_string(),
-            backend: sp.backend,
-            window_taps: sp.window_taps(),
-            window_rows: sp.window_rows(),
-            resident_bound,
-            engine: Some(run),
-            stream: None,
-        };
-        Ok((outputs, report))
+        self.pump(Some(source), None, &mut Outlet::Sink(sink))
     }
 
     /// The [`IterateReport`] of a fixed-count [`Session::iterate`] run,
@@ -1109,20 +924,24 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// Chained streaming execution: one [`StreamStage`] per kernel, run
-    /// as one band wavefront ([`run_chain`]) over the lagged schedules,
-    /// each band landing in place in the next stage's halo window.
-    /// Stage 0 reads `input` resident, ranked through the grid's own
-    /// index, when given; else it reads `source` through its plan's
-    /// input domain. Every later stage ranks through its upstream's
-    /// iteration index. Only a run from `source` reports its grid I/O.
-    fn stream_into(
+    /// The one pump behind every run: one [`StreamStage`] per kernel,
+    /// run as one band wavefront ([`run_chain`]) over the mode's lagged
+    /// schedules, each band landing in place in the next stage's halo
+    /// window and the last stage's in `outlet`. Stage 0 reads `input`
+    /// resident, ranked through the grid's own index, when given; a
+    /// mapped `source` resident too; any other `source` through its
+    /// plan's input domain. Every later stage ranks through its
+    /// upstream's iteration index. Only a run from `source` reports its
+    /// grid I/O.
+    fn pump(
         &self,
-        source: &mut dyn RowSource,
-        sink: &mut dyn RowSink,
-        chunk_rows: Option<u64>,
+        source: Option<&mut dyn RowSource>,
         input: Option<&InputGrid<'_>>,
+        outlet: &mut Outlet<'_>,
     ) -> Result<SessionReport, EngineError> {
+        // The run is timed from its resolved stages: a first run's
+        // program construction is not stage work.
+        let sps = self.stage_plans()?;
         let started = Instant::now();
         let built_before = self.tiles_built.get();
         // A resident grid or a mapped source puts the whole input
@@ -1130,15 +949,17 @@ impl<'a> Session<'a> {
         // of it and no value is ever copied into the halo window. The
         // mapping and the stage plans outlive the stages that borrow
         // them.
-        let mapped = source.mapped();
+        let mapped = source.as_ref().and_then(|s| s.mapped());
         let resident = match input {
             Some(grid) => Some(grid.values()),
             None => mapped.as_ref().map(MappedGrid::values),
         };
-        let sps = self.stage_plans()?;
-        let mode = ExecMode::Streaming { chunk_rows };
+        let chunk_rows = match self.mode {
+            ExecMode::Streaming { chunk_rows } => chunk_rows,
+            ExecMode::InCore => None,
+        };
         let workers = self.workers();
-        let schedules = self.schedules(mode, Some(&self.tiles_built))?;
+        let schedules = self.schedules(self.mode, Some(&self.tiles_built))?;
         let mut machines: Vec<StreamStage<'_>> = Vec::with_capacity(sps.len());
         for (i, ((stage, sp), tile_plan)) in self.stages.iter().zip(&sps).zip(schedules).enumerate()
         {
@@ -1162,25 +983,25 @@ impl<'a> Session<'a> {
             machines[0].attach_resident(values)?;
         }
 
-        let output_values = run_chain(&mut machines, source, sink)?;
-        sink.finish()?;
+        let output_values = run_chain(&mut machines, source, outlet)?;
+        if let Outlet::Sink(sink) = outlet {
+            sink.finish()?;
+        }
 
         let elapsed = started.elapsed();
+        let in_core = self.mode == ExecMode::InCore;
         let mut peak = 0u64;
         let mut bound = 0u64;
         let mut stage_reports = Vec::with_capacity(machines.len());
-        for (sp, m) in sps.iter().zip(&machines) {
-            peak += m.peak_resident();
-            bound += m.runtime_bound();
-            stage_reports.push(StageReport {
-                label: sp.label.to_string(),
-                backend: sp.backend,
-                window_taps: sp.window_taps(),
-                window_rows: sp.window_rows(),
-                resident_bound: m.runtime_bound(),
-                engine: None,
-                stream: Some(m.report(elapsed)),
-            });
+        for (i, (sp, m)) in sps.iter().zip(&machines).enumerate() {
+            // In core, a resident input is held whole; every other
+            // stage holds one band's halo window.
+            let held = (in_core && i == 0 && resident.is_some()).then(|| m.resident_span());
+            let (report, stage_peak) =
+                stage_report(sp, sp.label.to_string(), m, in_core, held, elapsed);
+            peak += stage_peak;
+            bound += report.resident_bound;
+            stage_reports.push(report);
         }
         let (values_mapped, values_copied) = if mapped.is_some() {
             (machines[0].values_in(), 0)
@@ -1210,14 +1031,17 @@ impl<'a> Session<'a> {
 
     /// Time-steps the single-stage session until the per-step update
     /// falls to `epsilon` or `max_steps` is reached, whichever comes
-    /// first. Steps run sequentially in core, each step's plan derived
-    /// from the previous by self-chaining ([`Session::iterate`]'s
-    /// ring, expanded lazily so unneeded steps are never planned);
-    /// after each step a row-aligned max-abs-delta reduction compares
-    /// the step's output against its input over the step's iteration
-    /// domain. Because closure and compiled backends produce
-    /// bit-identical outputs by construction, the measured deltas — and
-    /// therefore the step count — are identical across backends.
+    /// first. Steps run one at a time in core, each a one-stage band
+    /// wavefront (`run_chain`) over the previous step's resident
+    /// outputs under the plan's off-chip stream schedule, each step's
+    /// plan derived from the previous by self-chaining
+    /// ([`Session::iterate`]'s ring, expanded lazily so unneeded steps
+    /// are never planned); after each step a row-aligned max-abs-delta
+    /// reduction compares the step's output against its input over the
+    /// step's iteration domain. Because closure and compiled backends
+    /// produce bit-identical outputs by construction, the measured
+    /// deltas — and therefore the step count — are identical across
+    /// backends.
     ///
     /// Steps execute strictly one at a time (the early exit requires
     /// each step to finish before the next is planned), so the reported
@@ -1264,11 +1088,7 @@ impl<'a> Session<'a> {
         self.check_input(input)?;
         let window = plan_offsets(base_plan);
         let name = base_plan.name().to_string();
-        // Steps run in core: `Tiled` as configured, `InCore` otherwise.
-        let mode = match self.mode {
-            tiled @ ExecMode::Tiled { .. } => tiled,
-            _ => ExecMode::InCore,
-        };
+        let mode = ExecMode::InCore;
 
         let mut derived: Option<MemorySystemPlan> = None;
         let mut cur_vals: Vec<f64> = Vec::new();
@@ -1278,18 +1098,18 @@ impl<'a> Session<'a> {
         let mut steps = 0u64;
 
         for k in 1..=max_steps {
+            let step_started = Instant::now();
             let plan = derived.as_ref().unwrap_or(base_plan);
-            let (tile_plan, halo, label) = if k == 1 {
-                let tile_plan = stage.tiles(mode, None, Some(&self.tiles_built))?;
-                let halo = stage.halo_counts(mode, &tile_plan)?;
-                (tile_plan, halo, name.clone())
+            let (tile_plan, label) = if k == 1 {
+                (
+                    stage.tiles(mode, None, Some(&self.tiles_built))?,
+                    name.clone(),
+                )
             } else {
                 // Derived step plans are fresh objects; their band
                 // schedules are inherently built per executed step.
                 self.tiles_built.set(self.tiles_built.get() + 1);
-                let tile_plan = mode.bands(plan)?;
-                let halo = band_halos(&tile_plan)?;
-                (tile_plan, halo, format!("{name}@t{k}"))
+                (mode.bands(plan)?, format!("{name}@t{k}"))
             };
             let in_idx;
             let (prev_idx, prev_vals): (&DomainIndex, &[f64]) = if k == 1 {
@@ -1302,9 +1122,26 @@ impl<'a> Session<'a> {
                 .iteration_domain()
                 .index()
                 .map_err(|e| EngineError::Plan(e.into()))?;
-            let (outputs, report) = self.run_resident(
-                &sp, &label, plan, tile_plan, &halo, prev_idx, &out_idx, prev_vals,
+            let total = usize::try_from(tile_plan.total_outputs()).unwrap_or(0);
+            let mut outputs = result_buffer(total);
+            let mut m = StreamStage::new(
+                plan,
+                prev_idx,
+                &out_idx,
+                tile_plan,
+                &sp.kernel,
+                sp.backend,
+                None,
+                self.workers(),
             )?;
+            m.attach_resident(prev_vals)?;
+            run_chain(
+                std::slice::from_mut(&mut m),
+                None,
+                &mut Outlet::Append(&mut outputs),
+            )?;
+            let held = Some(m.resident_span());
+            let (report, _) = stage_report(&sp, label, &m, true, held, step_started.elapsed());
             let delta = max_abs_delta(&out_idx, &outputs, prev_idx, prev_vals)?;
             steps += 1;
             stage_reports.push(report);
@@ -1349,7 +1186,31 @@ impl<'a> Session<'a> {
     }
 }
 
-/// A streaming stage's band schedule: `upstream`'s cuts shifted down by
+/// A stage's report from its machine's counters, and the values it held
+/// at its peak: the `engine` block in core, the `stream` block
+/// streaming. `held` is the input an in-core stage holds whole because
+/// it is resident; every other stage holds one band's halo window.
+fn stage_report(
+    sp: &StagePlan<'_>,
+    label: String,
+    m: &StreamStage<'_>,
+    in_core: bool,
+    held: Option<u64>,
+    elapsed: Duration,
+) -> (StageReport, u64) {
+    let report = StageReport {
+        label,
+        backend: sp.backend,
+        window_taps: sp.window_taps(),
+        window_rows: sp.window_rows(),
+        resident_bound: held.unwrap_or_else(|| m.runtime_bound()),
+        engine: in_core.then(|| m.engine_report(elapsed)),
+        stream: (!in_core).then(|| m.report(elapsed)),
+    };
+    (report, held.unwrap_or_else(|| m.peak_resident()))
+}
+
+/// A later stage's band schedule: `upstream`'s cuts shifted down by
 /// the stage window's largest outermost offset, clipped to the stage's
 /// domain. Upstream band `b` then produces exactly the input rows this
 /// stage's band `b` still lacks, and the last cut lands on the stage's
@@ -1363,19 +1224,6 @@ fn lagged(plan: &MemorySystemPlan, upstream: &TilePlan) -> Result<TilePlan, Engi
         .unwrap_or(0);
     let cuts: Vec<i64> = upstream.cuts().iter().map(|c| c - lag).collect();
     Ok(plan.tile_plan_from_cuts(&cuts)?)
-}
-
-/// Each band's halo size in input points, in band order.
-fn band_halos(tile_plan: &TilePlan) -> Result<Vec<u64>, EngineError> {
-    tile_plan
-        .tiles()
-        .iter()
-        .map(|t| {
-            t.halo_domain
-                .count()
-                .map_err(|e| EngineError::Plan(e.into()))
-        })
-        .collect()
 }
 
 /// The index in `cell`, built by `build` on first use.
@@ -1486,10 +1334,11 @@ pub struct StageReport {
     /// halo reach).
     pub window_rows: u64,
     /// This stage's own planned residency ceiling: its halo-window
-    /// bound under streaming, its whole input grid in core.
+    /// bound, or in core for a first stage whose input is resident, the
+    /// input its bands read (the whole grid for a whole schedule).
     pub resident_bound: u64,
-    /// In-core statistics, when the stage ran through the tiled
-    /// executor.
+    /// In-core statistics, when the stage ran under
+    /// [`ExecMode::InCore`].
     pub engine: Option<RunReport>,
     /// Streaming statistics, when the stage ran as a halo window.
     pub stream: Option<StreamReport>,
@@ -1506,9 +1355,9 @@ pub struct SessionReport {
     pub threads: usize,
     /// Per-stage statistics, pipeline order.
     pub stages: Vec<StageReport>,
-    /// Peak resident input values, summed across stages. Streaming
-    /// sums the per-stage halo-window high-water marks (the windows
-    /// coexist); in core it is the sum of whole stage input grids.
+    /// Peak resident input values, summed across stages: the per-stage
+    /// halo-window high-water marks (the windows coexist), and in core
+    /// a resident first stage's whole input.
     pub peak_resident: u64,
     /// The residency bound the run was expected to honor, summed the
     /// same way.
@@ -1695,6 +1544,11 @@ mod tests {
         MemorySystemPlan::generate(&spec).unwrap()
     }
 
+    /// `plan` over `streams` off-chip streams: in core, that many bands.
+    fn banded(plan: &MemorySystemPlan, streams: usize) -> MemorySystemPlan {
+        plan.with_offchip_streams(streams).unwrap()
+    }
+
     fn window_5pt() -> Vec<Point> {
         vec![
             Point::new(&[-1, 0]),
@@ -1746,9 +1600,9 @@ mod tests {
         let vals = ramp(in_idx.len());
         let input = InputGrid::new(&in_idx, &vals).unwrap();
 
-        let run = Session::new(&plan)
+        let run = Session::new(&banded(&plan, 3))
             .kernel(SessionKernel::Closure(&compute))
-            .mode(ExecMode::Tiled { tiles: 3 })
+            .mode(ExecMode::InCore)
             .run(&input)
             .unwrap();
 
@@ -1788,19 +1642,31 @@ mod tests {
         let sum = |w: &[f64]| w.iter().sum::<f64>() * 0.2;
         let reference = Session::new(&plan)
             .kernel(SessionKernel::Closure(&sum))
-            .mode(ExecMode::Tiled { tiles: 1 })
+            .mode(ExecMode::InCore)
             .run(&input)
             .unwrap()
             .outputs;
-        for tiles in [2usize, 3, 5, 8, 100] {
+        // In core over 2, 3 and 5 streams' bands, and in bands of one
+        // and two rows.
+        let schedules = [2usize, 3, 5]
+            .map(|n| (banded(&plan, n), ExecMode::InCore))
+            .into_iter()
+            .chain([1u64, 2].map(|rows| {
+                let mode = ExecMode::Streaming {
+                    chunk_rows: Some(rows),
+                };
+                (plan.clone(), mode)
+            }));
+        for (plan, mode) in schedules {
             for threads in [1usize, 2, 4] {
                 let run = Session::new(&plan)
                     .kernel(SessionKernel::Closure(&sum))
-                    .mode(ExecMode::Tiled { tiles })
+                    .mode(mode)
                     .threads(threads)
                     .run(&input)
                     .unwrap();
-                assert_eq!(run.outputs, reference, "tiles={tiles} threads={threads}");
+                let what = format!("{} streams, {mode:?}", plan.offchip_streams());
+                assert_eq!(run.outputs, reference, "{what} threads={threads}");
             }
         }
     }
@@ -1813,14 +1679,15 @@ mod tests {
         let input = InputGrid::new(&in_idx, &vals).unwrap();
         let kernel = compiled_5pt();
 
+        let plan = banded(&plan, 3);
         let reference = Session::new(&plan)
             .kernel(SessionKernel::Closure(&compute))
-            .mode(ExecMode::Tiled { tiles: 3 })
+            .mode(ExecMode::InCore)
             .run(&input)
             .unwrap();
         let compiled = Session::new(&plan)
             .kernel(SessionKernel::Compiled(&kernel))
-            .mode(ExecMode::Tiled { tiles: 3 })
+            .mode(ExecMode::InCore)
             .run(&input)
             .unwrap();
         assert_eq!(compiled.outputs, reference.outputs);
@@ -1846,7 +1713,7 @@ mod tests {
         let scalar = Session::new(&plan)
             .kernel(SessionKernel::Compiled(&kernel))
             .backend(KernelBackend::Closure)
-            .mode(ExecMode::Tiled { tiles: 3 })
+            .mode(ExecMode::InCore)
             .run(&input)
             .unwrap();
         assert_eq!(scalar.outputs, reference.outputs);
@@ -1966,15 +1833,19 @@ mod tests {
             .kernel(SessionKernel::Closure(&compute))
             .run(&input)
             .unwrap();
-        for mode in [
-            ExecMode::InCore,
-            ExecMode::Tiled { tiles: 3 },
-            ExecMode::Streaming { chunk_rows: None },
-            ExecMode::Streaming {
-                chunk_rows: Some(3),
-            },
+        let three = banded(&plan, 3);
+        for (plan, mode) in [
+            (&plan, ExecMode::InCore),
+            (&three, ExecMode::InCore),
+            (&plan, ExecMode::Streaming { chunk_rows: None }),
+            (
+                &plan,
+                ExecMode::Streaming {
+                    chunk_rows: Some(3),
+                },
+            ),
         ] {
-            let run = Session::new(&plan)
+            let run = Session::new(plan)
                 .kernel(SessionKernel::Compiled(&kernel))
                 .mode(mode)
                 .run(&input)
@@ -2182,7 +2053,7 @@ mod tests {
         let center = |w: &[f64]| w[2];
         let e = Session::new(&plan)
             .kernel(SessionKernel::Closure(&center))
-            .mode(ExecMode::Tiled { tiles: 1 })
+            .mode(ExecMode::InCore)
             .run(&input)
             .unwrap_err();
         match e {
@@ -2200,15 +2071,19 @@ mod tests {
         let idx = Polyhedron::grid(&[12, 10]).index().unwrap();
         let vals = ramp(idx.len());
         let input = InputGrid::new(&idx, &vals).unwrap();
-        for mode in [
-            ExecMode::InCore,
-            ExecMode::Tiled { tiles: 3 },
-            ExecMode::Streaming {
-                chunk_rows: Some(3),
-            },
-            ExecMode::Streaming { chunk_rows: None },
+        let three = banded(&plan, 3);
+        for (plan, mode) in [
+            (&plan, ExecMode::InCore),
+            (&three, ExecMode::InCore),
+            (
+                &plan,
+                ExecMode::Streaming {
+                    chunk_rows: Some(3),
+                },
+            ),
+            (&plan, ExecMode::Streaming { chunk_rows: None }),
         ] {
-            let e = Session::new(&plan)
+            let e = Session::new(plan)
                 .kernel(SessionKernel::Closure(&compute))
                 .mode(mode)
                 .run(&input)
@@ -2224,49 +2099,53 @@ mod tests {
     }
 
     #[test]
-    fn in_core_workers_follow_the_band_count_and_bands_report_in_order() {
+    fn in_core_workers_split_each_bands_rows_and_bands_report_in_order() {
         let plan = plan_5pt(40, 24);
         let in_idx = plan.input_domain().index().unwrap();
         let vals = ramp(in_idx.len());
         let input = InputGrid::new(&in_idx, &vals).unwrap();
-        let run = |mode: ExecMode, threads: usize| {
-            Session::new(&plan)
+        let run = |plan: &MemorySystemPlan, threads: usize| {
+            Session::new(plan)
                 .kernel(SessionKernel::Closure(&compute))
-                .mode(mode)
+                .mode(ExecMode::InCore)
                 .threads(threads)
                 .run(&input)
                 .unwrap()
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let reference = bits(&run(ExecMode::InCore, 1).outputs);
+        let reference = bits(&run(&plan, 1).outputs);
 
-        // Default in-core DENOISE is one band, so one worker.
-        let one = run(ExecMode::InCore, 4);
-        assert_eq!(one.report.threads, 1);
-        assert_eq!(one.report.stages[0].engine.as_ref().unwrap().threads, 1);
+        // Default in-core DENOISE is one band; four workers split its
+        // rows.
+        let one = run(&plan, 4);
+        let r = one.report.stages[0].engine.as_ref().unwrap();
+        assert_eq!((one.report.threads, r.threads, r.tiles), (4, 4, 1));
         assert_eq!(bits(&one.outputs), reference);
 
-        let tiled = run(ExecMode::Tiled { tiles: 3 }, 4);
-        let r = tiled.report.stages[0].engine.as_ref().unwrap();
-        assert_eq!((tiled.report.threads, r.threads, r.tiles), (3, 3, 3));
+        let three = run(&banded(&plan, 3), 4);
+        let r = three.report.stages[0].engine.as_ref().unwrap();
+        assert_eq!((three.report.threads, r.threads, r.tiles), (4, 4, 3));
         assert_eq!(r.per_tile.len(), 3);
         assert_eq!(
             r.per_tile.iter().map(|t| t.id).collect::<Vec<_>>(),
             [0, 1, 2]
         );
         assert_eq!(r.per_tile.iter().map(|t| t.outputs).sum::<u64>(), r.outputs);
-        assert_eq!(r.outputs, tiled.outputs.len() as u64);
-        assert_eq!(bits(&tiled.outputs), reference);
+        assert_eq!(r.outputs, three.outputs.len() as u64);
+        assert_eq!(bits(&three.outputs), reference);
     }
 
     #[test]
-    fn in_core_outputs_are_written_once_into_an_exact_buffer() {
+    fn pump_outputs_are_written_once_into_an_exact_buffer() {
         // The compiled DENOISE (native append form), the register
-        // program and a closure, in one band and in three at one and
-        // three workers: every result is bit-identical to the one-band
-        // run and holds exactly its outputs, nothing reserved past them.
+        // program and a closure, in core in one band and in three,
+        // streaming in bands of five rows, and chained in core, at one
+        // and three workers: every result is bit-identical to the
+        // one-band run of its pipeline and holds exactly its outputs,
+        // nothing reserved past them.
         let bench = stencil_kernels::denoise();
         let plan = MemorySystemPlan::generate(&bench.spec_for(&[40, 37]).unwrap()).unwrap();
+        let three = banded(&plan, 3);
         let in_idx = plan.input_domain().index().unwrap();
         let vals = ramp(in_idx.len());
         let input = InputGrid::new(&in_idx, &vals).unwrap();
@@ -2279,25 +2158,43 @@ mod tests {
             .unwrap();
         assert_eq!(reference.outputs.capacity(), reference.outputs.len());
         assert_eq!(reference.outputs.len(), 38 * 35);
+        let chained = Session::build(&plan, &bench.stage())
+            .unwrap()
+            .then(&bench.stage())
+            .unwrap()
+            .threads(1)
+            .run(&input)
+            .unwrap();
+        assert_eq!(chained.outputs.len(), 36 * 33);
         let expr_only = KernelStage::new("expr-only", bench.window().to_vec(), closure)
             .with_expr(bench.expr().unwrap().clone());
-        let session = |k: usize| match k {
-            0 => Session::build(&plan, &bench.stage()).unwrap(),
-            1 => Session::build(&plan, &expr_only).unwrap(),
-            _ => Session::new(&plan).kernel(SessionKernel::Closure(&closure)),
+        let session = |k: usize, plan| match k {
+            0 => Session::build(plan, &bench.stage()).unwrap(),
+            1 => Session::build(plan, &expr_only).unwrap(),
+            _ => Session::new(plan).kernel(SessionKernel::Closure(&closure)),
+        };
+        let streaming = ExecMode::Streaming {
+            chunk_rows: Some(5),
         };
         for k in 0..3 {
-            for (mode, threads) in [
-                (ExecMode::InCore, 1),
-                (ExecMode::Tiled { tiles: 3 }, 1),
-                (ExecMode::Tiled { tiles: 3 }, 3),
-            ] {
-                let run = session(k).mode(mode).threads(threads).run(&input).unwrap();
-                let what = format!("session {k}, {mode:?}, {threads} threads");
-                assert_eq!(bits(&run.outputs), bits(&reference.outputs), "{what}");
+            for threads in [1, 3] {
+                for (plan, mode) in [
+                    (&plan, ExecMode::InCore),
+                    (&three, ExecMode::InCore),
+                    (&plan, streaming),
+                ] {
+                    let run = session(k, plan).mode(mode).threads(threads);
+                    let run = run.run(&input).unwrap();
+                    let what = format!("session {k}, {mode:?}, {threads} threads");
+                    assert_eq!(bits(&run.outputs), bits(&reference.outputs), "{what}");
+                    assert_eq!(run.outputs.capacity(), run.outputs.len(), "{what}");
+                    assert_eq!(run.report.threads, threads, "{what}");
+                }
+                let run = session(k, &plan).then(&bench.stage()).unwrap();
+                let run = run.threads(threads).run(&input).unwrap();
+                let what = format!("session {k} chained, {threads} threads");
+                assert_eq!(bits(&run.outputs), bits(&chained.outputs), "{what}");
                 assert_eq!(run.outputs.capacity(), run.outputs.len(), "{what}");
-                let engine = run.report.stages[0].engine.as_ref().unwrap();
-                assert_eq!(engine.threads, threads, "{what}");
             }
         }
     }
@@ -2400,7 +2297,7 @@ mod tests {
     #[test]
     fn tile_elapsed_is_each_bands_worker_time() {
         // A sleeping kernel makes every band take milliseconds whatever
-        // the CPU count, so three workers overlap their bands.
+        // the CPU count, so four workers overlap on each band's rows.
         let plan = plan_5pt(14, 8);
         let in_idx = plan.input_domain().index().unwrap();
         let vals = ramp(in_idx.len());
@@ -2409,14 +2306,14 @@ mod tests {
             std::thread::sleep(Duration::from_micros(500));
             compute(w)
         };
-        let run = Session::new(&plan)
+        let run = Session::new(&banded(&plan, 3))
             .kernel(SessionKernel::Closure(&slow))
-            .mode(ExecMode::Tiled { tiles: 3 })
-            .threads(3)
+            .mode(ExecMode::InCore)
+            .threads(4)
             .run(&input)
             .unwrap();
         let r = run.report.stages[0].engine.as_ref().unwrap();
-        assert_eq!((r.threads, r.per_tile.len()), (3, 3));
+        assert_eq!((r.threads, r.per_tile.len()), (4, 3));
         let busy: Duration = r.per_tile.iter().map(|t| t.elapsed).sum();
         assert!(
             busy > r.elapsed,
@@ -2432,9 +2329,9 @@ mod tests {
         let vals = ramp(in_idx.len());
         let input = InputGrid::new(&in_idx, &vals).unwrap();
         let center = |w: &[f64]| w[2];
-        let run = Session::new(&plan)
+        let run = Session::new(&banded(&plan, 2))
             .kernel(SessionKernel::Closure(&center))
-            .mode(ExecMode::Tiled { tiles: 2 })
+            .mode(ExecMode::InCore)
             .run(&input)
             .unwrap();
         let report = run.report.stages[0].engine.as_ref().unwrap();
@@ -2593,8 +2490,8 @@ mod tests {
 
     #[test]
     fn streaming_endpoints_work_in_every_mode() {
-        // run_streaming(source, sink) is mode-orthogonal: in-core modes
-        // materialize the input and stream the result out.
+        // run_streaming(source, sink) is mode-orthogonal: every mode
+        // pulls the source through halo windows and pushes its rows.
         let plan = plan_5pt(30, 16);
         let in_idx = plan.input_domain().index().unwrap();
         let vals = ramp(in_idx.len());
@@ -2604,16 +2501,20 @@ mod tests {
             .run(&input)
             .unwrap()
             .outputs;
-        for mode in [
-            ExecMode::InCore,
-            ExecMode::Tiled { tiles: 4 },
-            ExecMode::Streaming {
-                chunk_rows: Some(4),
-            },
+        let four = banded(&plan, 4);
+        for (plan, mode) in [
+            (&plan, ExecMode::InCore),
+            (&four, ExecMode::InCore),
+            (
+                &plan,
+                ExecMode::Streaming {
+                    chunk_rows: Some(4),
+                },
+            ),
         ] {
             let mut source = FnSource::new(|r| (r % 97) as f64 * 0.5 - 11.0);
             let mut sink = VecSink::new();
-            let report = Session::new(&plan)
+            let report = Session::new(plan)
                 .kernel(SessionKernel::Closure(&compute))
                 .mode(mode)
                 .run_streaming(&mut source, &mut sink)

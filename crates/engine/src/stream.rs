@@ -244,11 +244,12 @@ impl<R: std::io::Read> RowSource for ReadSource<R> {
 /// interior 2 MiB at a time instead of 4 KiB at a time (EXPERIMENTS.md
 /// "Result buffers on huge pages"). Capacity is never rounded up to a
 /// huge page: a page that reached past the last output would be
-/// resident but unused. Every result a run fills by appending is
-/// allocated here: the one-worker in-core sweep's and a streaming
-/// `Session::run`'s. The zeroed result of a sweep above one worker and
-/// a multi-shard served job's join (which grows shard 0's result) are
-/// not (DESIGN.md §9 "Result allocation").
+/// resident but unused. Every `Session::run` result is allocated here,
+/// in every mode and at any worker count (above one worker each band's
+/// slots are zero-extended before its row chunks fill them), and so is
+/// every stage's halo window and sink band buffer. A multi-shard served
+/// job's join (which grows shard 0's result) is not (DESIGN.md §9
+/// "Result allocation").
 pub(crate) fn result_buffer(len: usize) -> Vec<f64> {
     let mut values = Vec::with_capacity(len);
     memmap2::advise_huge_pages(values.spare_capacity_mut());

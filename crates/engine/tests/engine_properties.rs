@@ -1,5 +1,5 @@
-//! Property-based differential verification of the parallel tiled
-//! engine: over random windows, grids, tile counts, and thread counts,
+//! Property-based differential verification of the band-parallel
+//! engine: over random windows, grids, stream counts, and thread counts,
 //! the engine must agree bit-for-bit with the golden nested-loop
 //! executor and the cycle-accurate machine.
 
@@ -104,6 +104,13 @@ fn domain_values(plan: &MemorySystemPlan, grid: &GridValues) -> Vec<f64> {
     vals
 }
 
+/// `plan` sharded into `streams` off-chip streams (at most one per
+/// port), whose bands an in-core run follows (Appendix 9.4).
+fn banded(plan: &MemorySystemPlan, streams: usize) -> MemorySystemPlan {
+    plan.with_offchip_streams(streams.min(plan.port_count()))
+        .expect("stream sharding")
+}
+
 fn bench_2d(offs: &[(i64, i64)], rows: i64, cols: i64) -> Benchmark {
     let window: Vec<Point> = offs.iter().map(|&(a, b)| Point::new(&[a, b])).collect();
     Benchmark::new(
@@ -140,7 +147,7 @@ proptest! {
 
         let spec = bench.spec_for(&extents).expect("spec");
         let plan = MemorySystemPlan::generate(&spec).expect("plan");
-        let engine = engine_outputs(&plan, &grid, ExecMode::Tiled { tiles }, threads)?;
+        let engine = engine_outputs(&banded(&plan, tiles), &grid, ExecMode::InCore, threads)?;
         prop_assert_eq!(
             &engine, &golden,
             "engine({} tiles, {} threads) vs golden", tiles, threads
@@ -179,7 +186,7 @@ proptest! {
 
         let spec = bench.spec_for(&extents).expect("spec");
         let plan = MemorySystemPlan::generate(&spec).expect("plan");
-        let engine = engine_outputs(&plan, &grid, ExecMode::Tiled { tiles }, 0)?;
+        let engine = engine_outputs(&banded(&plan, tiles), &grid, ExecMode::InCore, 0)?;
         prop_assert_eq!(&engine, &golden, "engine({} tiles) vs golden", tiles);
     }
 
@@ -226,6 +233,51 @@ proptest! {
         prop_assert!(report.halo_elements >= in_idx.len());
         prop_assert!(report.tiles >= 1);
         prop_assert!(report.tiles <= streams);
+    }
+
+    /// The in-core report counts each band's halo from the input index
+    /// exactly as the band's halo polyhedron holds it, on random 2D
+    /// windows (windows on one side of the origin included) and their
+    /// 1-D projections.
+    #[test]
+    fn in_core_band_halos_match_their_halo_domains(
+        offs in prop::collection::btree_set(((-2i64..=2), (-2i64..=2)), 2..=5),
+        rows in 8i64..20,
+        cols in 8i64..16,
+        streams_pick in 0usize..5,
+    ) {
+        let offs: Vec<(i64, i64)> = offs.into_iter().collect();
+        let mut taps: Vec<i64> = offs.iter().map(|&(a, _)| a).collect();
+        taps.dedup();
+        let line = Benchmark::new(
+            "PROP1D",
+            vec![3 * rows],
+            taps.iter().map(|&a| Point::new(&[a])).collect(),
+            KernelOps::default(),
+            weighted_sum,
+        );
+        for bench in [bench_2d(&offs, rows, cols), line] {
+            let spec = bench.spec_for(bench.extents()).expect("spec");
+            let base = MemorySystemPlan::generate(&spec).expect("plan");
+            let streams = 1 + streams_pick % base.port_count();
+            let plan = base.with_offchip_streams(streams).expect("tradeoff");
+            let in_idx = plan.input_domain().index().expect("input index");
+            let vals: Vec<f64> = (0..in_idx.len()).map(|r| r as f64).collect();
+            let input = InputGrid::new(&in_idx, &vals).expect("input");
+            let run = Session::new(&plan)
+                .kernel(SessionKernel::Closure(&weighted_sum))
+                .run(&input)
+                .map_err(|e| TestCaseError::fail(format!("engine: {e}")))?;
+            let report = run.report.stages[0].engine.as_ref().expect("engine report");
+            let tiles = plan.tile_plan(streams).expect("bands");
+            let halos: Vec<u64> = tiles
+                .tiles()
+                .iter()
+                .map(|t| t.halo_domain.count().expect("count"))
+                .collect();
+            let counted: Vec<u64> = report.per_tile.iter().map(|t| t.halo_elements).collect();
+            prop_assert_eq!(counted, halos, "{} over {} streams", bench.name(), streams);
+        }
     }
 
     /// The bounded-memory streaming path agrees bit-for-bit with the
@@ -316,9 +368,9 @@ proptest! {
 
         let caught = catch_unwind(AssertUnwindSafe(|| {
             InputGrid::new(&idx, &vals).and_then(|input| {
-                Session::new(&plan)
+                Session::new(&banded(&plan, tiles))
                     .kernel(SessionKernel::Closure(&weighted_sum))
-                    .mode(ExecMode::Tiled { tiles })
+                    .mode(ExecMode::InCore)
                     .threads(threads)
                     .run(&input)
             })
@@ -548,7 +600,7 @@ proptest! {
         )
         .map_err(|e| TestCaseError::fail(format!("compile: {e}")))?;
 
-        let closure = engine_outputs(&plan, &grid, ExecMode::Tiled { tiles }, threads)?;
+        let closure = engine_outputs(&banded(&plan, tiles), &grid, ExecMode::InCore, threads)?;
 
         let in_idx = plan.input_domain().index().expect("input index");
         let mut in_vals = Vec::with_capacity(in_idx.len() as usize);
@@ -559,9 +611,9 @@ proptest! {
         }
         let input = InputGrid::new(&in_idx, &in_vals).expect("input");
 
-        let swept = Session::new(&plan)
+        let swept = Session::new(&banded(&plan, tiles))
             .kernel(SessionKernel::Compiled(&kernel))
-            .mode(ExecMode::Tiled { tiles })
+            .mode(ExecMode::InCore)
             .threads(threads)
             .run(&input)
             .map_err(|e| TestCaseError::fail(format!("sweep: {e}")))?;
@@ -570,10 +622,10 @@ proptest! {
             "sweep vs closure ({} tiles, {} threads)", tiles, threads
         );
 
-        let scalar = Session::new(&plan)
+        let scalar = Session::new(&banded(&plan, tiles))
             .kernel(SessionKernel::Compiled(&kernel))
             .backend(KernelBackend::Closure)
-            .mode(ExecMode::Tiled { tiles })
+            .mode(ExecMode::InCore)
             .threads(threads)
             .run(&input)
             .map_err(|e| TestCaseError::fail(format!("scalar: {e}")))?;

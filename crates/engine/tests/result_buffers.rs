@@ -2,9 +2,8 @@
 //!
 //! A result the sweep fills by appending comes from one constructor
 //! that advises its whole 2 MiB pages for transparent huge pages before
-//! the sweep writes them, and reserves exactly the run's outputs; the
-//! zeroed result above one worker and a multi-shard join are sized
-//! exactly too. On a grid whose output is over 4 MiB, so that an
+//! the sweep writes them, and reserves exactly the run's outputs; a
+//! multi-shard join is sized exactly too. On a grid whose output is over 4 MiB, so that an
 //! advised result holds at least one advised page, each site must
 //! return the closure reference bit for bit and hold nothing past its
 //! last output.
@@ -71,11 +70,12 @@ fn every_result_site_is_bit_identical_and_exactly_sized() {
     let reference = bits(&reference);
 
     // In core: one worker appends into the result; two write disjoint
-    // band slices of it.
-    for (mode, threads) in [(ExecMode::InCore, 1), (ExecMode::Tiled { tiles: 2 }, 2)] {
-        let run = Session::build(&plan, &bench.stage())
+    // row slices of each of two bands.
+    let two = plan.with_offchip_streams(2).unwrap();
+    for (plan, threads) in [(&plan, 1), (&two, 2)] {
+        let run = Session::build(plan, &bench.stage())
             .unwrap()
-            .mode(mode)
+            .mode(ExecMode::InCore)
             .threads(threads)
             .run(&input)
             .unwrap();

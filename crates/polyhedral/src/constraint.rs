@@ -149,16 +149,22 @@ impl Constraint {
     /// integer rounding, which is sound for integer points).
     #[must_use]
     fn normalized(mut self) -> Self {
-        let g = self
-            .coeffs()
-            .iter()
-            .fold(0i64, |g, &c| gcd(g, c.unsigned_abs() as i64));
+        // In u64 and i128: a coefficient of `i64::MIN` has no `i64`
+        // magnitude, and its gcd may be 2^63.
+        let g = self.coeffs().iter().fold(0u64, |mut g, &c| {
+            let mut c = c.unsigned_abs();
+            while c != 0 {
+                (g, c) = (c, g % c);
+            }
+            g
+        });
         if g > 1 {
+            let g = i128::from(g);
             for c in self.coeffs.iter_mut() {
-                *c /= g;
+                *c = (i128::from(*c) / g) as i64;
             }
             // a·x + b >= 0 with a = g·a'  =>  a'·x >= -b/g  =>  a'·x + floor(b/g) >= 0
-            self.constant = self.constant.div_euclid(g);
+            self.constant = i128::from(self.constant).div_euclid(g) as i64;
         }
         self
     }

@@ -279,7 +279,7 @@ record! {
     /// Counters of one pipeline stage of a session run.
     ///
     /// Exactly one of `engine` / `stream` is populated, matching the
-    /// session's execution mode (in-core and tiled stages carry an
+    /// session's execution mode (in-core stages carry an
     /// [`EngineMetrics`], streaming stages a [`StreamMetrics`]).
     #[derive(Debug, Clone, PartialEq)]
     pub struct StageMetrics {
@@ -375,7 +375,8 @@ record! {
     /// ([`crate::validate::BoundCheck::Residency`]).
     #[derive(Debug, Clone, PartialEq)]
     pub struct SessionMetrics {
-        /// Execution mode (`"incore"`, `"tiled"`, or `"streaming"`).
+        /// Execution mode (`"incore"` or `"streaming"`; reports from
+        /// before the tiled mode was removed may say `"tiled"`).
         pub mode: String,
         /// Worker threads used (max across stages).
         pub threads: usize,

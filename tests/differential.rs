@@ -1,4 +1,4 @@
-//! Differential verification: the parallel tiled engine, the golden
+//! Differential verification: the band-parallel engine, the golden
 //! software executor, and the cycle-accurate machine must agree
 //! bit-for-bit on every benchmark of the paper suite, at every band
 //! count, with and without the Appendix 9.4 bandwidth tradeoff.
@@ -74,6 +74,13 @@ fn engine_outputs(
         .outputs
 }
 
+/// `plan` sharded into `streams` off-chip streams (at most one per
+/// port), whose bands an in-core run follows (Appendix 9.4).
+fn banded(plan: &MemorySystemPlan, streams: usize) -> MemorySystemPlan {
+    plan.with_offchip_streams(streams.min(plan.port_count()))
+        .expect("stream sharding")
+}
+
 #[test]
 fn engine_equals_golden_and_machine_on_paper_suite() {
     for bench in paper_suite() {
@@ -94,9 +101,9 @@ fn engine_equals_golden_and_machine_on_paper_suite() {
         for tiles in [1usize, 2, 3, 5] {
             let engine = engine_outputs(
                 &bench,
-                &plan,
+                &banded(&plan, tiles),
                 &grid,
-                ExecMode::Tiled { tiles },
+                ExecMode::InCore,
                 tiles.min(4),
             );
             assert_eq!(
@@ -215,12 +222,13 @@ fn compiled_backend_equals_closure_and_golden_on_paper_suite() {
         let input = InputGrid::new(&in_idx, &in_vals).expect("input");
 
         for tiles in [1usize, 3] {
-            let closure = engine_outputs(&bench, &plan, &grid, ExecMode::Tiled { tiles }, 2);
+            let plan = banded(&plan, tiles);
+            let closure = engine_outputs(&bench, &plan, &grid, ExecMode::InCore, 2);
             assert_eq!(closure, golden, "closure vs golden: {}", bench.name());
 
             let swept = Session::new(&plan)
                 .kernel(SessionKernel::Compiled(&kernel))
-                .mode(ExecMode::Tiled { tiles })
+                .mode(ExecMode::InCore)
                 .threads(2)
                 .run(&input)
                 .expect("compiled run");
@@ -234,7 +242,7 @@ fn compiled_backend_equals_closure_and_golden_on_paper_suite() {
             let scalar = Session::new(&plan)
                 .kernel(SessionKernel::Compiled(&kernel))
                 .backend(KernelBackend::Closure)
-                .mode(ExecMode::Tiled { tiles })
+                .mode(ExecMode::InCore)
                 .threads(2)
                 .run(&input)
                 .expect("scalar run");
@@ -297,9 +305,9 @@ fn engine_report_is_consistent_with_machine_stats() {
     }
     let input = InputGrid::new(&in_idx, &in_vals).expect("input");
     let compute = bench.compute_fn();
-    let run = Session::new(&plan)
+    let run = Session::new(&banded(&plan, 1))
         .kernel(SessionKernel::Closure(&compute))
-        .mode(ExecMode::Tiled { tiles: 1 })
+        .mode(ExecMode::InCore)
         .threads(1)
         .run(&input)
         .expect("engine");
@@ -351,9 +359,9 @@ fn skewed_grid_stays_exact_and_batched() {
     }
 
     for tiles in [1usize, 3, 4] {
-        let run = Session::new(&plan)
+        let run = Session::new(&banded(&plan, tiles))
             .kernel(SessionKernel::Closure(&compute))
-            .mode(ExecMode::Tiled { tiles })
+            .mode(ExecMode::InCore)
             .run(&input)
             .expect("engine run");
         assert_eq!(run.outputs, expect, "skewed engine({tiles} tiles)");

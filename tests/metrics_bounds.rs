@@ -115,9 +115,10 @@ fn combined_machine_and_engine_report_validates() {
     let in_vals: Vec<f64> = (0..in_idx.len()).map(|r| r as f64 * 0.5).collect();
     let input = InputGrid::new(&in_idx, &in_vals).unwrap();
     let compute = stencil_kernels::default_compute();
-    let run = Session::new(&plan)
+    let banded = plan.with_offchip_streams(3).unwrap();
+    let run = Session::new(&banded)
         .kernel(SessionKernel::Closure(&compute))
-        .mode(ExecMode::Tiled { tiles: 3 })
+        .mode(ExecMode::InCore)
         .telemetry(spec.name())
         .run(&input)
         .unwrap();

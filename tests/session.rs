@@ -5,8 +5,8 @@
 //! Two guarantees are certified here:
 //!
 //! * **Cross-mode parity.** For every paper benchmark, every `Session`
-//!   configuration (in-core, explicitly tiled, precomputed tile plan,
-//!   streaming at several chunk heights — each with the closure and,
+//!   configuration (in-core over one band and over several off-chip
+//!   streams' bands, streaming at several chunk heights — each with the closure and,
 //!   where the benchmark carries an expression, the compiled backend)
 //!   produces bit-identical outputs.
 //! * **Chained fidelity.** A 2- and 3-stage `Session::then` pipeline
@@ -15,7 +15,8 @@
 //!   per-stage backends — matches running each stage to completion
 //!   sequentially with fully materialised intermediates, while the
 //!   chained run's peak residency stays within the planned per-stage
-//!   halo-window bound (Sec. 2.3) instead of holding whole grids.
+//!   halo-window bound (Sec. 2.3) instead of holding whole grids — in
+//!   core too, where only the first stage's input is held whole.
 
 use stencil_bench::scaled_extents;
 use stencil_core::MemorySystemPlan;
@@ -63,14 +64,18 @@ fn session_modes_and_backends_agree_on_every_benchmark() {
             .expect("session in-core")
             .outputs;
 
-        // Explicit band tiling with worker threads.
-        let session = Session::new(&plan)
+        // In core over three off-chip streams' bands, with worker
+        // threads.
+        let banded = plan
+            .with_offchip_streams(3.min(plan.port_count()))
+            .expect("streams");
+        let session = Session::new(&banded)
             .kernel(SessionKernel::Closure(&compute))
-            .mode(ExecMode::Tiled { tiles: 3 })
+            .mode(ExecMode::InCore)
             .threads(2)
             .run(&input)
-            .expect("session tiled");
-        assert_eq!(session.outputs, golden, "{}: tiled", bench.name());
+            .expect("session banded");
+        assert_eq!(session.outputs, golden, "{}: banded", bench.name());
 
         // Streaming through endpoints at several chunk heights.
         for chunk in [1u64, 5] {
@@ -98,9 +103,12 @@ fn session_modes_and_backends_agree_on_every_benchmark() {
             continue;
         };
 
-        let session = Session::new(&plan)
+        let banded = plan
+            .with_offchip_streams(2.min(plan.port_count()))
+            .expect("streams");
+        let session = Session::new(&banded)
             .kernel(SessionKernel::Compiled(&kernel))
-            .mode(ExecMode::Tiled { tiles: 2 })
+            .mode(ExecMode::InCore)
             .run(&input)
             .expect("session compiled");
         assert_eq!(session.outputs, golden, "{}: compiled", bench.name());
@@ -357,4 +365,91 @@ fn chained_session_residency_stays_near_one_stage() {
         report.peak_resident,
         full_intermediate
     );
+}
+
+#[test]
+fn in_core_chains_and_rings_stream_their_intermediates() {
+    // In core, a chain or a ring holds its input whole but hands every
+    // intermediate on through the next stage's halo window: each stage
+    // past the first reports its halo-window bound, the one a
+    // streaming run over the same bands reports, and peaks at it. Two
+    // off-chip streams make two bands, so a window holds about half a
+    // grid.
+    let bench = denoise();
+    let extents = [64i64, 48];
+    let base = MemorySystemPlan::generate(&bench.spec_for(&extents).expect("spec")).expect("plan");
+    let two = base.with_offchip_streams(2).expect("two streams");
+    let in_idx = base.input_domain().index().expect("input index");
+    let in_vals = input_values(in_idx.len());
+    let input = InputGrid::new(&in_idx, &in_vals).expect("input");
+
+    let chain = |plan, mode, threads| {
+        Session::build(plan, &bench.stage())
+            .expect("build")
+            .mode(mode)
+            .threads(threads)
+            .then(&blur3x3().stage())
+            .expect("then")
+    };
+    let ring = |plan, mode, threads| {
+        Session::build(plan, &bench.stage())
+            .expect("build")
+            .mode(mode)
+            .threads(threads)
+            .iterate(8)
+            .expect("iterate")
+    };
+    type Build<'p> = &'p dyn Fn(&'p MemorySystemPlan, ExecMode, usize) -> Session<'p>;
+    let cases: [(&str, &MemorySystemPlan, Build<'_>); 2] =
+        [("chain", &two, &chain), ("ring", &two, &ring)];
+    for (what, plan, build) in cases {
+        let streaming = build(plan, ExecMode::Streaming { chunk_rows: None }, 1)
+            .run(&input)
+            .expect("streaming run");
+        for threads in [1usize, 2] {
+            let run = build(plan, ExecMode::InCore, threads)
+                .run(&input)
+                .expect("in-core run");
+            let case = format!("{what}, {threads} worker(s)");
+            assert!(
+                run.outputs
+                    .iter()
+                    .zip(&streaming.outputs)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+                    && run.outputs.len() == streaming.outputs.len(),
+                "{case}: in core diverges from streaming"
+            );
+            let report = &run.report;
+            let mut whole_grids = in_idx.len();
+            for (k, (stage, streamed)) in report
+                .stages
+                .iter()
+                .zip(&streaming.report.stages)
+                .enumerate()
+                .skip(1)
+            {
+                let window = streamed.stream.as_ref().expect("stream block");
+                assert!(stage.engine.is_some(), "{case}: stage {k} block");
+                assert_eq!(
+                    stage.resident_bound, window.resident_bound,
+                    "{case}: stage {k} bound"
+                );
+                assert_eq!(window.peak_resident, window.resident_bound);
+                whole_grids += report.stages[k - 1]
+                    .engine
+                    .as_ref()
+                    .expect("engine block")
+                    .outputs;
+            }
+            // Stage 0 holds its input; every later stage peaks at its
+            // bound, so the sums agree.
+            assert_eq!(report.stages[0].resident_bound, in_idx.len(), "{case}");
+            assert_eq!(report.peak_resident, report.resident_bound, "{case}");
+            assert!(
+                report.peak_resident < whole_grids,
+                "{case}: peak {} should undercut the {whole_grids} values of whole grids",
+                report.peak_resident
+            );
+        }
+    }
 }
