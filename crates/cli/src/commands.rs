@@ -32,8 +32,10 @@ const F32_VERIFY_RTOL: f64 = 1e-5;
 ///
 /// Propagates planning/analysis failures.
 pub fn cmd_plan(spec: &StencilSpec) -> Result<String, CmdError> {
-    let analysis = ReuseAnalysis::of(spec)?;
+    // The closed-form plan first: it refuses a box too large for 64-bit
+    // ranks before the analysis starts walking its rows.
     let plan = MemorySystemPlan::generate(spec)?;
+    let analysis = ReuseAnalysis::of(spec)?;
     let report = verify_plan(&plan, &analysis);
     let mut out = String::new();
     let _ = writeln!(out, "{plan}");

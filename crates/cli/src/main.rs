@@ -458,6 +458,36 @@ mod tests {
     }
 
     #[test]
+    fn plan_refuses_a_grid_past_64_bit_ranks_at_once() {
+        let dir = std::env::temp_dir().join("stencil_cli_huge_plan_test");
+        fs::create_dir_all(&dir).unwrap();
+        let spec = dir.join("huge.stencil");
+        fs::write(
+            &spec,
+            "name huge\ngrid 9223372036854775807 10\noffset -1 0\noffset 0 0\noffset 1 0\n",
+        )
+        .unwrap();
+        let started = std::time::Instant::now();
+        let Err(err) = run(vec!["plan".into(), spec.display().to_string()]) else {
+            panic!("a grid of more than 2^64 points must be refused");
+        };
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "refusal took {:?}",
+            started.elapsed()
+        );
+        assert!(
+            matches!(
+                err.downcast_ref::<stencil_core::PlanError>(),
+                Some(stencil_core::PlanError::DomainTooLarge { .. })
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("more than 2^64 points"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn engine_runs_and_verifies() {
         let dir = std::env::temp_dir().join("stencil_cli_engine_test");
         fs::create_dir_all(&dir).unwrap();

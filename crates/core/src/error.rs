@@ -45,6 +45,13 @@ pub enum PlanError {
         /// The kernel whose schedule cannot be static.
         kernel: String,
     },
+    /// A box domain has more than `u64::MAX` points, or a row-major
+    /// stride over it does not fit in 64 bits, so its ranks and reuse
+    /// distances cannot be represented.
+    DomainTooLarge {
+        /// The box's inclusive per-dimension bounds.
+        bounds: Vec<(i64, i64)>,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -71,6 +78,18 @@ impl fmt::Display for PlanError {
                 "kernel `{kernel}` has run-time-varying reuse distances; \
                  a static modulo schedule is impossible"
             ),
+            PlanError::DomainTooLarge { bounds } => {
+                let dims: Vec<String> = bounds
+                    .iter()
+                    .map(|(lo, hi)| format!("[{lo}, {hi}]"))
+                    .collect();
+                write!(
+                    f,
+                    "domain {} has more than 2^64 points; its ranks and reuse distances \
+                     do not fit in 64 bits",
+                    dims.join(" x ")
+                )
+            }
         }
     }
 }
@@ -120,6 +139,14 @@ mod tests {
             }
             .to_string(),
             "offset has 3 dimensions but the iteration domain has 2"
+        );
+        assert_eq!(
+            PlanError::DomainTooLarge {
+                bounds: vec![(0, i64::MAX - 1), (0, 9)]
+            }
+            .to_string(),
+            "domain [0, 9223372036854775806] x [0, 9] has more than 2^64 points; \
+             its ranks and reuse distances do not fit in 64 bits"
         );
     }
 }

@@ -14,6 +14,7 @@ use stencil_polyhedral::{Point, Polyhedron};
 
 use crate::analysis::ReuseAnalysis;
 use crate::mapping::{MappingPolicy, StorageKind};
+use crate::sort::SortedRefs;
 
 /// One data filter: the per-reference stream customizer (Fig. 10).
 ///
@@ -107,38 +108,88 @@ impl MemorySystemPlan {
     /// Generates the microarchitecture for a specification with the
     /// default storage-mapping policy.
     ///
+    /// A box iteration domain is planned in closed form (§3.2,
+    /// Property 3): every point of a box data domain has the same reuse
+    /// distance — the reuse vector linearised over the input box's
+    /// row-major strides — so each FIFO capacity is that one value and
+    /// no domain is walked. Every other polyhedron goes through
+    /// [`ReuseAnalysis::of`]'s row walk.
+    ///
     /// # Errors
     ///
-    /// Propagates analysis failures ([`crate::PlanError`]).
+    /// * [`PlanError::DomainTooLarge`](crate::PlanError::DomainTooLarge)
+    ///   if a box input domain's point count or strides overflow `u64`.
+    /// * Otherwise propagates analysis failures ([`crate::PlanError`]).
     pub fn generate(spec: &crate::spec::StencilSpec) -> Result<Self, crate::PlanError> {
+        let policy = MappingPolicy::default();
+        if let Some(plan) = Self::generate_box(spec, &policy)? {
+            return Ok(plan);
+        }
         let analysis = ReuseAnalysis::of(spec)?;
-        Ok(Self::from_analysis(&analysis, &MappingPolicy::default()))
+        Ok(Self::from_analysis(&analysis, &policy))
+    }
+
+    /// The closed-form plan of a box iteration domain, or `None` when
+    /// the domain is not a box. Equal to
+    /// [`from_analysis`](Self::from_analysis) of the row walk: on a box,
+    /// `h` and `h + r` both lie in the input box for every `h` of the
+    /// later reference's data domain, so `rank(h + r) − rank(h)` is
+    /// `Σ r_d · stride_d` everywhere, and the adjacent distances
+    /// telescope to the end-to-end one (linearity holds exactly).
+    fn generate_box(
+        spec: &crate::spec::StencilSpec,
+        policy: &MappingPolicy,
+    ) -> Result<Option<Self>, crate::PlanError> {
+        let Some(iteration) = spec.iteration_domain().as_box() else {
+            return Ok(None);
+        };
+        if iteration.iter().any(|&(lo, hi)| lo > hi) {
+            return Err(crate::PlanError::EmptyIterationDomain);
+        }
+        // The dilation of a box relaxes each bound: a box again.
+        let input_domain = spec.input_domain();
+        let Some(input) = input_domain.as_box() else {
+            return Ok(None);
+        };
+        let too_large = || crate::PlanError::DomainTooLarge {
+            bounds: input.clone(),
+        };
+        let strides = box_strides(&input).ok_or_else(too_large)?;
+        let sorted = SortedRefs::from_offsets(spec.offsets());
+        let distance = |from: usize, to: usize| {
+            linearised(&sorted.offset(from), &sorted.offset(to), &strides).ok_or_else(too_large)
+        };
+        let n = sorted.len();
+        let adjacent = (1..n)
+            .map(|k| distance(k - 1, k))
+            .collect::<Result<Vec<u64>, _>>()?;
+        let min_total_size = if n >= 2 { distance(0, n - 1)? } else { 0 };
+        let (filters, feeds) = chain_of(&sorted, &adjacent, policy, |k| {
+            spec.iteration_domain().translated(&sorted.offset(k))
+        });
+        Ok(Some(Self {
+            name: spec.name().to_owned(),
+            array: spec.array().to_owned(),
+            element_bits: spec.element_bits(),
+            input_domain,
+            iteration_domain: spec.iteration_domain().clone(),
+            filters,
+            feeds,
+            min_total_size,
+            linearity_holds: true,
+        }))
     }
 
     /// Builds the plan from a finished analysis with an explicit mapping
     /// policy.
     #[must_use]
     pub fn from_analysis(analysis: &ReuseAnalysis, policy: &MappingPolicy) -> Self {
-        let n = analysis.window_size();
-        let mut filters = Vec::with_capacity(n);
-        let mut feeds = Vec::with_capacity(n);
-        for k in 0..n {
-            filters.push(FilterPlan {
-                id: k,
-                offset: analysis.filter_offset(k),
-                user_index: analysis.sorted_refs().user_index(k),
-                data_domain: analysis.filter_domain(k).clone(),
-            });
-            if k == 0 {
-                feeds.push(Feed::Offchip);
-            } else {
-                let capacity = analysis.adjacent_distances()[k - 1];
-                feeds.push(Feed::Fifo {
-                    capacity,
-                    storage: policy.assign(capacity),
-                });
-            }
-        }
+        let (filters, feeds) = chain_of(
+            analysis.sorted_refs(),
+            analysis.adjacent_distances(),
+            policy,
+            |k| analysis.filter_domain(k).clone(),
+        );
         Self {
             name: analysis.spec().name().to_owned(),
             array: analysis.spec().array().to_owned(),
@@ -314,10 +365,20 @@ impl MemorySystemPlan {
     /// chaining: stage *i*'s produced rows are pulled verbatim as stage
     /// *i+1*'s input rows.
     ///
+    /// Two (non-empty) boxes line up row for row exactly when their
+    /// bounds agree, so they are compared without building an index;
+    /// any other pair compares the rows of both indices.
+    ///
     /// # Errors
     ///
     /// Propagates indexing failures as [`PlanError`](crate::PlanError).
     pub fn chains_from(&self, upstream: &Self) -> Result<bool, crate::PlanError> {
+        if let (Some(need), Some(have)) = (
+            self.input_domain().as_box(),
+            upstream.iteration_domain().as_box(),
+        ) {
+            return Ok(need == have);
+        }
         let need = self
             .input_domain()
             .index()
@@ -339,6 +400,61 @@ impl MemorySystemPlan {
     pub(crate) fn feeds_mut(&mut self) -> &mut Vec<Feed> {
         &mut self.feeds
     }
+}
+
+/// The filters and feeds of a chain: filter `k` serves
+/// `sorted.offset(k)` over `filter_domain(k)`; position 0 is fed
+/// off-chip and position `k > 0` by a FIFO of `distances[k - 1]`.
+fn chain_of(
+    sorted: &SortedRefs,
+    distances: &[u64],
+    policy: &MappingPolicy,
+    filter_domain: impl Fn(usize) -> Polyhedron,
+) -> (Vec<FilterPlan>, Vec<Feed>) {
+    let filters = (0..sorted.len())
+        .map(|k| FilterPlan {
+            id: k,
+            offset: sorted.offset(k),
+            user_index: sorted.user_index(k),
+            data_domain: filter_domain(k),
+        })
+        .collect();
+    let feeds = std::iter::once(Feed::Offchip)
+        .chain(distances.iter().map(|&capacity| Feed::Fifo {
+            capacity,
+            storage: policy.assign(capacity),
+        }))
+        .collect();
+    (filters, feeds)
+}
+
+/// The row-major strides of a non-empty box (innermost stride 1), or
+/// `None` if its point count overflows `u64`.
+fn box_strides(bounds: &[(i64, i64)]) -> Option<Vec<u64>> {
+    let mut strides = vec![0; bounds.len()];
+    let mut stride = 1u64;
+    for (d, &(lo, hi)) in bounds.iter().enumerate().rev() {
+        strides[d] = stride;
+        let extent = u64::try_from(i128::from(hi) - i128::from(lo) + 1).ok()?;
+        stride = stride.checked_mul(extent)?;
+    }
+    Some(strides)
+}
+
+/// The reuse distance from the reference at `f_x` to the one at `f_y`
+/// on a box: `Σ (f_x − f_y)_d · stride_d`, or `None` on overflow.
+fn linearised(f_x: &Point, f_y: &Point, strides: &[u64]) -> Option<u64> {
+    let sum = f_x
+        .as_slice()
+        .iter()
+        .zip(f_y.as_slice())
+        .zip(strides)
+        .try_fold(0i128, |acc, ((&x, &y), &s)| {
+            (i128::from(x) - i128::from(y))
+                .checked_mul(i128::from(s))
+                .and_then(|t| acc.checked_add(t))
+        })?;
+    u64::try_from(sum).ok()
 }
 
 impl fmt::Display for MemorySystemPlan {

@@ -21,8 +21,9 @@
 //!   can hold gets admitted;
 //! * a shared **plan cache** keyed by `(benchmark, extents, mode)`
 //!   builds each job geometry's plan, band schedule, input index and
-//!   checked kernel once — shard sessions are seeded with their band
-//!   range, so steady-state runs report `tile_plans_built == 0`;
+//!   checked kernel once, and its shard cut once per shard count —
+//!   shard sessions are seeded with their band range, so steady-state
+//!   runs report `tile_plans_built == 0`;
 //! * the pending-task queue is **bounded**: when the pool saturates,
 //!   submission rejects with a retry-after hint instead of buffering
 //!   without limit;
@@ -287,6 +288,21 @@ struct CachedPlan {
     stage: KernelStage,
     /// Output elements the geometry promises.
     outputs: u64,
+    /// The mode the schedule was built for.
+    mode: ExecMode,
+    /// The schedule's cut per requested shard count, made by the first
+    /// submit that asks for that count and shared by every later one.
+    cuts: Mutex<HashMap<usize, Arc<[ShardCut]>>>,
+}
+
+/// One shard of a cut schedule.
+struct ShardCut {
+    /// The shard's band range of the job's schedule.
+    bands: TilePlan,
+    /// The resident values the shard is admitted for: streaming, the
+    /// Sec. 2.3 halo-window bound of its bands; in core, the input
+    /// their halos span.
+    bound: u64,
 }
 
 impl CachedPlan {
@@ -307,7 +323,32 @@ impl CachedPlan {
             kernel,
             stage: bench.stage(),
             outputs,
+            mode,
+            cuts: Mutex::default(),
         })
+    }
+
+    /// The schedule cut for `shards` requested shards, cut once per
+    /// count ([`CachedPlan::shard_bands`]) and shared from then on.
+    fn shard_cut(&self, shards: usize) -> Result<Arc<[ShardCut]>, EngineError> {
+        if let Some(cut) = lock_recover(&self.cuts).get(&shards) {
+            return Ok(Arc::clone(cut));
+        }
+        // Cut outside the lock; a racing submit's equal cut may win.
+        let cut: Arc<[ShardCut]> = self
+            .shard_bands(shards)?
+            .into_iter()
+            .map(|bands| ShardCut {
+                bound: match self.mode {
+                    ExecMode::Streaming { .. } => halo_window_bound(&self.index, &bands),
+                    _ => resident_span(&self.index, &bands, self.outputs),
+                },
+                bands,
+            })
+            .collect();
+        Ok(Arc::clone(
+            lock_recover(&self.cuts).entry(shards).or_insert(cut),
+        ))
     }
 
     /// The mode's schedule cut into at most `shards` contiguous band
@@ -361,15 +402,17 @@ struct ShardTask {
     shard: usize,
     cached: Arc<CachedPlan>,
     input: JobInput,
-    /// The shard's band range of the job's schedule.
-    bands: TilePlan,
-    /// The resident values the shard is admitted for.
-    bound: u64,
-    mode: ExecMode,
+    /// The job's cut schedule; this shard runs `cut[shard]`.
+    cut: Arc<[ShardCut]>,
     label: String,
 }
 
 impl ShardTask {
+    /// The resident values the shard is admitted for.
+    fn bound(&self) -> u64 {
+        self.cut[self.shard].bound
+    }
+
     /// Runs the shard's bands over the job's whole input, in place,
     /// through a warm session of `threads` workers.
     fn run(&self, threads: usize) -> Result<SessionRun, EngineError> {
@@ -379,10 +422,10 @@ impl ShardTask {
             Some(ck) => Session::new(&cached.plan).kernel(SessionKernel::Compiled(ck)),
             None => Session::build(&cached.plan, &cached.stage)?,
         }
-        .mode(self.mode)
+        .mode(cached.mode)
         .threads(threads)
         .telemetry(self.label.clone());
-        session.seed_tiles(self.bands.clone());
+        session.seed_tiles(self.cut[self.shard].bands.clone());
         session.run(&grid)
     }
 }
@@ -483,14 +526,14 @@ impl State {
         run: Result<SessionRun, EngineError>,
         ns: u64,
     ) -> Option<Vec<Vec<f64>>> {
-        self.resident_now -= task.bound;
+        self.resident_now -= task.bound();
         match run {
             Ok(run) => {
                 self.shards_executed += 1;
                 self.shard_ns_total += ns;
                 self.tile_plans_built += run.report.tile_plans_built;
                 self.outputs_produced += run.outputs.len() as u64;
-                self.shards_over_bound += u64::from(run.report.peak_resident > task.bound);
+                self.shards_over_bound += u64::from(run.report.peak_resident > task.bound());
                 self.jobs[task.job].shard_outputs[task.shard] = run.outputs;
             }
             Err(e) => self.fail(task.job, e),
@@ -614,35 +657,26 @@ impl Inner {
             ShardPolicy::Fixed(n) => n,
             ShardPolicy::Auto => self.cfg.workers.min(self.cfg.queue_depth),
         };
-        let shards = cached.shard_bands(requested)?;
-        if shards.len() > self.cfg.queue_depth {
+        let cut = cached.shard_cut(requested)?;
+        if cut.len() > self.cfg.queue_depth {
             let detail = format!(
                 "{} shards exceed the queue depth {}",
-                shards.len(),
+                cut.len(),
                 self.cfg.queue_depth
             );
             return Err(EngineError::Config { detail });
         }
-        let label = match shards.len() {
+        let label = match cut.len() {
             1 => bench.name().to_string(),
             n => format!("{}×{n}", bench.name()),
         };
-        let tasks = shards
-            .into_iter()
-            .enumerate()
-            .map(|(shard, bands)| ShardTask {
+        let tasks = (0..cut.len())
+            .map(|shard| ShardTask {
                 job: 0,
                 shard,
-                // Streaming, the Sec. 2.3 halo-window bound of the
-                // shard's bands; in core, the input their halos span.
-                bound: match req.mode {
-                    ExecMode::Streaming { .. } => halo_window_bound(&cached.index, &bands),
-                    _ => resident_span(&cached.index, &bands, cached.outputs),
-                },
                 cached: Arc::clone(&cached),
+                cut: Arc::clone(&cut),
                 input: req.input.clone(),
-                bands,
-                mode: req.mode,
                 label: format!("{label}/shard{shard}"),
             })
             .collect();
@@ -661,7 +695,7 @@ impl Inner {
             let Some(task) = state.tasks.pop_front() else {
                 return; // shut down with the queue drained
             };
-            state.resident_now += task.bound;
+            state.resident_now += task.bound();
             state.resident_peak = state.resident_peak.max(state.resident_now);
             drop(state);
             let started = Instant::now();
@@ -756,7 +790,7 @@ impl ServiceFront {
         let cfg = &self.inner.cfg;
         let (label, tasks) = self.inner.shard_job(req)?;
         let shards = tasks.len();
-        let bound = tasks.iter().map(|t| t.bound).sum();
+        let bound = tasks.iter().map(|t| t.bound()).sum();
         let expected = tasks[0].cached.outputs;
 
         // One admission decision: count the job, check the budget, then
@@ -1187,6 +1221,45 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_shard_count_reuses_its_cut() {
+        let (bench, extents) = (denoise(), vec![40i64, 24]);
+        let input = Arc::new(lcg_input(40 * 24, 12));
+        let reference = unsharded_outputs(&bench, &extents, &input);
+        let front = ServiceFront::new(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
+        let req = |shards| JobRequest {
+            benchmark: bench.clone(),
+            extents: Some(extents.clone()),
+            mode: ExecMode::InCore,
+            shards,
+            input: Arc::clone(&input).into(),
+        };
+        let (_, first) = front.inner.shard_job(&req(ShardPolicy::Fixed(4))).unwrap();
+        let (_, second) = front.inner.shard_job(&req(ShardPolicy::Fixed(4))).unwrap();
+        assert_eq!(first.len(), 4);
+        for (a, b) in first.iter().zip(&second) {
+            assert!(Arc::ptr_eq(&a.cut, &b.cut));
+            assert_eq!(a.bound(), b.bound());
+        }
+        let (_, other) = front.inner.shard_job(&req(ShardPolicy::Fixed(2))).unwrap();
+        assert!(!Arc::ptr_eq(&first[0].cut, &other[0].cut));
+        // Jobs that share a cut still merge bit-identical to one run.
+        for _ in 0..2 {
+            assert!(matches!(
+                front.submit(&req(ShardPolicy::Fixed(4))),
+                Ok(Submission::Admitted(_))
+            ));
+        }
+        let outcome = front.finish();
+        for job in &outcome.jobs {
+            assert!(job.error.is_none(), "{:?}", job.error);
+            assert_eq!(job.outputs, reference);
+        }
+    }
+
+    #[test]
     fn overflowing_extents_are_a_typed_job_too_large() {
         // Element count (and byte count) of these extents overflows
         // u64 multiplication; the planner must reject with a typed
@@ -1383,7 +1456,7 @@ mod tests {
             input: Arc::clone(input).into(),
         };
         let (label, tasks) = inner.shard_job(&req).unwrap();
-        let bound = tasks.iter().map(|t| t.bound).sum();
+        let bound = tasks.iter().map(|t| t.bound()).sum();
         let state = inner.state.get_mut().unwrap();
         *state = State {
             pending: 1,

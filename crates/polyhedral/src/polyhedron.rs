@@ -101,6 +101,47 @@ impl Polyhedron {
         &self.constraints
     }
 
+    /// The inclusive per-dimension bounds, if this polyhedron is an
+    /// axis-aligned box: every constraint bounds one variable with
+    /// coefficient ±1, and every dimension has both a lower and an
+    /// upper bound. Redundant bounds keep the tightest. Returns `None`
+    /// for any other shape (a skewed grid, a triangle, an unbounded
+    /// dimension). An empty box has some `lo > hi`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stencil_polyhedral::{Constraint, Polyhedron};
+    ///
+    /// let b = Polyhedron::rect(&[(1, 766), (1, 1022)]);
+    /// assert_eq!(b.as_box(), Some(vec![(1, 766), (1, 1022)]));
+    /// let tri = b.with_constraint(Constraint::new(&[1, -1], 0)); // j <= i
+    /// assert_eq!(tri.as_box(), None);
+    /// ```
+    #[must_use]
+    pub fn as_box(&self) -> Option<Vec<(i64, i64)>> {
+        let mut bounds = vec![(None::<i64>, None::<i64>); self.dims];
+        for c in &self.constraints {
+            let mut vars = c.coeffs().iter().enumerate().filter(|(_, &a)| a != 0);
+            let (d, &a) = vars.next()?;
+            if vars.next().is_some() {
+                return None;
+            }
+            let (lo, hi) = &mut bounds[d];
+            match a {
+                // x_d + b >= 0  <=>  x_d >= -b
+                1 => *lo = Some(lo.unwrap_or(i64::MIN).max(c.constant().checked_neg()?)),
+                // -x_d + b >= 0  <=>  x_d <= b
+                -1 => *hi = Some(hi.unwrap_or(i64::MAX).min(c.constant())),
+                _ => return None,
+            }
+        }
+        bounds
+            .into_iter()
+            .map(|(lo, hi)| Some((lo?, hi?)))
+            .collect()
+    }
+
     /// True if `p` satisfies every constraint.
     ///
     /// # Panics
