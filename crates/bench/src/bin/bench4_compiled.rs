@@ -5,16 +5,13 @@
 //! Runs the same plan through the original closure datapath and the
 //! compiled row-sweep backend, in-core and streaming, best of three
 //! timed runs each after one untimed warm-up run. The built-in kernel's
-//! compiled backend runs its native row body on f64; an
-//! expression-only copy of the kernel (same window, closure and
-//! expression, no native row) times the register program in core on
-//! the f64 and the f32 datapath. All f64 output buffers must agree
-//! bit-for-bit, the f32 runs must stay inside the benchmark's declared
-//! relative tolerance (`Benchmark::f32_rtol`), every telemetry report
-//! must pass the runtime bound validator, and two throughput gates
-//! hold: the compiled backend must not be slower than the closure it
-//! replaces, and the native row body must not be slower than the
-//! register program.
+//! compiled backend runs its native row body; an expression-only copy
+//! of the kernel (same window, closure and expression, no native row)
+//! times the register program in core. All output buffers must agree
+//! bit-for-bit, every telemetry report must pass the runtime bound
+//! validator, and two throughput gates hold: the compiled backend must
+//! not be slower than the closure it replaces, and the native row body
+//! must not be slower than the register program.
 //! Correctness failures exit nonzero immediately; a missed throughput
 //! gate earns fresh measurements (keeping the per-configuration
 //! maximum) before it fails the pipeline, because a descheduled
@@ -30,8 +27,7 @@ use std::process::ExitCode;
 use stencil_bench::expression_only;
 use stencil_core::MemorySystemPlan;
 use stencil_engine::{
-    max_rel_error, CompiledKernel, Datapath, ExecMode, InputGrid, Session, SessionKernel,
-    SliceSource, VecSink,
+    CompiledKernel, ExecMode, InputGrid, Session, SessionKernel, SliceSource, VecSink,
 };
 use stencil_kernels::{extra_suite, paper_suite, Benchmark};
 use stencil_telemetry::{validate_report, MetricsReport};
@@ -58,16 +54,11 @@ struct Measurements {
     /// The built-in kernel's compiled in-core rate (its native row
     /// body, when it has one).
     incore_compiled: f64,
-    /// The register program's in-core rate (the expression-only copy),
-    /// f64 datapath: the baseline the native and f32 ratios divide by.
+    /// The register program's in-core rate (the expression-only copy):
+    /// the baseline the native ratio divides by.
     incore_program: f64,
-    /// The register program's in-core rate, f32 datapath.
-    incore_f32: f64,
     streaming_closure: f64,
     streaming_compiled: f64,
-    streaming_f32: f64,
-    f32_max_rel_error: f64,
-    f32_rtol: f64,
     outputs: u64,
     violations: usize,
 }
@@ -81,10 +72,6 @@ impl Measurements {
         self.incore_compiled / self.incore_program
     }
 
-    fn f32_speedup(&self) -> f64 {
-        self.incore_f32 / self.incore_program
-    }
-
     fn streaming_speedup(&self) -> f64 {
         self.streaming_compiled / self.streaming_closure
     }
@@ -95,11 +82,8 @@ impl Measurements {
         self.incore_closure = self.incore_closure.max(fresh.incore_closure);
         self.incore_compiled = self.incore_compiled.max(fresh.incore_compiled);
         self.incore_program = self.incore_program.max(fresh.incore_program);
-        self.incore_f32 = self.incore_f32.max(fresh.incore_f32);
         self.streaming_closure = self.streaming_closure.max(fresh.streaming_closure);
         self.streaming_compiled = self.streaming_compiled.max(fresh.streaming_compiled);
-        self.streaming_f32 = self.streaming_f32.max(fresh.streaming_f32);
-        self.f32_max_rel_error = self.f32_max_rel_error.max(fresh.f32_max_rel_error);
         self.violations += fresh.violations;
     }
 
@@ -111,11 +95,8 @@ impl Measurements {
              \"incore_closure_elem_per_s\": {:.1},\n  \
              \"incore_compiled_elem_per_s\": {:.1},\n  \"incore_speedup\": {:.4},\n  \
              \"incore_program_elem_per_s\": {:.1},\n  \"native_speedup\": {:.4},\n  \
-             \"incore_f32_elem_per_s\": {:.1},\n  \"f32_speedup\": {:.4},\n  \
              \"streaming_closure_elem_per_s\": {:.1},\n  \
              \"streaming_compiled_elem_per_s\": {:.1},\n  \"streaming_speedup\": {:.4},\n  \
-             \"streaming_f32_elem_per_s\": {:.1},\n  \
-             \"f32_max_rel_error\": {:.3e},\n  \"f32_rtol\": {:.1e},\n  \
              \"violations\": {}\n}}\n",
             self.name,
             self.extents,
@@ -125,14 +106,9 @@ impl Measurements {
             self.incore_speedup(),
             self.incore_program,
             self.native_speedup(),
-            self.incore_f32,
-            self.f32_speedup(),
             self.streaming_closure,
             self.streaming_compiled,
             self.streaming_speedup(),
-            self.streaming_f32,
-            self.f32_max_rel_error,
-            self.f32_rtol,
             self.violations,
         )
     }
@@ -214,8 +190,8 @@ fn main() -> ExitCode {
     }
     println!(
         "wrote {out_path}: {} {} outputs; in-core {:.1} -> {:.1} Melem/s ({:.2}x), \
-         native/program {:.2}x (program {:.1} Melem/s), f32 {:.1} Melem/s ({:.2}x, \
-         max rel err {:.2e} <= {:.0e}); streaming {:.1} -> {:.1} Melem/s ({:.2}x)",
+         native/program {:.2}x (program {:.1} Melem/s); \
+         streaming {:.1} -> {:.1} Melem/s ({:.2}x)",
         m.name,
         m.outputs,
         m.incore_closure / 1e6,
@@ -223,10 +199,6 @@ fn main() -> ExitCode {
         m.incore_speedup(),
         m.native_speedup(),
         m.incore_program / 1e6,
-        m.incore_f32 / 1e6,
-        m.f32_speedup(),
-        m.f32_max_rel_error,
-        m.f32_rtol,
         m.streaming_closure / 1e6,
         m.streaming_compiled / 1e6,
         m.streaming_speedup(),
@@ -243,8 +215,7 @@ fn main() -> ExitCode {
 }
 
 /// Plans the benchmark at its full paper extents and measures every
-/// configuration, cross-checking every f64 output buffer bit-for-bit,
-/// holding the f32 runs to the benchmark's declared tolerance, and
+/// configuration, cross-checking every output buffer bit-for-bit and
 /// validating each run's telemetry.
 fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>> {
     let extents: Vec<i64> = bench.extents().to_vec();
@@ -283,162 +254,74 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
         violations += v.len();
     };
 
-    // In-core, closure datapath.
+    // In core: the closure first, its outputs the reference every
+    // other run must reproduce bit for bit.
     let mut reference: Option<Vec<f64>> = None;
-    let mut incore_closure = 0.0f64;
-    for rep in 0..=RUNS {
-        let run = Session::new(&plan)
-            .kernel(SessionKernel::Closure(&compute))
-            .run(&input)?;
-        let engine = run.report.stages[0]
-            .engine
-            .clone()
-            .ok_or("session produced no in-core stage report")?;
-        if timed(rep) {
-            incore_closure = incore_closure.max(engine.throughput());
-        }
-        let mut report = MetricsReport::new(spec.name());
-        report.sessions.push(run.report.metrics());
-        validate(&report);
-        reference = Some(run.outputs);
-    }
+    let mut incore =
+        |kernel: SessionKernel<'_>, what: &str| -> Result<f64, Box<dyn std::error::Error>> {
+            let mut best = 0.0f64;
+            for rep in 0..=RUNS {
+                let run = Session::new(&plan).kernel(kernel).run(&input)?;
+                let engine = run.report.stages[0]
+                    .engine
+                    .clone()
+                    .ok_or("session produced no in-core stage report")?;
+                if timed(rep) {
+                    best = best.max(engine.throughput());
+                }
+                let mut report = MetricsReport::new(spec.name());
+                report.sessions.push(run.report.metrics());
+                validate(&report);
+                match &reference {
+                    None => reference = Some(run.outputs),
+                    Some(want) if *want != run.outputs => {
+                        return Err(
+                            format!("{what} in-core outputs diverge from the closure run").into(),
+                        );
+                    }
+                    Some(_) => {}
+                }
+            }
+            Ok(best)
+        };
+    let incore_closure = incore(SessionKernel::Closure(&compute), "closure")?;
+    let incore_compiled = incore(SessionKernel::Compiled(&kernel), "compiled")?;
+    let incore_program = incore(SessionKernel::Compiled(&program), "register-program")?;
     let reference = reference.expect("at least one run");
     let outputs = reference.len() as u64;
 
-    // In-core, the built-in kernel's compiled backend.
-    let mut incore_compiled = 0.0f64;
-    for rep in 0..=RUNS {
-        let run = Session::new(&plan)
-            .kernel(SessionKernel::Compiled(&kernel))
-            .run(&input)?;
-        let engine = run.report.stages[0]
-            .engine
-            .clone()
-            .ok_or("session produced no in-core stage report")?;
-        if timed(rep) {
-            incore_compiled = incore_compiled.max(engine.throughput());
-        }
-        let mut report = MetricsReport::new(spec.name());
-        report.sessions.push(run.report.metrics());
-        validate(&report);
-        if run.outputs != reference {
-            return Err("compiled in-core outputs diverge from the closure run".into());
-        }
-    }
-
-    // In-core, the register program on both datapaths. The f64 run
-    // must reproduce the closure bits exactly; the f32 run must stay
-    // inside the declared tolerance.
-    let mut incore_program = 0.0f64;
-    let mut incore_f32 = 0.0f64;
-    let mut f32_max_rel_error = 0.0f64;
-    let mut f32_reference: Option<Vec<f64>> = None;
-    for (slot, datapath) in [
-        (&mut incore_program, Datapath::F64),
-        (&mut incore_f32, Datapath::F32),
-    ] {
-        for rep in 0..=RUNS {
-            let run = Session::new(&plan)
-                .kernel(SessionKernel::Compiled(&program))
-                .datapath(datapath)
-                .run(&input)?;
-            let engine = run.report.stages[0]
-                .engine
-                .clone()
-                .ok_or("session produced no in-core stage report")?;
-            if timed(rep) {
-                *slot = slot.max(engine.throughput());
-            }
-            let mut report = MetricsReport::new(spec.name());
-            report.sessions.push(run.report.metrics());
-            validate(&report);
-            if datapath == Datapath::F64 {
-                if run.outputs != reference {
+    // Streaming, closure then the compiled row sweep.
+    let mut streaming =
+        |kernel: SessionKernel<'_>, what: &str| -> Result<f64, Box<dyn std::error::Error>> {
+            let mut best = 0.0f64;
+            for rep in 0..=RUNS {
+                let mut source = SliceSource::new(&in_vals);
+                let mut sink = VecSink::new();
+                let session = Session::new(&plan)
+                    .kernel(kernel)
+                    .mode(stream_mode)
+                    .threads(4)
+                    .run_streaming(&mut source, &mut sink)?;
+                let streamed = session.stages[0]
+                    .stream
+                    .clone()
+                    .ok_or("session produced no streaming stage report")?;
+                if timed(rep) {
+                    best = best.max(streamed.throughput());
+                }
+                let mut report = MetricsReport::new(spec.name());
+                report.sessions.push(session.metrics());
+                validate(&report);
+                if sink.values != reference {
                     return Err(
-                        "register-program in-core outputs diverge from the closure run".into(),
+                        format!("{what} streaming outputs diverge from the in-core run").into(),
                     );
                 }
-                continue;
             }
-            let err = max_rel_error(&run.outputs, &reference);
-            if err > bench.f32_rtol() {
-                return Err(format!(
-                    "f32 in-core outputs drift {err:.3e} from the f64 reference, over the \
-                     declared tolerance {:.1e}",
-                    bench.f32_rtol()
-                )
-                .into());
-            }
-            f32_max_rel_error = f32_max_rel_error.max(err);
-            f32_reference = Some(run.outputs);
-        }
-    }
-    let f32_reference = f32_reference.expect("the f32 datapath ran");
-
-    // Streaming, closure datapath.
-    let mut streaming_closure = 0.0f64;
-    for rep in 0..=RUNS {
-        let mut source = SliceSource::new(&in_vals);
-        let mut sink = VecSink::new();
-        let session = Session::new(&plan)
-            .kernel(SessionKernel::Closure(&compute))
-            .mode(stream_mode)
-            .threads(4)
-            .run_streaming(&mut source, &mut sink)?;
-        let streamed = session.stages[0]
-            .stream
-            .clone()
-            .ok_or("session produced no streaming stage report")?;
-        if timed(rep) {
-            streaming_closure = streaming_closure.max(streamed.throughput());
-        }
-        let mut report = MetricsReport::new(spec.name());
-        report.sessions.push(session.metrics());
-        validate(&report);
-        if sink.values != reference {
-            return Err("closure streaming outputs diverge from the in-core run".into());
-        }
-    }
-
-    // Streaming, compiled row sweep: f64 and f32.
-    let mut streaming_compiled = 0.0f64;
-    let mut streaming_f32 = 0.0f64;
-    for (slot, datapath) in [
-        (&mut streaming_compiled, Datapath::F64),
-        (&mut streaming_f32, Datapath::F32),
-    ] {
-        for rep in 0..=RUNS {
-            let mut source = SliceSource::new(&in_vals);
-            let mut sink = VecSink::new();
-            let session = Session::new(&plan)
-                .kernel(SessionKernel::Compiled(&kernel))
-                .mode(stream_mode)
-                .threads(4)
-                .datapath(datapath)
-                .run_streaming(&mut source, &mut sink)?;
-            let streamed = session.stages[0]
-                .stream
-                .clone()
-                .ok_or("session produced no streaming stage report")?;
-            if timed(rep) {
-                *slot = slot.max(streamed.throughput());
-            }
-            let mut report = MetricsReport::new(spec.name());
-            report.sessions.push(session.metrics());
-            validate(&report);
-            let expected = if datapath == Datapath::F32 {
-                &f32_reference
-            } else {
-                &reference
-            };
-            if &sink.values != expected {
-                return Err(format!(
-                    "compiled streaming outputs ({datapath}) diverge from the in-core run"
-                )
-                .into());
-            }
-        }
-    }
+            Ok(best)
+        };
+    let streaming_closure = streaming(SessionKernel::Closure(&compute), "closure")?;
+    let streaming_compiled = streaming(SessionKernel::Compiled(&kernel), "compiled")?;
 
     Ok(Measurements {
         name: bench.name().to_string(),
@@ -446,12 +329,8 @@ fn measure(bench: &Benchmark) -> Result<Measurements, Box<dyn std::error::Error>
         incore_closure,
         incore_compiled,
         incore_program,
-        incore_f32,
         streaming_closure,
         streaming_compiled,
-        streaming_f32,
-        f32_max_rel_error,
-        f32_rtol: bench.f32_rtol(),
         outputs,
         violations,
     })

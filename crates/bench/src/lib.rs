@@ -122,8 +122,7 @@ pub fn expression_only(bench: &Benchmark) -> Benchmark {
         bench.ops(),
         bench.compute_fn(),
     )
-    .with_element_bits(bench.element_bits())
-    .with_f32_rtol(bench.f32_rtol());
+    .with_element_bits(bench.element_bits());
     if let Some(expr) = bench.expr() {
         copy = copy.with_expr(expr.clone());
     }
@@ -225,7 +224,6 @@ mod tests {
             assert_eq!(copy.name(), b.name());
             assert_eq!(copy.window(), b.window());
             assert_eq!(copy.expr(), b.expr());
-            assert_eq!(copy.f32_rtol(), b.f32_rtol());
             assert_eq!(copy.element_bits(), b.element_bits());
             let w: Vec<f64> = (0..b.window().len()).map(|k| k as f64 - 1.5).collect();
             assert_eq!(copy.compute(&w).to_bits(), b.compute(&w).to_bits());

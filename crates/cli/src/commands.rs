@@ -7,9 +7,8 @@ use stencil_core::{
     verify_plan, MappingPolicy, MemorySystemPlan, ModuloSchedulePlan, ReuseAnalysis, StencilSpec,
 };
 use stencil_engine::{
-    max_rel_error, pack_grid, CompiledKernel, Datapath, EngineError, ExecMode, InputGrid,
-    KernelBackend, MappedGrid, MmapSink, MmapSource, Session, SessionKernel, SessionRun,
-    SliceSource, VecSink,
+    pack_grid, CompiledKernel, EngineError, ExecMode, InputGrid, KernelBackend, MappedGrid,
+    MmapSink, MmapSource, Session, SessionKernel, SessionRun, SliceSource, VecSink,
 };
 use stencil_fpga::{estimate_nonuniform, estimate_uniform};
 use stencil_kernels::{KernelExpr, KernelOps, KernelStage};
@@ -19,11 +18,6 @@ use stencil_uniform::{best_uniform, multidim_cyclic, survey, unpartitioned};
 
 /// A command error: human-readable message, exit-code 1 semantics.
 pub type CmdError = Box<dyn std::error::Error + Send + Sync>;
-
-/// Relative tolerance for f32-vs-f64 verification of the spec-file
-/// window-sum datapath — the same default bound `Benchmark::f32_rtol`
-/// uses for shallow dataflow graphs.
-const F32_VERIFY_RTOL: f64 = 1e-5;
 
 /// `stencil plan`: generate and verify the memory system; render the
 /// Table 2-style report.
@@ -146,13 +140,9 @@ fn append_bound_checks(out: &mut String, report: &MetricsReport) -> usize {
 /// `backend == Compiled` (the default) the sum is authored as a
 /// [`KernelExpr`], compiled to stack bytecode validated against the
 /// closure, and executed through the register-program row sweep;
-/// `Closure` keeps the original per-window call. `datapath` sets the
-/// compiled sweep's arithmetic width — f32
-/// runs always route through the compiled expression (the raw closure
-/// cannot narrow), and the direct-loop verification switches from
-/// bit-exact to a relative-tolerance bound. `crosscheck` runs *both*
-/// backends and demands bit-identical outputs on the f64 datapath, or
-/// agreement within the f32 tolerance otherwise.
+/// `Closure` keeps the original per-window call. The run must match a
+/// direct loop bit for bit; `crosscheck` runs *both* backends and
+/// demands bit-identical outputs.
 ///
 /// # Errors
 ///
@@ -166,7 +156,6 @@ pub fn cmd_engine(
     streaming: bool,
     chunk_rows: Option<u64>,
     backend: KernelBackend,
-    datapath: Datapath,
     crosscheck: bool,
     chain: &[String],
     iterate: Option<usize>,
@@ -178,13 +167,6 @@ pub fn cmd_engine(
         return Err("--iterate cannot be combined with --chain; \
                     the ring is already a temporal chain of the kernel with itself"
             .into());
-    }
-    if datapath == Datapath::F32 && (!chain.is_empty() || iterate.is_some()) {
-        return Err(
-            "--datapath f32 cannot be combined with --chain or --iterate; \
-                    their sequential references are defined bit-exactly on f64"
-                .into(),
-        );
     }
     if output_grid.is_some() && !streaming {
         return Err("--output-grid needs --streaming; only the streaming \
@@ -256,17 +238,14 @@ pub fn cmd_engine(
     )?;
 
     let mode = ExecMode::InCore;
-    // f32 always routes through the compiled expression: under the
-    // Closure backend it runs the scalar f32 bytecode, so both backends
-    // stay available for cross-checking at either width.
-    let session_kernel = match (backend, datapath) {
-        (KernelBackend::Compiled, _) | (_, Datapath::F32) => SessionKernel::Compiled(&kernel),
-        (KernelBackend::Closure, Datapath::F64) => SessionKernel::Closure(&compute),
+    let kernel_for = |backend| match backend {
+        KernelBackend::Compiled => SessionKernel::Compiled(&kernel),
+        KernelBackend::Closure => SessionKernel::Closure(&compute),
     };
+    let session_kernel = kernel_for(backend);
     let run = Session::new(&plan)
         .kernel(session_kernel)
         .backend(backend)
-        .datapath(datapath)
         .mode(mode)
         .threads(threads)
         .run(&input)?;
@@ -276,9 +255,7 @@ pub fn cmd_engine(
         .ok_or("session produced no in-core stage report")?;
 
     // Cross-check against a direct nested loop in declared offset
-    // order. The reference always computes in f64; the f64 datapath
-    // must reproduce it bit for bit, the f32 datapath within the
-    // relative tolerance.
+    // order: the run must reproduce it bit for bit.
     let iter_idx = spec.iteration_domain().index()?;
     let mut expected = Vec::with_capacity(run.outputs.len());
     let mut cur = iter_idx.cursor();
@@ -293,32 +270,13 @@ pub fn cmd_engine(
         cur.advance(&iter_idx);
     }
     let rank = expected.len();
-    let verify_line = match datapath {
-        Datapath::F64 => {
-            if let Some(k) = (0..rank).find(|&k| run.outputs[k] != expected[k]) {
-                return Err(format!(
-                    "engine mismatch at output rank {k}: got {}, direct loop says {}",
-                    run.outputs[k], expected[k]
-                )
-                .into());
-            }
-            format!("verified against direct loop: {rank} outputs match")
-        }
-        Datapath::F32 => {
-            let err = max_rel_error(&run.outputs, &expected);
-            if err > F32_VERIFY_RTOL {
-                return Err(format!(
-                    "f32 engine drifted from the f64 direct loop: \
-                     max rel error {err:.3e} exceeds tolerance {F32_VERIFY_RTOL:.1e}"
-                )
-                .into());
-            }
-            format!(
-                "verified against f64 direct loop: {rank} outputs within \
-                 {F32_VERIFY_RTOL:.1e} (max rel error {err:.3e})"
-            )
-        }
-    };
+    if let Some(k) = (0..rank).find(|&k| run.outputs[k] != expected[k]) {
+        return Err(format!(
+            "engine mismatch at output rank {k}: got {}, direct loop says {}",
+            run.outputs[k], expected[k]
+        )
+        .into());
+    }
 
     let mut out = String::new();
     let _ = write!(out, "{engine_report}");
@@ -327,58 +285,31 @@ pub fn cmd_engine(
         "fetch overhead vs single band: {:.3}x",
         engine_report.fetch_overhead(in_idx.len())
     );
-    let _ = writeln!(out, "{verify_line}");
+    let _ = writeln!(out, "verified against direct loop: {rank} outputs match");
     let mut report = MetricsReport::new(spec.name());
     report.sessions.push(run.report.metrics());
 
     if crosscheck {
-        // Run the *other* backend over the same plan. On f64 the
-        // backends must agree bit for bit; on f32 the register lane
-        // program and the scalar f32 bytecode are compared within the
-        // verification tolerance.
+        // Run the *other* backend over the same plan: the two must
+        // agree bit for bit.
         let other_backend = match backend {
             KernelBackend::Compiled => KernelBackend::Closure,
             KernelBackend::Closure => KernelBackend::Compiled,
         };
-        let other_kernel = match (other_backend, datapath) {
-            (KernelBackend::Compiled, _) | (_, Datapath::F32) => SessionKernel::Compiled(&kernel),
-            (KernelBackend::Closure, Datapath::F64) => SessionKernel::Closure(&compute),
-        };
         let other = Session::new(&plan)
-            .kernel(other_kernel)
+            .kernel(kernel_for(other_backend))
             .backend(other_backend)
-            .datapath(datapath)
             .mode(mode)
             .threads(threads)
             .run(&input)?;
-        match datapath {
-            Datapath::F64 => {
-                if other.outputs != run.outputs {
-                    return Err("cross-check failed: compiled and closure backends diverge".into());
-                }
-                let _ = writeln!(
-                    out,
-                    "cross-check compiled vs closure: {} outputs bit-identical",
-                    run.outputs.len()
-                );
-            }
-            Datapath::F32 => {
-                let err = max_rel_error(&run.outputs, &other.outputs);
-                if err > F32_VERIFY_RTOL {
-                    return Err(format!(
-                        "f32 cross-check failed: backends diverge by max rel error \
-                         {err:.3e} (tolerance {F32_VERIFY_RTOL:.1e})"
-                    )
-                    .into());
-                }
-                let _ = writeln!(
-                    out,
-                    "cross-check compiled vs closure (f32): {} outputs within \
-                     {F32_VERIFY_RTOL:.1e} (max rel error {err:.3e})",
-                    run.outputs.len()
-                );
-            }
+        if other.outputs != run.outputs {
+            return Err("cross-check failed: compiled and closure backends diverge".into());
         }
+        let _ = writeln!(
+            out,
+            "cross-check compiled vs closure: {} outputs bit-identical",
+            run.outputs.len()
+        );
     }
 
     if streaming {
@@ -391,7 +322,6 @@ pub fn cmd_engine(
         let session = Session::new(&plan)
             .kernel(session_kernel)
             .backend(backend)
-            .datapath(datapath)
             .mode(ExecMode::Streaming { chunk_rows })
             .threads(threads);
         let stream = match output_grid {
@@ -1358,7 +1288,6 @@ mod tests {
             false,
             None,
             KernelBackend::Compiled,
-            Datapath::F64,
             false,
             &[],
             None,
@@ -1388,7 +1317,6 @@ mod tests {
             false,
             None,
             KernelBackend::Compiled,
-            Datapath::F64,
             false,
             &[],
             None,
@@ -1409,7 +1337,6 @@ mod tests {
             false,
             None,
             KernelBackend::Closure,
-            Datapath::F64,
             true,
             &[],
             None,
@@ -1436,61 +1363,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_f32_datapath_verifies_within_tolerance() {
-        let (out, metrics, violations) = cmd_engine(
-            &denoise_spec(),
-            1,
-            1,
-            true,
-            Some(3),
-            KernelBackend::Compiled,
-            Datapath::F32,
-            true,
-            &[],
-            None,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
-        assert!(out.contains("[compiled kernel] (f32)"), "{out}");
-        assert!(out.contains("verified against f64 direct loop"), "{out}");
-        assert!(
-            out.contains("cross-check compiled vs closure (f32)"),
-            "{out}"
-        );
-        assert!(out.contains("verified streaming against in-core"), "{out}");
-        assert_eq!(violations, 0);
-        let report = MetricsReport::parse(&metrics).unwrap();
-        let engine = report.sessions[0].stages[0].engine.as_ref().unwrap();
-        assert_eq!(engine.datapath, "f32");
-        let stream = report.sessions[1].stages[0].stream.as_ref().unwrap();
-        assert_eq!(stream.datapath, "f32");
-        assert_eq!(validate_report(&report), Vec::new());
-    }
-
-    #[test]
-    fn engine_f32_rejects_chain_and_iterate() {
-        let err = cmd_engine(
-            &denoise_spec(),
-            1,
-            1,
-            false,
-            None,
-            KernelBackend::Compiled,
-            Datapath::F32,
-            false,
-            &[],
-            Some(2),
-            None,
-            None,
-            None,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("--datapath f32"), "{err}");
-    }
-
-    #[test]
     fn engine_streaming_mode_verifies_and_reports_residency() {
         let (out, metrics, violations) = cmd_engine(
             &denoise_spec(),
@@ -1499,7 +1371,6 @@ mod tests {
             true,
             Some(4),
             KernelBackend::Compiled,
-            Datapath::F64,
             true,
             &[],
             None,
@@ -1533,7 +1404,6 @@ mod tests {
             false,
             None,
             KernelBackend::Compiled,
-            Datapath::F64,
             false,
             &["s2".into()],
             None,
@@ -1567,7 +1437,6 @@ mod tests {
             true,
             Some(1),
             KernelBackend::Compiled,
-            Datapath::F64,
             false,
             &["s2".into()],
             None,
@@ -1598,7 +1467,6 @@ mod tests {
             true,
             Some(2),
             KernelBackend::Closure,
-            Datapath::F64,
             false,
             &["s2".into(), "s3".into()],
             None,
@@ -1627,7 +1495,6 @@ mod tests {
             false,
             None,
             KernelBackend::Compiled,
-            Datapath::F64,
             false,
             &[],
             Some(3),
@@ -1662,7 +1529,6 @@ mod tests {
             true,
             Some(1),
             KernelBackend::Compiled,
-            Datapath::F64,
             false,
             &[],
             Some(3),
@@ -1695,7 +1561,6 @@ mod tests {
             false,
             None,
             KernelBackend::Compiled,
-            Datapath::F64,
             false,
             &[],
             Some(4),
@@ -1726,7 +1591,6 @@ mod tests {
             false,
             None,
             KernelBackend::Closure,
-            Datapath::F64,
             false,
             &[],
             Some(4),
@@ -1754,7 +1618,6 @@ mod tests {
             false,
             None,
             KernelBackend::Compiled,
-            Datapath::F64,
             false,
             &["s2".into()],
             Some(2),
@@ -1829,7 +1692,6 @@ o o o
             true,
             Some(4),
             KernelBackend::Compiled,
-            Datapath::F64,
             false,
             &[],
             None,
@@ -1866,7 +1728,6 @@ o o o
             true,
             Some(4),
             KernelBackend::Compiled,
-            Datapath::F64,
             false,
             &["blur3x3".into()],
             None,
@@ -1909,7 +1770,6 @@ o o o
             false,
             None,
             KernelBackend::Compiled,
-            Datapath::F64,
             false,
             &[],
             None,
@@ -1949,7 +1809,6 @@ o o o
                 true,
                 Some(4),
                 KernelBackend::Compiled,
-                Datapath::F64,
                 false,
                 &[],
                 None,

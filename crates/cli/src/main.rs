@@ -7,7 +7,6 @@
 //!                                 [--vcd OUT.vcd [--cycles N]]
 //! stencil engine   <spec.stencil> [--streams K] [--threads T]
 //!                                 [--kernel compiled|closure] [--crosscheck]
-//!                                 [--datapath f64|f32]
 //!                                 [--streaming [--chunk-rows N]] [--chain s2,s3,...]
 //!                                 [--iterate T [--epsilon E]] [--metrics-out M.json]
 //! stencil rtl      <spec.stencil> [--out DIR]     generate Verilog
@@ -42,7 +41,6 @@ fn usage() -> &'static str {
      [--streams K] [--metrics-out M.json] [--vcd OUT.vcd [--cycles N]]\n  \
      stencil engine   <spec.stencil> [--streams K] [--threads T] \
      [--kernel compiled|closure] [--crosscheck] \
-     [--datapath f64|f32] \
      [--streaming [--chunk-rows N]] [--chain NAME,NAME,... (suite benchmarks chain \
      their own windows)] \
      [--iterate T [--epsilon E]] [--input-grid F.sgrid] [--output-grid F.sgrid] \
@@ -140,7 +138,6 @@ fn run(args: Vec<String>) -> Result<RunOutput, commands::CmdError> {
     let mut streaming = false;
     let mut chunk_rows: Option<u64> = None;
     let mut backend = stencil_engine::KernelBackend::default();
-    let mut datapath = stencil_engine::Datapath::default();
     let mut crosscheck = false;
     let mut chain: Vec<String> = Vec::new();
     let mut iterate: Option<usize> = None;
@@ -187,12 +184,6 @@ fn run(args: Vec<String>) -> Result<RunOutput, commands::CmdError> {
                     .parse()?;
             }
             "--crosscheck" => crosscheck = true,
-            "--datapath" => {
-                datapath = it
-                    .next()
-                    .ok_or("--datapath needs `f64` or `f32`")?
-                    .parse()?;
-            }
             "--chain" => {
                 let names = it
                     .next()
@@ -275,7 +266,6 @@ fn run(args: Vec<String>) -> Result<RunOutput, commands::CmdError> {
                 streaming,
                 chunk_rows,
                 backend,
-                datapath,
                 crosscheck,
                 &chain,
                 iterate,
@@ -421,6 +411,7 @@ fn write_metrics(path: &std::path::Path, json: &str) -> Result<String, commands:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::fs;
 
     fn write_spec(dir: &std::path::Path) -> PathBuf {
@@ -524,6 +515,104 @@ mod tests {
         assert_eq!(err.to_string(), "unknown option `--unroll`");
         assert!(!usage().contains("unroll"));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn removed_datapath_flag_is_an_unknown_option() {
+        let dir = std::env::temp_dir().join("stencil_cli_datapath_flag_test");
+        fs::create_dir_all(&dir).unwrap();
+        let spec = write_spec(&dir);
+        let Err(err) = run(vec![
+            "engine".into(),
+            spec.display().to_string(),
+            "--datapath".into(),
+            "f32".into(),
+        ]) else {
+            panic!("--datapath must be refused");
+        };
+        assert_eq!(err.to_string(), "unknown option `--datapath`");
+        assert!(!usage().contains("datapath"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every option name `run` knows or once knew, plus help.
+    const FUZZ_OPTIONS: [&str; 21] = [
+        "--streams",
+        "--threads",
+        "--vcd",
+        "--cycles",
+        "--out",
+        "--metrics-out",
+        "--streaming",
+        "--kernel",
+        "--crosscheck",
+        "--chain",
+        "--chunk-rows",
+        "--iterate",
+        "--epsilon",
+        "--input-grid",
+        "--output-grid",
+        "--no-fail-on-violation",
+        "--datapath",
+        "--unroll",
+        "--tiles",
+        "-h",
+        "--help",
+    ];
+
+    /// Values that sit on the edges of the options' parsers.
+    const FUZZ_VALUES: [&str; 14] = [
+        "0",
+        "1",
+        "3",
+        "-1",
+        "18446744073709551616",
+        "1e308",
+        "NaN",
+        "inf",
+        "f32",
+        "closure",
+        "compiled",
+        "blur3x3,denoise",
+        ",",
+        "",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `plan` under any trailing tokens returns its report or a
+        /// typed error and never panics. Only `plan` is fuzzed: it
+        /// ignores `--threads`, `--streams`, `--vcd` and `--out`, so no
+        /// fuzzed value starts threads or writes a file.
+        #[test]
+        fn plan_options_never_panic(
+            tokens in prop::collection::vec(
+                (
+                    0u8..3,
+                    prop::sample::select(FUZZ_OPTIONS.to_vec()),
+                    prop::sample::select(FUZZ_VALUES.to_vec()),
+                    "[ -~]{0,6}",
+                )
+                    .prop_map(|(k, opt, value, raw)| match k {
+                        0 => opt.to_string(),
+                        1 => value.to_string(),
+                        _ => raw,
+                    }),
+                0..8,
+            )
+        ) {
+            let dir = std::env::temp_dir().join("stencil_cli_plan_fuzz_test");
+            fs::create_dir_all(&dir).unwrap();
+            let spec = write_spec(&dir);
+            let mut args = vec!["plan".to_string(), spec.display().to_string()];
+            args.extend(tokens.iter().cloned());
+            let result = run(args);
+            let _ = fs::remove_dir_all(&dir);
+            if let Err(err) = result {
+                prop_assert!(!err.to_string().is_empty(), "{tokens:?}");
+            }
+        }
     }
 
     #[test]

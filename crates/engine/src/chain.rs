@@ -521,7 +521,6 @@ impl<'k> StreamStage<'k> {
             bands: self.tile_plan.tile_count(),
             threads: self.worker_count,
             backend: self.backend,
-            datapath: self.kernel.datapath(),
             chunk_rows: self.chunk_rows,
             rows_in: self.rows_in,
             values_in: self.values_in,
@@ -553,7 +552,6 @@ impl<'k> StreamStage<'k> {
             tiles: self.tile_plan.tile_count(),
             threads: self.threads_used.max(1),
             backend: self.backend,
-            datapath: self.kernel.datapath(),
             halo_elements: per_tile.iter().map(|t| t.halo_elements).sum(),
             elapsed,
             per_tile,

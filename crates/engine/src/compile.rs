@@ -16,13 +16,12 @@
 //!   bytecode against the reference closure on a battery of windows at
 //!   construction, so a mis-transcribed expression fails loudly before
 //!   any output is produced;
-//! * **evaluate** — [`CompiledKernel::eval`] (and [`CompiledKernel::eval32`]
-//!   for the f32 datapath) runs the bytecode on one window. This scalar
-//!   form serves the per-element `Closure` backend, gather rows, and the
-//!   replay that validates every register program and native row body
-//!   ([`replay_rows`]: one battery, compared bit for bit). Row sweeps on
-//!   f64 run the kernel's native row body when it carries one (checked
-//!   against this bytecode on attachment, see
+//! * **evaluate** — [`CompiledKernel::eval`] runs the bytecode on one
+//!   window. This scalar form serves the per-element `Closure` backend,
+//!   gather rows, and the replay that validates every register program
+//!   and native row body ([`replay_rows`]: one battery, compared bit for
+//!   bit). Row sweeps run the kernel's native row body when it carries
+//!   one (checked against this bytecode on attachment, see
 //!   [`CompiledKernel::for_benchmark`]); every other compiled row runs
 //!   the register program [`crate::unroll`] lowers from the same folded
 //!   expression.
@@ -38,19 +37,17 @@ use std::str::FromStr;
 use stencil_kernels::{Benchmark, KernelExpr, KernelStage, NativeRow};
 
 use crate::error::EngineError;
-use crate::unroll::Lane;
 
 /// Selects how the engine evaluates the kernel datapath.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KernelBackend {
     /// Row-sweep interior rows (the default when a [`CompiledKernel`]
-    /// is supplied). On the f64 datapath, a kernel with a checked
-    /// native row body ([`stencil_kernels::NativeRow`], carried by
-    /// every built-in benchmark) sweeps each row through that body: the
-    /// kernel's own formula as one vectorized loop. Every other
-    /// compiled row runs the vectorized register program lowered from
-    /// the [`CompiledKernel`] — expression-only kernels and the f32
-    /// datapath. Gather rows evaluate the scalar bytecode.
+    /// is supplied). A kernel with a checked native row body
+    /// ([`stencil_kernels::NativeRow`], carried by every built-in
+    /// benchmark) sweeps each row through that body: the kernel's own
+    /// formula as one vectorized loop. An expression-only kernel sweeps
+    /// through the vectorized register program lowered from the
+    /// [`CompiledKernel`]. Gather rows evaluate the scalar bytecode.
     #[default]
     Compiled,
     /// Evaluate one element at a time through the per-window call — the
@@ -84,55 +81,6 @@ impl FromStr for KernelBackend {
             "closure" => Ok(KernelBackend::Closure),
             other => Err(format!(
                 "unknown kernel backend '{other}' (expected 'compiled' or 'closure')"
-            )),
-        }
-    }
-}
-
-/// Arithmetic precision of the compiled sweep datapath.
-///
-/// `F64` is the bit-exact reference: every backend (closure, scalar
-/// bytecode, native row body, register-program sweep) produces identical
-/// bits. `F32` narrows constants and taps to single precision at the
-/// kernel boundary — grids stay `f64` in memory, values narrow on load
-/// and widen on store — trading bit-exactness for double the arithmetic
-/// lanes per vector op. `F32` runs verify against `F64` goldens with a
-/// per-kernel relative tolerance instead of bit equality.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Datapath {
-    /// Double-precision arithmetic (bit-exact across backends).
-    #[default]
-    F64,
-    /// Single-precision arithmetic (tolerance-verified against f64).
-    F32,
-}
-
-impl Datapath {
-    /// The datapath's wire/CLI name.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Datapath::F64 => "f64",
-            Datapath::F32 => "f32",
-        }
-    }
-}
-
-impl fmt::Display for Datapath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for Datapath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "f64" => Ok(Datapath::F64),
-            "f32" => Ok(Datapath::F32),
-            other => Err(format!(
-                "unknown datapath '{other}' (expected 'f64' or 'f32')"
             )),
         }
     }
@@ -191,7 +139,7 @@ pub struct CompiledKernel {
     /// the bytecode.
     expr: KernelExpr,
     /// The kernel's native row body, checked against this bytecode
-    /// ([`CompiledKernel::with_native_row`]); the f64 sweep
+    /// ([`CompiledKernel::with_native_row`]); the sweep
     /// runs it instead of the register program.
     native: Option<NativeRow>,
 }
@@ -614,8 +562,8 @@ impl CompiledKernel {
     /// lengths ([`replay_rows`]), must give the bytecode's bits in every
     /// column through both the slice form and the appending form —
     /// which must also append exactly one value per column after what
-    /// the vector already holds. The f64 sweep then runs the native body
-    /// in place of the register program.
+    /// the vector already holds. The sweep then runs the native body in
+    /// place of the register program.
     ///
     /// # Errors
     ///
@@ -722,44 +670,17 @@ impl CompiledKernel {
     /// Panics if `window` is shorter than [`CompiledKernel::taps`].
     #[must_use]
     pub fn eval(&self, window: &[f64]) -> f64 {
-        self.eval_as::<f64>(window)
-    }
-
-    /// Evaluates the bytecode on one window in single precision: taps
-    /// and constants narrow to `f32` on entry, every operation rounds in
-    /// `f32`, and the result widens back to `f64` (exact). This is the
-    /// scalar reference for the [`Datapath::F32`] sweep — gather rows
-    /// and construction-time replay both use it, so every f32 path
-    /// computes identical bits.
-    #[must_use]
-    pub fn eval32(&self, window: &[f64]) -> f64 {
-        self.eval_as::<f32>(window)
-    }
-
-    /// Scalar evaluation in `datapath`'s precision ([`Self::eval`] or
-    /// [`Self::eval32`]).
-    pub(crate) fn eval_in(&self, datapath: Datapath, window: &[f64]) -> f64 {
-        match datapath {
-            Datapath::F64 => self.eval(window),
-            Datapath::F32 => self.eval32(window),
-        }
-    }
-
-    /// The one scalar stack loop, monomorphized per lane type: values
-    /// narrow on load, every operation rounds in `T`, and the result
-    /// widens back to `f64`.
-    fn eval_as<T: Lane>(&self, window: &[f64]) -> f64 {
-        let mut stack = [T::ZERO; MAX_STACK];
-        let mut slots = [T::ZERO; MAX_SLOTS];
+        let mut stack = [0.0f64; MAX_STACK];
+        let mut slots = [0.0f64; MAX_SLOTS];
         let mut sp = 0usize;
         for op in &self.ops {
             match *op {
                 Op::Tap(k) => {
-                    stack[sp] = T::from_f64(window[usize::from(k)]);
+                    stack[sp] = window[usize::from(k)];
                     sp += 1;
                 }
                 Op::Const(c) => {
-                    stack[sp] = T::from_f64(c);
+                    stack[sp] = c;
                     sp += 1;
                 }
                 Op::Load(s) => {
@@ -769,29 +690,30 @@ impl CompiledKernel {
                 Op::Store(s) => slots[usize::from(s)] = stack[sp - 1],
                 Op::Add => {
                     sp -= 1;
-                    stack[sp - 1] = stack[sp - 1] + stack[sp];
+                    stack[sp - 1] += stack[sp];
                 }
                 Op::Sub => {
                     sp -= 1;
-                    stack[sp - 1] = stack[sp - 1] - stack[sp];
+                    stack[sp - 1] -= stack[sp];
                 }
                 Op::Mul => {
                     sp -= 1;
-                    stack[sp - 1] = stack[sp - 1] * stack[sp];
+                    stack[sp - 1] *= stack[sp];
                 }
                 Op::Div => {
                     sp -= 1;
-                    stack[sp - 1] = stack[sp - 1] / stack[sp];
+                    stack[sp - 1] /= stack[sp];
                 }
-                Op::Sqrt => stack[sp - 1] = stack[sp - 1].lane_sqrt(),
-                Op::Abs => stack[sp - 1] = stack[sp - 1].lane_abs(),
+                Op::Sqrt => stack[sp - 1] = stack[sp - 1].sqrt(),
+                Op::Abs => stack[sp - 1] = stack[sp - 1].abs(),
                 Op::MulAdd => {
                     sp -= 2;
-                    stack[sp - 1] = stack[sp - 1] + stack[sp] * stack[sp + 1];
+                    // Two roundings, product then sum; never `mul_add`.
+                    stack[sp - 1] += stack[sp] * stack[sp + 1];
                 }
             }
         }
-        stack[0].to_f64()
+        stack[0]
     }
 }
 
@@ -817,27 +739,6 @@ mod tests {
         assert!("simd".parse::<KernelBackend>().is_err());
         assert_eq!(KernelBackend::Compiled.to_string(), "compiled");
         assert_eq!(KernelBackend::default(), KernelBackend::Compiled);
-    }
-
-    #[test]
-    fn datapath_parse_and_display() {
-        assert_eq!("f64".parse::<Datapath>(), Ok(Datapath::F64));
-        assert_eq!("F32".parse::<Datapath>(), Ok(Datapath::F32));
-        assert!("f16".parse::<Datapath>().is_err());
-        assert_eq!(Datapath::F32.to_string(), "f32");
-        assert_eq!(Datapath::default(), Datapath::F64);
-    }
-
-    #[test]
-    fn eval32_narrows_taps_and_constants() {
-        // 0.1 rounds differently in f32 and f64, so the narrowed
-        // datapath must produce the widened f32 sum, not the f64 one.
-        let e = tap(0) + KernelExpr::constant(0.1);
-        let ck = CompiledKernel::compile(&e, 1).unwrap();
-        let got = ck.eval32(&[1.0]);
-        assert_eq!(got, f64::from(1.0f32 + 0.1f32));
-        assert_ne!(got, 1.0f64 + 0.1f64);
-        assert_eq!(ck.eval(&[1.0]), 1.0f64 + 0.1f64);
     }
 
     #[test]

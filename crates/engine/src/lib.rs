@@ -22,15 +22,14 @@
 //! * kernels authored as [`stencil_kernels::KernelExpr`] trees compile
 //!   at plan time to flat stack bytecode ([`CompiledKernel`], checked
 //!   against the closure by [`CompiledKernel::compile_checked`]) and
-//!   sweep one whole row per call. On f64 a built-in kernel's native
-//!   row body ([`stencil_kernels::NativeRow`], checked against the
-//!   bytecode when the kernel is compiled) runs the row; every other
-//!   compiled row — an expression-only kernel, or the f32 datapath —
+//!   sweep one whole row per call. A built-in kernel's native row body
+//!   ([`stencil_kernels::NativeRow`], checked against the bytecode when
+//!   the kernel is compiled) runs the row; an expression-only kernel
 //!   runs a register program lowered from the bytecode's expression:
 //!   each window tap binds to a column-shifted contiguous slice of the
 //!   resident rows and every op evaluates over fixed-width lane chunks
-//!   the compiler can autovectorize, bit-identical to the closure
-//!   datapath on f64.
+//!   the compiler can autovectorize. Every compiled row is f64 and
+//!   bit-identical to the closure datapath.
 //!
 //! Every mode × backend combination executes through one composable
 //! [`Session`] pipeline layer: `Session::new(&plan).kernel(..)
@@ -92,7 +91,7 @@ mod session;
 mod stream;
 mod unroll;
 
-pub use compile::{CompiledKernel, Datapath, KernelBackend};
+pub use compile::{CompiledKernel, KernelBackend};
 pub use error::EngineError;
 pub use format::{
     inspect_grid, pack_grid, GridFormatError, GridHeader, MappedGrid, SGRID_DTYPE_F64, SGRID_MAGIC,
@@ -111,7 +110,6 @@ pub use session::{
 pub use stream::{
     FnSource, MmapSink, MmapSource, ReadSource, RowSink, RowSource, SliceSource, VecSink, WriteSink,
 };
-pub use unroll::max_rel_error;
 
 #[cfg(test)]
 mod tests {

@@ -6,16 +6,7 @@ use std::time::Duration;
 
 use stencil_telemetry::{EngineMetrics, StreamMetrics, TileMetrics};
 
-use crate::compile::{Datapath, KernelBackend};
-
-/// Display suffix naming a non-default datapath: empty for the f64
-/// reference, ` (f32)` for the narrowed one.
-fn datapath_suffix(datapath: Datapath) -> &'static str {
-    match datapath {
-        Datapath::F64 => "",
-        Datapath::F32 => " (f32)",
-    }
-}
+use crate::compile::KernelBackend;
 
 /// Per-band execution statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,8 +42,6 @@ pub struct RunReport {
     pub threads: usize,
     /// How the kernel datapath executed.
     pub backend: KernelBackend,
-    /// Arithmetic precision the kernel evaluated in.
-    pub datapath: Datapath,
     /// Total input elements fetched across bands, halo overlap counted
     /// per band — the off-chip traffic of the sharded execution.
     pub halo_elements: u64,
@@ -81,7 +70,6 @@ impl RunReport {
             tiles: self.tiles,
             threads: self.threads,
             backend: self.backend.as_str().to_string(),
-            datapath: self.datapath.as_str().to_string(),
             halo_elements: self.halo_elements,
             elapsed_ns: duration_ns(self.elapsed),
             throughput: self.throughput(),
@@ -118,12 +106,11 @@ impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "engine run: {} outputs on {} band(s) x {} thread(s) [{} kernel]{} in {:?} ({:.1} Melem/s)",
+            "engine run: {} outputs on {} band(s) x {} thread(s) [{} kernel] in {:?} ({:.1} Melem/s)",
             self.outputs,
             self.tiles,
             self.threads,
             self.backend,
-            datapath_suffix(self.datapath),
             self.elapsed,
             self.throughput() / 1e6
         )?;
@@ -170,8 +157,6 @@ pub struct StreamReport {
     pub threads: usize,
     /// How the kernel datapath executed.
     pub backend: KernelBackend,
-    /// Arithmetic precision the kernel evaluated in.
-    pub datapath: Datapath,
     /// Requested band height in outermost-dimension rows (0 = the
     /// plan's default one-band-per-off-chip-stream sharding).
     pub chunk_rows: u64,
@@ -219,7 +204,6 @@ impl StreamReport {
             bands: self.bands,
             threads: self.threads,
             backend: self.backend.as_str().to_string(),
-            datapath: self.datapath.as_str().to_string(),
             chunk_rows: self.chunk_rows,
             rows_in: self.rows_in,
             values_in: self.values_in,
@@ -239,12 +223,11 @@ impl fmt::Display for StreamReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "streaming run: {} outputs on {} band(s) x {} thread(s) [{} kernel]{} in {:?} ({:.1} Melem/s)",
+            "streaming run: {} outputs on {} band(s) x {} thread(s) [{} kernel] in {:?} ({:.1} Melem/s)",
             self.outputs,
             self.bands,
             self.threads,
             self.backend,
-            datapath_suffix(self.datapath),
             self.elapsed,
             self.throughput() / 1e6
         )?;
@@ -350,7 +333,6 @@ mod tests {
             tiles: 2,
             threads: 2,
             backend: KernelBackend::Closure,
-            datapath: Datapath::F64,
             halo_elements: 1100,
             elapsed: Duration::from_millis(10),
             per_tile: vec![
@@ -413,27 +395,15 @@ mod tests {
 
     #[test]
     fn display_appends_sweep_shape_only_when_non_default() {
-        // The default shape keeps the exact legacy line.
-        assert!(!report().to_string().contains("(f"), "{}", report());
-        let shaped = RunReport {
+        // One precision, one shape: the run line names the backend and
+        // nothing after it.
+        let compiled = RunReport {
             backend: KernelBackend::Compiled,
-            datapath: Datapath::F32,
             ..report()
         };
-        let s = shaped.to_string();
-        assert!(s.contains("[compiled kernel] (f32) in"), "{s}");
-        assert_eq!(shaped.metrics().datapath, "f32");
-        let stream = StreamReport {
-            datapath: Datapath::F32,
-            ..stream_report()
-        };
-        assert!(
-            stream.to_string().contains("[compiled kernel] (f32) in"),
-            "{stream}"
-        );
-        assert_eq!(stream.metrics().datapath, "f32");
-        assert!(!stream_report().to_string().contains("(f"));
-        assert_eq!(stream_report().metrics().datapath, "f64");
+        for s in [compiled.to_string(), stream_report().to_string()] {
+            assert!(s.contains("[compiled kernel] in"), "{s}");
+        }
     }
 
     fn stream_report() -> StreamReport {
@@ -442,7 +412,6 @@ mod tests {
             bands: 10,
             threads: 2,
             backend: KernelBackend::Compiled,
-            datapath: Datapath::F64,
             chunk_rows: 2,
             rows_in: 22,
             values_in: 1188,

@@ -10,9 +10,8 @@
 //!
 //! * **sweep rows** — every tap is one contiguous resident run *and*
 //!   the kernel runs the compiled backend: the whole row evaluates
-//!   through the stage's [`RowProgram`] — on f64 the kernel's native
-//!   row body when it carries one, else the vectorized register
-//!   program;
+//!   through the stage's [`RowProgram`] — the kernel's native row
+//!   body when it carries one, else the vectorized register program;
 //! * **fast rows** — taps are contiguous and resident but the kernel is
 //!   a closure (or the `Closure` backend is forced onto the scalar
 //!   bytecode): a batched per-element loop gathers each window from tap
@@ -27,7 +26,7 @@
 //! ranks); on any other input one cursor per tap walks the input index
 //! alongside the output rows. A cursor falls back to the binary-search
 //! predicate [`contiguous_base`] only to seed itself or to confirm a
-//! miss, and the sweep's register files live in one [`SweepScratch`]
+//! miss, and the sweep's register file lives in one [`SweepScratch`]
 //! per call, so no row pays a search or an allocation.
 //!
 //! Rows write their outputs once ([`RowOut`]): a chunk either fills a
@@ -49,7 +48,7 @@ use std::time::{Duration, Instant};
 use stencil_core::MemorySystemPlan;
 use stencil_polyhedral::{DomainIndex, Point, Row, MAX_DIMS};
 
-use crate::compile::{CompiledKernel, Datapath};
+use crate::compile::CompiledKernel;
 use crate::error::EngineError;
 use crate::unroll::{RowProgram, SweepScratch};
 
@@ -141,15 +140,15 @@ where
 /// per element.
 pub(crate) enum RowKernel<'a> {
     /// A window closure (the `Closure` backend, or an expression-less
-    /// stage): always per element, always f64.
+    /// stage): always per element.
     Closure(&'a (dyn Fn(&[f64]) -> f64 + Sync)),
     /// Compiled bytecode forced onto the per-element path (the
     /// `Closure` backend selected with a compiled kernel) — used by
     /// cross-checks to isolate the sweep from the bytecode semantics.
-    Bytecode(&'a CompiledKernel, Datapath),
+    Bytecode(&'a CompiledKernel),
     /// The compiled sweep: every contiguous row runs the row program,
-    /// gather rows the scalar bytecode in the program's datapath. The
-    /// program is built once per session stage and borrowed.
+    /// gather rows the scalar bytecode. The program is built once per
+    /// session stage and borrowed.
     Program(&'a CompiledKernel, &'a RowProgram),
 }
 
@@ -158,18 +157,7 @@ impl RowKernel<'_> {
     fn eval_window(&self, window: &[f64]) -> f64 {
         match self {
             RowKernel::Closure(c) => c(window),
-            RowKernel::Bytecode(ck, dp) => ck.eval_in(*dp, window),
-            RowKernel::Program(ck, up) => ck.eval_in(up.datapath(), window),
-        }
-    }
-
-    /// The arithmetic precision this kernel evaluates in — reports
-    /// derive their `datapath` field from here.
-    pub(crate) fn datapath(&self) -> Datapath {
-        match self {
-            RowKernel::Closure(_) => Datapath::F64,
-            RowKernel::Bytecode(_, dp) => *dp,
-            RowKernel::Program(_, up) => up.datapath(),
+            RowKernel::Bytecode(ck) | RowKernel::Program(ck, _) => ck.eval(window),
         }
     }
 }

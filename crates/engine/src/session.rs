@@ -78,7 +78,7 @@ use stencil_kernels::{ComputeFn, KernelStage};
 use stencil_polyhedral::{lex_cmp, DomainIndex};
 
 use crate::chain::{run_chain, Outlet, StreamStage};
-use crate::compile::{CompiledKernel, Datapath, KernelBackend};
+use crate::compile::{CompiledKernel, KernelBackend};
 use crate::error::EngineError;
 use crate::format::MappedGrid;
 use crate::input::InputGrid;
@@ -216,8 +216,7 @@ struct Stage<'a> {
     input_index: OnceCell<DomainIndex>,
     /// The stage's validated row program, built on first use and
     /// reused by every later run (and by every step of an iterate
-    /// ring); a builder call that changes its kernel or datapath clears
-    /// it.
+    /// ring); a builder call that changes its kernel clears it.
     program: OnceCell<RowProgram>,
 }
 
@@ -307,34 +306,23 @@ impl<'a> Stage<'a> {
 
     /// The stage's row executor, or a config error if no kernel was
     /// supplied. Under the `Compiled` backend a compiled stage runs a
-    /// validated [`RowProgram`] in `datapath` — built on the first call
-    /// and borrowed from the stage by every later one; under `Closure` it
-    /// evaluates the scalar bytecode per element. Closure datapaths
-    /// reject f32 (no bytecode to narrow).
-    fn row_kernel(
-        &self,
-        session_backend: KernelBackend,
-        datapath: Datapath,
-    ) -> Result<RowKernel<'_>, EngineError> {
+    /// validated [`RowProgram`] — built on the first call and borrowed
+    /// from the stage by every later one; under `Closure` it evaluates
+    /// the scalar bytecode per element.
+    fn row_kernel(&self, session_backend: KernelBackend) -> Result<RowKernel<'_>, EngineError> {
         match &self.kernel {
             None => Err(EngineError::Config {
                 detail: format!("stage '{}' has no kernel; call Session::kernel", self.label),
             }),
-            Some(StageKernel::Closure(c)) => {
-                self.require_f64(datapath)?;
-                Ok(RowKernel::Closure(*c))
-            }
-            Some(StageKernel::ClosureFn(f)) => {
-                self.require_f64(datapath)?;
-                Ok(RowKernel::Closure(f))
-            }
+            Some(StageKernel::Closure(c)) => Ok(RowKernel::Closure(*c)),
+            Some(StageKernel::ClosureFn(f)) => Ok(RowKernel::Closure(f)),
             Some(StageKernel::Compiled(k)) => match session_backend {
-                KernelBackend::Closure => Ok(RowKernel::Bytecode(k, datapath)),
+                KernelBackend::Closure => Ok(RowKernel::Bytecode(k)),
                 KernelBackend::Compiled => {
                     let prog = match self.program.get() {
                         Some(prog) => prog,
                         None => {
-                            let prog = RowProgram::build(k, datapath)?;
+                            let prog = RowProgram::build(k)?;
                             self.program.get_or_init(|| prog)
                         }
                     };
@@ -343,26 +331,11 @@ impl<'a> Stage<'a> {
             },
         }
     }
-
-    /// Rejects the f32 datapath for closure stages: without bytecode
-    /// there is nothing to narrow, and silently running the closure in
-    /// f64 would misreport the precision.
-    fn require_f64(&self, datapath: Datapath) -> Result<(), EngineError> {
-        if datapath == Datapath::F32 {
-            return Err(EngineError::Config {
-                detail: format!(
-                    "stage '{}': the f32 datapath requires a compiled kernel expression",
-                    self.label
-                ),
-            });
-        }
-        Ok(())
-    }
 }
 
 /// The resolved execution recipe of one pipeline stage: its own window
 /// geometry (via the derived plan), the backend it will execute under,
-/// and its sweep shape. A heterogeneous chain is a sequence of these —
+/// and its row executor. A heterogeneous chain is a sequence of these —
 /// each stage erodes the domain by *its* halo, sizes its inter-stage
 /// reuse buffer from *its* reuse distances (the paper's Sec. 2.3 bound
 /// applied stage-wise), and independently picks the compiled sweep
@@ -383,8 +356,6 @@ pub struct StagePlan<'s> {
     /// else the session default — and always [`KernelBackend::Closure`]
     /// for stages without compiled bytecode.
     pub backend: KernelBackend,
-    /// Arithmetic width of this stage's compiled sweeps.
-    pub datapath: Datapath,
     /// The resolved row executor.
     kernel: RowKernel<'s>,
 }
@@ -415,7 +386,6 @@ impl fmt::Debug for StagePlan<'_> {
         f.debug_struct("StagePlan")
             .field("label", &self.label)
             .field("backend", &self.backend)
-            .field("datapath", &self.datapath)
             .field("window_taps", &self.window_taps())
             .field("window_rows", &self.window_rows())
             .finish_non_exhaustive()
@@ -431,8 +401,6 @@ pub struct Session<'a> {
     mode: ExecMode,
     threads: usize,
     backend: KernelBackend,
-    /// Arithmetic width of compiled sweeps.
-    datapath: Datapath,
     label: Option<String>,
     /// `Some(T)` when the stages form a [`Session::iterate`] ring.
     iterate_steps: Option<usize>,
@@ -473,7 +441,6 @@ impl<'a> Session<'a> {
             mode: ExecMode::default(),
             threads: 0,
             backend: KernelBackend::default(),
-            datapath: Datapath::default(),
             label: None,
             iterate_steps: None,
             tiles_built: Cell::new(0),
@@ -505,19 +472,14 @@ impl<'a> Session<'a> {
         Ok(session)
     }
 
-    /// Sets the first stage's datapath.
+    /// Sets the first stage's datapath, dropping every stage's cached
+    /// register program (the steps of an iterate ring run stage 0's).
     #[must_use]
     pub fn kernel(mut self, kernel: SessionKernel<'a>) -> Self {
         self.stages[0].kernel = Some(match kernel {
             SessionKernel::Closure(c) => StageKernel::Closure(c),
             SessionKernel::Compiled(k) => StageKernel::Compiled(Cow::Borrowed(k)),
         });
-        self.forget_programs()
-    }
-
-    /// Drops every stage's cached register program, for a builder call
-    /// that changes what it would be.
-    fn forget_programs(mut self) -> Self {
         for stage in &mut self.stages {
             stage.program.take();
         }
@@ -543,17 +505,6 @@ impl<'a> Session<'a> {
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
-    }
-
-    /// Selects the arithmetic width of compiled sweeps.
-    /// [`Datapath::F32`] narrows plan-time constants and tap loads to
-    /// `f32` lanes, trading bit-exactness for roughly doubled SIMD
-    /// width; outputs then match the f64 reference only to a relative
-    /// tolerance. Requires a compiled kernel expression.
-    #[must_use]
-    pub fn datapath(mut self, datapath: Datapath) -> Self {
-        self.datapath = datapath;
-        self.forget_programs()
     }
 
     /// Overrides the kernel backend of the *most recently added* stage,
@@ -804,25 +755,25 @@ impl<'a> Session<'a> {
             check_kernel_window(plan, k)?;
         }
         let requested = stage.backend.unwrap_or(self.backend);
-        let kernel = source.row_kernel(requested, self.datapath)?;
+        let kernel = source.row_kernel(requested)?;
         Ok(StagePlan {
             label: &stage.label,
             plan,
             backend: source.effective_backend(requested),
-            datapath: self.datapath,
             kernel,
         })
     }
 
     /// Resolves every stage's [`StagePlan`] — the per-stage window,
-    /// backend, and sweep shape a run would execute — without running
+    /// backend, and row executor a run would execute — without running
     /// anything. Pipeline order.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Config`] for stages missing a kernel or with an
-    /// invalid sweep shape, plus the window checker's error when a
-    /// compiled kernel does not fit its stage plan.
+    /// [`EngineError::Config`] for stages missing a kernel, the window
+    /// checker's error when a compiled kernel does not fit its stage
+    /// plan, and the register program's build error
+    /// ([`EngineError::KernelCompile`] or [`EngineError::KernelMismatch`]).
     pub fn stage_plans(&self) -> Result<Vec<StagePlan<'_>>, EngineError> {
         (0..self.stages.len()).map(|i| self.resolve(i)).collect()
     }
@@ -1739,7 +1690,7 @@ mod tests {
     #[test]
     fn native_rows_run_only_on_f64_single_row_sweeps() {
         // Which stages resolve to the built-in DENOISE's native body:
-        // compiled f64 stages only.
+        // compiled stages of a kernel that carries one.
         let bench = stencil_kernels::denoise();
         let plan = MemorySystemPlan::generate(&bench.spec_for(&[43, 37]).unwrap()).unwrap();
         let expr_only = KernelStage::new("expr-only", bench.window().to_vec(), bench.compute_fn())
@@ -1760,14 +1711,12 @@ mod tests {
             runs_native(&Session::build(&plan, &expr_only).unwrap()),
             [false]
         );
-        assert_eq!(runs_native(&built().datapath(Datapath::F32)), [false]);
         assert_eq!(
             runs_native(&built().backend(KernelBackend::Closure)),
             [false]
         );
 
-        // Whatever runs, f64 bits are the closure's, and the f32
-        // register program gives the scalar f32 bytecode's bits.
+        // Whatever runs, the bits are the closure's.
         let in_idx = plan.input_domain().index().unwrap();
         let vals = ramp(in_idx.len());
         let input = InputGrid::new(&in_idx, &vals).unwrap();
@@ -1780,17 +1729,8 @@ mod tests {
         for session in [built(), Session::build(&plan, &expr_only).unwrap()] {
             assert_eq!(session.run(&input).unwrap().outputs, reference);
         }
-        let scalar_f32 = built()
-            .datapath(Datapath::F32)
-            .backend(KernelBackend::Closure)
-            .run(&input)
-            .unwrap()
-            .outputs;
-        let swept_f32 = built().datapath(Datapath::F32).run(&input).unwrap().outputs;
-        assert_eq!(swept_f32, scalar_f32);
 
-        // At run time: a counting native body runs once per swept row
-        // on f64, and never under f32.
+        // At run time: a counting native body runs once per swept row.
         let counted = KernelStage::new("counted", window_5pt(), compute)
             .with_expr(expr_5pt())
             .with_native_row(stencil_kernels::NativeRow::new(
@@ -1806,17 +1746,12 @@ mod tests {
             let report = run.report.stages[0].engine.as_ref().unwrap();
             report.per_tile.iter().map(|t| t.sweep_rows).sum()
         };
-        let counted_session = || Session::build(&plan, &counted).unwrap().threads(1);
-        for (session, native_rows) in [
-            (counted_session(), 41),
-            (counted_session().datapath(Datapath::F32), 0),
-        ] {
-            let before = NATIVE_ROWS.load(std::sync::atomic::Ordering::Relaxed);
-            let run = session.run(&input).unwrap();
-            let ran = NATIVE_ROWS.load(std::sync::atomic::Ordering::Relaxed) - before;
-            assert_eq!(swept_rows(&run), 41);
-            assert_eq!(ran, native_rows);
-        }
+        let session = Session::build(&plan, &counted).unwrap().threads(1);
+        let before = NATIVE_ROWS.load(std::sync::atomic::Ordering::Relaxed);
+        let run = session.run(&input).unwrap();
+        let ran = NATIVE_ROWS.load(std::sync::atomic::Ordering::Relaxed) - before;
+        assert_eq!(swept_rows(&run), 41);
+        assert_eq!(ran, 41);
     }
 
     #[test]
@@ -1852,90 +1787,12 @@ mod tests {
                 .unwrap();
             assert_eq!(run.outputs, reference.outputs, "{mode:?}");
             let stage = &run.report.stages[0];
-            let (sweep_rows, datapath) = match (&stage.engine, &stage.stream) {
-                (Some(e), _) => (e.per_tile.iter().map(|t| t.sweep_rows).sum(), e.datapath),
-                (None, Some(s)) => (s.sweep_rows, s.datapath),
+            let sweep_rows: u64 = match (&stage.engine, &stage.stream) {
+                (Some(e), _) => e.per_tile.iter().map(|t| t.sweep_rows).sum(),
+                (None, Some(s)) => s.sweep_rows,
                 _ => panic!("stage carried no report"),
             };
             assert_eq!(sweep_rows, 21, "{mode:?}");
-            assert_eq!(datapath, Datapath::F64);
-        }
-    }
-
-    #[test]
-    fn f32_datapath_is_tolerance_close_and_chunking_invariant() {
-        let plan = plan_5pt(21, 27);
-        let in_idx = plan.input_domain().index().unwrap();
-        // 0.1 steps are not exactly representable in f32, so the
-        // narrowed datapath must perturb at least one output.
-        let vals: Vec<f64> = (0..in_idx.len())
-            .map(|r| (r % 97) as f64 * 0.1 - 3.3)
-            .collect();
-        let input = InputGrid::new(&in_idx, &vals).unwrap();
-        let kernel = compiled_5pt();
-
-        let f64_run = Session::new(&plan)
-            .kernel(SessionKernel::Compiled(&kernel))
-            .run(&input)
-            .unwrap();
-        let f32_run = Session::new(&plan)
-            .kernel(SessionKernel::Compiled(&kernel))
-            .datapath(Datapath::F32)
-            .run(&input)
-            .unwrap();
-        let err = crate::unroll::max_rel_error(&f32_run.outputs, &f64_run.outputs);
-        assert!(err < 1e-6, "f32 drifted {err:e} from the f64 reference");
-        assert!(
-            f32_run.outputs != f64_run.outputs,
-            "f32 narrowing should perturb at least one value on this input"
-        );
-        let engine = f32_run.report.stages[0].engine.as_ref().unwrap();
-        assert_eq!(engine.datapath, Datapath::F32);
-
-        // Chunking must not change f32 results: the register program
-        // is bit-deterministic per output row, so streaming at
-        // any granularity reproduces the in-core f32 bits exactly.
-        for chunk_rows in [1u64, 3, 64] {
-            let streamed = Session::new(&plan)
-                .kernel(SessionKernel::Compiled(&kernel))
-                .datapath(Datapath::F32)
-                .mode(ExecMode::Streaming {
-                    chunk_rows: Some(chunk_rows),
-                })
-                .run(&input)
-                .unwrap();
-            assert_eq!(streamed.outputs, f32_run.outputs, "chunk_rows={chunk_rows}");
-        }
-
-        // The scalar f32 bytecode path (Closure backend) agrees with
-        // the f32 register lanes bit for bit: both narrow taps and
-        // constants identically and evaluate in the same order.
-        let scalar32 = Session::new(&plan)
-            .kernel(SessionKernel::Compiled(&kernel))
-            .backend(KernelBackend::Closure)
-            .datapath(Datapath::F32)
-            .run(&input)
-            .unwrap();
-        assert_eq!(scalar32.outputs, f32_run.outputs);
-    }
-
-    #[test]
-    fn f32_requires_a_compiled_kernel() {
-        let plan = plan_5pt(12, 12);
-        let in_idx = plan.input_domain().index().unwrap();
-        let vals = ramp(in_idx.len());
-        let input = InputGrid::new(&in_idx, &vals).unwrap();
-        let e = Session::new(&plan)
-            .kernel(SessionKernel::Closure(&compute))
-            .datapath(Datapath::F32)
-            .run(&input)
-            .unwrap_err();
-        match e {
-            EngineError::Config { detail } => {
-                assert!(detail.contains("f32"), "{detail}");
-                assert!(detail.contains("compiled"), "{detail}");
-            }
-            other => panic!("expected Config, got {other:?}"),
         }
     }
 
@@ -2202,6 +2059,8 @@ mod tests {
     #[test]
     fn a_second_run_reuses_the_first_runs_program() {
         let bench = stencil_kernels::denoise();
+        let expr_only =
+            CompiledKernel::compile(bench.expr().unwrap(), bench.window().len()).unwrap();
         let plan = MemorySystemPlan::generate(&bench.spec_for(&[20, 24]).unwrap()).unwrap();
         let in_idx = plan.input_domain().index().unwrap();
         let vals = ramp(in_idx.len());
@@ -2226,12 +2085,10 @@ mod tests {
             .run_streaming(&mut SliceSource::new(&vals), &mut sink)
             .unwrap();
         assert_eq!(program(&streaming), built);
-        // A builder call that changes the program drops the cache.
-        let rebuilt = streaming.datapath(Datapath::F32);
+        // A builder call that changes the kernel drops the cache.
+        let rebuilt = streaming.kernel(SessionKernel::Compiled(&expr_only));
         for p in rebuilt.stage_plans().unwrap() {
-            assert!(
-                matches!(&p.kernel, RowKernel::Program(_, prog) if prog.datapath() == Datapath::F32)
-            );
+            assert!(matches!(&p.kernel, RowKernel::Program(_, prog) if prog.native().is_none()));
         }
     }
 

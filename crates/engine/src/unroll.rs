@@ -1,21 +1,20 @@
 //! The register program: the compiled row sweep of every row that no
 //! native row body covers.
 //!
-//! A compiled row runs one body. On the f64 datapath, a kernel with a
-//! checked native row body ([`stencil_kernels::NativeRow`], the
-//! kernel's formula compiled as one loop) sweeps the row through that
-//! body. Every other compiled row — an expression-only kernel, or the
-//! f32 datapath — runs the register program this module lowers from
-//! the kernel's folded expression ([`RowProgram`]).
+//! A compiled row runs one body. A kernel with a checked native row
+//! body ([`stencil_kernels::NativeRow`], the kernel's formula compiled
+//! as one loop) sweeps the row through that body. An expression-only
+//! kernel runs the register program this module lowers from the
+//! kernel's folded expression ([`RegProgram`]).
 //!
 //! Each register operation runs over [`LANES`]-wide chunks of a whole
 //! output row, each tap bound to a column-shifted contiguous slice of
 //! the resident input rows: one dispatch covers [`LANES`] elements, and
 //! the per-lane loops run over fixed-width arrays the autovectorizer
 //! turns into SIMD — on the baseline x86-64 target, SSE2 `xmm` pairs of
-//! two f64 (four f32) lanes. The last chunk of a row ends at the row's end,
+//! two f64 lanes. The last chunk of a row ends at the row's end,
 //! overlapping its predecessor, so no column runs outside the lane
-//! body; the register files live in a [`SweepScratch`] the row
+//! body; the register file lives in a [`SweepScratch`] the row
 //! executor reuses across rows.
 //!
 //! The program is a register machine ([`RegOp`]), not stack bytecode:
@@ -23,13 +22,8 @@
 //! so a shared subexpression is reused by naming its register — no
 //! `Store`/`Load` traffic and no slot limit. Mul-add fusion keeps the
 //! stack machine's rule (singly-used products only) and its
-//! two-rounding semantics, so f64 results stay bit-identical to the
+//! two-rounding semantics, so results stay bit-identical to the
 //! closure.
-//!
-//! The interpreter is generic over the lane type: [`Datapath::F64`]
-//! keeps the bit-exact reference semantics, [`Datapath::F32`] narrows
-//! constants and taps to single precision (grids stay `f64` in memory)
-//! and doubles the arithmetic lanes per vector op.
 //!
 //! Construction replays the lane sweep against the scalar bytecode on
 //! the battery of [`CompiledKernel::compile_checked`] and compares bits,
@@ -40,7 +34,7 @@ use std::collections::HashMap;
 
 use stencil_kernels::NativeRow;
 
-use crate::compile::{replay_rows, Arena, CompiledKernel, Datapath, Node};
+use crate::compile::{replay_rows, Arena, CompiledKernel, Node};
 use crate::error::EngineError;
 
 /// Lanes per register-op dispatch: the dispatch overhead of one op
@@ -51,69 +45,6 @@ use crate::error::EngineError;
 /// replaced: 32 beat 8 by ~40%, and 64/128 regressed as the lane
 /// working set outgrew L1.
 const LANES: usize = 32;
-
-/// Arithmetic lane abstraction: the register interpreter and the scalar
-/// bytecode loop are each written once and monomorphized per
-/// [`Datapath`]. Grids stay `f64`, so lanes narrow on load and widen on
-/// store.
-pub(crate) trait Lane:
-    Copy
-    + PartialEq
-    + Send
-    + Sync
-    + std::ops::Add<Output = Self>
-    + std::ops::Sub<Output = Self>
-    + std::ops::Mul<Output = Self>
-    + std::ops::Div<Output = Self>
-{
-    const ZERO: Self;
-    fn from_f64(x: f64) -> Self;
-    fn to_f64(self) -> f64;
-    fn lane_sqrt(self) -> Self;
-    fn lane_abs(self) -> Self;
-}
-
-impl Lane for f64 {
-    const ZERO: Self = 0.0;
-    #[inline(always)]
-    fn from_f64(x: f64) -> Self {
-        x
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self
-    }
-    #[inline(always)]
-    fn lane_sqrt(self) -> Self {
-        self.sqrt()
-    }
-    #[inline(always)]
-    fn lane_abs(self) -> Self {
-        self.abs()
-    }
-}
-
-impl Lane for f32 {
-    const ZERO: Self = 0.0;
-    // The narrowing cast is the entire point of this datapath.
-    #[allow(clippy::cast_possible_truncation)]
-    #[inline(always)]
-    fn from_f64(x: f64) -> Self {
-        x as f32
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        f64::from(self)
-    }
-    #[inline(always)]
-    fn lane_sqrt(self) -> Self {
-        self.sqrt()
-    }
-    #[inline(always)]
-    fn lane_abs(self) -> Self {
-        self.abs()
-    }
-}
 
 /// One register operation. Registers are SSA: `dst` is always a fresh
 /// register greater than every operand, so the interpreter can split
@@ -265,20 +196,69 @@ impl RegEmitter<'_> {
 }
 
 /// A kernel's compiled row body, built once per session stage: the
-/// native row body on the f64 datapath when the kernel carries one,
-/// else the register program lowered from its folded expression. Both
-/// are checked bit for bit against the scalar bytecode at
-/// construction, so every compiled row gives the bytecode's bits in
-/// the program's datapath.
+/// native row body when the kernel carries one, else the register
+/// program lowered from its folded expression. Both are checked bit for
+/// bit against the scalar bytecode at construction, so every compiled
+/// row gives the bytecode's bits.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum RowProgram {
+    /// The kernel's native row body (checked when it was attached to
+    /// the compiled kernel).
+    Native(NativeRow),
+    /// The register program of an expression-only kernel.
+    Registers(RegProgram),
+}
+
+impl RowProgram {
+    /// The native row body of `ck` when it carries one, else its
+    /// register program, lowered and checked.
+    ///
+    /// # Errors
+    ///
+    /// * [`EngineError::KernelCompile`] if the register program exceeds
+    ///   the register budget.
+    /// * [`EngineError::KernelMismatch`] if the register program
+    ///   diverges from the scalar bytecode on replay.
+    pub(crate) fn build(ck: &CompiledKernel) -> Result<Self, EngineError> {
+        if let Some(row) = ck.native_row() {
+            return Ok(Self::Native(row));
+        }
+        let prog = RegProgram::lower(ck)?;
+        prog.check(ck)?;
+        Ok(Self::Registers(prog))
+    }
+
+    /// The native row body the sweep runs, if any: the row executor
+    /// appends rows through its appending form.
+    pub(crate) fn native(&self) -> Option<&NativeRow> {
+        match self {
+            Self::Native(row) => Some(row),
+            Self::Registers(_) => None,
+        }
+    }
+
+    /// Sweeps one output row: `out[t]` is column `t`, with tap `k`
+    /// reading the contiguous input run at `vals[bases[k]..]`.
+    pub(crate) fn sweep(
+        &self,
+        bases: &[usize],
+        vals: &[f64],
+        out: &mut [f64],
+        scratch: &mut SweepScratch,
+    ) {
+        match self {
+            Self::Native(row) => row.run(vals, bases, out),
+            Self::Registers(prog) => prog.sweep(bases, vals, out, &mut scratch.regs),
+        }
+    }
+}
+
+/// The register program of one kernel expression.
 ///
 /// Register layout: `[0, taps)` tap loads, then constants, then op
 /// results.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RowProgram {
-    datapath: Datapath,
-    /// The kernel's native row body, kept on the f64 datapath only: the
-    /// sweep runs it instead of the registers.
-    native: Option<NativeRow>,
+pub(crate) struct RegProgram {
     /// Tap loads; register `k` holds tap `k`.
     taps: usize,
     /// Distinct literal values, preloaded once per sweep call.
@@ -290,27 +270,9 @@ pub(crate) struct RowProgram {
     regs: usize,
 }
 
-impl RowProgram {
-    /// Lowers `ck`'s folded expression to a register program in
-    /// `datapath`, checks it, and attaches `ck`'s native row body on
-    /// the f64 datapath.
-    ///
-    /// # Errors
-    ///
-    /// * [`EngineError::KernelCompile`] if the program exceeds the
-    ///   register budget.
-    /// * [`EngineError::KernelMismatch`] if the register program
-    ///   diverges from the scalar bytecode on replay.
-    pub(crate) fn build(ck: &CompiledKernel, datapath: Datapath) -> Result<Self, EngineError> {
-        let mut prog = Self::lower(ck, datapath)?;
-        prog.check(ck)?;
-        prog.native = ck.native_row().filter(|_| datapath == Datapath::F64);
-        Ok(prog)
-    }
-
-    /// The register program of `ck`'s folded expression, unchecked and
-    /// without a native body.
-    fn lower(ck: &CompiledKernel, datapath: Datapath) -> Result<Self, EngineError> {
+impl RegProgram {
+    /// The register program of `ck`'s folded expression, unchecked.
+    fn lower(ck: &CompiledKernel) -> Result<Self, EngineError> {
         let mut arena = Arena::default();
         let root_id = arena.intern_expr(ck.folded_expr());
         let counts = arena.use_counts(root_id);
@@ -347,9 +309,7 @@ impl RowProgram {
             ops: Vec::new(),
         };
         let root = emitter.emit(root_id);
-        let program = RowProgram {
-            datapath,
-            native: None,
+        let program = RegProgram {
             taps,
             consts,
             ops: emitter.ops,
@@ -363,17 +323,17 @@ impl RowProgram {
     /// Replays the lane sweep on the check battery of
     /// [`CompiledKernel::compile_checked`], laid out as rows as the
     /// native row check lays it: every column must give the scalar
-    /// bytecode's bits in this program's datapath.
+    /// bytecode's bits.
     fn check(&self, ck: &CompiledKernel) -> Result<(), EngineError> {
-        let mut scratch = SweepScratch::default();
+        let mut regs = Vec::new();
         replay_rows(
             self.taps,
-            &format!("register program ({})", self.datapath),
+            "register program",
             |vals, bases, out| {
-                self.sweep(bases, vals, out, &mut scratch);
+                self.sweep(bases, vals, out, &mut regs);
                 Ok(())
             },
-            |window| ck.eval_in(self.datapath, window),
+            |window| ck.eval(window),
         )
     }
 
@@ -389,39 +349,9 @@ impl RowProgram {
         })
     }
 
-    /// The arithmetic precision this program evaluates in.
-    pub(crate) fn datapath(&self) -> Datapath {
-        self.datapath
-    }
-
-    /// The native row body the sweep runs, if any: the row executor
-    /// appends rows through its appending form.
-    pub(crate) fn native(&self) -> Option<&NativeRow> {
-        self.native.as_ref()
-    }
-
-    /// Sweeps one output row: `out[t]` is column `t`, with tap `k`
-    /// reading the contiguous input run at `vals[bases[k]..]`. Runs the
-    /// native row body when the program carries one, else the register
-    /// program in its datapath.
-    pub(crate) fn sweep(
-        &self,
-        bases: &[usize],
-        vals: &[f64],
-        out: &mut [f64],
-        scratch: &mut SweepScratch,
-    ) {
-        if let Some(row) = &self.native {
-            row.run(vals, bases, out);
-            return;
-        }
-        match self.datapath {
-            Datapath::F64 => self.sweep_lanes(bases, vals, out, &mut scratch.f64_regs),
-            Datapath::F32 => self.sweep_lanes(bases, vals, out, &mut scratch.f32_regs),
-        }
-    }
-
-    /// The vectorized register sweep of one row.
+    /// The vectorized register sweep of one output row: `out[t]` is
+    /// column `t`, with tap `k` reading the contiguous input run at
+    /// `vals[bases[k]..]`.
     ///
     /// Every column runs the lane-wide register body. A row at least
     /// [`LANES`] wide ends with one more chunk placed at
@@ -430,18 +360,12 @@ impl RowProgram {
     /// row is one chunk whose lanes past the row's end load zero and are
     /// never stored. `regs` is the caller's register file, reused from
     /// row to row; the sweep sizes it and loads its constants.
-    fn sweep_lanes<T: Lane>(
-        &self,
-        bases: &[usize],
-        vals: &[f64],
-        out: &mut [f64],
-        regs: &mut Vec<[T; LANES]>,
-    ) {
+    fn sweep(&self, bases: &[usize], vals: &[f64], out: &mut [f64], regs: &mut Vec<[f64; LANES]>) {
         debug_assert_eq!(bases.len(), self.taps);
         let stride = out.len();
-        regs.resize(self.regs, [T::ZERO; LANES]);
+        regs.resize(self.regs, [0.0; LANES]);
         for (j, &c) in self.consts.iter().enumerate() {
-            regs[self.taps + j] = [T::from_f64(c); LANES];
+            regs[self.taps + j] = [c; LANES];
         }
         if stride < LANES {
             self.chunk(bases, vals, out, 0, stride, regs);
@@ -461,35 +385,28 @@ impl RowProgram {
     /// the register body, and stores those columns of the row. Lanes
     /// from `width` up load zero.
     #[inline(always)]
-    fn chunk<T: Lane>(
+    fn chunk(
         &self,
         bases: &[usize],
         vals: &[f64],
         out: &mut [f64],
         t: usize,
         width: usize,
-        regs: &mut [[T; LANES]],
+        regs: &mut [[f64; LANES]],
     ) {
         for (j, &b) in bases.iter().enumerate() {
-            let src = &vals[b + t..b + t + width];
             let dst = &mut regs[j];
-            for i in 0..width {
-                dst[i] = T::from_f64(src[i]);
-            }
-            dst[width..].fill(T::ZERO);
+            dst[..width].copy_from_slice(&vals[b + t..b + t + width]);
+            dst[width..].fill(0.0);
         }
         self.run_chunk(regs);
-        let src = &regs[usize::from(self.root)];
-        let dst = &mut out[t..t + width];
-        for i in 0..width {
-            dst[i] = src[i].to_f64();
-        }
+        out[t..t + width].copy_from_slice(&regs[usize::from(self.root)][..width]);
     }
 
     /// One register-body pass over lane-wide registers. SSA ordering
     /// (`dst` past every operand) lets `split_at_mut` hand out the
     /// destination without aliasing the sources.
-    fn run_chunk<T: Lane>(&self, regs: &mut [[T; LANES]]) {
+    fn run_chunk(&self, regs: &mut [[f64; LANES]]) {
         for op in &self.ops {
             match *op {
                 RegOp::Add { dst, a, b } => {
@@ -529,7 +446,7 @@ impl RowProgram {
                     let d = &mut hi[0];
                     let x = &lo[usize::from(a)];
                     for i in 0..LANES {
-                        d[i] = x[i].lane_sqrt();
+                        d[i] = x[i].sqrt();
                     }
                 }
                 RegOp::Abs { dst, a } => {
@@ -537,7 +454,7 @@ impl RowProgram {
                     let d = &mut hi[0];
                     let x = &lo[usize::from(a)];
                     for i in 0..LANES {
-                        d[i] = x[i].lane_abs();
+                        d[i] = x[i].abs();
                     }
                 }
                 RegOp::MulAdd { dst, a, b, c } => {
@@ -558,39 +475,10 @@ impl RowProgram {
 }
 
 /// Buffers a row executor call reuses across its sweeps, so no row
-/// allocates: one register file per lane type, sized by each sweep to
-/// its program.
+/// allocates: one register file, sized by each sweep to its program.
 #[derive(Debug, Default)]
 pub(crate) struct SweepScratch {
-    f64_regs: Vec<[f64; LANES]>,
-    f32_regs: Vec<[f32; LANES]>,
-}
-
-/// Maximum scaled deviation between two output vectors:
-/// `max |got - want| / max(1, max |want|)`. The global scale keeps
-/// near-zero outputs from exploding the ratio while still measuring
-/// f32 rounding drift against the f64 golden. Positions where both
-/// sides are NaN agree; a one-sided NaN (or any non-finite deviation)
-/// reports infinity.
-#[must_use]
-pub fn max_rel_error(got: &[f64], want: &[f64]) -> f64 {
-    assert_eq!(got.len(), want.len(), "compared runs must align");
-    let scale = want
-        .iter()
-        .filter(|w| w.is_finite())
-        .fold(1.0f64, |m, w| m.max(w.abs()));
-    let mut worst = 0.0f64;
-    for (&g, &w) in got.iter().zip(want) {
-        if g.is_nan() && w.is_nan() {
-            continue;
-        }
-        let d = (g - w).abs();
-        if d.is_nan() {
-            return f64::INFINITY;
-        }
-        worst = worst.max(d / scale);
-    }
-    worst
+    regs: Vec<[f64; LANES]>,
 }
 
 #[cfg(test)]
@@ -603,51 +491,34 @@ mod tests {
     }
 
     #[test]
-    fn f32_sweep_matches_eval32() {
-        let b = sobel();
-        let ck = compiled(&b);
-        let prog = RowProgram::build(&ck, Datapath::F32).unwrap();
-        let vals: Vec<f64> = (0..256).map(|i| f64::from(i) * 0.7 - 40.0).collect();
-        let bases: Vec<usize> = (0..ck.taps()).map(|k| 2 * k).collect();
-        let mut out = vec![0.0f64; 45]; // one chunk plus a remainder
-        prog.sweep(&bases, &vals, &mut out, &mut SweepScratch::default());
-        for (t, &got) in out.iter().enumerate() {
-            let window: Vec<f64> = bases.iter().map(|&b| vals[b + t]).collect();
-            assert_eq!(got, ck.eval32(&window), "t={t}");
-        }
-    }
-
-    #[test]
     fn sweep_last_chunk_is_bit_identical_to_eval_in() {
         // Row lengths around the lane width: shorter than one chunk,
         // exactly one, one column over (a last chunk overlapping 31
         // columns), and the 94- and 1022-wide rows of the suite grids.
-        // One scratch serves every program, datapath and length, as it
-        // does across the rows of one executor call. Expression-only
-        // copies keep the f64 sweep on the register program.
+        // One scratch serves every program and length, as it does
+        // across the rows of one executor call. Expression-only copies
+        // keep the sweep on the register program.
         let lens = [1, LANES - 1, LANES, LANES + 1, 2 * LANES - 1, 94, 1022];
         let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
         let mut scratch = SweepScratch::default();
         for b in [denoise(), sobel(), stencil_kernels::segmentation_3d()] {
             let ck = CompiledKernel::compile(b.expr().unwrap(), b.window().len()).unwrap();
-            for dp in [Datapath::F64, Datapath::F32] {
-                let prog = RowProgram::build(&ck, dp).unwrap();
-                assert!(prog.native().is_none());
-                let vals: Vec<f64> = (0..ck.taps() * 5 + 1100)
-                    .map(|i| ((i * 7919 % 1013) as f64) * 0.0625 - 31.0)
-                    .collect();
-                let bases: Vec<usize> = (0..ck.taps()).map(|k| 5 * k).collect();
-                let mut window = vec![0.0; ck.taps()];
-                for len in lens {
-                    let mut out = vec![f64::MAX; len];
-                    prog.sweep(&bases, &vals, &mut out, &mut scratch);
-                    for (t, &got) in out.iter().enumerate() {
-                        for (w, &b) in window.iter_mut().zip(&bases) {
-                            *w = vals[b + t];
-                        }
-                        let ctx = format!("{} {dp} len={len} t={t}", b.name());
-                        assert!(same(got, ck.eval_in(dp, &window)), "{ctx}");
+            let prog = RowProgram::build(&ck).unwrap();
+            assert!(matches!(prog, RowProgram::Registers(_)));
+            let vals: Vec<f64> = (0..ck.taps() * 5 + 1100)
+                .map(|i| ((i * 7919 % 1013) as f64) * 0.0625 - 31.0)
+                .collect();
+            let bases: Vec<usize> = (0..ck.taps()).map(|k| 5 * k).collect();
+            let mut window = vec![0.0; ck.taps()];
+            for len in lens {
+                let mut out = vec![f64::MAX; len];
+                prog.sweep(&bases, &vals, &mut out, &mut scratch);
+                for (t, &got) in out.iter().enumerate() {
+                    for (w, &b) in window.iter_mut().zip(&bases) {
+                        *w = vals[b + t];
                     }
+                    let ctx = format!("{} len={len} t={t}", b.name());
+                    assert!(same(got, ck.eval(&window)), "{ctx}");
                 }
             }
         }
@@ -660,11 +531,12 @@ mod tests {
             .chain(stencil_kernels::extra_suite())
         {
             let ck = compiled(&b);
-            for dp in [Datapath::F64, Datapath::F32] {
-                let prog =
-                    RowProgram::build(&ck, dp).unwrap_or_else(|e| panic!("{} {dp}: {e}", b.name()));
-                assert_eq!(prog.native().is_some(), dp == Datapath::F64, "{}", b.name());
-            }
+            let prog = RowProgram::build(&ck).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+            assert!(prog.native().is_some(), "{}", b.name());
+            // The register program an expression-only copy would run.
+            RegProgram::lower(&ck)
+                .and_then(|regs| regs.check(&ck))
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
         }
     }
 
@@ -680,31 +552,8 @@ mod tests {
             1,
         )
         .unwrap();
-        for dp in [Datapath::F64, Datapath::F32] {
-            RowProgram::lower(&ck, dp).unwrap().check(&ck).unwrap();
-            let err = RowProgram::lower(&wrong, dp)
-                .unwrap()
-                .check(&ck)
-                .unwrap_err();
-            assert!(
-                matches!(err, EngineError::KernelMismatch { .. }),
-                "{dp}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn max_rel_error_scales_and_handles_nan() {
-        assert_eq!(max_rel_error(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-        // Deviation 0.1 against a max-|want| of 100 scales to 1e-3.
-        let e = max_rel_error(&[100.0, 0.1], &[100.0, 0.0]);
-        assert!((e - 1e-3).abs() < 1e-12, "{e}");
-        // Small outputs use the floor scale of 1.
-        let e = max_rel_error(&[0.2], &[0.1]);
-        assert!((e - 0.1).abs() < 1e-12, "{e}");
-        // Matching NaNs agree; one-sided NaN is a hard mismatch.
-        assert_eq!(max_rel_error(&[f64::NAN], &[f64::NAN]), 0.0);
-        assert_eq!(max_rel_error(&[f64::NAN], &[1.0]), f64::INFINITY);
-        assert_eq!(max_rel_error(&[1.0], &[f64::NAN]), f64::INFINITY);
+        RegProgram::lower(&ck).unwrap().check(&ck).unwrap();
+        let err = RegProgram::lower(&wrong).unwrap().check(&ck).unwrap_err();
+        assert!(matches!(err, EngineError::KernelMismatch { .. }), "{err}");
     }
 }

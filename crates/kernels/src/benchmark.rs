@@ -10,7 +10,7 @@ use stencil_polyhedral::{Point, Polyhedron};
 use crate::expr::KernelExpr;
 use crate::native::NativeRow;
 
-/// Datapath operation counts of one kernel iteration, used by the FPGA
+/// Arithmetic operation counts of one kernel iteration, used by the FPGA
 /// resource model to estimate the computation kernel's footprint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelOps {
@@ -53,8 +53,6 @@ pub struct Benchmark {
     element_bits: u32,
     #[serde(default)]
     iteration_stable: bool,
-    #[serde(default = "default_f32_rtol")]
-    f32_rtol: f64,
     #[serde(skip, default = "default_compute")]
     compute: ComputeFn,
     #[serde(skip)]
@@ -69,13 +67,6 @@ pub struct Benchmark {
 #[must_use]
 pub fn default_compute() -> ComputeFn {
     |vals| vals.iter().sum()
-}
-
-/// The default f32 verification tolerance (see [`Benchmark::f32_rtol`]):
-/// a few ULPs of headroom past single precision's ~1.2e-7 for shallow
-/// dataflow graphs. Division/sqrt-heavy kernels override it.
-fn default_f32_rtol() -> f64 {
-    1e-5
 }
 
 impl Benchmark {
@@ -104,37 +95,10 @@ impl Benchmark {
             ops,
             element_bits: StencilSpec::DEFAULT_ELEMENT_BITS,
             iteration_stable: false,
-            f32_rtol: default_f32_rtol(),
             compute,
             expr: None,
             native: None,
         }
-    }
-
-    /// Overrides the f32 verification tolerance (see
-    /// [`Benchmark::f32_rtol`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rtol` is not finite and positive.
-    #[must_use]
-    pub fn with_f32_rtol(mut self, rtol: f64) -> Self {
-        assert!(
-            rtol.is_finite() && rtol > 0.0,
-            "f32 tolerance must be finite and positive, got {rtol}"
-        );
-        self.f32_rtol = rtol;
-        self
-    }
-
-    /// Maximum relative error allowed between this kernel's f32
-    /// datapath and the f64 reference, per output element against the
-    /// max-magnitude scale of the reference. Defaults to `1e-5`;
-    /// kernels whose dataflow amplifies rounding (division chains,
-    /// square roots of small differences) declare a looser bound.
-    #[must_use]
-    pub fn f32_rtol(&self) -> f64 {
-        self.f32_rtol
     }
 
     /// Declares the kernel *iteration-stable*: applying it to its own
@@ -255,7 +219,7 @@ impl Benchmark {
         self.extents.len()
     }
 
-    /// Datapath operation counts.
+    /// Arithmetic operation counts of one kernel iteration.
     #[must_use]
     pub fn ops(&self) -> KernelOps {
         self.ops
@@ -634,26 +598,6 @@ mod tests {
     #[should_panic(expected = "expression taps v[3]")]
     fn with_expr_rejects_out_of_window_taps() {
         let _ = toy().with_expr(KernelExpr::tap(3));
-    }
-
-    #[test]
-    fn f32_rtol_defaults_and_overrides() {
-        let b = toy();
-        assert_eq!(b.f32_rtol(), 1e-5);
-        assert_eq!(b.with_f32_rtol(3e-4).f32_rtol(), 3e-4);
-        // Pre-f32 serialized benchmarks carry no tolerance field; the
-        // `#[serde(default = "default_f32_rtol")]` attribute makes
-        // deserialization fall back to the same default `new` uses.
-        assert_eq!(default_f32_rtol(), 1e-5);
-        // Loosened suite kernels stay within an order of magnitude.
-        assert_eq!(crate::suite::rician().f32_rtol(), 1e-4);
-        assert_eq!(crate::suite::segmentation_3d().f32_rtol(), 1e-4);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn f32_rtol_rejects_non_positive() {
-        let _ = toy().with_f32_rtol(0.0);
     }
 
     #[test]

@@ -77,9 +77,6 @@ pub fn rician() -> Benchmark {
     )
     .with_native_row(row)
     .with_element_bits(16)
-    // The divide-then-sqrt chain amplifies single-precision rounding,
-    // so the f32 datapath gets a looser verification bound.
-    .with_f32_rtol(1e-4)
     .with_expr({
         let [t0, t1, t2, t3] = KernelExpr::taps::<4>();
         let avg = 0.25 * (t0 + t1 + t2 + t3);
@@ -250,9 +247,6 @@ pub fn segmentation_3d() -> Benchmark {
     )
     .with_native_row(row)
     .with_element_bits(16)
-    // The 18-term accumulation compounds f32 rounding across the long
-    // add chain; relax the f32 verification bound accordingly.
-    .with_f32_rtol(1e-4)
     .with_expr({
         // Mirror the closure's accumulation order exactly: both running
         // sums start at 0.0 and take taps in ascending lex position.

@@ -23,7 +23,7 @@
 //!
 //! Serialization goes through the vendored `serde` JSON data model
 //! ([`serde::json::Value`]); each schema record is declared once and
-//! its codec is generated from that declaration. Schema v4
+//! its codec is generated from that declaration. Schema v5
 //! ([`SCHEMA_VERSION`]) requires every key: an absent section is
 //! written as `null`, and [`MetricsReport::parse`] rejects a report
 //! that omits any key, naming it. Every schema type round-trips

@@ -21,7 +21,8 @@ use crate::metric::Histogram;
 /// Version 3 replaced the top-level `engine`, `stream` and `session`
 /// blocks with the `sessions` list. Version 4 dropped the `unroll` key
 /// of engine and stream blocks: every compiled row runs one sweep shape.
-pub const SCHEMA_VERSION: u32 = 4;
+/// Version 5 dropped their `datapath` key: every run evaluates in f64.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Declares one wire record: emits the struct exactly as written, plus
 /// its `ToValue` (an object whose keys are the field names, in
@@ -209,9 +210,6 @@ record! {
         /// Kernel backend that executed the datapath (`"compiled"` for the
         /// register-program row sweep, `"closure"` otherwise).
         pub backend: String,
-        /// Arithmetic precision the kernel evaluated in (`"f64"` or
-        /// `"f32"`).
-        pub datapath: String,
         /// Input elements fetched across bands, halo overlap counted per
         /// band.
         pub halo_elements: u64,
@@ -245,9 +243,6 @@ record! {
         /// Kernel backend that executed the datapath (`"compiled"` for the
         /// register-program row sweep, `"closure"` otherwise).
         pub backend: String,
-        /// Arithmetic precision the kernel evaluated in (`"f64"` or
-        /// `"f32"`).
-        pub datapath: String,
         /// Requested band height in outermost-dimension rows (0 = the
         /// plan's default one-band-per-off-chip-stream sharding).
         pub chunk_rows: u64,
@@ -612,7 +607,6 @@ mod tests {
                             tiles: 2,
                             threads: 2,
                             backend: "compiled".into(),
-                            datapath: "f64".into(),
                             halo_elements: 132,
                             elapsed_ns: 81_532,
                             throughput: 981_208.3,
@@ -659,7 +653,6 @@ mod tests {
                                 bands: 4,
                                 threads: 2,
                                 backend: "compiled".into(),
-                                datapath: "f64".into(),
                                 chunk_rows: 1,
                                 rows_in: 12,
                                 values_in: 144,
@@ -685,7 +678,6 @@ mod tests {
                                 bands: 4,
                                 threads: 2,
                                 backend: "compiled".into(),
-                                datapath: "f64".into(),
                                 chunk_rows: 1,
                                 rows_in: 10,
                                 values_in: 80,
@@ -721,7 +713,6 @@ mod tests {
             tiles: 2,
             threads: 2,
             backend: "compiled".into(),
-            datapath: "f64".into(),
             halo_elements: 132,
             elapsed_ns: 81_532,
             throughput: 981_208.3,
@@ -740,7 +731,6 @@ mod tests {
             bands: 4,
             threads: 2,
             backend: "compiled".into(),
-            datapath: "f32".into(),
             chunk_rows: 3,
             rows_in: 12,
             values_in: 144,

@@ -89,10 +89,6 @@ pub enum BoundCheck {
     /// the `"compiled"` backend may report vectorized sweep rows), and
     /// each stage ran the backend it declares.
     BackendConsistent,
-    /// The reported sweep shape is well-formed: the datapath names a
-    /// known precision (`"f64"` bit-identical runs, `"f32"`
-    /// tolerance-verified runs).
-    SweepShape,
     /// No NaN/infinity anywhere in the report.
     Finite,
 }
@@ -112,7 +108,6 @@ impl core::fmt::Display for BoundCheck {
             Self::GridIoConsistent => "grid-io-consistent",
             Self::Admission => "admission",
             Self::BackendConsistent => "backend-consistent",
-            Self::SweepShape => "sweep-shape",
             Self::Finite => "finite",
         };
         f.write_str(name)
@@ -310,29 +305,14 @@ fn residency(v: &mut Vec<BoundViolation>, loc: &str, peak: u64, bound_name: &str
 
 /// Checks the kernel a stage block reports it ran: only the compiled
 /// backend owns the vectorized row sweep
-/// ([`BoundCheck::BackendConsistent`]), and the datapath names a known
-/// precision ([`BoundCheck::SweepShape`]).
-fn check_kernel(
-    backend: &str,
-    sweep_rows: u64,
-    datapath: &str,
-    loc: &str,
-    v: &mut Vec<BoundViolation>,
-) {
+/// ([`BoundCheck::BackendConsistent`]).
+fn check_kernel(backend: &str, sweep_rows: u64, loc: &str, v: &mut Vec<BoundViolation>) {
     if backend != "compiled" && sweep_rows > 0 {
         violation(
             v,
             BoundCheck::BackendConsistent,
             loc,
             format!("backend {backend:?} reports {sweep_rows} swept rows"),
-        );
-    }
-    if datapath != "f64" && datapath != "f32" {
-        violation(
-            v,
-            BoundCheck::SweepShape,
-            loc,
-            format!("unknown datapath {datapath:?} (expected \"f64\" or \"f32\")"),
         );
     }
 }
@@ -524,7 +504,7 @@ fn check_engine(e: &EngineMetrics, stage: &StageMetrics, loc: &str, v: &mut Vec<
     }
     check_declared(stage, "engine", &e.backend, loc, v);
     let sweep: u64 = e.per_tile.iter().map(|t| t.sweep_rows).sum();
-    check_kernel(&e.backend, sweep, &e.datapath, loc, v);
+    check_kernel(&e.backend, sweep, loc, v);
 }
 
 /// Checks a streaming stage block: only one band's halo window of input
@@ -569,7 +549,7 @@ fn check_stream(s: &StreamMetrics, stage: &StageMetrics, loc: &str, v: &mut Vec<
         );
     }
     check_declared(stage, "stream", &s.backend, loc, v);
-    check_kernel(&s.backend, s.sweep_rows, &s.datapath, loc, v);
+    check_kernel(&s.backend, s.sweep_rows, loc, v);
 }
 
 /// Checks a grid-I/O block's internal consistency: mapped values imply
@@ -841,7 +821,6 @@ mod tests {
                 tiles: 1,
                 threads: 1,
                 backend: "closure".into(),
-                datapath: "f64".into(),
                 halo_elements: 12,
                 elapsed_ns: 0,
                 throughput: f64::INFINITY,
@@ -871,7 +850,6 @@ mod tests {
                 tiles: 1,
                 threads: 1,
                 backend: "closure".into(),
-                datapath: "f64".into(),
                 halo_elements: 12,
                 elapsed_ns: 5,
                 throughput: 1.0,
@@ -896,36 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_sweep_shape_is_flagged() {
-        let mut report = one_stage(
-            Some(EngineMetrics {
-                outputs: 10,
-                tiles: 1,
-                threads: 1,
-                backend: "compiled".into(),
-                datapath: "f32".into(),
-                halo_elements: 12,
-                elapsed_ns: 5,
-                throughput: 1.0,
-                per_tile: Vec::new(),
-            }),
-            None,
-        );
-        // An f32 compiled run is a legitimate shape.
-        assert_eq!(validate_report(&report), Vec::new());
-        // An unknown datapath string is malformed telemetry.
-        engine(&mut report).datapath = "f16".into();
-        let v = validate_report(&report);
-        assert!(v.iter().any(|x| x.check == BoundCheck::SweepShape), "{v:?}");
-        assert!(v[0].to_string().contains("sweep-shape"), "{}", v[0]);
-        // The f32 datapath under the closure backend (scalar f32
-        // bytecode, used by cross-checks) is well-formed.
-        set_backend(&mut report, "closure");
-        engine(&mut report).datapath = "f32".into();
-        assert_eq!(validate_report(&report), Vec::new());
-    }
-
-    #[test]
     fn residency_bound_violation_is_flagged() {
         let mut report = one_stage(
             None,
@@ -934,7 +882,6 @@ mod tests {
                 bands: 5,
                 threads: 2,
                 backend: "compiled".into(),
-                datapath: "f64".into(),
                 chunk_rows: 4,
                 rows_in: 12,
                 values_in: 144,
@@ -988,7 +935,6 @@ mod tests {
                 bands: 4,
                 threads: 1,
                 backend: "closure".into(),
-                datapath: "f64".into(),
                 chunk_rows: 1,
                 rows_in: 10,
                 values_in,
@@ -1202,7 +1148,6 @@ mod tests {
                     tiles: 1,
                     threads: 1,
                     backend: "closure".into(),
-                    datapath: "f64".into(),
                     halo_elements: 12,
                     elapsed_ns: 50,
                     throughput: 1.0,
@@ -1235,7 +1180,6 @@ mod tests {
                 tiles: 1,
                 threads: 1,
                 backend: "closure".into(),
-                datapath: "f64".into(),
                 halo_elements: 12,
                 elapsed_ns: 5,
                 throughput: 1.0,
